@@ -9,7 +9,7 @@
 //! smarter policy adds on top of uniform sampling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use feddrl_fl::executor::{ClientReliability, ReliabilityTable};
+use feddrl_fl::executor::{ClientReliability, ExecutorView, ReliabilityTable};
 use feddrl_fl::selection::{Selection, SelectionContext};
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::device::{DropoutCorrelation, Fleet, FleetConfig, FleetView, ReliabilityConfig};
@@ -110,12 +110,15 @@ fn bench_selection(c: &mut Criterion) {
                     participants: K,
                     known_loss: &known_loss,
                     participation: &participation,
-                    fleet: Some(&fleet),
-                    upload_bytes: 1_000_000,
-                    deadline_s: None,
-                    in_flight: &in_flight,
-                    reliability: Some(&reliability),
-                    departed: &[],
+                    // The view owns its in-flight list, as a real
+                    // executor's does: the session pays this per round.
+                    executor: ExecutorView {
+                        fleet: Some(&fleet),
+                        upload_bytes: 1_000_000,
+                        in_flight: in_flight.clone(),
+                        reliability: Some(&reliability),
+                        ..Default::default()
+                    },
                 };
                 let picked = policy.select(&ctx, &mut Rng64::new(7).derive(round as u64));
                 round += 1;

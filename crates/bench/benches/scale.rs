@@ -61,7 +61,6 @@ fn bench_round(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("round", n), |b| {
             b.iter(|| {
                 let mut rng = master.derive(round as u64);
-                let in_flight = RoundExecutor::in_flight_clients(&ex);
                 let selected = {
                     let ctx = SelectionContext {
                         round,
@@ -69,12 +68,7 @@ fn bench_round(c: &mut Criterion) {
                         participants: K,
                         known_loss: &known_loss,
                         participation: &[],
-                        fleet: RoundExecutor::fleet(&ex),
-                        upload_bytes: RoundExecutor::upload_bytes(&ex),
-                        deadline_s: RoundExecutor::deadline_s(&ex),
-                        in_flight: &in_flight,
-                        reliability: RoundExecutor::reliability(&ex),
-                        departed: &RoundExecutor::departed_clients(&ex),
+                        executor: ex.view(),
                     };
                     policy.select(&ctx, &mut rng)
                 };

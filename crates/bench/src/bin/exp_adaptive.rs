@@ -71,7 +71,8 @@ fn main() {
         exp.participants,
         opts.seed,
     )
-    .upload_bytes();
+    .view()
+    .upload_bytes;
     let deadline =
         Fleet::generate(n_clients, &fleet).completion_percentile_s(upload_bytes, DEADLINE_PCT);
 

@@ -112,9 +112,11 @@ fn main() {
         exp.participants,
         exp.seed,
     );
-    let deadline_s = probe
-        .fleet()
-        .completion_percentile_s(probe.upload_bytes(), DEADLINE_PCT);
+    let view = probe.view();
+    let deadline_s = view
+        .fleet
+        .expect("deadline executor has a fleet")
+        .completion_percentile_s(view.upload_bytes, DEADLINE_PCT);
 
     let cells: [(&str, ExecutorConfig); 4] = [
         (

@@ -34,7 +34,8 @@ fn main() {
         exp.participants,
         opts.seed,
     )
-    .upload_bytes();
+    .view()
+    .upload_bytes;
 
     let mut rows = Vec::new();
     let mut csv = String::from(

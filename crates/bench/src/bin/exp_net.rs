@@ -248,7 +248,7 @@ fn run_net(
     for round in 0..rounds {
         // Sweep (and surface) departures before dispatching, exactly as
         // the session does via selection context.
-        let _ = exec.departed_clients();
+        let _ = exec.view();
         // Touch one parameter per round so steady-state publishes are
         // genuine sparse deltas, not empty ones.
         global[round % params] = (round + 1) as f32;
@@ -268,7 +268,7 @@ fn run_net(
         }
     }
     let wall_s = start.elapsed().as_secs_f64();
-    let departed = exec.departed_clients();
+    let departed = exec.view().departed;
     // Dropping the executor shuts the server down; workers exit on `Bye`
     // (a buffered run may cut a still-sleeping straggler's socket, so the
     // worker result is not required to be clean here).
@@ -393,7 +393,8 @@ fn main() {
         exp.participants,
         opts.seed,
     )
-    .upload_bytes();
+    .view()
+    .upload_bytes;
 
     // The fleet both sides share: the workers' real delays and the
     // simulator's virtual completion times come from the same profiles.

@@ -100,7 +100,7 @@ fn run_tier(n: usize, rounds: usize, seed: u64) -> TierStats {
     let t0 = Instant::now();
     for round in 0..rounds {
         let mut rng = master.derive(round as u64);
-        let in_flight = RoundExecutor::in_flight_clients(&ex);
+        let view = ex.view();
         let ts = Instant::now();
         let selected = {
             let ctx = SelectionContext {
@@ -109,12 +109,7 @@ fn run_tier(n: usize, rounds: usize, seed: u64) -> TierStats {
                 participants: PARTICIPANTS,
                 known_loss: &known_loss,
                 participation: &[], // unused by the swept policy
-                fleet: RoundExecutor::fleet(&ex),
-                upload_bytes: RoundExecutor::upload_bytes(&ex),
-                deadline_s: RoundExecutor::deadline_s(&ex),
-                in_flight: &in_flight,
-                reliability: RoundExecutor::reliability(&ex),
-                departed: &RoundExecutor::departed_clients(&ex),
+                executor: view,
             };
             policy.select(&ctx, &mut rng)
         };
@@ -133,14 +128,15 @@ fn run_tier(n: usize, rounds: usize, seed: u64) -> TierStats {
     }
     let elapsed = t0.elapsed().as_secs_f64();
 
-    let stats = RoundExecutor::reliability(&ex).expect("buffered telemetry");
+    let view = ex.view();
     TierStats {
         n,
         rounds,
         rounds_per_sec: rounds as f64 / elapsed.max(1e-9),
         mean_select_us: select_ns as f64 / 1e3 / rounds as f64,
-        telemetry_entries: stats.observed(),
-        profiles_derived: RoundExecutor::fleet(&ex)
+        telemetry_entries: view.reliability.expect("buffered telemetry").observed(),
+        profiles_derived: view
+            .fleet
             .expect("buffered executor has a fleet")
             .derivations(),
         distinct_dispatched: participation.len(),

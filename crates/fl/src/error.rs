@@ -96,6 +96,16 @@ pub enum FlError {
         /// Human-readable description of the violation.
         reason: String,
     },
+    /// A [`Strategy`](crate::strategy::Strategy) returned impact factors
+    /// that cannot be normalized onto the simplex: wrong cardinality, a
+    /// negative or non-finite entry, or an all-zero vector. Only
+    /// user-defined strategies can trigger this.
+    InvalidFactors {
+        /// Round in which the strategy misbehaved.
+        round: usize,
+        /// Human-readable description of the violation.
+        reason: String,
+    },
     /// A socket-level I/O failure in the networked runtime (bind, accept,
     /// read or write on a client connection). Carries the `io::ErrorKind`
     /// name plus context rather than the `std::io::Error` itself, which is
@@ -165,6 +175,10 @@ impl fmt::Display for FlError {
             FlError::InvalidSelection { round, reason } => write!(
                 f,
                 "round {round}: selection policy returned an invalid sample: {reason}"
+            ),
+            FlError::InvalidFactors { round, reason } => write!(
+                f,
+                "round {round}: strategy returned invalid impact factors: {reason}"
             ),
             FlError::Io { reason } => write!(f, "network i/o error: {reason}"),
             FlError::Protocol { reason } => write!(f, "wire protocol violation: {reason}"),

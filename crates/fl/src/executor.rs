@@ -30,11 +30,9 @@
 use std::collections::BTreeMap;
 
 use crate::client::ClientUpdate;
+use crate::dispatch::DispatchPlanner;
 use crate::history::HeteroRoundRecord;
-use feddrl_nn::rng::Rng64;
-use feddrl_sim::churn::ChurnProcess;
-use feddrl_sim::comm::CommModel;
-use feddrl_sim::device::{DiurnalConfig, FleetConfig, FleetView};
+use feddrl_sim::device::{FleetConfig, FleetView};
 use feddrl_sim::event::{EventKind, EventQueue, VirtualClock};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -171,11 +169,11 @@ impl StructuredDropoutConfig {
     /// (per the caller-supplied cost model) fits the deadline, or `None`
     /// when even the smallest sub-model misses it.
     ///
-    /// Both the in-process [`DeadlineExecutor`] and the networked
-    /// executor's wire-masking path route their dispatch decision through
-    /// this one function, so a given `(deadline, cost model)` pair yields
-    /// the same keep ratio on either side — a precondition for their
-    /// byte-identical histories.
+    /// [`keep_ratio`](crate::dispatch::keep_ratio) is the one caller: it
+    /// supplies the device cost model for both the in-process planner and
+    /// the networked executor's wire-masking path, so a given
+    /// `(deadline, device)` pair yields the same keep ratio on either side
+    /// — a precondition for their byte-identical histories.
     pub fn largest_fitting(
         &self,
         deadline_s: f64,
@@ -570,16 +568,18 @@ fn dispatch_train(
     dispatches: &[Dispatch],
     parallel: bool,
 ) -> Vec<ClientUpdate> {
-    if !parallel || dispatches.len() < 2 {
-        return train(dispatches);
-    }
-    dispatches
-        .par_iter()
-        .map(|&d| train(&[d]))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .flatten()
-        .collect()
+    let updates: Vec<ClientUpdate> = if !parallel || dispatches.len() < 2 {
+        train(dispatches)
+    } else {
+        let per_client: Vec<_> = dispatches.par_iter().map(|&d| train(&[d])).collect();
+        per_client.into_iter().flatten().collect()
+    };
+    let in_order = |(u, d): (&ClientUpdate, &Dispatch)| u.client_id == d.client_id;
+    debug_assert!(
+        updates.len() == dispatches.len() && updates.iter().zip(dispatches).all(in_order),
+        "train must preserve dispatch order"
+    );
+    updates
 }
 
 /// What a round executor hands back to the server loop.
@@ -617,82 +617,93 @@ pub trait RoundExecutor: Send {
         let _ = (round, global);
     }
 
-    /// Total client ids ever minted, when this executor models fleet
-    /// churn: ids in `[0, universe)` are valid to select (some may have
+    /// Snapshot of everything the session and the selection policy may
+    /// know about this executor's state, taken between rounds. The default
+    /// — [`ExecutorView::default`] — is an executor with no device model,
+    /// no churn and nothing ever pending (the ideal one).
+    fn view(&self) -> ExecutorView<'_> {
+        ExecutorView::default()
+    }
+}
+
+/// What a [`RoundExecutor`] exposes between rounds: the session reads it
+/// once before selection — and hands it to the
+/// [`SelectionPolicy`](crate::selection::SelectionPolicy) as
+/// [`SelectionContext::executor`](crate::selection::SelectionContext::executor)
+/// — and once after [`RoundExecutor::execute`]. The fleet and the
+/// telemetry are borrowed from the executor, never cloned.
+#[derive(Debug, PartialEq)]
+pub struct ExecutorView<'a> {
+    /// Total client ids ever minted, when the executor models fleet churn:
+    /// ids in `[0, universe)` are valid to select (some may have
     /// departed), and growth of this value between rounds is how the
-    /// session learns of late joiners. `None` — the default — means the
-    /// client set is fixed at the partition's size.
-    fn universe(&self) -> Option<usize> {
-        None
-    }
-
-    /// Clients that have left the federation (churn departures), in
-    /// ascending id order. Their telemetry persists — the server only
-    /// ever *observes* departure as dispatches that stop answering — but
-    /// reliability-aware selection excludes them outright once told.
-    /// Empty for executors without churn.
-    fn departed_clients(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// The device fleet this executor simulates, if any — what
-    /// heterogeneity-aware [`SelectionPolicy`](crate::selection::SelectionPolicy)s
-    /// base their completion-time estimates on. Served as a lazy
-    /// [`FleetView`] so policies over a million-device fleet derive only
-    /// the candidate profiles they score. `None` for executors without a
-    /// device model (the ideal one).
-    fn fleet(&self) -> Option<&FleetView> {
-        None
-    }
-
+    /// session learns of late joiners. `None` means the client set is
+    /// fixed at the partition's size.
+    pub universe: Option<usize>,
+    /// Clients that have left the federation (churn departures, or TTL
+    /// expiry over sockets), in ascending id order. Dispatching one is
+    /// guaranteed to be wasted — the executor counts it as a dropout — so
+    /// ranking policies demote departed candidates below every live one.
+    /// Their telemetry persists in [`Self::reliability`] (it simply goes
+    /// stale), and uniform sampling deliberately ignores this field: the
+    /// paper's baseline stays oblivious to churn, which is exactly the
+    /// behavior the churn-aware policies are measured against. Empty for
+    /// executors without churn.
+    pub departed: Vec<usize>,
+    /// The device fleet the executor simulates — what heterogeneity-aware
+    /// policies base their completion-time estimates on. Served as a lazy
+    /// [`FleetView`], so consulting only the candidate pool costs
+    /// O(candidates) regardless of fleet size. `None` for executors
+    /// without a device model.
+    pub fleet: Option<&'a FleetView>,
     /// Per-client upload payload in bytes (0 when there is no
-    /// communication model); combined with
-    /// [`RoundExecutor::fleet`] it prices a client's predicted arrival.
-    fn upload_bytes(&self) -> u64 {
-        0
-    }
-
-    /// The round deadline in simulated seconds, if this executor bounds
+    /// communication model); combined with [`Self::fleet`] it prices a
+    /// client's predicted arrival.
+    pub upload_bytes: u64,
+    /// The round deadline in simulated seconds, if the executor bounds
     /// rounds — lets selection policies avoid clients that would be cut.
-    fn deadline_s(&self) -> Option<f64> {
-        None
-    }
-
-    /// How the session loop should discount a stale update's impact factor
-    /// (the factor for an update `s` versions behind is multiplied by
-    /// [`StalenessDiscount::factor`]`(s)` before simplex normalization).
-    /// `None` — the default — leaves factors untouched, so executors that
-    /// only ever report fresh updates keep the historical byte-identical
-    /// path.
-    fn staleness_discount(&self) -> StalenessDiscount {
-        StalenessDiscount::None
-    }
-
+    pub deadline_s: Option<f64>,
+    /// How the session discounts a stale update's impact factor: the
+    /// factor for an update `s` versions behind is multiplied by
+    /// [`StalenessDiscount::factor`]`(s)` before simplex normalization.
+    /// `None` leaves factors untouched, so executors that only ever report
+    /// fresh updates keep the historical byte-identical path.
+    pub staleness_discount: StalenessDiscount,
     /// Server mixing rate `η ∈ (0, 1]` the session applies at aggregation:
-    /// `w ← (1 − η)·w + η·Σ αₖ wₖ`. The default `1.0` is the paper's pure
-    /// Eq. 4 replacement and leaves the historical code path untouched.
-    fn server_mix(&self) -> f64 {
-        1.0
-    }
-
+    /// `w ← (1 − η)·w + η·Σ αₖ wₖ`. `1.0` is the paper's pure Eq. 4
+    /// replacement and leaves the historical code path untouched.
+    pub server_mix: f64,
     /// Clients whose dispatched update is still on its way to the server
     /// — training, uploading, or parked in an unconsumed server-side
     /// queue. Sampling them again either wastes the slot (the buffered
-    /// executor skips busy devices at dispatch) or supersedes — discards
-    /// — the queued stale update (the deadline executor's carry-over), so
-    /// async-aware selection policies rank them last. Executors that end
-    /// every round with nothing pending keep the empty default.
-    fn in_flight_clients(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Per-client reliability telemetry observed so far, keyed by client
-    /// id over *observed* clients only — dropout counts and staleness
-    /// history a [`SelectionPolicy`](crate::selection::SelectionPolicy)
-    /// can learn from. `None` for executors without a device model (the
+    /// executors skip busy devices at dispatch) or supersedes — discards —
+    /// the queued stale update (the deadline executor's carry-over), so
+    /// async-aware selection policies rank them last. Empty for executors
+    /// that end every round with nothing pending.
+    pub in_flight: Vec<usize>,
+    /// Per-client *observed* reliability telemetry — dropout counts and
+    /// staleness history accumulated so far, keyed by client id and
+    /// holding entries only for clients actually dispatched. Policies see
+    /// only what the server has witnessed, never the fleet's true failure
+    /// probabilities. `None` for executors without a device model (the
     /// ideal one never drops anyone).
-    fn reliability(&self) -> Option<&ReliabilityTable> {
-        None
+    pub reliability: Option<&'a ReliabilityTable>,
+}
+
+impl Default for ExecutorView<'_> {
+    /// No device model, no churn, nothing pending, `server_mix = 1`.
+    fn default() -> Self {
+        Self {
+            universe: None,
+            departed: Vec::new(),
+            fleet: None,
+            upload_bytes: 0,
+            deadline_s: None,
+            staleness_discount: StalenessDiscount::None,
+            server_mix: 1.0,
+            in_flight: Vec::new(),
+            reliability: None,
+        }
     }
 }
 
@@ -711,45 +722,28 @@ impl RoundExecutor for IdealExecutor {
     }
 }
 
-/// Salt for the per-round dropout RNG stream (distinct from client
-/// training `0xC11E` and selection streams).
-const DROPOUT_SALT: u64 = 0xD20_0FF;
-
 /// Deadline-bounded rounds over a seeded heterogeneous device fleet.
 pub struct DeadlineExecutor {
-    fleet: FleetView,
+    /// Who trains and on how much of the model — fleet, churn, dropout
+    /// draws, telemetry and the model version all live here.
+    planner: DispatchPlanner,
     cfg: HeteroConfig,
-    upload_bytes: u64,
     participants: usize,
-    seed: u64,
-    /// Global-model versions produced so far: incremented only when a
-    /// round actually aggregates something, so staleness counts *model
-    /// versions* an update is behind, not calendar rounds (an empty round
-    /// leaves the global — and therefore every queued update's freshness —
-    /// untouched).
-    version: usize,
     /// Late updates awaiting a later round, each paired with the model
     /// version it was trained against — the carry-in ages it by the
     /// difference (only under [`LatePolicy::CarryOver`]).
     carried: Vec<(ClientUpdate, usize)>,
-    /// Observed per-client reliability telemetry (dropouts, dispatches,
-    /// aggregated updates and their staleness), keyed by observed client.
-    stats: ReliabilityTable,
     /// Virtual seconds elapsed since the start of the run — the sum of
     /// every finished round's `sim_time_s`. Rounds still replay on a
     /// round-local event queue, but churn and diurnal modulation live on
     /// this absolute timeline (0 forever when both are off, keeping the
     /// static path byte-identical).
     clock_s: f64,
-    /// The fleet's arrival/departure process, when churn is configured.
-    churn: Option<ChurnProcess>,
 }
 
 impl DeadlineExecutor {
-    /// Build the executor: opens a lazy view over the device fleet
-    /// (profiles derive on demand — nothing is materialized up front) and
-    /// derives the per-client upload payload from the §3.5 communication
-    /// model (FedDRL traffic — model weights plus the two scalar losses).
+    /// Build the executor over a fresh dispatch planner
+    /// ([`crate::dispatch`]) for the configured fleet.
     ///
     /// # Panics
     /// Panics on a non-positive deadline or a degenerate fleet config.
@@ -763,189 +757,45 @@ impl DeadlineExecutor {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
-        assert!(participants > 0, "participants must be positive");
-        let fleet = FleetView::new(n_clients, &cfg.fleet);
-        let k = participants as u64;
-        let traffic = CommModel::new(param_count.max(1) as u64, k).feddrl_round();
-        let upload_bytes = (traffic.uplink_models + traffic.uplink_metadata) / k;
-        let churn = cfg
-            .fleet
-            .churn
-            .as_ref()
-            .map(|c| ChurnProcess::new(n_clients, c, cfg.fleet.seed ^ seed));
         Self {
-            fleet,
+            planner: DispatchPlanner::new(&cfg.fleet, n_clients, param_count, participants, seed)
+                .with_deadline(cfg.deadline_s, cfg.structured_dropout, cfg.late_policy),
             cfg,
-            upload_bytes,
             participants,
-            seed,
-            version: 0,
             carried: Vec::new(),
-            stats: ReliabilityTable::new(),
             clock_s: 0.0,
-            churn,
         }
-    }
-
-    /// Per-client upload payload in bytes (model weights + metadata).
-    pub fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
-
-    /// The lazy device-fleet view.
-    pub fn fleet(&self) -> &FleetView {
-        &self.fleet
     }
 }
 
 impl RoundExecutor for DeadlineExecutor {
-    fn fleet(&self) -> Option<&FleetView> {
-        Some(&self.fleet)
-    }
-
-    fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
-
-    fn deadline_s(&self) -> Option<f64> {
-        self.cfg.deadline_s
-    }
-
-    fn staleness_discount(&self) -> StalenessDiscount {
-        self.cfg.staleness
-    }
-
-    fn reliability(&self) -> Option<&ReliabilityTable> {
-        Some(&self.stats)
-    }
-
-    fn in_flight_clients(&self) -> Vec<usize> {
-        // Under `LatePolicy::CarryOver` a straggler's late update waits in
-        // the carried queue between rounds; re-dispatching its client
-        // would supersede (discard) that queued work, so selection
-        // policies should treat it as pending. Always empty under `Drop`.
-        self.carried.iter().map(|(u, _)| u.client_id).collect()
-    }
-
-    fn universe(&self) -> Option<usize> {
-        self.churn.as_ref().map(|c| c.universe())
-    }
-
-    fn departed_clients(&self) -> Vec<usize> {
-        self.churn
-            .as_ref()
-            .map(|c| c.departed_ids())
-            .unwrap_or_default()
+    fn view(&self) -> ExecutorView<'_> {
+        ExecutorView {
+            staleness_discount: self.cfg.staleness,
+            // Under `LatePolicy::CarryOver` a straggler's late update waits
+            // in the carried queue between rounds; re-dispatching its
+            // client would supersede (discard) that queued work, so
+            // selection policies should treat it as pending. Always empty
+            // under `Drop`.
+            in_flight: self.carried.iter().map(|(u, _)| u.client_id).collect(),
+            ..self.planner.view()
+        }
     }
 
     fn execute(&mut self, round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
-        let deadline = self.cfg.deadline_s.unwrap_or(f64::INFINITY);
         let round_start_s = self.clock_s;
-        let diurnal: Option<DiurnalConfig> = self.cfg.fleet.diurnal;
-
-        // --- Churn: bring the arrival/departure timeline up to the round
-        // start. Ids minted by now are selectable next round; ids departed
-        // by now waste their dispatch below.
-        let (joins_before, leaves_before) = self
-            .churn
-            .as_ref()
-            .map_or((0, 0), |c| (c.joins(), c.leaves()));
-        if let Some(churn) = self.churn.as_mut() {
-            churn.advance_to(round_start_s);
-            self.fleet.grow(churn.universe());
-        }
-
-        // --- Dropouts, decided up front: a dropped client never trains
-        // (its device failed the round), so its CPU is not simulated. A
-        // dispatch to a departed client is likewise a wasted slot — the
-        // server cannot know the device left until it fails to answer —
-        // and reads as a dropout, which is exactly how the departure
-        // surfaces in reliability telemetry. A client whose deterministic
-        // completion time already exceeds the deadline is a foregone
-        // straggler: structured dropout (when configured) shrinks its
-        // model until it fits; otherwise, under `Drop` its update would be
-        // trained only to be discarded, so skip the training too (under
-        // `CarryOver` the update is still needed).
-        let dropout_rng = Rng64::new(self.seed ^ DROPOUT_SALT).derive(round as u64);
-        let mut alive: Vec<Dispatch> = Vec::with_capacity(selected.len());
-        let mut dropouts = 0usize;
-        let mut foregone_stragglers = 0usize;
-        let mut masked = 0usize;
-        for &cid in selected {
-            if self.churn.as_ref().is_some_and(|c| !c.is_active(cid)) {
-                dropouts += 1;
-                self.stats.entry(cid).dropouts += 1;
-                continue;
-            }
-            let profile = self.fleet.profile(cid);
-            let p = profile.effective_dropout(diurnal.as_ref(), round_start_s);
-            if p > 0.0 && dropout_rng.derive(cid as u64).chance(p) {
-                dropouts += 1;
-                self.stats.entry(cid).dropouts += 1;
-                continue;
-            }
-            let full_completion =
-                profile.completion_time_at(self.upload_bytes, 1.0, diurnal.as_ref(), round_start_s);
-            if full_completion > deadline {
-                if let Some(fit) = self.cfg.structured_dropout.as_ref().and_then(|sd| {
-                    sd.largest_fitting(deadline, |r| {
-                        profile.completion_time_at(
-                            self.upload_bytes,
-                            r,
-                            diurnal.as_ref(),
-                            round_start_s,
-                        )
-                    })
-                }) {
-                    masked += 1;
-                    alive.push(Dispatch {
-                        client_id: cid,
-                        keep_ratio: fit,
-                    });
-                    self.stats.entry(cid).dispatches += 1;
-                } else if self.cfg.late_policy == LatePolicy::Drop {
-                    foregone_stragglers += 1;
-                } else {
-                    alive.push(Dispatch::full(cid));
-                    self.stats.entry(cid).dispatches += 1;
-                }
-                continue;
-            }
-            alive.push(Dispatch::full(cid));
-            self.stats.entry(cid).dispatches += 1;
-        }
-
+        // Nobody is ever busy here: every round ends with nothing in
+        // flight (a carried update's client may be redispatched — the
+        // fresh report then supersedes the queued one).
+        let (alive, mut hetero) = self.planner.plan(round, round_start_s, selected, |_| false);
         let updates = dispatch_train(train, &alive, self.cfg.parallel_dispatch);
 
         // --- Discrete-event round: schedule every surviving upload, then
         // replay the timeline against the deadline. Queue sized to this
         // round's dispatch (plus the deadline) — independent of fleet size.
         let mut queue = EventQueue::with_capacity(updates.len() + 1);
-        let mut max_completion_s = 0.0f64;
-        for (d, u) in alive.iter().zip(&updates) {
-            debug_assert_eq!(
-                d.client_id, u.client_id,
-                "train must preserve dispatch order"
-            );
-            let completion_s = self.fleet.profile(u.client_id).completion_time_at(
-                self.upload_bytes,
-                d.keep_ratio,
-                diurnal.as_ref(),
-                round_start_s,
-            );
-            max_completion_s = max_completion_s.max(completion_s);
-            queue.schedule(
-                completion_s,
-                EventKind::UploadComplete {
-                    client_id: u.client_id,
-                    // The model version these uploads trained against —
-                    // advanced per aggregation, not per round, matching
-                    // the field's documented meaning.
-                    version: self.version,
-                },
-            );
-        }
-        if deadline.is_finite() {
+        let max_completion_s = self.planner.schedule_uploads(&alive, 0.0, &mut queue);
+        if let Some(deadline) = self.cfg.deadline_s {
             // Scheduled *after* the uploads: the FIFO tie-break then counts
             // an arrival at exactly the deadline as in time.
             queue.schedule(deadline, EventKind::Deadline);
@@ -957,19 +807,12 @@ impl RoundExecutor for DeadlineExecutor {
         // out, never aggregated, never carried). The churn clock then sits
         // at the window's end; rounds that finish early simply re-request
         // that prefix next time (a no-op rewind).
-        let horizon_s = if deadline.is_finite() {
-            deadline
-        } else {
-            max_completion_s
-        };
+        let horizon_s = self.cfg.deadline_s.unwrap_or(max_completion_s);
         let mut leave_at: BTreeMap<usize, f64> = BTreeMap::new();
-        if let Some(churn) = self.churn.as_mut() {
-            for ev in churn.advance_to(round_start_s + horizon_s) {
-                if let EventKind::ClientLeave { client_id } = ev.kind {
-                    leave_at.entry(client_id).or_insert(ev.time_s);
-                }
+        for ev in self.planner.advance_churn(round_start_s + horizon_s) {
+            if let EventKind::ClientLeave { client_id } = ev.kind {
+                leave_at.entry(client_id).or_insert(ev.time_s);
             }
-            self.fleet.grow(churn.universe());
         }
 
         let mut clock = VirtualClock::new();
@@ -998,47 +841,41 @@ impl RoundExecutor for DeadlineExecutor {
                 }
             }
         }
-        let stragglers = foregone_stragglers + (updates.len() - arrived_ids.len());
+        // On top of the stragglers the plan already gave up on.
+        hetero.stragglers += updates.len() - arrived_ids.len();
 
         // The server waits until the deadline whenever a sampled report is
         // missing (it cannot know the client dropped); otherwise the round
         // ends when the last expected upload lands. With an unbounded
         // deadline, dropouts are assumed to notify failure, so the round
         // still ends at the last arrival.
-        let sim_time_s = if deadline.is_finite() && (stragglers > 0 || dropouts > 0) {
-            deadline
-        } else {
-            last_arrival_s
+        hetero.sim_time_s = match self.cfg.deadline_s {
+            Some(deadline) if hetero.stragglers > 0 || hetero.dropouts > 0 => deadline,
+            _ => last_arrival_s,
         };
 
         // --- Split arrivals from stragglers, keeping sampling order (so an
         // unbounded no-dropout round reduces exactly to the ideal one).
-        let mut arrived = Vec::with_capacity(arrived_ids.len());
-        let mut late = Vec::new();
-        for u in updates {
-            if arrived_ids.contains(&u.client_id) {
-                arrived.push(u);
-            } else {
-                late.push(u);
-            }
-        }
+        let (arrived, late): (Vec<_>, Vec<_>) = updates
+            .into_iter()
+            .partition(|u| arrived_ids.contains(&u.client_id));
 
         // --- Carry-in: stale updates fill the round's spare capacity,
         // oldest first, each aged by the rounds it waited (`staleness`
         // drives the session's impact-factor discount). A fresh arrival
         // discards its client's stale copy; stale updates that find no
         // capacity stay queued for a later, shorter round.
+        let version = self.planner.version();
         let mut aggregated = Vec::new();
-        let mut carried_in = 0usize;
         let mut still_queued = Vec::new();
         for (mut stale, trained_version) in std::mem::take(&mut self.carried) {
             if arrived.iter().any(|u| u.client_id == stale.client_id) {
                 continue; // superseded by this round's fresh report
             }
             if aggregated.len() + arrived.len() < self.participants {
-                stale.staleness = self.version - trained_version;
+                stale.staleness = version - trained_version;
                 aggregated.push(stale);
-                carried_in += 1;
+                hetero.carried_in += 1;
             } else {
                 still_queued.push((stale, trained_version));
             }
@@ -1050,15 +887,11 @@ impl RoundExecutor for DeadlineExecutor {
             // departed client's late upload never reached the server, so
             // there is nothing to queue (its telemetry simply goes stale).
             for u in late {
-                if self
-                    .churn
-                    .as_ref()
-                    .is_some_and(|c| !c.is_active(u.client_id))
-                {
+                if !self.planner.is_active(u.client_id) {
                     continue;
                 }
                 self.carried.retain(|(s, _)| s.client_id != u.client_id);
-                self.carried.push((u, self.version));
+                self.carried.push((u, version));
             }
             // Bound staleness: keep only the K most recent queued updates —
             // an unboundedly stale update would poison the aggregate.
@@ -1070,36 +903,11 @@ impl RoundExecutor for DeadlineExecutor {
 
         // Per-update ages, recorded only when something stale was
         // aggregated (all-fresh rounds keep the pre-staleness JSON shape).
-        let staleness = if carried_in > 0 {
-            aggregated.iter().map(|u| u.staleness).collect()
-        } else {
-            Vec::new()
-        };
-        for u in &aggregated {
-            let s = self.stats.entry(u.client_id);
-            s.aggregated += 1;
-            s.staleness_sum += u.staleness;
+        if hetero.carried_in > 0 {
+            hetero.staleness = aggregated.iter().map(|u| u.staleness).collect();
         }
-        if !aggregated.is_empty() {
-            self.version += 1; // the session will produce a new global
-        }
-        self.clock_s = round_start_s + sim_time_s;
-        let (joined, departed) = self.churn.as_ref().map_or((0, 0), |c| {
-            (c.joins() - joins_before, c.leaves() - leaves_before)
-        });
-        let hetero = HeteroRoundRecord {
-            sim_time_s,
-            dropouts,
-            stragglers,
-            carried_in,
-            busy: 0,
-            buffered: 0,
-            joined,
-            departed,
-            masked,
-            staleness,
-            aggregated_ids: aggregated.iter().map(|u| u.client_id).collect(),
-        };
+        self.planner.finish_round(&aggregated, &mut hetero);
+        self.clock_s = round_start_s + hetero.sim_time_s;
         RoundOutcome {
             updates: aggregated,
             hetero: Some(hetero),
@@ -1126,18 +934,14 @@ impl RoundExecutor for DeadlineExecutor {
 /// device is busy / its report is unconsumed) — no aggregation ever
 /// double-counts one client's data.
 pub struct BufferedExecutor {
-    fleet: FleetView,
+    /// Who trains — fleet, churn (advanced along this executor's own
+    /// persistent clock), dropout draws, telemetry and the model version.
+    planner: DispatchPlanner,
     cfg: BufferedConfig,
-    upload_bytes: u64,
-    seed: u64,
     /// Virtual time since the start of the *run* (not the round).
     clock: VirtualClock,
     /// Pending upload completions, across model versions.
     queue: EventQueue,
-    /// Global-model versions produced so far (aggregations completed) —
-    /// what dispatches are stamped with and staleness is measured
-    /// against.
-    version: usize,
     /// Dispatched updates whose uploads have not completed yet, each with
     /// the model version it trains against.
     in_flight: Vec<(ClientUpdate, usize)>,
@@ -1145,19 +949,11 @@ pub struct BufferedExecutor {
     /// each with the model version it was trained against. Never holds
     /// `buffer_size` or more entries between rounds.
     buffer: Vec<(ClientUpdate, usize)>,
-    /// Observed per-client reliability telemetry (dropouts, dispatches,
-    /// aggregated updates and their staleness), keyed by observed client.
-    stats: ReliabilityTable,
-    /// The fleet's arrival/departure process, when churn is configured —
-    /// advanced along the executor's own persistent clock.
-    churn: Option<ChurnProcess>,
 }
 
 impl BufferedExecutor {
-    /// Build the executor: opens a lazy view over the device fleet
-    /// (profiles derive on demand — nothing is materialized up front) and
-    /// derives the per-client upload payload from the §3.5 communication
-    /// model, like [`DeadlineExecutor::new`].
+    /// Build the executor over a fresh dispatch planner
+    /// ([`crate::dispatch`]), like [`DeadlineExecutor::new`].
     ///
     /// # Panics
     /// Panics on a config [`BufferedConfig::validate`] rejects (zero or
@@ -1172,40 +968,16 @@ impl BufferedExecutor {
         if let Err(e) = cfg.validate(participants) {
             panic!("{e}");
         }
-        let fleet = FleetView::new(n_clients, &cfg.fleet);
-        let k = participants as u64;
-        let traffic = CommModel::new(param_count.max(1) as u64, k).feddrl_round();
-        let upload_bytes = (traffic.uplink_models + traffic.uplink_metadata) / k;
-        let churn = cfg
-            .fleet
-            .churn
-            .as_ref()
-            .map(|c| ChurnProcess::new(n_clients, c, cfg.fleet.seed ^ seed));
         Self {
-            fleet,
+            planner: DispatchPlanner::new(&cfg.fleet, n_clients, param_count, participants, seed),
             cfg,
-            upload_bytes,
-            seed,
-            churn,
             clock: VirtualClock::new(),
             // At most `participants` uploads are ever pending: sized once,
             // steady-state scheduling never reallocates, whatever N is.
             queue: EventQueue::with_capacity(participants + 1),
-            version: 0,
             in_flight: Vec::new(),
             buffer: Vec::new(),
-            stats: ReliabilityTable::new(),
         }
-    }
-
-    /// Per-client upload payload in bytes (model weights + metadata).
-    pub fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
-
-    /// The lazy device-fleet view.
-    pub fn fleet(&self) -> &FleetView {
-        &self.fleet
     }
 
     /// Updates dispatched but not yet arrived at the server.
@@ -1220,115 +992,43 @@ impl BufferedExecutor {
 }
 
 impl RoundExecutor for BufferedExecutor {
-    fn fleet(&self) -> Option<&FleetView> {
-        Some(&self.fleet)
-    }
-
-    fn upload_bytes(&self) -> u64 {
-        self.upload_bytes
-    }
-
-    fn staleness_discount(&self) -> StalenessDiscount {
-        self.cfg.staleness
-    }
-
-    fn server_mix(&self) -> f64 {
-        self.cfg.server_mix.unwrap_or(1.0)
-    }
-
-    fn in_flight_clients(&self) -> Vec<usize> {
-        // Read straight off the live event state: uploads still traveling
-        // plus reports parked in the partial buffer — both make their
-        // client "busy" at the next dispatch.
-        self.in_flight
-            .iter()
-            .chain(self.buffer.iter())
-            .map(|(u, _)| u.client_id)
-            .collect()
-    }
-
-    fn reliability(&self) -> Option<&ReliabilityTable> {
-        Some(&self.stats)
-    }
-
-    fn universe(&self) -> Option<usize> {
-        self.churn.as_ref().map(|c| c.universe())
-    }
-
-    fn departed_clients(&self) -> Vec<usize> {
-        self.churn
-            .as_ref()
-            .map(|c| c.departed_ids())
-            .unwrap_or_default()
+    fn view(&self) -> ExecutorView<'_> {
+        ExecutorView {
+            staleness_discount: self.cfg.staleness,
+            server_mix: self.cfg.server_mix.unwrap_or(1.0),
+            // Read straight off the live event state: uploads still
+            // traveling plus reports parked in the partial buffer — both
+            // make their client "busy" at the next dispatch.
+            in_flight: self
+                .in_flight
+                .iter()
+                .chain(self.buffer.iter())
+                .map(|(u, _)| u.client_id)
+                .collect(),
+            ..self.planner.view()
+        }
     }
 
     fn execute(&mut self, round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
         let round_start_s = self.clock.now_s();
-        let diurnal: Option<DiurnalConfig> = self.cfg.fleet.diurnal;
 
-        // --- Churn: bring the arrival/departure timeline up to the
-        // persistent clock before dispatching (the drain loop below keeps
+        // --- Dispatch: no deadline to fit, so everyone neither departed,
+        // busy (still uploading an earlier version, or with an unconsumed
+        // report parked in the buffer) nor dropped starts training the
+        // full model against the current version. Churn is brought up to
+        // the persistent clock first (the drain loop below keeps
         // advancing it event by event).
-        let (joins_before, leaves_before) = self
-            .churn
-            .as_ref()
-            .map_or((0, 0), |c| (c.joins(), c.leaves()));
-        if let Some(churn) = self.churn.as_mut() {
-            churn.advance_to(round_start_s);
-            self.fleet.grow(churn.universe());
-        }
-
-        // --- Dispatch: a departed client's slot is wasted (the server
-        // cannot know the device left — the failure reads as a dropout);
-        // skip busy devices (still uploading an earlier version, or with
-        // an unconsumed report parked in the buffer — redispatching those
-        // would let one client fill several slots of a single aggregation)
-        // and per-round seeded dropouts, then start everyone else training
-        // against the current model version.
-        let dropout_rng = Rng64::new(self.seed ^ DROPOUT_SALT).derive(round as u64);
-        let mut alive: Vec<Dispatch> = Vec::with_capacity(selected.len());
-        let mut dropouts = 0usize;
-        let mut busy = 0usize;
-        for &cid in selected {
-            if self.churn.as_ref().is_some_and(|c| !c.is_active(cid)) {
-                dropouts += 1;
-                self.stats.entry(cid).dropouts += 1;
-                continue;
-            }
-            let profile = self.fleet.profile(cid);
-            if self.in_flight.iter().any(|(u, _)| u.client_id == cid)
-                || self.buffer.iter().any(|(u, _)| u.client_id == cid)
-            {
-                busy += 1;
-            } else {
-                let p = profile.effective_dropout(diurnal.as_ref(), round_start_s);
-                if p > 0.0 && dropout_rng.derive(cid as u64).chance(p) {
-                    dropouts += 1;
-                    self.stats.entry(cid).dropouts += 1;
-                } else {
-                    alive.push(Dispatch::full(cid));
-                    self.stats.entry(cid).dispatches += 1;
-                }
-            }
-        }
-        let version = self.version;
-        for u in dispatch_train(train, &alive, self.cfg.parallel_dispatch) {
-            let arrival_s = self.clock.now_s()
-                + self.fleet.profile(u.client_id).completion_time_at(
-                    self.upload_bytes,
-                    1.0,
-                    diurnal.as_ref(),
-                    round_start_s,
-                );
-            self.queue.schedule(
-                arrival_s,
-                EventKind::UploadComplete {
-                    client_id: u.client_id,
-                    version,
-                },
-            );
-            self.in_flight.push((u, version));
-        }
+        let (in_flight, buffer) = (&self.in_flight, &self.buffer);
+        let (alive, mut hetero) = self.planner.plan(round, round_start_s, selected, |cid| {
+            in_flight.iter().any(|(u, _)| u.client_id == cid)
+                || buffer.iter().any(|(u, _)| u.client_id == cid)
+        });
+        let version = self.planner.version();
+        let dispatched = dispatch_train(train, &alive, self.cfg.parallel_dispatch);
+        self.planner
+            .schedule_uploads(&alive, round_start_s, &mut self.queue);
+        self.in_flight
+            .extend(dispatched.into_iter().map(|u| (u, version)));
 
         // --- Drain arrivals (possibly from earlier versions) until the
         // buffer fills; stop immediately at `buffer_size` so later
@@ -1336,7 +1036,6 @@ impl RoundExecutor for BufferedExecutor {
         // timeline advances in lock-step with the clock: an upload whose
         // client departed before it landed is lost in transit — counted a
         // straggler, never buffered.
-        let mut lost = 0usize;
         while self.buffer.len() < self.cfg.buffer_size {
             let Some(event) = self.queue.pop() else { break };
             self.clock.advance_to(event.time_s);
@@ -1348,21 +1047,13 @@ impl RoundExecutor for BufferedExecutor {
                 .iter()
                 .position(|(u, v)| u.client_id == client_id && *v == version)
                 .expect("upload event without a matching in-flight update");
-            if let Some(churn) = self.churn.as_mut() {
-                churn.advance_to(event.time_s);
-                if !churn.is_active(client_id) {
-                    self.in_flight.swap_remove(idx);
-                    lost += 1;
-                    continue;
-                }
+            let arrived = self.in_flight.swap_remove(idx);
+            self.planner.advance_churn(event.time_s);
+            if self.planner.is_active(client_id) {
+                self.buffer.push(arrived);
+            } else {
+                hetero.stragglers += 1;
             }
-            self.buffer.push(self.in_flight.swap_remove(idx));
-        }
-        // The drain advanced churn past the dispatch instant: widen the
-        // fleet view to any ids minted meanwhile, so next round's
-        // selection can derive their profiles.
-        if let Some(churn) = self.churn.as_ref() {
-            self.fleet.grow(churn.universe());
         }
 
         // --- Aggregate exactly `buffer_size` updates, or nothing: a
@@ -1371,35 +1062,16 @@ impl RoundExecutor for BufferedExecutor {
         // version — an empty round does not, so freshness is measured in
         // actual global-model steps.
         let mut aggregated = Vec::new();
-        let mut staleness = Vec::new();
         if self.buffer.len() == self.cfg.buffer_size {
             for (mut u, trained_version) in self.buffer.drain(..) {
-                u.staleness = self.version - trained_version;
-                staleness.push(u.staleness);
-                let s = self.stats.entry(u.client_id);
-                s.aggregated += 1;
-                s.staleness_sum += u.staleness;
+                u.staleness = version - trained_version;
                 aggregated.push(u);
             }
-            self.version += 1;
         }
-
-        let (joined, departed) = self.churn.as_ref().map_or((0, 0), |c| {
-            (c.joins() - joins_before, c.leaves() - leaves_before)
-        });
-        let hetero = HeteroRoundRecord {
-            sim_time_s: self.clock.now_s() - round_start_s,
-            dropouts,
-            stragglers: lost,
-            carried_in: 0,
-            busy,
-            buffered: self.buffer.len(),
-            joined,
-            departed,
-            masked: 0,
-            staleness,
-            aggregated_ids: aggregated.iter().map(|u| u.client_id).collect(),
-        };
+        hetero.sim_time_s = self.clock.now_s() - round_start_s;
+        hetero.buffered = self.buffer.len();
+        hetero.staleness = aggregated.iter().map(|u| u.staleness).collect();
+        self.planner.finish_round(&aggregated, &mut hetero);
         RoundOutcome {
             updates: aggregated,
             hetero: Some(hetero),
@@ -1423,6 +1095,20 @@ mod tests {
             staleness: 0,
             mask: None,
         }
+    }
+
+    /// `client`'s predicted full-model completion time on `ex`'s fleet.
+    fn completion_s(ex: &dyn RoundExecutor, client: usize) -> f64 {
+        let view = ex.view();
+        let fleet = view.fleet.expect("executor has a fleet");
+        fleet.profile(client).completion_time_s(view.upload_bytes)
+    }
+
+    /// The `pct`-percentile of full-model completion times on `ex`'s fleet.
+    fn completion_percentile_s(ex: &dyn RoundExecutor, pct: f64) -> f64 {
+        let view = ex.view();
+        let fleet = view.fleet.expect("executor has a fleet");
+        fleet.completion_percentile_s(view.upload_bytes, pct)
     }
 
     fn stub_train(dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
@@ -1461,9 +1147,7 @@ mod tests {
         let selected: Vec<usize> = (0..8).collect();
         let out = ex.execute(0, &selected, &stub_train);
         let h = out.hetero.unwrap();
-        let expected = (0..8)
-            .map(|c| ex.fleet().profile(c).completion_time_s(ex.upload_bytes()))
-            .fold(0.0f64, f64::max);
+        let expected = (0..8).map(|c| completion_s(&ex, c)).fold(0.0f64, f64::max);
         assert!((h.sim_time_s - expected).abs() < 1e-12);
         assert_eq!(h.stragglers, 0);
         assert_eq!(h.dropouts, 0);
@@ -1476,9 +1160,7 @@ mod tests {
         let cfg = skewed_cfg(None, 0.0);
         let probe = DeadlineExecutor::new(cfg.clone(), 16, 1000, 16, 7);
         // Deadline at the fleet median: roughly half the devices miss it.
-        let deadline = probe
-            .fleet()
-            .completion_percentile_s(probe.upload_bytes(), 0.5);
+        let deadline = completion_percentile_s(&probe, 0.5);
         let mut ex = DeadlineExecutor::new(
             HeteroConfig {
                 deadline_s: Some(deadline),
@@ -1498,10 +1180,7 @@ mod tests {
         assert_eq!(h.sim_time_s, deadline);
         // Exactly the in-time devices arrived.
         for u in &out.updates {
-            let t = ex
-                .fleet()
-                .profile(u.client_id)
-                .completion_time_s(ex.upload_bytes());
+            let t = completion_s(&ex, u.client_id);
             assert!(
                 t <= deadline,
                 "straggler {t} leaked past deadline {deadline}"
@@ -1531,9 +1210,7 @@ mod tests {
     fn carry_over_reinjects_late_updates_next_round() {
         let cfg = skewed_cfg(None, 0.0);
         let probe = DeadlineExecutor::new(cfg.clone(), 12, 1000, 6, 7);
-        let deadline = probe
-            .fleet()
-            .completion_percentile_s(probe.upload_bytes(), 0.4);
+        let deadline = completion_percentile_s(&probe, 0.4);
         let mut ex = DeadlineExecutor::new(
             HeteroConfig {
                 deadline_s: Some(deadline),
@@ -1583,7 +1260,7 @@ mod tests {
         // Their late updates now wait server-side: selection policies
         // must see them as pending so re-dispatch (which would supersede
         // the queued work) is a last resort.
-        assert_eq!(RoundExecutor::in_flight_clients(&ex), vec![0, 1]);
+        assert_eq!(ex.view().in_flight, vec![0, 1]);
         // Round 1: clients 2, 3 also straggle — zero fresh arrivals, so
         // the two queued updates finally fill the round's capacity.
         let o1 = ex.execute(1, &[2, 3], &stub_train);
@@ -1591,7 +1268,7 @@ mod tests {
         assert_eq!(h1.carried_in, 2);
         assert_eq!(h1.aggregated_ids, vec![0, 1]);
         assert_eq!(
-            RoundExecutor::in_flight_clients(&ex),
+            ex.view().in_flight,
             vec![2, 3],
             "consumed carried updates must leave the pending set"
         );
@@ -1672,9 +1349,7 @@ mod tests {
     fn carried_update_two_rounds_stale_is_discounted_below_fresh() {
         let base = skewed_cfg(None, 0.0);
         let probe = DeadlineExecutor::new(base.clone(), 16, 1000, 2, 7);
-        let deadline = probe
-            .fleet()
-            .completion_percentile_s(probe.upload_bytes(), 0.5);
+        let deadline = completion_percentile_s(&probe, 0.5);
         let mut ex = DeadlineExecutor::new(
             HeteroConfig {
                 deadline_s: Some(deadline),
@@ -1687,9 +1362,7 @@ mod tests {
             2,
             7,
         );
-        let in_time = |ex: &DeadlineExecutor, c: usize| {
-            ex.fleet().profile(c).completion_time_s(ex.upload_bytes()) <= deadline
-        };
+        let in_time = |ex: &DeadlineExecutor, c: usize| completion_s(ex, c) <= deadline;
         let fast: Vec<usize> = (0..16).filter(|&c| in_time(&ex, c)).collect();
         let slow: Vec<usize> = (0..16).filter(|&c| !in_time(&ex, c)).collect();
         assert!(
@@ -1722,7 +1395,7 @@ mod tests {
 
         // Apply the discount exactly the way the session loop does: equal
         // raw factors end up tilted toward the fresh update.
-        let d = ex.staleness_discount();
+        let d = ex.view().staleness_discount;
         let discounted = [d.factor(stale.staleness), d.factor(fresh.staleness)];
         let alphas = crate::strategy::normalize_factors(&discounted);
         assert!(
@@ -1751,7 +1424,7 @@ mod tests {
     #[test]
     fn full_buffer_on_homogeneous_fleet_behaves_synchronously() {
         let mut ex = BufferedExecutor::new(buffered_cfg(1.0, 4), 8, 1000, 4, 7);
-        let step = ex.fleet().profile(0).completion_time_s(ex.upload_bytes());
+        let step = completion_s(&ex, 0);
         for round in 0..3 {
             let selected = [0usize, 3, 1, 2];
             let out = ex.execute(round, &selected, &stub_train);
@@ -1770,9 +1443,7 @@ mod tests {
     #[test]
     fn small_buffer_aggregates_fastest_arrivals_and_marks_staleness() {
         let mut ex = BufferedExecutor::new(buffered_cfg(8.0, 2), 4, 1000, 4, 7);
-        let completion = |ex: &BufferedExecutor, c: usize| {
-            ex.fleet().profile(c).completion_time_s(ex.upload_bytes())
-        };
+        let completion = completion_s;
         let mut order: Vec<usize> = (0..4).collect();
         order.sort_by(|&a, &b| completion(&ex, a).total_cmp(&completion(&ex, b)));
 
@@ -1837,9 +1508,9 @@ mod tests {
 
     #[test]
     fn ideal_executor_reports_no_reliability_telemetry() {
-        let ex = IdealExecutor;
-        assert!(RoundExecutor::reliability(&ex).is_none());
-        assert!(RoundExecutor::in_flight_clients(&ex).is_empty());
+        let view = IdealExecutor.view();
+        assert!(view.reliability.is_none());
+        assert!(view.in_flight.is_empty());
     }
 
     #[test]
@@ -1851,7 +1522,7 @@ mod tests {
             let out = ex.execute(round, &selected, &stub_train);
             total_dropouts += out.hetero.unwrap().dropouts;
         }
-        let stats = RoundExecutor::reliability(&ex).expect("deadline executor records telemetry");
+        let stats = ex.view().reliability.expect("deadline telemetry");
         assert_eq!(stats.observed(), 10, "every sampled client was observed");
         let mut dropouts = 0;
         for (cid, s) in stats.iter() {
@@ -1873,7 +1544,7 @@ mod tests {
             "implausible mean rate {mean_rate}"
         );
         // Round-barrier executor: nothing is ever in flight between rounds.
-        assert!(RoundExecutor::in_flight_clients(&ex).is_empty());
+        assert!(ex.view().in_flight.is_empty());
     }
 
     #[test]
@@ -1881,7 +1552,7 @@ mod tests {
         let mut ex = BufferedExecutor::new(buffered_cfg(8.0, 2), 4, 1000, 4, 7);
         let out = ex.execute(0, &[0, 1, 2, 3], &stub_train);
         assert_eq!(out.updates.len(), 2);
-        let in_flight = RoundExecutor::in_flight_clients(&ex);
+        let in_flight = ex.view().in_flight;
         assert_eq!(in_flight.len(), ex.in_flight() + ex.buffered());
         // The two slow uploads still traveling are exactly the sampled
         // clients whose updates did not aggregate.
@@ -1894,7 +1565,7 @@ mod tests {
             );
         }
         // Telemetry: everyone was dispatched once, the fast pair aggregated.
-        let stats = RoundExecutor::reliability(&ex).unwrap();
+        let stats = ex.view().reliability.unwrap();
         assert_eq!(stats.observed(), 4);
         for (cid, s) in stats.iter() {
             assert_eq!(s.dispatches, 1);
@@ -1909,7 +1580,7 @@ mod tests {
         let mut ex = DeadlineExecutor::new(skewed_cfg(None, 0.0), 1_000, 500, 4, 21);
         let out = ex.execute(0, &[3, 900, 17], &stub_train);
         assert_eq!(out.updates.len(), 3);
-        let stats = RoundExecutor::reliability(&ex).unwrap();
+        let stats = ex.view().reliability.unwrap();
         assert_eq!(
             stats.observed(),
             3,
@@ -1992,9 +1663,7 @@ mod tests {
     fn structured_dropout_rescues_foregone_stragglers_as_sub_models() {
         let base = skewed_cfg(None, 0.0);
         let probe = DeadlineExecutor::new(base.clone(), 16, 1000, 16, 7);
-        let deadline = probe
-            .fleet()
-            .completion_percentile_s(probe.upload_bytes(), 0.5);
+        let deadline = completion_percentile_s(&probe, 0.5);
         let run = |sd: Option<StructuredDropoutConfig>| {
             let mut ex = DeadlineExecutor::new(
                 HeteroConfig {
@@ -2065,20 +1734,24 @@ mod tests {
         let h0 = ex.execute(0, &selected, &stub_train).hetero.unwrap();
         // The 12 s round window ticked the churn clock forward: with a 2 s
         // mean departure gap several devices left during the round.
-        let departed = RoundExecutor::departed_clients(&ex);
+        let departed = ex.view().departed;
         assert!(!departed.is_empty(), "no departures in a 12 s window");
         assert_eq!(h0.departed, departed.len());
         assert_eq!(h0.joined, 0);
-        assert_eq!(RoundExecutor::universe(&ex), Some(8), "no arrivals");
+        assert_eq!(ex.view().universe, Some(8), "no arrivals");
         // Re-sampling the departed clients wastes every slot as a dropout
         // — the server only learns of a departure by dispatches that stop
         // answering, which is exactly what the telemetry records.
-        let before: usize = departed.iter().map(|&c| ex.stats.get(c).dropouts).sum();
+        let wasted_slots = |ex: &DeadlineExecutor| -> usize {
+            let stats = ex.view().reliability.unwrap();
+            departed.iter().map(|&c| stats.get(c).dropouts).sum()
+        };
+        let before = wasted_slots(&ex);
         let o1 = ex.execute(1, &departed, &stub_train);
         let h1 = o1.hetero.unwrap();
         assert_eq!(h1.dropouts, departed.len());
         assert!(o1.updates.is_empty());
-        let after: usize = departed.iter().map(|&c| ex.stats.get(c).dropouts).sum();
+        let after = wasted_slots(&ex);
         assert_eq!(after - before, departed.len());
     }
 
@@ -2092,17 +1765,17 @@ mod tests {
         });
         let mut ex = DeadlineExecutor::new(cfg, 4, 1000, 8, 7);
         let h0 = ex.execute(0, &[0, 1, 2, 3], &stub_train).hetero.unwrap();
-        let universe = RoundExecutor::universe(&ex).unwrap();
+        let universe = ex.view().universe.unwrap();
         assert!(universe > 4, "no arrivals over a multi-second round");
         assert_eq!(h0.joined, universe - 4);
-        assert!(RoundExecutor::departed_clients(&ex).is_empty());
+        assert!(ex.view().departed.is_empty());
         // A minted id is immediately selectable: its profile derives on
         // demand and it trains like any founding client.
         let newcomer = universe - 1;
         let o1 = ex.execute(1, &[newcomer], &stub_train);
         assert_eq!(o1.updates.len(), 1);
         assert_eq!(o1.updates[0].client_id, newcomer);
-        assert_eq!(ex.stats.get(newcomer).dispatches, 1);
+        assert_eq!(ex.view().reliability.unwrap().get(newcomer).dispatches, 1);
     }
 
     #[test]
@@ -2116,7 +1789,7 @@ mod tests {
         let mut ex = BufferedExecutor::new(cfg, 6, 500, 4, 21);
         let (mut dispatched, mut aggregated, mut lost) = (0usize, 0usize, 0usize);
         for round in 0..15 {
-            let universe = RoundExecutor::universe(&ex).unwrap();
+            let universe = ex.view().universe.unwrap();
             let selected: Vec<usize> = (0..universe).filter(|c| (c + round) % 2 == 0).collect();
             let out = ex.execute(round, &selected, &stub_train);
             let h = out.hetero.unwrap();

@@ -16,7 +16,7 @@ fn usize_is_zero(n: &usize) -> bool {
 /// Heterogeneity telemetry for one round (produced by
 /// `executor::DeadlineExecutor` and `executor::BufferedExecutor`; absent
 /// for the ideal executor).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HeteroRoundRecord {
     /// Simulated wall-clock of the round in seconds (virtual time from
     /// broadcast to the last accepted upload, or the deadline if the

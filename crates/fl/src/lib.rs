@@ -19,6 +19,9 @@
 //!   aggregation with staleness-discounted impact factors
 //!   (FedAsync/FedBuff-style), all driven by `feddrl_sim`'s
 //!   discrete-event engine;
+//! * [`dispatch`] — the dispatch planner the heterogeneity-aware
+//!   executors share (who trains, on how much of the model, whose report
+//!   counts) and the one keep-ratio rule of adaptive structured dropout;
 //! * [`session`] — the deterministic, crossbeam-parallel round loop as a
 //!   driveable object: [`session::SessionBuilder`] validates the assembled
 //!   components into a [`session::Session`] run whole ([`session::Session::run`])
@@ -62,6 +65,7 @@
 
 pub mod baselines;
 pub mod client;
+pub mod dispatch;
 pub mod error;
 pub mod executor;
 pub mod history;
@@ -83,8 +87,8 @@ pub mod prelude {
     pub use crate::error::FlError;
     pub use crate::executor::{
         BufferedConfig, BufferedExecutor, ClientReliability, DeadlineExecutor, Dispatch,
-        ExecutorConfig, HeteroConfig, IdealExecutor, LatePolicy, ReliabilityTable, RoundExecutor,
-        RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainFn,
+        ExecutorConfig, ExecutorView, HeteroConfig, IdealExecutor, LatePolicy, ReliabilityTable,
+        RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainFn,
     };
     pub use crate::history::{HeteroRoundRecord, RoundRecord, RunHistory};
     pub use crate::metrics::{

@@ -11,17 +11,16 @@
 //! a boxed [`SelectionPolicy`]; the policy is consulted once per round
 //! with a [`SelectionContext`] carrying everything the server knows —
 //! round number, last-known per-client losses, participation counts, and
-//! (under the deadline executor) the device fleet's completion-time
-//! estimates.
+//! the executor's [`ExecutorView`] (device fleet, deadline, pending and
+//! departed clients, observed reliability telemetry).
 //!
 //! Determinism: a policy receives a per-round RNG derived from
 //! `(master seed, round)` — the same stream the inline selection match
 //! historically used — so built-in policies reproduce old histories
 //! bit-for-bit and every policy is deterministic under a fixed seed.
 
-use crate::executor::ReliabilityTable;
+use crate::executor::ExecutorView;
 use feddrl_nn::rng::Rng64;
-use feddrl_sim::device::FleetView;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -111,37 +110,13 @@ pub struct SelectionContext<'a> {
     /// How many rounds each client has been *selected* for so far,
     /// indexed by client id (fairness-aware policies can rebalance on it).
     pub participation: &'a [usize],
-    /// Lazy device-profile view when the run uses a heterogeneity-aware
-    /// executor; `None` under the ideal executor. Profiles are derived on
-    /// demand, so consulting only the candidate pool costs O(candidates)
-    /// regardless of fleet size.
-    pub fleet: Option<&'a FleetView>,
-    /// Per-client upload payload in bytes (0 under the ideal executor);
-    /// feed it to [`DeviceProfile::completion_time_s`](feddrl_sim::device::DeviceProfile::completion_time_s).
-    pub upload_bytes: u64,
-    /// The executor's round deadline in simulated seconds, if bounded.
-    pub deadline_s: Option<f64>,
-    /// Clients whose dispatched update is still on its way to the server
-    /// (training, uploading, or parked in an unconsumed aggregation
-    /// buffer) — sampling them again wastes the slot, because the
-    /// executor skips busy devices at dispatch. Empty under round-barrier
-    /// executors, which end every round with nothing in flight.
-    pub in_flight: &'a [usize],
-    /// Per-client *observed* reliability telemetry — dropout counts and
-    /// staleness history the executor accumulated so far, keyed by client
-    /// id and holding entries only for clients actually dispatched. `None`
-    /// for executors without a device model. Policies see only what the
-    /// server has witnessed, never the fleet's true failure probabilities.
-    pub reliability: Option<&'a ReliabilityTable>,
-    /// Clients that have *departed* the fleet under churn (ascending ids).
-    /// Dispatching one is guaranteed to be wasted — the executor counts it
-    /// as a dropout — so ranking policies demote departed candidates below
-    /// every live one. Their telemetry stays in [`Self::reliability`]
-    /// (it simply goes stale), and uniform sampling deliberately ignores
-    /// this field: the paper's baseline stays oblivious to churn, which is
-    /// exactly the behavior the churn-aware policies are measured against.
-    /// Empty when the run has no churn process.
-    pub departed: &'a [usize],
+    /// What the round executor exposes about its own state — device
+    /// fleet, upload payload, deadline, in-flight and departed clients,
+    /// observed reliability telemetry — exactly as
+    /// [`RoundExecutor::view`](crate::executor::RoundExecutor::view)
+    /// returned it ([`ExecutorView::default`] under the ideal executor).
+    /// The helper methods below answer the common per-client questions.
+    pub executor: ExecutorView<'a>,
 }
 
 impl SelectionContext<'_> {
@@ -149,27 +124,30 @@ impl SelectionContext<'_> {
     /// the server (local compute + upload); `None` when the run has no
     /// device fleet (ideal executor).
     pub fn predicted_completion_s(&self, client_id: usize) -> Option<f64> {
-        self.fleet
-            .map(|f| f.profile(client_id).completion_time_s(self.upload_bytes))
+        let view = &self.executor;
+        view.fleet
+            .map(|f| f.profile(client_id).completion_time_s(view.upload_bytes))
     }
 
     /// Whether `client_id` has an update in flight (the executor would
     /// skip it as busy this round).
     pub fn is_in_flight(&self, client_id: usize) -> bool {
-        self.in_flight.contains(&client_id)
+        self.executor.in_flight.contains(&client_id)
     }
 
     /// Observed dropout frequency of `client_id` (0 while the client has
     /// never been tried, or when the executor records no telemetry).
     pub fn observed_dropout_rate(&self, client_id: usize) -> f64 {
-        self.reliability
+        self.executor
+            .reliability
             .map_or(0.0, |stats| stats.get(client_id).dropout_rate())
     }
 
     /// Mean observed staleness of `client_id`'s aggregated updates (0
     /// while none arrived, or without telemetry).
     pub fn observed_staleness(&self, client_id: usize) -> f64 {
-        self.reliability
+        self.executor
+            .reliability
             .map_or(0.0, |stats| stats.get(client_id).mean_staleness())
     }
 
@@ -177,7 +155,7 @@ impl SelectionContext<'_> {
     /// would be wasted as a guaranteed dropout). `departed` is sorted
     /// ascending, so membership is a binary search.
     pub fn is_departed(&self, client_id: usize) -> bool {
-        self.departed.binary_search(&client_id).is_ok()
+        self.executor.departed.binary_search(&client_id).is_ok()
     }
 }
 
@@ -277,7 +255,7 @@ impl SelectionPolicy for BandwidthAwareSelection {
                 // No fleet: pure loss-biased power-of-choice.
                 None => loss,
                 Some(t) => {
-                    if ctx.deadline_s.is_some_and(|dl| t > dl) {
+                    if ctx.executor.deadline_s.is_some_and(|dl| t > dl) {
                         0.0 // predicted straggler: sampled only as a last resort
                     } else {
                         loss / t.max(1e-9)
@@ -317,7 +295,7 @@ pub struct ReliabilityAwareSelection {
 /// Observed report probability with the add-one prior (see
 /// [`ReliabilityAwareSelection`]).
 fn report_probability(ctx: &SelectionContext<'_>, client_id: usize) -> f64 {
-    match ctx.reliability {
+    match ctx.executor.reliability {
         None => 1.0,
         Some(stats) => {
             let s = stats.get(client_id);
@@ -340,7 +318,7 @@ fn report_probability(ctx: &SelectionContext<'_>, client_id: usize) -> f64 {
 /// would keep its optimistic unobserved score and win a wasted slot
 /// every single round.
 ///
-/// Departed clients ([`SelectionContext::departed`]) rank behind even the
+/// Departed clients ([`ExecutorView::departed`]) rank behind even the
 /// unviable tier: a busy or doomed device might still contribute, but a
 /// departed one is a guaranteed dropout. They are picked only when the
 /// pool cannot otherwise fill `k` slots — the contract still requires
@@ -359,9 +337,9 @@ fn rank_and_take(
     // set (not a dense `vec![false; n_clients]`) keeps the cost
     // proportional to the in-flight count, not the fleet size — at
     // million-client scale the dense mask would dominate selection.
-    let busy: HashSet<usize> = ctx.in_flight.iter().copied().collect();
+    let busy: HashSet<usize> = ctx.executor.in_flight.iter().copied().collect();
     let doomed = |c: usize| -> bool {
-        match (ctx.deadline_s, ctx.predicted_completion_s(c)) {
+        match (ctx.executor.deadline_s, ctx.predicted_completion_s(c)) {
             (Some(dl), Some(t)) => t > dl,
             _ => false,
         }
@@ -444,8 +422,8 @@ impl SelectionPolicy for StalenessBalancedSelection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::ClientReliability;
-    use feddrl_sim::device::FleetConfig;
+    use crate::executor::{ClientReliability, ReliabilityTable};
+    use feddrl_sim::device::{FleetConfig, FleetView};
 
     fn ctx_parts(n: usize) -> (Vec<Option<f32>>, Vec<usize>) {
         ((0..n).map(|i| Some(1.0 + i as f32)).collect(), vec![0; n])
@@ -463,12 +441,7 @@ mod tests {
             participants: k,
             known_loss,
             participation,
-            fleet: None,
-            upload_bytes: 0,
-            deadline_s: None,
-            in_flight: &[],
-            reliability: None,
-            departed: &[],
+            executor: ExecutorView::default(),
         }
     }
 
@@ -541,12 +514,10 @@ mod tests {
         );
         let upload = 1_000_000;
         let deadline = fleet.completion_percentile_s(upload, 0.5);
-        let ctx = SelectionContext {
-            fleet: Some(&fleet),
-            upload_bytes: upload,
-            deadline_s: Some(deadline),
-            ..base_ctx(8, 3, &loss, &part)
-        };
+        let mut ctx = base_ctx(8, 3, &loss, &part);
+        ctx.executor.fleet = Some(&fleet);
+        ctx.executor.upload_bytes = upload;
+        ctx.executor.deadline_s = Some(deadline);
         let mut policy = BandwidthAwareSelection { candidates: 8 };
         let picked = policy.select(&ctx, &mut Rng64::new(5));
         assert_valid_sample(&picked, 8, 3);
@@ -603,10 +574,8 @@ mod tests {
         let loss = vec![Some(1.0f32); 6];
         let part = vec![0; 6];
         let stats = stats_from_drops(&[0, 0, 9, 0, 0, 0]);
-        let ctx = SelectionContext {
-            reliability: Some(&stats),
-            ..base_ctx(6, 5, &loss, &part)
-        };
+        let mut ctx = base_ctx(6, 5, &loss, &part);
+        ctx.executor.reliability = Some(&stats);
         let picked = ReliabilityAwareSelection { candidates: 6 }.select(&ctx, &mut Rng64::new(4));
         assert_valid_sample(&picked, 6, 5);
         assert!(
@@ -624,10 +593,8 @@ mod tests {
         loss[0] = Some(1.0);
         let part = vec![0; 6];
         let stats = stats_from_drops(&[5, 0, 0, 0, 0, 0]);
-        let ctx = SelectionContext {
-            reliability: Some(&stats),
-            ..base_ctx(6, 2, &loss, &part)
-        };
+        let mut ctx = base_ctx(6, 2, &loss, &part);
+        ctx.executor.reliability = Some(&stats);
         let picked = ReliabilityAwareSelection { candidates: 6 }.select(&ctx, &mut Rng64::new(4));
         assert!(picked.contains(&0), "informative flaky client starved");
     }
@@ -650,12 +617,10 @@ mod tests {
         );
         let upload = 1_000_000;
         let deadline = fleet.completion_percentile_s(upload, 0.5);
-        let ctx = SelectionContext {
-            fleet: Some(&fleet),
-            upload_bytes: upload,
-            deadline_s: Some(deadline),
-            ..base_ctx(8, 3, &loss, &part)
-        };
+        let mut ctx = base_ctx(8, 3, &loss, &part);
+        ctx.executor.fleet = Some(&fleet);
+        ctx.executor.upload_bytes = upload;
+        ctx.executor.deadline_s = Some(deadline);
         for mut policy in [
             Box::new(ReliabilityAwareSelection { candidates: 8 }) as Box<dyn SelectionPolicy>,
             Box::new(StalenessBalancedSelection { candidates: 8 }),
@@ -701,11 +666,9 @@ mod tests {
             },
         );
         let upload = 1_000_000;
-        let ctx = SelectionContext {
-            fleet: Some(&fleet),
-            upload_bytes: upload,
-            ..base_ctx(8, 3, &loss, &part)
-        };
+        let mut ctx = base_ctx(8, 3, &loss, &part);
+        ctx.executor.fleet = Some(&fleet);
+        ctx.executor.upload_bytes = upload;
         let picked = StalenessBalancedSelection { candidates: 8 }.select(&ctx, &mut Rng64::new(5));
         assert_valid_sample(&picked, 8, 3);
         // Full pool, no history, everyone idle: exactly the three slowest
@@ -732,11 +695,8 @@ mod tests {
     #[test]
     fn in_flight_clients_rank_behind_every_idle_candidate() {
         let (loss, part) = ctx_parts(6);
-        let in_flight = [0usize, 1, 2];
-        let ctx = SelectionContext {
-            in_flight: &in_flight,
-            ..base_ctx(6, 3, &loss, &part)
-        };
+        let mut ctx = base_ctx(6, 3, &loss, &part);
+        ctx.executor.in_flight = vec![0, 1, 2];
         for mut policy in [
             Box::new(ReliabilityAwareSelection { candidates: 6 }) as Box<dyn SelectionPolicy>,
             Box::new(StalenessBalancedSelection { candidates: 6 }),
@@ -762,13 +722,9 @@ mod tests {
         // policies must fill from the three live idle candidates, and the
         // busy client must still outrank the departed ones if forced.
         let (loss, part) = ctx_parts(6);
-        let in_flight = [2usize];
-        let departed = [0usize, 1];
-        let ctx = SelectionContext {
-            in_flight: &in_flight,
-            departed: &departed,
-            ..base_ctx(6, 3, &loss, &part)
-        };
+        let mut ctx = base_ctx(6, 3, &loss, &part);
+        ctx.executor.in_flight = vec![2];
+        ctx.executor.departed = vec![0, 1];
         assert!(ctx.is_departed(0) && ctx.is_departed(1) && !ctx.is_departed(2));
         for mut policy in [
             Box::new(ReliabilityAwareSelection { candidates: 6 }) as Box<dyn SelectionPolicy>,
@@ -784,11 +740,7 @@ mod tests {
         }
         // Forced: four slots, only three live idle candidates — the busy
         // client must be taken before any departed one.
-        let ctx = SelectionContext {
-            in_flight: &in_flight,
-            departed: &departed,
-            ..base_ctx(6, 4, &loss, &part)
-        };
+        ctx.participants = 4;
         let picked = ReliabilityAwareSelection { candidates: 6 }.select(&ctx, &mut Rng64::new(9));
         assert_valid_sample(&picked, 6, 4);
         assert!(

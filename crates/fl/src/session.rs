@@ -29,7 +29,7 @@
 
 use crate::client::{dispatch_mask, run_local_round, run_local_round_masked, ClientUpdate};
 use crate::error::FlError;
-use crate::executor::{Dispatch, ExecutorConfig, RoundExecutor};
+use crate::executor::{Dispatch, ExecutorConfig, RoundExecutor, StalenessDiscount};
 use crate::history::{RoundRecord, RunHistory};
 use crate::metrics::evaluate;
 use crate::selection::{Selection, SelectionContext, SelectionPolicy};
@@ -493,7 +493,9 @@ impl<'a> Session<'a> {
     /// # Errors
     /// [`FlError::InvalidSelection`] when a (user-provided) selection
     /// policy returns a sample that is not exactly `K` distinct in-range
-    /// client ids.
+    /// client ids; [`FlError::InvalidFactors`] when a (user-provided)
+    /// strategy returns impact factors that cannot be normalized onto the
+    /// simplex — reported before aggregation touches the global model.
     pub fn step(&mut self) -> Result<Option<&RoundRecord>, FlError> {
         if self.is_finished() {
             return Ok(None);
@@ -505,7 +507,8 @@ impl<'a> Session<'a> {
         // loss, zero participation) and become selectable this round.
         // `None` (every churn-free executor) leaves `n_clients` at the
         // partition's count and this block is a no-op.
-        if let Some(universe) = self.executor.universe() {
+        let view = self.executor.view();
+        if let Some(universe) = view.universe {
             if universe > self.n_clients {
                 self.known_loss.resize(universe, None);
                 self.participation.resize(universe, 0);
@@ -516,8 +519,6 @@ impl<'a> Session<'a> {
         // --- Client selection (Algorithm 2; uniform by default). The
         // policy draws from the per-round stream `(master seed, round)`.
         let mut select_rng = self.master.derive(round as u64);
-        let in_flight = self.executor.in_flight_clients();
-        let departed = self.executor.departed_clients();
         let selected = {
             let ctx = SelectionContext {
                 round,
@@ -525,12 +526,7 @@ impl<'a> Session<'a> {
                 participants: self.cfg.participants,
                 known_loss: &self.known_loss,
                 participation: &self.participation,
-                fleet: self.executor.fleet(),
-                upload_bytes: self.executor.upload_bytes(),
-                deadline_s: self.executor.deadline_s(),
-                in_flight: &in_flight,
-                reliability: self.executor.reliability(),
-                departed: &departed,
+                executor: view,
             };
             self.policy.select(&ctx, &mut select_rng)
         };
@@ -609,6 +605,11 @@ impl<'a> Session<'a> {
             None => self.executor.execute(round, &selected, &train_subset),
         };
         let updates = outcome.updates;
+        // The executor's post-round state: how to weigh what it returned,
+        // and what it still has pending (for the observers below).
+        let after = self.executor.view();
+        let (discount, eta) = (after.staleness_discount, after.server_mix);
+        let in_flight = after.in_flight.len();
 
         // --- Impact factors (the strategy's decision; DRL inference for
         // FedDRL) — timed separately for Figure 9. A round where nothing
@@ -624,20 +625,13 @@ impl<'a> Session<'a> {
                 updates: &updates,
             });
             let strategy_micros = t0.elapsed().as_micros() as u64;
-            assert_eq!(
-                raw.len(),
-                updates.len(),
-                "strategy returned {} factors for {} clients",
-                raw.len(),
-                updates.len()
-            );
+            validate_factors(&raw, updates.len(), round)?;
             // Staleness discounting (asynchronous/carry-over executors):
             // scale each raw factor by the executor's discount for that
             // update's age, *before* simplex normalization, so weight is
             // redistributed toward fresher updates. `None` (every fresh-
             // only executor) leaves the historical code path untouched.
-            let discount = self.executor.staleness_discount();
-            let raw = if discount == crate::executor::StalenessDiscount::None {
+            let raw = if discount == StalenessDiscount::None {
                 raw
             } else {
                 raw.iter()
@@ -665,7 +659,6 @@ impl<'a> Session<'a> {
                     updates.iter().map(|u| u.weights.as_slice()).collect();
                 weighted_average(&weight_refs, &alphas)
             };
-            let eta = self.executor.server_mix();
             if eta < 1.0 {
                 let eta = eta as f32;
                 for (w, &g) in new_global.iter_mut().zip(global_flat.iter()) {
@@ -725,7 +718,7 @@ impl<'a> Session<'a> {
             } else {
                 self.staleness_sum as f64 / self.staleness_count as f64
             },
-            in_flight: self.executor.in_flight_clients().len(),
+            in_flight,
         };
         for obs in &mut self.observers {
             if obs.on_round_end(&signals) == RoundControl::Stop {
@@ -740,10 +733,10 @@ impl<'a> Session<'a> {
     /// # Errors
     /// Propagates the first [`FlError`] from [`Session::step`] — and,
     /// having consumed the session, drops the rounds completed before the
-    /// failure. Only a misbehaving user-provided [`SelectionPolicy`] can
-    /// fail mid-run (built-ins are total, and config errors are caught at
-    /// [`SessionBuilder::build`]); when driving such a policy and partial
-    /// results matter, loop [`Session::step`] yourself and recover the
+    /// failure. Only a misbehaving user-provided [`SelectionPolicy`] or
+    /// [`Strategy`] can fail mid-run (built-ins are total, and config
+    /// errors are caught at [`SessionBuilder::build`]); when driving one
+    /// and partial results matter, loop [`Session::step`] yourself and recover the
     /// completed rounds with [`Session::into_history`].
     pub fn run(mut self) -> Result<RunHistory, FlError> {
         while self.step()?.is_some() {}
@@ -794,6 +787,22 @@ fn validate_selection(
         }
     }
     Ok(())
+}
+
+/// Check a strategy's raw impact factors: one per update, each finite and
+/// non-negative, not all zero — exactly what [`normalize_factors`] would
+/// otherwise panic on.
+fn validate_factors(raw: &[f32], expected: usize, round: usize) -> Result<(), FlError> {
+    let reason = if raw.len() != expected {
+        format!("expected {expected} factors, got {}", raw.len())
+    } else if let Some(i) = raw.iter().position(|f| !(f.is_finite() && *f >= 0.0)) {
+        format!("factor {i} is {}", raw[i])
+    } else if raw.iter().all(|&f| f == 0.0) {
+        "factors sum to zero".into()
+    } else {
+        return Ok(());
+    };
+    Err(FlError::InvalidFactors { round, reason })
 }
 
 #[cfg(test)]

@@ -2,10 +2,6 @@
 //! the in-process `SessionBuilder`: every knob has a sane default, every
 //! degenerate value is a typed [`FlError::InvalidNetConfig`] at
 //! `build()` time rather than a panic (or silent misbehavior) later.
-//!
-//! The old struct-literal entry points — [`ServerConfig`] +
-//! [`NetServer::bind`] and [`ClientConfig::new`] — remain as thin
-//! deprecated wrappers so downstream code migrates on its own schedule.
 
 use std::time::Duration;
 

@@ -55,33 +55,6 @@ pub struct ClientConfig {
     pub train_delay: Duration,
 }
 
-impl ClientConfig {
-    /// Defaults: 500 ms heartbeat, no artificial training delay.
-    #[deprecated(note = "construct through `NetClientBuilder` instead")]
-    pub fn new(server_addr: impl Into<String>, client_id: usize) -> Self {
-        ClientConfig {
-            server_addr: server_addr.into(),
-            client_id,
-            heartbeat: Duration::from_millis(500),
-            train_delay: Duration::ZERO,
-        }
-    }
-
-    /// Replace the heartbeat period.
-    #[deprecated(note = "use `NetClientBuilder::heartbeat` instead")]
-    pub fn with_heartbeat(mut self, period: Duration) -> Self {
-        self.heartbeat = period;
-        self
-    }
-
-    /// Replace the artificial per-round training delay.
-    #[deprecated(note = "use `NetClientBuilder::train_delay` instead")]
-    pub fn with_train_delay(mut self, delay: Duration) -> Self {
-        self.train_delay = delay;
-        self
-    }
-}
-
 /// One training demand from the server, as seen by the worker's closure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainOrder {

@@ -19,15 +19,14 @@
 //!   networked analogue of the simulator's `BufferedExecutor`.
 //!
 //! Departures surface through the same channel the simulator's churn
-//! uses: the registry's TTL sweep feeds
-//! [`RoundExecutor::departed_clients`], which the session hands to
-//! selection as `SelectionContext::departed`.
+//! uses: the registry's TTL sweep feeds [`ExecutorView::departed`],
+//! which the session hands to selection inside the `SelectionContext`.
 //!
 //! With a [`WireMasking`] policy attached, deadline-pressed clients get
 //! sub-model dispatches over the wire: `execute` picks each client's
-//! keep ratio from the fleet's *predicted* completion times (the same
-//! largest-fitting-ratio rule the in-process `DeadlineExecutor` applies,
-//! so both paths make identical dispatch decisions), sends
+//! keep ratio from the fleet's *predicted* completion times (through
+//! [`keep_ratio`], the one fit rule the in-process dispatch planner also
+//! calls, so both paths make identical dispatch decisions), sends
 //! `TrainRequest { keep_ratio < 1 }`, and reassembles the returning
 //! compact `MaskedUpdate` by re-deriving the structured mask from the
 //! shared seed and scattering the kept weights into a full-length
@@ -46,8 +45,9 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use feddrl_fl::client::{dispatch_mask, ClientUpdate};
+use feddrl_fl::dispatch::{keep_ratio, KeepRatio};
 use feddrl_fl::executor::{
-    RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainFn,
+    ExecutorView, RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainFn,
 };
 use feddrl_fl::history::HeteroRoundRecord;
 use feddrl_nn::model::Sequential;
@@ -113,12 +113,6 @@ impl NetTelemetry {
         sorted[idx]
     }
 
-    /// The `pct`-th percentile of observed RTTs with `pct` in `[0, 100]`.
-    #[deprecated(note = "use `rtt_percentile_ms` (quantile in [0, 1]) instead")]
-    pub fn percentile_rtt_ms(&self, pct: f64) -> f64 {
-        self.rtt_percentile_ms(pct / 100.0)
-    }
-
     /// Median observed round-trip time in milliseconds.
     pub fn p50_rtt_ms(&self) -> f64 {
         self.rtt_percentile_ms(0.5)
@@ -142,10 +136,10 @@ impl NetTelemetry {
 /// The wire-masking policy: everything the executor needs to decide a
 /// sub-model dispatch per client and to re-derive the returning mask.
 ///
-/// Keep ratios come from the fleet's *predicted* completion times — the
-/// same `largest_fitting` rule over the same grid the in-process
-/// `DeadlineExecutor` applies — so the networked and simulated paths
-/// make identical dispatch decisions for the same fleet and deadline.
+/// Keep ratios come from the fleet's *predicted* completion times via
+/// [`keep_ratio`] — the function the in-process dispatch planner calls —
+/// so the networked and simulated paths make identical dispatch
+/// decisions for the same fleet, grid and deadline.
 /// The `model` and `seed` must match the workers' (they are the mask
 /// derivation inputs shared through `dispatch_mask`).
 pub struct WireMasking {
@@ -166,24 +160,18 @@ pub struct WireMasking {
 }
 
 impl WireMasking {
-    /// The keep ratio to dispatch to `client_id`: 1.0 when the full
-    /// model is predicted to fit the deadline, otherwise the largest
-    /// grid ratio that does (or 1.0 again when even the smallest
-    /// sub-model cannot — a predicted dropout trains in full, exactly
-    /// as the in-process `DeadlineExecutor` treats it).
+    /// The keep ratio to dispatch to `client_id`: the shared rule's
+    /// answer on the time-invariant prediction, with a client that cannot
+    /// fit even the smallest sub-model training in full — exactly as the
+    /// in-process `DeadlineExecutor` treats a predicted straggler it
+    /// still wants an update from.
     fn keep_ratio_for(&self, client_id: usize) -> f64 {
         let profile = self.fleet.profile(client_id);
-        let time_for = |r: f64| self.profile_time(&profile, r);
-        if time_for(1.0) <= self.deadline_s {
-            return 1.0;
+        let (deadline_s, grid) = (Some(self.deadline_s), Some(&self.grid));
+        match keep_ratio(&profile, self.upload_bytes, deadline_s, grid, None, 0.0) {
+            KeepRatio::Sub(ratio) => ratio,
+            KeepRatio::Full | KeepRatio::Misses => 1.0,
         }
-        self.grid
-            .largest_fitting(self.deadline_s, time_for)
-            .unwrap_or(1.0)
-    }
-
-    fn profile_time(&self, profile: &feddrl_sim::device::DeviceProfile, ratio: f64) -> f64 {
-        profile.completion_time_at(self.upload_bytes, ratio, None, 0.0)
     }
 }
 
@@ -200,8 +188,9 @@ pub struct NetworkExecutor {
     round_timeout: Duration,
     discount: StalenessDiscount,
     server_mix: f64,
-    /// Model version counter: incremented after every aggregation, sent
-    /// with every publish, and the baseline for measured staleness.
+    /// Model version counter: incremented after every round that hands
+    /// the session something to aggregate, sent with every publish, and
+    /// the baseline for measured staleness.
     version: u64,
     /// Clients with a `TrainRequest` outstanding.
     pending: BTreeMap<usize, PendingDispatch>,
@@ -212,9 +201,6 @@ pub struct NetworkExecutor {
     /// model (`keep_ratio: 1.0`), byte-identical to the pre-masking
     /// executor.
     masking: Option<WireMasking>,
-    /// Keep ratios already decided per client (the prediction is
-    /// time-invariant, so one derivation per client suffices).
-    ratio_cache: BTreeMap<usize, f64>,
     telemetry: Arc<Mutex<NetTelemetry>>,
 }
 
@@ -231,7 +217,6 @@ impl NetworkExecutor {
             pending: BTreeMap::new(),
             departed_seen: 0,
             masking: None,
-            ratio_cache: BTreeMap::new(),
             telemetry: Arc::new(Mutex::new(NetTelemetry::default())),
         }
     }
@@ -278,7 +263,6 @@ impl NetworkExecutor {
     /// frames.
     pub fn with_wire_masking(mut self, masking: WireMasking) -> Self {
         self.masking = Some(masking);
-        self.ratio_cache.clear();
         self
     }
 
@@ -297,18 +281,6 @@ impl NetworkExecutor {
     /// The current model version counter.
     pub fn model_version(&self) -> u64 {
         self.version
-    }
-
-    /// The keep ratio to dispatch to `cid` under the current masking
-    /// policy (1.0 without one), memoized per client.
-    fn dispatch_ratio(&mut self, cid: usize) -> f64 {
-        let Some(masking) = &self.masking else {
-            return 1.0;
-        };
-        *self
-            .ratio_cache
-            .entry(cid)
-            .or_insert_with(|| masking.keep_ratio_for(cid))
     }
 
     fn to_update(msg: UpdateMsg, staleness: usize) -> ClientUpdate {
@@ -406,7 +378,7 @@ impl RoundExecutor for NetworkExecutor {
             }
             let request = Message::TrainRequest {
                 round: round as u64,
-                keep_ratio: self.dispatch_ratio(cid),
+                keep_ratio: self.masking.as_ref().map_or(1.0, |m| m.keep_ratio_for(cid)),
             };
             // Stamp *before* the send: on loopback the whole reply can
             // land before the write syscall returns, and an after-send
@@ -486,7 +458,11 @@ impl RoundExecutor for NetworkExecutor {
             t.failed_dispatches += failed;
             t.timed_out += timed_out;
         }
-        self.version += 1;
+        if !arrived.is_empty() {
+            // Only an aggregation makes a new global model; an empty round
+            // must not age the in-flight updates or renumber the weights.
+            self.version += 1;
+        }
 
         match self.mode {
             NetMode::Barrier => {
@@ -506,23 +482,17 @@ impl RoundExecutor for NetworkExecutor {
                 let departed_total = self.server.departed().len();
                 let newly_departed = departed_total.saturating_sub(self.departed_seen);
                 self.departed_seen = departed_total;
-                let staleness: Vec<usize> = arrived.iter().map(|(_, u)| u.staleness).collect();
-                let aggregated_ids: Vec<usize> = arrived.iter().map(|(cid, _)| *cid).collect();
-                let masked = arrived.iter().filter(|(_, u)| u.mask.is_some()).count();
                 let hetero = HeteroRoundRecord {
                     // Measured wall-clock of the aggregation, where the
                     // simulator would report virtual time.
                     sim_time_s: round_start.elapsed().as_secs_f64(),
                     dropouts: failed + timed_out,
-                    stragglers: 0,
-                    carried_in: 0,
                     busy,
-                    buffered: 0,
-                    joined: 0,
                     departed: newly_departed,
-                    masked,
-                    staleness,
-                    aggregated_ids,
+                    masked: arrived.iter().filter(|(_, u)| u.mask.is_some()).count(),
+                    staleness: arrived.iter().map(|(_, u)| u.staleness).collect(),
+                    aggregated_ids: arrived.iter().map(|(cid, _)| *cid).collect(),
+                    ..HeteroRoundRecord::default()
                 };
                 RoundOutcome {
                     updates: arrived.into_iter().map(|(_, u)| u).collect(),
@@ -532,23 +502,17 @@ impl RoundExecutor for NetworkExecutor {
         }
     }
 
-    fn departed_clients(&self) -> Vec<usize> {
+    fn view(&self) -> ExecutorView<'_> {
         // Sweep first so silence observed since the last round surfaces
         // as departure before selection runs.
         let _ = self.server.sweep_expired();
-        self.server.departed()
-    }
-
-    fn in_flight_clients(&self) -> Vec<usize> {
-        self.pending.keys().copied().collect()
-    }
-
-    fn staleness_discount(&self) -> StalenessDiscount {
-        self.discount
-    }
-
-    fn server_mix(&self) -> f64 {
-        self.server_mix
+        ExecutorView {
+            departed: self.server.departed(),
+            in_flight: self.pending.keys().copied().collect(),
+            staleness_discount: self.discount,
+            server_mix: self.server_mix,
+            ..ExecutorView::default()
+        }
     }
 }
 
@@ -585,11 +549,6 @@ mod tests {
         assert_eq!(t.p99_rtt_ms(), 99.0);
         assert_eq!(t.rtt_percentile_ms(0.0), 1.0);
         assert_eq!(t.rtt_percentile_ms(1.0), 100.0);
-        // The deprecated percent-valued accessor stays a thin wrapper.
-        #[allow(deprecated)]
-        {
-            assert_eq!(t.percentile_rtt_ms(50.0), t.rtt_percentile_ms(0.5));
-        }
         // Odd N keeps the textbook median.
         let t = NetTelemetry {
             rtt_ms: vec![9.0, 1.0, 5.0],
@@ -614,31 +573,17 @@ mod tests {
         let _ = NetworkExecutor::barrier(server).with_server_mix(1.5);
     }
 
-    /// The wire-masking keep-ratio rule must be the in-process
-    /// `DeadlineExecutor`'s: full model when it fits, else the largest
-    /// fitting grid ratio, else full model for a predicted dropout.
+    /// Regression: an `execute` that collects nothing (here every dispatch
+    /// fails — the server has no subscribers) leaves the global model
+    /// untouched, so it must not bump the version either.
     #[test]
-    fn wire_masking_picks_the_largest_fitting_ratio() {
-        use feddrl_nn::model::Sequential;
-        use feddrl_sim::device::{FleetConfig, FleetView};
-
-        let masking_with = |deadline_s: f64| WireMasking {
-            model: Sequential::new(),
-            seed: 7,
-            grid: StructuredDropoutConfig::default(),
-            fleet: FleetView::new(16, &FleetConfig::default()),
-            upload_bytes: 50_000,
-            deadline_s,
-        };
-        // Nothing fits: a predicted dropout still trains in full.
-        assert_eq!(masking_with(0.0).keep_ratio_for(0), 1.0);
-        // Everything fits: full model everywhere.
-        assert_eq!(masking_with(1e9).keep_ratio_for(0), 1.0);
-        // A deadline exactly at the 0.625 sub-model's predicted time
-        // fits 0.625 (largest fitting) but not the full model, since
-        // local compute scales with the ratio.
-        let probe = masking_with(0.0);
-        let t_625 = probe.profile_time(&probe.fleet.profile(0), 0.625);
-        assert_eq!(masking_with(t_625).keep_ratio_for(0), 0.625);
+    fn empty_round_does_not_bump_the_model_version() {
+        use crate::builder::NetServerBuilder;
+        let server = NetServerBuilder::new().build().expect("bind");
+        let mut executor = NetworkExecutor::buffered(server, 2);
+        let out = executor.execute(0, &[0, 1, 2], &|_| Vec::new());
+        assert!(out.updates.is_empty());
+        assert_eq!(out.hetero.expect("buffered record").dropouts, 3);
+        assert_eq!(executor.model_version(), 0);
     }
 }

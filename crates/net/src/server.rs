@@ -199,12 +199,6 @@ pub struct NetServer {
 }
 
 impl NetServer {
-    /// Bind `addr` and start the accept thread.
-    #[deprecated(note = "construct through `NetServerBuilder` instead")]
-    pub fn bind(addr: &str, cfg: ServerConfig) -> Result<NetServer, WireError> {
-        NetServer::bind_with(addr, cfg)
-    }
-
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral loopback port)
     /// and start the accept thread. The validated entry point is
     /// [`NetServerBuilder::build`](crate::builder::NetServerBuilder::build),

@@ -485,6 +485,14 @@ pub struct FleetView {
     derived: AtomicU64,
 }
 
+impl PartialEq for FleetView {
+    /// Views are equal when they derive the same fleet — same size, same
+    /// config; the derivation counter is bookkeeping, not state.
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.cfg == other.cfg
+    }
+}
+
 impl FleetView {
     /// Build a lazy view over `n` devices.
     ///

@@ -13,6 +13,12 @@ use feddrl_repro::prelude::*;
 /// Perfect-fairness selection: clients take turns in id order, `K` per
 /// round, wrapping around the federation. Ignores the provided RNG — a
 /// policy may be fully deterministic.
+///
+/// It also ignores `ctx.executor`, the round executor's [`ExecutorView`]
+/// (device fleet, deadline, in-flight and departed clients, observed
+/// reliability telemetry — `ExecutorView::default()` under the ideal
+/// executor). The built-in policies of part 2 rank on it, through helpers
+/// such as `ctx.predicted_completion_s(c)` and `ctx.is_departed(c)`.
 struct RoundRobin {
     cursor: usize,
 }

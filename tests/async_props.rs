@@ -173,9 +173,13 @@ fn staleness_is_monotonically_non_increasing_in_device_speed() {
     };
     const N: usize = 6;
     let mut ex = BufferedExecutor::new(cfg, N, 1_000, N, 7);
-    let completion: Vec<f64> = (0..N)
-        .map(|c| ex.fleet().profile(c).completion_time_s(ex.upload_bytes()))
-        .collect();
+    let completion: Vec<f64> = {
+        let view = ex.view();
+        let fleet = view.fleet.expect("buffered executor has a fleet");
+        (0..N)
+            .map(|c| fleet.profile(c).completion_time_s(view.upload_bytes))
+            .collect()
+    };
 
     let mut total = [0usize; N];
     let mut count = [0usize; N];
@@ -267,9 +271,11 @@ fn buffered_reaches_target_accuracy_in_less_sim_time_than_deadline() {
         base_cfg.participants,
         base_cfg.seed,
     );
-    let deadline = probe
-        .fleet()
-        .completion_percentile_s(probe.upload_bytes(), 0.7);
+    let view = probe.view();
+    let deadline = view
+        .fleet
+        .expect("deadline executor has a fleet")
+        .completion_percentile_s(view.upload_bytes, 0.7);
     let mut deadline_cfg = base_cfg.clone();
     deadline_cfg.executor = ExecutorConfig::Deadline(HeteroConfig {
         fleet: fleet.clone(),

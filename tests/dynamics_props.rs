@@ -538,7 +538,8 @@ fn drive_churned(
     let mut participation = vec![0usize; n];
     let mut outcomes = Vec::with_capacity(rounds);
     for round in 0..rounds {
-        if let Some(universe) = ex.universe() {
+        let view = ex.view();
+        if let Some(universe) = view.universe {
             if universe > n {
                 known_loss.resize(universe, None);
                 participation.resize(universe, 0);
@@ -546,8 +547,7 @@ fn drive_churned(
             }
         }
         let mut rng = master.derive(round as u64);
-        let in_flight = ex.in_flight_clients();
-        let departed = ex.departed_clients();
+        let departed = view.departed.clone();
         let selected = {
             let ctx = SelectionContext {
                 round,
@@ -555,12 +555,7 @@ fn drive_churned(
                 participants: k,
                 known_loss: &known_loss,
                 participation: &participation,
-                fleet: ex.fleet(),
-                upload_bytes: ex.upload_bytes(),
-                deadline_s: ex.deadline_s(),
-                in_flight: &in_flight,
-                reliability: ex.reliability(),
-                departed: &departed,
+                executor: view,
             };
             policy.select(&ctx, &mut rng)
         };
@@ -626,10 +621,11 @@ fn buffered_churn_accounting_closes_and_telemetry_persists() {
         K,
         rounds,
     );
-    let departed = RoundExecutor::departed_clients(&ex);
+    let view = ex.view();
+    let departed = &view.departed;
     assert!(!departed.is_empty(), "no departures in 80 churning rounds");
     assert!(
-        RoundExecutor::universe(&ex).unwrap() > N,
+        view.universe.unwrap() > N,
         "no arrivals in 80 churning rounds"
     );
     let (mut rec_dropouts, mut rec_busy, mut rec_lost, mut rec_aggregated) = (0, 0, 0, 0usize);
@@ -644,7 +640,8 @@ fn buffered_churn_accounting_closes_and_telemetry_persists() {
         rec_departed += h.departed;
     }
     assert!(rec_joined > 0 && rec_departed > 0, "records saw no churn");
-    let totals = RoundExecutor::reliability(&ex).unwrap().totals();
+    let stats = view.reliability.unwrap();
+    let totals = stats.totals();
     assert_eq!(totals.dropouts, rec_dropouts);
     assert_eq!(totals.aggregated, rec_aggregated);
     assert_eq!(
@@ -659,7 +656,6 @@ fn buffered_churn_accounting_closes_and_telemetry_persists() {
     );
     // Telemetry outlives the device: at least one departed client was
     // observed before leaving, and its record is still in the table.
-    let stats = RoundExecutor::reliability(&ex).unwrap();
     assert!(
         departed.iter().any(|&c| {
             let s = stats.get(c);
@@ -692,7 +688,8 @@ fn deadline_churn_accounting_closes() {
         K,
         rounds,
     );
-    let totals = RoundExecutor::reliability(&ex).unwrap().totals();
+    let view = ex.view();
+    let totals = view.reliability.unwrap().totals();
     let rec_dropouts: usize = outcomes
         .iter()
         .map(|o| o.hetero.as_ref().unwrap().dropouts)
@@ -704,8 +701,7 @@ fn deadline_churn_accounting_closes() {
         "every sampled slot is either a dropout (incl. departed) or a dispatch"
     );
     assert!(
-        RoundExecutor::universe(&ex).unwrap() > N
-            && !RoundExecutor::departed_clients(&ex).is_empty(),
+        view.universe.unwrap() > N && !view.departed.is_empty(),
         "churn never fired"
     );
 }
@@ -774,17 +770,19 @@ fn structured_dropout_rescues_deadline_pressed_devices() {
         .rev()
         .map(|i| sd.min_ratio + i as f64 * (1.0 - sd.min_ratio) / sd.levels as f64)
         .collect();
+    let view = ex.view();
+    let (fleet, upload_bytes) = (view.fleet.unwrap(), view.upload_bytes);
     for d in dispatches.iter().filter(|d| d.keep_ratio < 1.0) {
-        let prof = ex.fleet().profile(d.client_id);
+        let prof = fleet.profile(d.client_id);
         assert!(
-            prof.completion_time_at(ex.upload_bytes(), d.keep_ratio, None, 0.0) <= deadline,
+            prof.completion_time_at(upload_bytes, d.keep_ratio, None, 0.0) <= deadline,
             "client {} was masked to {} yet still misses",
             d.client_id,
             d.keep_ratio
         );
         let larger = grid
             .iter()
-            .find(|&&r| prof.completion_time_at(ex.upload_bytes(), r, None, 0.0) <= deadline)
+            .find(|&&r| prof.completion_time_at(upload_bytes, r, None, 0.0) <= deadline)
             .expect("some grid ratio fits");
         assert_eq!(
             d.keep_ratio, *larger,

@@ -7,7 +7,7 @@
 //! yesterday's v1 frames, and a v1 peer on a live server negotiates
 //! down and is served v1 frames only; (3) a client that goes silent
 //! past the liveness TTL surfaces as a departure through the same
-//! `RoundExecutor::departed_clients` channel the simulator's churn
+//! `ExecutorView::departed` channel the simulator's churn
 //! uses; (4) — the headline law — a `NetworkExecutor` round-barrier run
 //! over loopback sockets with a deterministic stub trainer reproduces
 //! the `IdealExecutor`'s `RunHistory` **byte-identically** (timings
@@ -403,7 +403,7 @@ fn v1_peer_negotiates_down_and_only_ever_sees_v1_frames() {
 // ---------------------------------------------------------------------------
 
 /// A client silent past the TTL departs through the executor's
-/// `departed_clients` — the same channel the simulator's churn feeds —
+/// `view().departed` — the same channel the simulator's churn feeds —
 /// while a heartbeating client stays live.
 #[test]
 fn ttl_expiry_surfaces_as_departure_through_the_executor() {
@@ -445,18 +445,98 @@ fn ttl_expiry_surfaces_as_departure_through_the_executor() {
         .wait_for_clients(2, Duration::from_secs(5))
         .expect("both subscribed");
     let executor = NetworkExecutor::barrier(server);
-    assert!(executor.departed_clients().is_empty(), "everyone fresh");
+    assert!(executor.view().departed.is_empty(), "everyone fresh");
 
     thread::sleep(Duration::from_millis(300));
     let deadline = Instant::now() + Duration::from_secs(5);
-    while executor.departed_clients().is_empty() && Instant::now() < deadline {
+    while executor.view().departed.is_empty() && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(executor.departed_clients(), vec![3], "silence departs");
+    assert_eq!(executor.view().departed, vec![3], "silence departs");
     assert!(executor.server().is_live(1), "heartbeats keep 1 live");
 
     drop(executor); // shutdown → Bye → worker exits
     worker.join().expect("no panic").expect("clean exit");
+}
+
+/// The `ExecutorView` contract selection relies on, for every executor:
+/// the ideal view is the default one, a view only changes across an
+/// `execute` (or, over sockets, with the registry), and `departed` is
+/// ascending — `SelectionContext::is_departed` binary-searches it.
+#[test]
+fn executor_views_are_stable_snapshots_with_ascending_departures() {
+    assert_eq!(IdealExecutor.view(), ExecutorView::default());
+
+    // Simulated churn under both planner-backed executors.
+    let fleet = FleetConfig {
+        compute_skew: 4.0,
+        dropout: 0.2,
+        churn: Some(ChurnConfig {
+            mean_arrival_gap_s: 5.0,
+            mean_departure_gap_s: 2.0,
+        }),
+        ..Default::default()
+    };
+    let hetero = HeteroConfig {
+        fleet: fleet.clone(),
+        deadline_s: Some(12.0),
+        ..Default::default()
+    };
+    let buffered = BufferedConfig {
+        fleet,
+        buffer_size: 2,
+        ..Default::default()
+    };
+    let simulated: [Box<dyn RoundExecutor>; 2] = [
+        Box::new(DeadlineExecutor::new(hetero, 8, 1000, 8, 7)),
+        Box::new(BufferedExecutor::new(buffered, 8, 1000, 8, 7)),
+    ];
+    let train = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+        let update = |d: &Dispatch| stub_update(0, d.client_id, &[0.0; 4]);
+        dispatches.iter().map(update).collect()
+    };
+    for mut ex in simulated {
+        for round in 0..4 {
+            ex.execute(round, &[0, 1, 2, 3, 4, 5, 6, 7], &train);
+            let view = ex.view();
+            assert_eq!(view, ex.view(), "view changed without an execute");
+            assert!(view.departed.windows(2).all(|w| w[0] < w[1]));
+        }
+        assert!(!ex.view().departed.is_empty(), "no departure observed");
+    }
+
+    // Real departures over sockets, leaving in non-ascending id order.
+    let server = NetServerBuilder::new().build().expect("bind");
+    let mut peers: Vec<(u64, TcpStream)> = [5u64, 2, 9]
+        .into_iter()
+        .map(|client_id| {
+            let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+            let hello = Message::Hello {
+                client_id,
+                min_version: PROTOCOL_VERSION_MIN,
+                max_version: PROTOCOL_VERSION_MAX,
+            };
+            write_frame(&mut sock, &hello).expect("hello");
+            (client_id, sock)
+        })
+        .collect();
+    server
+        .wait_for_clients(3, Duration::from_secs(5))
+        .expect("all subscribed");
+    let executor = NetworkExecutor::barrier(server);
+    assert_eq!(executor.view(), ExecutorView::default());
+    for (client_id, sock) in &mut peers {
+        let bye = Message::Bye {
+            client_id: *client_id,
+        };
+        write_frame(sock, &bye).expect("bye");
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while executor.view().departed.len() < 3 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(executor.view().departed, vec![2, 5, 9]);
+    assert_eq!(executor.view(), executor.view());
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,7 +1081,7 @@ fn buffered_mode_measures_staleness_of_late_arrivals() {
     let h0 = out0.hetero.expect("buffered rounds carry hetero records");
     assert_eq!(h0.aggregated_ids, vec![0], "fast worker wins round 0");
     assert_eq!(out0.updates[0].staleness, 0);
-    assert_eq!(executor.in_flight_clients(), vec![1], "slow one in flight");
+    assert_eq!(executor.view().in_flight, vec![1], "slow one in flight");
 
     // Round 1: select only the slow worker — still busy, so nothing new
     // is dispatched and the buffer drains its round-0 answer (trained on

@@ -200,7 +200,6 @@ fn drive(
     let mut outcomes = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let mut rng = master.derive(round as u64);
-        let in_flight = ex.in_flight_clients();
         let selected = {
             let ctx = SelectionContext {
                 round,
@@ -208,12 +207,7 @@ fn drive(
                 participants: k,
                 known_loss: &known_loss,
                 participation: &participation,
-                fleet: ex.fleet(),
-                upload_bytes: ex.upload_bytes(),
-                deadline_s: ex.deadline_s(),
-                in_flight: &in_flight,
-                reliability: ex.reliability(),
-                departed: &ex.departed_clients(),
+                executor: ex.view(),
             };
             policy.select(&ctx, &mut rng)
         };
@@ -252,7 +246,8 @@ fn deadline_waste_rate(policy: &mut dyn SelectionPolicy, rounds: usize) -> f64 {
     };
     let mut ex = DeadlineExecutor::new(cfg, N, 60_000, K, 9);
     drive(&mut ex, policy, N, K, rounds);
-    let stats = RoundExecutor::reliability(&ex).expect("deadline telemetry");
+    let view = ex.view();
+    let stats = view.reliability.expect("deadline telemetry");
     let dropouts: usize = stats.iter().map(|(_, s)| s.dropouts).sum();
     let dispatches: usize = stats.iter().map(|(_, s)| s.dispatches).sum();
     dropouts as f64 / (dropouts + dispatches) as f64
@@ -297,7 +292,7 @@ fn staleness_balanced_rebalances_the_fast_client_skew() {
         };
         let mut ex = BufferedExecutor::new(cfg, N, 60_000, K, 9);
         let outcomes = drive(&mut ex, policy, N, K, rounds);
-        let fleet = ex.fleet().clone();
+        let fleet = ex.view().fleet.expect("buffered fleet").clone();
         let mut order: Vec<usize> = (0..N).collect();
         order.sort_by(|&a, &b| {
             fleet
@@ -351,7 +346,8 @@ fn telemetry_totals_close_against_round_records() {
         rec_busy += h.busy;
         rec_aggregated += h.aggregated();
     }
-    let stats = RoundExecutor::reliability(&ex).unwrap();
+    let view = ex.view();
+    let stats = view.reliability.unwrap();
     let dropouts: usize = stats.iter().map(|(_, s)| s.dropouts).sum();
     let dispatches: usize = stats.iter().map(|(_, s)| s.dispatches).sum();
     let aggregated: usize = stats.iter().map(|(_, s)| s.aggregated).sum();

@@ -147,7 +147,8 @@ proptest! {
             rec_aggregated += h.aggregated();
             rec_staleness += h.staleness.iter().sum::<usize>();
         }
-        let stats = RoundExecutor::reliability(&ex).expect("buffered telemetry");
+        let view = ex.view();
+        let stats = view.reliability.expect("buffered telemetry");
         let totals = stats.totals();
         prop_assert_eq!(totals.dropouts, rec_dropouts);
         prop_assert_eq!(totals.aggregated, rec_aggregated);
@@ -365,12 +366,14 @@ fn selection_contracts_hold_over_a_hundred_thousand_client_lazy_fleet() {
             participants: K,
             known_loss: &known_loss,
             participation: &[],
-            fleet: Some(&fleet),
-            upload_bytes: 1_000_000,
-            deadline_s: Some(fleet.completion_percentile_s(1_000_000, 0.9)),
-            in_flight: &in_flight,
-            reliability: Some(&stats),
-            departed: &[],
+            executor: ExecutorView {
+                fleet: Some(&fleet),
+                upload_bytes: 1_000_000,
+                deadline_s: Some(fleet.completion_percentile_s(1_000_000, 0.9)),
+                in_flight: in_flight.clone(),
+                reliability: Some(&stats),
+                ..Default::default()
+            },
         };
         let before = fleet.derivations();
         let picked = policy.select(&ctx, &mut Rng64::new(7).derive(3));
@@ -439,7 +442,8 @@ fn buffered_rounds_at_hundred_thousand_clients_stay_sparse() {
         aggregations > 0,
         "10^5-client run never filled its aggregation buffer"
     );
-    let stats = RoundExecutor::reliability(&ex).expect("buffered telemetry");
+    let view = ex.view();
+    let stats = view.reliability.expect("buffered telemetry");
     assert!(
         stats.observed() <= distinct.len(),
         "{} resident telemetry entries for {} distinct dispatched clients",
@@ -448,7 +452,8 @@ fn buffered_rounds_at_hundred_thousand_clients_stay_sparse() {
     );
     // Each dispatched client costs a bounded number of profile
     // derivations (completion-time lookups); nothing scans the fleet.
-    let derived = RoundExecutor::fleet(&ex)
+    let derived = view
+        .fleet
         .expect("buffered executor has a fleet")
         .derivations();
     assert!(

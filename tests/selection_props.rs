@@ -90,12 +90,14 @@ impl CtxData {
             participants: self.k,
             known_loss: &self.known_loss,
             participation: &self.participation,
-            fleet: self.fleet.as_ref(),
-            upload_bytes: self.upload_bytes,
-            deadline_s: self.deadline_s,
-            in_flight: &self.in_flight,
-            reliability: self.reliability.as_ref(),
-            departed: &[],
+            executor: ExecutorView {
+                fleet: self.fleet.as_ref(),
+                upload_bytes: self.upload_bytes,
+                deadline_s: self.deadline_s,
+                in_flight: self.in_flight.clone(),
+                reliability: self.reliability.as_ref(),
+                ..Default::default()
+            },
         }
     }
 }
@@ -172,9 +174,11 @@ fn stragglers_under(policy: &mut dyn SelectionPolicy, rounds: usize) -> usize {
         ..Default::default()
     };
     let probe = DeadlineExecutor::new(cfg.clone(), N, 60_000, K, 9);
-    let deadline = probe
-        .fleet()
-        .completion_percentile_s(probe.upload_bytes(), 0.5);
+    let view = probe.view();
+    let deadline = view
+        .fleet
+        .expect("deadline executor has a fleet")
+        .completion_percentile_s(view.upload_bytes, 0.5);
     let mut ex = DeadlineExecutor::new(
         HeteroConfig {
             deadline_s: Some(deadline),
@@ -205,7 +209,6 @@ fn stragglers_under(policy: &mut dyn SelectionPolicy, rounds: usize) -> usize {
     let mut stragglers = 0usize;
     for round in 0..rounds {
         let mut rng = master.derive(round as u64);
-        let in_flight = RoundExecutor::in_flight_clients(&ex);
         let selected = {
             let ctx = SelectionContext {
                 round,
@@ -213,12 +216,7 @@ fn stragglers_under(policy: &mut dyn SelectionPolicy, rounds: usize) -> usize {
                 participants: K,
                 known_loss: &known_loss,
                 participation: &participation,
-                fleet: RoundExecutor::fleet(&ex),
-                upload_bytes: RoundExecutor::upload_bytes(&ex),
-                deadline_s: RoundExecutor::deadline_s(&ex),
-                in_flight: &in_flight,
-                reliability: RoundExecutor::reliability(&ex),
-                departed: &RoundExecutor::departed_clients(&ex),
+                executor: ex.view(),
             };
             policy.select(&ctx, &mut rng)
         };

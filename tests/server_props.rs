@@ -400,8 +400,10 @@ proptest! {
                 })
                 .collect()
         };
+        let view = ex.view();
+        let fleet = view.fleet.expect("deadline executor has a fleet");
         let completions: Vec<f64> = (0..k)
-            .map(|c| ex.fleet().profile(c).completion_time_s(ex.upload_bytes()))
+            .map(|c| fleet.profile(c).completion_time_s(view.upload_bytes))
             .collect();
         let out = ex.execute(0, &selected, &train);
         let h = out.hetero.expect("deadline executor always reports");

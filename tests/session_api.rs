@@ -6,7 +6,8 @@
 //! checked separately in `server_props`); (2) driving a session one round
 //! at a time via `step()` yields the same history as `run()`; (3)
 //! degenerate configurations surface as typed `FlError`s from the builder
-//! instead of panics mid-run, through every entry layer (fl and core).
+//! instead of panics mid-run, through every entry layer (fl and core) —
+//! and so does a user strategy that misbehaves mid-run.
 
 use feddrl_repro::prelude::*;
 
@@ -199,6 +200,50 @@ fn builder_reports_typed_errors() {
         .err()
         .expect("NaN deadline must not build");
     assert!(matches!(err, FlError::InvalidDeadline { .. }));
+}
+
+/// A misbehaving user strategy is a typed error from `step()`, raised
+/// before aggregation touches the global model — the twin of the
+/// misbehaving-policy `InvalidSelection` path.
+#[test]
+fn misbehaving_strategy_surfaces_invalid_factors() {
+    /// All-ones factors, `missing` too few, the first one `first`.
+    struct Bad {
+        missing: usize,
+        first: f32,
+    }
+    impl Strategy for Bad {
+        fn name(&self) -> &'static str {
+            "bad"
+        }
+        fn impact_factors(&mut self, _round: usize, summaries: &[ClientSummary]) -> Vec<f32> {
+            let mut factors = vec![1.0; summaries.len() - self.missing];
+            factors[0] = self.first;
+            factors
+        }
+    }
+    let (spec, train, test, partition, cfg) = golden_setup();
+    let short = Bad {
+        missing: 1,
+        first: 1.0,
+    };
+    let nan = Bad {
+        missing: 0,
+        first: f32::NAN,
+    };
+    for mut bad in [short, nan] {
+        let mut session = SessionBuilder::new(&spec, &train, &test, &partition, &mut bad)
+            .config(&cfg)
+            .build()
+            .expect("golden config is valid");
+        let before = session.global_params();
+        let err = session.step().err();
+        assert!(matches!(
+            err,
+            Some(FlError::InvalidFactors { round: 0, .. })
+        ));
+        assert_eq!(session.global_params(), before, "global model touched");
+    }
 }
 
 /// The buffered executor's knobs surface as the new typed errors — from

@@ -19,7 +19,7 @@ use feddrl_fl::executor::{
 use feddrl_nn::rng::Rng64;
 use feddrl_nn::zoo::build_mlp;
 use feddrl_sim::churn::ChurnProcess;
-use feddrl_sim::device::{ChurnConfig, DiurnalConfig, Fleet, FleetConfig};
+use feddrl_sim::device::{ChurnConfig, DeviceProfile, DiurnalConfig, FleetConfig, FleetView};
 
 fn bench_churn_advance(c: &mut Criterion) {
     let mut group = c.benchmark_group("churn_advance");
@@ -55,7 +55,8 @@ fn bench_diurnal_modulation(c: &mut Criterion) {
         dropout_amplitude: 0.4,
         latency_amplitude: 0.3,
     };
-    let fleet = Fleet::generate(
+    // Derived up front: the loop below measures the modulation alone.
+    let fleet: Vec<DeviceProfile> = FleetView::new(
         N,
         &FleetConfig {
             compute_skew: 4.0,
@@ -64,19 +65,18 @@ fn bench_diurnal_modulation(c: &mut Criterion) {
             diurnal: Some(diurnal),
             ..Default::default()
         },
-    );
+    )
+    .profiles()
+    .collect();
     for (label, cycle) in [("static", None), ("diurnal", Some(diurnal))] {
         group.throughput(Throughput::Elements(N as u64));
         group.bench_function(BenchmarkId::new("completion", label), |b| {
             let mut now = 0.0f64;
             b.iter(|| {
                 now += 17.0;
-                let total: f64 = (0..N)
-                    .map(|i| {
-                        fleet
-                            .profile(i)
-                            .completion_time_at(1_000_000, 1.0, cycle.as_ref(), now)
-                    })
+                let total: f64 = fleet
+                    .iter()
+                    .map(|p| p.completion_time_at(1_000_000, 1.0, cycle.as_ref(), now))
                     .sum();
                 std::hint::black_box(total)
             })

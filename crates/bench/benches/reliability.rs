@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use feddrl_fl::executor::{ClientReliability, ExecutorView, ReliabilityTable};
 use feddrl_fl::selection::{Selection, SelectionContext};
 use feddrl_nn::rng::Rng64;
-use feddrl_sim::device::{DropoutCorrelation, Fleet, FleetConfig, FleetView, ReliabilityConfig};
+use feddrl_sim::device::{DropoutCorrelation, FleetConfig, FleetView, ReliabilityConfig};
 
 fn bench_fleet_generate(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_generate");
@@ -29,7 +29,7 @@ fn bench_fleet_generate(c: &mut Criterion) {
         };
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("speed_correlated", n), &n, |b, &n| {
-            b.iter(|| std::hint::black_box(Fleet::generate(n, &cfg)))
+            b.iter(|| std::hint::black_box(FleetView::new(n, &cfg).profiles().collect::<Vec<_>>()))
         });
     }
     group.finish();

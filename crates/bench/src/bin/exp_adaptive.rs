@@ -22,7 +22,9 @@
 //! accuracy edge over plain replacement at that shared budget.
 
 use feddrl::prelude::*;
-use feddrl_bench::{render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec};
+use feddrl_bench::{
+    render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
+};
 use feddrl_sim::prelude::*;
 
 /// Deadline percentile for the barrier cell (the exp_dynamics setting:
@@ -42,11 +44,6 @@ fn server_opts() -> [(&'static str, ServerOptConfig); 4] {
     ]
 }
 
-struct Method {
-    label: &'static str,
-    feddrl: bool,
-}
-
 fn main() {
     let opts = ExpOptions::from_args();
     let n_clients = 12;
@@ -59,22 +56,10 @@ fn main() {
         seed: opts.seed ^ 0xADA9,
         ..Default::default()
     };
-    // Per-client upload payload probed from a DeadlineExecutor so the
-    // deadline placement can never drift from what is simulated.
-    let upload_bytes = DeadlineExecutor::new(
-        HeteroConfig {
-            fleet: fleet.clone(),
-            ..Default::default()
-        },
-        n_clients,
-        params,
-        exp.participants,
-        opts.seed,
-    )
-    .view()
-    .upload_bytes;
+    // Priced with the per-client upload payload the executors simulate.
+    let upload_bytes = feddrl_fl::dispatch::upload_bytes(params, exp.participants);
     let deadline =
-        Fleet::generate(n_clients, &fleet).completion_percentile_s(upload_bytes, DEADLINE_PCT);
+        FleetView::new(n_clients, &fleet).completion_percentile_s(upload_bytes, DEADLINE_PCT);
 
     let cells: [(&str, ExecutorConfig); 3] = [
         ("ideal", ExecutorConfig::Ideal),
@@ -98,20 +83,7 @@ fn main() {
             }),
         ),
     ];
-    let methods = [
-        Method {
-            label: "FedAvg",
-            feddrl: false,
-        },
-        Method {
-            label: "FedProx",
-            feddrl: false,
-        },
-        Method {
-            label: "FedDRL",
-            feddrl: true,
-        },
-    ];
+    let drl_cfg = exp.feddrl_config();
 
     let mut rows = Vec::new();
     let mut csv = String::from(
@@ -121,16 +93,19 @@ fn main() {
     for (cell, executor) in &cells {
         // Per (cell, method): plain is the baseline the adaptive columns
         // must beat at the cell's shared simulated-time budget.
-        for method in &methods {
+        for method in MethodKind::federated() {
             let mut plain: Option<(f32, f64)> = None;
             let mut best_adaptive: Option<(&'static str, f32)> = None;
             for (opt_label, server_opt) in server_opts() {
-                let history = run_cell(&exp, &env, method, executor, server_opt);
+                let mut fl_cfg = exp.fl_config();
+                fl_cfg.executor = executor.clone();
+                fl_cfg.server_opt = server_opt;
+                let history = exp.run_cell(&env, method, &fl_cfg, &drl_cfg, None);
                 let best = history.best().best_accuracy;
                 let final_acc = final_third_accuracy(&history);
                 let hours = history.total_sim_time_s() / 3600.0;
                 rows.push(vec![
-                    method.label.to_string(),
+                    method.name().to_string(),
                     (*cell).to_string(),
                     opt_label.to_string(),
                     format!("{best:.4}"),
@@ -140,7 +115,7 @@ fn main() {
                 ]);
                 csv.push_str(&format!(
                     "{},{cell},{opt_label},{best},{final_acc},{},{hours}\n",
-                    method.label,
+                    method.name(),
                     history.mean_participation(),
                 ));
                 if opt_label == "plain" {
@@ -156,7 +131,7 @@ fn main() {
                 summary.push(format!(
                     "{cell} / {}: plain {p:.4} vs best adaptive ({label}) {a:.4} at equal \
                      simulated time ({hours:.2} h) — {}{:.4}",
-                    method.label,
+                    method.name(),
                     if a >= p { "+" } else { "" },
                     a - p
                 ));
@@ -207,45 +182,4 @@ fn final_third_accuracy(history: &RunHistory) -> f32 {
     let n = history.records.len();
     let tail = &history.records[n - (n / 3).max(1)..];
     tail.iter().map(|r| r.test_accuracy).sum::<f32>() / tail.len() as f32
-}
-
-fn run_cell(
-    exp: &ExperimentSpec,
-    env: &(Dataset, Dataset, Partition, ModelSpec),
-    method: &Method,
-    executor: &ExecutorConfig,
-    server_opt: ServerOptConfig,
-) -> RunHistory {
-    let (train, test, partition, model) = env;
-    let mut fl_cfg = exp.fl_config();
-    fl_cfg.executor = executor.clone();
-    fl_cfg.server_opt = server_opt;
-    if method.feddrl {
-        try_run_feddrl(
-            model,
-            train,
-            test,
-            partition,
-            &fl_cfg,
-            &exp.feddrl_config(),
-            exp.dataset.name(),
-        )
-        .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-        .history
-    } else {
-        let mut fedavg = FedAvg;
-        let mut fedprox = FedProx::default();
-        let strategy: &mut dyn Strategy = if method.label == "FedProx" {
-            &mut fedprox
-        } else {
-            &mut fedavg
-        };
-        SessionBuilder::new(model, train, test, partition, strategy)
-            .config(&fl_cfg)
-            .dataset_name(exp.dataset.name())
-            .build()
-            .unwrap_or_else(|e| panic!("invalid sweep cell: {e}"))
-            .run()
-            .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-    }
 }

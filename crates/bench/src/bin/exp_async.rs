@@ -22,7 +22,6 @@
 use feddrl::prelude::*;
 use feddrl_bench::{
     render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
-    SimTimeBudget,
 };
 use feddrl_sim::prelude::*;
 
@@ -44,17 +43,31 @@ fn main() {
     let env = exp.materialize(opts.scale);
     let params = env.3.build(1).param_count();
 
-    // Per-client upload payload for deadline placement — probed from a
-    // DeadlineExecutor so it can never drift from what is simulated.
-    let upload_bytes = DeadlineExecutor::new(
-        HeteroConfig::default(),
-        n_clients,
-        params,
-        exp.participants,
-        opts.seed,
-    )
-    .view()
-    .upload_bytes;
+    // Per-client upload payload for deadline placement — the number the
+    // executors' planner prices dispatches with.
+    let upload_bytes = feddrl_fl::dispatch::upload_bytes(params, exp.participants);
+
+    // One cell: the experiment's config on `executor`. A buffered cell
+    // gets a generous aggregation cap; the virtual-time budget (or, for
+    // the FedDRL flavor rows, an equal accepted-update budget) is what
+    // actually ends the run.
+    let run_cell = |method: MethodKind,
+                    executor: &ExecutorConfig,
+                    observe_staleness: bool,
+                    sim_budget_s: Option<f64>| {
+        let mut fl_cfg = exp.fl_config();
+        fl_cfg.executor = executor.clone();
+        if let ExecutorConfig::Buffered(b) = executor {
+            fl_cfg.rounds = if sim_budget_s.is_some() {
+                exp.rounds * exp.participants
+            } else {
+                (exp.rounds * exp.participants).div_ceil(b.buffer_size)
+            };
+        }
+        let mut drl_cfg = exp.feddrl_config();
+        drl_cfg.feddrl.observe_staleness = observe_staleness;
+        exp.run_cell(&env, method, &fl_cfg, &drl_cfg, sim_budget_s)
+    };
 
     let mut rows = Vec::new();
     let mut csv = String::from(
@@ -70,15 +83,14 @@ fn main() {
         };
         // Baseline: the round barrier, cut at the fleet's 70th
         // completion-time percentile (the exp_hetero convention).
-        let deadline =
-            Fleet::generate(n_clients, &fleet).completion_percentile_s(upload_bytes, 0.7);
+        let deadline = FleetView::new(n_clients, &fleet).completion_percentile_s(upload_bytes, 0.7);
         let baseline_exec = ExecutorConfig::Deadline(HeteroConfig {
             fleet: fleet.clone(),
             deadline_s: Some(deadline),
             late_policy: LatePolicy::Drop,
             ..Default::default()
         });
-        let baseline = run_cell(&exp, &env, MethodKind::FedAvg, &baseline_exec, false, None);
+        let baseline = run_cell(MethodKind::FedAvg, &baseline_exec, false, None);
         let target = baseline.best().best_accuracy * 0.95;
         let budget_s = baseline.total_sim_time_s();
         let baseline_hours = baseline.sim_time_to_accuracy_s(target).map(|s| s / 3600.0);
@@ -108,8 +120,7 @@ fn main() {
                     server_mix: Some(m as f64 / exp.participants as f64),
                     ..Default::default()
                 });
-                let history =
-                    run_cell(&exp, &env, MethodKind::FedAvg, &exec, false, Some(budget_s));
+                let history = run_cell(MethodKind::FedAvg, &exec, false, Some(budget_s));
                 let hours = history.sim_time_to_accuracy_s(target).map(|s| s / 3600.0);
                 if let Some(h) = hours {
                     if best_buffered.is_none_or(|(_, _, b)| h < b) {
@@ -153,7 +164,7 @@ fn main() {
             server_mix: Some(0.5),
             ..Default::default()
         });
-        let history = run_cell(&exp, &env, MethodKind::FedDrl, &exec, observe, None);
+        let history = run_cell(MethodKind::FedDrl, &exec, observe, None);
         let method = if observe { "FedDRL+stale" } else { "FedDRL" };
         push_row(
             &mut rows, &mut csv, method, "buffered", 4.0, "5", "poly(1)", &history, None,
@@ -238,65 +249,4 @@ fn push_row(
         history.mean_staleness(),
         history.total_sim_time_s() / 3600.0,
     ));
-}
-
-fn run_cell(
-    exp: &ExperimentSpec,
-    env: &(Dataset, Dataset, Partition, ModelSpec),
-    method: MethodKind,
-    executor: &ExecutorConfig,
-    observe_staleness: bool,
-    sim_budget_s: Option<f64>,
-) -> RunHistory {
-    let (train, test, partition, model) = env;
-    let mut fl_cfg = exp.fl_config();
-    fl_cfg.executor = executor.clone();
-    if let ExecutorConfig::Buffered(b) = executor {
-        // Generous aggregation cap; the virtual-time budget (or, for the
-        // FedDRL flavor rows, an equal accepted-update budget) is what
-        // actually ends the run.
-        fl_cfg.rounds = (exp.rounds * exp.participants).div_ceil(b.buffer_size);
-        if sim_budget_s.is_some() {
-            fl_cfg.rounds = exp.rounds * exp.participants;
-        }
-    }
-    match method {
-        MethodKind::FedAvg => {
-            let mut strategy = FedAvg;
-            let mut builder = SessionBuilder::new(model, train, test, partition, &mut strategy)
-                .config(&fl_cfg)
-                .dataset_name(exp.dataset.name());
-            if let Some(budget_s) = sim_budget_s {
-                builder = builder.observer(Box::new(SimTimeBudget { budget_s }));
-            }
-            builder
-                .build()
-                .unwrap_or_else(|e| panic!("invalid sweep cell: {e}"))
-                .run()
-                .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-        }
-        MethodKind::FedDrl => {
-            // `try_run_feddrl` has no observer hook, so a simulated-time
-            // budget cannot be enforced on this arm — fail loudly rather
-            // than silently break an equal-time comparison.
-            assert!(
-                sim_budget_s.is_none(),
-                "FedDRL cells do not support a sim-time budget"
-            );
-            let mut run_cfg = exp.feddrl_config();
-            run_cfg.feddrl.observe_staleness = observe_staleness;
-            try_run_feddrl(
-                model,
-                train,
-                test,
-                partition,
-                &fl_cfg,
-                &run_cfg,
-                exp.dataset.name(),
-            )
-            .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-            .history
-        }
-        other => panic!("exp_async does not sweep {}", other.name()),
-    }
 }

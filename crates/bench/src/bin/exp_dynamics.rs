@@ -29,7 +29,6 @@
 use feddrl::prelude::*;
 use feddrl_bench::{
     render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
-    SimTimeBudget,
 };
 use feddrl_sim::prelude::*;
 
@@ -102,21 +101,28 @@ fn main() {
     // (diurnal modulation leaves the compute/bandwidth draws untouched, so
     // it prices the same devices the dynamic cells run on).
     let param_count = env.3.build(exp.seed).param_count();
-    let probe = DeadlineExecutor::new(
-        HeteroConfig {
-            fleet: static_fleet(fleet_seed),
-            ..Default::default()
-        },
-        n_clients,
-        param_count,
-        exp.participants,
-        exp.seed,
-    );
-    let view = probe.view();
-    let deadline_s = view
-        .fleet
-        .expect("deadline executor has a fleet")
-        .completion_percentile_s(view.upload_bytes, DEADLINE_PCT);
+    let upload_bytes = feddrl_fl::dispatch::upload_bytes(param_count, exp.participants);
+    let deadline_s = FleetView::new(n_clients, &static_fleet(fleet_seed))
+        .completion_percentile_s(upload_bytes, DEADLINE_PCT);
+
+    // One cell: the experiment's config on `executor` with the
+    // reliability-aware policy, the agent observing availability.
+    // Budgeted cells get round headroom — the simulated-time budget is
+    // what actually ends the run (deadline rounds all cost about one
+    // deadline of virtual time, so 2x is plenty).
+    let mut drl_cfg = exp.feddrl_config();
+    drl_cfg.feddrl.observe_availability = true;
+    let run_cell = |method: MethodKind, executor: &ExecutorConfig, sim_budget_s: Option<f64>| {
+        let mut fl_cfg = exp.fl_config();
+        fl_cfg.executor = executor.clone();
+        fl_cfg.selection = Selection::ReliabilityAware {
+            candidates: CANDIDATES,
+        };
+        if sim_budget_s.is_some() {
+            fl_cfg.rounds = exp.rounds * 2;
+        }
+        exp.run_cell(&env, method, &fl_cfg, &drl_cfg, sim_budget_s)
+    };
 
     let cells: [(&str, ExecutorConfig); 4] = [
         (
@@ -165,7 +171,7 @@ fn main() {
 
     // The dynamic/drop baseline runs first: it defines the family's
     // simulated-time budget and the shared accuracy target.
-    let baseline = run_cell(&exp, &env, MethodKind::FedAvg, &cells[0].1, None);
+    let baseline = run_cell(MethodKind::FedAvg, &cells[0].1, None);
     let budget_s = baseline.total_sim_time_s();
     let target = baseline.best().best_accuracy * 0.95;
 
@@ -174,7 +180,7 @@ fn main() {
         let history = if *label == "dynamic/drop" {
             baseline.clone()
         } else {
-            run_cell(&exp, &env, MethodKind::FedAvg, exec, Some(budget_s))
+            run_cell(MethodKind::FedAvg, exec, Some(budget_s))
         };
         let stats = CellStats::measure(&history, target);
         push_row(&mut rows, &mut csv, "FedAvg", label, &stats);
@@ -185,7 +191,7 @@ fn main() {
     // round count (no budget — `try_run_feddrl` has no observer hook),
     // FedDRL observing each update's untrained model fraction.
     for method in [MethodKind::FedAvg, MethodKind::FedDrl] {
-        let history = run_cell(&exp, &env, method, &cells[3].1, None);
+        let history = run_cell(method, &cells[3].1, None);
         let stats = CellStats::measure(&history, f32::INFINITY);
         push_row(
             &mut rows,
@@ -345,61 +351,4 @@ fn push_row(
         stats.mean_staleness,
         stats.sim_hours,
     ));
-}
-
-fn run_cell(
-    exp: &ExperimentSpec,
-    env: &(Dataset, Dataset, Partition, ModelSpec),
-    method: MethodKind,
-    executor: &ExecutorConfig,
-    sim_budget_s: Option<f64>,
-) -> RunHistory {
-    let (train, test, partition, model) = env;
-    let mut fl_cfg = exp.fl_config();
-    fl_cfg.executor = executor.clone();
-    fl_cfg.selection = Selection::ReliabilityAware {
-        candidates: CANDIDATES,
-    };
-    // Budgeted cells get round headroom — the simulated-time budget is
-    // what actually ends the run (deadline rounds all cost about one
-    // deadline of virtual time, so 2x is plenty).
-    if sim_budget_s.is_some() {
-        fl_cfg.rounds = exp.rounds * 2;
-    }
-    match method {
-        MethodKind::FedAvg => {
-            let mut strategy = FedAvg;
-            let mut builder = SessionBuilder::new(model, train, test, partition, &mut strategy)
-                .config(&fl_cfg)
-                .dataset_name(exp.dataset.name());
-            if let Some(budget_s) = sim_budget_s {
-                builder = builder.observer(Box::new(SimTimeBudget { budget_s }));
-            }
-            builder
-                .build()
-                .unwrap_or_else(|e| panic!("invalid sweep cell: {e}"))
-                .run()
-                .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-        }
-        MethodKind::FedDrl => {
-            assert!(
-                sim_budget_s.is_none(),
-                "FedDRL cells do not support a sim-time budget"
-            );
-            let mut drl_cfg = exp.feddrl_config();
-            drl_cfg.feddrl.observe_availability = true;
-            try_run_feddrl(
-                model,
-                train,
-                test,
-                partition,
-                &fl_cfg,
-                &drl_cfg,
-                exp.dataset.name(),
-            )
-            .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-            .history
-        }
-        other => panic!("exp_dynamics does not sweep {}", other.name()),
-    }
 }

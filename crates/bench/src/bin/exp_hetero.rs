@@ -24,18 +24,10 @@ fn main() {
     let env = exp.materialize(opts.scale);
     let params = env.3.build(1).param_count();
 
-    // Per-client upload payload for deadline placement — taken from a
-    // probe executor so it can never drift from what DeadlineExecutor
-    // actually simulates.
-    let upload_bytes = DeadlineExecutor::new(
-        HeteroConfig::default(),
-        n_clients,
-        params,
-        exp.participants,
-        opts.seed,
-    )
-    .view()
-    .upload_bytes;
+    // Per-client upload payload for deadline placement — the number
+    // DeadlineExecutor's planner prices dispatches with.
+    let upload_bytes = feddrl_fl::dispatch::upload_bytes(params, exp.participants);
+    let drl_cfg = exp.feddrl_config();
 
     let mut rows = Vec::new();
     let mut csv = String::from(
@@ -54,10 +46,20 @@ fn main() {
                 // Wait for the fastest ~70% of devices (a no-op when
                 // skew = 1: every device finishes at the same instant).
                 let deadline = bounded.then(|| {
-                    Fleet::generate(n_clients, &fleet).completion_percentile_s(upload_bytes, 0.7)
+                    FleetView::new(n_clients, &fleet).completion_percentile_s(upload_bytes, 0.7)
                 });
+                let mut fl_cfg = exp.fl_config();
+                let ideal = dropout == 0.0 && deadline.is_none() && skew == 1.0;
+                if !ideal {
+                    fl_cfg.executor = ExecutorConfig::Deadline(HeteroConfig {
+                        fleet,
+                        deadline_s: deadline,
+                        late_policy: LatePolicy::Drop,
+                        ..Default::default()
+                    });
+                }
                 for method in [MethodKind::FedAvg, MethodKind::FedDrl] {
-                    let history = run_cell(&exp, &env, method, &fleet, deadline);
+                    let history = exp.run_cell(&env, method, &fl_cfg, &drl_cfg, None);
                     let best = history.best();
                     rows.push(vec![
                         method.name().to_string(),
@@ -114,50 +116,4 @@ fn main() {
     );
     write_artifact(&opts.out_path("hetero_sweep.txt"), &table);
     write_artifact(&opts.out_path("hetero_sweep.csv"), &csv);
-}
-
-fn run_cell(
-    exp: &ExperimentSpec,
-    env: &(Dataset, Dataset, Partition, ModelSpec),
-    method: MethodKind,
-    fleet: &FleetConfig,
-    deadline: Option<f64>,
-) -> RunHistory {
-    let (train, test, partition, model) = env;
-    let mut fl_cfg = exp.fl_config();
-    let ideal = fleet.dropout == 0.0 && deadline.is_none() && fleet.compute_skew == 1.0;
-    if !ideal {
-        fl_cfg.executor = ExecutorConfig::Deadline(HeteroConfig {
-            fleet: fleet.clone(),
-            deadline_s: deadline,
-            late_policy: LatePolicy::Drop,
-            ..Default::default()
-        });
-    }
-    match method {
-        MethodKind::FedAvg => {
-            let mut strategy = FedAvg;
-            SessionBuilder::new(model, train, test, partition, &mut strategy)
-                .config(&fl_cfg)
-                .dataset_name(exp.dataset.name())
-                .build()
-                .unwrap_or_else(|e| panic!("invalid sweep cell: {e}"))
-                .run()
-                .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-        }
-        MethodKind::FedDrl => {
-            try_run_feddrl(
-                model,
-                train,
-                test,
-                partition,
-                &fl_cfg,
-                &exp.feddrl_config(),
-                exp.dataset.name(),
-            )
-            .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-            .history
-        }
-        other => panic!("exp_hetero does not sweep {}", other.name()),
-    }
 }

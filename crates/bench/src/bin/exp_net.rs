@@ -48,18 +48,6 @@ fn target_max_ms(scale: Scale) -> f64 {
     }
 }
 
-/// Nearest-rank percentile of `samples` for `pct` in `[0, 100]` (must be
-/// non-empty) — index `⌈pct/100 · N⌉ − 1`, the same definition
-/// `NetTelemetry::rtt_percentile_ms` and the fleet percentiles use.
-fn percentile(samples: &[f64], pct: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let idx = ((sorted.len() as f64 * (pct / 100.0)).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[idx]
-}
-
 /// The deterministic stub update both the workers and the simulator's
 /// train callback compute: a cheap, client-dependent transform of the
 /// published weights (the measurement targets the transport, not SGD).
@@ -384,17 +372,9 @@ fn main() {
     let env = exp.materialize(opts.scale);
     let params = env.3.build(1).param_count();
 
-    // Per-client upload payload, probed from a DeadlineExecutor so it can
-    // never drift from what the simulator charges (exp_async convention).
-    let upload_bytes = DeadlineExecutor::new(
-        HeteroConfig::default(),
-        n_clients,
-        params,
-        exp.participants,
-        opts.seed,
-    )
-    .view()
-    .upload_bytes;
+    // Per-client upload payload: what the simulator charges (exp_async
+    // convention).
+    let upload_bytes = feddrl_fl::dispatch::upload_bytes(params, exp.participants);
 
     // The fleet both sides share: the workers' real delays and the
     // simulator's virtual completion times come from the same profiles.
@@ -403,17 +383,18 @@ fn main() {
         seed: opts.seed ^ 0xA51C,
         ..Default::default()
     };
-    let completion_s: Vec<f64> = {
-        let f = Fleet::generate(n_clients, &fleet);
-        (0..n_clients)
-            .map(|cid| f.profile(cid).completion_time_s(upload_bytes))
-            .collect()
-    };
+    let devices = FleetView::new(n_clients, &fleet);
+    let completion_s: Vec<f64> = devices
+        .profiles()
+        .map(|p| p.completion_time_s(upload_bytes))
+        .collect();
     let max_s = completion_s.iter().cloned().fold(0.0f64, f64::max);
     let ms_per_sim_s = target_max_ms(opts.scale) / max_s.max(1e-9);
     let delays_ms: Vec<f64> = completion_s.iter().map(|s| s * ms_per_sim_s).collect();
-    let pred_p50 = percentile(&delays_ms, 50.0);
-    let pred_p99 = percentile(&delays_ms, 99.0);
+    // The fleet's nearest-rank percentiles (the definition the measured
+    // `NetTelemetry::rtt_percentile_ms` shares), on the workers' scale.
+    let pred_p50 = devices.completion_percentile_s(upload_bytes, 0.5) * ms_per_sim_s;
+    let pred_p99 = devices.completion_percentile_s(upload_bytes, 0.99) * ms_per_sim_s;
     println!(
         "fleet: skew {:.0}, completion {:.2}-{:.2} sim s, scaled at {:.1} ms per sim s \
          ({} params, {} B upload), workers as {}",

@@ -29,7 +29,6 @@
 use feddrl::prelude::*;
 use feddrl_bench::{
     render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
-    SimTimeBudget,
 };
 use feddrl_sim::prelude::*;
 
@@ -75,6 +74,26 @@ fn main() {
     let n_clients = 40; // N >> K so selection has room to choose
     let exp = ExperimentSpec::new(DatasetKind::MnistLike, "CE", n_clients, &opts);
     let env = exp.materialize(opts.scale);
+    let drl_cfg = exp.feddrl_config();
+
+    // One cell: the experiment's config on `executor` under `selection`,
+    // with a generous aggregation cap — the simulated-time budget (for
+    // budgeted cells) is what actually ends the run; unbudgeted cells get
+    // the equal-aggregation count.
+    let run_cell = |method: MethodKind,
+                    executor: &ExecutorConfig,
+                    selection: Selection,
+                    sim_budget_s: Option<f64>| {
+        let mut fl_cfg = exp.fl_config();
+        fl_cfg.executor = executor.clone();
+        fl_cfg.selection = selection;
+        fl_cfg.rounds = if sim_budget_s.is_some() {
+            exp.rounds * exp.participants
+        } else {
+            (exp.rounds * exp.participants).div_ceil(BUFFER)
+        };
+        exp.run_cell(&env, method, &fl_cfg, &drl_cfg, sim_budget_s)
+    };
 
     let mut rows = Vec::new();
     let mut csv = String::from(
@@ -102,18 +121,11 @@ fn main() {
                 server_mix: Some(BUFFER as f64 / exp.participants as f64),
                 ..Default::default()
             });
-            let fleet = Fleet::generate(n_clients, &fleet_cfg);
+            let fleet = FleetView::new(n_clients, &fleet_cfg);
 
             // Uniform baseline first: it defines the cell family's
             // simulated-time budget and the shared accuracy target.
-            let baseline = run_cell(
-                &exp,
-                &env,
-                MethodKind::FedAvg,
-                &exec,
-                Selection::Uniform,
-                None,
-            );
+            let baseline = run_cell(MethodKind::FedAvg, &exec, Selection::Uniform, None);
             let budget_s = baseline.total_sim_time_s();
             let target = baseline.best().best_accuracy * 0.95;
             let mut per_policy = Vec::new();
@@ -121,14 +133,7 @@ fn main() {
                 let history = if matches!(selection, Selection::Uniform) {
                     baseline.clone()
                 } else {
-                    run_cell(
-                        &exp,
-                        &env,
-                        MethodKind::FedAvg,
-                        &exec,
-                        selection,
-                        Some(budget_s),
-                    )
+                    run_cell(MethodKind::FedAvg, &exec, selection, Some(budget_s))
                 };
                 let stats = CellStats::measure(&history, &fleet, target);
                 push_row(
@@ -160,7 +165,7 @@ fn main() {
         seed: opts.seed ^ 0x5EED,
         ..Default::default()
     };
-    let fleet = Fleet::generate(n_clients, &headline_fleet);
+    let fleet = FleetView::new(n_clients, &headline_fleet);
     let exec = ExecutorConfig::Buffered(BufferedConfig {
         fleet: headline_fleet,
         buffer_size: BUFFER,
@@ -172,7 +177,7 @@ fn main() {
         let selection = Selection::ReliabilityAware {
             candidates: CANDIDATES,
         };
-        let history = run_cell(&exp, &env, method, &exec, selection, None);
+        let history = run_cell(method, &exec, selection, None);
         // Equal-aggregation-count comparison, not equal-time: no budget
         // applies and no shared target exists, so 'h to target' is blank
         // (f32::INFINITY is never reached) — these two rows are
@@ -250,16 +255,12 @@ struct CellStats {
 }
 
 impl CellStats {
-    fn measure(history: &RunHistory, fleet: &Fleet, target: f32) -> Self {
+    fn measure(history: &RunHistory, fleet: &FleetView, target: f32) -> Self {
         // Share of aggregated updates from the slower half of the fleet,
         // and dropout waste per dispatch attempt (sampled minus busy).
+        let compute_s: Vec<f64> = fleet.profiles().map(|p| p.compute_s).collect();
         let mut order: Vec<usize> = (0..fleet.len()).collect();
-        order.sort_by(|&a, &b| {
-            fleet
-                .profile(a)
-                .compute_s
-                .total_cmp(&fleet.profile(b).compute_s)
-        });
+        order.sort_by(|&a, &b| compute_s[a].total_cmp(&compute_s[b]));
         let slow: Vec<usize> = order[fleet.len() / 2..].to_vec();
         let (mut from_slow, mut total) = (0usize, 0usize);
         let (mut dropouts, mut tried) = (0usize, 0usize);
@@ -364,64 +365,5 @@ fn summarize(
              {:.2} vs {:.2}",
             u.slow_share, b.slow_share, u.mean_staleness, b.mean_staleness,
         ));
-    }
-}
-
-fn run_cell(
-    exp: &ExperimentSpec,
-    env: &(Dataset, Dataset, Partition, ModelSpec),
-    method: MethodKind,
-    executor: &ExecutorConfig,
-    selection: Selection,
-    sim_budget_s: Option<f64>,
-) -> RunHistory {
-    let (train, test, partition, model) = env;
-    let mut fl_cfg = exp.fl_config();
-    fl_cfg.executor = executor.clone();
-    fl_cfg.selection = selection;
-    // Generous aggregation cap: the simulated-time budget (for budgeted
-    // cells) is what actually ends the run; unbudgeted cells get the
-    // equal-aggregation count.
-    fl_cfg.rounds = if sim_budget_s.is_some() {
-        exp.rounds * exp.participants
-    } else {
-        (exp.rounds * exp.participants).div_ceil(BUFFER)
-    };
-    match method {
-        MethodKind::FedAvg => {
-            let mut strategy = FedAvg;
-            let mut builder = SessionBuilder::new(model, train, test, partition, &mut strategy)
-                .config(&fl_cfg)
-                .dataset_name(exp.dataset.name());
-            if let Some(budget_s) = sim_budget_s {
-                builder = builder.observer(Box::new(SimTimeBudget { budget_s }));
-            }
-            builder
-                .build()
-                .unwrap_or_else(|e| panic!("invalid sweep cell: {e}"))
-                .run()
-                .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-        }
-        MethodKind::FedDrl => {
-            // `try_run_feddrl` has no observer hook, so a simulated-time
-            // budget cannot be enforced on this arm — fail loudly rather
-            // than silently break an equal-time comparison.
-            assert!(
-                sim_budget_s.is_none(),
-                "FedDRL cells do not support a sim-time budget"
-            );
-            try_run_feddrl(
-                model,
-                train,
-                test,
-                partition,
-                &fl_cfg,
-                &exp.feddrl_config(),
-                exp.dataset.name(),
-            )
-            .unwrap_or_else(|e| panic!("sweep cell failed: {e}"))
-            .history
-        }
-        other => panic!("exp_reliability does not sweep {}", other.name()),
     }
 }

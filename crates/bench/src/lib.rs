@@ -1,12 +1,14 @@
 //! # feddrl-bench — experiment harness
 //!
 //! Shared machinery for the binaries that regenerate every table and
-//! figure of the FedDRL paper (see DESIGN.md §5 for the experiment index).
+//! figure of the FedDRL paper ([`paper`], driven by `exp_paper`) and run
+//! the beyond-the-paper sweeps (see docs/REPRODUCING.md for the index).
 //! Each binary accepts `--quick` (CI-sized), the default scaled profile,
 //! or `--full` (paper-scale parameters) plus overrides like `--rounds`.
 
 #![warn(missing_docs)]
 
+pub mod paper;
 pub mod stage_timing;
 
 use feddrl::prelude::*;
@@ -74,6 +76,15 @@ pub struct ExpOptions {
 impl ExpOptions {
     /// Parse from `std::env::args` (skipping the binary name).
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1))
+    }
+
+    /// Parse the shared flags from `args`.
+    ///
+    /// # Panics
+    /// Panics with a usage message on an unknown flag or a missing or
+    /// malformed value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = Self {
             scale: Scale::Default,
             rounds: None,
@@ -81,7 +92,7 @@ impl ExpOptions {
             out_dir: PathBuf::from("results"),
             processes: false,
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => opts.scale = Scale::Quick,
@@ -260,6 +271,10 @@ impl MethodKind {
     }
 }
 
+/// What [`ExperimentSpec::materialize`] builds: train set, test set,
+/// partition and client model.
+pub type Env = (Dataset, Dataset, Partition, ModelSpec);
+
 /// A fully-specified federated experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
@@ -302,7 +317,7 @@ impl ExperimentSpec {
     }
 
     /// Generate data, partition, and model for this experiment.
-    pub fn materialize(&self, scale: Scale) -> (Dataset, Dataset, Partition, ModelSpec) {
+    pub fn materialize(&self, scale: Scale) -> Env {
         let (train, test) = self.dataset.synth_spec(scale).generate(self.seed);
         let method = self
             .dataset
@@ -361,57 +376,84 @@ impl ExperimentSpec {
 
     /// Run one method on this experiment.
     pub fn run_method(&self, method: MethodKind, scale: Scale) -> RunHistory {
-        let (train, test, partition, model) = self.materialize(scale);
+        let env = self.materialize(scale);
+        if method == MethodKind::SingleSet {
+            let (train, test, _, model) = &env;
+            let cfg = SingleSetConfig {
+                epochs: scale.singleset_epochs(),
+                seed: self.seed,
+                ..Default::default()
+            };
+            let mut history = run_singleset(model, train, test, &cfg);
+            history.dataset = self.dataset.name().to_string();
+            return history;
+        }
+        let (fl_cfg, drl_cfg) = (self.fl_config(), self.feddrl_config());
+        self.run_cell(&env, method, &fl_cfg, &drl_cfg, None)
+    }
+
+    /// Run one federated `method` over an already-materialized `env`
+    /// under the given configs — one cell of a sweep, which starts from
+    /// [`Self::fl_config`] / [`Self::feddrl_config`] and changes the few
+    /// fields that make the cell. With `sim_budget_s` the run also stops
+    /// once its cumulative simulated wall-clock crosses the budget — the
+    /// equal-virtual-time harness asynchronous sweep cells are compared
+    /// under: every cell may aggregate as often as it likes but gets the
+    /// same amount of simulated time.
+    ///
+    /// # Panics
+    /// Panics on an invalid config or a failed run, on
+    /// [`MethodKind::SingleSet`] (not a federated method), and on a
+    /// budgeted FedDRL cell: `try_run_feddrl` has no observer hook, so
+    /// the budget could not be enforced — fail loudly rather than
+    /// silently break an equal-time comparison.
+    pub fn run_cell(
+        &self,
+        env: &Env,
+        method: MethodKind,
+        fl_cfg: &FlConfig,
+        drl_cfg: &FedDrlRunConfig,
+        sim_budget_s: Option<f64>,
+    ) -> RunHistory {
+        let (train, test, partition, model) = env;
         let name = self.dataset.name();
         let federated = |strategy: &mut dyn Strategy| -> RunHistory {
-            SessionBuilder::new(&model, &train, &test, &partition, strategy)
-                .config(&self.fl_config())
-                .dataset_name(name)
+            let mut builder = SessionBuilder::new(model, train, test, partition, strategy)
+                .config(fl_cfg)
+                .dataset_name(name);
+            if let Some(budget_s) = sim_budget_s {
+                builder = builder.observer(Box::new(SimTimeBudget { budget_s }));
+            }
+            builder
                 .build()
                 .unwrap_or_else(|e| panic!("invalid experiment config: {e}"))
                 .run()
                 .unwrap_or_else(|e| panic!("federated run failed: {e}"))
         };
         match method {
-            MethodKind::SingleSet => {
-                let cfg = SingleSetConfig {
-                    epochs: scale.singleset_epochs(),
-                    seed: self.seed,
-                    ..Default::default()
-                };
-                let mut history = run_singleset(&model, &train, &test, &cfg);
-                history.dataset = name.to_string();
-                history
-            }
+            MethodKind::SingleSet => panic!("SingleSet is not a federated cell"),
             MethodKind::FedAvg => federated(&mut FedAvg),
             MethodKind::FedProx => federated(&mut FedProx::default()),
             MethodKind::FedDrl => {
-                try_run_feddrl(
-                    &model,
-                    &train,
-                    &test,
-                    &partition,
-                    &self.fl_config(),
-                    &self.feddrl_config(),
-                    name,
-                )
-                .unwrap_or_else(|e| panic!("FedDRL run failed: {e}"))
-                .history
+                assert!(
+                    sim_budget_s.is_none(),
+                    "FedDRL cells do not support a sim-time budget"
+                );
+                try_run_feddrl(model, train, test, partition, fl_cfg, drl_cfg, name)
+                    .unwrap_or_else(|e| panic!("FedDRL run failed: {e}"))
+                    .history
             }
         }
     }
 }
 
 /// Stops a run once its cumulative simulated wall-clock crosses a budget
-/// — the equal-virtual-time harness asynchronous sweep cells are compared
-/// under (`exp_async`, `exp_reliability`): every cell may aggregate as
-/// often as it likes but gets the same amount of simulated time. The
-/// session maintains the cumulative clock in its
-/// [`RoundSignals`], so the observer is
-/// a pure threshold check.
-pub struct SimTimeBudget {
+/// ([`ExperimentSpec::run_cell`]). The session maintains the cumulative
+/// clock in its [`RoundSignals`], so the observer is a pure threshold
+/// check.
+struct SimTimeBudget {
     /// Budget in simulated seconds.
-    pub budget_s: f64,
+    budget_s: f64,
 }
 
 impl RoundObserver for SimTimeBudget {
@@ -484,8 +526,8 @@ pub fn improvements(feddrl: f32, baselines: &[f32]) -> (f32, f32) {
 
 /// Load a previously-saved table3-style history for `(exp, method)` if one
 /// exists with at least `exp.rounds` records (truncating to the requested
-/// horizon), otherwise run the method fresh. Lets the figure binaries
-/// reuse `exp_table3`'s artifacts instead of re-running 30+ federated
+/// horizon), otherwise run the method fresh. Lets the figures
+/// reuse `table3`'s artifacts instead of re-running 30+ federated
 /// trainings.
 pub fn load_or_run(
     opts: &ExpOptions,
@@ -563,5 +605,49 @@ mod tests {
         assert_eq!(h.records.len(), 2);
         assert_eq!(h.dataset, "mnist-like");
         assert_eq!(h.partition, "CE");
+        // `run_cell` under the spec's own configs is `run_method`
+        // (wall-clock `*_micros` aside).
+        let cell = exp.run_cell(
+            &exp.materialize(Scale::Quick),
+            MethodKind::FedAvg,
+            &exp.fl_config(),
+            &exp.feddrl_config(),
+            None,
+        );
+        let trace = |h: &RunHistory| -> Vec<(f32, Vec<usize>, Vec<f32>)> {
+            h.records
+                .iter()
+                .map(|r| {
+                    (
+                        r.test_accuracy,
+                        r.selected.clone(),
+                        r.impact_factors.clone(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(trace(&cell), trace(&h));
+    }
+
+    #[test]
+    fn paper_artifact_table_matches_the_documented_names() {
+        let names: Vec<&str> = paper::ARTIFACTS.iter().map(|(n, _)| *n).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate artifact name");
+        assert!(names.iter().all(|n| paper::artifact(n).is_some()));
+        assert!(paper::artifact("fig2").is_none());
+        // docs/REPRODUCING.md invokes each artifact as `exp_paper -- <name>`.
+        let doc = include_str!("../../../docs/REPRODUCING.md");
+        let mut documented: Vec<&str> = doc
+            .split("--bin exp_paper -- ")
+            .skip(1)
+            .filter_map(|rest| rest.split(|c: char| !c.is_ascii_alphanumeric()).next())
+            .filter(|name| !name.is_empty())
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        assert_eq!(documented, unique);
     }
 }

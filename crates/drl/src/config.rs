@@ -47,10 +47,10 @@ pub struct DdpgConfig {
     pub exploration_decay: f32,
     /// The paper's Eq. 6 stability constraint `σ ≤ β·μ`: the σ head is
     /// squashed into `[0, β·|μ|]` (β ∈ (0, 1], paper leaves the value
-    /// unspecified; 0.2 ablated in `exp_ablation`).
+    /// unspecified; 0.2 ablated in `exp_paper -- ablation`).
     pub sigma_beta: f32,
     /// Use the paper's TD-prioritized replay sampling; `false` falls back
-    /// to uniform sampling (ablation `exp_ablation`).
+    /// to uniform sampling (`exp_paper -- ablation`).
     pub prioritized_replay: bool,
     /// Seed for network init, exploration and replay sampling.
     pub seed: u64,

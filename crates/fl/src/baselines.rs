@@ -1,7 +1,7 @@
 //! Additional adaptive-weighting baselines from the paper's related work
 //! (§2.2.2): heuristic impact-factor rules that FedDRL is positioned
 //! against. These make the "fixed rule vs learned policy" comparison
-//! concrete and are exercised by `exp_baselines`.
+//! concrete and are exercised by `exp_paper -- baselines`.
 
 use crate::client::ClientSummary;
 use crate::strategy::{RoundContext, Strategy};

@@ -65,6 +65,22 @@ pub fn keep_ratio(
     }
 }
 
+/// The per-client upload payload a round of `participants` clients
+/// training a `param_count`-parameter model is simulated with: one
+/// client's share of the §3.5 FedDRL uplink (model weights plus the two
+/// scalar losses). The planner prices every dispatch with it, so a
+/// deadline placed with `FleetView::completion_percentile_s` on this
+/// number is placed on what the executors simulate.
+///
+/// # Panics
+/// Panics on zero `participants`.
+pub fn upload_bytes(param_count: usize, participants: usize) -> u64 {
+    assert!(participants > 0, "participants must be positive");
+    let k = participants as u64;
+    let traffic = CommModel::new(param_count.max(1) as u64, k).feddrl_round();
+    (traffic.uplink_models + traffic.uplink_metadata) / k
+}
+
 /// Shared dispatch state of the heterogeneity-aware executors; see the
 /// module docs.
 pub(crate) struct DispatchPlanner {
@@ -98,10 +114,9 @@ pub(crate) struct DispatchPlanner {
 
 impl DispatchPlanner {
     /// Open a lazy view over the device fleet (profiles derive on demand —
-    /// nothing is materialized up front), derive the per-client upload
-    /// payload from the §3.5 communication model (FedDRL traffic — model
-    /// weights plus the two scalar losses) and start the churn process, if
-    /// any. `seed` salts the dropout draws and the churn timeline.
+    /// nothing is materialized up front), price the per-client upload
+    /// payload ([`upload_bytes`]) and start the churn process, if any.
+    /// `seed` salts the dropout draws and the churn timeline.
     ///
     /// # Panics
     /// Panics on a degenerate fleet config or zero `participants`.
@@ -112,12 +127,9 @@ impl DispatchPlanner {
         participants: usize,
         seed: u64,
     ) -> Self {
-        assert!(participants > 0, "participants must be positive");
-        let k = participants as u64;
-        let traffic = CommModel::new(param_count.max(1) as u64, k).feddrl_round();
         Self {
             fleet: FleetView::new(n_clients, fleet_cfg),
-            upload_bytes: (traffic.uplink_models + traffic.uplink_metadata) / k,
+            upload_bytes: upload_bytes(param_count, participants),
             seed,
             deadline_s: None,
             grid: None,

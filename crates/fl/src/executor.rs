@@ -972,8 +972,12 @@ impl BufferedExecutor {
             planner: DispatchPlanner::new(&cfg.fleet, n_clients, param_count, participants, seed),
             cfg,
             clock: VirtualClock::new(),
-            // At most `participants` uploads are ever pending: sized once,
-            // steady-state scheduling never reallocates, whatever N is.
+            // Sized for the first round's dispatches only. What bounds the
+            // pending uploads is one per *client* (a busy client is never
+            // re-dispatched), not `participants`: a round dispatches up to
+            // `participants` and drains `buffer_size`, so whenever
+            // `participants > buffer_size` the queue and `in_flight` grow
+            // with the round index, up to the fleet size.
             queue: EventQueue::with_capacity(participants + 1),
             in_flight: Vec::new(),
             buffer: Vec::new(),

@@ -62,7 +62,7 @@ impl NetServerBuilder {
         self
     }
 
-    /// Enable delta-compressed publishes to v2 peers with an acked base.
+    /// Enable delta-compressed publishes to peers with an acked base.
     pub fn delta_publish(mut self, on: bool) -> Self {
         self.cfg.delta_publish = on;
         self

@@ -5,14 +5,14 @@
 //! with a `Hello` carrying its protocol version range, then blocks on
 //! the socket handling `HelloAck` (pin the negotiated version),
 //! `ModelPublish` / `ModelPublishDelta` (remember the latest global
-//! model, acknowledging each cached version with `PublishAck` on v2+
-//! connections), `TrainRequest` (call the caller-supplied training
-//! closure on the remembered weights and send the resulting `Update` —
-//! or, for a sub-model dispatch on a v2+ connection, a compact
-//! `MaskedUpdate` carrying only the mask's kept positions), and `Bye`
-//! (leave). A background thread shares the write half of the socket and
-//! emits `Heartbeat` frames so the server's liveness TTL stays refreshed
-//! even while the worker sits idle between rounds.
+//! model, acknowledging each cached version with `PublishAck`),
+//! `TrainRequest` (call the caller-supplied training closure on the
+//! remembered weights and send the resulting `Update` — or, for a
+//! sub-model dispatch, a compact `MaskedUpdate` carrying only the mask's
+//! kept positions), and `Bye` (leave). A background thread shares the
+//! write half of the socket and emits `Heartbeat` frames so the server's
+//! liveness TTL stays refreshed even while the worker sits idle between
+//! rounds.
 //!
 //! The training closure is deliberately transport-agnostic — it maps a
 //! [`TrainOrder`] plus the current global weights to a
@@ -78,7 +78,7 @@ pub struct ClientReport {
     /// The last model version received.
     pub last_version: u64,
     /// The protocol version pinned by the server's `HelloAck`, or 0 when
-    /// the connection never saw one (a pre-handshake v1 server).
+    /// the connection ended before one arrived.
     pub negotiated_version: u8,
     /// `ModelPublishDelta` frames received (applied or not).
     pub delta_publishes_seen: usize,
@@ -208,7 +208,7 @@ where
                 report.publishes_seen += 1;
                 report.last_version = version;
                 model = Some((version, weights));
-                ack_publish(cfg, writer, report.negotiated_version, version)?;
+                ack_publish(cfg, writer, version)?;
             }
             Some(Message::ModelPublishDelta(d)) => {
                 report.delta_publishes_seen += 1;
@@ -228,7 +228,7 @@ where
                     *version = d.version;
                     report.publishes_seen += 1;
                     report.last_version = d.version;
-                    ack_publish(cfg, writer, report.negotiated_version, d.version)?;
+                    ack_publish(cfg, writer, d.version)?;
                 }
             }
             Some(Message::TrainRequest { round, keep_ratio }) => {
@@ -246,15 +246,11 @@ where
                     model_version: *version,
                 };
                 let update = train(&order, weights);
-                // A sub-model result on a v2+ connection travels as a
-                // compact MaskedUpdate: only the kept positions, in
-                // ascending order — the server re-derives the mask from
-                // the shared seed. Full masks (and v1 connections) fall
-                // back to the dense Update frame.
-                let compact = report.negotiated_version >= 2
-                    && update.mask.as_ref().is_some_and(|m| !m.is_full());
-                let msg = if compact {
-                    let mask = update.mask.as_ref().expect("compact implies mask");
+                // A sub-model result travels as a compact MaskedUpdate:
+                // only the kept positions, in ascending order — the
+                // server re-derives the mask from the shared seed. Full
+                // masks fall back to the dense Update frame.
+                let msg = if let Some(mask) = update.mask.as_ref().filter(|m| !m.is_full()) {
                     let kept_weights: Vec<f32> = (0..update.weights.len())
                         .filter(|&p| mask.keeps(p))
                         .map(|p| update.weights[p])
@@ -299,24 +295,19 @@ where
 }
 
 /// Acknowledge a cached model version so the server may delta-encode
-/// future publishes against it. Only meaningful on v2+ connections — a
-/// pre-handshake server would reject the kind.
+/// future publishes against it.
 fn ack_publish(
     cfg: &ClientConfig,
     writer: &Mutex<TcpStream>,
-    negotiated: u8,
     version: u64,
 ) -> Result<(), WireError> {
-    if negotiated >= 2 {
-        write_frame(
-            &mut *lock_writer(writer),
-            &Message::PublishAck {
-                client_id: cfg.client_id as u64,
-                version,
-            },
-        )?;
-    }
-    Ok(())
+    write_frame(
+        &mut *lock_writer(writer),
+        &Message::PublishAck {
+            client_id: cfg.client_id as u64,
+            version,
+        },
+    )
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ use feddrl_fl::executor::{
 };
 use feddrl_fl::history::HeteroRoundRecord;
 use feddrl_nn::model::Sequential;
-use feddrl_sim::device::FleetView;
+use feddrl_sim::device::{nearest_rank, FleetView};
 
 use crate::server::{MaskedWireInfo, NetServer, PublishStats};
 use crate::wire::{Message, UpdateMsg};
@@ -93,9 +93,9 @@ pub struct NetTelemetry {
 
 impl NetTelemetry {
     /// The `pct`-percentile (in `[0, 1]`) of observed RTTs in
-    /// milliseconds — nearest-rank on the sorted samples (index
-    /// `⌈pct · N⌉ − 1`), the same quantile convention as
-    /// `feddrl_sim`'s `completion_percentile_s`, so measured-vs-predicted
+    /// milliseconds — nearest-rank on the sorted samples
+    /// ([`nearest_rank`], the function `feddrl_sim`'s
+    /// `completion_percentile_s` calls), so measured-vs-predicted
     /// comparisons compare like with like; 0.0 when empty.
     ///
     /// # Panics
@@ -107,10 +107,7 @@ impl NetTelemetry {
         }
         let mut sorted = self.rtt_ms.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("RTTs are finite"));
-        let idx = ((sorted.len() as f64 * pct).ceil() as usize)
-            .saturating_sub(1)
-            .min(sorted.len() - 1);
-        sorted[idx]
+        sorted[nearest_rank(sorted.len(), pct)]
     }
 
     /// Median observed round-trip time in milliseconds.

@@ -25,8 +25,9 @@
 //!   [`builder::NetClientBuilder`], the validating entry points
 //!   mirroring the in-process `SessionBuilder`.
 //!
-//! Protocol version 2 (negotiated per connection at `Hello`/`HelloAck`
-//! time, v1 peers still speak) adds wire-level sub-model dispatch
+//! Protocol version 2 — the only version spoken; the `Hello`/`HelloAck`
+//! range handshake counts and hangs up on a peer offering anything else
+//! — carries wire-level sub-model dispatch
 //! (`TrainRequest { keep_ratio < 1 }` answered by a compact
 //! `MaskedUpdate` — both ends derive the structured mask from the shared
 //! seed, so it never travels) and delta-compressed publishes

@@ -30,7 +30,8 @@ use parking_lot::Mutex;
 
 use crate::registry::Registry;
 use crate::wire::{
-    decode_payload, negotiate, DeltaMsg, FrameHeader, Message, UpdateMsg, WireError, HEADER_LEN,
+    decode_payload, negotiate, write_frame, DeltaMsg, FrameHeader, Message, UpdateMsg, WireError,
+    HEADER_LEN,
 };
 
 /// How long the per-connection receive threads block on the socket before
@@ -46,8 +47,8 @@ pub struct ServerConfig {
     /// Liveness TTL: a client silent for longer than this is swept into
     /// the departed set on the next [`NetServer::sweep_expired`].
     pub ttl: Duration,
-    /// When `true`, publishes to v2-negotiated peers that have acked a
-    /// cached version are delta-encoded against it (exact, sparse)
+    /// When `true`, publishes to peers that have acked a cached version
+    /// are delta-encoded against it (exact, sparse)
     /// whenever that is smaller than the dense frame. Off by default —
     /// the loopback byte-identity law runs with every knob off.
     pub delta_publish: bool,
@@ -80,9 +81,8 @@ pub struct PublishStats {
     pub dense_bytes: u64,
     /// Publish frames that went out delta-encoded.
     pub delta_frames: u64,
-    /// Publish frames that went out dense (v1 peers, no acked base, base
-    /// evicted from the ring, or a delta that would not have been
-    /// smaller).
+    /// Publish frames that went out dense (no acked base, base evicted
+    /// from the ring, or a delta that would not have been smaller).
     pub full_frames: u64,
 }
 
@@ -136,30 +136,12 @@ pub struct InboundUpdate {
     pub arrival: Instant,
 }
 
-/// One subscribed client's write half plus the protocol version its
-/// connection negotiated at `Hello` time — the version every frame sent
-/// to it must be encoded at.
-struct Peer {
-    stream: TcpStream,
-    version: u8,
-}
-
-impl Peer {
-    fn send(&mut self, msg: &Message) -> Result<(), WireError> {
-        let frame = msg.encode_v(self.version);
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
-        Ok(())
-    }
-}
-
 /// State shared between the public handle and the background threads.
 struct Shared {
     start: Instant,
     registry: Mutex<Registry>,
-    /// Write halves (via `try_clone`) of every subscribed client's
-    /// socket, with their negotiated versions.
-    peers: Mutex<HashMap<usize, Peer>>,
+    /// Write halves (via `try_clone`) of every subscribed client's socket.
+    peers: Mutex<HashMap<usize, TcpStream>>,
     /// Arrived updates, drained by `recv_update`. `std::sync::Mutex` +
     /// `Condvar` rather than the parking_lot shim, which has no condvar.
     inbox: StdMutex<VecDeque<InboundUpdate>>,
@@ -267,17 +249,16 @@ impl NetServer {
 
     /// Broadcast the global model to every subscribed client, one scoped
     /// writer thread per peer. Each peer gets either a dense
-    /// `ModelPublish` (encoded at its negotiated version) or — when
-    /// `delta_publish` is on, the peer negotiated v2 and acked a base
-    /// still in the snapshot ring — an exact sparse `ModelPublishDelta`,
-    /// whichever is smaller on the wire. Peers whose socket write fails
-    /// are dropped from the peer table (the TTL sweep will retire them).
-    /// Returns how many peers were reached.
+    /// `ModelPublish` or — when `delta_publish` is on and the peer acked
+    /// a base still in the snapshot ring — an exact sparse
+    /// `ModelPublishDelta`, whichever is smaller on the wire. Peers whose
+    /// socket write fails are dropped from the peer table (the TTL sweep
+    /// will retire them). Returns how many peers were reached.
     pub fn publish(&self, version: u64, weights: &[f32]) -> usize {
         let shared = &self.shared;
         // What this publish would cost per peer if sent dense: the
         // denominator of the fan-out-reduction accounting. Dense payload:
-        // version u64 + count u64 + raw f32s (identical at v1 and v2).
+        // version u64 + count u64 + raw f32s.
         let dense_len = (HEADER_LEN + 16 + weights.len() * 4) as u64;
         if shared.delta_publish {
             let mut ring = shared.snapshots.lock();
@@ -290,14 +271,14 @@ impl NetServer {
         // Frame choice per peer, computed up front so identical choices
         // share one encoding (workers typically ack in lockstep, so one
         // delta serves the whole fleet).
-        let mut dense_cache: HashMap<u8, Arc<Vec<u8>>> = HashMap::new();
+        let mut dense: Option<Arc<Vec<u8>>> = None;
         let mut delta_cache: HashMap<u64, Option<Arc<Vec<u8>>>> = HashMap::new();
         let mut plan: HashMap<usize, (Arc<Vec<u8>>, bool)> = HashMap::with_capacity(peers.len());
         {
             let registry = shared.registry.lock();
             let ring = shared.snapshots.lock();
-            for (&id, peer) in peers.iter() {
-                let delta = if shared.delta_publish && peer.version >= 2 {
+            for &id in peers.keys() {
+                let delta = if shared.delta_publish {
                     registry.acked_version(id).and_then(|base| {
                         delta_cache
                             .entry(base)
@@ -312,19 +293,16 @@ impl NetServer {
                 let chosen = match delta {
                     Some(frame) => (frame, true),
                     None => {
-                        let frame = dense_cache
-                            .entry(peer.version)
-                            .or_insert_with(|| {
-                                Arc::new(
-                                    Message::ModelPublish {
-                                        version,
-                                        weights: weights.to_vec(),
-                                    }
-                                    .encode_v(peer.version),
-                                )
-                            })
-                            .clone();
-                        (frame, false)
+                        let frame = dense.get_or_insert_with(|| {
+                            Arc::new(
+                                Message::ModelPublish {
+                                    version,
+                                    weights: weights.to_vec(),
+                                }
+                                .encode(),
+                            )
+                        });
+                        (Arc::clone(frame), false)
                     }
                 };
                 plan.insert(id, chosen);
@@ -335,9 +313,8 @@ impl NetServer {
         crossbeam::scope(|s| {
             let handles: Vec<_> = peers
                 .iter_mut()
-                .map(|(&id, peer)| {
+                .map(|(&id, stream)| {
                     let (frame, is_delta) = plan.get(&id).cloned().expect("every peer is planned");
-                    let stream = &mut peer.stream;
                     s.spawn(move |_| {
                         let ok = stream
                             .write_all(&frame)
@@ -391,13 +368,12 @@ impl NetServer {
         self.shared.negotiation_failures.load(Ordering::Relaxed)
     }
 
-    /// Send one frame to a single subscribed client, encoded at the
-    /// connection's negotiated version. A failed write drops the peer and
-    /// surfaces the error.
+    /// Send one frame to a single subscribed client. A failed write drops
+    /// the peer and surfaces the error.
     pub fn send_to(&self, client_id: usize, msg: &Message) -> Result<(), WireError> {
         let mut peers = self.shared.peers.lock();
         let outcome = match peers.get_mut(&client_id) {
-            Some(peer) => peer.send(msg),
+            Some(stream) => write_frame(stream, msg),
             None => {
                 return Err(WireError::Io {
                     kind: io::ErrorKind::NotConnected,
@@ -489,10 +465,13 @@ impl NetServer {
         }
         {
             let mut peers = self.shared.peers.lock();
-            for (&id, peer) in peers.iter_mut() {
-                let _ = peer.send(&Message::Bye {
-                    client_id: id as u64,
-                });
+            for (&id, stream) in peers.iter_mut() {
+                let _ = write_frame(
+                    stream,
+                    &Message::Bye {
+                        client_id: id as u64,
+                    },
+                );
             }
             peers.clear();
         }
@@ -619,13 +598,8 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 // precedes any `publish` on this socket and the publish
                 // reaches everyone waited for.
                 if !shared.registry.lock().is_departed(id) {
-                    if let Ok(stream) = stream.try_clone() {
-                        let mut peer = Peer { stream, version };
-                        // v1 predates HelloAck; such connections proceed
-                        // exactly as before the handshake existed.
-                        if version >= 2 {
-                            let _ = peer.send(&Message::HelloAck { client_id, version });
-                        }
+                    if let Ok(mut peer) = stream.try_clone() {
+                        let _ = write_frame(&mut peer, &Message::HelloAck { client_id, version });
                         shared.peers.lock().insert(id, peer);
                         me = Some(id);
                     }
@@ -713,7 +687,7 @@ fn read_frame_interruptible(
     if read_fill(stream, &mut payload, shutdown, false)?.is_none() {
         return Ok(None);
     }
-    decode_payload(fh.version, fh.kind, &payload).map(Some)
+    decode_payload(fh.kind, &payload).map(Some)
 }
 
 /// Fill `buf` completely, tolerating socket timeouts. `Ok(None)` means a
@@ -762,7 +736,7 @@ fn read_fill(
 mod tests {
     use super::*;
     use crate::builder::NetServerBuilder;
-    use crate::wire::{read_frame, write_frame, PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN};
+    use crate::wire::{read_frame, PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN};
 
     fn connect_and_hello(addr: SocketAddr, id: u64) -> TcpStream {
         let mut s = TcpStream::connect(addr).expect("connect");
@@ -782,21 +756,6 @@ mod tests {
             }
             other => panic!("expected HelloAck, got {other:?}"),
         }
-        s
-    }
-
-    /// Subscribe like a v1-only build: bare-id `Hello`, no `HelloAck`
-    /// expected (the server must not send v2 kinds to a v1 peer).
-    fn connect_and_hello_v1(addr: SocketAddr, id: u64) -> TcpStream {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        let frame = Message::Hello {
-            client_id: id,
-            min_version: 1,
-            max_version: 1,
-        }
-        .encode_v(1);
-        s.write_all(&frame).expect("hello");
-        s.flush().expect("flush");
         s
     }
 

@@ -22,18 +22,21 @@ use std::io::{self, Read, Write};
 /// First two bytes of every frame; rejects non-protocol peers early.
 pub const FRAME_MAGIC: u16 = 0xFD7E;
 
-/// Oldest wire-protocol version this build still decodes. Version-1
-/// frames (kinds 1–6, bare-`u64` `Hello`) remain valid forever — the
-/// golden frame fixtures in `tests/net_props.rs` pin their exact bytes.
-pub const PROTOCOL_VERSION_MIN: u8 = 1;
+/// Oldest wire-protocol version this build speaks. Version 2 is the
+/// only one: both ends of every connection are built from this
+/// repository, so no version-1 peer exists and a v1-stamped frame is
+/// rejected like any other foreign version (`docs/NETWORKING.md`, "v2
+/// only"). The golden frame fixtures in `tests/net_props.rs` pin the
+/// exact bytes of every kind.
+pub const PROTOCOL_VERSION_MIN: u8 = 2;
 
-/// Newest wire-protocol version this build speaks. Version 2 adds the
-/// negotiated handshake (`Hello` version range + `HelloAck`), masked
-/// sub-model updates (`MaskedUpdate`) and delta-compressed publishes
+/// Newest wire-protocol version this build speaks: the negotiated
+/// handshake (`Hello` version range + `HelloAck`), masked sub-model
+/// updates (`MaskedUpdate`) and delta-compressed publishes
 /// (`ModelPublishDelta` / `PublishAck`).
 pub const PROTOCOL_VERSION_MAX: u8 = 2;
 
-/// The version this build prefers (and stamps on frames by default):
+/// The version this build stamps on every frame:
 /// [`PROTOCOL_VERSION_MAX`]. The frame header carries the sender's
 /// version; a receiver rejects anything outside
 /// `[PROTOCOL_VERSION_MIN, PROTOCOL_VERSION_MAX]` with
@@ -259,12 +262,10 @@ pub struct DeltaMsg {
 }
 
 /// The wire message grammar. One frame carries exactly one message.
-/// Kinds 1–6 are version-1; kinds 7–10 require a negotiated version ≥ 2.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Client → server: subscribe `client_id` to the federation,
-    /// advertising the protocol versions the client speaks. A v1 peer
-    /// sends only the id; its range decodes as `[1, 1]`.
+    /// advertising the protocol versions the client speaks.
     Hello {
         /// The joining client's id.
         client_id: u64,
@@ -273,11 +274,8 @@ pub enum Message {
         /// Largest protocol version the client speaks.
         max_version: u8,
     },
-    /// Server → client (v2+): pins the negotiated protocol version for
-    /// this connection — the highest version both ends speak. Never sent
-    /// on a connection negotiated down to v1 (a v1 peer would not decode
-    /// it); such connections proceed exactly as before the handshake
-    /// existed.
+    /// Server → client: pins the negotiated protocol version for this
+    /// connection — the highest version both ends speak.
     HelloAck {
         /// The subscribing client's id, echoed.
         client_id: u64,
@@ -291,10 +289,10 @@ pub enum Message {
         /// Flat global parameters, bit-exact.
         weights: Vec<f32>,
     },
-    /// Server → client (v2+): the current global model, encoded as an
+    /// Server → client: the current global model, encoded as an
     /// exact sparse delta against a version the client acknowledged.
     ModelPublishDelta(DeltaMsg),
-    /// Client → server (v2+): acknowledges having cached a published
+    /// Client → server: acknowledges having cached a published
     /// model version — the server may encode future publishes against it.
     PublishAck {
         /// The acknowledging client's id.
@@ -313,7 +311,7 @@ pub enum Message {
     },
     /// Client → server: a locally-trained full-model report.
     Update(UpdateMsg),
-    /// Client → server (v2+): a locally-trained sub-model report carrying
+    /// Client → server: a locally-trained sub-model report carrying
     /// only the mask's kept positions.
     MaskedUpdate(MaskedUpdateMsg),
     /// Client → server: liveness keep-alive refreshing the registry TTL.
@@ -339,16 +337,6 @@ const KIND_HELLO_ACK: u8 = 7;
 const KIND_MASKED_UPDATE: u8 = 8;
 const KIND_MODEL_PUBLISH_DELTA: u8 = 9;
 const KIND_PUBLISH_ACK: u8 = 10;
-
-/// The largest kind byte a frame of `version` may carry: the grammar only
-/// grows, so each version's kinds are a prefix of the next's.
-fn max_kind_for(version: u8) -> u8 {
-    if version >= 2 {
-        KIND_PUBLISH_ACK
-    } else {
-        KIND_BYE
-    }
-}
 
 /// Pick the protocol version for a connection whose peer advertised
 /// `[peer_min, peer_max]`: the highest version both ends speak.
@@ -394,9 +382,7 @@ impl FrameHeader {
             return Err(WireError::UnsupportedVersion { found: version });
         }
         let kind = bytes[3];
-        // A v2-only kind under a v1 header is unknown *to that version*:
-        // the header's version byte governs the whole frame's grammar.
-        if !(KIND_HELLO..=max_kind_for(version)).contains(&kind) {
+        if !(KIND_HELLO..=KIND_PUBLISH_ACK).contains(&kind) {
             return Err(WireError::UnknownKind { found: kind });
         }
         let payload_len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
@@ -547,23 +533,16 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decode a validated-header payload into its [`Message`]. `version` and
-/// `kind` must come from [`FrameHeader::parse`] (unsupported versions and
-/// unknown kinds are rejected there); `version` selects the payload
-/// grammar where it differs — today only `Hello`, whose v1 payload is the
-/// bare client id.
-pub fn decode_payload(version: u8, kind: u8, payload: &[u8]) -> Result<Message, WireError> {
+/// Decode a validated-header payload into its [`Message`]. `kind` must
+/// come from [`FrameHeader::parse`] (unsupported versions and unknown
+/// kinds are rejected there).
+pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     let mut c = Cursor::new(payload);
     let msg = match kind {
         KIND_HELLO => {
             let client_id = c.u64("Hello.client_id")?;
-            let (min_version, max_version) = if version >= 2 {
-                (c.u8("Hello.min_version")?, c.u8("Hello.max_version")?)
-            } else {
-                // A v1 peer predates the range handshake: it speaks
-                // exactly version 1.
-                (1, 1)
-            };
+            let min_version = c.u8("Hello.min_version")?;
+            let max_version = c.u8("Hello.max_version")?;
             if min_version > max_version {
                 return Err(WireError::Malformed {
                     detail: format!(
@@ -716,41 +695,9 @@ impl Message {
         }
     }
 
-    /// The oldest protocol version whose grammar can carry this message.
-    pub fn min_wire_version(&self) -> u8 {
-        if self.kind() > KIND_BYE {
-            2
-        } else {
-            1
-        }
-    }
-
-    /// Encode into a complete frame stamped with the preferred version
-    /// ([`PROTOCOL_VERSION`]). Use [`Message::encode_v`] on a connection
-    /// negotiated down to an older version.
+    /// Encode into a complete frame (header + payload) stamped with
+    /// [`PROTOCOL_VERSION`].
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_v(PROTOCOL_VERSION)
-    }
-
-    /// Encode into a complete frame (header + payload) under `version`'s
-    /// grammar.
-    ///
-    /// # Panics
-    /// If `version` is outside the supported range or the message's kind
-    /// does not exist at `version` (both are programmer errors — the
-    /// negotiated version of a connection bounds what may be sent on it).
-    pub fn encode_v(&self, version: u8) -> Vec<u8> {
-        assert!(
-            (PROTOCOL_VERSION_MIN..=PROTOCOL_VERSION_MAX).contains(&version),
-            "cannot encode at protocol version {version} (this build speaks \
-             {PROTOCOL_VERSION_MIN}..={PROTOCOL_VERSION_MAX})"
-        );
-        assert!(
-            version >= self.min_wire_version(),
-            "{} frames require protocol version {} (encoding at {version})",
-            kind_name(self.kind()),
-            self.min_wire_version(),
-        );
         let mut payload = Vec::new();
         match self {
             Message::Hello {
@@ -759,12 +706,8 @@ impl Message {
                 max_version,
             } => {
                 put_u64(&mut payload, *client_id);
-                // The version range rides only on v2+ frames; a v1 Hello
-                // is the bare id (its range is implicitly [1, 1]).
-                if version >= 2 {
-                    payload.push(*min_version);
-                    payload.push(*max_version);
-                }
+                payload.push(*min_version);
+                payload.push(*max_version);
             }
             Message::HelloAck { client_id, version } => {
                 put_u64(&mut payload, *client_id);
@@ -832,7 +775,7 @@ impl Message {
         );
         let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
         frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame.push(version);
+        frame.push(PROTOCOL_VERSION);
         frame.push(self.kind());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
@@ -858,7 +801,7 @@ impl Message {
                 got: buf.len(),
             });
         }
-        let msg = decode_payload(header.version, header.kind, &buf[HEADER_LEN..total])?;
+        let msg = decode_payload(header.kind, &buf[HEADER_LEN..total])?;
         Ok((msg, total))
     }
 }
@@ -903,7 +846,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Message>, WireError> {
             e.into()
         }
     })?;
-    decode_payload(fh.version, fh.kind, &payload).map(Some)
+    decode_payload(fh.kind, &payload).map(Some)
 }
 
 #[cfg(test)]
@@ -987,50 +930,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_is_the_bare_client_id_and_decodes_with_a_pinned_range() {
-        let msg = Message::Hello {
-            client_id: 7,
-            min_version: 1,
-            max_version: 1,
-        };
-        let frame = msg.encode_v(1);
-        assert_eq!(frame.len(), HEADER_LEN + 8, "v1 Hello payload is one u64");
-        assert_eq!(frame[2], 1, "header carries the requested version");
-        let (back, _) = Message::decode(&frame).expect("decode");
-        assert_eq!(back, msg);
-    }
-
-    #[test]
-    fn v2_only_kinds_are_unknown_under_a_v1_header() {
-        let mut frame = sample_masked_update().encode();
-        frame[2] = 1;
-        assert_eq!(
-            Message::decode(&frame),
-            Err(WireError::UnknownKind { found: 8 })
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "require protocol version 2")]
-    fn encoding_a_v2_message_at_v1_panics() {
-        sample_masked_update().encode_v(1);
-    }
-
-    #[test]
     fn negotiation_picks_the_highest_common_version() {
-        assert_eq!(negotiate(1, 1), Ok(1));
         assert_eq!(negotiate(1, 2), Ok(2));
         assert_eq!(negotiate(2, 2), Ok(2));
         assert_eq!(negotiate(1, 200), Ok(PROTOCOL_VERSION_MAX));
-        assert_eq!(
-            negotiate(3, 200),
-            Err(WireError::NegotiationFailed {
-                peer_min: 3,
-                peer_max: 200,
-                ours_min: PROTOCOL_VERSION_MIN,
-                ours_max: PROTOCOL_VERSION_MAX,
-            })
-        );
+        // Disjoint on either side: a peer from the past, one from the future.
+        for (peer_min, peer_max) in [(1, 1), (3, 200)] {
+            assert_eq!(
+                negotiate(peer_min, peer_max),
+                Err(WireError::NegotiationFailed {
+                    peer_min,
+                    peer_max,
+                    ours_min: PROTOCOL_VERSION_MIN,
+                    ours_max: PROTOCOL_VERSION_MAX,
+                })
+            );
+        }
     }
 
     #[test]
@@ -1101,12 +1016,14 @@ mod tests {
             Err(WireError::BadMagic { .. })
         ));
 
-        let mut frame = sample_update().encode();
-        frame[2] = 99;
-        assert_eq!(
-            Message::decode(&frame),
-            Err(WireError::UnsupportedVersion { found: 99 })
-        );
+        for foreign in [PROTOCOL_VERSION_MIN - 1, 99] {
+            let mut frame = sample_update().encode();
+            frame[2] = foreign;
+            assert_eq!(
+                Message::decode(&frame),
+                Err(WireError::UnsupportedVersion { found: foreign })
+            );
+        }
 
         let mut frame = sample_update().encode();
         frame[3] = 0;

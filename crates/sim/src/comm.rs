@@ -4,7 +4,7 @@
 //! extra floating point numbers for the inference loss". This module makes
 //! that claim quantitative: an analytic per-round byte count for each
 //! method, parameterized by model size and participation, so the §3.5
-//! discussion becomes a reproducible table (printed by `exp_fig9`).
+//! discussion becomes a reproducible table (printed by `exp_paper -- fig9`).
 
 use serde::{Deserialize, Serialize};
 

@@ -3,7 +3,7 @@
 //! Real federated deployments are dominated by device heterogeneity: some
 //! clients train on flagship phones over Wi-Fi, others on throttled
 //! hardware behind slow uplinks, and a fraction silently churns every
-//! round (see the non-IID FL survey arXiv:2401.00809). [`Fleet`] generates
+//! round (see the non-IID FL survey arXiv:2401.00809). [`FleetView`] derives
 //! a deterministic population of [`DeviceProfile`]s from a single seed, so
 //! entire heterogeneity scenarios reproduce bit-for-bit, like every other
 //! random stream in this workspace.
@@ -332,9 +332,9 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Check every invariant [`Fleet::generate`] enforces, as a result —
+    /// Check every invariant [`FleetView::new`] enforces, as a result —
     /// the single source of truth for what makes a fleet config valid
-    /// (callers wanting typed errors wrap the message; `generate` panics
+    /// (callers wanting typed errors wrap the message; `new` panics
     /// with it).
     ///
     /// # Errors
@@ -422,9 +422,8 @@ impl FleetConfig {
 
 /// Derive client `i`'s profile from the fleet config alone.
 ///
-/// This is *the* profile format: both the lazy [`FleetView`] and the eager
-/// [`Fleet`] call it, so the two are identical by construction at every
-/// index. skew^u with u ~ U(-1, 1): log-uniform in [1/skew, skew]. The
+/// This is *the* profile format: every [`FleetView`] accessor calls it.
+/// skew^u with u ~ U(-1, 1): log-uniform in [1/skew, skew]. The
 /// draw order (compute, bandwidth, reliability) is part of the format: it
 /// keeps compute/bandwidth profiles byte-identical to fleets generated
 /// before the per-device reliability model existed, and the per-index
@@ -470,9 +469,7 @@ fn derive_profile(cfg: &FleetConfig, master: &Rng64, i: usize) -> DeviceProfile 
 /// devices a round actually touches are ever derived.
 ///
 /// Profile derivation is pure (a handful of `powf`s off the per-index RNG
-/// stream), so the view memoizes nothing: profile memory is O(1) and the
-/// view is identical to [`Fleet::generate`] profile-for-profile at every
-/// index by construction (both call the same derivation).
+/// stream), so the view memoizes nothing: profile memory is O(1).
 ///
 /// The view counts derivations ([`FleetView::derivations`]) so callers can
 /// *assert* — not just claim — that a code path touches O(candidates)
@@ -497,8 +494,11 @@ impl FleetView {
     /// Build a lazy view over `n` devices.
     ///
     /// # Panics
-    /// Panics on the same degenerate configs as [`Fleet::generate`], with
-    /// the same messages.
+    /// Panics on a degenerate config: `n == 0`, non-positive reference
+    /// compute/bandwidth, skews below 1, negative latency, a dropout
+    /// probability outside `[0, 1)` (a certain dropout would make every
+    /// round empty), or a reliability model whose spread would push a
+    /// per-device rate to 1 or beyond.
     pub fn new(n: usize, cfg: &FleetConfig) -> Self {
         assert!(n > 0, "fleet needs at least one device");
         if let Err(reason) = cfg.validate() {
@@ -558,40 +558,38 @@ impl FleetView {
         self.derived.load(Ordering::Relaxed)
     }
 
-    /// Mean per-round dropout rate over the fleet. O(n) compute, O(1)
-    /// memory; does not count toward [`FleetView::derivations`] (it is a
-    /// whole-fleet summary, not a per-candidate touch).
+    /// Mean per-round dropout rate over the fleet — the expected fraction
+    /// of a uniformly sampled round lost to device failures. O(n)
+    /// compute, O(1) memory; does not count toward
+    /// [`FleetView::derivations`] (it is a whole-fleet summary, not a
+    /// per-candidate touch).
     pub fn mean_dropout(&self) -> f64 {
-        (0..self.n)
-            .map(|i| derive_profile(&self.cfg, &self.master, i).dropout)
-            .sum::<f64>()
-            / self.n.max(1) as f64
+        self.profiles().map(|p| p.dropout).sum::<f64>() / self.n.max(1) as f64
     }
 
     /// The `pct`-percentile (in `[0, 1]`) of the fleet's completion times
-    /// for an `upload_bytes` payload — nearest-rank on the sorted times
-    /// (index `⌈pct · N⌉ − 1`, matching [`Fleet::completion_percentile_s`]
-    /// and `feddrl_net`'s RTT percentiles). O(n log n) compute with an
-    /// O(n) *transient* buffer — a setup-time helper for deadline
-    /// placement, not a per-round operation; does not count toward
+    /// for an `upload_bytes` payload — a principled way to pick a round
+    /// deadline ("wait for the fastest 70%"). Nearest-rank on the sorted
+    /// times ([`nearest_rank`], the definition `feddrl_net`'s RTT
+    /// percentiles share). O(n log n) compute with an O(n) *transient*
+    /// buffer — a setup-time helper for deadline placement, not a
+    /// per-round operation; does not count toward
     /// [`FleetView::derivations`].
     pub fn completion_percentile_s(&self, upload_bytes: u64, pct: f64) -> f64 {
         assert!((0.0..=1.0).contains(&pct), "percentile must be in [0, 1]");
-        let mut times: Vec<f64> = (0..self.n)
-            .map(|i| derive_profile(&self.cfg, &self.master, i).completion_time_s(upload_bytes))
+        let mut times: Vec<f64> = self
+            .profiles()
+            .map(|p| p.completion_time_s(upload_bytes))
             .collect();
         times.sort_by(f64::total_cmp);
         times[nearest_rank(times.len(), pct)]
     }
 
-    /// Materialize the view into an eager [`Fleet`] (derives all `n`
-    /// profiles once).
-    pub fn materialize(&self) -> Fleet {
-        Fleet {
-            profiles: (0..self.n)
-                .map(|i| derive_profile(&self.cfg, &self.master, i))
-                .collect(),
-        }
+    /// Every profile in index order, derived as the iterator advances —
+    /// for the callers that touch the whole fleet anyway. Does not count
+    /// toward [`FleetView::derivations`].
+    pub fn profiles(&self) -> impl Iterator<Item = DeviceProfile> + '_ {
+        (0..self.n).map(|i| derive_profile(&self.cfg, &self.master, i))
     }
 }
 
@@ -606,81 +604,16 @@ impl Clone for FleetView {
     }
 }
 
-/// A generated population of device profiles, indexed by client id.
-///
-/// This is the eager form: a thin cache over [`FleetView`] that derives
-/// every profile once up front. Use it when the whole fleet will be
-/// touched anyway (small-N experiments, percentile scans in a loop); use
-/// [`FleetView`] when N is large and rounds only touch a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fleet {
-    profiles: Vec<DeviceProfile>,
-}
-
-impl Fleet {
-    /// Deterministically generate `n` device profiles — equivalent to
-    /// `FleetView::new(n, cfg).materialize()`, and identical to the view
-    /// profile-for-profile at every index.
-    ///
-    /// # Panics
-    /// Panics on a degenerate config: `n == 0`, non-positive reference
-    /// compute/bandwidth, skews below 1, negative latency, a dropout
-    /// probability outside `[0, 1)` (a certain dropout would make every
-    /// round empty), or a reliability model whose spread would push a
-    /// per-device rate to 1 or beyond.
-    pub fn generate(n: usize, cfg: &FleetConfig) -> Self {
-        FleetView::new(n, cfg).materialize()
-    }
-
-    /// Profile of client `client_id`.
-    ///
-    /// # Panics
-    /// Panics if `client_id` is out of range.
-    pub fn profile(&self, client_id: usize) -> &DeviceProfile {
-        &self.profiles[client_id]
-    }
-
-    /// Number of devices.
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Whether the fleet is empty (never true for generated fleets).
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-
-    /// Mean per-round dropout rate over the fleet — the expected fraction
-    /// of a uniformly sampled round lost to device failures.
-    pub fn mean_dropout(&self) -> f64 {
-        self.profiles.iter().map(|p| p.dropout).sum::<f64>() / self.profiles.len().max(1) as f64
-    }
-
-    /// The `pct`-percentile (in `[0, 1]`) of the fleet's completion times
-    /// for an `upload_bytes` payload — a principled way to pick a round
-    /// deadline ("wait for the fastest 70%"). Nearest-rank on the sorted
-    /// times (index `⌈pct · N⌉ − 1`, matching
-    /// [`FleetView::completion_percentile_s`] and `feddrl_net`'s RTT
-    /// percentiles).
-    pub fn completion_percentile_s(&self, upload_bytes: u64, pct: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&pct), "percentile must be in [0, 1]");
-        let mut times: Vec<f64> = self
-            .profiles
-            .iter()
-            .map(|p| p.completion_time_s(upload_bytes))
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[nearest_rank(times.len(), pct)]
-    }
-}
-
 /// Nearest-rank percentile index over `n` sorted samples for a quantile
 /// `pct ∈ [0, 1]`: the smallest index whose rank covers `pct` of the
 /// samples, `⌈pct · n⌉ − 1` (clamped so `pct = 0` reads the minimum and
-/// `pct = 1` the maximum). `feddrl_net`'s `rtt_percentile_ms` implements
-/// the identical definition on the identical `[0, 1]` input — measured
-/// RTTs read against predicted completion times with no conversion.
-fn nearest_rank(n: usize, pct: f64) -> usize {
+/// `pct = 1` the maximum). `feddrl_net`'s `rtt_percentile_ms` calls this
+/// same function on the same `[0, 1]` input — measured RTTs read against
+/// predicted completion times with no conversion.
+///
+/// # Panics
+/// Panics when `n` is zero.
+pub fn nearest_rank(n: usize, pct: f64) -> usize {
     ((n as f64 * pct).ceil() as usize)
         .saturating_sub(1)
         .min(n - 1)
@@ -697,8 +630,8 @@ mod tests {
             bandwidth_skew: 2.0,
             ..Default::default()
         };
-        let a = Fleet::generate(12, &cfg);
-        let b = Fleet::generate(12, &cfg);
+        let a: Vec<_> = FleetView::new(12, &cfg).profiles().collect();
+        let b: Vec<_> = FleetView::new(12, &cfg).profiles().collect();
         assert_eq!(a, b);
     }
 
@@ -708,8 +641,8 @@ mod tests {
             compute_skew: 4.0,
             ..Default::default()
         };
-        let small = Fleet::generate(5, &cfg);
-        let big = Fleet::generate(50, &cfg);
+        let small = FleetView::new(5, &cfg);
+        let big = FleetView::new(50, &cfg);
         for i in 0..5 {
             assert_eq!(small.profile(i), big.profile(i));
         }
@@ -717,10 +650,10 @@ mod tests {
 
     #[test]
     fn homogeneous_fleet_has_identical_devices() {
-        let fleet = Fleet::generate(8, &FleetConfig::default());
-        let first = *fleet.profile(0);
+        let fleet = FleetView::new(8, &FleetConfig::default());
+        let first = fleet.profile(0);
         for i in 1..8 {
-            assert_eq!(*fleet.profile(i), first);
+            assert_eq!(fleet.profile(i), first);
         }
         assert_eq!(first.compute_s, 10.0);
     }
@@ -732,7 +665,7 @@ mod tests {
             bandwidth_skew: 4.0,
             ..Default::default()
         };
-        let fleet = Fleet::generate(64, &cfg);
+        let fleet = FleetView::new(64, &cfg);
         let (mut min_c, mut max_c) = (f64::INFINITY, 0.0f64);
         for i in 0..fleet.len() {
             let p = fleet.profile(i);
@@ -772,7 +705,7 @@ mod tests {
             compute_skew: 4.0,
             ..Default::default()
         };
-        let fleet = Fleet::generate(32, &cfg);
+        let fleet = FleetView::new(32, &cfg);
         let lo = fleet.completion_percentile_s(1_000, 0.0);
         let mid = fleet.completion_percentile_s(1_000, 0.5);
         let hi = fleet.completion_percentile_s(1_000, 1.0);
@@ -783,8 +716,8 @@ mod tests {
     /// Regression for the nearest-rank fix: on a 100-device fleet, p50
     /// must read the 50th-fastest completion time (index 49 — the old
     /// `((N−1)·p).round()` indexing read index 50) and p99 the
-    /// 99th-fastest (index 98), bit-identically in `Fleet` and
-    /// `FleetView`. Same definition as `feddrl_net`'s RTT percentiles.
+    /// 99th-fastest (index 98). Same definition as `feddrl_net`'s RTT
+    /// percentiles.
     #[test]
     fn percentile_is_true_nearest_rank() {
         let cfg = FleetConfig {
@@ -793,19 +726,13 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let fleet = Fleet::generate(100, &cfg);
         let view = FleetView::new(100, &cfg);
         let mut times: Vec<f64> = (0..100)
-            .map(|i| fleet.profile(i).completion_time_s(1_000_000))
+            .map(|i| view.profile(i).completion_time_s(1_000_000))
             .collect();
         times.sort_by(f64::total_cmp);
         for (pct, idx) in [(0.5, 49), (0.99, 98), (0.0, 0), (1.0, 99)] {
             let want = times[idx];
-            assert_eq!(
-                fleet.completion_percentile_s(1_000_000, pct).to_bits(),
-                want.to_bits(),
-                "Fleet p{pct} must read sorted index {idx}"
-            );
             assert_eq!(
                 view.completion_percentile_s(1_000_000, pct).to_bits(),
                 want.to_bits(),
@@ -821,7 +748,7 @@ mod tests {
             dropout: 0.3,
             ..Default::default()
         };
-        let fleet = Fleet::generate(16, &cfg);
+        let fleet = FleetView::new(16, &cfg);
         for i in 0..16 {
             assert_eq!(
                 fleet.profile(i).dropout,
@@ -847,7 +774,7 @@ mod tests {
             },
             ..base.clone()
         };
-        let (a, b) = (Fleet::generate(12, &base), Fleet::generate(12, &spread));
+        let (a, b) = (FleetView::new(12, &base), FleetView::new(12, &spread));
         for i in 0..12 {
             assert_eq!(a.profile(i).compute_s, b.profile(i).compute_s);
             assert_eq!(a.profile(i).bandwidth_bps, b.profile(i).bandwidth_bps);
@@ -865,7 +792,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let fleet = Fleet::generate(64, &cfg);
+        let fleet = FleetView::new(64, &cfg);
         let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
         for i in 0..64 {
             let d = fleet.profile(i).dropout;
@@ -890,8 +817,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let fleet = Fleet::generate(32, &cfg);
-        let mut devices: Vec<&DeviceProfile> = (0..32).map(|i| fleet.profile(i)).collect();
+        let fleet = FleetView::new(32, &cfg);
+        let mut devices: Vec<DeviceProfile> = fleet.profiles().collect();
         devices.sort_by(|a, b| a.compute_s.total_cmp(&b.compute_s));
         for pair in devices.windows(2) {
             assert!(
@@ -955,7 +882,7 @@ mod tests {
         }"#;
         let cfg: FleetConfig = serde_json::from_str(legacy).unwrap();
         assert_eq!(cfg.reliability, ReliabilityConfig::default());
-        let fleet = Fleet::generate(4, &cfg);
+        let fleet = FleetView::new(4, &cfg);
         for i in 0..4 {
             assert_eq!(fleet.profile(i).dropout, 0.25);
         }
@@ -977,7 +904,7 @@ mod tests {
             diurnal: Some(DiurnalConfig::default()),
             ..base.clone()
         };
-        let (a, b) = (Fleet::generate(16, &base), Fleet::generate(16, &cycling));
+        let (a, b) = (FleetView::new(16, &base), FleetView::new(16, &cycling));
         let mut phases = Vec::new();
         for i in 0..16 {
             let (p, q) = (a.profile(i), b.profile(i));
@@ -1009,7 +936,7 @@ mod tests {
             }),
             ..Default::default()
         };
-        let fleet = Fleet::generate(4, &cfg);
+        let fleet = FleetView::new(4, &cfg);
         let d = cfg.diurnal.as_ref();
         for i in 0..4 {
             let p = fleet.profile(i);
@@ -1150,7 +1077,8 @@ mod tests {
         };
         let json = serde_json::to_string(&cfg).unwrap();
         assert!(!json.contains("diurnal") && !json.contains("churn"));
-        let profile_json = serde_json::to_string(&Fleet::generate(2, &cfg)).unwrap();
+        let profiles: Vec<_> = FleetView::new(2, &cfg).profiles().collect();
+        let profile_json = serde_json::to_string(&profiles).unwrap();
         assert!(!profile_json.contains("phase"));
         let back: FleetConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
@@ -1164,7 +1092,8 @@ mod tests {
         assert!(json.contains("diurnal") && json.contains("churn"));
         let back: FleetConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, dynamic);
-        let profile_json = serde_json::to_string(&Fleet::generate(2, &dynamic)).unwrap();
+        let profiles: Vec<_> = FleetView::new(2, &dynamic).profiles().collect();
+        let profile_json = serde_json::to_string(&profiles).unwrap();
         assert!(profile_json.contains("phase"));
     }
 
@@ -1175,12 +1104,12 @@ mod tests {
             dropout: 1.0,
             ..Default::default()
         };
-        let _ = Fleet::generate(4, &cfg);
+        let _ = FleetView::new(4, &cfg);
     }
 
     #[test]
     #[should_panic(expected = "at least one device")]
     fn rejects_empty_fleet() {
-        let _ = Fleet::generate(0, &FleetConfig::default());
+        let _ = FleetView::new(0, &FleetConfig::default());
     }
 }

@@ -10,9 +10,8 @@
 //! * [`device`] — seeded per-client device profiles: compute speed,
 //!   uplink bandwidth/latency, and a per-device dropout rate (spread
 //!   around the fleet's base rate, optionally correlated with compute
-//!   speed — the reliability model), served either eagerly
-//!   ([`device::Fleet`]) or lazily per index ([`device::FleetView`]) so
-//!   fleet size is a free variable;
+//!   speed — the reliability model), derived lazily per index
+//!   ([`device::FleetView`]) so fleet size is a free variable;
 //! * [`event`] — the discrete-event core (virtual clock + deterministic
 //!   event queue) that schedules upload completions against round
 //!   deadlines;
@@ -40,8 +39,8 @@ pub mod prelude {
     pub use crate::churn::{ChurnProcess, CHURN_SALT};
     pub use crate::comm::{CommModel, RoundTraffic};
     pub use crate::device::{
-        ChurnConfig, DeviceProfile, DiurnalConfig, DropoutCorrelation, Fleet, FleetConfig,
-        FleetView, ReliabilityConfig,
+        ChurnConfig, DeviceProfile, DiurnalConfig, DropoutCorrelation, FleetConfig, FleetView,
+        ReliabilityConfig,
     };
     pub use crate::event::{Event, EventKind, EventQueue, VirtualClock};
     pub use crate::timing::{measure, StageTiming};

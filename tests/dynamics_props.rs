@@ -104,7 +104,7 @@ proptest! {
             ..Default::default()
         };
         prop_assert!(cfg.validate().is_ok());
-        let fleet = Fleet::generate(12, &cfg);
+        let fleet = FleetView::new(12, &cfg);
         for i in 0..12 {
             let prof = fleet.profile(i);
             for probe in [0.0, t, t + period / 3.0, t + period / 2.0] {
@@ -150,7 +150,7 @@ proptest! {
             dropout_amplitude: 0.0,
             latency_amplitude: 0.0,
         };
-        let fleet = Fleet::generate(8, &static_cfg);
+        let fleet = FleetView::new(8, &static_cfg);
         for i in 0..8 {
             let prof = fleet.profile(i);
             prop_assert_eq!(
@@ -176,7 +176,7 @@ proptest! {
 
     /// Dynamic profile fields obey the same stability laws as the static
     /// ones: growth never changes an existing client's device (diurnal
-    /// phase included), the lazy view agrees with eager generation, and
+    /// phase included), a grown view agrees with a fresh one, and
     /// reseeding moves the phases while enabling the cycle leaves every
     /// pre-existing field untouched.
     #[test]
@@ -196,27 +196,27 @@ proptest! {
         let mut view = FleetView::new(6, &cfg);
         let before: Vec<DeviceProfile> = (0..6).map(|i| view.profile(i)).collect();
         view.grow(48);
-        let eager = Fleet::generate(48, &cfg);
+        let fresh = FleetView::new(48, &cfg);
         for (i, b) in before.iter().enumerate() {
             prop_assert_eq!(
                 &view.profile(i), b,
                 "client {}'s device changed because the fleet grew", i
             );
             prop_assert_eq!(
-                &view.profile(i), eager.profile(i),
-                "lazy view and eager fleet disagree at {}", i
+                view.profile(i), fresh.profile(i),
+                "grown view and a fresh one disagree at {}", i
             );
         }
         // A diurnal fleet actually has phases to move.
         prop_assert!((0..48).any(|i| view.profile(i).phase != 0.0));
-        let reseeded = Fleet::generate(6, &FleetConfig { seed: seed ^ 0x9E3779B9, ..cfg.clone() });
+        let reseeded = FleetView::new(6, &FleetConfig { seed: seed ^ 0x9E3779B9, ..cfg.clone() });
         prop_assert!(
             (0..6).any(|i| reseeded.profile(i).phase != before[i].phase),
             "re-seeding left every diurnal phase untouched"
         );
         // Switching the cycle on only adds the phase draw: every field the
         // static fleet had stays byte-identical.
-        let static_fleet = Fleet::generate(6, &FleetConfig { diurnal: None, ..cfg });
+        let static_fleet = FleetView::new(6, &FleetConfig { diurnal: None, ..cfg });
         for (i, b) in before.iter().enumerate() {
             let s = static_fleet.profile(i);
             prop_assert_eq!(s.compute_s.to_bits(), b.compute_s.to_bits());

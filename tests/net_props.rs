@@ -1,11 +1,11 @@
 //! Integration contract of the networked runtime (`feddrl_net`).
 //!
 //! Seven promises, checked at the workspace boundary: (1) the frame
-//! codec round-trips every message kind — v1 and v2 — bit-exactly and
-//! rejects malformed input with *typed* errors (property-based);
-//! (2) pinned golden byte fixtures prove today's build still decodes
-//! yesterday's v1 frames, and a v1 peer on a live server negotiates
-//! down and is served v1 frames only; (3) a client that goes silent
+//! codec round-trips every message kind bit-exactly and rejects
+//! malformed input — a v1-stamped frame included — with *typed* errors
+//! (property-based); (2) pinned golden byte fixtures fix the layout of
+//! all ten kinds, and a peer whose version range misses ours is counted
+//! and hung up on; (3) a client that goes silent
 //! past the liveness TTL surfaces as a departure through the same
 //! `ExecutorView::departed` channel the simulator's churn
 //! uses; (4) — the headline law — a `NetworkExecutor` round-barrier run
@@ -161,19 +161,6 @@ proptest! {
         prop_assert_eq!(decoded.encode(), bytes);
     }
 
-    /// Messages that exist at protocol version 1 also round-trip under
-    /// the v1 grammar — the down-negotiated encoding stays decodable by
-    /// this build forever.
-    #[test]
-    fn v1_expressible_messages_round_trip_at_v1(msg in arb_message()) {
-        if msg.min_wire_version() <= 1 {
-            let bytes = msg.encode_v(1);
-            let (decoded, consumed) = Message::decode(&bytes).expect("decode v1 encoding");
-            prop_assert_eq!(consumed, bytes.len());
-            prop_assert_eq!(decoded.encode_v(1), bytes);
-        }
-    }
-
     /// Every proper prefix of a frame is rejected as `Truncated` — never
     /// a panic, never a bogus success, never a misdecode.
     #[test]
@@ -210,7 +197,9 @@ proptest! {
 
     /// Corrupting the magic fails `BadMagic`; a version byte outside the
     /// supported `[PROTOCOL_VERSION_MIN, PROTOCOL_VERSION_MAX]` range
-    /// fails `UnsupportedVersion` — whatever the payload.
+    /// fails `UnsupportedVersion` — whatever the payload. The version
+    /// just below the range is 1: a v1-stamped frame of every kind is
+    /// foreign input like any other.
     #[test]
     fn bad_magic_and_version_fail_typed(
         msg in arb_message(),
@@ -228,48 +217,112 @@ proptest! {
         ));
         let mut bytes = msg.encode();
         bytes[2] = bad_version;
-        assert!(matches!(
+        assert_eq!(
             Message::decode(&bytes),
-            Err(WireError::UnsupportedVersion { .. })
-        ));
+            Err(WireError::UnsupportedVersion { found: bad_version })
+        );
     }
 }
 
 // ---------------------------------------------------------------------------
-// Cross-version compatibility: golden v1 frames and a live v1 peer
+// The byte layout, pinned: golden frames and the version gate
 // ---------------------------------------------------------------------------
 
-/// Byte-for-byte fixtures of protocol-version-1 frames as the pre-v2
-/// build wrote them. They must decode — and re-encode identically under
-/// `encode_v(1)` — for as long as `PROTOCOL_VERSION_MIN` is 1.
+/// Byte-for-byte fixtures of every kind but `HelloAck` (pinned on its
+/// own below). Kinds 2–6 are the bytes the pre-v2 build wrote with the
+/// version byte now 2; they must decode — and re-encode identically —
+/// for as long as version 2 is spoken.
 #[test]
-fn golden_v1_frames_decode_and_reencode_identically() {
-    // Hello: bare client id 7; the version range is implicit [1, 1].
+fn golden_v2_frames_decode_and_reencode_identically() {
+    // Hello: client id 7 offering versions [1, 2].
     let hello: &[u8] = &[
-        0x7E, 0xFD, 0x01, 0x01, 0x08, 0x00, 0x00, 0x00, // header, len 8
+        0x7E, 0xFD, 0x02, 0x01, 0x0A, 0x00, 0x00, 0x00, // header, len 10
         0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // client_id = 7
-    ];
-    // TrainRequest: round 2, keep_ratio 1.0.
-    let train: &[u8] = &[
-        0x7E, 0xFD, 0x01, 0x03, 0x10, 0x00, 0x00, 0x00, // header, len 16
-        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // round = 2
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F, // f64 1.0
+        0x01, 0x02, // min_version, max_version
     ];
     // ModelPublish: version 1, weights [1.0, -2.5].
     let publish: &[u8] = &[
-        0x7E, 0xFD, 0x01, 0x02, 0x18, 0x00, 0x00, 0x00, // header, len 24
+        0x7E, 0xFD, 0x02, 0x02, 0x18, 0x00, 0x00, 0x00, // header, len 24
         0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version = 1
         0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // count = 2
         0x00, 0x00, 0x80, 0x3F, // f32 1.0
         0x00, 0x00, 0x20, 0xC0, // f32 -2.5
     ];
-    let cases: [(&[u8], Message); 3] = [
+    // TrainRequest: round 2, keep_ratio 1.0.
+    let train: &[u8] = &[
+        0x7E, 0xFD, 0x02, 0x03, 0x10, 0x00, 0x00, 0x00, // header, len 16
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // round = 2
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F, // f64 1.0
+    ];
+    // Update: client 3, round 7, trained on version 6, 120 samples.
+    let update: &[u8] = &[
+        0x7E, 0xFD, 0x02, 0x04, 0x40, 0x00, 0x00, 0x00, // header, len 64
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // client_id = 3
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // round = 7
+        0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // model_version = 6
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // staleness = 0
+        0x78, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // n_samples = 120
+        0x00, 0x00, 0xA0, 0x3F, // loss_before f32 1.25
+        0x00, 0x00, 0x40, 0x3F, // loss_after f32 0.75
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // count = 2
+        0x00, 0x00, 0x00, 0x3F, // f32 0.5
+        0x00, 0x00, 0x80, 0xBF, // f32 -1.0
+    ];
+    let heartbeat: &[u8] = &[
+        0x7E, 0xFD, 0x02, 0x05, 0x08, 0x00, 0x00, 0x00, // header, len 8
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // client_id = 2
+    ];
+    let bye: &[u8] = &[
+        0x7E, 0xFD, 0x02, 0x06, 0x08, 0x00, 0x00, 0x00, // header, len 8
+        0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // client_id = 5
+    ];
+    // MaskedUpdate: client 4, round 9, keep ratio 0.625, 2 of 10 kept.
+    let masked: &[u8] = &[
+        0x7E, 0xFD, 0x02, 0x08, 0x50, 0x00, 0x00, 0x00, // header, len 80
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // client_id = 4
+        0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // round = 9
+        0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // model_version = 8
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // staleness = 0
+        0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // n_samples = 64
+        0x00, 0x00, 0x00, 0x40, // loss_before f32 2.0
+        0x00, 0x00, 0xC0, 0x3F, // loss_after f32 1.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE4, 0x3F, // keep_ratio f64 0.625
+        0x0A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // total_len = 10
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // kept count = 2
+        0x00, 0x00, 0x80, 0x3E, // f32 0.25
+        0x00, 0x00, 0x00, 0xBF, // f32 -0.5
+    ];
+    // ModelPublishDelta: version 12 against base 11, positions 0 and 99.
+    let delta: &[u8] = &[
+        0x7E, 0xFD, 0x02, 0x09, 0x30, 0x00, 0x00, 0x00, // header, len 48
+        0x0C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version = 12
+        0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // base_version = 11
+        0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // total_len = 100
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // count = 2
+        0x00, 0x00, 0x00, 0x00, // index 0
+        0x63, 0x00, 0x00, 0x00, // index 99
+        0x00, 0x00, 0x80, 0x3F, // f32 1.0
+        0x00, 0x00, 0x20, 0xC0, // f32 -2.5
+    ];
+    let publish_ack: &[u8] = &[
+        0x7E, 0xFD, 0x02, 0x0A, 0x10, 0x00, 0x00, 0x00, // header, len 16
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // client_id = 3
+        0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version = 4
+    ];
+    let cases: [(&[u8], Message); 9] = [
         (
             hello,
             Message::Hello {
                 client_id: 7,
                 min_version: 1,
-                max_version: 1,
+                max_version: 2,
+            },
+        ),
+        (
+            publish,
+            Message::ModelPublish {
+                version: 1,
+                weights: vec![1.0, -2.5],
             },
         ),
         (
@@ -280,27 +333,67 @@ fn golden_v1_frames_decode_and_reencode_identically() {
             },
         ),
         (
-            publish,
-            Message::ModelPublish {
-                version: 1,
-                weights: vec![1.0, -2.5],
+            update,
+            Message::Update(UpdateMsg {
+                client_id: 3,
+                round: 7,
+                model_version: 6,
+                staleness: 0,
+                n_samples: 120,
+                loss_before: 1.25,
+                loss_after: 0.75,
+                weights: vec![0.5, -1.0],
+            }),
+        ),
+        (heartbeat, Message::Heartbeat { client_id: 2 }),
+        (bye, Message::Bye { client_id: 5 }),
+        (
+            masked,
+            Message::MaskedUpdate(MaskedUpdateMsg {
+                client_id: 4,
+                round: 9,
+                model_version: 8,
+                staleness: 0,
+                n_samples: 64,
+                loss_before: 2.0,
+                loss_after: 1.5,
+                keep_ratio: 0.625,
+                total_len: 10,
+                kept_weights: vec![0.25, -0.5],
+            }),
+        ),
+        (
+            delta,
+            Message::ModelPublishDelta(DeltaMsg {
+                version: 12,
+                base_version: 11,
+                total_len: 100,
+                indices: vec![0, 99],
+                values: vec![1.0, -2.5],
+            }),
+        ),
+        (
+            publish_ack,
+            Message::PublishAck {
+                client_id: 3,
+                version: 4,
             },
         ),
     ];
     for (bytes, expect) in cases {
-        let (msg, used) = Message::decode(bytes).expect("golden v1 frame decodes");
+        let (msg, used) = Message::decode(bytes).expect("golden frame decodes");
         assert_eq!(used, bytes.len());
-        assert_eq!(msg, expect, "golden v1 frame decoded to the wrong message");
+        assert_eq!(msg, expect, "golden frame decoded to the wrong message");
         assert_eq!(
-            expect.encode_v(1),
+            expect.encode(),
             bytes,
-            "v1 re-encoding drifted from the golden bytes"
+            "re-encoding drifted from the golden bytes"
         );
     }
 }
 
-/// A pinned v2 `HelloAck` — the first frame of the new grammar a v2
-/// client ever sees — so its layout can never drift silently either.
+/// A pinned `HelloAck` — the first frame a client ever sees — so its
+/// layout can never drift silently either.
 #[test]
 fn golden_v2_hello_ack_decodes() {
     let ack: &[u8] = &[
@@ -335,67 +428,61 @@ fn read_raw_frame(sock: &mut TcpStream) -> (u8, Message) {
     (header[2], msg)
 }
 
-/// A v1-only peer on a v2 server with delta publishing *enabled*: the
-/// server negotiates down, never sends a `HelloAck` (v1 predates it),
-/// and serves dense v1 `ModelPublish` frames only — deltas require v2.
-/// A peer advertising a disjoint version range is counted and dropped.
+/// A peer whose advertised range misses ours — the retired version 1,
+/// or versions from the future — is counted and hung up on without ever
+/// subscribing; a frame *stamped* v1 never reaches negotiation at all
+/// (it is an `UnsupportedVersion` header). Each case waits on the socket
+/// reading EOF, which the server's hang-up causes.
 #[test]
-fn v1_peer_negotiates_down_and_only_ever_sees_v1_frames() {
+fn peers_outside_the_version_range_are_counted_and_hung_up_on() {
     use std::io::Write as _;
-    let server = NetServerBuilder::new()
-        .delta_publish(true)
-        .build()
-        .expect("bind");
+    let server = NetServerBuilder::new().build().expect("bind");
     let addr = server.local_addr().to_string();
+    let hung_up = |frame: &[u8]| {
+        let mut sock = TcpStream::connect(&addr).expect("connect");
+        sock.write_all(frame).expect("hello");
+        // EOF — or a reset, when the server closed with bytes of ours
+        // still unread (it stops at a bad header).
+        let closed = matches!(
+            read_frame(&mut sock),
+            Ok(None)
+                | Err(WireError::Io {
+                    kind: std::io::ErrorKind::ConnectionReset,
+                    ..
+                })
+        );
+        assert!(closed, "server hangs up");
+    };
 
-    let mut v1_peer = TcpStream::connect(&addr).expect("connect");
-    let hello = Message::Hello {
+    let retired = Message::Hello {
         client_id: 9,
         min_version: 1,
         max_version: 1,
     };
-    v1_peer.write_all(&hello.encode_v(1)).expect("v1 hello");
-    server
-        .wait_for_clients(1, Duration::from_secs(5))
-        .expect("v1 peer subscribed");
-
-    // Two publishes: no ack channel exists at v1, so both must arrive
-    // dense, stamped v1 — never a delta, never a HelloAck in between.
-    server.publish(3, &[0.5, -1.0]);
-    server.publish(4, &[0.75, -1.0]);
-    for expect_version in [3u64, 4] {
-        let (wire_version, msg) = read_raw_frame(&mut v1_peer);
-        assert_eq!(wire_version, 1, "frames to a v1 peer are stamped v1");
-        match msg {
-            Message::ModelPublish { version, .. } => assert_eq!(version, expect_version),
-            other => panic!("v1 peer received {other:?}"),
-        }
-    }
-    let stats = server.publish_stats();
-    assert_eq!(stats.delta_frames, 0, "deltas require a v2 peer");
-    assert_eq!(stats.full_frames, 2);
-    assert_eq!(server.negotiation_failures(), 0);
-
-    // A peer from the future, speaking only versions we do not: the
-    // handshake fails typed on our side of the math too...
     assert!(matches!(
-        negotiate(PROTOCOL_VERSION_MAX + 1, 255),
+        negotiate(1, 1),
         Err(WireError::NegotiationFailed { .. })
     ));
-    // ...and the server counts the failure and hangs up on the socket.
-    let mut alien = TcpStream::connect(&addr).expect("connect");
-    let alien_hello = Message::Hello {
+    hung_up(&retired.encode());
+    assert_eq!(server.negotiation_failures(), 1, "retired range counted");
+
+    let future = Message::Hello {
         client_id: 10,
         min_version: PROTOCOL_VERSION_MAX + 1,
         max_version: 255,
     };
-    alien.write_all(&alien_hello.encode()).expect("alien hello");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.negotiation_failures() == 0 && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(server.negotiation_failures(), 1, "disjoint range counted");
-    assert!(!server.is_live(10), "failed negotiation never subscribes");
+    hung_up(&future.encode());
+    assert_eq!(server.negotiation_failures(), 2, "future range counted");
+
+    // The pre-v2 build's Hello, byte for byte: bare client id under a
+    // v1 header.
+    hung_up(&[
+        0x7E, 0xFD, 0x01, 0x01, 0x08, 0x00, 0x00, 0x00, // header, len 8
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // client_id = 7
+    ]);
+    assert_eq!(server.negotiation_failures(), 2, "rejected at the header");
+
+    assert!(server.live_clients().is_empty(), "nobody subscribed");
 }
 
 // ---------------------------------------------------------------------------

@@ -57,9 +57,9 @@ proptest! {
         // so every generated config is valid by construction.
         let cfg = reliability_cfg(seed, compute_skew, dropout, dropout_skew, correlation);
         prop_assert!(cfg.validate().is_ok());
-        let small = Fleet::generate(6, &cfg);
-        let again = Fleet::generate(6, &cfg);
-        let big = Fleet::generate(48, &cfg);
+        let small = FleetView::new(6, &cfg);
+        let again = FleetView::new(6, &cfg);
+        let big = FleetView::new(48, &cfg);
         for i in 0..6 {
             prop_assert_eq!(small.profile(i), again.profile(i), "regeneration drifted");
             prop_assert_eq!(
@@ -67,7 +67,7 @@ proptest! {
                 "client {}'s device changed because the fleet grew", i
             );
         }
-        let reseeded = Fleet::generate(6, &FleetConfig { seed: seed ^ 0x9E3779B9, ..cfg });
+        let reseeded = FleetView::new(6, &FleetConfig { seed: seed ^ 0x9E3779B9, ..cfg });
         prop_assert!(
             (0..6).any(|i| reseeded.profile(i) != small.profile(i)),
             "re-seeding left every profile untouched"
@@ -95,7 +95,7 @@ proptest! {
         let dropout = dropout.min(0.99 / dropout_skew - 1e-9);
         let cfg = reliability_cfg(seed, compute_skew, dropout, dropout_skew, correlation);
         prop_assert!(cfg.validate().is_ok());
-        let fleet = Fleet::generate(32, &cfg);
+        let fleet = FleetView::new(32, &cfg);
         let (lo, hi) = (dropout / dropout_skew, dropout * dropout_skew);
         for i in 0..32 {
             let d = fleet.profile(i).dropout;
@@ -128,7 +128,7 @@ proptest! {
         );
         // dropout < 0.2 and dropout_skew < 4: the product stays below 1.
         prop_assert!(cfg.validate().is_ok());
-        let fleet = Fleet::generate(24, &cfg);
+        let fleet = FleetView::new(24, &cfg);
         for a in 0..24 {
             for b in 0..24 {
                 let (pa, pb) = (fleet.profile(a), fleet.profile(b));
@@ -159,7 +159,12 @@ proptest! {
             DropoutCorrelation::SpeedCorrelated { strength: 0.0 },
         );
         prop_assert!(indep.validate().is_ok());
-        prop_assert_eq!(Fleet::generate(16, &indep), Fleet::generate(16, &zero));
+        // Profile vectors, not views: view equality is `(n, config)`, and
+        // these are two different configs deriving equal fleets.
+        prop_assert_eq!(
+            FleetView::new(16, &indep).profiles().collect::<Vec<_>>(),
+            FleetView::new(16, &zero).profiles().collect::<Vec<_>>()
+        );
     }
 }
 

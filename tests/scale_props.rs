@@ -3,9 +3,9 @@
 //!
 //! Contracts proven here:
 //!
-//! 1. **Lazy ≡ eager** — `FleetView` derives, at every index and under
-//!    arbitrary seeds/configs, exactly the profile the eager `Fleet`
-//!    materializes; growing N never changes an existing client's device.
+//! 1. **Stable under growth** — under arbitrary seeds/configs, growing N
+//!    never changes the device `FleetView` derives for an existing
+//!    client.
 //! 2. **Sparse accounting law** — the `ReliabilityTable`'s totals close
 //!    against the per-round records (the reliability accounting law,
 //!    re-proved on the sparse type), and the table holds entries only for
@@ -52,11 +52,11 @@ fn stub_train(dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Contract 1: profile-for-profile equivalence of the lazy view and
-    /// the eager fleet, under arbitrary seeds and heterogeneity configs,
-    /// plus agreement of the derived aggregates.
+    /// Contract 1: a wider view derives the same device at every index
+    /// the narrower one covers, under arbitrary seeds and heterogeneity
+    /// configs.
     #[test]
-    fn fleet_view_matches_eager_fleet_at_every_index(
+    fn fleet_view_profiles_are_stable_under_growth(
         n in 1usize..64,
         seed in 0u64..1_000,
         compute_skew in 1.0f64..8.0,
@@ -83,28 +83,13 @@ proptest! {
         };
         prop_assert!(cfg.validate().is_ok());
         let view = FleetView::new(n, &cfg);
-        let eager = Fleet::generate(n, &cfg);
-        prop_assert_eq!(view.len(), eager.len());
-        for i in 0..n {
-            prop_assert_eq!(
-                &view.profile(i), eager.profile(i),
-                "lazy view diverged from the eager fleet at index {}", i
-            );
-        }
-        // Growing the view never changes an existing client's device.
         let grown = FleetView::new(n * 4, &cfg);
         for i in 0..n {
             prop_assert_eq!(
-                &grown.profile(i), eager.profile(i),
+                grown.profile(i), view.profile(i),
                 "client {}'s device changed because the fleet grew", i
             );
         }
-        // Derived aggregates agree bit-for-bit (same derivation path).
-        prop_assert_eq!(view.mean_dropout(), eager.mean_dropout());
-        prop_assert_eq!(
-            view.completion_percentile_s(1_000_000, 0.5),
-            eager.completion_percentile_s(1_000_000, 0.5)
-        );
     }
 
     /// Contract 2: the sparse telemetry's totals close against the

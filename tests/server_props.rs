@@ -138,7 +138,7 @@ fn factor_alignment_follows_aggregated_ids_not_selected() {
     };
     // A deadline at the 40th percentile cuts the slow majority, so under
     // CarryOver their updates land one-plus rounds late.
-    let deadline = Fleet::generate(5, &fleet).completion_percentile_s(4_000_000, 0.4);
+    let deadline = FleetView::new(5, &fleet).completion_percentile_s(4_000_000, 0.4);
     let mut cfg = tiny_cfg(ExecutorConfig::Deadline(HeteroConfig {
         fleet,
         deadline_s: Some(deadline),
@@ -243,7 +243,7 @@ proptest! {
             ..Default::default()
         };
         // Deadline anywhere from "cuts half the fleet" to "generous".
-        let probe = Fleet::generate(5, &fleet);
+        let probe = FleetView::new(5, &fleet);
         let deadline = probe.completion_percentile_s(4_000_000, 0.5) * deadline_scale;
         let cfg = tiny_cfg(ExecutorConfig::Deadline(HeteroConfig {
             fleet,

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use feddrl_fl::client::ClientUpdate;
 use feddrl_fl::executor::{
     BufferedConfig, BufferedExecutor, DeadlineExecutor, Dispatch, HeteroConfig, LatePolicy,
-    RoundExecutor, StalenessDiscount,
+    RoundExecutor, StalenessDiscount, TrainContext,
 };
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::device::FleetConfig;
@@ -66,7 +66,7 @@ fn bench_deadline_round(c: &mut Criterion) {
         let selected: Vec<usize> = (0..k).collect();
         // Pre-built updates: the bench isolates the engine, not training.
         let updates: Vec<ClientUpdate> = (0..k).map(stub_update).collect();
-        let train = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+        let train = |_: &TrainContext<'_>, dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
             dispatches
                 .iter()
                 .map(|d| updates[d.client_id].clone())
@@ -76,7 +76,15 @@ fn bench_deadline_round(c: &mut Criterion) {
         group.throughput(Throughput::Elements(k as u64));
         group.bench_with_input(BenchmarkId::new("execute", k), &k, |b, _| {
             b.iter(|| {
-                let out = ex.execute(round, &selected, &train);
+                let out = ex.execute(
+                    &TrainContext {
+                        round,
+                        seed: 0,
+                        global: &[],
+                    },
+                    &selected,
+                    &train,
+                );
                 round += 1;
                 std::hint::black_box(out.hetero)
             })
@@ -114,7 +122,7 @@ fn bench_buffered_round(c: &mut Criterion) {
         let mut ex = BufferedExecutor::new(cfg, k, 100_000, k, 7);
         let selected: Vec<usize> = (0..k).collect();
         let updates: Vec<ClientUpdate> = (0..k).map(stub_update).collect();
-        let train = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+        let train = |_: &TrainContext<'_>, dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
             dispatches
                 .iter()
                 .map(|d| updates[d.client_id].clone())
@@ -124,7 +132,15 @@ fn bench_buffered_round(c: &mut Criterion) {
         group.throughput(Throughput::Elements(k as u64));
         group.bench_with_input(BenchmarkId::new("execute", k), &k, |b, _| {
             b.iter(|| {
-                let out = ex.execute(round, &selected, &train);
+                let out = ex.execute(
+                    &TrainContext {
+                        round,
+                        seed: 0,
+                        global: &[],
+                    },
+                    &selected,
+                    &train,
+                );
                 round += 1;
                 std::hint::black_box(out.hetero)
             })

@@ -13,6 +13,8 @@ use feddrl_fl::executor::{ClientReliability, ExecutorView, ReliabilityTable};
 use feddrl_fl::selection::{Selection, SelectionContext};
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::device::{DropoutCorrelation, FleetConfig, FleetView, ReliabilityConfig};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 fn bench_fleet_generate(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_generate");
@@ -78,7 +80,7 @@ fn bench_selection(c: &mut Criterion) {
             ))
         })
         .collect();
-    let in_flight = rng.sample_indices(N, N / 4);
+    let in_flight: BTreeSet<usize> = rng.sample_indices(N, N / 4).into_iter().collect();
 
     for (label, selection) in [
         ("uniform", Selection::Uniform),
@@ -110,12 +112,12 @@ fn bench_selection(c: &mut Criterion) {
                     participants: K,
                     known_loss: &known_loss,
                     participation: &participation,
-                    // The view owns its in-flight list, as a real
-                    // executor's does: the session pays this per round.
+                    // The view borrows its in-flight set, as a real
+                    // executor's does.
                     executor: ExecutorView {
                         fleet: Some(&fleet),
                         upload_bytes: 1_000_000,
-                        in_flight: in_flight.clone(),
+                        in_flight: Cow::Borrowed(&in_flight),
                         reliability: Some(&reliability),
                         ..Default::default()
                     },

@@ -229,7 +229,7 @@ fn run_net(
     let telemetry = exec.telemetry();
     let selected: Vec<usize> = (0..n_clients).collect();
     let mut global = vec![0.0f32; params];
-    let noop: &TrainFn<'_> = &|_dispatches: &[Dispatch]| Vec::new();
+    let noop: &TrainFn<'_> = &|_, _| Vec::new();
     let kill_at = rounds / 2;
     let mut cold_publish = PublishStats::default();
     let start = Instant::now();
@@ -241,7 +241,12 @@ fn run_net(
         // genuine sparse deltas, not empty ones.
         global[round % params] = (round + 1) as f32;
         exec.publish_model(round, &global);
-        let _ = exec.execute(round, &selected, noop);
+        let ctx = TrainContext {
+            round,
+            seed: 0,
+            global: &global,
+        };
+        let _ = exec.execute(&ctx, &selected, noop);
         if round == 0 {
             cold_publish = telemetry.lock().publish;
         }
@@ -256,7 +261,7 @@ fn run_net(
         }
     }
     let wall_s = start.elapsed().as_secs_f64();
-    let departed = exec.view().departed;
+    let departed = exec.server().departed();
     // Dropping the executor shuts the server down; workers exit on `Bye`
     // (a buffered run may cut a still-sleeping straggler's socket, so the
     // worker result is not required to be clean here).

@@ -267,7 +267,11 @@ impl CellStats {
         for r in &history.records {
             if let Some(h) = &r.hetero {
                 total += h.aggregated_ids.len();
-                from_slow += h.aggregated_ids.iter().filter(|c| slow.contains(c)).count();
+                from_slow += h
+                    .aggregated_ids
+                    .iter()
+                    .filter(|&&c| slow.contains(&(c as usize)))
+                    .count();
                 dropouts += h.dropouts;
                 tried += r.selected.len() - h.busy;
             }

@@ -614,7 +614,7 @@ mod tests {
             &exp.feddrl_config(),
             None,
         );
-        let trace = |h: &RunHistory| -> Vec<(f32, Vec<usize>, Vec<f32>)> {
+        let trace = |h: &RunHistory| -> Vec<(f32, Vec<u32>, Vec<f32>)> {
             h.records
                 .iter()
                 .map(|r| {

@@ -14,11 +14,13 @@
 //! calls the same function, so the in-process and networked paths cannot
 //! disagree on a keep ratio for the same device and deadline.
 
+use std::borrow::Cow;
+
 use crate::client::ClientUpdate;
 use crate::executor::{
     Dispatch, ExecutorView, LatePolicy, ReliabilityTable, StructuredDropoutConfig,
 };
-use crate::history::HeteroRoundRecord;
+use crate::history::{narrow, HeteroRoundRecord};
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::churn::ChurnProcess;
 use feddrl_sim::comm::CommModel;
@@ -314,17 +316,18 @@ impl DispatchPlanner {
         let (joins, leaves) = self.churn_counts();
         record.joined = joins - self.churn_before.0;
         record.departed = leaves - self.churn_before.1;
-        record.aggregated_ids = aggregated.iter().map(|u| u.client_id).collect();
+        record.aggregated_ids = narrow(aggregated.iter().map(|u| u.client_id));
     }
 
     /// The planner's share of an [`ExecutorView`] — everything but what
     /// only the executor knows (discount, server mix, in-flight clients).
-    /// The fleet and the telemetry are borrowed, never cloned.
+    /// The fleet, the telemetry and the departed set are borrowed, never
+    /// cloned: taking a view is O(1).
     pub fn view(&self) -> ExecutorView<'_> {
         let churn = self.churn.as_ref();
         ExecutorView {
             universe: churn.map(ChurnProcess::universe),
-            departed: churn.map(ChurnProcess::departed_ids).unwrap_or_default(),
+            departed: churn.map_or_else(Default::default, |c| Cow::Borrowed(c.departed())),
             fleet: Some(&self.fleet),
             upload_bytes: self.upload_bytes,
             deadline_s: self.deadline_s,

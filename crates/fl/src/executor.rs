@@ -27,11 +27,12 @@
 //! device profiles from the fleet seed, so heterogeneity scenarios
 //! reproduce exactly, independent of thread scheduling.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::client::ClientUpdate;
 use crate::dispatch::DispatchPlanner;
-use crate::history::HeteroRoundRecord;
+use crate::history::{narrow, HeteroRoundRecord};
 use feddrl_sim::device::{FleetConfig, FleetView};
 use feddrl_sim::event::{EventKind, EventQueue, VirtualClock};
 use rayon::prelude::*;
@@ -548,11 +549,31 @@ impl Dispatch {
     }
 }
 
+/// Everything local training is a function of, besides the client: the
+/// round, the master seed, and the flat parameters of the global model
+/// broadcast that round. The session builds one per round and hands it to
+/// [`RoundExecutor::execute`]; an executor passes it on to the
+/// [`TrainFn`] — at once, or (the buffered executor) from a snapshot when
+/// the upload lands rounds later.
+#[derive(Debug, Clone, Copy)]
+pub struct TrainContext<'a> {
+    /// Communication round the clients were dispatched in (0-based).
+    pub round: usize,
+    /// The session's master seed (client streams derive from
+    /// `(seed, round, client_id)`).
+    pub seed: u64,
+    /// Flat parameters of the global model broadcast in that round.
+    pub global: &'a [f32],
+}
+
 /// The local-training callback executors dispatch through: maps each
-/// [`Dispatch`] to its client's [`ClientUpdate`], in order. Must be
-/// `Sync`: executors with `parallel_dispatch` enabled invoke it from
-/// rayon workers, one dispatch per call.
-pub type TrainFn<'a> = dyn Fn(&[Dispatch]) -> Vec<ClientUpdate> + Sync + 'a;
+/// [`Dispatch`] to its client's [`ClientUpdate`], in order, training from
+/// the [`TrainContext`]'s broadcast. It must be a pure function of
+/// `(seed, round, client, broadcast)` — the buffered executor calls it
+/// when an upload *arrives*, not when it is dispatched — and `Sync`:
+/// executors with `parallel_dispatch` enabled invoke it from rayon
+/// workers, one dispatch per call.
+pub type TrainFn<'a> = dyn Fn(&TrainContext<'_>, &[Dispatch]) -> Vec<ClientUpdate> + Sync + 'a;
 
 /// Run `train` over `dispatches` — serially in one call, or (when
 /// `parallel` is set) as one rayon task per client, concatenated back in
@@ -565,13 +586,14 @@ pub type TrainFn<'a> = dyn Fn(&[Dispatch]) -> Vec<ClientUpdate> + Sync + 'a;
 /// byte-identity of full run histories across both paths.
 fn dispatch_train(
     train: &TrainFn<'_>,
+    ctx: &TrainContext<'_>,
     dispatches: &[Dispatch],
     parallel: bool,
 ) -> Vec<ClientUpdate> {
     let updates: Vec<ClientUpdate> = if !parallel || dispatches.len() < 2 {
-        train(dispatches)
+        train(ctx, dispatches)
     } else {
-        let per_client: Vec<_> = dispatches.par_iter().map(|&d| train(&[d])).collect();
+        let per_client: Vec<_> = dispatches.par_iter().map(|&d| train(ctx, &[d])).collect();
         per_client.into_iter().flatten().collect()
     };
     let in_order = |(u, d): (&ClientUpdate, &Dispatch)| u.client_id == d.client_id;
@@ -600,19 +622,26 @@ pub struct RoundOutcome {
 /// clients actually train (dropouts are decided before training, saving
 /// their wasted CPU) and which reports make it back in time.
 pub trait RoundExecutor: Send {
-    /// Execute round `round` for the sampled `selected` clients. The
-    /// executor decides which of them actually train — and, under
-    /// adaptive structured dropout, how much of the model each trains —
-    /// and invokes `train` with the resulting [`Dispatch`] orders.
-    fn execute(&mut self, round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome;
+    /// Execute round `ctx.round` for the sampled `selected` clients, who
+    /// train from the broadcast `ctx.global`. The executor decides which
+    /// of them actually train — and, under adaptive structured dropout,
+    /// how much of the model each trains — and invokes `train` with the
+    /// resulting [`Dispatch`] orders and the context of the round they
+    /// were dispatched in.
+    fn execute(
+        &mut self,
+        ctx: &TrainContext<'_>,
+        selected: &[usize],
+        train: &TrainFn<'_>,
+    ) -> RoundOutcome;
 
     /// Broadcast the current global model to wherever training happens.
     /// The session calls this once per round, right before
     /// [`RoundExecutor::execute`], with the flat parameters the selected
     /// clients must train from. Every in-process executor keeps the no-op
-    /// default (its `train` callback clones the live model directly);
-    /// distributed executors (`feddrl_net`) fan the weights out to their
-    /// remote client workers here.
+    /// default (its `train` callback receives the broadcast in the
+    /// [`TrainContext`]); distributed executors (`feddrl_net`) fan the
+    /// weights out to their remote client workers here.
     fn publish_model(&mut self, round: usize, global: &[f32]) {
         let _ = (round, global);
     }
@@ -641,15 +670,16 @@ pub struct ExecutorView<'a> {
     /// fixed at the partition's size.
     pub universe: Option<usize>,
     /// Clients that have left the federation (churn departures, or TTL
-    /// expiry over sockets), in ascending id order. Dispatching one is
-    /// guaranteed to be wasted — the executor counts it as a dropout — so
-    /// ranking policies demote departed candidates below every live one.
-    /// Their telemetry persists in [`Self::reliability`] (it simply goes
-    /// stale), and uniform sampling deliberately ignores this field: the
-    /// paper's baseline stays oblivious to churn, which is exactly the
-    /// behavior the churn-aware policies are measured against. Empty for
-    /// executors without churn.
-    pub departed: Vec<usize>,
+    /// expiry over sockets). Dispatching one is guaranteed to be wasted —
+    /// the executor counts it as a dropout — so ranking policies demote
+    /// departed candidates below every live one. Their telemetry persists
+    /// in [`Self::reliability`] (it simply goes stale), and uniform
+    /// sampling deliberately ignores this field: the paper's baseline
+    /// stays oblivious to churn, which is exactly the behavior the
+    /// churn-aware policies are measured against. Borrowed from the churn
+    /// process (owned only where the set lives behind a lock, as over
+    /// sockets); empty for executors without churn.
+    pub departed: Cow<'a, BTreeSet<usize>>,
     /// The device fleet the executor simulates — what heterogeneity-aware
     /// policies base their completion-time estimates on. Served as a lazy
     /// [`FleetView`], so consulting only the candidate pool costs
@@ -678,9 +708,12 @@ pub struct ExecutorView<'a> {
     /// queue. Sampling them again either wastes the slot (the buffered
     /// executors skip busy devices at dispatch) or supersedes — discards —
     /// the queued stale update (the deadline executor's carry-over), so
-    /// async-aware selection policies rank them last. Empty for executors
-    /// that end every round with nothing pending.
-    pub in_flight: Vec<usize>,
+    /// async-aware selection policies rank them last. Borrowed from the
+    /// id-keyed set the executor keeps for its own busy checks, so taking
+    /// a view costs the same whether ten or a hundred thousand clients
+    /// are pending. Empty for executors that end every round with nothing
+    /// pending.
+    pub in_flight: Cow<'a, BTreeSet<usize>>,
     /// Per-client *observed* reliability telemetry — dropout counts and
     /// staleness history accumulated so far, keyed by client id and
     /// holding entries only for clients actually dispatched. Policies see
@@ -695,13 +728,13 @@ impl Default for ExecutorView<'_> {
     fn default() -> Self {
         Self {
             universe: None,
-            departed: Vec::new(),
+            departed: Cow::default(),
             fleet: None,
             upload_bytes: 0,
             deadline_s: None,
             staleness_discount: StalenessDiscount::None,
             server_mix: 1.0,
-            in_flight: Vec::new(),
+            in_flight: Cow::default(),
             reliability: None,
         }
     }
@@ -713,10 +746,15 @@ impl Default for ExecutorView<'_> {
 pub struct IdealExecutor;
 
 impl RoundExecutor for IdealExecutor {
-    fn execute(&mut self, _round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
+    fn execute(
+        &mut self,
+        ctx: &TrainContext<'_>,
+        selected: &[usize],
+        train: &TrainFn<'_>,
+    ) -> RoundOutcome {
         let dispatches: Vec<Dispatch> = selected.iter().map(|&c| Dispatch::full(c)).collect();
         RoundOutcome {
-            updates: train(&dispatches),
+            updates: train(ctx, &dispatches),
             hetero: None,
         }
     }
@@ -733,6 +771,8 @@ pub struct DeadlineExecutor {
     /// version it was trained against — the carry-in ages it by the
     /// difference (only under [`LatePolicy::CarryOver`]).
     carried: Vec<(ClientUpdate, usize)>,
+    /// The clients of `carried`, as the set the view lends out.
+    carried_ids: BTreeSet<usize>,
     /// Virtual seconds elapsed since the start of the run — the sum of
     /// every finished round's `sim_time_s`. Rounds still replay on a
     /// round-local event queue, but churn and diurnal modulation live on
@@ -763,6 +803,7 @@ impl DeadlineExecutor {
             cfg,
             participants,
             carried: Vec::new(),
+            carried_ids: BTreeSet::new(),
             clock_s: 0.0,
         }
     }
@@ -777,18 +818,25 @@ impl RoundExecutor for DeadlineExecutor {
             // client would supersede (discard) that queued work, so
             // selection policies should treat it as pending. Always empty
             // under `Drop`.
-            in_flight: self.carried.iter().map(|(u, _)| u.client_id).collect(),
+            in_flight: Cow::Borrowed(&self.carried_ids),
             ..self.planner.view()
         }
     }
 
-    fn execute(&mut self, round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
+    fn execute(
+        &mut self,
+        ctx: &TrainContext<'_>,
+        selected: &[usize],
+        train: &TrainFn<'_>,
+    ) -> RoundOutcome {
         let round_start_s = self.clock_s;
         // Nobody is ever busy here: every round ends with nothing in
         // flight (a carried update's client may be redispatched — the
         // fresh report then supersedes the queued one).
-        let (alive, mut hetero) = self.planner.plan(round, round_start_s, selected, |_| false);
-        let updates = dispatch_train(train, &alive, self.cfg.parallel_dispatch);
+        let (alive, mut hetero) = self
+            .planner
+            .plan(ctx.round, round_start_s, selected, |_| false);
+        let updates = dispatch_train(train, ctx, &alive, self.cfg.parallel_dispatch);
 
         // --- Discrete-event round: schedule every surviving upload, then
         // replay the timeline against the deadline. Queue sized to this
@@ -900,11 +948,12 @@ impl RoundExecutor for DeadlineExecutor {
                 self.carried.drain(..excess);
             }
         }
+        self.carried_ids = self.carried.iter().map(|(u, _)| u.client_id).collect();
 
         // Per-update ages, recorded only when something stale was
         // aggregated (all-fresh rounds keep the pre-staleness JSON shape).
         if hetero.carried_in > 0 {
-            hetero.staleness = aggregated.iter().map(|u| u.staleness).collect();
+            hetero.staleness = narrow(aggregated.iter().map(|u| u.staleness));
         }
         self.planner.finish_round(&aggregated, &mut hetero);
         self.clock_s = round_start_s + hetero.sim_time_s;
@@ -933,6 +982,17 @@ impl RoundExecutor for DeadlineExecutor {
 /// in flight *or parked in the buffer* is skipped for the round (its
 /// device is busy / its report is unconsumed) — no aggregation ever
 /// double-counts one client's data.
+///
+/// Local training is **deferred to arrival**: a dispatch parks a keep
+/// ratio and the round it was dispatched in, and the executor keeps one
+/// snapshot of the broadcast per dispatching round, shared by that
+/// round's dispatches and freed when the last of them lands. `train` runs
+/// when the upload arrives with its client still active, from that
+/// round's [`TrainContext`]; because it is a pure function of
+/// `(seed, round, client, broadcast)` the update is the one an executor
+/// training at dispatch would have parked, and an upload lost in transit
+/// is never trained at all. What is retained per pending client is a few
+/// words, not a weight vector.
 pub struct BufferedExecutor {
     /// Who trains — fleet, churn (advanced along this executor's own
     /// persistent clock), dropout draws, telemetry and the model version.
@@ -942,13 +1002,39 @@ pub struct BufferedExecutor {
     clock: VirtualClock,
     /// Pending upload completions, across model versions.
     queue: EventQueue,
-    /// Dispatched updates whose uploads have not completed yet, each with
-    /// the model version it trains against.
-    in_flight: Vec<(ClientUpdate, usize)>,
+    /// Dispatches whose uploads have not completed yet, by client: the
+    /// busy rule below guarantees a client has at most one.
+    pending: BTreeMap<usize, PendingUpload>,
+    /// What `pending` entries train from, by dispatch round.
+    broadcasts: BTreeMap<usize, Broadcast>,
+    /// Every client with an upload traveling or a report parked in
+    /// `buffer` — who is busy at the next dispatch, and what the view
+    /// lends to selection.
+    busy: BTreeSet<usize>,
     /// Arrived updates awaiting the buffer to fill, in arrival order,
     /// each with the model version it was trained against. Never holds
     /// `buffer_size` or more entries between rounds.
     buffer: Vec<(ClientUpdate, usize)>,
+}
+
+/// A dispatched client whose upload is still traveling.
+struct PendingUpload {
+    /// How much of the model the client was asked to train.
+    keep_ratio: f64,
+    /// The dispatch round — the key of its `Broadcast`.
+    round: usize,
+}
+
+/// What one round's dispatches train from once their uploads land.
+struct Broadcast {
+    seed: u64,
+    /// Flat parameters of the global model broadcast that round.
+    global: Vec<f32>,
+    /// Model version the round's dispatches train against.
+    version: usize,
+    /// Dispatches of the round still in `pending`; the snapshot is
+    /// dropped when this reaches zero.
+    uploads: usize,
 }
 
 impl BufferedExecutor {
@@ -976,22 +1062,79 @@ impl BufferedExecutor {
             // pending uploads is one per *client* (a busy client is never
             // re-dispatched), not `participants`: a round dispatches up to
             // `participants` and drains `buffer_size`, so whenever
-            // `participants > buffer_size` the queue and `in_flight` grow
-            // with the round index, up to the fleet size.
+            // `participants > buffer_size` the queue, `pending` and `busy`
+            // grow with the round index until the fleet saturates — a few
+            // words per pending client, and every per-round operation on
+            // them is a keyed lookup.
             queue: EventQueue::with_capacity(participants + 1),
-            in_flight: Vec::new(),
+            pending: BTreeMap::new(),
+            broadcasts: BTreeMap::new(),
+            busy: BTreeSet::new(),
             buffer: Vec::new(),
         }
     }
 
     /// Updates dispatched but not yet arrived at the server.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.pending.len()
     }
 
     /// Arrived updates waiting for the buffer to fill.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
+    }
+
+    /// The live broadcast snapshots, as `(dispatch round, uploads of that
+    /// round still in flight)` in round order. Every snapshot is held by
+    /// at least one pending upload and the counts sum to
+    /// [`Self::in_flight`].
+    pub fn broadcasts(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.broadcasts.iter().map(|(&round, b)| (round, b.uploads))
+    }
+
+    /// Drop `uploads` references to `round`'s broadcast, and the snapshot
+    /// with the last of them.
+    fn release(&mut self, round: usize, uploads: usize) {
+        let broadcast = self
+            .broadcasts
+            .get_mut(&round)
+            .expect("pending upload without its broadcast");
+        broadcast.uploads -= uploads;
+        if broadcast.uploads == 0 {
+            self.broadcasts.remove(&round);
+        }
+    }
+
+    /// Train this round's `arrivals` — `(dispatch, dispatch round)` in
+    /// arrival order — and park the updates in the buffer in that order.
+    /// Arrivals are grouped by dispatch round so that each group is one
+    /// `train` call from its round's broadcast: a session's callback fans
+    /// a group out over its clients.
+    fn train_arrivals(&mut self, train: &TrainFn<'_>, arrivals: &[(Dispatch, usize)]) {
+        let mut by_round: Vec<usize> = (0..arrivals.len()).collect();
+        by_round.sort_by_key(|&i| arrivals[i].1);
+        let mut trained: Vec<Option<(ClientUpdate, usize)>> = Vec::new();
+        trained.resize_with(arrivals.len(), || None);
+        for group in by_round.chunk_by(|&a, &b| arrivals[a].1 == arrivals[b].1) {
+            let round = arrivals[group[0]].1;
+            let broadcast = &self.broadcasts[&round];
+            let ctx = TrainContext {
+                round,
+                seed: broadcast.seed,
+                global: &broadcast.global,
+            };
+            let dispatches: Vec<Dispatch> = group.iter().map(|&i| arrivals[i].0).collect();
+            let updates = dispatch_train(train, &ctx, &dispatches, self.cfg.parallel_dispatch);
+            for (&i, update) in group.iter().zip(updates) {
+                trained[i] = Some((update, broadcast.version));
+            }
+            self.release(round, group.len());
+        }
+        self.buffer.extend(
+            trained
+                .into_iter()
+                .map(|t| t.expect("every arrival trained")),
+        );
     }
 }
 
@@ -1000,20 +1143,19 @@ impl RoundExecutor for BufferedExecutor {
         ExecutorView {
             staleness_discount: self.cfg.staleness,
             server_mix: self.cfg.server_mix.unwrap_or(1.0),
-            // Read straight off the live event state: uploads still
-            // traveling plus reports parked in the partial buffer — both
-            // make their client "busy" at the next dispatch.
-            in_flight: self
-                .in_flight
-                .iter()
-                .chain(self.buffer.iter())
-                .map(|(u, _)| u.client_id)
-                .collect(),
+            // Uploads still traveling plus reports parked in the partial
+            // buffer — both make their client "busy" at the next dispatch.
+            in_flight: Cow::Borrowed(&self.busy),
             ..self.planner.view()
         }
     }
 
-    fn execute(&mut self, round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
+    fn execute(
+        &mut self,
+        ctx: &TrainContext<'_>,
+        selected: &[usize],
+        train: &TrainFn<'_>,
+    ) -> RoundOutcome {
         let round_start_s = self.clock.now_s();
 
         // --- Dispatch: no deadline to fit, so everyone neither departed,
@@ -1022,43 +1164,69 @@ impl RoundExecutor for BufferedExecutor {
         // full model against the current version. Churn is brought up to
         // the persistent clock first (the drain loop below keeps
         // advancing it event by event).
-        let (in_flight, buffer) = (&self.in_flight, &self.buffer);
-        let (alive, mut hetero) = self.planner.plan(round, round_start_s, selected, |cid| {
-            in_flight.iter().any(|(u, _)| u.client_id == cid)
-                || buffer.iter().any(|(u, _)| u.client_id == cid)
-        });
+        let busy = &self.busy;
+        let (alive, mut hetero) = self
+            .planner
+            .plan(ctx.round, round_start_s, selected, |cid| {
+                busy.contains(&cid)
+            });
         let version = self.planner.version();
-        let dispatched = dispatch_train(train, &alive, self.cfg.parallel_dispatch);
         self.planner
             .schedule_uploads(&alive, round_start_s, &mut self.queue);
-        self.in_flight
-            .extend(dispatched.into_iter().map(|u| (u, version)));
+        if !alive.is_empty() {
+            // One snapshot per dispatching round, whatever its width.
+            let broadcast = self
+                .broadcasts
+                .entry(ctx.round)
+                .or_insert_with(|| Broadcast {
+                    seed: ctx.seed,
+                    global: ctx.global.to_vec(),
+                    version,
+                    uploads: 0,
+                });
+            broadcast.uploads += alive.len();
+        }
+        for d in &alive {
+            let upload = PendingUpload {
+                keep_ratio: d.keep_ratio,
+                round: ctx.round,
+            };
+            self.pending.insert(d.client_id, upload);
+            self.busy.insert(d.client_id);
+        }
 
         // --- Drain arrivals (possibly from earlier versions) until the
-        // buffer fills; stop immediately at `buffer_size` so later
+        // buffer would fill; stop immediately at `buffer_size` so later
         // arrivals stay queued for the next aggregation. The churn
         // timeline advances in lock-step with the clock: an upload whose
         // client departed before it landed is lost in transit — counted a
-        // straggler, never buffered.
-        while self.buffer.len() < self.cfg.buffer_size {
+        // straggler, never trained, never buffered.
+        let room = self.cfg.buffer_size - self.buffer.len();
+        let mut arrivals = Vec::with_capacity(room);
+        while arrivals.len() < room {
             let Some(event) = self.queue.pop() else { break };
             self.clock.advance_to(event.time_s);
-            let EventKind::UploadComplete { client_id, version } = event.kind else {
+            let EventKind::UploadComplete { client_id, .. } = event.kind else {
                 unreachable!("buffered executor schedules no deadline or churn events");
             };
-            let idx = self
-                .in_flight
-                .iter()
-                .position(|(u, v)| u.client_id == client_id && *v == version)
-                .expect("upload event without a matching in-flight update");
-            let arrived = self.in_flight.swap_remove(idx);
+            let upload = self
+                .pending
+                .remove(&client_id)
+                .expect("upload event without a pending dispatch");
             self.planner.advance_churn(event.time_s);
             if self.planner.is_active(client_id) {
-                self.buffer.push(arrived);
+                let dispatch = Dispatch {
+                    client_id,
+                    keep_ratio: upload.keep_ratio,
+                };
+                arrivals.push((dispatch, upload.round));
             } else {
                 hetero.stragglers += 1;
+                self.busy.remove(&client_id);
+                self.release(upload.round, 1);
             }
         }
+        self.train_arrivals(train, &arrivals);
 
         // --- Aggregate exactly `buffer_size` updates, or nothing: a
         // partial buffer persists (the server keeps waiting while the
@@ -1069,12 +1237,13 @@ impl RoundExecutor for BufferedExecutor {
         if self.buffer.len() == self.cfg.buffer_size {
             for (mut u, trained_version) in self.buffer.drain(..) {
                 u.staleness = version - trained_version;
+                self.busy.remove(&u.client_id);
                 aggregated.push(u);
             }
         }
         hetero.sim_time_s = self.clock.now_s() - round_start_s;
         hetero.buffered = self.buffer.len();
-        hetero.staleness = aggregated.iter().map(|u| u.staleness).collect();
+        hetero.staleness = narrow(aggregated.iter().map(|u| u.staleness));
         self.planner.finish_round(&aggregated, &mut hetero);
         RoundOutcome {
             updates: aggregated,
@@ -1115,11 +1284,20 @@ mod tests {
         fleet.completion_percentile_s(view.upload_bytes, pct)
     }
 
-    fn stub_train(dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
+    fn stub_train(_ctx: &TrainContext<'_>, dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
         dispatches
             .iter()
             .map(|d| stub_update(d.client_id))
             .collect()
+    }
+
+    /// Round `round`'s context for a stub that never reads the broadcast.
+    fn ctx(round: usize) -> TrainContext<'static> {
+        TrainContext {
+            round,
+            seed: 0,
+            global: &[],
+        }
     }
 
     fn skewed_cfg(deadline_s: Option<f64>, dropout: f64) -> HeteroConfig {
@@ -1139,7 +1317,7 @@ mod tests {
     #[test]
     fn ideal_executor_is_a_passthrough() {
         let selected = [3usize, 1, 4];
-        let out = IdealExecutor.execute(0, &selected, &stub_train);
+        let out = IdealExecutor.execute(&ctx(0), &selected, &stub_train);
         assert!(out.hetero.is_none());
         let ids: Vec<usize> = out.updates.iter().map(|u| u.client_id).collect();
         assert_eq!(ids, vec![3, 1, 4]);
@@ -1149,7 +1327,7 @@ mod tests {
     fn unbounded_round_time_is_max_of_completions() {
         let mut ex = DeadlineExecutor::new(skewed_cfg(None, 0.0), 8, 1000, 8, 7);
         let selected: Vec<usize> = (0..8).collect();
-        let out = ex.execute(0, &selected, &stub_train);
+        let out = ex.execute(&ctx(0), &selected, &stub_train);
         let h = out.hetero.unwrap();
         let expected = (0..8).map(|c| completion_s(&ex, c)).fold(0.0f64, f64::max);
         assert!((h.sim_time_s - expected).abs() < 1e-12);
@@ -1176,7 +1354,7 @@ mod tests {
             7,
         );
         let selected: Vec<usize> = (0..16).collect();
-        let out = ex.execute(0, &selected, &stub_train);
+        let out = ex.execute(&ctx(0), &selected, &stub_train);
         let h = out.hetero.unwrap();
         assert!(h.stragglers > 0, "median deadline produced no stragglers");
         assert!(h.aggregated() < 16);
@@ -1198,15 +1376,15 @@ mod tests {
         let selected: Vec<usize> = (0..10).collect();
         let (mut a, mut b) = (mk(), mk());
         let (oa, ob) = (
-            a.execute(3, &selected, &stub_train),
-            b.execute(3, &selected, &stub_train),
+            a.execute(&ctx(3), &selected, &stub_train),
+            b.execute(&ctx(3), &selected, &stub_train),
         );
         let (ha, hb) = (oa.hetero.unwrap(), ob.hetero.unwrap());
         assert_eq!(ha, hb, "same seed must reproduce the same dropouts");
         assert!(ha.dropouts > 0, "p=0.5 over 10 clients drew no dropout");
         assert_eq!(ha.aggregated() + ha.dropouts, 10);
         // A different round draws a different pattern eventually.
-        let oc = a.execute(4, &selected, &stub_train);
+        let oc = a.execute(&ctx(4), &selected, &stub_train);
         assert!(oc.hetero.unwrap().aggregated() <= 10);
     }
 
@@ -1228,12 +1406,12 @@ mod tests {
         );
         // Round 0: slowest 6 clients — some miss the deadline.
         let first: Vec<usize> = (0..6).collect();
-        let o0 = ex.execute(0, &first, &stub_train);
+        let o0 = ex.execute(&ctx(0), &first, &stub_train);
         let h0 = o0.hetero.unwrap();
         assert!(h0.stragglers > 0, "deadline cut nobody");
         // Round 1: disjoint clients; the stale updates ride along.
         let second: Vec<usize> = (6..12).collect();
-        let o1 = ex.execute(1, &second, &stub_train);
+        let o1 = ex.execute(&ctx(1), &second, &stub_train);
         let h1 = o1.hetero.unwrap();
         assert_eq!(h1.carried_in.min(1), 1, "no stale update carried in");
         assert!(h1.aggregated() <= 6, "carry-over exceeded participant cap");
@@ -1258,27 +1436,27 @@ mod tests {
         };
         let mut ex = DeadlineExecutor::new(cfg, 8, 1000, 2, 7);
         // Round 0: clients 0, 1 straggle and are queued.
-        let o0 = ex.execute(0, &[0, 1], &stub_train);
+        let o0 = ex.execute(&ctx(0), &[0, 1], &stub_train);
         assert_eq!(o0.hetero.unwrap().stragglers, 2);
         assert!(o0.updates.is_empty());
         // Their late updates now wait server-side: selection policies
         // must see them as pending so re-dispatch (which would supersede
         // the queued work) is a last resort.
-        assert_eq!(ex.view().in_flight, vec![0, 1]);
+        assert_eq!(*ex.view().in_flight, BTreeSet::from([0, 1]));
         // Round 1: clients 2, 3 also straggle — zero fresh arrivals, so
         // the two queued updates finally fill the round's capacity.
-        let o1 = ex.execute(1, &[2, 3], &stub_train);
+        let o1 = ex.execute(&ctx(1), &[2, 3], &stub_train);
         let h1 = o1.hetero.unwrap();
         assert_eq!(h1.carried_in, 2);
         assert_eq!(h1.aggregated_ids, vec![0, 1]);
         assert_eq!(
-            ex.view().in_flight,
-            vec![2, 3],
+            *ex.view().in_flight,
+            BTreeSet::from([2, 3]),
             "consumed carried updates must leave the pending set"
         );
         // Round 2: the newer stale updates (2, 3) ride in next — nothing
         // was silently discarded while capacity was available.
-        let o2 = ex.execute(2, &[4, 5], &stub_train);
+        let o2 = ex.execute(&ctx(2), &[4, 5], &stub_train);
         assert_eq!(o2.hetero.unwrap().aggregated_ids, vec![2, 3]);
     }
 
@@ -1287,7 +1465,7 @@ mod tests {
         let mut cfg = skewed_cfg(Some(1e6), 0.0);
         cfg.fleet.dropout = 0.999_999;
         let mut ex = DeadlineExecutor::new(cfg, 5, 100, 5, 3);
-        let out = ex.execute(0, &[0, 1, 2, 3, 4], &stub_train);
+        let out = ex.execute(&ctx(0), &[0, 1, 2, 3, 4], &stub_train);
         let h = out.hetero.unwrap();
         assert_eq!(h.dropouts, 5);
         assert_eq!(h.aggregated(), 0);
@@ -1376,18 +1554,18 @@ mod tests {
 
         // Round 0: two stragglers get queued, trained against model
         // version 0 (nothing aggregates, so the version stays 0).
-        let o0 = ex.execute(0, &[slow[0], slow[1]], &stub_train);
+        let o0 = ex.execute(&ctx(0), &[slow[0], slow[1]], &stub_train);
         assert_eq!(o0.hetero.unwrap().stragglers, 2);
         assert!(o0.updates.is_empty());
         // Rounds 1 and 2: two fresh arrivals each fill the capacity — the
         // stale updates wait while the global advances to version 2.
         for round in [1, 2] {
-            let o = ex.execute(round, &[fast[0], fast[1]], &stub_train);
+            let o = ex.execute(&ctx(round), &[fast[0], fast[1]], &stub_train);
             assert_eq!(o.hetero.unwrap().carried_in, 0);
         }
         // Round 3: one fresh arrival leaves one slot; the oldest stale
         // update rides in, now two model versions behind.
-        let o3 = ex.execute(3, &[fast[2]], &stub_train);
+        let o3 = ex.execute(&ctx(3), &[fast[2]], &stub_train);
         let h3 = o3.hetero.unwrap();
         assert_eq!(h3.carried_in, 1);
         assert_eq!(o3.updates.len(), 2);
@@ -1431,7 +1609,7 @@ mod tests {
         let step = completion_s(&ex, 0);
         for round in 0..3 {
             let selected = [0usize, 3, 1, 2];
-            let out = ex.execute(round, &selected, &stub_train);
+            let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.unwrap();
             let ids: Vec<usize> = out.updates.iter().map(|u| u.client_id).collect();
             assert_eq!(ids, vec![0, 3, 1, 2], "round {round}: not sampling order");
@@ -1451,7 +1629,7 @@ mod tests {
         let mut order: Vec<usize> = (0..4).collect();
         order.sort_by(|&a, &b| completion(&ex, a).total_cmp(&completion(&ex, b)));
 
-        let out = ex.execute(0, &[0, 1, 2, 3], &stub_train);
+        let out = ex.execute(&ctx(0), &[0, 1, 2, 3], &stub_train);
         let h = out.hetero.unwrap();
         let ids: Vec<usize> = out.updates.iter().map(|u| u.client_id).collect();
         assert_eq!(
@@ -1464,7 +1642,7 @@ mod tests {
 
         // Next round redispatches only idle devices; the leftover uploads
         // from version 0 fill the buffer with positive staleness.
-        let out1 = ex.execute(1, &[0, 1, 2, 3], &stub_train);
+        let out1 = ex.execute(&ctx(1), &[0, 1, 2, 3], &stub_train);
         let h1 = out1.hetero.unwrap();
         assert_eq!(h1.busy, 2, "in-flight devices must be skipped");
         assert_eq!(out1.updates.len(), 2);
@@ -1474,7 +1652,7 @@ mod tests {
         );
         assert_eq!(
             h1.staleness,
-            out1.updates.iter().map(|u| u.staleness).collect::<Vec<_>>()
+            narrow(out1.updates.iter().map(|u| u.staleness))
         );
     }
 
@@ -1488,7 +1666,7 @@ mod tests {
         let mut nonempty = 0usize;
         for round in 0..12 {
             let selected: Vec<usize> = (0..10).filter(|c| (c + round) % 2 == 0).collect();
-            let out = ex.execute(round, &selected, &stub_train);
+            let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.unwrap();
             dispatched += selected.len() - h.dropouts - h.busy;
             assert!(
@@ -1523,7 +1701,7 @@ mod tests {
         let selected: Vec<usize> = (0..10).collect();
         let mut total_dropouts = 0;
         for round in 0..20 {
-            let out = ex.execute(round, &selected, &stub_train);
+            let out = ex.execute(&ctx(round), &selected, &stub_train);
             total_dropouts += out.hetero.unwrap().dropouts;
         }
         let stats = ex.view().reliability.expect("deadline telemetry");
@@ -1554,7 +1732,7 @@ mod tests {
     #[test]
     fn buffered_in_flight_accessor_reads_the_live_queue() {
         let mut ex = BufferedExecutor::new(buffered_cfg(8.0, 2), 4, 1000, 4, 7);
-        let out = ex.execute(0, &[0, 1, 2, 3], &stub_train);
+        let out = ex.execute(&ctx(0), &[0, 1, 2, 3], &stub_train);
         assert_eq!(out.updates.len(), 2);
         let in_flight = ex.view().in_flight;
         assert_eq!(in_flight.len(), ex.in_flight() + ex.buffered());
@@ -1582,7 +1760,7 @@ mod tests {
     #[test]
     fn reliability_table_is_sparse_over_observed_clients() {
         let mut ex = DeadlineExecutor::new(skewed_cfg(None, 0.0), 1_000, 500, 4, 21);
-        let out = ex.execute(0, &[3, 900, 17], &stub_train);
+        let out = ex.execute(&ctx(0), &[3, 900, 17], &stub_train);
         assert_eq!(out.updates.len(), 3);
         let stats = ex.view().reliability.unwrap();
         assert_eq!(
@@ -1613,7 +1791,7 @@ mod tests {
             (0..6)
                 .map(|round| {
                     let selected: Vec<usize> = (0..32).filter(|c| (c + round) % 4 == 0).collect();
-                    let out = ex.execute(round, &selected, &stub_train);
+                    let out = ex.execute(&ctx(round), &selected, &stub_train);
                     (
                         out.updates
                             .iter()
@@ -1634,7 +1812,7 @@ mod tests {
             (0..10)
                 .map(|round| {
                     let selected: Vec<usize> = (0..32).filter(|c| (c + round) % 4 == 0).collect();
-                    let out = ex.execute(round, &selected, &stub_train);
+                    let out = ex.execute(&ctx(round), &selected, &stub_train);
                     (
                         out.updates
                             .iter()
@@ -1681,7 +1859,7 @@ mod tests {
                 7,
             );
             let selected: Vec<usize> = (0..16).collect();
-            ex.execute(0, &selected, &stub_train).hetero.unwrap()
+            ex.execute(&ctx(0), &selected, &stub_train).hetero.unwrap()
         };
         let plain = run(None);
         assert!(plain.stragglers > 0, "median deadline cut nobody");
@@ -1735,10 +1913,10 @@ mod tests {
         });
         let mut ex = DeadlineExecutor::new(cfg, 8, 1000, 8, 7);
         let selected: Vec<usize> = (0..8).collect();
-        let h0 = ex.execute(0, &selected, &stub_train).hetero.unwrap();
+        let h0 = ex.execute(&ctx(0), &selected, &stub_train).hetero.unwrap();
         // The 12 s round window ticked the churn clock forward: with a 2 s
         // mean departure gap several devices left during the round.
-        let departed = ex.view().departed;
+        let departed: Vec<usize> = ex.view().departed.iter().copied().collect();
         assert!(!departed.is_empty(), "no departures in a 12 s window");
         assert_eq!(h0.departed, departed.len());
         assert_eq!(h0.joined, 0);
@@ -1751,7 +1929,7 @@ mod tests {
             departed.iter().map(|&c| stats.get(c).dropouts).sum()
         };
         let before = wasted_slots(&ex);
-        let o1 = ex.execute(1, &departed, &stub_train);
+        let o1 = ex.execute(&ctx(1), &departed, &stub_train);
         let h1 = o1.hetero.unwrap();
         assert_eq!(h1.dropouts, departed.len());
         assert!(o1.updates.is_empty());
@@ -1768,7 +1946,10 @@ mod tests {
             mean_departure_gap_s: 1e18,
         });
         let mut ex = DeadlineExecutor::new(cfg, 4, 1000, 8, 7);
-        let h0 = ex.execute(0, &[0, 1, 2, 3], &stub_train).hetero.unwrap();
+        let h0 = ex
+            .execute(&ctx(0), &[0, 1, 2, 3], &stub_train)
+            .hetero
+            .unwrap();
         let universe = ex.view().universe.unwrap();
         assert!(universe > 4, "no arrivals over a multi-second round");
         assert_eq!(h0.joined, universe - 4);
@@ -1776,7 +1957,7 @@ mod tests {
         // A minted id is immediately selectable: its profile derives on
         // demand and it trains like any founding client.
         let newcomer = universe - 1;
-        let o1 = ex.execute(1, &[newcomer], &stub_train);
+        let o1 = ex.execute(&ctx(1), &[newcomer], &stub_train);
         assert_eq!(o1.updates.len(), 1);
         assert_eq!(o1.updates[0].client_id, newcomer);
         assert_eq!(ex.view().reliability.unwrap().get(newcomer).dispatches, 1);
@@ -1795,7 +1976,7 @@ mod tests {
         for round in 0..15 {
             let universe = ex.view().universe.unwrap();
             let selected: Vec<usize> = (0..universe).filter(|c| (c + round) % 2 == 0).collect();
-            let out = ex.execute(round, &selected, &stub_train);
+            let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.unwrap();
             dispatched += selected.len() - h.dropouts - h.busy;
             aggregated += out.updates.len();

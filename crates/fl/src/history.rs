@@ -13,6 +13,18 @@ fn usize_is_zero(n: &usize) -> bool {
     *n == 0
 }
 
+/// Client ids and staleness counts as the records store them: `u32`, half
+/// the bytes of a `usize` for values that never come near its range. The
+/// records of a run are retained for its whole length, so their width is
+/// what a long run's memory grows by; JSON is the same either way.
+///
+/// # Panics
+/// Panics on a value beyond `u32::MAX`.
+pub fn narrow(values: impl IntoIterator<Item = usize>) -> Vec<u32> {
+    let to_u32 = |v| u32::try_from(v).expect("client ids and staleness counts fit in 32 bits");
+    values.into_iter().map(to_u32).collect()
+}
+
 /// Heterogeneity telemetry for one round (produced by
 /// `executor::DeadlineExecutor` and `executor::BufferedExecutor`; absent
 /// for the ideal executor).
@@ -58,19 +70,24 @@ pub struct HeteroRoundRecord {
     /// `aggregated_ids` (omitted from JSON when empty — an all-fresh
     /// round under a round-barrier executor records nothing here).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub staleness: Vec<usize>,
+    pub staleness: Vec<u32>,
     /// Ids of the clients whose updates were aggregated this round, in
     /// aggregation order — i.e. aligned with the record's
     /// `impact_factors`/`client_losses_before`. Unlike `selected` (the
     /// *sampled* set), this can omit dropouts/stragglers and, under
     /// carry-over, include clients sampled in an earlier round.
-    pub aggregated_ids: Vec<usize>,
+    pub aggregated_ids: Vec<u32>,
 }
 
 impl HeteroRoundRecord {
     /// Updates actually aggregated this round (arrivals + carried).
     pub fn aggregated(&self) -> usize {
         self.aggregated_ids.len()
+    }
+
+    /// Total staleness, in model versions, over this round's updates.
+    pub fn staleness_sum(&self) -> usize {
+        self.staleness.iter().map(|&s| s as usize).sum()
     }
 }
 
@@ -87,7 +104,10 @@ pub struct RoundRecord {
     /// this is also the aggregated set; under hetero executors the
     /// aggregated set is [`HeteroRoundRecord::aggregated_ids`] instead
     /// (dropouts/stragglers omitted, carried-over updates included).
-    pub selected: Vec<usize>,
+    /// Allocated at exactly its length: the policy's own buffer, which may
+    /// be a candidate pool several times `K` wide, is not what a record
+    /// keeps for the rest of the run.
+    pub selected: Vec<u32>,
     /// Normalized impact factors applied at aggregation, one per
     /// *aggregated* update in aggregation order — aligned with
     /// [`HeteroRoundRecord::aggregated_ids`] when `hetero` is present
@@ -189,7 +209,7 @@ impl RunHistory {
         let (mut total, mut count) = (0usize, 0usize);
         for r in &self.records {
             if let Some(h) = &r.hetero {
-                total += h.staleness.iter().sum::<usize>();
+                total += h.staleness_sum();
                 count += h.staleness.len();
             }
         }

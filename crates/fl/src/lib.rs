@@ -88,7 +88,8 @@ pub mod prelude {
     pub use crate::executor::{
         BufferedConfig, BufferedExecutor, ClientReliability, DeadlineExecutor, Dispatch,
         ExecutorConfig, ExecutorView, HeteroConfig, IdealExecutor, LatePolicy, ReliabilityTable,
-        RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainFn,
+        RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainContext,
+        TrainFn,
     };
     pub use crate::history::{HeteroRoundRecord, RoundRecord, RunHistory};
     pub use crate::metrics::{
@@ -102,7 +103,7 @@ pub mod prelude {
     pub use crate::server_opt::{AdaptiveParams, ServerOpt, ServerOptConfig};
     pub use crate::session::{
         EarlyStop, ProgressLogger, RoundControl, RoundObserver, RoundSignals, Session,
-        SessionBuilder, SessionTrainFn, TrainContext,
+        SessionBuilder, SessionTrainFn,
     };
     pub use crate::singleset::{run_singleset, SingleSetConfig};
     pub use crate::strategy::{

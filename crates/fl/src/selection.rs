@@ -23,7 +23,6 @@ use crate::executor::ExecutorView;
 use feddrl_nn::rng::Rng64;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
 /// Client-selection policy for each round (config-layer representation;
 /// [`Selection::build`] produces the executable [`SelectionPolicy`]).
@@ -152,10 +151,9 @@ impl SelectionContext<'_> {
     }
 
     /// Whether `client_id` has departed the fleet under churn (a dispatch
-    /// would be wasted as a guaranteed dropout). `departed` is sorted
-    /// ascending, so membership is a binary search.
+    /// would be wasted as a guaranteed dropout).
     pub fn is_departed(&self, client_id: usize) -> bool {
-        self.executor.departed.binary_search(&client_id).is_ok()
+        self.executor.departed.contains(&client_id)
     }
 }
 
@@ -307,6 +305,8 @@ fn report_probability(ctx: &SelectionContext<'_>, client_id: usize) -> f64 {
 /// Sort `pool` viable-before-unviable-before-departed, then by `score`
 /// descending; stable, so ties keep the uniformly-sampled pool order and
 /// the result is deterministic under a fixed seed. Returns the first `k`.
+/// Busy and departed are lookups in the sets the executor's view lends,
+/// so the cost tracks the pool, neither the fleet nor what is pending.
 ///
 /// Unviable — kept only when the pool has nothing better — means busy
 /// (an update in flight: the executor would skip the dispatch) or a
@@ -332,12 +332,6 @@ fn rank_and_take(
     k: usize,
     score: impl Fn(usize) -> f64,
 ) -> Vec<usize> {
-    // Index the in-flight set once: a per-candidate `is_in_flight` scan
-    // is quadratic over wide pools with many updates in the air. A hash
-    // set (not a dense `vec![false; n_clients]`) keeps the cost
-    // proportional to the in-flight count, not the fleet size — at
-    // million-client scale the dense mask would dominate selection.
-    let busy: HashSet<usize> = ctx.executor.in_flight.iter().copied().collect();
     let doomed = |c: usize| -> bool {
         match (ctx.executor.deadline_s, ctx.predicted_completion_s(c)) {
             (Some(dl), Some(t)) => t > dl,
@@ -347,7 +341,7 @@ fn rank_and_take(
     let tier = |c: usize| -> u8 {
         if ctx.is_departed(c) {
             2
-        } else if busy.contains(&c) || doomed(c) {
+        } else if ctx.is_in_flight(c) || doomed(c) {
             1
         } else {
             0
@@ -424,6 +418,7 @@ mod tests {
     use super::*;
     use crate::executor::{ClientReliability, ReliabilityTable};
     use feddrl_sim::device::{FleetConfig, FleetView};
+    use std::borrow::Cow;
 
     fn ctx_parts(n: usize) -> (Vec<Option<f32>>, Vec<usize>) {
         ((0..n).map(|i| Some(1.0 + i as f32)).collect(), vec![0; n])
@@ -696,7 +691,7 @@ mod tests {
     fn in_flight_clients_rank_behind_every_idle_candidate() {
         let (loss, part) = ctx_parts(6);
         let mut ctx = base_ctx(6, 3, &loss, &part);
-        ctx.executor.in_flight = vec![0, 1, 2];
+        ctx.executor.in_flight = Cow::Owned([0, 1, 2].into());
         for mut policy in [
             Box::new(ReliabilityAwareSelection { candidates: 6 }) as Box<dyn SelectionPolicy>,
             Box::new(StalenessBalancedSelection { candidates: 6 }),
@@ -723,8 +718,8 @@ mod tests {
         // busy client must still outrank the departed ones if forced.
         let (loss, part) = ctx_parts(6);
         let mut ctx = base_ctx(6, 3, &loss, &part);
-        ctx.executor.in_flight = vec![2];
-        ctx.executor.departed = vec![0, 1];
+        ctx.executor.in_flight = Cow::Owned([2].into());
+        ctx.executor.departed = Cow::Owned([0, 1].into());
         assert!(ctx.is_departed(0) && ctx.is_departed(1) && !ctx.is_departed(2));
         for mut policy in [
             Box::new(ReliabilityAwareSelection { candidates: 6 }) as Box<dyn SelectionPolicy>,

@@ -27,10 +27,11 @@
 //! historical `run_federated` loop (enforced by the committed golden
 //! fixture).
 
-use crate::client::{dispatch_mask, run_local_round, run_local_round_masked, ClientUpdate};
+use crate::client::{dispatch_mask, run_local_round, run_local_round_masked};
 use crate::error::FlError;
-use crate::executor::{Dispatch, ExecutorConfig, RoundExecutor, StalenessDiscount};
-use crate::history::{RoundRecord, RunHistory};
+pub use crate::executor::TrainContext;
+use crate::executor::{Dispatch, ExecutorConfig, RoundExecutor, StalenessDiscount, TrainFn};
+use crate::history::{narrow, RoundRecord, RunHistory};
 use crate::metrics::evaluate;
 use crate::selection::{Selection, SelectionContext, SelectionPolicy};
 use crate::server::FlConfig;
@@ -148,30 +149,16 @@ impl RoundObserver for EarlyStop {
     }
 }
 
-/// What a [`SessionTrainFn`] override sees when the executor asks it to
-/// train a dispatch batch: the round, the master seed, and the flat
-/// parameters of the global model broadcast this round — everything the
-/// default (real-training) callback derives its per-client RNG streams
-/// and model clones from.
-pub struct TrainContext<'a> {
-    /// Communication round being executed (0-based).
-    pub round: usize,
-    /// The session's master seed (client streams derive from
-    /// `(seed, round, client_id)`).
-    pub seed: u64,
-    /// Flat parameters of the global model broadcast this round.
-    pub global: &'a [f32],
-}
-
 /// A session-level override for local training, installed with
-/// [`SessionBuilder::train_fn`]: given the round's [`TrainContext`] and
-/// the executor's dispatch orders, produce the client updates. Replaces
-/// the built-in real-training callback — deterministic stubs make
+/// [`SessionBuilder::train_fn`]: given the dispatch round's
+/// [`TrainContext`] and the executor's dispatch orders, produce the
+/// client updates. It is the executors' [`TrainFn`] itself — the built-in
+/// real-training callback is one too — so an override replaces the
+/// default and nothing else changes. Deterministic stubs make
 /// executor-reduction tests (and transport benchmarks) independent of
 /// training compute, while the loopback runtime uses it to mirror what
 /// its remote workers compute.
-pub type SessionTrainFn<'a> =
-    dyn Fn(&TrainContext<'_>, &[Dispatch]) -> Vec<ClientUpdate> + Sync + 'a;
+pub type SessionTrainFn<'a> = TrainFn<'a>;
 
 /// Builder for a federated [`Session`].
 ///
@@ -535,28 +522,29 @@ impl<'a> Session<'a> {
             self.participation[c] += 1;
         }
 
-        // --- Round execution: the executor trains the (non-dropped)
-        // clients in parallel — one crossbeam task each — and returns the
-        // updates that made it back in time.
+        // --- Round execution: the executor decides who trains, and when
+        // their reports land; `train` runs the local rounds of a dispatch
+        // batch in parallel — one crossbeam task each — from the broadcast
+        // of the round they were dispatched in, which under the buffered
+        // executor is not this one.
         let global_flat = self.global.flat_params();
         let global = &self.global;
         let train_set = self.train;
         let partition = self.partition;
         let local_cfg = &self.local_cfg;
-        let seed = self.cfg.seed;
         // Clients that joined under churn have ids beyond the fixed data
         // partition; they train on a shard chosen by residue — the
         // identity map for every original id, so churn-free runs keep
         // their exact historical shards.
         let n_shards = partition.n_clients();
-        let train_subset = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+        let train_locally = |ctx: &TrainContext<'_>, dispatches: &[Dispatch]| {
             par_map(dispatches, |_, &d| {
                 let client_id = d.client_id;
-                // The clone already carries the broadcast params exactly
-                // (`global` does not change mid-round).
-                let model = global.clone();
+                let (seed, round) = (ctx.seed, ctx.round as u64);
+                let mut model = global.clone();
+                model.set_flat_params(ctx.global);
                 let mut rng = Rng64::new(seed ^ 0xC11E)
-                    .derive(round as u64)
+                    .derive(round)
                     .derive(client_id as u64);
                 if d.keep_ratio < 1.0 {
                     // Structured sub-model dispatch: the mask comes from
@@ -565,8 +553,7 @@ impl<'a> Session<'a> {
                     // shared `dispatch_mask` helper is the same derivation
                     // networked workers use, which is what makes wire-level
                     // masked dispatch bit-identical to this path.
-                    let mask =
-                        dispatch_mask(&model, seed, round as u64, client_id as u64, d.keep_ratio);
+                    let mask = dispatch_mask(&model, seed, round, client_id as u64, d.keep_ratio);
                     run_local_round_masked(
                         model,
                         train_set,
@@ -588,25 +575,23 @@ impl<'a> Session<'a> {
                 }
             })
         };
-        // Distributed executors fan the broadcast weights out to their
-        // remote workers here; every in-process executor keeps the no-op
-        // default (its `train` callback clones the live model directly).
-        self.executor.publish_model(round, &global_flat);
-        let outcome = match &self.train_override {
-            Some(train) => {
-                let ctx = TrainContext {
-                    round,
-                    seed,
-                    global: &global_flat,
-                };
-                let stubbed = |dispatches: &[Dispatch]| train(&ctx, dispatches);
-                self.executor.execute(round, &selected, &stubbed)
-            }
-            None => self.executor.execute(round, &selected, &train_subset),
+        let train: &TrainFn<'_> = match &self.train_override {
+            Some(train) => &**train,
+            None => &train_locally,
         };
+        // Distributed executors fan the broadcast weights out to their
+        // remote workers here; in-process ones train from the context.
+        self.executor.publish_model(round, &global_flat);
+        let ctx = TrainContext {
+            round,
+            seed: self.cfg.seed,
+            global: &global_flat,
+        };
+        let outcome = self.executor.execute(&ctx, &selected, train);
         let updates = outcome.updates;
         // The executor's post-round state: how to weigh what it returned,
-        // and what it still has pending (for the observers below).
+        // and what it still has pending (for the observers below). The
+        // view borrows, so this second one costs nothing.
         let after = self.executor.view();
         let (discount, eta) = (after.staleness_discount, after.server_mix);
         let in_flight = after.in_flight.len();
@@ -687,7 +672,7 @@ impl<'a> Session<'a> {
             round,
             test_accuracy,
             test_loss,
-            selected,
+            selected: narrow(selected),
             impact_factors: alphas,
             client_losses_before: updates.iter().map(|u| u.loss_before).collect(),
             strategy_micros,
@@ -705,7 +690,7 @@ impl<'a> Session<'a> {
             self.total_dropouts += h.dropouts;
             self.total_stragglers += h.stragglers;
             self.cum_sim_time_s += h.sim_time_s;
-            self.staleness_sum += h.staleness.iter().sum::<usize>();
+            self.staleness_sum += h.staleness_sum();
             self.staleness_count += h.staleness.len();
         }
         let signals = RoundSignals {

@@ -38,6 +38,7 @@
 //! measured staleness, and the server's publish bytes-on-wire counters
 //! for benches to report.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -47,9 +48,10 @@ use parking_lot::Mutex;
 use feddrl_fl::client::{dispatch_mask, ClientUpdate};
 use feddrl_fl::dispatch::{keep_ratio, KeepRatio};
 use feddrl_fl::executor::{
-    ExecutorView, RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainFn,
+    ExecutorView, RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig,
+    TrainContext, TrainFn,
 };
-use feddrl_fl::history::HeteroRoundRecord;
+use feddrl_fl::history::{narrow, HeteroRoundRecord};
 use feddrl_nn::model::Sequential;
 use feddrl_sim::device::{nearest_rank, FleetView};
 
@@ -356,7 +358,13 @@ impl RoundExecutor for NetworkExecutor {
     /// Training happens on the remote workers, so the session's `train`
     /// callback is deliberately ignored here — the closure workers
     /// registered with [`crate::client::run_client`] plays its role.
-    fn execute(&mut self, round: usize, selected: &[usize], _train: &TrainFn<'_>) -> RoundOutcome {
+    fn execute(
+        &mut self,
+        ctx: &TrainContext<'_>,
+        selected: &[usize],
+        _train: &TrainFn<'_>,
+    ) -> RoundOutcome {
+        let round = ctx.round;
         let round_start = Instant::now();
 
         // Dispatches to clients that departed while in flight are lost.
@@ -487,8 +495,8 @@ impl RoundExecutor for NetworkExecutor {
                     busy,
                     departed: newly_departed,
                     masked: arrived.iter().filter(|(_, u)| u.mask.is_some()).count(),
-                    staleness: arrived.iter().map(|(_, u)| u.staleness).collect(),
-                    aggregated_ids: arrived.iter().map(|(cid, _)| *cid).collect(),
+                    staleness: narrow(arrived.iter().map(|(_, u)| u.staleness)),
+                    aggregated_ids: narrow(arrived.iter().map(|(cid, _)| *cid)),
                     ..HeteroRoundRecord::default()
                 };
                 RoundOutcome {
@@ -503,9 +511,11 @@ impl RoundExecutor for NetworkExecutor {
         // Sweep first so silence observed since the last round surfaces
         // as departure before selection runs.
         let _ = self.server.sweep_expired();
+        // The registry sits behind the server's lock, so the sets are
+        // copied out, a handful of workers wide.
         ExecutorView {
-            departed: self.server.departed(),
-            in_flight: self.pending.keys().copied().collect(),
+            departed: Cow::Owned(self.server.departed().into_iter().collect()),
+            in_flight: Cow::Owned(self.pending.keys().copied().collect()),
             staleness_discount: self.discount,
             server_mix: self.server_mix,
             ..ExecutorView::default()
@@ -578,7 +588,12 @@ mod tests {
         use crate::builder::NetServerBuilder;
         let server = NetServerBuilder::new().build().expect("bind");
         let mut executor = NetworkExecutor::buffered(server, 2);
-        let out = executor.execute(0, &[0, 1, 2], &|_| Vec::new());
+        let ctx = TrainContext {
+            round: 0,
+            seed: 0,
+            global: &[],
+        };
+        let out = executor.execute(&ctx, &[0, 1, 2], &|_, _| Vec::new());
         assert!(out.updates.is_empty());
         assert_eq!(out.hetero.expect("buffered record").dropouts, 3);
         assert_eq!(executor.model_version(), 0);

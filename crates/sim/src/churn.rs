@@ -174,10 +174,10 @@ impl ChurnProcess {
         self.now_s
     }
 
-    /// The departed client ids, ascending (sparse: one entry per client
-    /// that actually left, regardless of fleet size).
-    pub fn departed_ids(&self) -> Vec<usize> {
-        self.departed.iter().copied().collect()
+    /// The departed client ids (sparse: one entry per client that
+    /// actually left, regardless of fleet size).
+    pub fn departed(&self) -> &BTreeSet<usize> {
+        &self.departed
     }
 }
 
@@ -220,7 +220,7 @@ mod tests {
         }
         assert_eq!(ea, incremental);
         assert_eq!(a.universe(), c.universe());
-        assert_eq!(a.departed_ids(), c.departed_ids());
+        assert_eq!(a.departed(), c.departed());
     }
 
     #[test]
@@ -262,10 +262,7 @@ mod tests {
             }
         }
         assert_eq!(p.universe(), next_expected);
-        assert_eq!(
-            p.departed_ids(),
-            seen_leaves.into_iter().collect::<Vec<_>>()
-        );
+        assert_eq!(p.departed(), &seen_leaves);
         assert!(!p.is_active(p.universe()), "unminted id counted active");
     }
 
@@ -273,10 +270,10 @@ mod tests {
     fn rewind_is_a_no_op() {
         let mut p = quick();
         let _ = p.advance_to(100.0);
-        let (universe, departed) = (p.universe(), p.departed_ids());
+        let (universe, departed) = (p.universe(), p.departed().clone());
         assert!(p.advance_to(50.0).is_empty());
         assert_eq!(p.universe(), universe);
-        assert_eq!(p.departed_ids(), departed);
+        assert_eq!(p.departed(), &departed);
         assert_eq!(p.now_s(), 100.0);
     }
 

@@ -33,7 +33,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 mod common;
-use common::golden_json;
+use common::{ctx, golden_json};
 
 /// The golden fixture's environment (must match `server_props`).
 fn golden_setup() -> (ModelSpec, Dataset, Dataset, Partition, FlConfig) {
@@ -98,7 +98,7 @@ fn stub_update(client_id: usize) -> ClientUpdate {
     }
 }
 
-fn stub_train(dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
+fn stub_train(_ctx: &TrainContext<'_>, dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
     dispatches
         .iter()
         .map(|d| stub_update(d.client_id))
@@ -156,6 +156,67 @@ fn full_buffer_on_homogeneous_fleet_reduces_to_ideal_golden_fixture() {
     );
 }
 
+/// The buffered golden fixture's run: a 200-client skewed fleet with
+/// dropout, diurnal availability and churn, staleness-balanced selection,
+/// `K = 16` dispatched and `m = 4` aggregated per round, real training.
+fn buffered_golden_history(parallel_dispatch: bool) -> RunHistory {
+    let (train, test) = SynthSpec {
+        train_size: 2_000,
+        test_size: 150,
+        ..SynthSpec::mnist_like()
+    }
+    .generate(5);
+    let partition = PartitionMethod::Iid
+        .partition(&train, 200, &mut Rng64::new(9))
+        .unwrap();
+    let (spec, _, _, _, golden_cfg) = golden_setup();
+    let cfg = FlConfig {
+        rounds: 60,
+        participants: 16,
+        selection: Selection::StalenessBalanced { candidates: 48 },
+        executor: ExecutorConfig::Buffered(BufferedConfig {
+            fleet: FleetConfig {
+                compute_skew: 4.0,
+                bandwidth_skew: 2.0,
+                dropout: 0.1,
+                diurnal: Some(Default::default()),
+                churn: Some(Default::default()),
+                seed: 0xB0FF,
+                ..Default::default()
+            },
+            buffer_size: 4,
+            parallel_dispatch,
+            ..Default::default()
+        }),
+        ..golden_cfg
+    };
+    run(&spec, &train, &test, &partition, &cfg)
+}
+
+/// The buffered executor's own golden fixture, recorded from the executor
+/// that trained every client at dispatch and parked the full update until
+/// its upload landed. Training at arrival, from a snapshot of the dispatch
+/// round's broadcast, must reproduce it byte for byte — on the serial
+/// path and under `parallel_dispatch`.
+#[test]
+fn buffered_executor_reproduces_its_golden_fixture() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/buffered_history.json"
+    );
+    let golden = std::fs::read_to_string(path).expect("read golden fixture");
+    for parallel_dispatch in [false, true] {
+        let history = buffered_golden_history(parallel_dispatch);
+        let stale = history.mean_staleness();
+        assert!(stale > 0.0, "the fixture must exercise stale arrivals");
+        assert_eq!(
+            golden_json(history),
+            golden,
+            "buffered history diverged from its fixture (parallel_dispatch = {parallel_dispatch})"
+        );
+    }
+}
+
 /// Contract 3: run the executor directly over a fleet with well-separated
 /// device speeds, all clients redispatched as soon as they idle. Mean
 /// observed staleness must be non-increasing in device speed — a faster
@@ -185,7 +246,7 @@ fn staleness_is_monotonically_non_increasing_in_device_speed() {
     let mut count = [0usize; N];
     let selected: Vec<usize> = (0..N).collect();
     for round in 0..200 {
-        let out = ex.execute(round, &selected, &stub_train);
+        let out = ex.execute(&ctx(round), &selected, &stub_train);
         for u in &out.updates {
             total[u.client_id] += u.staleness;
             count[u.client_id] += 1;
@@ -512,7 +573,7 @@ proptest! {
         let mut aggregations = 0usize;
         for round in 0..20 {
             let selected: Vec<usize> = (0..N).filter(|c| (c + round) % 2 == 0).collect();
-            let out = ex.execute(round, &selected, &stub_train);
+            let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.expect("buffered executor always reports");
             dispatched += selected.len() - h.dropouts - h.busy;
             prop_assert!(

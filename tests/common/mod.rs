@@ -27,3 +27,13 @@ pub fn scrubbed_json(mut history: RunHistory) -> String {
 pub fn golden_json(history: RunHistory) -> String {
     scrubbed_json(history) + "\n"
 }
+
+/// Round `round`'s training context for a stub that never reads the
+/// broadcast (suites that drive an executor without a session).
+pub fn ctx(round: usize) -> TrainContext<'static> {
+    TrainContext {
+        round,
+        seed: 0,
+        global: &[],
+    }
+}

@@ -20,7 +20,7 @@ use feddrl_repro::prelude::*;
 use proptest::prelude::*;
 
 mod common;
-use common::scrubbed_json;
+use common::{ctx, scrubbed_json};
 
 // ---------------------------------------------------------------------------
 // Churn process laws
@@ -58,12 +58,10 @@ proptest! {
                 prop_assert!(e.time_s <= step as f64 * step_s + 1e-9);
             }
         }
-        // Departed ids are sorted, unique, and all inactive; every other
-        // minted id is active.
-        let departed = p.departed_ids();
-        prop_assert!(departed.windows(2).all(|w| w[0] < w[1]));
+        // Departed ids are all inactive; every other minted id is active.
+        let departed = p.departed();
         prop_assert_eq!(departed.len(), p.leaves());
-        for &c in &departed {
+        for &c in departed {
             prop_assert!(!p.is_active(c), "departed client {} still active", c);
         }
         let active = (0..p.universe()).filter(|&c| p.is_active(c)).count();
@@ -513,7 +511,7 @@ fn stub_update(client_id: usize) -> ClientUpdate {
     }
 }
 
-fn stub_train(dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
+fn stub_train(_ctx: &TrainContext<'_>, dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
     dispatches
         .iter()
         .map(|d| stub_update(d.client_id))
@@ -547,7 +545,7 @@ fn drive_churned(
             }
         }
         let mut rng = master.derive(round as u64);
-        let departed = view.departed.clone();
+        let departed = view.departed.clone().into_owned();
         let selected = {
             let ctx = SelectionContext {
                 round,
@@ -566,12 +564,12 @@ fn drive_churned(
         if n - departed.len() >= k {
             for &c in &selected {
                 assert!(
-                    departed.binary_search(&c).is_err(),
+                    !departed.contains(&c),
                     "round {round}: selected departed client {c} with live candidates available"
                 );
             }
         }
-        let out = ex.execute(round, &selected, &stub_train);
+        let out = ex.execute(&ctx(round), &selected, &stub_train);
         for u in &out.updates {
             known_loss[u.client_id] = Some(u.loss_before);
         }
@@ -731,12 +729,12 @@ fn structured_dropout_rescues_deadline_pressed_devices() {
         };
         let mut ex = DeadlineExecutor::new(cfg, N, 60_000, N, 9);
         let seen = Mutex::new(Vec::new());
-        let train = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+        let train = |ctx: &TrainContext<'_>, dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
             seen.lock().unwrap().extend_from_slice(dispatches);
-            stub_train(dispatches)
+            stub_train(ctx, dispatches)
         };
         let selected: Vec<usize> = (0..N).collect();
-        let out = ex.execute(0, &selected, &train);
+        let out = ex.execute(&ctx(0), &selected, &train);
         (out, seen.into_inner().unwrap(), ex)
     };
 

@@ -32,7 +32,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
 mod common;
-use common::scrubbed_json;
+use common::{ctx, scrubbed_json};
 
 // ---------------------------------------------------------------------------
 // Codec laws (property-based)
@@ -539,7 +539,7 @@ fn ttl_expiry_surfaces_as_departure_through_the_executor() {
     while executor.view().departed.is_empty() && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(executor.view().departed, vec![3], "silence departs");
+    assert_eq!(*executor.view().departed, [3].into(), "silence departs");
     assert!(executor.server().is_live(1), "heartbeats keep 1 live");
 
     drop(executor); // shutdown → Bye → worker exits
@@ -548,8 +548,9 @@ fn ttl_expiry_surfaces_as_departure_through_the_executor() {
 
 /// The `ExecutorView` contract selection relies on, for every executor:
 /// the ideal view is the default one, a view only changes across an
-/// `execute` (or, over sockets, with the registry), and `departed` is
-/// ascending — `SelectionContext::is_departed` binary-searches it.
+/// `execute` (or, over sockets, with the registry), and `departed` is an
+/// ordered set — `SelectionContext::is_departed` looks ids up in it, and
+/// socket departures that happened out of id order still read ascending.
 #[test]
 fn executor_views_are_stable_snapshots_with_ascending_departures() {
     assert_eq!(IdealExecutor.view(), ExecutorView::default());
@@ -578,16 +579,15 @@ fn executor_views_are_stable_snapshots_with_ascending_departures() {
         Box::new(DeadlineExecutor::new(hetero, 8, 1000, 8, 7)),
         Box::new(BufferedExecutor::new(buffered, 8, 1000, 8, 7)),
     ];
-    let train = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+    let train = |_: &TrainContext<'_>, dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
         let update = |d: &Dispatch| stub_update(0, d.client_id, &[0.0; 4]);
         dispatches.iter().map(update).collect()
     };
     for mut ex in simulated {
         for round in 0..4 {
-            ex.execute(round, &[0, 1, 2, 3, 4, 5, 6, 7], &train);
+            ex.execute(&ctx(round), &[0, 1, 2, 3, 4, 5, 6, 7], &train);
             let view = ex.view();
             assert_eq!(view, ex.view(), "view changed without an execute");
-            assert!(view.departed.windows(2).all(|w| w[0] < w[1]));
         }
         assert!(!ex.view().departed.is_empty(), "no departure observed");
     }
@@ -622,7 +622,7 @@ fn executor_views_are_stable_snapshots_with_ascending_departures() {
     while executor.view().departed.len() < 3 && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(executor.view().departed, vec![2, 5, 9]);
+    assert_eq!(*executor.view().departed, [2, 5, 9].into());
     assert_eq!(executor.view(), executor.view());
 }
 
@@ -803,14 +803,14 @@ fn delta_publishes_reconstruct_exactly_through_the_worker_loop() {
 
     let mut executor = NetworkExecutor::barrier(server);
     let telemetry = executor.telemetry();
-    let noop_train: &TrainFn<'_> = &|_dispatches: &[Dispatch]| Vec::new();
+    let noop_train: &TrainFn<'_> = &|_, _| Vec::new();
     let mut global = vec![0.25f32; PARAMS];
     for round in 0..4usize {
         // One coordinate moves per round: the residual against the
         // previous publish is a single (index, value) pair.
         global[(round * 7) % PARAMS] = round as f32 + 1.5;
         executor.publish_model(round, &global);
-        let out = executor.execute(round, &[0, 1], noop_train);
+        let out = executor.execute(&ctx(round), &[0, 1], noop_train);
         assert_eq!(out.updates.len(), 2, "barrier collects both workers");
         for u in &out.updates {
             assert_eq!(
@@ -971,7 +971,12 @@ struct MaskedIdealExecutor {
 }
 
 impl RoundExecutor for MaskedIdealExecutor {
-    fn execute(&mut self, _round: usize, selected: &[usize], train: &TrainFn<'_>) -> RoundOutcome {
+    fn execute(
+        &mut self,
+        ctx: &TrainContext<'_>,
+        selected: &[usize],
+        train: &TrainFn<'_>,
+    ) -> RoundOutcome {
         let dispatches: Vec<Dispatch> = selected
             .iter()
             .map(|&c| Dispatch {
@@ -986,7 +991,7 @@ impl RoundExecutor for MaskedIdealExecutor {
             })
             .collect();
         RoundOutcome {
-            updates: train(&dispatches),
+            updates: train(ctx, &dispatches),
             hetero: None,
         }
     }
@@ -1160,21 +1165,21 @@ fn buffered_mode_measures_staleness_of_late_arrivals() {
         NetworkExecutor::buffered(server, 1).with_round_timeout(Duration::from_secs(30));
     let telemetry = executor.telemetry();
     let global = vec![0.5f32; 8];
-    let noop_train: &TrainFn<'_> = &|_dispatches: &[Dispatch]| Vec::new();
+    let noop_train: &TrainFn<'_> = &|_, _| Vec::new();
 
     // Round 0: both dispatched; the fast worker fills the buffer alone.
     executor.publish_model(0, &global);
-    let out0 = executor.execute(0, &[0, 1], noop_train);
+    let out0 = executor.execute(&ctx(0), &[0, 1], noop_train);
     let h0 = out0.hetero.expect("buffered rounds carry hetero records");
     assert_eq!(h0.aggregated_ids, vec![0], "fast worker wins round 0");
     assert_eq!(out0.updates[0].staleness, 0);
-    assert_eq!(executor.view().in_flight, vec![1], "slow one in flight");
+    assert_eq!(*executor.view().in_flight, [1].into(), "slow one in flight");
 
     // Round 1: select only the slow worker — still busy, so nothing new
     // is dispatched and the buffer drains its round-0 answer (trained on
     // version 0) against version counter 1 → measured staleness 1.
     executor.publish_model(1, &global);
-    let out1 = executor.execute(1, &[1], noop_train);
+    let out1 = executor.execute(&ctx(1), &[1], noop_train);
     let h1 = out1.hetero.expect("buffered rounds carry hetero records");
     assert!(h1.busy >= 1, "in-flight client skipped as busy");
     assert_eq!(h1.staleness, vec![1], "staleness measured, not simulated");

@@ -15,6 +15,9 @@
 use feddrl_repro::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+use common::ctx;
+
 fn reliability_cfg(
     seed: u64,
     compute_skew: f64,
@@ -181,7 +184,7 @@ fn stub_update(client_id: usize) -> ClientUpdate {
     }
 }
 
-fn stub_train(dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
+fn stub_train(_ctx: &TrainContext<'_>, dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
     dispatches
         .iter()
         .map(|d| stub_update(d.client_id))
@@ -217,7 +220,7 @@ fn drive(
             policy.select(&ctx, &mut rng)
         };
         assert_eq!(selected.len(), k);
-        let out = ex.execute(round, &selected, &stub_train);
+        let out = ex.execute(&ctx(round), &selected, &stub_train);
         for u in &out.updates {
             known_loss[u.client_id] = Some(u.loss_before);
         }
@@ -374,7 +377,7 @@ fn telemetry_totals_close_against_round_records() {
     let rec_staleness: usize = outcomes
         .iter()
         .filter_map(|o| o.hetero.as_ref())
-        .map(|h| h.staleness.iter().sum::<usize>())
+        .map(|h| h.staleness_sum())
         .sum();
     assert_eq!(stat_staleness, rec_staleness);
 }

@@ -23,18 +23,27 @@
 //! 6. **Memory proportionality** — a full buffered round at N = 10^5
 //!    keeps telemetry entries bounded by the distinct clients dispatched
 //!    and profile derivations proportional to the clients actually
-//!    consulted (the `exp_scale` claim, pinned as a test).
+//!    consulted.
+//! 7. **Long-run bookkeeping** — over 3 000 rounds of a 10^5-client
+//!    buffered session a client is pending at most once, every dispatch
+//!    is aggregated, lost, traveling or parked, `train` runs exactly once
+//!    per upload that arrives with its client still active, and every
+//!    broadcast snapshot is held by an upload still traveling.
 
 use feddrl_repro::prelude::*;
 use proptest::prelude::*;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 mod common;
-use common::scrubbed_json;
+use common::{ctx, scrubbed_json};
 
 /// Builds an `ExecutorConfig` with the given `parallel_dispatch` flag.
 type ConfigBuilder = Box<dyn Fn(bool) -> ExecutorConfig>;
 
-fn stub_train(dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
+fn stub_train(_ctx: &TrainContext<'_>, dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
     dispatches
         .iter()
         .map(|&Dispatch { client_id, .. }| ClientUpdate {
@@ -118,19 +127,19 @@ proptest! {
         const K: usize = 6;
         let mut ex = BufferedExecutor::new(cfg, N, 500, K, seed ^ 0xACC);
         let master = Rng64::new(seed ^ 0x5E1);
-        let mut distinct = std::collections::BTreeSet::new();
+        let mut distinct = BTreeSet::new();
         let (mut rec_dropouts, mut rec_aggregated, mut rec_staleness) = (0, 0, 0);
         let mut rec_busy = 0usize;
         let rounds = 30usize;
         for round in 0..rounds {
             let selected = master.derive(round as u64).sample_indices(N, K);
             distinct.extend(selected.iter().copied());
-            let out = ex.execute(round, &selected, &stub_train);
+            let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.expect("buffered telemetry");
             rec_dropouts += h.dropouts;
             rec_busy += h.busy;
             rec_aggregated += h.aggregated();
-            rec_staleness += h.staleness.iter().sum::<usize>();
+            rec_staleness += h.staleness_sum();
         }
         let view = ex.view();
         let stats = view.reliability.expect("buffered telemetry");
@@ -338,7 +347,7 @@ fn selection_contracts_hold_over_a_hundred_thousand_client_lazy_fleet() {
             )
         })
         .collect();
-    let in_flight = rng.sample_indices(N, 32);
+    let in_flight: BTreeSet<usize> = rng.sample_indices(N, 32).into_iter().collect();
     for selection in [
         Selection::PowerOfChoice { candidates: D },
         Selection::ReliabilityAware { candidates: D },
@@ -355,7 +364,7 @@ fn selection_contracts_hold_over_a_hundred_thousand_client_lazy_fleet() {
                 fleet: Some(&fleet),
                 upload_bytes: 1_000_000,
                 deadline_s: Some(fleet.completion_percentile_s(1_000_000, 0.9)),
-                in_flight: in_flight.clone(),
+                in_flight: Cow::Borrowed(&in_flight),
                 reliability: Some(&stats),
                 ..Default::default()
             },
@@ -389,7 +398,7 @@ fn selection_contracts_hold_over_a_hundred_thousand_client_lazy_fleet() {
     }
 }
 
-/// Contract 6 (the `exp_scale` acceptance claim, pinned): a buffered run
+/// Contract 6: a buffered run
 /// over 10^5 clients completes full aggregation rounds while keeping its
 /// per-client state proportional to the clients actually touched —
 /// telemetry entries bounded by distinct dispatched clients, profile
@@ -411,13 +420,13 @@ fn buffered_rounds_at_hundred_thousand_clients_stay_sparse() {
     };
     let mut ex = BufferedExecutor::new(cfg, N, 1_000, K, 7);
     let master = Rng64::new(11);
-    let mut distinct = std::collections::BTreeSet::new();
+    let mut distinct = BTreeSet::new();
     let mut aggregations = 0usize;
     let rounds = 8usize;
     for round in 0..rounds {
         let selected = master.derive(round as u64).sample_indices(N, K);
         distinct.extend(selected.iter().copied());
-        let out = ex.execute(round, &selected, &stub_train);
+        let out = ex.execute(&ctx(round), &selected, &stub_train);
         if !out.updates.is_empty() {
             aggregations += 1;
             assert_eq!(out.updates.len(), 16, "partial aggregation");
@@ -450,5 +459,179 @@ fn buffered_rounds_at_hundred_thousand_clients_stay_sparse() {
     assert!(
         derived < N as u64 / 10,
         "profile derivations ({derived}) approach fleet size ({N})"
+    );
+}
+
+/// A [`BufferedExecutor`] inside a session, with the bookkeeping laws of a
+/// long run checked after every round from where both the executor's
+/// accessors and the `train` callback are in reach.
+struct AuditedBuffered {
+    inner: BufferedExecutor,
+    dispatched: usize,
+    aggregated: usize,
+    lost: usize,
+    /// Every `(dispatch round, client)` trained so far.
+    trained: std::collections::HashSet<(usize, usize)>,
+    peak_pending: Arc<AtomicUsize>,
+}
+
+impl RoundExecutor for AuditedBuffered {
+    fn view(&self) -> ExecutorView<'_> {
+        self.inner.view()
+    }
+
+    fn execute(
+        &mut self,
+        ctx: &TrainContext<'_>,
+        selected: &[usize],
+        train: &TrainFn<'_>,
+    ) -> RoundOutcome {
+        let round = ctx.round;
+        let gone_before: BTreeSet<usize> = self.inner.view().departed.into_owned();
+        let calls = Mutex::new(Vec::new());
+        let recorded = |ctx: &TrainContext<'_>, dispatches: &[Dispatch]| {
+            let of_round = dispatches.iter().map(|d| (ctx.round, d.client_id));
+            calls.lock().unwrap().extend(of_round);
+            train(ctx, dispatches)
+        };
+        let out = self.inner.execute(ctx, selected, &recorded);
+        let h = out.hetero.as_ref().expect("buffered telemetry");
+
+        // Every dispatch is aggregated, lost in transit, traveling or
+        // parked — and a client is pending at most once.
+        self.dispatched += selected.len() - h.dropouts - h.busy;
+        self.aggregated += out.updates.len();
+        self.lost += h.stragglers;
+        let (pending, buffered) = (self.inner.in_flight(), self.inner.buffered());
+        assert_eq!(
+            self.dispatched,
+            self.aggregated + self.lost + pending + buffered,
+            "round {round}: dispatch accounting must close"
+        );
+        let view = self.inner.view();
+        let universe = view.universe.expect("churn is on");
+        assert!(pending + buffered <= universe, "round {round}: pending");
+        assert_eq!(view.in_flight.len(), pending + buffered);
+        self.peak_pending.fetch_max(pending, Ordering::Relaxed);
+
+        // `train` ran exactly once per upload that arrived with its client
+        // still active — those are what reached the buffer — at most once
+        // per dispatch, and never for a client already gone at the round's
+        // start (whose upload is lost in transit, untrained).
+        for (dispatch_round, client) in calls.into_inner().unwrap() {
+            assert!(dispatch_round <= round);
+            assert!(
+                !gone_before.contains(&client),
+                "round {round}: trained departed client {client}"
+            );
+            assert!(
+                self.trained.insert((dispatch_round, client)),
+                "round {round}: client {client} of round {dispatch_round} trained twice"
+            );
+        }
+        assert_eq!(self.trained.len(), self.aggregated + buffered);
+
+        // Every broadcast snapshot is held by a pending upload: one per
+        // dispatch round with uploads still traveling, none unreferenced.
+        let (mut held, mut last_round) = (0, None);
+        for (dispatch_round, uploads) in self.inner.broadcasts() {
+            assert!(
+                uploads > 0,
+                "round {round}: snapshot {dispatch_round} leaked"
+            );
+            assert!(last_round < Some(dispatch_round) && dispatch_round <= round);
+            (held, last_round) = (held + uploads, Some(dispatch_round));
+        }
+        assert_eq!(held, pending, "round {round}: snapshot references");
+        out
+    }
+}
+
+/// Contract 7: the bookkeeping of a buffered fleet closes over a run long
+/// enough for the pending set to dwarf a round — 3 000 rounds of a stub
+/// session at N = 10^5 (the `fleet_scale` configuration), audited every
+/// round by [`AuditedBuffered`].
+#[test]
+fn long_buffered_session_closes_its_books_every_round() {
+    const N: usize = 100_000;
+    const ROUNDS: usize = 3_000;
+    let (train, test) = SynthSpec {
+        feature_dim: 8,
+        num_classes: 4,
+        train_size: 2 * N,
+        test_size: 64,
+        ..SynthSpec::mnist_like()
+    }
+    .generate(5);
+    let partition = PartitionMethod::Iid
+        .partition(&train, N, &mut Rng64::new(9))
+        .unwrap();
+    let spec = ModelSpec::Mlp {
+        in_dim: train.feature_dim(),
+        hidden: vec![16],
+        out_dim: train.num_classes(),
+    };
+    let buffered = BufferedConfig {
+        fleet: FleetConfig {
+            compute_skew: 4.0,
+            bandwidth_skew: 2.0,
+            dropout: 0.1,
+            diurnal: Some(Default::default()),
+            // A few hundred departures over the ~160 virtual seconds of
+            // the run, so that uploads are lost in transit.
+            churn: Some(ChurnConfig {
+                mean_arrival_gap_s: 0.5,
+                mean_departure_gap_s: 0.25,
+            }),
+            seed: 0x5CA1E,
+            ..Default::default()
+        },
+        buffer_size: 16,
+        ..Default::default()
+    };
+    let cfg = FlConfig {
+        rounds: ROUNDS,
+        participants: 64,
+        seed: 23,
+        selection: Selection::StalenessBalanced { candidates: 256 },
+        ..Default::default()
+    };
+    let params = spec.build(0).param_count();
+    let peak_pending = Arc::new(AtomicUsize::new(0));
+    let audited = AuditedBuffered {
+        inner: BufferedExecutor::new(buffered, N, params, cfg.participants, cfg.seed),
+        dispatched: 0,
+        aggregated: 0,
+        lost: 0,
+        trained: Default::default(),
+        peak_pending: Arc::clone(&peak_pending),
+    };
+    // Every client reports the broadcast it trained from, unchanged.
+    let echo = |ctx: &TrainContext<'_>, dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+        let update = |d: &Dispatch| ClientUpdate {
+            weights: ctx.global.to_vec(),
+            ..stub_train(ctx, &[*d]).remove(0)
+        };
+        dispatches.iter().map(update).collect()
+    };
+    let mut strategy = FedAvg;
+    let history = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
+        .config(&cfg)
+        .executor_instance(Box::new(audited))
+        .train_fn(Box::new(echo))
+        .build()
+        .expect("valid config")
+        .run()
+        .expect("federated run");
+    assert_eq!(history.records.len(), ROUNDS);
+    assert!(history.mean_staleness() > 0.0, "nothing ever arrived stale");
+    assert!(
+        history.total_stragglers() > 10,
+        "too few uploads were lost in transit to exercise the law"
+    );
+    let peak = peak_pending.load(Ordering::Relaxed);
+    assert!(
+        peak > 100 * cfg.participants,
+        "only {peak} uploads ever pending: the run is too short to age the fleet"
     );
 }

@@ -9,6 +9,11 @@
 
 use feddrl_repro::prelude::*;
 use proptest::prelude::*;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+
+mod common;
+use common::ctx;
 
 /// A context owner: the borrowed `SelectionContext` views into it.
 struct CtxData {
@@ -19,7 +24,7 @@ struct CtxData {
     fleet: Option<FleetView>,
     upload_bytes: u64,
     deadline_s: Option<f64>,
-    in_flight: Vec<usize>,
+    in_flight: BTreeSet<usize>,
     reliability: Option<ReliabilityTable>,
 }
 
@@ -52,7 +57,7 @@ impl CtxData {
             _ => None,
         };
         let in_flight_len = rng.below(n - k + 1);
-        let in_flight = rng.sample_indices(n, in_flight_len);
+        let in_flight = rng.sample_indices(n, in_flight_len).into_iter().collect();
         let reliability = with_fleet.then(|| {
             (0..n)
                 .map(|i| {
@@ -94,7 +99,7 @@ impl CtxData {
                 fleet: self.fleet.as_ref(),
                 upload_bytes: self.upload_bytes,
                 deadline_s: self.deadline_s,
-                in_flight: self.in_flight.clone(),
+                in_flight: Cow::Borrowed(&self.in_flight),
                 reliability: self.reliability.as_ref(),
                 ..Default::default()
             },
@@ -189,7 +194,7 @@ fn stragglers_under(policy: &mut dyn SelectionPolicy, rounds: usize) -> usize {
         K,
         9,
     );
-    let stub_train = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+    let stub_train = |_: &TrainContext<'_>, dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
         dispatches
             .iter()
             .map(|&Dispatch { client_id, .. }| ClientUpdate {
@@ -224,7 +229,7 @@ fn stragglers_under(policy: &mut dyn SelectionPolicy, rounds: usize) -> usize {
         for &c in &selected {
             participation[c] += 1;
         }
-        let out = ex.execute(round, &selected, &stub_train);
+        let out = ex.execute(&ctx(round), &selected, &stub_train);
         stragglers += out.hetero.expect("deadline telemetry").stragglers;
         for u in &out.updates {
             known_loss[u.client_id] = Some(u.loss_before);

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 mod common;
-use common::golden_json;
+use common::{ctx, golden_json};
 
 /// The exact configuration the golden fixture was generated with (by the
 /// pre-refactor loop at the commit introducing the executor abstraction).
@@ -386,7 +386,7 @@ proptest! {
         };
         let mut ex = DeadlineExecutor::new(cfg, k, 50_000, k, 17);
         let selected: Vec<usize> = (0..k).collect();
-        let train = |dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
+        let train = |_: &TrainContext<'_>, dispatches: &[Dispatch]| -> Vec<ClientUpdate> {
             dispatches
                 .iter()
                 .map(|&Dispatch { client_id, .. }| ClientUpdate {
@@ -405,7 +405,7 @@ proptest! {
         let completions: Vec<f64> = (0..k)
             .map(|c| fleet.profile(c).completion_time_s(view.upload_bytes))
             .collect();
-        let out = ex.execute(0, &selected, &train);
+        let out = ex.execute(&ctx(0), &selected, &train);
         let h = out.hetero.expect("deadline executor always reports");
         let max = completions.iter().copied().fold(0.0f64, f64::max);
         let sum: f64 = completions.iter().sum();

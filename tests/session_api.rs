@@ -376,3 +376,53 @@ fn observers_see_every_round_and_can_stop() {
     assert_eq!(history.records.len(), 2, "Stop vote ignored");
     assert_eq!(seen.load(Ordering::SeqCst), 2);
 }
+
+/// A record keeps its `selected` ids for the rest of the run, so it holds
+/// them at exactly their length — not in whatever buffer the policy built
+/// them in, which for the oversampling built-ins is a candidate pool
+/// several times `K` wide, and for a user policy is anything at all.
+#[test]
+fn records_hold_selected_ids_at_exact_capacity() {
+    struct Roomy;
+    impl SelectionPolicy for Roomy {
+        fn name(&self) -> &'static str {
+            "roomy"
+        }
+        fn select(&mut self, ctx: &SelectionContext<'_>, _rng: &mut Rng64) -> Vec<usize> {
+            let mut picked = Vec::with_capacity(4096);
+            picked.extend(0..ctx.participants);
+            picked
+        }
+    }
+    let (spec, train, test, partition, mut cfg) = golden_setup();
+    (cfg.rounds, cfg.participants) = (2, 2);
+    let candidates = partition.n_clients();
+    let policies: Vec<Box<dyn SelectionPolicy>> = vec![
+        Selection::Uniform.build(),
+        Selection::PowerOfChoice { candidates }.build(),
+        Selection::BandwidthAware { candidates }.build(),
+        Selection::ReliabilityAware { candidates }.build(),
+        Selection::StalenessBalanced { candidates }.build(),
+        Box::new(Roomy),
+    ];
+    for policy in policies {
+        let name = policy.name();
+        let mut strategy = FedAvg;
+        let history = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
+            .config(&cfg)
+            .selection_policy(policy)
+            .build()
+            .expect("valid config")
+            .run()
+            .expect("run");
+        for r in &history.records {
+            assert_eq!(r.selected.len(), cfg.participants);
+            assert_eq!(
+                r.selected.capacity(),
+                r.selected.len(),
+                "{name}: round {} retains a wider buffer than its ids",
+                r.round
+            );
+        }
+    }
+}

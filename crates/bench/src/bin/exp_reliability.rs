@@ -272,8 +272,8 @@ impl CellStats {
                     .iter()
                     .filter(|&&c| slow.contains(&(c as usize)))
                     .count();
-                dropouts += h.dropouts;
-                tried += r.selected.len() - h.busy;
+                dropouts += h.dropouts as usize;
+                tried += r.selected.len() - h.busy as usize;
             }
         }
         Self {

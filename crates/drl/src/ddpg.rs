@@ -315,7 +315,7 @@ impl DdpgAgent {
         let q = Self::q_batch(&mut self.value, &states, &actions);
         let (value_loss, grad) = feddrl_nn::loss::mse(&q, &targets);
         self.value.zero_grad();
-        self.value.backward(&grad);
+        self.value.backward_params(&grad);
         self.value_opt.step(&mut self.value);
 
         // --- Actor ascent on Q(s, π(s)) (Algorithm 1 l.7): fold the ascent
@@ -343,7 +343,7 @@ impl DdpgAgent {
             grad_raw.row_mut(r).copy_from_slice(&g_raw);
         }
         self.policy.zero_grad();
-        self.policy.backward(&grad_raw);
+        self.policy.backward_params(&grad_raw);
         self.policy_opt.step(&mut self.policy);
 
         // --- Soft target sync (Algorithm 1 l.8–9).

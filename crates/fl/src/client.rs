@@ -201,9 +201,7 @@ fn train_with_mask(
         // Delete the masked units from the broadcast model. Everything the
         // client measures and trains from here on is the sub-model: the
         // proximal anchor, `loss_before`, and every SGD step.
-        let mut flat = model.flat_params();
-        m.apply(&mut flat);
-        model.set_flat_params(&flat);
+        m.apply_to_model(&mut model);
     }
     let w_global = cfg.proximal_mu.map(|_| model.flat_params());
     let loss_before = inference_loss(&mut model, train, indices, cfg.batch_size.max(64));
@@ -217,7 +215,7 @@ fn train_with_mask(
             let logits = model.forward(&x, true);
             let (_, grad) = cross_entropy_logits(&logits, &y);
             model.zero_grad();
-            model.backward(&grad);
+            model.backward_params(&grad);
             if let (Some(mu), Some(w_ref)) = (cfg.proximal_mu, w_global.as_deref()) {
                 model.add_proximal_grad(mu, w_ref);
             }
@@ -230,9 +228,7 @@ fn train_with_mask(
                 // zero, so this re-projection is a no-op in exact
                 // arithmetic — it pins the invariant against future layer
                 // types whose masked gradients are only *numerically* zero.
-                let mut flat = model.flat_params();
-                m.apply(&mut flat);
-                model.set_flat_params(&flat);
+                m.apply_to_model(&mut model);
             }
         }
     }

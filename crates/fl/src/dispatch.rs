@@ -20,7 +20,7 @@ use crate::client::ClientUpdate;
 use crate::executor::{
     Dispatch, ExecutorView, LatePolicy, ReliabilityTable, StructuredDropoutConfig,
 };
-use crate::history::{narrow, HeteroRoundRecord};
+use crate::history::{narrow, narrow_count, HeteroRoundRecord};
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::churn::ChurnProcess;
 use feddrl_sim::comm::CommModel;
@@ -259,7 +259,7 @@ impl DispatchPlanner {
                 }
                 KeepRatio::Full | KeepRatio::Misses => 1.0,
             };
-            record.masked += usize::from(keep_ratio < 1.0);
+            record.masked += u32::from(keep_ratio < 1.0);
             alive.push(Dispatch {
                 client_id: cid,
                 keep_ratio,
@@ -314,8 +314,8 @@ impl DispatchPlanner {
         }
         self.version += usize::from(!aggregated.is_empty());
         let (joins, leaves) = self.churn_counts();
-        record.joined = joins - self.churn_before.0;
-        record.departed = leaves - self.churn_before.1;
+        record.joined = narrow_count(joins - self.churn_before.0);
+        record.departed = narrow_count(leaves - self.churn_before.1);
         record.aggregated_ids = narrow(aggregated.iter().map(|u| u.client_id));
     }
 
@@ -410,14 +410,14 @@ mod tests {
                 });
                 assert_eq!(
                     selected.len(),
-                    alive.len() + plan.dropouts + plan.busy + plan.stragglers,
+                    alive.len() + (plan.dropouts + plan.busy + plan.stragglers) as usize,
                     "round {round}: a sampled client fell through the plan"
                 );
                 let sub_models = alive.iter().filter(|d| d.keep_ratio < 1.0).count();
-                assert_eq!(plan.masked, sub_models);
+                assert_eq!(plan.masked as usize, sub_models);
                 assert!(busy_stride == 3 || plan.busy == 0);
                 assert!(deadline_s.is_some() || plan.stragglers + plan.masked == 0);
-                dropouts += plan.dropouts;
+                dropouts += plan.dropouts as usize;
                 dispatches += alive.len();
                 masked += plan.masked;
             }

@@ -9,7 +9,7 @@ use std::path::Path;
 /// Predicate for `skip_serializing_if`: counters that are only meaningful
 /// for some executors stay out of the JSON when zero, so histories from
 /// older executors keep their exact shape.
-fn usize_is_zero(n: &usize) -> bool {
+fn u32_is_zero(n: &u32) -> bool {
     *n == 0
 }
 
@@ -21,8 +21,15 @@ fn usize_is_zero(n: &usize) -> bool {
 /// # Panics
 /// Panics on a value beyond `u32::MAX`.
 pub fn narrow(values: impl IntoIterator<Item = usize>) -> Vec<u32> {
-    let to_u32 = |v| u32::try_from(v).expect("client ids and staleness counts fit in 32 bits");
-    values.into_iter().map(to_u32).collect()
+    values.into_iter().map(narrow_count).collect()
+}
+
+/// One count, id or staleness as the records store it (see [`narrow`]).
+///
+/// # Panics
+/// Panics on a value beyond `u32::MAX`.
+pub fn narrow_count(value: usize) -> u32 {
+    u32::try_from(value).expect("client ids and per-round counts fit in 32 bits")
 }
 
 /// Heterogeneity telemetry for one round (produced by
@@ -36,36 +43,36 @@ pub struct HeteroRoundRecord {
     /// the persistent virtual timeline this aggregation consumed).
     pub sim_time_s: f64,
     /// Sampled clients that dropped out before reporting.
-    pub dropouts: usize,
+    pub dropouts: u32,
     /// Sampled clients whose report missed the round deadline.
-    pub stragglers: usize,
+    pub stragglers: u32,
     /// Stale updates carried in from earlier rounds and aggregated now.
-    pub carried_in: usize,
+    pub carried_in: u32,
     /// Sampled clients skipped because their device was still training or
     /// uploading an earlier model version (buffered executor only; omitted
     /// from JSON when zero so deadline/ideal histories keep their shape).
-    #[serde(default, skip_serializing_if = "usize_is_zero")]
-    pub busy: usize,
+    #[serde(default, skip_serializing_if = "u32_is_zero")]
+    pub busy: u32,
     /// Updates that had arrived but were still waiting for the
     /// aggregation buffer to fill when the round ended (buffered executor
     /// only; omitted from JSON when zero).
-    #[serde(default, skip_serializing_if = "usize_is_zero")]
-    pub buffered: usize,
+    #[serde(default, skip_serializing_if = "u32_is_zero")]
+    pub buffered: u32,
     /// Clients that joined the federation (churn arrivals) since the
     /// previous round ended, including mid-round arrivals (omitted from
     /// JSON when zero so churn-free histories keep their shape).
-    #[serde(default, skip_serializing_if = "usize_is_zero")]
-    pub joined: usize,
+    #[serde(default, skip_serializing_if = "u32_is_zero")]
+    pub joined: u32,
     /// Clients that departed the federation (churn departures) since the
     /// previous round ended, including mid-round departures (omitted from
     /// JSON when zero).
-    #[serde(default, skip_serializing_if = "usize_is_zero")]
-    pub departed: usize,
+    #[serde(default, skip_serializing_if = "u32_is_zero")]
+    pub departed: u32,
     /// Dispatched clients that trained a structured-dropout sub-model
     /// (keep ratio below 1) instead of being dropped or carried stale
     /// (omitted from JSON when zero).
-    #[serde(default, skip_serializing_if = "usize_is_zero")]
-    pub masked: usize,
+    #[serde(default, skip_serializing_if = "u32_is_zero")]
+    pub masked: u32,
     /// Per-update staleness in model versions, aligned with
     /// `aggregated_ids` (omitted from JSON when empty — an all-fresh
     /// round under a round-barrier executor records nothing here).
@@ -126,9 +133,12 @@ pub struct RoundRecord {
     pub aggregate_micros: u64,
     /// Heterogeneity telemetry; `None` under the ideal executor, and then
     /// omitted from JSON so ideal histories stay byte-identical to the
-    /// pre-executor format.
+    /// pre-executor format. Boxed because a session keeps every record for
+    /// the length of the run: inline, the 120-byte telemetry more than
+    /// doubled the record of every round that has none (JSON is the same
+    /// either way).
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub hetero: Option<HeteroRoundRecord>,
+    pub hetero: Option<Box<HeteroRoundRecord>>,
 }
 
 /// A complete federated run.
@@ -191,7 +201,7 @@ impl RunHistory {
     pub fn total_stragglers(&self) -> usize {
         self.records
             .iter()
-            .filter_map(|r| r.hetero.as_ref().map(|h| h.stragglers))
+            .filter_map(|r| r.hetero.as_ref().map(|h| h.stragglers as usize))
             .sum()
     }
 
@@ -199,7 +209,7 @@ impl RunHistory {
     pub fn total_dropouts(&self) -> usize {
         self.records
             .iter()
-            .filter_map(|r| r.hetero.as_ref().map(|h| h.dropouts))
+            .filter_map(|r| r.hetero.as_ref().map(|h| h.dropouts as usize))
             .sum()
     }
 
@@ -303,7 +313,7 @@ mod tests {
     fn hetero_history() -> RunHistory {
         let mut h = toy_history();
         for (i, r) in h.records.iter_mut().enumerate() {
-            r.hetero = Some(HeteroRoundRecord {
+            r.hetero = Some(Box::new(HeteroRoundRecord {
                 sim_time_s: 10.0 + i as f64,
                 dropouts: 1,
                 stragglers: 2,
@@ -315,9 +325,19 @@ mod tests {
                 masked: 0,
                 staleness: Vec::new(),
                 aggregated_ids: vec![0, 1],
-            });
+            }));
         }
         h
+    }
+
+    #[test]
+    fn retained_records_stay_small() {
+        // A session keeps every record it files, so these sizes are a
+        // per-round memory cost. A record was 224 bytes with the telemetry
+        // inline and is 112 with it boxed; the telemetry was 120 bytes with
+        // `usize` counters and is 88 with `u32` ones.
+        assert!(std::mem::size_of::<RoundRecord>() <= 112);
+        assert!(std::mem::size_of::<HeteroRoundRecord>() <= 88);
     }
 
     #[test]

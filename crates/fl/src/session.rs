@@ -677,7 +677,7 @@ impl<'a> Session<'a> {
             client_losses_before: updates.iter().map(|u| u.loss_before).collect(),
             strategy_micros,
             aggregate_micros,
-            hetero: outcome.hetero,
+            hetero: outcome.hetero.map(Box::new),
         };
         self.records.push(record);
         self.round += 1;
@@ -687,8 +687,8 @@ impl<'a> Session<'a> {
         // telemetry.
         let record = self.records.last().expect("record just pushed");
         if let Some(h) = &record.hetero {
-            self.total_dropouts += h.dropouts;
-            self.total_stragglers += h.stragglers;
+            self.total_dropouts += h.dropouts as usize;
+            self.total_stragglers += h.stragglers as usize;
             self.cum_sim_time_s += h.sim_time_s;
             self.staleness_sum += h.staleness_sum();
             self.staleness_count += h.staleness.len();

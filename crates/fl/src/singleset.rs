@@ -59,7 +59,7 @@ pub fn run_singleset(
             let logits = model.forward(&x, true);
             let (_, grad) = cross_entropy_logits(&logits, &y);
             model.zero_grad();
-            model.backward(&grad);
+            model.backward_params(&grad);
             opt.step(&mut model);
         }
         let (acc, loss) = evaluate(&mut model, test, cfg.eval_batch);

@@ -51,7 +51,7 @@ use feddrl_fl::executor::{
     ExecutorView, RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig,
     TrainContext, TrainFn,
 };
-use feddrl_fl::history::{narrow, HeteroRoundRecord};
+use feddrl_fl::history::{narrow, narrow_count, HeteroRoundRecord};
 use feddrl_nn::model::Sequential;
 use feddrl_sim::device::{nearest_rank, FleetView};
 
@@ -491,10 +491,10 @@ impl RoundExecutor for NetworkExecutor {
                     // Measured wall-clock of the aggregation, where the
                     // simulator would report virtual time.
                     sim_time_s: round_start.elapsed().as_secs_f64(),
-                    dropouts: failed + timed_out,
-                    busy,
-                    departed: newly_departed,
-                    masked: arrived.iter().filter(|(_, u)| u.mask.is_some()).count(),
+                    dropouts: narrow_count(failed + timed_out),
+                    busy: narrow_count(busy),
+                    departed: narrow_count(newly_departed),
+                    masked: narrow_count(arrived.iter().filter(|(_, u)| u.mask.is_some()).count()),
                     staleness: narrow(arrived.iter().map(|(_, u)| u.staleness)),
                     aggregated_ids: narrow(arrived.iter().map(|(cid, _)| *cid)),
                     ..HeteroRoundRecord::default()

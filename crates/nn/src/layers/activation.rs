@@ -146,6 +146,8 @@ impl Layer for Activation {
         Vec::new()
     }
 
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+
     fn name(&self) -> &'static str {
         match self.kind {
             ActivationKind::Relu => "relu",

@@ -249,6 +249,11 @@ impl Layer for Conv2d {
         vec![&mut self.gw, &mut self.gb]
     }
 
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        f(&mut self.w, &mut self.gw);
+        f(&mut self.b, &mut self.gb);
+    }
+
     fn name(&self) -> &'static str {
         "conv2d"
     }

@@ -61,14 +61,19 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // dX = dY · Wᵀ
+        grad_out.matmul_t(&self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cache_x
             .take()
             .expect("Dense backward called before forward");
-        // dW = xᵀ · dY, db = Σ_rows dY, dX = dY · Wᵀ
+        // dW = xᵀ · dY, db = Σ_rows dY
         self.gw.add_assign(&x.t_matmul(grad_out));
         self.gb.add_assign(&grad_out.sum_rows());
-        grad_out.matmul_t(&self.w)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -85,6 +90,11 @@ impl Layer for Dense {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.gw, &mut self.gb]
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        f(&mut self.w, &mut self.gw);
+        f(&mut self.b, &mut self.gb);
     }
 
     fn name(&self) -> &'static str {

@@ -101,6 +101,8 @@ impl Layer for Dropout {
         Vec::new()
     }
 
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+
     fn name(&self) -> &'static str {
         "dropout"
     }

@@ -42,6 +42,15 @@ pub trait Layer: Send + Sync {
     /// parameter gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a caller that will not read the input
+    /// gradient — the bottom layer of a model trained on data. Parameter
+    /// gradients accumulate exactly as in `backward`; a layer whose input
+    /// gradient is a separate product (see [`Dense`]) overrides this to
+    /// skip it.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Immutable views of the trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
 
@@ -54,6 +63,13 @@ pub trait Layer: Send + Sync {
 
     /// Mutable views of the accumulated gradients.
     fn grads_mut(&mut self) -> Vec<&mut Tensor>;
+
+    /// Call `f(parameter, its gradient)` for every trainable tensor, in
+    /// [`Layer::params`] order. The one way to hold a parameter and its
+    /// gradient mutably at once — what an optimizer step, the FedProx term
+    /// and an in-place mask need — since [`Layer::params_mut`] and
+    /// [`Layer::grads`] cannot be borrowed together.
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
 
     /// Reset accumulated gradients to zero.
     fn zero_grad(&mut self) {

@@ -142,6 +142,8 @@ impl Layer for MaxPool2d {
         Vec::new()
     }
 
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+
     fn name(&self) -> &'static str {
         "max_pool2d"
     }

@@ -172,10 +172,31 @@ impl StructuredMask {
     /// Panics if `flat` length mismatches the mask.
     pub fn apply(&self, flat: &mut [f32]) {
         assert_eq!(flat.len(), self.keep.len(), "mask/vector length mismatch");
-        for (w, &k) in flat.iter_mut().zip(self.keep.iter()) {
-            if !k {
-                *w = 0.0;
-            }
+        zero_dropped(&self.keep, flat);
+    }
+
+    /// [`StructuredMask::apply`] on the parameters a model holds, in place:
+    /// what masked local training runs after every optimizer step, without
+    /// the round trip through a flat copy.
+    ///
+    /// # Panics
+    /// Panics if the model's parameter count mismatches the mask.
+    pub fn apply_to_model(&self, model: &mut Sequential) {
+        assert_eq!(
+            model.param_count(),
+            self.keep.len(),
+            "mask/model length mismatch"
+        );
+        model.visit_params(|offset, p, _| {
+            zero_dropped(&self.keep[offset..offset + p.numel()], p.data_mut());
+        });
+    }
+}
+
+fn zero_dropped(keep: &[bool], weights: &mut [f32]) {
+    for (w, &k) in weights.iter_mut().zip(keep) {
+        if !k {
+            *w = 0.0;
         }
     }
 }
@@ -267,6 +288,9 @@ mod tests {
         let mut flat = masked.flat_params();
         mask.apply(&mut flat);
         masked.set_flat_params(&flat);
+        let mut in_place = model.clone();
+        mask.apply_to_model(&mut in_place);
+        assert_eq!(in_place.flat_params(), flat, "in-place apply diverged");
         let x = Tensor::randn(&[3, 6], 0.0, 1.0, &mut rng);
         let y = masked.forward(&x, false);
         // Recompute manually: masked units contribute nothing.

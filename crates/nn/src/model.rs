@@ -68,6 +68,33 @@ impl Sequential {
         g
     }
 
+    /// [`Sequential::backward`] for a model trained on data: the gradient
+    /// w.r.t. the input is not computed. Parameter gradients are the same
+    /// bits as after `backward`.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((bottom, upper)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_out.clone();
+        for layer in upper.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        bottom.backward_params(&g);
+    }
+
+    /// Call `f(offset, parameter, its gradient)` for every trainable tensor
+    /// in [`Sequential::flat_params`] order, `offset` being the tensor's
+    /// position in that flat vector.
+    pub fn visit_params(&mut self, mut f: impl FnMut(usize, &mut Tensor, &mut Tensor)) {
+        let mut offset = 0;
+        for layer in self.layers.iter_mut() {
+            layer.visit_params(&mut |p, g| {
+                f(offset, p, g);
+                offset += p.numel();
+            });
+        }
+    }
+
     /// Zero all accumulated gradients.
     pub fn zero_grad(&mut self) {
         for layer in self.layers.iter_mut() {
@@ -78,11 +105,6 @@ impl Sequential {
     /// Total number of trainable scalars.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
-    }
-
-    /// Layers as mutable trait objects (used by the optimizer).
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
     }
 
     /// Layers as shared trait objects.
@@ -149,17 +171,12 @@ impl Sequential {
             self.param_count(),
             "proximal reference length mismatch"
         );
-        let mut offset = 0;
-        for layer in self.layers.iter_mut() {
-            // params() and grads() are index-aligned; walk them pairwise.
-            let params: Vec<Vec<f32>> = layer.params().iter().map(|p| p.data().to_vec()).collect();
-            for (g, p) in layer.grads_mut().into_iter().zip(params) {
-                for (i, gv) in g.data_mut().iter_mut().enumerate() {
-                    *gv += mu * (p[i] - w_ref[offset + i]);
-                }
-                offset += p.len();
+        self.visit_params(|offset, p, g| {
+            let w_ref = &w_ref[offset..offset + p.numel()];
+            for ((gv, &pv), &rv) in g.data_mut().iter_mut().zip(p.data()).zip(w_ref) {
+                *gv += mu * (pv - rv);
             }
-        }
+        });
     }
 
     /// Global L2 norm of all accumulated gradients.

@@ -10,14 +10,14 @@ use crate::tensor::Tensor;
 /// Stochastic gradient descent with optional momentum and weight decay.
 ///
 /// Velocity buffers are allocated lazily on the first step and keyed by
-/// (layer, param) position, so the optimizer must be used with a single
-/// model topology for its lifetime.
+/// the parameter tensor's position in the model, so the optimizer must be
+/// used with a single model topology for its lifetime.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
     weight_decay: f32,
-    velocity: Vec<Vec<Tensor>>,
+    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
@@ -61,35 +61,27 @@ impl Sgd {
     /// Like [`Sgd::step`] but multiplies every gradient by `grad_scale`
     /// before the update (`-1.0` turns descent into ascent).
     pub fn step_scaled(&mut self, model: &mut Sequential, grad_scale: f32) {
-        let use_momentum = self.momentum > 0.0;
-        for (li, layer) in model.layers_mut().iter_mut().enumerate() {
-            if use_momentum && self.velocity.len() <= li {
-                self.velocity.push(
-                    layer
-                        .grads()
-                        .iter()
-                        .map(|g| Tensor::zeros(g.shape()))
-                        .collect(),
-                );
-            }
-            let grads: Vec<Tensor> = layer.grads().iter().map(|g| (*g).clone()).collect();
-            for (pi, (p, g)) in layer.params_mut().into_iter().zip(grads).enumerate() {
-                if use_momentum {
-                    let v = &mut self.velocity[li][pi];
-                    debug_assert_eq!(v.shape(), g.shape(), "velocity shape drift");
-                    // v ← m·v + g ; p ← p − lr·(scale·v + wd·p)
-                    v.scale(self.momentum);
-                    v.add_assign(&g);
-                    for (pv, vv) in p.data_mut().iter_mut().zip(v.data().iter()) {
-                        *pv -= self.lr * (grad_scale * vv + self.weight_decay * *pv);
-                    }
-                } else {
-                    for (pv, gv) in p.data_mut().iter_mut().zip(g.data().iter()) {
-                        *pv -= self.lr * (grad_scale * gv + self.weight_decay * *pv);
-                    }
+        let mut index = 0;
+        model.visit_params(|_, p, g| {
+            if self.momentum > 0.0 {
+                if self.velocity.len() <= index {
+                    self.velocity.push(Tensor::zeros(g.shape()));
+                }
+                let v = &mut self.velocity[index];
+                debug_assert_eq!(v.shape(), g.shape(), "velocity shape drift");
+                // v ← m·v + g ; p ← p − lr·(scale·v + wd·p)
+                v.scale(self.momentum);
+                v.add_assign(g);
+                for (pv, vv) in p.data_mut().iter_mut().zip(v.data().iter()) {
+                    *pv -= self.lr * (grad_scale * vv + self.weight_decay * *pv);
+                }
+            } else {
+                for (pv, gv) in p.data_mut().iter_mut().zip(g.data().iter()) {
+                    *pv -= self.lr * (grad_scale * gv + self.weight_decay * *pv);
                 }
             }
-        }
+            index += 1;
+        });
     }
 
     /// Drop all velocity state (e.g. when the model weights are replaced by

@@ -3,10 +3,42 @@
 //! [`Tensor`] is the single numeric container used by every layer, loss and
 //! optimizer in the reproduction. It is intentionally small: federated
 //! aggregation and DDPG only need 1-D/2-D (and, for convolutions, 4-D)
-//! dense arrays with a handful of BLAS-1/BLAS-3 style kernels. The matmul
-//! kernels use an `i-k-j` loop order over pre-sliced rows (auto-vectorizable,
-//! no bounds checks in the inner loop) and parallelize over row blocks with
-//! crossbeam when the problem is large enough to amortize thread spawn.
+//! dense arrays with a handful of BLAS-1/BLAS-3 style kernels.
+//!
+//! # The product kernel and its contract
+//!
+//! [`Tensor::matmul`] and [`Tensor::matmul_t`] share one row kernel
+//! (`row_times_matrix`): `out_row = a_row × B`, `COL_BLOCK` (32) output
+//! columns at a time, the block held in registers across the whole `k`
+//! loop so the output row is neither loaded nor stored per `k`. Tail
+//! columns, and every column once `B` outgrows the L2 cache
+//! (`MAX_BLOCKED_RHS`), take the streaming loop the blocked one replaced.
+//! [`Tensor::t_matmul`] keeps its own `k`-outer loop (register blocking
+//! measured no gain there). What callers — and the golden fixtures, which
+//! pin every bit of a training run — may rely on:
+//!
+//! * **Summation order.** Every output element starts at `+0.0` and adds its
+//!   products `a[r,0]·b[0,c]`, `a[r,1]·b[1,c]`, … in increasing `k`, one
+//!   rounded multiply and one rounded add each. No reassociation, no
+//!   pairwise or blocked-`k` sums.
+//! * **Zero skip.** `matmul` and `t_matmul` skip a term whose *left* factor
+//!   compares equal to zero (`0.0` or `-0.0`): ReLU activations and
+//!   structured-dropout masks make those common. The skipped term would
+//!   have added `±0.0`, so a finite right factor gives the same bits — but
+//!   a non-finite one does not (`0·∞ = NaN` is skipped too). `matmul_t`
+//!   has no skip: there `0·∞` stays `NaN`.
+//! * **No FMA, no AVX.** The build targets baseline x86-64 (SSE2): four
+//!   lanes, separate multiply and add. A fused multiply-add rounds once
+//!   where this kernel rounds twice, so the fused intrinsic or a `target-feature`
+//!   flag would change results, not only speed. Four multiply-adds cost
+//!   one `mulps` and one `addps`, so a core issuing one of each per cycle
+//!   is bounded at four per cycle; the kernel measures 13–14 multiply-adds
+//!   per ns on the reference box (docs/REPRODUCING.md, "Cost model of a
+//!   local round").
+//! * **Threads.** Row bands of the output go to scoped threads only above
+//!   `PAR_MATMUL_FLOPS` (2²² multiply-adds) and never from inside a
+//!   [`parallel`](crate::parallel) worker. Rows are independent, so the
+//!   threaded and the serial result are the same bits.
 
 use crate::rng::Rng64;
 use serde::{Deserialize, Serialize};
@@ -19,8 +51,126 @@ pub struct Tensor {
     data: Vec<f32>,
 }
 
-/// Minimum number of multiply-adds before matmul goes parallel.
-const PAR_MATMUL_FLOPS: usize = 1 << 18;
+/// Minimum number of multiply-adds before a product is split over threads.
+///
+/// Spawning and joining two scoped threads costs 40–70 µs, so below 2²¹
+/// two threads lose at every size; the old threshold of 2¹⁸ sat at 20 µs
+/// of kernel time. Measured against the row kernel on the 2-vCPU reference
+/// box (serial / two threads, µs, range over three runs — the second vCPU
+/// is not always there to be had):
+///
+/// | multiply-adds | shape | serial | two threads |
+/// |---|---|---|---|
+/// | 0.5 M | 64×64 · 64×128 | 36–57 | 74–126 |
+/// | 2.1 M | 256×64 · 64×128 | 146–190 | 185–258 |
+/// | 4.2 M | 512×64 · 64×128 | 295–516 | 323–594 |
+/// | 8.4 M | 1024×64 · 64×128 | 590–959 | 621–937 |
+/// | 16.8 M | 256×256 · 256×256 | 1 522–2 013 | 1 223–1 252 |
+/// | 64 M | 400×400 · 400×400 | 6 423–6 927 | 3 464–4 625 |
+/// | 67 M | 32×2048 · 2048×1024 | 15 930–21 513 | 10 246–12 832 |
+///
+/// 2²² is where two threads stop losing (0.8–1.4× there, 1.2–1.9× from
+/// 2²⁴ up); when they do lose above it, they lose the spawn, ≤ 12 %.
+const PAR_MATMUL_FLOPS: usize = 1 << 22;
+
+/// Output columns the row kernel accumulates in registers at once: eight
+/// four-lane SSE registers, leaving the other eight for the broadcast left
+/// factor and the loads.
+const COL_BLOCK: usize = 32;
+
+/// Largest right-hand matrix, in elements (1 MiB), that is walked in column
+/// blocks. A block pass strides through `b` one row per step, which is only
+/// cheap while `b` stays in the 2 MiB L2; beyond that, streaming whole rows
+/// of `b` into the output row (the loop the tail columns use) is faster
+/// again. Blocked / streaming, µs, one thread: `32×512·512×512` (1 MiB)
+/// 969 / 1 210, `32×784·784×200` (0.6 MiB) 485 / 609, `32×1024·1024×512`
+/// (2 MiB) 3 271 / 2 761, `32×2048·2048×1024` (8 MiB) 18 464 / 10 851.
+const MAX_BLOCKED_RHS: usize = 1 << 18;
+
+/// `out_row = a_row × b` for a row-major `b` of `n` columns; `out_row` must
+/// arrive zeroed. Sums each output in `k` order from `+0.0` (module doc);
+/// `SKIP_ZERO` drops the terms whose left factor is zero.
+fn row_times_matrix<const SKIP_ZERO: bool>(
+    a_row: &[f32],
+    b: &[f32],
+    n: usize,
+    out_row: &mut [f32],
+) {
+    let blocked = if b.len() <= MAX_BLOCKED_RHS {
+        n - n % COL_BLOCK
+    } else {
+        0
+    };
+    for c0 in (0..blocked).step_by(COL_BLOCK) {
+        let mut acc = [0.0f32; COL_BLOCK];
+        for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            if SKIP_ZERO && a_v == 0.0 {
+                continue;
+            }
+            for (o, &b_v) in acc.iter_mut().zip(&b_row[c0..c0 + COL_BLOCK]) {
+                *o += a_v * b_v;
+            }
+        }
+        out_row[c0..c0 + COL_BLOCK].copy_from_slice(&acc);
+    }
+    let tail = &mut out_row[blocked..];
+    if tail.is_empty() {
+        return;
+    }
+    for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        if SKIP_ZERO && a_v == 0.0 {
+            continue;
+        }
+        for (o, &b_v) in tail.iter_mut().zip(&b_row[blocked..]) {
+            *o += a_v * b_v;
+        }
+    }
+}
+
+/// `[m, k] × [k, n]` over flat row-major buffers, output rows split into
+/// `threads` bands.
+fn product<const SKIP_ZERO: bool>(
+    a: &[f32],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    threads: usize,
+) -> Tensor {
+    let mut out = Tensor::zeros(&[m, n]);
+    if m == 0 || k == 0 || n == 0 {
+        return out;
+    }
+    let band = |a_rows: &[f32], out_rows: &mut [f32]| {
+        for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+            row_times_matrix::<SKIP_ZERO>(a_row, b, n, out_row);
+        }
+    };
+    if threads > 1 {
+        // Bands are whole rows, so each worker owns a disjoint slice.
+        let rows_per_band = m.div_ceil(threads);
+        crossbeam::scope(|scope| {
+            let bands = a
+                .chunks(rows_per_band * k)
+                .zip(out.data.chunks_mut(rows_per_band * n));
+            for (a_rows, out_rows) in bands {
+                let band = &band;
+                scope.spawn(move |_| band(a_rows, out_rows));
+            }
+        })
+        .expect("matmul worker panicked");
+    } else {
+        band(a, &mut out.data);
+    }
+    out
+}
+
+/// Threads a product of `m` rows and `flops` multiply-adds is split over.
+fn product_threads(m: usize, flops: usize) -> usize {
+    if flops < PAR_MATMUL_FLOPS || crate::parallel::in_worker() {
+        1
+    } else {
+        crate::parallel::max_threads().min(m)
+    }
+}
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -343,49 +493,16 @@ impl Tensor {
     // Linear algebra
     // ------------------------------------------------------------------
 
-    /// Matrix product `self × other` for 2-D tensors, parallel over row
-    /// blocks for large problems.
+    /// Matrix product `self × other` for 2-D tensors (kernel contract in
+    /// the module doc), split over row bands for large problems.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "matmul lhs must be 2-D");
         assert_eq!(other.ndim(), 2, "matmul rhs must be 2-D");
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dims mismatch: {k} vs {k2}");
-        let mut out = Tensor::zeros(&[m, n]);
-        let a = &self.data;
-        let b = &other.data;
-        let flops = m * n * k;
-        // `row0` is the index of the first row held in `out_rows`.
-        let kernel = |row0: usize, out_rows: &mut [f32]| {
-            for (local_r, out_row) in out_rows.chunks_exact_mut(n).enumerate() {
-                let r = row0 + local_r;
-                let a_row = &a[r * k..(r + 1) * k];
-                for (kk, &a_v) in a_row.iter().enumerate() {
-                    if a_v == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..(kk + 1) * n];
-                    for (o, &b_v) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += a_v * b_v;
-                    }
-                }
-            }
-        };
-        let threads = crate::parallel::max_threads().min(m);
-        if flops >= PAR_MATMUL_FLOPS && threads > 1 {
-            // Chunks are whole rows so each worker owns a disjoint row band.
-            let rows_per_block = m.div_ceil(threads);
-            crossbeam::scope(|scope| {
-                for (block, out_rows) in out.data.chunks_mut(rows_per_block * n).enumerate() {
-                    let kernel = &kernel;
-                    scope.spawn(move |_| kernel(block * rows_per_block, out_rows));
-                }
-            })
-            .expect("matmul worker panicked");
-        } else {
-            kernel(0, &mut out.data);
-        }
-        out
+        let threads = product_threads(m, m * n * k);
+        product::<true>(&self.data, &other.data, (m, k, n), threads)
     }
 
     /// `selfᵀ × other` without materializing the transpose.
@@ -412,37 +529,34 @@ impl Tensor {
         out
     }
 
-    /// `self × otherᵀ` without materializing the transpose.
+    /// `self × otherᵀ`. Copies `other` transposed once — `O(n·k)` against
+    /// the product's `O(m·n·k)` — so the shared row kernel can run over
+    /// contiguous rows; unlike [`Tensor::matmul`] no zero term is skipped.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2);
         assert_eq!(other.ndim(), 2);
         let (m, k) = (self.shape[0], self.shape[1]);
         let (n, k2) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_t inner dims mismatch: {k} vs {k2}");
-        let mut out = Tensor::zeros(&[m, n]);
-        for r in 0..m {
-            let a_row = &self.data[r * k..(r + 1) * k];
-            let out_row = &mut out.data[r * n..(r + 1) * n];
-            for (c, o) in out_row.iter_mut().enumerate() {
-                let b_row = &other.data[c * k..(c + 1) * k];
-                let mut acc = 0.0;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
-                }
-                *o = acc;
-            }
-        }
-        out
+        let other_t = other.transpose();
+        let threads = product_threads(m, m * n * k);
+        product::<false>(&self.data, &other_t.data, (m, k, n), threads)
     }
 
-    /// Explicit 2-D transpose.
+    /// Explicit 2-D transpose, copied in square tiles so that neither side
+    /// is walked with a full-row stride.
     pub fn transpose(&self) -> Tensor {
+        const TILE: usize = 8;
         assert_eq!(self.ndim(), 2);
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = Tensor::zeros(&[n, m]);
-        for r in 0..m {
-            for c in 0..n {
-                out.data[c * m + r] = self.data[r * n + c];
+        for r0 in (0..m).step_by(TILE) {
+            for c0 in (0..n).step_by(TILE) {
+                for r in r0..(r0 + TILE).min(m) {
+                    for c in c0..(c0 + TILE).min(n) {
+                        out.data[c * m + r] = self.data[r * n + c];
+                    }
+                }
             }
         }
         out
@@ -537,6 +651,10 @@ mod tests {
         out
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     fn assert_close(a: &Tensor, b: &Tensor, tol: f32) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.data().iter().zip(b.data().iter()) {
@@ -572,11 +690,45 @@ mod tests {
     fn matmul_matches_naive_random_and_parallel_path() {
         let mut rng = Rng64::new(1);
         // Large enough to cross PAR_MATMUL_FLOPS.
-        let a = Tensor::randn(&[96, 80], 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(&[80, 96], 0.0, 1.0, &mut rng);
+        const { assert!(160 * 168 * 160 >= PAR_MATMUL_FLOPS) };
+        let a = Tensor::randn(&[160, 168], 0.0, 1.0, &mut rng);
+        let b = Tensor::randn(&[168, 160], 0.0, 1.0, &mut rng);
         let fast = a.matmul(&b);
         let slow = naive_matmul(&a, &b);
         assert_close(&fast, &slow, 1e-3);
+    }
+
+    #[test]
+    fn rhs_beyond_the_cache_budget_streams_to_the_same_bits() {
+        // 600 × 448 elements is past MAX_BLOCKED_RHS, so no column is
+        // blocked; the inputs hold no zeros, so the naive sum is the
+        // kernel's sum term for term.
+        const { assert!(600 * 448 > MAX_BLOCKED_RHS) };
+        let mut rng = Rng64::new(7);
+        let a = Tensor::randn(&[3, 600], 0.0, 1.0, &mut rng);
+        let b = Tensor::randn(&[600, 448], 0.0, 1.0, &mut rng);
+        let want = bits(&naive_matmul(&a, &b));
+        assert_eq!(bits(&a.matmul(&b)), want);
+        assert_eq!(bits(&a.matmul_t(&b.transpose())), want);
+    }
+
+    #[test]
+    fn threaded_bands_are_bit_identical_to_serial() {
+        // Thread counts passed explicitly: neither the machine's core count
+        // nor the process-wide override decides which path runs. 7 rows
+        // over 3 threads gives bands of 3, 3 and 1; 40 columns cover one
+        // register block and a tail.
+        let mut rng = Rng64::new(6);
+        let dims = (7, 19, 40);
+        let mut a = Tensor::randn(&[7, 19], 0.0, 1.0, &mut rng);
+        a.data_mut()[5] = 0.0;
+        let b = Tensor::randn(&[19, 40], 0.0, 1.0, &mut rng);
+        let serial = bits(&product::<true>(a.data(), b.data(), dims, 1));
+        for threads in [2, 3, 7] {
+            let threaded = bits(&product::<true>(a.data(), b.data(), dims, threads));
+            assert_eq!(threaded, serial, "{threads} threads diverged");
+        }
+        assert_eq!(bits(&a.matmul(&b)), serial);
     }
 
     #[test]

@@ -630,12 +630,12 @@ fn buffered_churn_accounting_closes_and_telemetry_persists() {
     let (mut rec_joined, mut rec_departed) = (0usize, 0usize);
     for out in &outcomes {
         let h = out.hetero.as_ref().expect("buffered telemetry");
-        rec_dropouts += h.dropouts;
-        rec_busy += h.busy;
-        rec_lost += h.stragglers;
+        rec_dropouts += h.dropouts as usize;
+        rec_busy += h.busy as usize;
+        rec_lost += h.stragglers as usize;
         rec_aggregated += h.aggregated();
-        rec_joined += h.joined;
-        rec_departed += h.departed;
+        rec_joined += h.joined as usize;
+        rec_departed += h.departed as usize;
     }
     assert!(rec_joined > 0 && rec_departed > 0, "records saw no churn");
     let stats = view.reliability.unwrap();
@@ -690,7 +690,7 @@ fn deadline_churn_accounting_closes() {
     let totals = view.reliability.unwrap().totals();
     let rec_dropouts: usize = outcomes
         .iter()
-        .map(|o| o.hetero.as_ref().unwrap().dropouts)
+        .map(|o| o.hetero.as_ref().unwrap().dropouts as usize)
         .sum();
     assert_eq!(totals.dropouts, rec_dropouts);
     assert_eq!(
@@ -750,7 +750,7 @@ fn structured_dropout_rescues_deadline_pressed_devices() {
     let h = rescued.hetero.as_ref().unwrap();
     assert!(h.masked > 0, "no device was masked");
     assert_eq!(
-        h.masked,
+        h.masked as usize,
         dispatches.iter().filter(|d| d.keep_ratio < 1.0).count(),
         "masked count must match sub-model dispatches"
     );
@@ -887,7 +887,7 @@ fn churned_dynamic_runs_are_parallel_serial_byte_identical() {
             .records
             .iter()
             .filter_map(|r| r.hetero.as_ref())
-            .map(|h| h.joined + h.departed)
+            .map(|h| (h.joined + h.departed) as usize)
             .sum();
         assert!(churned > 0, "dynamic run saw no churn — fixture too tame");
         let hist_p = run_history(&cfg_p);
@@ -906,7 +906,7 @@ fn churned_dynamic_runs_are_parallel_serial_byte_identical() {
         .records
         .iter()
         .filter_map(|r| r.hetero.as_ref())
-        .map(|h| h.masked)
+        .map(|h| h.masked as usize)
         .sum();
     assert!(masked > 0, "dynamic deadline run never masked a device");
 }

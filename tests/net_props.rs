@@ -761,6 +761,12 @@ fn loopback_barrier_run_is_byte_identical_to_ideal() {
         w.join().expect("no panic").expect("clean worker exit");
     }
 
+    for history in [&net_history, &ideal_history] {
+        assert!(
+            history.records.iter().all(|r| r.hetero.is_none()),
+            "neither executor has telemetry to box"
+        );
+    }
     assert_eq!(
         scrubbed_json(net_history),
         scrubbed_json(ideal_history),

@@ -126,3 +126,130 @@ proptest! {
         prop_assert!((sum - 1.0).abs() < 1e-4);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Kernel contract: bits, not tolerances
+// ---------------------------------------------------------------------------
+
+/// Scalar statement of the product kernels' contract (`feddrl_nn::tensor`
+/// module doc): output `(r, c)` starts at `+0.0` and adds `a(r, kk) ·
+/// b(kk, c)` in increasing `kk`; `skip_zero` drops the terms whose left
+/// factor is zero.
+fn reference_product(
+    a: impl Fn(usize, usize) -> f32,
+    b: impl Fn(usize, usize) -> f32,
+    (m, k, n): (usize, usize, usize),
+    skip_zero: bool,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * n);
+    for r in 0..m {
+        for c in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                let a_v = a(r, kk);
+                if skip_zero && a_v == 0.0 {
+                    continue;
+                }
+                acc += a_v * b(kk, c);
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+/// Bit equality, except that any NaN equals any NaN: which payload a NaN
+/// carries out of an add is the one thing the compiler may choose.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
+/// Normal entries with exact zeros and `-0.0` planted: the values the zero
+/// skip and the sign of an all-skipped sum depend on.
+fn planted(shape: &[usize], rng: &mut Rng64) -> Tensor {
+    let mut t = Tensor::randn(shape, 0.0, 1.0, rng);
+    for v in t.data_mut() {
+        match rng.below(8) {
+            0 | 1 => *v = 0.0,
+            2 => *v = -0.0,
+            _ => {}
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `matmul`, `t_matmul` and `matmul_t` are the scalar reference bit for
+    /// bit — across every column-block boundary and tail, with zeros on the
+    /// left and, in two cases out of three, a non-finite entry on the right
+    /// (where `0·∞` is skipped by the first two and is `NaN` in the third).
+    #[test]
+    fn products_match_the_scalar_reference_bit_for_bit(
+        seed in 0u64..10_000,
+        m in 1usize..40,
+        k in 1usize..150,
+        n in 1usize..140,
+        non_finite in 0usize..3,
+    ) {
+        let mut rng = Rng64::new(seed);
+        let plant = |t: &mut Tensor, rng: &mut Rng64| {
+            let at = rng.below(t.numel());
+            match non_finite {
+                1 => t.data_mut()[at] = f32::INFINITY,
+                2 => t.data_mut()[at] = f32::NAN,
+                _ => {}
+            }
+        };
+        let dims = (m, k, n);
+
+        let a = planted(&[m, k], &mut rng);
+        let mut b = planted(&[k, n], &mut rng);
+        plant(&mut b, &mut rng);
+        let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, true);
+        prop_assert!(same_bits(a.matmul(&b).data(), &want), "matmul {dims:?}");
+
+        let a_t = planted(&[k, m], &mut rng);
+        let want = reference_product(|r, kk| a_t.at(kk, r), |kk, c| b.at(kk, c), dims, true);
+        prop_assert!(same_bits(a_t.t_matmul(&b).data(), &want), "t_matmul {dims:?}");
+
+        let mut b_t = planted(&[n, k], &mut rng);
+        plant(&mut b_t, &mut rng);
+        let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b_t.at(c, kk), dims, false);
+        prop_assert!(same_bits(a.matmul_t(&b_t).data(), &want), "matmul_t {dims:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `backward_params` accumulates the parameter gradients `backward`
+    /// does, bit for bit, on an MLP and on a conv stack — twice in a row
+    /// without `zero_grad`, so accumulation is covered as well.
+    #[test]
+    fn backward_params_leaves_the_gradients_backward_leaves(seed in 0u64..1_000) {
+        let mut rng = Rng64::new(seed);
+        let mlp = ModelSpec::Mlp { in_dim: 9, hidden: vec![33, 7], out_dim: 5 }.build(seed);
+        let conv = Sequential::new()
+            .push(Conv2d::new(2, 6, 6, 3, 3, 1, 1, &mut rng))
+            .push(Activation::relu())
+            .push(MaxPool2d::new(3, 6, 6, 2, 2))
+            .push(Dense::new(27, 4, Init::HeNormal, &mut rng));
+        for (model, in_dim) in [(mlp, 9), (conv, 72)] {
+            let (mut full, mut params_only) = (model.clone(), model);
+            for _ in 0..2 {
+                let x = Tensor::randn(&[6, in_dim], 0.0, 1.0, &mut rng);
+                let grad = full.forward(&x, true).map(|v| v - 0.5);
+                params_only.forward(&x, true);
+                full.backward(&grad);
+                params_only.backward_params(&grad);
+                prop_assert!(same_bits(&params_only.flat_grads(), &full.flat_grads()));
+            }
+        }
+    }
+}

@@ -230,7 +230,7 @@ fn stragglers_under(policy: &mut dyn SelectionPolicy, rounds: usize) -> usize {
             participation[c] += 1;
         }
         let out = ex.execute(&ctx(round), &selected, &stub_train);
-        stragglers += out.hetero.expect("deadline telemetry").stragglers;
+        stragglers += out.hetero.expect("deadline telemetry").stragglers as usize;
         for u in &out.updates {
             known_loss[u.client_id] = Some(u.loss_before);
         }

@@ -106,6 +106,18 @@ pub enum FlError {
         /// Human-readable description of the violation.
         reason: String,
     },
+    /// A client update whose shape disagrees with the global model: a
+    /// weight vector or a mask of another length. The built-in local
+    /// solvers cannot produce one; a user-supplied `train_fn` or executor
+    /// can, and aggregating it would index out of step.
+    InvalidUpdate {
+        /// Round in which the update arrived.
+        round: usize,
+        /// The client the update claims to come from.
+        client_id: usize,
+        /// Human-readable description of the violation.
+        reason: String,
+    },
     /// A socket-level I/O failure in the networked runtime (bind, accept,
     /// read or write on a client connection). Carries the `io::ErrorKind`
     /// name plus context rather than the `std::io::Error` itself, which is
@@ -179,6 +191,14 @@ impl fmt::Display for FlError {
             FlError::InvalidFactors { round, reason } => write!(
                 f,
                 "round {round}: strategy returned invalid impact factors: {reason}"
+            ),
+            FlError::InvalidUpdate {
+                round,
+                client_id,
+                reason,
+            } => write!(
+                f,
+                "round {round}: client {client_id} returned an invalid update: {reason}"
             ),
             FlError::Io { reason } => write!(f, "network i/o error: {reason}"),
             FlError::Protocol { reason } => write!(f, "wire protocol violation: {reason}"),

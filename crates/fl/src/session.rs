@@ -27,7 +27,7 @@
 //! historical `run_federated` loop (enforced by the committed golden
 //! fixture).
 
-use crate::client::{dispatch_mask, run_local_round, run_local_round_masked};
+use crate::client::{dispatch_mask, run_local_round, run_local_round_masked, ClientUpdate};
 use crate::error::FlError;
 pub use crate::executor::TrainContext;
 use crate::executor::{Dispatch, ExecutorConfig, RoundExecutor, StalenessDiscount, TrainFn};
@@ -480,9 +480,12 @@ impl<'a> Session<'a> {
     /// # Errors
     /// [`FlError::InvalidSelection`] when a (user-provided) selection
     /// policy returns a sample that is not exactly `K` distinct in-range
-    /// client ids; [`FlError::InvalidFactors`] when a (user-provided)
-    /// strategy returns impact factors that cannot be normalized onto the
-    /// simplex — reported before aggregation touches the global model.
+    /// client ids; [`FlError::InvalidUpdate`] when a (user-provided)
+    /// `train_fn` or executor returns an update whose weight vector or
+    /// mask is not as long as the model; [`FlError::InvalidFactors`] when
+    /// a (user-provided) strategy returns impact factors that cannot be
+    /// normalized onto the simplex — each reported before aggregation
+    /// touches the global model.
     pub fn step(&mut self) -> Result<Option<&RoundRecord>, FlError> {
         if self.is_finished() {
             return Ok(None);
@@ -589,6 +592,7 @@ impl<'a> Session<'a> {
         };
         let outcome = self.executor.execute(&ctx, &selected, train);
         let updates = outcome.updates;
+        validate_updates(&updates, global_flat.len(), round)?;
         // The executor's post-round state: how to weigh what it returned,
         // and what it still has pending (for the observers below). The
         // view borrows, so this second one costs nothing.
@@ -718,9 +722,10 @@ impl<'a> Session<'a> {
     /// # Errors
     /// Propagates the first [`FlError`] from [`Session::step`] — and,
     /// having consumed the session, drops the rounds completed before the
-    /// failure. Only a misbehaving user-provided [`SelectionPolicy`] or
-    /// [`Strategy`] can fail mid-run (built-ins are total, and config
-    /// errors are caught at [`SessionBuilder::build`]); when driving one
+    /// failure. Only a misbehaving user-provided [`SelectionPolicy`],
+    /// `train_fn` or [`Strategy`] can fail mid-run (built-ins are total,
+    /// and config errors are caught at [`SessionBuilder::build`]); when
+    /// driving one
     /// and partial results matter, loop [`Session::step`] yourself and recover the
     /// completed rounds with [`Session::into_history`].
     pub fn run(mut self) -> Result<RunHistory, FlError> {
@@ -788,6 +793,27 @@ fn validate_factors(raw: &[f32], expected: usize, round: usize) -> Result<(), Fl
         return Ok(());
     };
     Err(FlError::InvalidFactors { round, reason })
+}
+
+/// Check what the executor handed back against the model's shape: every
+/// weight vector and every mask `dim` long — what the aggregation kernels
+/// would otherwise panic on.
+fn validate_updates(updates: &[ClientUpdate], dim: usize, round: usize) -> Result<(), FlError> {
+    for u in updates {
+        let reason = if u.weights.len() != dim {
+            format!("expected {dim} weights, got {}", u.weights.len())
+        } else if let Some(m) = u.mask.as_ref().filter(|m| m.len() != dim) {
+            format!("expected a mask over {dim} positions, got {}", m.len())
+        } else {
+            continue;
+        };
+        return Err(FlError::InvalidUpdate {
+            round,
+            client_id: u.client_id,
+            reason,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

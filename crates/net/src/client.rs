@@ -251,9 +251,11 @@ where
                 // server re-derives the mask from the shared seed. Full
                 // masks fall back to the dense Update frame.
                 let msg = if let Some(mask) = update.mask.as_ref().filter(|m| !m.is_full()) {
-                    let kept_weights: Vec<f32> = (0..update.weights.len())
-                        .filter(|&p| mask.keeps(p))
-                        .map(|p| update.weights[p])
+                    let kept_weights: Vec<f32> = update
+                        .weights
+                        .iter()
+                        .zip(mask.as_slice())
+                        .filter_map(|(&w, &keep)| keep.then_some(w))
                         .collect();
                     report.masked_rounds += 1;
                     Message::MaskedUpdate(MaskedUpdateMsg {

@@ -33,6 +33,14 @@
 //! vector with the mask attached — exactly what the in-process masked
 //! path hands to `masked_weighted_average`.
 //!
+//! A peer chooses the lengths it sends. A solicited arrival whose dense
+//! weight count or masked `total_len` is not the parameter count of the
+//! model last published (or whose masked frame cannot be scattered)
+//! closes its dispatch, is counted in [`NetTelemetry::malformed_updates`]
+//! and in the round's dropouts, and never reaches the session: a barrier
+//! completes on the other workers' updates instead of panicking in the
+//! aggregation or sitting out the round timeout.
+//!
 //! A shared [`NetTelemetry`] handle (clone it *before* boxing the
 //! executor into a session) accumulates per-dispatch round-trip times,
 //! measured staleness, and the server's publish bytes-on-wire counters
@@ -87,6 +95,12 @@ pub struct NetTelemetry {
     pub timed_out: usize,
     /// Updates that arrived as compact `MaskedUpdate` frames.
     pub masked_updates: usize,
+    /// Solicited arrivals discarded because their shape disagrees with
+    /// the model: a dense weight count or a masked `total_len` other than
+    /// the published parameter count, or a masked frame that cannot be
+    /// scattered (no masking policy, or a re-derived mask of another
+    /// shape). They never reach the session.
+    pub malformed_updates: usize,
     /// The server's cumulative publish bytes-on-wire accounting,
     /// mirrored here after every `publish_model` so it stays readable
     /// once the executor is boxed into a session.
@@ -191,6 +205,9 @@ pub struct NetworkExecutor {
     /// the session something to aggregate, sent with every publish, and
     /// the baseline for measured staleness.
     version: u64,
+    /// Parameter count of the model last published: the length every
+    /// arriving update must claim.
+    published_len: usize,
     /// Clients with a `TrainRequest` outstanding.
     pending: BTreeMap<usize, PendingDispatch>,
     /// Cumulative departed count at the end of the previous round, for
@@ -213,6 +230,7 @@ impl NetworkExecutor {
             discount: StalenessDiscount::None,
             server_mix: 1.0,
             version: 0,
+            published_len: 0,
             pending: BTreeMap::new(),
             departed_seen: 0,
             masking: None,
@@ -319,8 +337,8 @@ impl NetworkExecutor {
         }
         let mut full = vec![0.0f32; info.total_len];
         let mut kept = msg.weights.iter();
-        for (p, slot) in full.iter_mut().enumerate() {
-            if mask.keeps(p) {
+        for (slot, &keep) in full.iter_mut().zip(mask.as_slice()) {
+            if keep {
                 *slot = *kept.next().expect("kept count checked above");
             }
         }
@@ -349,6 +367,7 @@ impl std::fmt::Debug for NetworkExecutor {
 impl RoundExecutor for NetworkExecutor {
     fn publish_model(&mut self, _round: usize, global: &[f32]) {
         let _ = self.server.publish(self.version, global);
+        self.published_len = global.len();
         // Mirror the server's cumulative bytes-on-wire counters into the
         // shared telemetry so they stay readable once this executor is
         // boxed into a session.
@@ -397,11 +416,12 @@ impl RoundExecutor for NetworkExecutor {
             }
         }
 
-        let want = match self.mode {
+        let mut want = match self.mode {
             NetMode::Barrier => dispatched.len(),
             NetMode::Buffered { buffer_size } => buffer_size.min(self.pending.len()),
         };
         let deadline = round_start + self.round_timeout;
+        let mut malformed = 0usize;
         let mut arrived: Vec<(usize, ClientUpdate)> = Vec::with_capacity(want);
         while arrived.len() < want {
             let Some(inbound) = self.server.recv_update(deadline) else {
@@ -422,19 +442,30 @@ impl RoundExecutor for NetworkExecutor {
                 * 1e3;
             let staleness = self.version.saturating_sub(inbound.msg.model_version);
             let masked_arrival = inbound.masked.is_some();
-            let update = if let Some(info) = inbound.masked {
-                // A masked frame with no masking policy attached (or one
-                // whose re-derived mask disagrees with its shape) cannot
-                // be scattered; drop it rather than aggregate misaligned.
-                let Some(masking) = &self.masking else {
-                    continue;
-                };
-                match Self::reassemble_masked(masking, inbound.msg, info, staleness as usize) {
-                    Some(update) => update,
-                    None => continue,
-                }
+            // The peer chose these lengths; checked here, a wrong one is a
+            // counted failure instead of a length assert in the session's
+            // aggregation. A masked frame with no masking policy attached
+            // (or one whose re-derived mask disagrees with its shape)
+            // cannot be scattered and goes the same way.
+            let claimed_len = inbound
+                .masked
+                .map_or(inbound.msg.weights.len(), |info| info.total_len);
+            let update = if claimed_len != self.published_len {
+                None
+            } else if let Some(info) = inbound.masked {
+                self.masking.as_ref().and_then(|masking| {
+                    Self::reassemble_masked(masking, inbound.msg, info, staleness as usize)
+                })
             } else {
-                Self::to_update(inbound.msg, staleness as usize)
+                Some(Self::to_update(inbound.msg, staleness as usize))
+            };
+            let Some(update) = update else {
+                // Its dispatch is answered: the round can collect no more
+                // than what is still in flight, so a barrier stops waiting
+                // for this client instead of sitting out the timeout.
+                malformed += 1;
+                want = want.min(arrived.len() + self.pending.len());
+                continue;
             };
             {
                 let mut t = self.telemetry.lock();
@@ -462,6 +493,7 @@ impl RoundExecutor for NetworkExecutor {
             t.dispatched += dispatched.len();
             t.failed_dispatches += failed;
             t.timed_out += timed_out;
+            t.malformed_updates += malformed;
         }
         if !arrived.is_empty() {
             // Only an aggregation makes a new global model; an empty round
@@ -491,7 +523,7 @@ impl RoundExecutor for NetworkExecutor {
                     // Measured wall-clock of the aggregation, where the
                     // simulator would report virtual time.
                     sim_time_s: round_start.elapsed().as_secs_f64(),
-                    dropouts: narrow_count(failed + timed_out),
+                    dropouts: narrow_count(failed + timed_out + malformed),
                     busy: narrow_count(busy),
                     departed: narrow_count(newly_departed),
                     masked: narrow_count(arrived.iter().filter(|(_, u)| u.mask.is_some()).count()),

@@ -13,12 +13,13 @@
 //! whose quota changes while it runs keeps the value it started with;
 //! [`set_max_threads`] overrides it for tests.
 //!
-//! **No fan-out inside a fan-out.** Every thread spawned by [`par_map`] or
-//! [`par_chunks_mut`] is marked, and [`in_worker`] reports the mark. The
-//! workers of an outer fan-out already own the cores, so a kernel that would
-//! otherwise spawn (`Tensor::matmul` above its threshold) stays serial when
-//! it finds itself inside one: measured on a 629-sample shard, the
-//! inference loss took 5.5 ms with nested spawns and 2.2 ms without.
+//! **No fan-out inside a fan-out.** Every thread spawned by [`par_map`],
+//! [`par_chunks_mut`] or [`par_split_mut`] is marked, and [`in_worker`]
+//! reports the mark. The workers of an outer fan-out already own the cores,
+//! so a kernel that would otherwise spawn (`Tensor::matmul` above its
+//! threshold) stays serial when it finds itself inside one: measured on a
+//! 629-sample shard, the inference loss took 5.5 ms with nested spawns and
+//! 2.2 ms without.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,13 +76,25 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = data.len();
-    let threads = max_threads().min(len / min_chunk.max(1)).max(1);
-    if threads <= 1 {
+    let threads = max_threads().min(data.len() / min_chunk.max(1));
+    par_split_mut(data, threads, f);
+}
+
+/// [`par_chunks_mut`] with the thread count chosen by the caller: `data`
+/// in `threads` near-equal contiguous chunks, one scoped thread each, or
+/// one call on the caller's thread when `threads <= 1`. Kernels that decide
+/// from their own measured threshold whether to fan out call this, and
+/// their tests pass explicit counts to pin threaded = serial on any box.
+pub fn par_split_mut<T, F>(data: &mut [T], threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if threads <= 1 || data.is_empty() {
         f(0, data);
         return;
     }
-    let chunk = len.div_ceil(threads);
+    let chunk = data.len().div_ceil(threads);
     crossbeam::scope(|scope| {
         for (i, piece) in data.chunks_mut(chunk).enumerate() {
             let f = &f;

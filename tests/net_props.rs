@@ -774,6 +774,115 @@ fn loopback_barrier_run_is_byte_identical_to_ideal() {
     );
 }
 
+/// A peer cannot panic the server with a short `Update`. One raw-socket
+/// worker answers its `TrainRequest` with one weight too few; the executor
+/// counts the arrival as malformed, keeps it away from the session, and the
+/// barrier completes on the other workers' updates — before the round
+/// timeout it would otherwise have sat out waiting for the fifth update.
+/// The hostile worker blocks on the socket throughout: no sleeps.
+#[test]
+fn a_short_update_is_counted_and_kept_out_of_the_round() {
+    let (spec, train, test, partition, mut cfg) = net_env();
+    cfg.rounds = 1;
+    cfg.participants = NET_CLIENTS;
+    const HOSTILE: usize = 0;
+
+    let server = NetServerBuilder::new().build().expect("bind");
+    let addr = server.local_addr().to_string();
+    let hostile = {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let mut sock = TcpStream::connect(&addr).expect("connect");
+            let hello = Message::Hello {
+                client_id: HOSTILE as u64,
+                min_version: PROTOCOL_VERSION_MIN,
+                max_version: PROTOCOL_VERSION_MAX,
+            };
+            write_frame(&mut sock, &hello).expect("hello");
+            let mut model = Vec::new();
+            // Until the server's `Bye` (or its hang-up) ends the stream.
+            while let Ok(Some(msg)) = read_frame(&mut sock) {
+                match msg {
+                    Message::ModelPublish { weights, .. } => model = weights,
+                    Message::TrainRequest { round, .. } => {
+                        let short = stub_update(round as usize, HOSTILE, &model[1..]);
+                        let reply = Message::Update(UpdateMsg {
+                            client_id: HOSTILE as u64,
+                            round,
+                            model_version: 0,
+                            staleness: 0,
+                            n_samples: short.n_samples as u64,
+                            loss_before: short.loss_before,
+                            loss_after: short.loss_after,
+                            weights: short.weights,
+                        });
+                        write_frame(&mut sock, &reply).expect("short update");
+                    }
+                    Message::Bye { .. } => break,
+                    _ => {}
+                }
+            }
+        })
+    };
+    let workers: Vec<_> = (0..NET_CLIENTS)
+        .filter(|&cid| cid != HOSTILE)
+        .map(|cid| {
+            let worker_cfg = NetClientBuilder::new(addr.clone(), cid)
+                .build()
+                .expect("client config");
+            thread::spawn(move || {
+                run_client(&worker_cfg, move |order, global| {
+                    stub_update(order.round as usize, cid, global)
+                })
+            })
+        })
+        .collect();
+    server
+        .wait_for_clients(NET_CLIENTS, Duration::from_secs(10))
+        .expect("all workers subscribed");
+
+    {
+        let round_timeout = Duration::from_secs(10);
+        let executor = NetworkExecutor::barrier(server).with_round_timeout(round_timeout);
+        let telemetry = executor.telemetry();
+        let mut strategy = FedAvg;
+        let mut session = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
+            .config(&cfg)
+            .executor_instance(Box::new(executor))
+            .build()
+            .expect("valid config");
+        let started = Instant::now();
+        let record = session
+            .step()
+            .expect("a malformed arrival is not an error of the round")
+            .expect("one round to run");
+        assert!(
+            started.elapsed() < round_timeout,
+            "the barrier waited out its timeout for the discarded update"
+        );
+        assert_eq!(record.selected.len(), NET_CLIENTS);
+        assert_eq!(
+            record.impact_factors.len(),
+            NET_CLIENTS - 1,
+            "exactly the well-formed updates were aggregated"
+        );
+        assert!(session.global_params().iter().all(|w| w.is_finite()));
+        let t = telemetry.lock();
+        assert_eq!(t.malformed_updates, 1);
+        assert_eq!(t.dispatched, NET_CLIENTS);
+        assert_eq!(
+            (t.failed_dispatches, t.timed_out),
+            (0, 0),
+            "one fault, one counter"
+        );
+    } // session (and with it the server) drops here → workers get Bye
+
+    hostile.join().expect("hostile worker exits on Bye");
+    for w in workers {
+        w.join().expect("no panic").expect("clean worker exit");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Delta-compressed publishes
 // ---------------------------------------------------------------------------

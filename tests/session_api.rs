@@ -246,6 +246,61 @@ fn misbehaving_strategy_surfaces_invalid_factors() {
     }
 }
 
+/// A misbehaving `train_fn` is a typed error too: an update one weight
+/// short, or carrying a mask of another length, names its round and client
+/// and leaves the global model untouched — where the aggregation kernels
+/// would have panicked on a length assert.
+#[test]
+fn ragged_update_surfaces_invalid_update() {
+    let (spec, train, test, partition, cfg) = golden_setup();
+    // Every client echoes the broadcast; the second one dispatched bends
+    // its update out of shape.
+    type Bend = fn(&mut ClientUpdate);
+    let short: Bend = |u| {
+        u.weights.pop();
+    };
+    let ragged_mask: Bend = |u| u.mask = Some(StructuredMask::full(u.weights.len() + 1));
+    for bend in [short, ragged_mask] {
+        let train_fn = move |ctx: &TrainContext<'_>, dispatches: &[Dispatch]| {
+            let echo = |(i, d): (usize, &Dispatch)| {
+                let mut update = ClientUpdate {
+                    client_id: d.client_id,
+                    weights: ctx.global.to_vec(),
+                    n_samples: 1,
+                    loss_before: 1.0,
+                    loss_after: 0.5,
+                    staleness: 0,
+                    mask: None,
+                };
+                if i == 1 {
+                    bend(&mut update);
+                }
+                update
+            };
+            dispatches.iter().enumerate().map(echo).collect()
+        };
+        let mut strategy = FedAvg;
+        let mut session = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
+            .config(&cfg)
+            .train_fn(Box::new(train_fn))
+            .build()
+            .expect("golden config is valid");
+        let before = session.global_params();
+        let err = session.step().err();
+        let Some(FlError::InvalidUpdate {
+            round: 0,
+            client_id,
+            reason,
+        }) = err
+        else {
+            panic!("expected InvalidUpdate, got {err:?}");
+        };
+        assert!(client_id < partition.n_clients());
+        assert!(reason.contains("expected"), "reason: {reason}");
+        assert_eq!(session.global_params(), before, "global model touched");
+    }
+}
+
 /// The buffered executor's knobs surface as the new typed errors — from
 /// the builder, before any compute is spent.
 #[test]

@@ -18,8 +18,11 @@
 //! the clients are walked in order, each adding its term into the output
 //! block (and, mask-aware, its `α` into a block-sized mass array on the
 //! stack), so every client's weights are read once and nothing P-sized is
-//! allocated but the result. What callers — and the golden fixtures and
-//! `fedbench --verify` hashes, which pin every bit — may rely on:
+//! allocated but the result. The three block loops are slice kernels of
+//! [`feddrl_nn::simd`], which compiles each for the baseline target and for
+//! AVX2 and picks at run time; both give the same bits. What callers — and
+//! the golden fixtures and `fedbench --verify` hashes, which pin every bit
+//! — may rely on:
 //!
 //! * **Per-position order.** Position `p` starts at `+0.0` and adds
 //!   `α_k · w_k[p]` for k = 0, 1, … in the order the clients were passed,
@@ -37,7 +40,7 @@
 //!   tables they were chosen from.
 
 use crate::client::{ClientSummary, ClientUpdate};
-use feddrl_nn::parallel;
+use feddrl_nn::{parallel, simd};
 
 /// Everything a strategy may inspect about the current round beyond the
 /// scalar summaries: the global model broadcast at round start and the
@@ -159,53 +162,66 @@ pub fn normalize_factors(raw: &[f32]) -> Vec<f32> {
 }
 
 /// Positions per block of the aggregation sweep (module docs): the output
-/// block and, on the mask-aware path, the `mass` block beside it stay in
-/// cache while every client's weights stream past once.
+/// block and, on the mask-aware path, the `mass` block beside it stay in L1
+/// while every client's weights stream past once.
 ///
-/// The sweep is bound by the 16 × 8.4 MB it streams, not by the block:
-/// measured on the 2-vCPU reference box at P = 2 108 426, K = 16, every
-/// second client a 0.625 sub-model (best of 7, ms, range over three runs;
-/// the parent's client-by-client walk took 61–63 masked, 20–21 dense):
+/// Measured on the 2-vCPU reference box at P = 2 108 426, K = 16, every
+/// second client a 0.625 sub-model (best of 7, ms, range over seven runs in
+/// an hour when the second vCPU was there to be had):
 ///
 /// | block | masked, 1 thread | masked, 2 threads | dense, 1 | dense, 2 |
 /// |---|---|---|---|---|
-/// | 512 | 32–33 | 16–43 | 18–22 | 10–20 |
-/// | 2 048 | 36–37 | 19–26 | 19–20 | 10–14 |
-/// | 4 096 | 33–47 | 20–24 | 20–24 | 10–12 |
-/// | 8 192 | 33–35 | 17–20 | 19–21 | 10–13 |
-/// | 16 384 | 32–35 | 17–19 | 20–25 | 11–12 |
-/// | 32 768 | 31–42 | 17–19 | 19–20 | 10–13 |
-/// | 65 536 | 32–37 | 17–22 | 19–21 | 11–13 |
+/// | 64 | 8.7–10.7 | 4.9–5.1 | 6.4–13.5 | 3.6–4.0 |
+/// | 128 | 8.6–10.8 | 4.2–5.7 | 5.4–7.3 | 3.2–3.9 |
+/// | 256 | 9.6–12.0 | 4.8–7.1 | 6.0–8.4 | 3.2–4.1 |
+/// | 512 | 9.8–14.7 | 4.6–6.3 | 6.4–11.1 | 3.5–4.6 |
+/// | 1 024 | 11.3–14.4 | 5.3–6.1 | 7.7–12.1 | 3.6–4.3 |
+/// | 2 048 | 11.5–21.1 | 4.9–8.4 | 6.4–12.9 | 3.3–5.8 |
+/// | 4 096 | 13.1–16.6 | 5.7–8.5 | 6.5–10.1 | 4.2–4.4 |
+/// | 8 192 | 13.5–19.7 | 5.7–9.3 | 8.1–13.1 | 4.3–5.8 |
 ///
-/// Flat from 2 048 up; 8 192 keeps output and mass block (64 KB) well
-/// inside the 2 MiB L2 and the stack array at 32 KB. A branch-free select
-/// in the masked loop measured the same as the branch (±2 ms either way).
-const SWEEP_BLOCK: usize = 8192;
+/// and in an hour when it was not (one thread, three runs): 512 9.0–9.9
+/// masked, 5.6–6.2 dense; 2 048 11.2–11.8, 6.7–7.4; 8 192 12.1–12.6,
+/// 7.3–7.8; 32 768 11.6–14.2, 7.2–8.3. While the block loops were scalar
+/// the table was flat from 2 048 up and 8 192 was chosen; at vector width
+/// the pass runs at what memory delivers and is flat from 64 to 512, a
+/// fifth to a third slower from 2 048 up (plausibly: sixteen streams that
+/// each advance a fraction of a page per turn keep the prefetchers on all
+/// of them). 512 is the largest block on the flat part — the fewest kernel
+/// calls — and output plus mass block are 4 KB.
+const SWEEP_BLOCK: usize = 512;
 
 /// Minimum work, in clients × positions, before the sweep is split over
 /// threads.
 ///
-/// Serial / two threads, µs, best of 15–200, block 8 192, on a run where
-/// the second vCPU was there to be had (on one where it was not, two
-/// threads cost the serial time plus a 25–40 µs spawn at every size):
+/// Serial / two threads, µs, best of 7–200, block 512, range over three
+/// runs in an hour when the second vCPU was there to be had:
 ///
 /// | K × P | shape | dense | masked |
 /// |---|---|---|---|
-/// | 19 k | 2 × 9 610 | 3 / 27 | 14 / 55 |
-/// | 96 k | 10 × 9 610 | 13 / 41 | 54 / 97 |
-/// | 0.55 M | 16 × 34 186 | 87 / 129 | 300 / 376 |
-/// | 1.06 M | 2 × 529 930 | 314 / 330 | 864 / 754 |
-/// | 1.07 M | 16 × 66 954 | 198 / 247 | 610 / 707 |
-/// | 2.1 M | 16 × 133 898 | 436 / 522 | 1 328 / 1 050 |
-/// | 4.2 M | 16 × 264 970 | 949 / 660 | 2 648 / 2 009 |
-/// | 8.5 M | 16 × 529 930 | 1 995 / 1 241 | 5 983 / 4 002 |
-/// | 16.9 M | 16 × 1 054 218 | 8 683 / 4 083 | 13 753 / 10 067 |
-/// | 33.7 M | 16 × 2 108 426 | 19 888 / 12 931 | 33 707 / 17 593 |
+/// | 19 k | 2 × 9 610 | 2–3 / 34–36 | 6–8 / 30–38 |
+/// | 96 k | 10 × 9 610 | 8–10 / 34–39 | 18–21 / 44–46 |
+/// | 0.55 M | 16 × 34 186 | 61–65 / 70–74 | 112–130 / 95–105 |
+/// | 1.05 M | 2 × 527 114 | 272–289 / 222–245 | 397–416 / 292–327 |
+/// | 1.07 M | 16 × 66 954 | 145–165 / 123–136 | 201–283 / 176–201 |
+/// | 2.1 M | 16 × 132 490 | 332–416 / 240–252 | 515–535 / 354–387 |
+/// | 4.2 M | 16 × 263 562 | 706–739 / 455–553 | 1 026–1 166 / 689–814 |
+/// | 8.4 M | 16 × 527 114 | 1 259–1 522 / 845–1 027 | 1 881–2 411 / 1 130–1 591 |
+/// | 16.9 M | 16 × 1 054 218 | 2 734–3 501 / 1 839–2 026 | 4 241–4 797 / 2 526–3 084 |
+/// | 33.7 M | 16 × 2 108 426 | 6 959–14 079 / 3 640–5 573 | 10 292–17 510 / 5 357–6 560 |
 ///
-/// 2²² is the first size where two threads win on both paths. Of the
-/// `fedbench` workloads only `server_fig9` (33.7 M) is above it;
-/// `net_bulk` (1.06 M), `paper_cluster_skew` (212 k), `net_chatty` (5.5 k)
-/// and `fleet_scale` (3.4 k) run the serial sweep and never spawn.
+/// In an hour when it was not (four runs, block 8 192), two threads cost
+/// the serial time plus a 25–50 µs spawn up to 8 M — 275–310 / 328–347 µs
+/// dense at 2 × 527 114, 760–851 / 833–1 008 at 4.2 M — and tied from 16 M
+/// up: one thread at vector width already takes most of what memory
+/// delivers. The serial sweep is 1.3–2.5× faster than the scalar one this
+/// threshold was first measured against, and on a good hour two threads
+/// now win from 2²⁰ up (1.15–1.3× there, 1.5× from 2²²). The constant
+/// stays at 2²²: between 2²⁰ and 2²² the win is 0.05–0.25 ms and the loss,
+/// when the second vCPU is away, a fifth of the sweep. Of the `fedbench`
+/// workloads only `server_fig9` (33.7 M) is above it; `net_bulk` (1.06 M),
+/// `paper_cluster_skew` (212 k), `net_chatty` (5.5 k) and `fleet_scale`
+/// (3.4 k) run the serial sweep and never spawn.
 const PAR_SWEEP_WORK: usize = 1 << 22;
 
 /// Threads a sweep of `work` clients × positions is split over.
@@ -242,7 +258,10 @@ pub fn weighted_average(weights: &[&[f32]], alphas: &[f32]) -> Vec<f32> {
     weighted_average_on(weights, alphas, sweep_threads(weights.len() * dim))
 }
 
-fn weighted_average_on(weights: &[&[f32]], alphas: &[f32], threads: usize) -> Vec<f32> {
+/// [`weighted_average`] on a thread count the caller picks — the seam the
+/// bit-equality laws use to pin threaded = serial on any box.
+#[doc(hidden)]
+pub fn weighted_average_on(weights: &[&[f32]], alphas: &[f32], threads: usize) -> Vec<f32> {
     assert_eq!(
         weights.len(),
         alphas.len(),
@@ -260,9 +279,7 @@ fn weighted_average_on(weights: &[&[f32]], alphas: &[f32], threads: usize) -> Ve
             if a == 0.0 {
                 continue;
             }
-            for (o, &v) in out_block.iter_mut().zip(&w[lo..hi]) {
-                *o += a * v;
-            }
+            simd::add_scaled(out_block, a, &w[lo..hi]);
         }
     });
     out
@@ -289,8 +306,8 @@ fn weighted_average_on(weights: &[&[f32]], alphas: &[f32], threads: usize) -> Ve
 ///
 /// Numerator and mass both start at `+0.0` and add their terms in client
 /// order, a zero-`α` client contributing to neither; a weight at a position
-/// its client's mask drops is never read, whatever it holds (module docs,
-/// "The aggregation sweep").
+/// its client's mask drops never reaches either sum, whatever it holds
+/// (module docs, "The aggregation sweep").
 ///
 /// # Panics
 /// Panics on length mismatches between `global`, the update weight
@@ -304,7 +321,10 @@ pub fn masked_weighted_average(
     masked_weighted_average_on(global, updates, alphas, threads)
 }
 
-fn masked_weighted_average_on(
+/// [`masked_weighted_average`] on a thread count the caller picks (see
+/// [`weighted_average_on`]).
+#[doc(hidden)]
+pub fn masked_weighted_average_on(
     global: &[f32],
     updates: &[ClientUpdate],
     alphas: &[f32],
@@ -336,27 +356,9 @@ fn masked_weighted_average_on(
         let mut mass = [0.0f32; SWEEP_BLOCK];
         let mass = &mut mass[..num.len()];
         for &(a, w, keep) in &voters {
-            let terms = num.iter_mut().zip(mass.iter_mut()).zip(&w[lo..hi]);
-            match keep {
-                None => {
-                    for ((n, m), &v) in terms {
-                        *n += a * v;
-                        *m += a;
-                    }
-                }
-                Some(keep) => {
-                    for (((n, m), &v), &k) in terms.zip(&keep[lo..hi]) {
-                        if k {
-                            *n += a * v;
-                            *m += a;
-                        }
-                    }
-                }
-            }
+            simd::add_vote(num, mass, a, &w[lo..hi], keep.map(|k| &k[lo..hi]));
         }
-        for ((n, &m), &g) in num.iter_mut().zip(mass.iter()).zip(&global[lo..hi]) {
-            *n = if m > 0.0 { *n / m } else { g };
-        }
+        simd::settle_votes(num, mass, &global[lo..hi]);
     });
     out
 }

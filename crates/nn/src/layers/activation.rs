@@ -102,10 +102,10 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let y = x.map(|v| self.kind.apply(v));
-        self.cache_x = Some(x.clone());
-        self.cache_y = Some(y.clone());
+        self.cache_x = train.then(|| x.clone());
+        self.cache_y = train.then(|| y.clone());
         y
     }
 

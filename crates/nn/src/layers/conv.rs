@@ -114,7 +114,7 @@ pub struct Conv2d {
     b: Tensor,
     gw: Tensor,
     gb: Tensor,
-    /// Per-sample im2col matrices from the last forward.
+    /// Per-sample im2col matrices from the last training forward.
     cache_cols: Vec<Tensor>,
 }
 
@@ -178,7 +178,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let batch = x.rows();
         debug_assert_eq!(
             x.cols(),
@@ -188,7 +188,6 @@ impl Layer for Conv2d {
         let n_pix = self.geom.col_cols();
         let mut out = Tensor::zeros(&[batch, self.out_c * n_pix]);
         self.cache_cols.clear();
-        self.cache_cols.reserve(batch);
         for s in 0..batch {
             let mut cols = Tensor::zeros(&[self.geom.col_rows(), n_pix]);
             im2col(x.row(s), self.geom, cols.data_mut());
@@ -203,7 +202,9 @@ impl Layer for Conv2d {
                     *d = v + bias;
                 }
             }
-            self.cache_cols.push(cols);
+            if train {
+                self.cache_cols.push(cols);
+            }
         }
         out
     }

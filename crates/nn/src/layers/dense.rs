@@ -16,7 +16,7 @@ pub struct Dense {
     b: Tensor,
     gw: Tensor,
     gb: Tensor,
-    /// Input cached by the last `forward`, consumed by `backward`.
+    /// Input cached by the last training `forward`, consumed by `backward`.
     cache_x: Option<Tensor>,
 }
 
@@ -46,7 +46,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         debug_assert_eq!(
             x.cols(),
             self.in_dim(),
@@ -56,7 +56,7 @@ impl Layer for Dense {
         );
         let mut y = x.matmul(&self.w);
         y.add_row_vec(&self.b);
-        self.cache_x = Some(x.clone());
+        self.cache_x = train.then(|| x.clone());
         y
     }
 

@@ -28,13 +28,16 @@ use crate::tensor::Tensor;
 
 /// A differentiable layer.
 ///
-/// Implementations cache forward inputs internally; `backward` must be called
-/// after the matching `forward` with a gradient of the same shape as that
-/// forward's output. Parameter gradients accumulate across calls until
-/// [`Layer::zero_grad`].
+/// Implementations cache what `backward` needs in a training `forward`;
+/// `backward` must be called after the matching `forward` with a gradient of
+/// the same shape as that forward's output. Parameter gradients accumulate
+/// across calls until [`Layer::zero_grad`].
 pub trait Layer: Send + Sync {
-    /// Compute the layer output. `train` toggles train-time behaviour
-    /// (dropout masks); inference passes should use `false`.
+    /// Compute the layer output. `train` toggles train-time behaviour:
+    /// dropout masks, and the caches `backward` consumes. An inference pass
+    /// (`false`) caches nothing and drops what an earlier training pass
+    /// left, so a `backward` after it is the layer's "backward called before
+    /// forward" panic.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Back-propagate `grad_out` (shape of the last forward's output),

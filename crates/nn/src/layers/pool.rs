@@ -66,13 +66,12 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let batch = x.rows();
         debug_assert_eq!(x.cols(), self.in_features, "MaxPool2d input mismatch");
         let (oh, ow) = (self.out_h(), self.out_w());
         let mut out = Tensor::zeros(&[batch, self.c * oh * ow]);
         self.cache_argmax.clear();
-        self.cache_argmax.reserve(batch);
         for s in 0..batch {
             let row = x.row(s);
             let out_row = out.row_mut(s);
@@ -102,7 +101,9 @@ impl Layer for MaxPool2d {
                     }
                 }
             }
-            self.cache_argmax.push(argmax);
+            if train {
+                self.cache_argmax.push(argmax);
+            }
         }
         out
     }

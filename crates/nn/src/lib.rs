@@ -20,7 +20,9 @@
 //!   profiles;
 //! * [`rng::Rng64`] — deterministic xoshiro256++ randomness so whole
 //!   federated runs reproduce from one seed;
-//! * [`parallel`] — crossbeam-scoped data-parallel helpers.
+//! * [`parallel`] — crossbeam-scoped data-parallel helpers;
+//! * [`simd`] — the hot loops (products, aggregation sweep) compiled for
+//!   the baseline target and for AVX2, picked at run time, bit-identical.
 //!
 //! ## Example
 //!
@@ -51,6 +53,7 @@ pub mod model;
 pub mod optim;
 pub mod parallel;
 pub mod rng;
+pub mod simd;
 pub mod tensor;
 pub mod zoo;
 

@@ -51,8 +51,11 @@ impl Sequential {
 
     /// Run the full stack. `train` enables dropout masks and gradient caches.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = x.clone();
-        for layer in self.layers.iter_mut() {
+        let Some((bottom, upper)) = self.layers.split_first_mut() else {
+            return x.clone();
+        };
+        let mut h = bottom.forward(x, train);
+        for layer in upper {
             h = layer.forward(&h, train);
         }
         h
@@ -243,6 +246,19 @@ mod tests {
         let x = Tensor::randn(&[5, 4], 0.0, 1.0, &mut rng);
         let y = model.forward(&x, false);
         assert_eq!(y.shape(), &[5, 3]);
+    }
+
+    /// An inference pass caches nothing and drops what the training pass
+    /// before it cached, so there is nothing to back-propagate through.
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn inference_forward_leaves_no_gradient_caches() {
+        let mut rng = Rng64::new(1);
+        let mut model = tiny_mlp(&mut rng);
+        let x = Tensor::randn(&[5, 4], 0.0, 1.0, &mut rng);
+        let y = model.forward(&x, true);
+        model.forward(&x, false);
+        model.backward(&y);
     }
 
     #[test]

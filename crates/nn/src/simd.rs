@@ -1,0 +1,403 @@
+//! The hot loops, compiled twice: for the build's baseline target and, on
+//! x86-64, for AVX2, chosen at run time.
+//!
+//! Each kernel is one `#[inline(always)]` body — the loops of
+//! [`tensor`](crate::tensor)'s products and of `feddrl_fl::strategy`'s
+//! aggregation sweep, every float operation in the order their contracts
+//! pin — and a dispatcher stamped by `dispatched!`. The dispatcher owns a
+//! `#[target_feature(enable = "avx2")]` function that does nothing but call
+//! the body: LLVM inlines the body into it and vectorises the copy at eight
+//! lanes instead of four. A wider `mulps`/`addps` is the same rounded
+//! multiply and the same rounded add per element, and `rustc` never
+//! contracts `a * b + c` into a fused multiply-add, so both copies produce
+//! the same bits (`fedbench --verify`, the golden fixtures and the laws in
+//! `tests/nn_props.rs` and `tests/aggregate_props.rs` run both). On a CPU
+//! without AVX2, and on every other architecture, the body itself runs:
+//! the parent's code at the parent's speed.
+//!
+//! **Why this module allows `unsafe`.** Calling a `target_feature` function
+//! from code compiled without the feature is `unsafe` in Rust — on a CPU
+//! that lacks it the call is an illegal instruction — and there is no safe
+//! spelling. The workspace denies `unsafe_code`; this module is the one
+//! exception, and the macro below holds its one `unsafe` block: a single
+//! call, directly under the `is_x86_feature_detected!` that makes it sound.
+//! The bodies are safe code.
+//!
+//! A closure-taking helper (`wide(|| body(..))`) does not work: the body is
+//! inlined into the closure, which has no AVX2 and is not itself inlined
+//! into the wrapper (measured: no gain). Hence one named wrapper per body.
+
+#![allow(unsafe_code)]
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+
+/// Set while `with_instantiation` pins the baseline bodies. It publishes
+/// no other data, so every access is `Relaxed`; threads spawned under the
+/// pin see it through the spawn.
+static BASELINE_PINNED: AtomicBool = AtomicBool::new(false);
+
+/// Run `f` with every dispatcher of this module pinned to the baseline body
+/// (`baseline`) or left to the CPU. Calls are serialised process-wide —
+/// tests of one binary run on parallel threads — so they must not nest; the
+/// pin covers threads `f` spawns.
+fn with_instantiation<R>(baseline: bool, f: impl FnOnce() -> R) -> R {
+    static PIN: Mutex<()> = Mutex::new(());
+    struct Unpin;
+    impl Drop for Unpin {
+        fn drop(&mut self) {
+            BASELINE_PINNED.store(false, Ordering::Relaxed);
+        }
+    }
+    // A law that failed under the pin poisons the lock; the flag it guards
+    // was reset by `Unpin`, so the next law may proceed.
+    let _serial = PIN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _unpin = Unpin;
+    BASELINE_PINNED.store(baseline, Ordering::Relaxed);
+    f()
+}
+
+/// Test seam: run `law` twice — on the kernels as the CPU dispatches them
+/// (`"dispatched"`) and pinned to the baseline bodies (`"baseline"`) — so a
+/// box with AVX2 checks both instantiations against the same reference
+/// instead of only ever running one. The name is for the law's messages.
+#[doc(hidden)]
+pub fn for_each_instantiation(mut law: impl FnMut(&'static str)) {
+    with_instantiation(false, || law("dispatched"));
+    with_instantiation(true, || law("baseline"));
+}
+
+/// Stamp a dispatcher for `$body`: same signature, AVX2 copy where the CPU
+/// has it, the body itself otherwise.
+macro_rules! dispatched {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident $(<const $flag:ident: bool>)? ($($arg:ident: $ty:ty),* $(,)?) = $body:ident;
+    ) => {
+        $(#[$attr])*
+        $vis fn $name $(<const $flag: bool>)? ($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                unsafe fn avx2 $(<const $flag: bool>)? ($($arg: $ty),*) {
+                    $body $(::<$flag>)? ($($arg),*)
+                }
+                if is_x86_feature_detected!("avx2") && !BASELINE_PINNED.load(Ordering::Relaxed) {
+                    // SAFETY: `avx2` requires only that the CPU supports
+                    // AVX2, which the detection on the line above found.
+                    return unsafe { avx2 $(::<$flag>)? ($($arg),*) };
+                }
+            }
+            $body $(::<$flag>)? ($($arg),*)
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Products (contract: `tensor` module doc)
+// ---------------------------------------------------------------------------
+
+/// Output columns the row kernel accumulates in registers at once: eight
+/// four-lane SSE registers — leaving the other eight for the broadcast left
+/// factor and the loads — or four eight-lane AVX registers.
+///
+/// One value for both instantiations. AVX2 alone would take 64 (eight
+/// accumulators hide the add latency better) and the baseline cannot
+/// (sixteen accumulators spill). Multiply-adds per ns, one thread, 32 / 64:
+///
+/// | product | AVX2 | baseline |
+/// |---|---|---|
+/// | 10×64 · 64×128 | 20.1 / 24.1 | 12.3 / 11.8 |
+/// | 10×128 · 128×100 | 13.3 / 14.3 | 9.6 / 6.9 |
+/// | 512×64 · 64×128 | 18.9 / 23.6 | 15.3 / 8.6 |
+///
+/// A per-instantiation width would buy ≈ 0.5 µs of the 54 µs training step
+/// (only the 128-column products gain) for a second constant to keep true.
+const COL_BLOCK: usize = 32;
+
+/// Largest right-hand matrix, in elements (1 MiB), that is walked in column
+/// blocks. A block pass strides through `b` one row per step, which is only
+/// cheap while `b` stays in the 2 MiB L2; beyond that, streaming whole rows
+/// of `b` into the output row (the loop the tail columns use) is faster
+/// again. Blocked / streaming, µs, one thread, baseline instantiation:
+/// `32×512·512×512` (1 MiB) 969 / 1 210, `32×784·784×200` (0.6 MiB)
+/// 485 / 609, `32×1024·1024×512` (2 MiB) 3 271 / 2 761, `32×2048·2048×1024`
+/// (8 MiB) 18 464 / 10 851.
+pub(crate) const MAX_BLOCKED_RHS: usize = 1 << 18;
+
+/// `out_row = a_row × b` for a row-major `b` of `n` columns; `out_row` must
+/// arrive zeroed. Sums each output in `k` order from `+0.0`; `SKIP_ZERO`
+/// drops the terms whose left factor is zero.
+#[inline(always)]
+fn row_times_matrix<const SKIP_ZERO: bool>(
+    a_row: &[f32],
+    b: &[f32],
+    n: usize,
+    out_row: &mut [f32],
+) {
+    let blocked = if b.len() <= MAX_BLOCKED_RHS {
+        n - n % COL_BLOCK
+    } else {
+        0
+    };
+    for c0 in (0..blocked).step_by(COL_BLOCK) {
+        let mut acc = [0.0f32; COL_BLOCK];
+        for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            if SKIP_ZERO && a_v == 0.0 {
+                continue;
+            }
+            for (o, &b_v) in acc.iter_mut().zip(&b_row[c0..c0 + COL_BLOCK]) {
+                *o += a_v * b_v;
+            }
+        }
+        out_row[c0..c0 + COL_BLOCK].copy_from_slice(&acc);
+    }
+    let tail = &mut out_row[blocked..];
+    if tail.is_empty() {
+        return;
+    }
+    for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        if SKIP_ZERO && a_v == 0.0 {
+            continue;
+        }
+        for (o, &b_v) in tail.iter_mut().zip(&b_row[blocked..]) {
+            *o += a_v * b_v;
+        }
+    }
+}
+
+#[inline(always)]
+fn product_rows_body<const SKIP_ZERO: bool>(
+    a_rows: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    out_rows: &mut [f32],
+) {
+    for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+        row_times_matrix::<SKIP_ZERO>(a_row, b, n, out_row);
+    }
+}
+
+#[inline(always)]
+fn t_product_body(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32]) {
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        for (&a_v, out_row) in a_row.iter().zip(out.chunks_exact_mut(n)) {
+            if a_v == 0.0 {
+                continue;
+            }
+            for (o, &b_v) in out_row.iter_mut().zip(b_row) {
+                *o += a_v * b_v;
+            }
+        }
+    }
+}
+
+dispatched! {
+    /// A band of `[rows, k] × [k, n]`: `out_rows`, zeroed, receives
+    /// `a_rows × b` row by row. `k` and `n` are positive.
+    pub(crate) fn product_rows<const SKIP_ZERO: bool>(
+        a_rows: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        out_rows: &mut [f32],
+    ) = product_rows_body;
+}
+
+dispatched! {
+    /// `aᵀ × b` for row-major `a: [k, m]` and `b: [k, n]` into the zeroed
+    /// `[m, n]` `out`, `k` outermost: every output adds its terms in `k`
+    /// order, those with a zero left factor skipped. `m` and `n` are
+    /// positive.
+    pub(crate) fn t_product(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        n: usize,
+        out: &mut [f32],
+    ) = t_product_body;
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation sweep (contract: `feddrl_fl::strategy` module doc). The slices
+// of one call are one block of the sweep and equally long; a kernel stops at
+// the shortest.
+// ---------------------------------------------------------------------------
+
+#[inline(always)]
+fn add_scaled_body(out: &mut [f32], a: f32, w: &[f32]) {
+    for (o, &v) in out.iter_mut().zip(w) {
+        *o += a * v;
+    }
+}
+
+#[inline(always)]
+fn add_vote_body(num: &mut [f32], mass: &mut [f32], a: f32, w: &[f32], keep: Option<&[bool]>) {
+    let terms = num.iter_mut().zip(mass.iter_mut()).zip(w);
+    match keep {
+        None => {
+            for ((n, m), &v) in terms {
+                *n += a * v;
+                *m += a;
+            }
+        }
+        // Selects, not a branch around the adds: with every store
+        // unconditional the loop vectorises, and a dropped position's
+        // product never reaches the sums, whatever its weight holds.
+        Some(keep) => {
+            for (((n, m), &v), &k) in terms.zip(keep) {
+                *n = if k { *n + a * v } else { *n };
+                *m = if k { *m + a } else { *m };
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn settle_votes_body(num: &mut [f32], mass: &[f32], global: &[f32]) {
+    for ((n, &m), &g) in num.iter_mut().zip(mass).zip(global) {
+        *n = if m > 0.0 { *n / m } else { g };
+    }
+}
+
+dispatched! {
+    /// `out[p] += a · w[p]`, one rounded multiply and one rounded add each.
+    pub fn add_scaled(out: &mut [f32], a: f32, w: &[f32]) = add_scaled_body;
+}
+
+dispatched! {
+    /// One client's vote in a mask-aware average: `num[p] += a · w[p]` and
+    /// `mass[p] += a` at every position `keep` keeps (all of them for
+    /// `None`); a dropped position's weight never reaches `num`.
+    pub fn add_vote(
+        num: &mut [f32],
+        mass: &mut [f32],
+        a: f32,
+        w: &[f32],
+        keep: Option<&[bool]>,
+    ) = add_vote_body;
+}
+
+dispatched! {
+    /// Finish a mask-aware average: `num[p] / mass[p]` where some client
+    /// voted (`mass[p] > 0`), `global[p]` elsewhere, written over `num`.
+    pub fn settle_votes(num: &mut [f32], mass: &[f32], global: &[f32]) = settle_votes_body;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::Rng64;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// What `kernel` returns as dispatched and pinned to the baseline body.
+    fn both<R>(mut kernel: impl FnMut() -> R) -> Vec<R> {
+        let mut results = Vec::new();
+        for_each_instantiation(|_| results.push(kernel()));
+        results
+    }
+
+    #[test]
+    fn the_pin_holds_inside_and_is_gone_after() {
+        with_instantiation(true, || assert!(BASELINE_PINNED.load(Ordering::Relaxed)));
+        // Another test may hold the pin right now; taking it waits for that.
+        with_instantiation(false, || assert!(!BASELINE_PINNED.load(Ordering::Relaxed)));
+    }
+
+    /// The three sweep kernels are their per-element statements bit for bit
+    /// in both instantiations, for every length around one and two vectors
+    /// of either width, with `-0.0` sums and a non-finite weight behind a
+    /// dropped position.
+    #[test]
+    fn sweep_kernels_match_their_per_element_statements() {
+        let mut rng = Rng64::new(24);
+        for len in (0..=19).chain([31, 32, 33, 100]) {
+            let w: Vec<f32> = (0..len).map(|_| rng.normal_f32(0.0, 1.0)).collect();
+            let prior: Vec<f32> = (0..len)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        -0.0
+                    } else {
+                        rng.normal_f32(0.0, 1.0)
+                    }
+                })
+                .collect();
+            let a = rng.uniform(0.01, 1.0);
+
+            let want: Vec<f32> = prior.iter().zip(&w).map(|(&o, &v)| o + a * v).collect();
+            for got in both(|| {
+                let mut out = prior.clone();
+                add_scaled(&mut out, a, &w);
+                out
+            }) {
+                assert_eq!(bits(&got), bits(&want), "add_scaled, len {len}");
+            }
+
+            let keep: Vec<bool> = (0..len).map(|_| rng.below(8) < 5).collect();
+            let mut poisoned = w.clone();
+            for (v, &k) in poisoned.iter_mut().zip(&keep) {
+                if !k {
+                    *v = if rng.below(2) == 0 {
+                        f32::NAN
+                    } else {
+                        f32::INFINITY
+                    };
+                }
+            }
+            for keep in [None, Some(keep.as_slice())] {
+                let w = if keep.is_some() { &poisoned } else { &w };
+                let kept = |p: usize| keep.is_none_or(|k| k[p]);
+                let want_num: Vec<f32> = (0..len)
+                    .map(|p| {
+                        if kept(p) {
+                            prior[p] + a * w[p]
+                        } else {
+                            prior[p]
+                        }
+                    })
+                    .collect();
+                let want_mass: Vec<f32> = (0..len)
+                    .map(|p| if kept(p) { prior[p] + a } else { prior[p] })
+                    .collect();
+                for (num, mass) in both(|| {
+                    let (mut num, mut mass) = (prior.clone(), prior.clone());
+                    add_vote(&mut num, &mut mass, a, w, keep);
+                    (num, mass)
+                }) {
+                    assert_eq!(bits(&num), bits(&want_num), "add_vote num, len {len}");
+                    assert_eq!(bits(&mass), bits(&want_mass), "add_vote mass, len {len}");
+                }
+            }
+
+            let mass: Vec<f32> = (0..len)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        rng.uniform(0.1, 1.0)
+                    }
+                })
+                .collect();
+            let want: Vec<f32> = (0..len)
+                .map(|p| {
+                    if mass[p] > 0.0 {
+                        w[p] / mass[p]
+                    } else {
+                        prior[p]
+                    }
+                })
+                .collect();
+            for got in both(|| {
+                let mut num = w.clone();
+                settle_votes(&mut num, &mass, &prior);
+                num
+            }) {
+                assert_eq!(bits(&got), bits(&want), "settle_votes, len {len}");
+            }
+        }
+    }
+}

@@ -5,17 +5,19 @@
 //! aggregation and DDPG only need 1-D/2-D (and, for convolutions, 4-D)
 //! dense arrays with a handful of BLAS-1/BLAS-3 style kernels.
 //!
-//! # The product kernel and its contract
+//! # The product kernels and their contract
 //!
-//! [`Tensor::matmul`] and [`Tensor::matmul_t`] share one row kernel
-//! (`row_times_matrix`): `out_row = a_row × B`, `COL_BLOCK` (32) output
-//! columns at a time, the block held in registers across the whole `k`
-//! loop so the output row is neither loaded nor stored per `k`. Tail
-//! columns, and every column once `B` outgrows the L2 cache
-//! (`MAX_BLOCKED_RHS`), take the streaming loop the blocked one replaced.
-//! [`Tensor::t_matmul`] keeps its own `k`-outer loop (register blocking
-//! measured no gain there). What callers — and the golden fixtures, which
-//! pin every bit of a training run — may rely on:
+//! [`Tensor::matmul`] and [`Tensor::matmul_t`] share one row kernel:
+//! `out_row = a_row × B`, 32 output columns at a time, the block held in
+//! registers across the whole `k` loop so the output row is neither loaded
+//! nor stored per `k`. Tail columns, and every column once `B` outgrows the
+//! L2 cache, take the streaming loop the blocked one replaced.
+//! [`Tensor::t_matmul`] keeps its own `k`-outer loop (the row kernel's
+//! shape measured the same there on dense left factors and half the speed
+//! on ReLU-sparse ones). The loops live in [`simd`], which
+//! compiles each of them twice — for the build's baseline target and for
+//! AVX2 — and picks at run time. What callers — and the golden fixtures,
+//! which pin every bit of a training run — may rely on:
 //!
 //! * **Summation order.** Every output element starts at `+0.0` and adds its
 //!   products `a[r,0]·b[0,c]`, `a[r,1]·b[1,c]`, … in increasing `k`, one
@@ -27,20 +29,26 @@
 //!   have added `±0.0`, so a finite right factor gives the same bits — but
 //!   a non-finite one does not (`0·∞ = NaN` is skipped too). `matmul_t`
 //!   has no skip: there `0·∞` stays `NaN`.
-//! * **No FMA, no AVX.** The build targets baseline x86-64 (SSE2): four
-//!   lanes, separate multiply and add. A fused multiply-add rounds once
-//!   where this kernel rounds twice, so the fused intrinsic or a `target-feature`
-//!   flag would change results, not only speed. Four multiply-adds cost
-//!   one `mulps` and one `addps`, so a core issuing one of each per cycle
-//!   is bounded at four per cycle; the kernel measures 13–14 multiply-adds
-//!   per ns on the reference box (docs/REPRODUCING.md, "Cost model of a
-//!   local round").
+//! * **Order and rounding are pinned; width is not.** The kernels
+//!   vectorise across *independent output columns*, so an eight-lane
+//!   `vmulps`/`vaddps` performs, per element, the same rounded multiply and
+//!   the same rounded add in the same `k` order as a four-lane
+//!   `mulps`/`addps` or a scalar loop: the AVX2 and the baseline
+//!   instantiation agree bit for bit, and a CPU without AVX2 (or another
+//!   architecture) runs the baseline one. What would change bits is
+//!   *fusing*: a fused multiply-add rounds once where these kernels round
+//!   twice. No build flag does that behind the source's back — `rustc`
+//!   emits no `contract` fast-math flag, so LLVM may not turn `a * b + c`
+//!   into an FMA even where the target has one — but `f32`'s explicit
+//!   fused method asks for it and stays forbidden here. Rates per
+//!   instantiation: docs/REPRODUCING.md, "Cost model of a local round".
 //! * **Threads.** Row bands of the output go to scoped threads only above
 //!   `PAR_MATMUL_FLOPS` (2²² multiply-adds) and never from inside a
 //!   [`parallel`](crate::parallel) worker. Rows are independent, so the
 //!   threaded and the serial result are the same bits.
 
 use crate::rng::Rng64;
+use crate::simd;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -53,79 +61,30 @@ pub struct Tensor {
 
 /// Minimum number of multiply-adds before a product is split over threads.
 ///
-/// Spawning and joining two scoped threads costs 40–70 µs, so below 2²¹
-/// two threads lose at every size; the old threshold of 2¹⁸ sat at 20 µs
-/// of kernel time. Measured against the row kernel on the 2-vCPU reference
-/// box (serial / two threads, µs, range over three runs — the second vCPU
-/// is not always there to be had):
+/// Spawning and joining two scoped threads costs 25–50 µs. Measured against
+/// the AVX2 row kernel on the 2-vCPU reference box (serial / two threads,
+/// µs, best of 10–400 calls, range over three runs made while the second
+/// vCPU was there to be had; in an hour when it was not, two threads cost
+/// the serial time plus the spawn at every size — 24 / 47, 73 / 94,
+/// 161 / 187, 335 / 350, 650 / 700 for the first five rows):
 ///
 /// | multiply-adds | shape | serial | two threads |
 /// |---|---|---|---|
-/// | 0.5 M | 64×64 · 64×128 | 36–57 | 74–126 |
-/// | 2.1 M | 256×64 · 64×128 | 146–190 | 185–258 |
-/// | 4.2 M | 512×64 · 64×128 | 295–516 | 323–594 |
-/// | 8.4 M | 1024×64 · 64×128 | 590–959 | 621–937 |
-/// | 16.8 M | 256×256 · 256×256 | 1 522–2 013 | 1 223–1 252 |
-/// | 64 M | 400×400 · 400×400 | 6 423–6 927 | 3 464–4 625 |
-/// | 67 M | 32×2048 · 2048×1024 | 15 930–21 513 | 10 246–12 832 |
+/// | 0.5 M | 64×64 · 64×128 | 21 | 37–45 |
+/// | 2.1 M | 256×64 · 64×128 | 73–85 | 71–80 |
+/// | 4.2 M | 512×64 · 64×128 | 146–170 | 112–132 |
+/// | 8.4 M | 1024×64 · 64×128 | 323–379 | 221–246 |
+/// | 16.4 M | 2000×64 · 64×128 | 576–647 | 358–416 |
+/// | 16.8 M | 256×256 · 256×256 | 807–1 220 | 461–705 |
+/// | 64 M | 400×400 · 400×400 | 4 052–5 403 | 2 141–3 002 |
+/// | 67 M | 32×2048 · 2048×1024 | 9 337–10 609 | 5 340–5 713 |
 ///
-/// 2²² is where two threads stop losing (0.8–1.4× there, 1.2–1.9× from
-/// 2²⁴ up); when they do lose above it, they lose the spawn, ≤ 12 %.
+/// The serial kernel is 1.5–2× faster than the SSE2 one this table was
+/// first drawn for (36–57, 146–190, 295–516 µs for the first three rows),
+/// and the crossover did not move: 2²¹ is a tie, 2²² is the first size
+/// where two threads win (1.2–1.4×; 1.5–1.9× from 2²³ up), and when the
+/// second vCPU is away they lose the spawn there, ≤ 16 %.
 const PAR_MATMUL_FLOPS: usize = 1 << 22;
-
-/// Output columns the row kernel accumulates in registers at once: eight
-/// four-lane SSE registers, leaving the other eight for the broadcast left
-/// factor and the loads.
-const COL_BLOCK: usize = 32;
-
-/// Largest right-hand matrix, in elements (1 MiB), that is walked in column
-/// blocks. A block pass strides through `b` one row per step, which is only
-/// cheap while `b` stays in the 2 MiB L2; beyond that, streaming whole rows
-/// of `b` into the output row (the loop the tail columns use) is faster
-/// again. Blocked / streaming, µs, one thread: `32×512·512×512` (1 MiB)
-/// 969 / 1 210, `32×784·784×200` (0.6 MiB) 485 / 609, `32×1024·1024×512`
-/// (2 MiB) 3 271 / 2 761, `32×2048·2048×1024` (8 MiB) 18 464 / 10 851.
-const MAX_BLOCKED_RHS: usize = 1 << 18;
-
-/// `out_row = a_row × b` for a row-major `b` of `n` columns; `out_row` must
-/// arrive zeroed. Sums each output in `k` order from `+0.0` (module doc);
-/// `SKIP_ZERO` drops the terms whose left factor is zero.
-fn row_times_matrix<const SKIP_ZERO: bool>(
-    a_row: &[f32],
-    b: &[f32],
-    n: usize,
-    out_row: &mut [f32],
-) {
-    let blocked = if b.len() <= MAX_BLOCKED_RHS {
-        n - n % COL_BLOCK
-    } else {
-        0
-    };
-    for c0 in (0..blocked).step_by(COL_BLOCK) {
-        let mut acc = [0.0f32; COL_BLOCK];
-        for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-            if SKIP_ZERO && a_v == 0.0 {
-                continue;
-            }
-            for (o, &b_v) in acc.iter_mut().zip(&b_row[c0..c0 + COL_BLOCK]) {
-                *o += a_v * b_v;
-            }
-        }
-        out_row[c0..c0 + COL_BLOCK].copy_from_slice(&acc);
-    }
-    let tail = &mut out_row[blocked..];
-    if tail.is_empty() {
-        return;
-    }
-    for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-        if SKIP_ZERO && a_v == 0.0 {
-            continue;
-        }
-        for (o, &b_v) in tail.iter_mut().zip(&b_row[blocked..]) {
-            *o += a_v * b_v;
-        }
-    }
-}
 
 /// `[m, k] × [k, n]` over flat row-major buffers, output rows split into
 /// `threads` bands.
@@ -140,9 +99,7 @@ fn product<const SKIP_ZERO: bool>(
         return out;
     }
     let band = |a_rows: &[f32], out_rows: &mut [f32]| {
-        for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
-            row_times_matrix::<SKIP_ZERO>(a_row, b, n, out_row);
-        }
+        simd::product_rows::<SKIP_ZERO>(a_rows, b, k, n, out_rows)
     };
     if threads > 1 {
         // Bands are whole rows, so each worker owns a disjoint slice.
@@ -513,18 +470,8 @@ impl Tensor {
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "t_matmul inner dims mismatch: {k} vs {k2}");
         let mut out = Tensor::zeros(&[m, n]);
-        for kk in 0..k {
-            let a_row = &self.data[kk * m..(kk + 1) * m];
-            let b_row = &other.data[kk * n..(kk + 1) * n];
-            for (r, &a_v) in a_row.iter().enumerate() {
-                if a_v == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[r * n..(r + 1) * n];
-                for (o, &b_v) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_v * b_v;
-                }
-            }
+        if m > 0 && n > 0 {
+            simd::t_product(&self.data, &other.data, m, n, &mut out.data);
         }
         out
     }
@@ -543,19 +490,32 @@ impl Tensor {
         product::<false>(&self.data, &other_t.data, (m, k, n), threads)
     }
 
-    /// Explicit 2-D transpose, copied in square tiles so that neither side
-    /// is walked with a full-row stride.
+    /// Explicit 2-D transpose. Eight source rows at a time become one
+    /// eight-element run in every output row: the source is read along its
+    /// rows, the output written in runs, and a full run has a length the
+    /// compiler knows (128×100: 4–5 µs; 10–11 one bounds-checked element at
+    /// a time in 8×8 tiles).
     pub fn transpose(&self) -> Tensor {
-        const TILE: usize = 8;
+        const ROWS: usize = 8;
         assert_eq!(self.ndim(), 2);
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = Tensor::zeros(&[n, m]);
-        for r0 in (0..m).step_by(TILE) {
-            for c0 in (0..n).step_by(TILE) {
-                for r in r0..(r0 + TILE).min(m) {
-                    for c in c0..(c0 + TILE).min(n) {
-                        out.data[c * m + r] = self.data[r * n + c];
+        if m == 0 || n == 0 {
+            return out;
+        }
+        for (band, src) in self.data.chunks(ROWS * n).enumerate() {
+            let r0 = band * ROWS;
+            let rows = src.len() / n;
+            for (c, out_row) in out.data.chunks_exact_mut(m).enumerate() {
+                let gather = |run: &mut [f32]| {
+                    for (i, o) in run.iter_mut().enumerate() {
+                        *o = src[i * n + c];
                     }
+                };
+                let run = &mut out_row[r0..r0 + rows];
+                match <&mut [f32; ROWS]>::try_from(&mut *run) {
+                    Ok(full) => gather(full),
+                    Err(_) => gather(run),
                 }
             }
         }
@@ -703,13 +663,15 @@ mod tests {
         // 600 × 448 elements is past MAX_BLOCKED_RHS, so no column is
         // blocked; the inputs hold no zeros, so the naive sum is the
         // kernel's sum term for term.
-        const { assert!(600 * 448 > MAX_BLOCKED_RHS) };
+        const { assert!(600 * 448 > simd::MAX_BLOCKED_RHS) };
         let mut rng = Rng64::new(7);
         let a = Tensor::randn(&[3, 600], 0.0, 1.0, &mut rng);
         let b = Tensor::randn(&[600, 448], 0.0, 1.0, &mut rng);
         let want = bits(&naive_matmul(&a, &b));
-        assert_eq!(bits(&a.matmul(&b)), want);
-        assert_eq!(bits(&a.matmul_t(&b.transpose())), want);
+        simd::for_each_instantiation(|which| {
+            assert_eq!(bits(&a.matmul(&b)), want, "{which}");
+            assert_eq!(bits(&a.matmul_t(&b.transpose())), want, "{which}");
+        });
     }
 
     #[test]
@@ -724,10 +686,13 @@ mod tests {
         a.data_mut()[5] = 0.0;
         let b = Tensor::randn(&[19, 40], 0.0, 1.0, &mut rng);
         let serial = bits(&product::<true>(a.data(), b.data(), dims, 1));
-        for threads in [2, 3, 7] {
-            let threaded = bits(&product::<true>(a.data(), b.data(), dims, threads));
-            assert_eq!(threaded, serial, "{threads} threads diverged");
-        }
+        // The pin reaches the band threads: it is process-wide.
+        simd::for_each_instantiation(|which| {
+            for threads in [1, 2, 3, 7] {
+                let threaded = bits(&product::<true>(a.data(), b.data(), dims, threads));
+                assert_eq!(threaded, serial, "{which}, {threads} threads");
+            }
+        });
         assert_eq!(bits(&a.matmul(&b)), serial);
     }
 

@@ -3,13 +3,15 @@
 //! of `feddrl_fl::strategy` must equal a scalar per-position statement of
 //! its contract — the loops it replaced, kept here as the reference.
 
+use feddrl_repro::feddrl_fl::strategy::{masked_weighted_average_on, weighted_average_on};
+use feddrl_repro::feddrl_nn::simd::for_each_instantiation;
 use feddrl_repro::prelude::*;
 use proptest::prelude::*;
 
 /// `feddrl_fl::strategy`'s private `SWEEP_BLOCK`: the drawn sizes sit on
 /// both sides of it. A different block there only moves the boundary these
 /// cases cross, not what they assert.
-const BLOCK: usize = 8192;
+const BLOCK: usize = 512;
 
 /// The dense contract: position `p` starts at `+0.0` and adds `α_k · w_k[p]`
 /// in client order, zero-α clients skipped.
@@ -72,11 +74,13 @@ fn planted(dim: usize, rng: &mut Rng64) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Both sweeps are the reference bit for bit: K from 1 to 8, sizes 0, 1,
-    /// either side of a block and several blocks, zero alphas, planted
-    /// `-0.0`, `∞`/`NaN` where a mask drops the position or α is zero (never
-    /// read, so never in the result), and — in one case of three — a
-    /// position every client's mask drops, which keeps the global value.
+    /// Both sweeps are the reference bit for bit — as the CPU dispatches
+    /// their block kernels and pinned to the baseline bodies, on one, two and
+    /// three threads: K from 1 to 8, sizes 0, 1, either side of a block and
+    /// several blocks, zero alphas, planted `-0.0`, `∞`/`NaN` where a mask
+    /// drops the position or α is zero (never in the result), and — in one
+    /// case of three — a position every client's mask drops, which keeps the
+    /// global value.
     #[test]
     fn sweeps_match_the_per_position_reference_bit_for_bit(
         seed in 0u64..10_000,
@@ -131,7 +135,8 @@ proptest! {
             .collect();
 
         let got = masked_weighted_average(&global, &updates, &alphas);
-        prop_assert_eq!(bits(&got), bits(&reference_masked(&global, &updates, &alphas)), "masked, dim {}", dim);
+        let want_masked = bits(&reference_masked(&global, &updates, &alphas));
+        prop_assert_eq!(bits(&got), &want_masked[..], "masked, dim {}", dim);
         prop_assert!(got.iter().all(|v| v.is_finite()), "a dropped or zero-α value leaked");
         if let Some(p) = orphan {
             prop_assert_eq!(got[p].to_bits(), global[p].to_bits(), "orphan position");
@@ -150,8 +155,17 @@ proptest! {
             })
             .collect();
         let refs: Vec<&[f32]> = dense.iter().map(Vec::as_slice).collect();
-        let got = weighted_average(&refs, &alphas);
-        prop_assert_eq!(bits(&got), bits(&reference_dense(&refs, &alphas)), "dense, dim {}", dim);
+        let want_dense = bits(&reference_dense(&refs, &alphas));
+        prop_assert_eq!(bits(&weighted_average(&refs, &alphas)), &want_dense[..], "dense, dim {}", dim);
+
+        for_each_instantiation(|which| {
+            for threads in 1..=3 {
+                let got = masked_weighted_average_on(&global, &updates, &alphas, threads);
+                prop_assert_eq!(bits(&got), &want_masked[..], "{} masked, dim {}, {} threads", which, dim, threads);
+                let got = weighted_average_on(&refs, &alphas, threads);
+                prop_assert_eq!(bits(&got), &want_dense[..], "{} dense, dim {}, {} threads", which, dim, threads);
+            }
+        });
     }
 }
 

@@ -182,23 +182,35 @@ fn planted(shape: &[usize], rng: &mut Rng64) -> Tensor {
     t
 }
 
+/// Column counts on both sides of the 8-lane, the 32-column block and the
+/// two-block boundary, plus the paper model's 100; the law below draws one
+/// of these two times in three.
+const EDGE_COLS: [usize; 9] = [1, 7, 8, 9, 31, 32, 33, 64, 100];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `matmul`, `t_matmul` and `matmul_t` are the scalar reference bit for
-    /// bit — across every column-block boundary and tail, with zeros on the
-    /// left and, in two cases out of three, a non-finite entry on the right
-    /// (where `0·∞` is skipped by the first two and is `NaN` in the third).
+    /// bit, in both instantiations — across every lane and column-block
+    /// boundary and tail, fewer rows than lanes, an empty inner dimension,
+    /// with `±0.0` on the left and, in two cases out of three, a non-finite
+    /// entry on the right (where `0·∞` is skipped by the first two and is
+    /// `NaN` in the third).
     #[test]
     fn products_match_the_scalar_reference_bit_for_bit(
         seed in 0u64..10_000,
         m in 1usize..40,
-        k in 1usize..150,
+        k in 0usize..150,
         n in 1usize..140,
+        edge in 0usize..27,
         non_finite in 0usize..3,
     ) {
         let mut rng = Rng64::new(seed);
+        let n = EDGE_COLS.get(edge).copied().unwrap_or(n);
         let plant = |t: &mut Tensor, rng: &mut Rng64| {
+            if t.numel() == 0 {
+                return;
+            }
             let at = rng.below(t.numel());
             match non_finite {
                 1 => t.data_mut()[at] = f32::INFINITY,
@@ -211,17 +223,37 @@ proptest! {
         let a = planted(&[m, k], &mut rng);
         let mut b = planted(&[k, n], &mut rng);
         plant(&mut b, &mut rng);
-        let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, true);
-        prop_assert!(same_bits(a.matmul(&b).data(), &want), "matmul {dims:?}");
-
         let a_t = planted(&[k, m], &mut rng);
-        let want = reference_product(|r, kk| a_t.at(kk, r), |kk, c| b.at(kk, c), dims, true);
-        prop_assert!(same_bits(a_t.t_matmul(&b).data(), &want), "t_matmul {dims:?}");
-
         let mut b_t = planted(&[n, k], &mut rng);
         plant(&mut b_t, &mut rng);
-        let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b_t.at(c, kk), dims, false);
-        prop_assert!(same_bits(a.matmul_t(&b_t).data(), &want), "matmul_t {dims:?}");
+        let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, true);
+        let want_t = reference_product(|r, kk| a_t.at(kk, r), |kk, c| b.at(kk, c), dims, true);
+        let want_mt = reference_product(|r, kk| a.at(r, kk), |kk, c| b_t.at(c, kk), dims, false);
+
+        // The binary holds every kernel twice; a law has to name both.
+        feddrl_repro::feddrl_nn::simd::for_each_instantiation(|which| {
+            prop_assert!(same_bits(a.matmul(&b).data(), &want), "{which} matmul {dims:?}");
+            prop_assert!(same_bits(a_t.t_matmul(&b).data(), &want_t), "{which} t_matmul {dims:?}");
+            prop_assert!(same_bits(a.matmul_t(&b_t).data(), &want_mt), "{which} matmul_t {dims:?}");
+        });
+    }
+}
+
+/// `transpose` is the naive double loop for every small shape — empty ones,
+/// every remainder of the eight-row bands — and for the shapes training
+/// transposes (`W₂` of the paper model, its mirror, one long row).
+#[test]
+fn transpose_matches_the_naive_double_loop() {
+    let small = (0..=20).flat_map(|m| (0..=20).map(move |n| (m, n)));
+    for (m, n) in small.chain([(128, 100), (100, 128), (1, 1_000)]) {
+        let t = Tensor::from_vec(&[m, n], (0..m * n).map(|i| i as f32).collect());
+        let got = t.transpose();
+        assert_eq!(got.shape(), [n, m]);
+        for r in 0..m {
+            for c in 0..n {
+                assert_eq!(got.at(c, r), t.at(r, c), "{m}×{n} at ({r}, {c})");
+            }
+        }
     }
 }
 

@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod paper;
-pub mod stage_timing;
 
 use feddrl::prelude::*;
 use std::io::Write;

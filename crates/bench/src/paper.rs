@@ -2,7 +2,6 @@
 //! the headline, extended-baseline and ablation runs — as functions over
 //! one [`ExpOptions`], and the table `exp_paper` picks them from by name.
 
-use crate::stage_timing::{time_aggregation, time_drl_inference};
 use crate::{
     improvements, load_or_run, render_table, write_artifact, DatasetKind, ExpOptions,
     ExperimentSpec, MethodKind, Scale,
@@ -10,6 +9,8 @@ use crate::{
 use feddrl::prelude::*;
 use feddrl_drl::config::DdpgConfig;
 use feddrl_sim::comm::CommModel;
+use feddrl_sim::device::nearest_rank;
+use std::time::Instant;
 
 /// One paper artifact: prints its tables and writes its files under
 /// `opts.out_dir`.
@@ -213,6 +214,65 @@ fn fig4(opts: &ExpOptions) {
     write_artifact(&opts.out_path("fig4_bubbles.txt"), &all);
 }
 
+/// Median and mean wall-clock of one call of `f`, in microseconds, over
+/// `iters` individually timed calls after one untimed warm-up. The median
+/// is the nearest-rank one ([`nearest_rank`]).
+fn time_calls(iters: usize, mut f: impl FnMut()) -> (f64, f64) {
+    assert!(iters > 0, "need at least one iteration");
+    f();
+    let mut micros: Vec<f64> = (0..iters)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64 / 1_000.0
+        })
+        .collect();
+    let mean = micros.iter().sum::<f64>() / iters as f64;
+    micros.sort_by(f64::total_cmp);
+    (micros[nearest_rank(iters, 0.5)], mean)
+}
+
+/// Figure 9's "DRL" stage, as [`time_calls`]: FedDRL's impact factors
+/// (policy inference, Gaussian sampling, softmax) for `k` clients.
+fn drl_inference_us(k: usize, iters: usize) -> (f64, f64) {
+    let cfg = FedDrlConfig {
+        online_training: false,
+        ..Default::default()
+    };
+    let mut strategy = FedDrl::new(k, &cfg);
+    let summaries: Vec<ClientSummary> = (0..k)
+        .map(|i| ClientSummary {
+            client_id: i,
+            n_samples: 100 + i,
+            loss_before: 1.0 + i as f32 * 0.01,
+            loss_after: 0.5,
+        })
+        .collect();
+    let mut round = 0;
+    time_calls(iters, || {
+        std::hint::black_box(strategy.impact_factors(round, &summaries));
+        round += 1;
+    })
+}
+
+/// Figure 9's "Aggregation" stage, as [`time_calls`]: the weighted
+/// average of `k` client models of `params` parameters each.
+fn aggregation_us(params: usize, k: usize, iters: usize) -> (f64, f64) {
+    let mut rng = Rng64::new(42);
+    let models: Vec<Vec<f32>> = (0..k)
+        .map(|_| {
+            let mut w = vec![0.0f32; params];
+            rng.fill_uniform(&mut w, -1.0, 1.0);
+            w
+        })
+        .collect();
+    let alphas = normalize_factors(&vec![1.0; k]);
+    time_calls(iters, || {
+        let refs: Vec<&[f32]> = models.iter().map(|m| m.as_slice()).collect();
+        std::hint::black_box(weighted_average(&refs, &alphas));
+    })
+}
+
 /// Figure 9 — average server computation time: DRL impact-factor
 /// inference vs weighted aggregation, for the paper's two model sizes
 /// (VGG-11 for CIFAR-100, CNN for MNIST/F-MNIST) plus the scaled MLP.
@@ -238,21 +298,21 @@ fn fig9(opts: &ExpOptions) {
     .build(1)
     .param_count();
 
-    let drl = time_drl_inference(k, iters);
+    let (drl_median, drl_mean) = drl_inference_us(k, iters);
     let mut rows = Vec::new();
     for (name, params) in [
         ("VGG-11 (CIFAR-100)", vgg_params),
         ("CNN (MNIST/F-MNIST)", cnn_params),
         ("MLP (scaled profile)", mlp_params),
     ] {
-        let agg = time_aggregation(params, k, iters);
+        let (agg_median, agg_mean) = aggregation_us(params, k, iters);
         rows.push(vec![
             name.to_string(),
             params.to_string(),
-            format!("{:.3}", drl.median_micros / 1000.0),
-            format!("{:.3}", drl.mean_micros / 1000.0),
-            format!("{:.3}", agg.median_micros / 1000.0),
-            format!("{:.3}", agg.mean_micros / 1000.0),
+            format!("{:.3}", drl_median / 1000.0),
+            format!("{:.3}", drl_mean / 1000.0),
+            format!("{:.3}", agg_median / 1000.0),
+            format!("{:.3}", agg_mean / 1000.0),
         ]);
     }
     // Median leads: on shared CI machines the mean absorbs scheduler-noise
@@ -872,4 +932,57 @@ fn table4(opts: &ExpOptions) {
         report.push_str(&block);
     }
     write_artifact(&opts.out_path("table4.txt"), &report);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn time_calls_counts_warm_up_and_iterations() {
+        let mut calls = 0;
+        let (median, mean) = time_calls(5, || calls += 1);
+        assert_eq!(calls, 6); // warm-up + 5
+        assert!(median >= 0.0 && mean >= 0.0);
+    }
+
+    #[test]
+    fn median_resists_a_single_outlier() {
+        // One call sleeps; four are near-instant. The mean absorbs the
+        // sleep, the median must not.
+        let mut call = 0;
+        let (median, mean) = time_calls(5, || {
+            call += 1;
+            if call == 3 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+            }
+        });
+        assert!(
+            median < mean / 2.0,
+            "median {median} should sit far below outlier-skewed mean {mean}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn time_calls_rejects_zero_iters() {
+        let _ = time_calls(0, || {});
+    }
+
+    #[test]
+    fn drl_inference_is_fast_and_model_size_independent() {
+        let (median, _) = drl_inference_us(10, 5);
+        // Paper reports ~3 ms; allow a generous envelope for CI machines.
+        assert!(median < 50_000.0, "DRL inference too slow: {median} µs");
+    }
+
+    #[test]
+    fn aggregation_scales_with_model_size() {
+        let (small, _) = aggregation_us(10_000, 10, 5);
+        let (large, _) = aggregation_us(1_000_000, 10, 5);
+        assert!(
+            large > small * 3.0,
+            "aggregation cost did not scale: {small} vs {large} µs"
+        );
+    }
 }

@@ -106,10 +106,12 @@ pub enum FlError {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// A client update whose shape disagrees with the global model: a
-    /// weight vector or a mask of another length. The built-in local
-    /// solvers cannot produce one; a user-supplied `train_fn` or executor
-    /// can, and aggregating it would index out of step.
+    /// A client update whose shape disagrees with the global model — a
+    /// weight vector or a mask of another length — or that reports a
+    /// non-finite loss. The built-in local solvers cannot produce the
+    /// former; a user-supplied `train_fn`, an executor or a network peer
+    /// can, and aggregating it would index out of step. A NaN or infinite
+    /// loss would poison FedDRL's state vector.
     InvalidUpdate {
         /// Round in which the update arrived.
         round: usize,

@@ -797,13 +797,19 @@ fn validate_factors(raw: &[f32], expected: usize, round: usize) -> Result<(), Fl
 
 /// Check what the executor handed back against the model's shape: every
 /// weight vector and every mask `dim` long — what the aggregation kernels
-/// would otherwise panic on.
+/// would otherwise panic on — and both reported losses finite, which the
+/// FedDRL state vector asserts.
 fn validate_updates(updates: &[ClientUpdate], dim: usize, round: usize) -> Result<(), FlError> {
     for u in updates {
         let reason = if u.weights.len() != dim {
             format!("expected {dim} weights, got {}", u.weights.len())
         } else if let Some(m) = u.mask.as_ref().filter(|m| m.len() != dim) {
             format!("expected a mask over {dim} positions, got {}", m.len())
+        } else if !(u.loss_before.is_finite() && u.loss_after.is_finite()) {
+            format!(
+                "expected finite losses, got loss_before {} and loss_after {}",
+                u.loss_before, u.loss_after
+            )
         } else {
             continue;
         };

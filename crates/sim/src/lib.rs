@@ -6,7 +6,6 @@
 //! * [`comm`] — analytic per-round communication traffic for
 //!   FedAvg/FedProx/FedDRL, showing FedDRL's extra cost is two floats per
 //!   client per round;
-//! * [`timing`] — wall-clock measurement of server-side stages (Figure 9);
 //! * [`device`] — seeded per-client device profiles: compute speed,
 //!   uplink bandwidth/latency, and a per-device dropout rate (spread
 //!   around the fleet's base rate, optionally correlated with compute
@@ -32,7 +31,6 @@ pub mod churn;
 pub mod comm;
 pub mod device;
 pub mod event;
-pub mod timing;
 
 /// Convenient glob import.
 pub mod prelude {
@@ -43,5 +41,4 @@ pub mod prelude {
         ReliabilityConfig,
     };
     pub use crate::event::{Event, EventKind, EventQueue, VirtualClock};
-    pub use crate::timing::{measure, StageTiming};
 }

@@ -10,7 +10,7 @@
 //! * [`feddrl_data`] — synthetic federated datasets and non-IID
 //!   partitioners (including the paper's novel cluster-skew CE/CN);
 //! * [`feddrl_nn`] — the pure-Rust deep-learning substrate;
-//! * [`feddrl_sim`] — communication/timing overhead models plus the
+//! * [`feddrl_sim`] — the communication overhead model plus the
 //!   discrete-event heterogeneity engine (device fleets, virtual clock,
 //!   event queue) behind `feddrl_fl`'s deadline-bounded round executor;
 //! * [`feddrl_net`] — the networked runtime: length-prefixed wire

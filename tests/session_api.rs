@@ -301,6 +301,45 @@ fn ragged_update_surfaces_invalid_update() {
     }
 }
 
+/// A client reporting a NaN loss — what a peer's raw f32 bits on the wire
+/// can carry — is a typed error naming its round and client, not a panic
+/// in FedDRL's state vector, and the global model stays untouched.
+#[test]
+fn non_finite_loss_surfaces_invalid_update() {
+    let (spec, train, test, partition, cfg) = golden_setup();
+    let train_fn = |ctx: &TrainContext<'_>, dispatches: &[Dispatch]| {
+        let echo = |(i, d): (usize, &Dispatch)| ClientUpdate {
+            client_id: d.client_id,
+            weights: ctx.global.to_vec(),
+            n_samples: 1,
+            loss_before: 1.0,
+            loss_after: if i == 1 { f32::NAN } else { 0.5 },
+            staleness: 0,
+            mask: None,
+        };
+        dispatches.iter().enumerate().map(echo).collect()
+    };
+    let mut strategy = FedDrl::new(cfg.participants, &FedDrlConfig::default());
+    let mut session = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
+        .config(&cfg)
+        .train_fn(Box::new(train_fn))
+        .build()
+        .expect("golden config is valid");
+    let before = session.global_params();
+    let err = session.step().err();
+    let Some(FlError::InvalidUpdate {
+        round: 0,
+        client_id,
+        reason,
+    }) = err
+    else {
+        panic!("expected InvalidUpdate, got {err:?}");
+    };
+    assert!(client_id < partition.n_clients());
+    assert!(reason.contains("finite"), "reason: {reason}");
+    assert_eq!(session.global_params(), before, "global model touched");
+}
+
 /// The buffered executor's knobs surface as the new typed errors — from
 /// the builder, before any compute is spent.
 #[test]

@@ -325,14 +325,14 @@ fn push_row(
     sim_staleness: f64,
 ) {
     let t = &run.telemetry;
-    let updates_per_s = t.rtt_ms.len() as f64 / run.wall_s.max(1e-9);
+    let updates_per_s = t.accepted as f64 / run.wall_s.max(1e-9);
     let steady = &run.steady_publish;
     rows.push(vec![
         mode.to_string(),
         buffer.to_string(),
         rounds.to_string(),
         t.dispatched.to_string(),
-        t.rtt_ms.len().to_string(),
+        t.accepted.to_string(),
         format!("{:.2}", t.p50_rtt_ms()),
         format!("{:.2}", t.p99_rtt_ms()),
         format!("{pred_p50_ms:.2}"),
@@ -349,7 +349,7 @@ fn push_row(
         "{mode},{buffer},{rounds},{},{},{:.3},{:.3},{pred_p50_ms:.3},{pred_p99_ms:.3},\
          {updates_per_s:.1},{:.3},{sim_staleness:.3},{},{},{},{},{:.4}\n",
         t.dispatched,
-        t.rtt_ms.len(),
+        t.accepted,
         t.p50_rtt_ms(),
         t.p99_rtt_ms(),
         t.mean_staleness(),

@@ -22,6 +22,7 @@
 //! letting benches emulate a heterogeneous device fleet's compute times
 //! over real sockets.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -31,8 +32,8 @@ use std::time::{Duration, Instant};
 use feddrl_fl::client::ClientUpdate;
 
 use crate::wire::{
-    read_frame, write_frame, MaskedUpdateMsg, Message, UpdateMsg, WireError, PROTOCOL_VERSION_MAX,
-    PROTOCOL_VERSION_MIN,
+    read_frame_into, write_frame, MaskedUpdateMsg, Message, UpdateMsg, WireError,
+    PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN,
 };
 
 /// Connection settings for one worker process/thread. Prefer
@@ -198,8 +199,11 @@ where
 {
     let mut model: Option<(u64, Vec<f32>)> = None;
     let mut report = ClientReport::default();
+    // One buffer each way for the life of the connection.
+    let mut received = Vec::new();
+    let mut sent = Vec::new();
     loop {
-        match read_frame(&mut reader)? {
+        match read_frame_into(&mut reader, &mut received)? {
             None | Some(Message::Bye { .. }) => break,
             Some(Message::HelloAck { version, .. }) => {
                 report.negotiated_version = version;
@@ -208,7 +212,7 @@ where
                 report.publishes_seen += 1;
                 report.last_version = version;
                 model = Some((version, weights));
-                ack_publish(cfg, writer, version)?;
+                ack_publish(cfg, writer, &mut sent, version)?;
             }
             Some(Message::ModelPublishDelta(d)) => {
                 report.delta_publishes_seen += 1;
@@ -228,7 +232,7 @@ where
                     *version = d.version;
                     report.publishes_seen += 1;
                     report.last_version = d.version;
-                    ack_publish(cfg, writer, d.version)?;
+                    ack_publish(cfg, writer, &mut sent, d.version)?;
                 }
             }
             Some(Message::TrainRequest { round, keep_ratio }) => {
@@ -282,7 +286,7 @@ where
                         weights: update.weights,
                     })
                 };
-                write_frame(&mut *lock_writer(writer), &msg)?;
+                send(writer, &mut sent, &msg)?;
                 report.rounds_trained += 1;
             }
             // The server never sends client-bound kinds; ignore strays.
@@ -301,15 +305,23 @@ where
 fn ack_publish(
     cfg: &ClientConfig,
     writer: &Mutex<TcpStream>,
+    frame: &mut Vec<u8>,
     version: u64,
 ) -> Result<(), WireError> {
-    write_frame(
-        &mut *lock_writer(writer),
-        &Message::PublishAck {
-            client_id: cfg.client_id as u64,
-            version,
-        },
-    )
+    let ack = Message::PublishAck {
+        client_id: cfg.client_id as u64,
+        version,
+    };
+    send(writer, frame, &ack)
+}
+
+/// Write `msg` to the shared socket, encoded into the loop's send buffer.
+fn send(writer: &Mutex<TcpStream>, frame: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
+    msg.encode_into(frame);
+    let mut stream = lock_writer(writer);
+    stream.write_all(frame)?;
+    stream.flush()?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -42,9 +42,9 @@
 //! aggregation or sitting out the round timeout.
 //!
 //! A shared [`NetTelemetry`] handle (clone it *before* boxing the
-//! executor into a session) accumulates per-dispatch round-trip times,
-//! measured staleness, and the server's publish bytes-on-wire counters
-//! for benches to report.
+//! executor into a session) keeps the latest round-trip times, the
+//! accepted-update count and staleness sum, and the server's publish
+//! bytes-on-wire counters for benches to report, in bounded memory.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -79,14 +79,27 @@ pub enum NetMode {
     },
 }
 
+/// How many of the latest round-trip times [`NetTelemetry`] keeps: at
+/// least every update of `exp_net --full` (1 000 rounds × 8 workers), so
+/// a long-lived server's telemetry stays bounded without changing any
+/// sweep's percentiles.
+pub const RTT_WINDOW: usize = 8192;
+
 /// Measured transport telemetry, shared out of the executor via
-/// [`NetworkExecutor::telemetry`].
+/// [`NetworkExecutor::telemetry`]. Its size does not grow with the number
+/// of updates.
 #[derive(Debug, Clone, Default)]
 pub struct NetTelemetry {
-    /// Round-trip time of each accepted update, dispatch to arrival, ms.
+    /// Round-trip times of the latest [`RTT_WINDOW`] accepted updates,
+    /// dispatch to arrival, ms. Once full, the next sample overwrites
+    /// slot `accepted % RTT_WINDOW`; percentiles sort a copy, so the
+    /// order does not matter.
     pub rtt_ms: Vec<f64>,
-    /// Measured staleness (model versions) of each accepted update.
-    pub staleness: Vec<u64>,
+    /// Updates accepted into a round.
+    pub accepted: usize,
+    /// Measured staleness (model versions) summed over every accepted
+    /// update.
+    pub staleness_sum: u64,
     /// `TrainRequest` frames successfully sent.
     pub dispatched: usize,
     /// Dispatches that failed outright (client departed or socket dead).
@@ -108,8 +121,8 @@ pub struct NetTelemetry {
 }
 
 impl NetTelemetry {
-    /// The `pct`-percentile (in `[0, 1]`) of observed RTTs in
-    /// milliseconds — nearest-rank on the sorted samples
+    /// The `pct`-percentile (in `[0, 1]`) of the observed RTTs in `rtt_ms`
+    /// in milliseconds — nearest-rank on the sorted samples
     /// ([`nearest_rank`], the function `feddrl_sim`'s
     /// `completion_percentile_s` calls), so measured-vs-predicted
     /// comparisons compare like with like; 0.0 when empty.
@@ -139,10 +152,21 @@ impl NetTelemetry {
     /// Mean measured staleness over every accepted update (0.0 when
     /// empty).
     pub fn mean_staleness(&self) -> f64 {
-        if self.staleness.is_empty() {
+        if self.accepted == 0 {
             return 0.0;
         }
-        self.staleness.iter().map(|&s| s as f64).sum::<f64>() / self.staleness.len() as f64
+        self.staleness_sum as f64 / self.accepted as f64
+    }
+
+    /// Count one accepted update with its round-trip time and staleness.
+    fn record(&mut self, rtt_ms: f64, staleness: u64) {
+        if self.rtt_ms.len() < RTT_WINDOW {
+            self.rtt_ms.push(rtt_ms);
+        } else {
+            self.rtt_ms[self.accepted % RTT_WINDOW] = rtt_ms;
+        }
+        self.accepted += 1;
+        self.staleness_sum += staleness;
     }
 }
 
@@ -469,8 +493,7 @@ impl RoundExecutor for NetworkExecutor {
             };
             {
                 let mut t = self.telemetry.lock();
-                t.rtt_ms.push(rtt_ms);
-                t.staleness.push(staleness);
+                t.record(rtt_ms, staleness);
                 if masked_arrival {
                     t.masked_updates += 1;
                 }
@@ -561,17 +584,53 @@ mod tests {
 
     #[test]
     fn telemetry_percentiles_and_means() {
-        let t = NetTelemetry {
-            rtt_ms: vec![5.0, 1.0, 3.0, 2.0, 4.0],
-            staleness: vec![0, 1, 2],
-            ..NetTelemetry::default()
-        };
+        let mut t = NetTelemetry::default();
+        for (rtt, staleness) in [(5.0, 0), (1.0, 1), (3.0, 2), (2.0, 1), (4.0, 1)] {
+            t.record(rtt, staleness);
+        }
         assert_eq!(t.p50_rtt_ms(), 3.0);
         assert_eq!(t.p99_rtt_ms(), 5.0);
+        assert_eq!(t.accepted, 5);
         assert!((t.mean_staleness() - 1.0).abs() < 1e-12);
         let empty = NetTelemetry::default();
         assert_eq!(empty.p50_rtt_ms(), 0.0);
         assert_eq!(empty.mean_staleness(), 0.0);
+    }
+
+    /// The exact sum and count give the mean the per-sample vector gave,
+    /// bit for bit, past the RTT window too.
+    #[test]
+    fn mean_staleness_equals_the_per_sample_mean() {
+        let samples: Vec<u64> = (0..RTT_WINDOW as u64 + 777).map(|i| i * 7 % 13).collect();
+        let mut t = NetTelemetry::default();
+        for &s in &samples {
+            t.record(1.0, s);
+        }
+        let per_sample = samples.iter().map(|&s| s as f64).sum::<f64>() / samples.len() as f64;
+        assert_eq!(t.mean_staleness().to_bits(), per_sample.to_bits());
+        assert_eq!(t.accepted, samples.len());
+    }
+
+    /// At the window boundary the vector stops growing and the oldest
+    /// sample is the next one overwritten: percentiles read the latest
+    /// `RTT_WINDOW` round trips.
+    #[test]
+    fn rtt_window_keeps_the_latest_samples() {
+        let mut t = NetTelemetry::default();
+        for i in 0..RTT_WINDOW {
+            t.record(i as f64, 0);
+        }
+        assert_eq!(t.rtt_ms.len(), RTT_WINDOW);
+        assert_eq!(t.rtt_percentile_ms(0.0), 0.0);
+        for i in RTT_WINDOW..RTT_WINDOW + 3 {
+            t.record(i as f64, 0);
+        }
+        assert_eq!(t.rtt_ms.len(), RTT_WINDOW, "the window does not grow");
+        assert_eq!(t.accepted, RTT_WINDOW + 3);
+        let w = RTT_WINDOW as f64;
+        assert_eq!(&t.rtt_ms[..4], &[w, w + 1.0, w + 2.0, 3.0]);
+        assert_eq!(t.rtt_percentile_ms(0.0), 3.0, "the three oldest are gone");
+        assert_eq!(t.rtt_percentile_ms(1.0), w + 2.0);
     }
 
     /// Regression for the nearest-rank fix: over 100 samples `1..=100`,

@@ -15,8 +15,9 @@
 //!   [`FlError::Protocol`](feddrl_fl::error::FlError);
 //! * [`registry`] — who is subscribed, heartbeat TTLs, permanent
 //!   departure semantics matching the simulator's churn;
-//! * [`server`] — accept loop, per-connection receive threads, scoped
-//!   fan-out publish, condvar-signalled update inbox;
+//! * [`server`] — accept loop, per-connection receive threads, a publish
+//!   that writes to the peers from the caller's thread, condvar-signalled
+//!   update inbox and subscriptions;
 //! * [`client`] — [`client::run_client`]: subscribe, heartbeat, train
 //!   via any closure (the repo's real local trainer or a stub), report;
 //! * [`executor`] — barrier and buffered collection over the above,
@@ -35,9 +36,11 @@
 //! automatic dense fallback). See `docs/NETWORKING.md` for the frame
 //! grammar and negotiation state machine.
 //!
-//! Concurrency is plain threads plus the repo's vendored
-//! `crossbeam`/`parking_lot` shims; there is no async runtime and no
-//! new external dependency.
+//! Concurrency is plain threads, `std::sync` and the repo's vendored
+//! `parking_lot` shim; there is no async runtime, no thread spawned per
+//! frame, and no new external dependency. Receive loops, the worker's
+//! update path and the server's publish keep their frame buffers from one
+//! frame to the next.
 //!
 //! ## Determinism
 //!
@@ -63,8 +66,8 @@ pub mod prelude {
     pub use crate::registry::{Registry, RegistryEntry};
     pub use crate::server::{InboundUpdate, MaskedWireInfo, NetServer, PublishStats, ServerConfig};
     pub use crate::wire::{
-        negotiate, read_frame, write_frame, DeltaMsg, MaskedUpdateMsg, Message, UpdateMsg,
-        WireError, FRAME_MAGIC, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION, PROTOCOL_VERSION_MAX,
-        PROTOCOL_VERSION_MIN,
+        negotiate, read_frame, read_frame_into, write_frame, DeltaMsg, MaskedUpdateMsg, Message,
+        UpdateMsg, WireError, FRAME_MAGIC, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
+        PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN,
     };
 }

@@ -7,22 +7,22 @@
 //! the [`Registry`], `Update` lands in a
 //! condvar-signalled inbox drained by [`NetServer::recv_update`], and
 //! `Bye` marks permanent departure. Model broadcast
-//! ([`NetServer::publish`]) encodes the frame once and fans it out to
-//! every subscribed client over the vendored crossbeam scoped-thread
-//! shim, one writer thread per peer.
+//! ([`NetServer::publish`]) runs on the caller's thread: it encodes each
+//! distinct frame once, into buffers the server keeps across publishes,
+//! and writes it to the subscribed peers one after another.
 //!
 //! There is no async runtime anywhere in this crate: all concurrency is
-//! plain threads plus the repo's vendored `crossbeam`/`parking_lot`
-//! shims, keeping the PR-1 vendoring policy intact. Receive threads stay
-//! interruptible by reading with a short socket timeout and re-checking
-//! the shutdown flag between partial reads, so `shutdown` (and `Drop`)
-//! always join cleanly.
+//! plain threads, `std::sync` and the repo's vendored `parking_lot` shim.
+//! Receive threads keep one payload buffer for the life of their
+//! connection, and stay interruptible by reading with a short socket
+//! timeout and re-checking the shutdown flag whenever a read times out,
+//! so `shutdown` (and `Drop`) always join cleanly.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -30,8 +30,8 @@ use parking_lot::Mutex;
 
 use crate::registry::Registry;
 use crate::wire::{
-    decode_payload, negotiate, write_frame, DeltaMsg, FrameHeader, Message, UpdateMsg, WireError,
-    HEADER_LEN,
+    decode_payload, encode_delta_into, encode_publish_into, negotiate, read_payload, write_frame,
+    FrameHeader, Message, UpdateMsg, WireError, HEADER_LEN,
 };
 
 /// How long the per-connection receive threads block on the socket before
@@ -136,20 +136,34 @@ pub struct InboundUpdate {
     pub arrival: Instant,
 }
 
+/// What [`NetServer::publish`] keeps from one call to the next, so a
+/// steady-state publish allocates no frame and no snapshot.
+#[derive(Default)]
+struct Fanout {
+    /// Recent published models for delta encoding, newest last; empty
+    /// unless `delta_publish` is on.
+    snapshots: VecDeque<(u64, Vec<f32>)>,
+    /// The dense frame of the publish in progress.
+    dense: Vec<u8>,
+    /// The delta frame of the acked base being written.
+    delta: Vec<u8>,
+}
+
 /// State shared between the public handle and the background threads.
+/// `std::sync` locks where a `Condvar` waits on them; the parking_lot
+/// shim has none.
 struct Shared {
     start: Instant,
-    registry: Mutex<Registry>,
+    registry: StdMutex<Registry>,
+    /// Signalled whenever a `Hello` registers a client.
+    joined: Condvar,
     /// Write halves (via `try_clone`) of every subscribed client's socket.
     peers: Mutex<HashMap<usize, TcpStream>>,
-    /// Arrived updates, drained by `recv_update`. `std::sync::Mutex` +
-    /// `Condvar` rather than the parking_lot shim, which has no condvar.
+    /// Arrived updates, drained by `recv_update`.
     inbox: StdMutex<VecDeque<InboundUpdate>>,
     inbox_cv: Condvar,
     shutdown: AtomicBool,
-    /// Recent published models for delta encoding, newest last; empty
-    /// unless `delta_publish` is on.
-    snapshots: Mutex<VecDeque<(u64, Vec<f32>)>>,
+    fanout: Mutex<Fanout>,
     delta_publish: bool,
     snapshot_cap: usize,
     publish_wire_bytes: AtomicU64,
@@ -166,8 +180,12 @@ impl Shared {
         self.start.elapsed().as_millis() as u64
     }
 
-    fn inbox_lock(&self) -> std::sync::MutexGuard<'_, VecDeque<InboundUpdate>> {
+    fn inbox_lock(&self) -> MutexGuard<'_, VecDeque<InboundUpdate>> {
         self.inbox.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -192,12 +210,13 @@ impl NetServer {
         let ttl_ms = (cfg.ttl.as_millis() as u64).max(1);
         let shared = Arc::new(Shared {
             start: Instant::now(),
-            registry: Mutex::new(Registry::new(ttl_ms)),
+            registry: StdMutex::new(Registry::new(ttl_ms)),
+            joined: Condvar::new(),
             peers: Mutex::new(HashMap::new()),
             inbox: StdMutex::new(VecDeque::new()),
             inbox_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            snapshots: Mutex::new(VecDeque::new()),
+            fanout: Mutex::new(Fanout::default()),
             delta_publish: cfg.delta_publish,
             snapshot_cap: cfg.snapshot_ring.max(1),
             publish_wire_bytes: AtomicU64::new(0),
@@ -225,131 +244,125 @@ impl NetServer {
 
     /// The liveness TTL in milliseconds, as configured.
     pub fn ttl_ms(&self) -> u64 {
-        self.shared.registry.lock().ttl_ms()
+        self.shared.registry().ttl_ms()
     }
 
     /// Block until at least `n` clients have said `Hello`, or fail with a
-    /// timed-out I/O error.
+    /// timed-out I/O error. Wakes on each registration, never on a timer.
     pub fn wait_for_clients(&self, n: usize, timeout: Duration) -> Result<(), WireError> {
         let deadline = Instant::now() + timeout;
-        loop {
-            let have = self.shared.registry.lock().len();
-            if have >= n {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
+        let mut registry = self.shared.registry();
+        while registry.len() < n {
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(WireError::Io {
                     kind: io::ErrorKind::TimedOut,
-                    detail: format!("waited {timeout:?} for {n} clients, only {have} subscribed"),
+                    detail: format!(
+                        "waited {timeout:?} for {n} clients, only {} subscribed",
+                        registry.len()
+                    ),
                 });
             }
-            thread::sleep(Duration::from_millis(2));
+            registry = self
+                .shared
+                .joined
+                .wait_timeout(registry, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
+        Ok(())
     }
 
-    /// Broadcast the global model to every subscribed client, one scoped
-    /// writer thread per peer. Each peer gets either a dense
-    /// `ModelPublish` or — when `delta_publish` is on and the peer acked
-    /// a base still in the snapshot ring — an exact sparse
-    /// `ModelPublishDelta`, whichever is smaller on the wire. Peers whose
-    /// socket write fails are dropped from the peer table (the TTL sweep
-    /// will retire them). Returns how many peers were reached.
+    /// Broadcast the global model to every subscribed client, writing to
+    /// the peers one after another from the caller's thread. Each peer
+    /// gets either a dense `ModelPublish` or — when `delta_publish` is on
+    /// and the peer acked a base still in the snapshot ring — an exact
+    /// sparse `ModelPublishDelta`, whichever is smaller on the wire; each
+    /// distinct frame is encoded once. A peer that stops reading blocks
+    /// the call until its write completes or fails, delaying the peers
+    /// after it. Peers whose socket write fails are dropped from the peer
+    /// table (the TTL sweep will retire them). Returns how many peers were
+    /// reached.
     pub fn publish(&self, version: u64, weights: &[f32]) -> usize {
         let shared = &self.shared;
         // What this publish would cost per peer if sent dense: the
         // denominator of the fan-out-reduction accounting. Dense payload:
         // version u64 + count u64 + raw f32s.
         let dense_len = (HEADER_LEN + 16 + weights.len() * 4) as u64;
+        let mut fanout = shared.fanout.lock();
+        let Fanout {
+            snapshots,
+            dense,
+            delta,
+        } = &mut *fanout;
         if shared.delta_publish {
-            let mut ring = shared.snapshots.lock();
-            ring.push_back((version, weights.to_vec()));
-            while ring.len() > shared.snapshot_cap {
-                ring.pop_front();
-            }
+            // The snapshot the ring evicts holds the new one.
+            let mut snapshot = if snapshots.len() >= shared.snapshot_cap {
+                snapshots.pop_front().map(|(_, w)| w).unwrap_or_default()
+            } else {
+                Vec::new()
+            };
+            snapshot.clear();
+            snapshot.extend_from_slice(weights);
+            snapshots.push_back((version, snapshot));
         }
         let mut peers = shared.peers.lock();
-        // Frame choice per peer, computed up front so identical choices
-        // share one encoding (workers typically ack in lockstep, so one
-        // delta serves the whole fleet).
-        let mut dense: Option<Arc<Vec<u8>>> = None;
-        let mut delta_cache: HashMap<u64, Option<Arc<Vec<u8>>>> = HashMap::new();
-        let mut plan: HashMap<usize, (Arc<Vec<u8>>, bool)> = HashMap::with_capacity(peers.len());
-        {
-            let registry = shared.registry.lock();
-            let ring = shared.snapshots.lock();
-            for &id in peers.keys() {
-                let delta = if shared.delta_publish {
-                    registry.acked_version(id).and_then(|base| {
-                        delta_cache
-                            .entry(base)
-                            .or_insert_with(|| {
-                                encode_delta(&ring, base, version, weights).map(Arc::new)
-                            })
-                            .clone()
-                    })
-                } else {
-                    None
-                };
-                let chosen = match delta {
-                    Some(frame) => (frame, true),
-                    None => {
-                        let frame = dense.get_or_insert_with(|| {
-                            Arc::new(
-                                Message::ModelPublish {
-                                    version,
-                                    weights: weights.to_vec(),
-                                }
-                                .encode(),
-                            )
-                        });
-                        (Arc::clone(frame), false)
-                    }
-                };
-                plan.insert(id, chosen);
-            }
-        }
-        let mut dead: Vec<usize> = Vec::new();
-        let total = peers.len();
-        crossbeam::scope(|s| {
-            let handles: Vec<_> = peers
-                .iter_mut()
-                .map(|(&id, stream)| {
-                    let (frame, is_delta) = plan.get(&id).cloned().expect("every peer is planned");
-                    s.spawn(move |_| {
-                        let ok = stream
-                            .write_all(&frame)
-                            .and_then(|_| stream.flush())
-                            .is_ok();
-                        (id, ok, frame.len() as u64, is_delta)
-                    })
+        // Each peer keyed by the acked base its delta would be encoded
+        // against (`None`: dense), sorted so that peers sharing a frame
+        // are adjacent and each distinct frame is encoded once — workers
+        // typically ack in lockstep, so one delta serves the whole fleet.
+        let mut order: Vec<(Option<u64>, usize)> = {
+            let registry = shared.registry();
+            peers
+                .keys()
+                .map(|&id| {
+                    let base = registry.acked_version(id).filter(|_| shared.delta_publish);
+                    (base, id)
                 })
-                .collect();
-            for h in handles {
-                if let Ok((id, ok, wire_len, is_delta)) = h.join() {
-                    if ok {
-                        shared
-                            .publish_wire_bytes
-                            .fetch_add(wire_len, Ordering::Relaxed);
-                        shared
-                            .publish_dense_bytes
-                            .fetch_add(dense_len, Ordering::Relaxed);
-                        if is_delta {
-                            shared.delta_frames.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            shared.full_frames.fetch_add(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        dead.push(id);
-                    }
-                }
+                .collect()
+        };
+        order.sort_unstable();
+        let mut dense_ready = false;
+        let mut dead: Vec<usize> = Vec::new();
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let is_delta = group[0].0.is_some_and(|base| {
+                snapshots
+                    .iter()
+                    .find(|(v, _)| *v == base)
+                    .is_some_and(|(_, snapshot)| {
+                        encode_delta_into(delta, version, base, snapshot, weights)
+                    })
+            });
+            if !is_delta && !dense_ready {
+                encode_publish_into(dense, version, weights);
+                dense_ready = true;
             }
-        })
-        .expect("publish fan-out threads must not panic");
-        let reached = total - dead.len();
-        for id in dead {
-            peers.remove(&id);
+            let frame = if is_delta { &*delta } else { &*dense };
+            for &(_, id) in group {
+                let stream = peers.get_mut(&id).expect("ordered from the peer table");
+                let sent = stream.write_all(frame).and_then(|_| stream.flush());
+                if sent.is_err() {
+                    dead.push(id);
+                    continue;
+                }
+                shared
+                    .publish_wire_bytes
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                shared
+                    .publish_dense_bytes
+                    .fetch_add(dense_len, Ordering::Relaxed);
+                let kind = if is_delta {
+                    &shared.delta_frames
+                } else {
+                    &shared.full_frames
+                };
+                kind.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        reached
+        for id in &dead {
+            peers.remove(id);
+        }
+        order.len() - dead.len()
     }
 
     /// Cumulative bytes-on-wire accounting across every `publish` so far.
@@ -417,7 +430,7 @@ impl NetServer {
     /// ids in ascending order.
     pub fn sweep_expired(&self) -> Vec<usize> {
         let now = self.shared.now_ms();
-        let expired = self.shared.registry.lock().sweep(now);
+        let expired = self.shared.registry().sweep(now);
         if !expired.is_empty() {
             let mut peers = self.shared.peers.lock();
             for id in &expired {
@@ -429,31 +442,27 @@ impl NetServer {
 
     /// Every client that has ever departed (Bye or TTL expiry), ascending.
     pub fn departed(&self) -> Vec<usize> {
-        self.shared.registry.lock().departed_clients()
+        self.shared.registry().departed_clients()
     }
 
     /// Currently live client ids, ascending.
     pub fn live_clients(&self) -> Vec<usize> {
-        self.shared.registry.lock().live_clients()
+        self.shared.registry().live_clients()
     }
 
     /// Whether `client_id` is registered and unexpired.
     pub fn is_live(&self, client_id: usize) -> bool {
-        self.shared.registry.lock().is_live(client_id)
+        self.shared.registry().is_live(client_id)
     }
 
     /// Number of currently live clients.
     pub fn client_count(&self) -> usize {
-        self.shared.registry.lock().len()
+        self.shared.registry().len()
     }
 
     /// Messages observed from `client_id` (heartbeats included), if live.
     pub fn messages_from(&self, client_id: usize) -> Option<u64> {
-        self.shared
-            .registry
-            .lock()
-            .entry(client_id)
-            .map(|e| e.messages)
+        self.shared.registry().entry(client_id).map(|e| e.messages)
     }
 
     /// Orderly shutdown: tell every connected client `Bye`, stop the
@@ -521,58 +530,19 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Encode the new model as an exact sparse delta against `base_version`,
-/// if that base is in the ring, shape-compatible, and the delta actually
-/// beats the dense frame on the wire. Changed positions are compared by
-/// *bit pattern*, so reconstruction is exact even across NaNs and signed
-/// zeros.
-fn encode_delta(
-    ring: &VecDeque<(u64, Vec<f32>)>,
-    base_version: u64,
-    version: u64,
-    weights: &[f32],
-) -> Option<Vec<u8>> {
-    let (_, base) = ring.iter().find(|(v, _)| *v == base_version)?;
-    if base.len() != weights.len() || weights.len() > u32::MAX as usize {
-        return None;
-    }
-    let mut indices: Vec<u32> = Vec::new();
-    let mut values: Vec<f32> = Vec::new();
-    for (i, (&b, &w)) in base.iter().zip(weights).enumerate() {
-        if b.to_bits() != w.to_bits() {
-            indices.push(i as u32);
-            values.push(w);
-        }
-    }
-    // Delta payload: 4 u64 header fields + 8 bytes per entry; dense
-    // payload: 2 u64s + 4 bytes per weight. Send the smaller frame.
-    let delta_payload = 32 + indices.len() * 8;
-    let dense_payload = 16 + weights.len() * 4;
-    if delta_payload >= dense_payload {
-        return None;
-    }
-    Some(
-        Message::ModelPublishDelta(DeltaMsg {
-            version,
-            base_version,
-            total_len: weights.len() as u64,
-            indices,
-            values,
-        })
-        .encode(),
-    )
-}
-
 /// One connection's receive loop: frames off the socket, routed by kind.
 fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
     let mut me: Option<usize> = None;
+    // One receive buffer for the life of the connection.
+    let mut payload = Vec::new();
     // The loop ends on clean EOF, shutdown, a protocol violation, a
     // failed negotiation, or a hard socket error — drop the connection
     // either way. An unannounced disappearance is the TTL sweep's job to
     // retire.
-    while let Ok(Some(msg)) = read_frame_interruptible(&mut stream, &shared.shutdown) {
+    while let Ok(Some(msg)) = read_frame_interruptible(&mut stream, &mut payload, &shared.shutdown)
+    {
         let now = shared.now_ms();
         match msg {
             Message::Hello {
@@ -597,26 +567,26 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 // `wait_for_clients` returning guarantees the ack
                 // precedes any `publish` on this socket and the publish
                 // reaches everyone waited for.
-                if !shared.registry.lock().is_departed(id) {
+                if !shared.registry().is_departed(id) {
                     if let Ok(mut peer) = stream.try_clone() {
                         let _ = write_frame(&mut peer, &Message::HelloAck { client_id, version });
                         shared.peers.lock().insert(id, peer);
                         me = Some(id);
                     }
                 }
-                shared.registry.lock().touch(id, now);
+                shared.registry().touch(id, now);
+                shared.joined.notify_all();
             }
             Message::Heartbeat { client_id } => {
-                shared.registry.lock().touch(client_id as usize, now);
+                shared.registry().touch(client_id as usize, now);
             }
             Message::PublishAck { client_id, version } => {
                 shared
-                    .registry
-                    .lock()
+                    .registry()
                     .record_ack(client_id as usize, version, now);
             }
             Message::Update(update) => {
-                shared.registry.lock().touch(update.client_id as usize, now);
+                shared.registry().touch(update.client_id as usize, now);
                 let mut inbox = shared.inbox_lock();
                 inbox.push_back(InboundUpdate {
                     msg: update,
@@ -627,7 +597,7 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 shared.inbox_cv.notify_all();
             }
             Message::MaskedUpdate(m) => {
-                shared.registry.lock().touch(m.client_id as usize, now);
+                shared.registry().touch(m.client_id as usize, now);
                 let masked = Some(MaskedWireInfo {
                     keep_ratio: m.keep_ratio,
                     total_len: m.total_len as usize,
@@ -652,7 +622,7 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             }
             Message::Bye { client_id } => {
                 let id = client_id as usize;
-                shared.registry.lock().mark_departed(id);
+                shared.registry().mark_departed(id);
                 shared.peers.lock().remove(&id);
                 me = None;
                 break;
@@ -671,72 +641,81 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Read one frame like [`crate::wire::read_frame`], but on a socket with
-/// a read timeout: `WouldBlock`/`TimedOut` become shutdown-flag checks
-/// instead of errors, so receive threads stay joinable.
+/// Read one frame like [`crate::wire::read_frame_into`], staging the
+/// payload in the connection's `payload` buffer, but on a socket with a
+/// read timeout: `WouldBlock`/`TimedOut` become shutdown-flag checks
+/// instead of errors, so receive threads stay joinable. `Ok(None)` means
+/// shutdown, or a clean close at a frame boundary.
 fn read_frame_interruptible(
     stream: &mut TcpStream,
+    payload: &mut Vec<u8>,
     shutdown: &AtomicBool,
 ) -> Result<Option<Message>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    if read_fill(stream, &mut header, shutdown, true)?.is_none() {
+    let Some(header) = read_header(stream, shutdown)? else {
         return Ok(None);
-    }
+    };
     let fh = FrameHeader::parse(&header)?;
-    let mut payload = vec![0u8; fh.payload_len];
-    if read_fill(stream, &mut payload, shutdown, false)?.is_none() {
-        return Ok(None);
-    }
-    decode_payload(fh.kind, &payload).map(Some)
-}
-
-/// Fill `buf` completely, tolerating socket timeouts. `Ok(None)` means a
-/// shutdown request interrupted the read, or — when `allow_eof_at_start`
-/// — the peer closed cleanly before the first byte. EOF mid-buffer is a
-/// [`WireError::Truncated`].
-fn read_fill(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    allow_eof_at_start: bool,
-) -> Result<Option<()>, WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
+    payload.clear();
+    while let Err(e) = read_payload(stream, payload, fh.payload_len) {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            return Err(WireError::Truncated {
+                needed: fh.payload_len,
+                got: payload.len(),
+            });
+        }
+        if !timed_out(&e) {
+            return Err(e.into());
+        }
         if shutdown.load(Ordering::Acquire) {
             return Ok(None);
         }
-        match stream.read(&mut buf[filled..]) {
+    }
+    decode_payload(fh.kind, payload).map(Some)
+}
+
+/// A read that timed out or was interrupted: a chance to check the
+/// shutdown flag, not an error.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
+/// Read a frame header, tolerating socket timeouts. `Ok(None)` means a
+/// shutdown request interrupted the read, or the peer closed cleanly
+/// before the first byte. EOF mid-header is a [`WireError::Truncated`].
+fn read_header(
+    stream: &mut TcpStream,
+    shutdown: &AtomicBool,
+) -> Result<Option<[u8; HEADER_LEN]>, WireError> {
+    let mut header = [0u8; HEADER_LEN];
+    let mut filled = 0;
+    while filled < HEADER_LEN {
+        if shutdown.load(Ordering::Acquire) {
+            return Ok(None);
+        }
+        match stream.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => {
-                if filled == 0 && allow_eof_at_start {
-                    return Ok(None);
-                }
                 return Err(WireError::Truncated {
-                    needed: buf.len(),
+                    needed: HEADER_LEN,
                     got: filled,
-                });
+                })
             }
             Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
+            Err(e) if timed_out(&e) => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    Ok(Some(()))
+    Ok(Some(header))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::NetServerBuilder;
-    use crate::wire::{read_frame, PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN};
+    use crate::wire::{read_frame, DeltaMsg, PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN};
 
     fn connect_and_hello(addr: SocketAddr, id: u64) -> TcpStream {
         let mut s = TcpStream::connect(addr).expect("connect");
@@ -781,6 +760,82 @@ mod tests {
                 other => panic!("expected ModelPublish, got {other:?}"),
             }
         }
+        server.shutdown();
+    }
+
+    /// `wait_for_clients` is woken by the n-th `Hello`, not by a timer,
+    /// and still fails typed when too few arrive. No sleeps.
+    #[test]
+    fn wait_for_clients_wakes_on_the_nth_hello_and_times_out_typed() {
+        let mut server = NetServerBuilder::new().build().expect("bind");
+        let addr = server.local_addr();
+        let _clients = thread::scope(|s| {
+            let waiter = s.spawn(|| server.wait_for_clients(2, Duration::from_secs(60)));
+            let clients = [connect_and_hello(addr, 0), connect_and_hello(addr, 1)];
+            assert_eq!(waiter.join().expect("no panic"), Ok(()));
+            clients
+        });
+        match server.wait_for_clients(3, Duration::from_millis(50)) {
+            Err(WireError::Io { kind, detail }) => {
+                assert_eq!(kind, io::ErrorKind::TimedOut);
+                assert!(detail.contains("only 2 subscribed"), "{detail}");
+            }
+            other => panic!("expected a timed-out error, got {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    /// A delta exactly as large as the dense frame goes dense and is
+    /// counted as a full frame; one change fewer goes out as the
+    /// message encoder's delta bytes.
+    #[test]
+    fn a_delta_as_large_as_the_dense_frame_goes_dense() {
+        let mut server = NetServerBuilder::new()
+            .delta_publish(true)
+            .build()
+            .expect("bind");
+        let mut peer = connect_and_hello(server.local_addr(), 9);
+        server
+            .wait_for_clients(1, Duration::from_secs(5))
+            .expect("subscribed");
+        let w0 = vec![0.5f32; 64];
+        server.publish(0, &w0);
+        assert!(matches!(
+            read_frame(&mut peer),
+            Ok(Some(Message::ModelPublish { version: 0, .. }))
+        ));
+        // The ack as the receive thread would book it.
+        let now = server.shared.now_ms();
+        server.shared.registry().record_ack(9, 0, now);
+
+        // 32 + 8·30 = 16 + 4·64: the delta would cost what dense does.
+        let mut w1 = w0.clone();
+        w1[..30].fill(-1.0);
+        server.publish(1, &w1);
+        assert!(matches!(
+            read_frame(&mut peer),
+            Ok(Some(Message::ModelPublish { version: 1, .. }))
+        ));
+        let stats = server.publish_stats();
+        assert_eq!((stats.full_frames, stats.delta_frames), (2, 0));
+        assert_eq!(stats.wire_bytes, stats.dense_bytes);
+
+        let mut w2 = w0.clone();
+        w2[..29].fill(-1.0);
+        server.publish(2, &w2);
+        let expected = Message::ModelPublishDelta(DeltaMsg {
+            version: 2,
+            base_version: 0,
+            total_len: 64,
+            indices: (0..29).collect(),
+            values: vec![-1.0; 29],
+        })
+        .encode();
+        let mut got = vec![0u8; expected.len()];
+        peer.read_exact(&mut got).expect("delta frame");
+        assert_eq!(got, expected);
+        let stats = server.publish_stats();
+        assert_eq!((stats.full_frames, stats.delta_frames), (2, 1));
         server.shutdown();
     }
 

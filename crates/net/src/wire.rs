@@ -430,6 +430,86 @@ fn put_weights(out: &mut Vec<u8>, weights: &[f32]) {
     put_words(out, weights, f32::to_le_bytes);
 }
 
+/// Start a frame in `frame`, replacing its contents: the header, its
+/// payload length left zero for [`finish_frame`], and room for
+/// `payload_hint` payload bytes.
+fn begin_frame(frame: &mut Vec<u8>, kind: u8, payload_hint: usize) {
+    frame.clear();
+    frame.reserve(HEADER_LEN + payload_hint);
+    frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    frame.push(PROTOCOL_VERSION);
+    frame.push(kind);
+    frame.extend_from_slice(&[0; 4]);
+}
+
+/// Patch the length of the payload written behind the header into it.
+fn finish_frame(frame: &mut [u8]) {
+    let payload_len = frame.len() - HEADER_LEN;
+    assert!(
+        payload_len <= MAX_PAYLOAD,
+        "encoded payload of {payload_len} bytes exceeds MAX_PAYLOAD"
+    );
+    frame[4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
+}
+
+/// Write the `ModelPublish` frame of `weights` into `frame`: the bytes of
+/// `Message::ModelPublish { version, weights }.encode()`, without copying
+/// the weights into a message first.
+pub(crate) fn encode_publish_into(frame: &mut Vec<u8>, version: u64, weights: &[f32]) {
+    begin_frame(frame, KIND_MODEL_PUBLISH, 16 + 4 * weights.len());
+    put_u64(frame, version);
+    put_weights(frame, weights);
+    finish_frame(frame);
+}
+
+/// Write the exact sparse delta taking `base` (at `base_version`) to
+/// `weights` into `frame` — the bytes `Message::ModelPublishDelta(..)
+/// .encode()` would produce — if it is smaller than the dense frame.
+///
+/// Positions are compared by bit pattern, so a flipped zero sign or a new
+/// NaN payload is a change and reconstruction is exact. The changes are
+/// counted first: a delta that would not pay (or a shape mismatch, or a
+/// model too long for `u32` indices) returns `false` and leaves `frame`
+/// alone, and one that pays is written straight into its frame bytes.
+pub(crate) fn encode_delta_into(
+    frame: &mut Vec<u8>,
+    version: u64,
+    base_version: u64,
+    base: &[f32],
+    weights: &[f32],
+) -> bool {
+    if base.len() != weights.len() || weights.len() > u32::MAX as usize {
+        return false;
+    }
+    let changed = |(b, w): &(&f32, &f32)| b.to_bits() != w.to_bits();
+    let count = base.iter().zip(weights).filter(changed).count();
+    // Delta payload: 4 u64 header fields + 8 bytes per entry; dense
+    // payload: 2 u64s + 4 bytes per weight. Send the smaller frame.
+    if 32 + 8 * count >= 16 + 4 * weights.len() {
+        return false;
+    }
+    begin_frame(frame, KIND_MODEL_PUBLISH_DELTA, 32 + 8 * count);
+    put_u64(frame, version);
+    put_u64(frame, base_version);
+    put_u64(frame, weights.len() as u64);
+    put_u64(frame, count as u64);
+    let start = frame.len();
+    frame.resize(start + 8 * count, 0);
+    let (indices, values) = frame[start..].split_at_mut(4 * count);
+    let slots = indices.chunks_exact_mut(4).zip(values.chunks_exact_mut(4));
+    let changes = base
+        .iter()
+        .zip(weights)
+        .enumerate()
+        .filter(|(_, p)| changed(p));
+    for ((index, value), (i, (_, w))) in slots.zip(changes) {
+        index.copy_from_slice(&(i as u32).to_le_bytes());
+        value.copy_from_slice(&w.to_le_bytes());
+    }
+    finish_frame(frame);
+    true
+}
+
 // --- payload reader --------------------------------------------------------
 
 /// Sequential reader over a payload slice; every overrun is a typed
@@ -702,10 +782,17 @@ impl Message {
     /// Encode into a complete frame (header + payload) stamped with
     /// [`PROTOCOL_VERSION`].
     pub fn encode(&self) -> Vec<u8> {
-        // One buffer, sized once: the header, the fixed fields of the
-        // largest payload grammar (`MaskedUpdate`, 72 bytes) and the
-        // 4-byte words of the bulk part. The payload length is patched
-        // into the header once the payload is written behind it.
+        let mut frame = Vec::new();
+        self.encode_into(&mut frame);
+        frame
+    }
+
+    /// Encode into `frame`, replacing its contents with exactly the bytes
+    /// of [`Message::encode`]. A connection that keeps one buffer for its
+    /// frames allocates only when a frame outgrows every one before it.
+    pub fn encode_into(&self, frame: &mut Vec<u8>) {
+        // Room for the fixed fields of the largest payload grammar
+        // (`MaskedUpdate`, 72 bytes) and the 4-byte words of the bulk part.
         let bulk_words = match self {
             Message::ModelPublish { weights, .. } => weights.len(),
             Message::ModelPublishDelta(d) => d.indices.len() + d.values.len(),
@@ -713,12 +800,8 @@ impl Message {
             Message::MaskedUpdate(u) => u.kept_weights.len(),
             _ => 0,
         };
-        let mut frame = Vec::with_capacity(HEADER_LEN + 72 + 4 * bulk_words);
-        frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame.push(PROTOCOL_VERSION);
-        frame.push(self.kind());
-        frame.extend_from_slice(&[0; 4]);
-        let payload = &mut frame;
+        begin_frame(frame, self.kind(), 72 + 4 * bulk_words);
+        let payload = &mut *frame;
         match self {
             Message::Hello {
                 client_id,
@@ -783,13 +866,7 @@ impl Message {
             Message::Heartbeat { client_id } => put_u64(payload, *client_id),
             Message::Bye { client_id } => put_u64(payload, *client_id),
         }
-        let payload_len = frame.len() - HEADER_LEN;
-        assert!(
-            payload_len <= MAX_PAYLOAD,
-            "encoded payload of {payload_len} bytes exceeds MAX_PAYLOAD"
-        );
-        frame[4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        frame
+        finish_frame(frame);
     }
 
     /// Decode one frame from the front of `buf`, returning the message and
@@ -826,6 +903,18 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), WireError> 
 /// Read one frame from a stream. `Ok(None)` on a clean end-of-stream at a
 /// frame boundary; EOF mid-frame is [`WireError::Truncated`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Message>, WireError> {
+    read_frame_into(r, &mut Vec::new())
+}
+
+/// Read one frame like [`read_frame`], staging its payload in `payload`,
+/// a buffer the caller keeps across frames. The buffer is cleared and
+/// grows only as bytes arrive: a connection reading many frames allocates
+/// only when one outgrows all before it, and a header that claims more
+/// than the stream delivers pins no more memory than what came.
+pub fn read_frame_into<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<Option<Message>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < HEADER_LEN {
@@ -845,18 +934,30 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Message>, WireError> {
         }
     }
     let fh = FrameHeader::parse(&header)?;
-    let mut payload = vec![0u8; fh.payload_len];
-    r.read_exact(&mut payload).map_err(|e| {
+    payload.clear();
+    read_payload(r, payload, fh.payload_len).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             WireError::Truncated {
                 needed: HEADER_LEN + fh.payload_len,
-                got: HEADER_LEN,
+                got: HEADER_LEN + payload.len(),
             }
         } else {
             e.into()
         }
     })?;
-    decode_payload(fh.kind, &payload).map(Some)
+    decode_payload(fh.kind, payload).map(Some)
+}
+
+/// Read the rest of a `len`-byte payload into `buf`, which holds the part
+/// already read, growing it only as bytes arrive. An I/O error leaves the
+/// bytes read so far in `buf`, so a caller whose socket timed out resumes
+/// where it stopped; a stream that ends first is `UnexpectedEof`.
+pub(crate) fn read_payload<R: Read>(r: &mut R, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    r.by_ref().take((len - buf.len()) as u64).read_to_end(buf)?;
+    if buf.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1126,6 +1227,113 @@ mod tests {
             read_frame(&mut r),
             Err(WireError::Truncated { needed: 8, got: 3 })
         ));
+    }
+
+    /// A header claiming the largest payload, then silence: the read
+    /// fails `Truncated` and the caller's buffer holds on to no more than
+    /// what arrived.
+    #[test]
+    fn a_header_alone_cannot_pin_its_claimed_payload() {
+        let mut frame = Message::Heartbeat { client_id: 1 }.encode();
+        frame.truncate(HEADER_LEN);
+        frame[4..8].copy_from_slice(&(MAX_PAYLOAD as u32).to_le_bytes());
+        let mut payload = Vec::new();
+        assert_eq!(
+            read_frame_into(&mut io::Cursor::new(frame), &mut payload),
+            Err(WireError::Truncated {
+                needed: HEADER_LEN + MAX_PAYLOAD,
+                got: HEADER_LEN,
+            })
+        );
+        assert!(payload.capacity() < 1 << 20, "{}", payload.capacity());
+    }
+
+    /// One buffer across a 2 MB frame, a small frame and a truncated one:
+    /// the first two decode exactly, the third fails, and nothing of an
+    /// earlier frame leaks into a later one.
+    #[test]
+    fn a_reused_payload_buffer_carries_nothing_between_frames() {
+        let big = Message::ModelPublish {
+            version: 3,
+            weights: (0..500_000).map(|i| i as f32 * 0.5).collect(),
+        };
+        let small = Message::Heartbeat { client_id: 8 };
+        let cut = sample_update().encode();
+        let mut stream = big.encode();
+        stream.extend_from_slice(&small.encode());
+        stream.extend_from_slice(&cut[..cut.len() - 5]);
+        let mut r = io::Cursor::new(stream);
+        let mut payload = Vec::new();
+        assert_eq!(read_frame_into(&mut r, &mut payload), Ok(Some(big)));
+        assert_eq!(read_frame_into(&mut r, &mut payload), Ok(Some(small)));
+        assert_eq!(payload.len(), 8, "the small frame's payload alone");
+        assert_eq!(
+            read_frame_into(&mut r, &mut payload),
+            Err(WireError::Truncated {
+                needed: cut.len(),
+                got: cut.len() - 5,
+            })
+        );
+    }
+
+    /// `encode_delta_into` writes the bytes of the message encoder, and
+    /// counts a flipped zero sign and a new NaN payload as changes.
+    #[test]
+    fn a_delta_written_in_place_is_the_message_encoders_frame() {
+        let nan = |bits: u32| f32::from_bits(0x7FC0_0000 | bits);
+        let base: Vec<f32> = (0..40)
+            .map(|i| i as f32 - 20.0)
+            .chain([0.0, nan(1)])
+            .collect();
+        let mut weights = base.clone();
+        weights[3] = 7.5;
+        weights[39] = -1.0e-30;
+        weights[40] = -0.0;
+        weights[41] = nan(2);
+        let mut frame = vec![0xAB; 3];
+        assert!(encode_delta_into(&mut frame, 6, 5, &base, &weights));
+        let expected = Message::ModelPublishDelta(DeltaMsg {
+            version: 6,
+            base_version: 5,
+            total_len: 42,
+            indices: vec![3, 39, 40, 41],
+            values: vec![7.5, -1.0e-30, -0.0, nan(2)],
+        });
+        assert_eq!(frame, expected.encode());
+        // Unchanged bits are not a delta: an empty residual still pays.
+        assert!(encode_delta_into(&mut frame, 6, 5, &base, &base));
+        assert_eq!(
+            Message::decode(&frame).expect("decode").0,
+            Message::ModelPublishDelta(DeltaMsg {
+                version: 6,
+                base_version: 5,
+                total_len: 42,
+                indices: vec![],
+                values: vec![],
+            })
+        );
+    }
+
+    /// The cut-over: a delta exactly as large as the dense frame is not
+    /// written, one entry fewer is.
+    #[test]
+    fn a_delta_as_large_as_the_dense_frame_is_not_written() {
+        // 32 + 8c = 16 + 4n  ⇔  c = (n − 4) / 2.
+        let base = vec![1.0f32; 64];
+        let mut weights = base.clone();
+        weights[..30].fill(2.0);
+        let mut frame = vec![0xCD; 5];
+        assert!(!encode_delta_into(&mut frame, 1, 0, &base, &weights));
+        assert_eq!(
+            frame,
+            vec![0xCD; 5],
+            "a delta that loses leaves the buffer alone"
+        );
+        weights[29] = 1.0;
+        assert!(encode_delta_into(&mut frame, 1, 0, &base, &weights));
+        assert!(frame.len() < HEADER_LEN + 16 + 4 * 64);
+        // A shape mismatch is never a delta.
+        assert!(!encode_delta_into(&mut frame, 1, 0, &base[1..], &weights));
     }
 
     #[test]

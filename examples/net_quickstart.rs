@@ -132,7 +132,7 @@ fn main() {
     println!(
         "\ntransport: {} dispatches, {} updates, p50 RTT = {:.3} ms, p99 RTT = {:.3} ms",
         t.dispatched,
-        t.rtt_ms.len(),
+        t.accepted,
         t.p50_rtt_ms(),
         t.p99_rtt_ms()
     );

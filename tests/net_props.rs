@@ -1,7 +1,8 @@
 //! Integration contract of the networked runtime (`feddrl_net`).
 //!
 //! Seven promises, checked at the workspace boundary: (1) the frame
-//! codec round-trips every message kind bit-exactly and rejects
+//! codec round-trips every message kind bit-exactly, writes the same
+//! bytes into a reused buffer as into a fresh one, and rejects
 //! malformed input — a v1-stamped frame included — with *typed* errors
 //! (property-based); (2) pinned golden byte fixtures fix the layout of
 //! all ten kinds, and a peer whose version range misses ours is counted
@@ -159,6 +160,21 @@ proptest! {
         let (decoded, consumed) = Message::decode(&bytes).expect("decode own encoding");
         prop_assert_eq!(consumed, bytes.len());
         prop_assert_eq!(decoded.encode(), bytes);
+    }
+
+    /// `encode_into` a buffer reused across frames — starting dirty, and
+    /// dirtied by every frame before — writes exactly `encode`'s bytes,
+    /// whatever the kinds and sizes in between.
+    #[test]
+    fn encode_into_a_reused_buffer_matches_encode(
+        msgs in proptest::collection::vec(arb_message(), 1..8),
+        dirt in proptest::collection::vec(0u8..=255, 0..96),
+    ) {
+        let mut frame = dirt;
+        for msg in &msgs {
+            msg.encode_into(&mut frame);
+            prop_assert_eq!(&frame, &msg.encode());
+        }
     }
 
     /// Every proper prefix of a frame is rejected as `Truncated` — never
@@ -752,7 +768,7 @@ fn loopback_barrier_run_is_byte_identical_to_ideal() {
         );
         assert_eq!(t.failed_dispatches, 0);
         assert_eq!(t.timed_out, 0);
-        assert!(t.staleness.iter().all(|&s| s == 0), "barrier is fresh");
+        assert_eq!(t.staleness_sum, 0, "barrier is fresh");
         assert!(t.p50_rtt_ms() > 0.0, "RTTs were actually measured");
         history
     }; // session (and with it the server) drops here → workers get Bye

@@ -619,8 +619,8 @@ mod tests {
                 .map(|r| {
                     (
                         r.test_accuracy,
-                        r.selected.clone(),
-                        r.impact_factors.clone(),
+                        r.selected.to_vec(),
+                        r.impact_factors.to_vec(),
                     )
                 })
                 .collect()

@@ -22,6 +22,11 @@ use feddrl_nn::tensor::{softmax, Tensor};
 /// Floor added to `|μ|` in the σ head so exploration never fully collapses.
 const SIGMA_FLOOR: f32 = 1e-3;
 
+/// The logistic squash of the σ head.
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 /// Diagnostics from one [`DdpgAgent::train`] invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrainStats {
@@ -124,20 +129,28 @@ impl DdpgAgent {
         self.cfg.action_dim / 2
     }
 
-    /// Apply the action head to one raw policy output row.
-    fn head_forward(&self, raw: &[f32]) -> (Vec<f32>, HeadCache) {
+    /// Apply the action head to one raw policy output row, writing the
+    /// `2k` action values into `action`.
+    fn head_action(&self, raw: &[f32], action: &mut [f32]) {
         let k = self.k();
         let beta = self.cfg.sigma_beta;
-        let mut action = vec![0.0f32; 2 * k];
-        let mut mu = vec![0.0f32; k];
-        let mut sig = vec![0.0f32; k];
         for i in 0..k {
-            mu[i] = raw[i].tanh();
-            sig[i] = 1.0 / (1.0 + (-raw[k + i]).exp());
-            action[i] = mu[i];
-            action[k + i] = beta * sig[i] * (mu[i].abs() + SIGMA_FLOOR);
+            let mu = raw[i].tanh();
+            action[i] = mu;
+            action[k + i] = beta * sigmoid(raw[k + i]) * (mu.abs() + SIGMA_FLOOR);
         }
-        (action, HeadCache { mu, sig })
+    }
+
+    /// [`Self::head_action`] plus what [`Self::head_backward`] needs.
+    fn head_forward(&self, raw: &[f32]) -> (Vec<f32>, HeadCache) {
+        let k = self.k();
+        let mut action = vec![0.0f32; 2 * k];
+        self.head_action(raw, &mut action);
+        let cache = HeadCache {
+            mu: action[..k].to_vec(),
+            sig: raw[k..2 * k].iter().map(|&r| sigmoid(r)).collect(),
+        };
+        (action, cache)
     }
 
     /// Back-propagate `grad_action` through the head, producing the
@@ -180,7 +193,8 @@ impl DdpgAgent {
             }
             self.noise_scale *= self.cfg.exploration_decay;
         }
-        let (action, _) = self.head_forward(&raw);
+        let mut action = vec![0.0f32; self.cfg.action_dim];
+        self.head_action(&raw, &mut action);
         action
     }
 
@@ -206,8 +220,10 @@ impl DdpgAgent {
         self.value.forward(&x, false).data()[0]
     }
 
-    /// Batched critic forward over (state, action) rows.
-    fn q_batch(value: &mut Sequential, states: &Tensor, actions: &Tensor) -> Tensor {
+    /// Batched critic forward over (state, action) rows; `train` keeps the
+    /// caches a backward pass needs, and only a pass that back-propagates
+    /// asks for them.
+    fn q_batch(value: &mut Sequential, states: &Tensor, actions: &Tensor, train: bool) -> Tensor {
         let b = states.rows();
         let sd = states.cols();
         let ad = actions.cols();
@@ -216,7 +232,7 @@ impl DdpgAgent {
             input.row_mut(r)[..sd].copy_from_slice(states.row(r));
             input.row_mut(r)[sd..].copy_from_slice(actions.row(r));
         }
-        value.forward(&input, true)
+        value.forward(&input, train)
     }
 
     /// TD priorities `|r + γ·Q(s′, a′_targ) − Q(s, a)|` for every stored
@@ -239,11 +255,10 @@ impl DdpgAgent {
         let raw_next = self.policy_target.forward(&next_states, false);
         let mut next_actions = Tensor::zeros(&[n, ad]);
         for r in 0..n {
-            let (a, _) = self.head_forward(raw_next.row(r));
-            next_actions.row_mut(r).copy_from_slice(&a);
+            self.head_action(raw_next.row(r), next_actions.row_mut(r));
         }
-        let q_next = Self::q_batch(&mut self.value_target, &next_states, &next_actions);
-        let q_cur = Self::q_batch(&mut self.value, &states, &actions);
+        let q_next = Self::q_batch(&mut self.value_target, &next_states, &next_actions, false);
+        let q_cur = Self::q_batch(&mut self.value, &states, &actions, false);
         (0..n)
             .map(|r| (rewards[r] + self.cfg.gamma * q_next.data()[r] - q_cur.data()[r]).abs())
             .collect()
@@ -300,10 +315,9 @@ impl DdpgAgent {
         let raw_next = self.policy_target.forward(&next_states, false);
         let mut next_actions = Tensor::zeros(&[b, ad]);
         for r in 0..b {
-            let (a, _) = self.head_forward(raw_next.row(r));
-            next_actions.row_mut(r).copy_from_slice(&a);
+            self.head_action(raw_next.row(r), next_actions.row_mut(r));
         }
-        let q_next = Self::q_batch(&mut self.value_target, &next_states, &next_actions);
+        let q_next = Self::q_batch(&mut self.value_target, &next_states, &next_actions, false);
         let targets = Tensor::from_vec(
             &[b, 1],
             (0..b)
@@ -312,7 +326,7 @@ impl DdpgAgent {
         );
 
         // --- Critic descent on MSE (Algorithm 1 l.6).
-        let q = Self::q_batch(&mut self.value, &states, &actions);
+        let q = Self::q_batch(&mut self.value, &states, &actions, true);
         let (value_loss, grad) = feddrl_nn::loss::mse(&q, &targets);
         self.value.zero_grad();
         self.value.backward_params(&grad);
@@ -328,7 +342,7 @@ impl DdpgAgent {
             pol_actions.row_mut(r).copy_from_slice(&a);
             caches.push(cache);
         }
-        let q_pol = Self::q_batch(&mut self.value, &states, &pol_actions);
+        let q_pol = Self::q_batch(&mut self.value, &states, &pol_actions, true);
         let mean_q = q_pol.mean();
         // dL/dq = −1/b  (maximize mean Q).
         let grad_q = Tensor::full(&[b, 1], -1.0 / b as f32);

@@ -4,7 +4,141 @@
 
 use crate::metrics::{best_accuracy, ConvergenceStats};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::ops::Deref;
 use std::path::Path;
+
+/// Entries of four bytes an [`Entries`] holds without a heap chunk: as many
+/// as fit beside its length in the 24 bytes of a `Vec` header.
+pub const INLINE_ENTRIES: usize = 5;
+
+/// One round's per-client values (ids, impact factors, losses) as a record
+/// keeps them: up to [`INLINE_ENTRIES`] inline, more in one exact-size
+/// boxed slice. A `Vec` of two `u32`s costs its 24-byte header plus a
+/// 32-byte heap chunk, and a session retains three of them per round for
+/// the whole run. Reads as a slice, collects from iterators, compares with
+/// slices and `Vec`s, and serialises as a JSON array.
+#[derive(Clone)]
+pub struct Entries<T>(Store<T>);
+
+#[derive(Clone)]
+enum Store<T> {
+    Inline { len: u8, items: [T; INLINE_ENTRIES] },
+    Heap(Box<[T]>),
+}
+
+impl<T: Copy + Default> Default for Entries<T> {
+    fn default() -> Self {
+        Entries(Store::Inline {
+            len: 0,
+            items: [T::default(); INLINE_ENTRIES],
+        })
+    }
+}
+
+impl<T> Deref for Entries<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Store::Inline { len, items } => &items[..usize::from(*len)],
+            Store::Heap(items) => items,
+        }
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for Entries<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut items = [T::default(); INLINE_ENTRIES];
+        let mut len = 0;
+        for v in iter.by_ref() {
+            if len == INLINE_ENTRIES {
+                let spilled = items.into_iter().chain([v]).chain(iter);
+                return Entries(Store::Heap(spilled.collect()));
+            }
+            items[len] = v;
+            len += 1;
+        }
+        Entries(Store::Inline {
+            len: len as u8,
+            items,
+        })
+    }
+}
+
+impl<T: Copy + Default> From<Vec<T>> for Entries<T> {
+    fn from(values: Vec<T>) -> Self {
+        if values.len() <= INLINE_ENTRIES {
+            values.into_iter().collect()
+        } else {
+            Entries(Store::Heap(values.into_boxed_slice()))
+        }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Entries<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Entries<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<T: PartialEq> PartialEq for Entries<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: PartialEq> PartialEq<[T]> for Entries<T> {
+    fn eq(&self, other: &[T]) -> bool {
+        **self == *other
+    }
+}
+
+impl<T: PartialEq> PartialEq<&[T]> for Entries<T> {
+    fn eq(&self, other: &&[T]) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq<[T; N]> for Entries<T> {
+    fn eq(&self, other: &[T; N]) -> bool {
+        **self == other[..]
+    }
+}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for Entries<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl<T: PartialEq> PartialEq<Entries<T>> for Vec<T> {
+    fn eq(&self, other: &Entries<T>) -> bool {
+        self[..] == **other
+    }
+}
+
+impl<T: Serialize> Serialize for Entries<T> {
+    fn serialize(&self) -> serde::Value {
+        (**self).serialize()
+    }
+}
+
+impl<T: Deserialize + Copy + Default> Deserialize for Entries<T> {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::deserialize(value).map(Self::from)
+    }
+}
 
 /// Predicate for `skip_serializing_if`: counters that are only meaningful
 /// for some executors stay out of the JSON when zero, so histories from
@@ -111,21 +245,21 @@ pub struct RoundRecord {
     /// this is also the aggregated set; under hetero executors the
     /// aggregated set is [`HeteroRoundRecord::aggregated_ids`] instead
     /// (dropouts/stragglers omitted, carried-over updates included).
-    /// Allocated at exactly its length: the policy's own buffer, which may
+    /// Stored at exactly its length: the policy's own buffer, which may
     /// be a candidate pool several times `K` wide, is not what a record
     /// keeps for the rest of the run.
-    pub selected: Vec<u32>,
+    pub selected: Entries<u32>,
     /// Normalized impact factors applied at aggregation, one per
     /// *aggregated* update in aggregation order — aligned with
     /// [`HeteroRoundRecord::aggregated_ids`] when `hetero` is present
     /// (and with `selected` only under the ideal executor, where the two
     /// sets coincide).
-    pub impact_factors: Vec<f32>,
+    pub impact_factors: Entries<f32>,
     /// Inference loss of the broadcast global model on each aggregated
     /// client's data (`l_before`; Figure 6's robustness metric), aligned
     /// with `impact_factors` — *not* with `selected` under hetero
     /// executors.
-    pub client_losses_before: Vec<f32>,
+    pub client_losses_before: Entries<f32>,
     /// Wall-clock spent computing impact factors (µs) — Figure 9's "DRL".
     pub strategy_micros: u64,
     /// Wall-clock spent averaging weight vectors (µs) — Figure 9's
@@ -299,9 +433,9 @@ mod tests {
                     round,
                     test_accuracy: 0.1 * (round as f32 + 1.0),
                     test_loss: 1.0 / (round as f32 + 1.0),
-                    selected: vec![0, 1],
-                    impact_factors: vec![0.5, 0.5],
-                    client_losses_before: vec![1.0, 2.0],
+                    selected: vec![0, 1].into(),
+                    impact_factors: vec![0.5, 0.5].into(),
+                    client_losses_before: vec![1.0, 2.0].into(),
                     strategy_micros: 3,
                     aggregate_micros: 45,
                     hetero: None,
@@ -338,6 +472,43 @@ mod tests {
         // `usize` counters and is 88 with `u32` ones.
         assert!(std::mem::size_of::<RoundRecord>() <= 112);
         assert!(std::mem::size_of::<HeteroRoundRecord>() <= 88);
+        // The per-client fields are no wider than the `Vec`s they replaced,
+        // and up to `INLINE_ENTRIES` entries cost no heap chunk: two `Vec`s
+        // of K = 2 were two 32-byte chunks beside the record.
+        assert_eq!(
+            std::mem::size_of::<Entries<u32>>(),
+            std::mem::size_of::<Vec<u32>>()
+        );
+        assert_eq!(
+            std::mem::size_of::<Entries<f32>>(),
+            std::mem::size_of::<Vec<f32>>()
+        );
+        for len in 0..=INLINE_ENTRIES + 1 {
+            let want: Vec<u32> = (0..len as u32).collect();
+            let collected: Entries<u32> = want.iter().copied().collect();
+            let converted = Entries::from(want.clone());
+            for ids in [&collected, &converted] {
+                assert_eq!(*ids, want, "len {len}");
+                let inline = matches!(ids.0, Store::Inline { .. });
+                assert_eq!(inline, len <= INLINE_ENTRIES, "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn entries_serialise_as_the_arrays_vecs_did() {
+        let h = toy_history();
+        let json = serde_json::to_string(&h).unwrap();
+        assert!(json.contains(r#""selected":[0,1],"impact_factors":[0.5,0.5]"#));
+        let back: RunHistory = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.records[0].client_losses_before, [1.0, 2.0]);
+        let wide: Entries<f32> = (0..9).map(|i| i as f32).collect();
+        let text = serde_json::to_string(&wide).unwrap();
+        assert_eq!(
+            text,
+            serde_json::to_string(&(0..9).map(|i| i as f32).collect::<Vec<_>>()).unwrap()
+        );
+        assert_eq!(serde_json::from_str::<Entries<f32>>(&text).unwrap(), wide);
     }
 
     #[test]

@@ -254,7 +254,7 @@ mod tests {
         let h = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
         for r in &h.records {
             assert_eq!(r.selected.len(), 3);
-            let mut s = r.selected.clone();
+            let mut s = r.selected.to_vec();
             s.sort_unstable();
             s.dedup();
             assert_eq!(s.len(), 3, "duplicate client selected");

@@ -31,7 +31,7 @@ use crate::client::{dispatch_mask, run_local_round, run_local_round_masked, Clie
 use crate::error::FlError;
 pub use crate::executor::TrainContext;
 use crate::executor::{Dispatch, ExecutorConfig, RoundExecutor, StalenessDiscount, TrainFn};
-use crate::history::{narrow, RoundRecord, RunHistory};
+use crate::history::{narrow_count, RoundRecord, RunHistory};
 use crate::metrics::evaluate;
 use crate::selection::{Selection, SelectionContext, SelectionPolicy};
 use crate::server::FlConfig;
@@ -676,8 +676,8 @@ impl<'a> Session<'a> {
             round,
             test_accuracy,
             test_loss,
-            selected: narrow(selected),
-            impact_factors: alphas,
+            selected: selected.into_iter().map(narrow_count).collect(),
+            impact_factors: alphas.into(),
             client_losses_before: updates.iter().map(|u| u.loss_before).collect(),
             strategy_micros,
             aggregate_micros,

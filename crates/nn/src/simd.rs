@@ -115,54 +115,84 @@ macro_rules! dispatched {
 /// (only the 128-column products gain) for a second constant to keep true.
 const COL_BLOCK: usize = 32;
 
-/// Largest right-hand matrix, in elements (1 MiB), that is walked in column
-/// blocks. A block pass strides through `b` one row per step, which is only
-/// cheap while `b` stays in the 2 MiB L2; beyond that, streaming whole rows
-/// of `b` into the output row (the loop the tail columns use) is faster
-/// again. Blocked / streaming, µs, one thread, baseline instantiation:
-/// `32×512·512×512` (1 MiB) 969 / 1 210, `32×784·784×200` (0.6 MiB)
-/// 485 / 609, `32×1024·1024×512` (2 MiB) 3 271 / 2 761, `32×2048·2048×1024`
-/// (8 MiB) 18 464 / 10 851.
-pub(crate) const MAX_BLOCKED_RHS: usize = 1 << 18;
+/// Largest right-hand matrix, in elements (1 MiB), whose full column blocks
+/// are read in place. A block pass strides through `b` one row per step,
+/// which is only cheap while `b` stays in the 2 MiB L2; a larger `b` is
+/// copied one 32-column panel at a time into a contiguous `k × 32` buffer
+/// that every row of the band then runs over. In place / packed, µs, one
+/// thread, range of three runs:
+///
+/// | product | `b` | AVX2 | baseline |
+/// |---|---|---|---|
+/// | `32×784·784×200` | 0.6 MiB | 581–609 / 470–515 | 515–808 / 761–814 |
+/// | `32×512·512×512` | 1 MiB | 916–1 116 / 602–843 | 955–1 404 / 1 231–1 358 |
+/// | `32×1024·1024×512` | 2 MiB | 3 908–4 443 / 1 726–1 930 | 4 733–5 523 / 1 761–2 898 |
+/// | `32×2048·2048×1024` | 8 MiB | 35 136–37 930 / 8 481–10 440 | 40 217–51 469 / 11 335–12 502 |
+///
+/// The row-streaming loop that packing replaced took 15.4–16.4 ms (AVX2)
+/// and 18.2–20.0 ms (baseline) on the 8 MiB product. Packing pays for its
+/// copy only when enough rows reuse a panel, and the training products
+/// have ten, so the budget stays where the in-place walk falls off. Two
+/// other shapes were measured and dropped: walking an 8 MiB `b` block by
+/// block *in place*, rows inner, took 3.2× as long as packing it
+/// (7.7 → 24.6 ms); and `chunks` instead of `chunks_exact` over `b`'s rows
+/// cost 10–20 % on full-block products.
+#[doc(hidden)]
+pub const MAX_BLOCKED_RHS: usize = 1 << 18;
 
-/// `out_row = a_row × b` for a row-major `b` of `n` columns; `out_row` must
-/// arrive zeroed. Sums each output in `k` order from `+0.0`; `SKIP_ZERO`
-/// drops the terms whose left factor is zero.
+/// Lanes the zero-padded tail panel is rounded up to: one AVX register,
+/// two SSE ones.
+const TAIL_LANES: usize = 8;
+
+/// `W` outputs of `a_row × b`, columns `c0..c0 + W` of a row-major `b`
+/// whose rows are `stride` apart, held in registers across the whole `k`
+/// loop. Sums each output in `k` order from `+0.0`; `SKIP_ZERO` drops the
+/// terms whose left factor is zero.
 #[inline(always)]
-fn row_times_matrix<const SKIP_ZERO: bool>(
+fn block<const SKIP_ZERO: bool, const W: usize>(
     a_row: &[f32],
     b: &[f32],
-    n: usize,
-    out_row: &mut [f32],
-) {
-    let blocked = if b.len() <= MAX_BLOCKED_RHS {
-        n - n % COL_BLOCK
-    } else {
-        0
-    };
-    for c0 in (0..blocked).step_by(COL_BLOCK) {
-        let mut acc = [0.0f32; COL_BLOCK];
-        for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-            if SKIP_ZERO && a_v == 0.0 {
-                continue;
-            }
-            for (o, &b_v) in acc.iter_mut().zip(&b_row[c0..c0 + COL_BLOCK]) {
-                *o += a_v * b_v;
-            }
-        }
-        out_row[c0..c0 + COL_BLOCK].copy_from_slice(&acc);
-    }
-    let tail = &mut out_row[blocked..];
-    if tail.is_empty() {
-        return;
-    }
-    for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+    stride: usize,
+    c0: usize,
+) -> [f32; W] {
+    let mut acc = [0.0f32; W];
+    for (&a_v, b_row) in a_row.iter().zip(b.chunks_exact(stride)) {
         if SKIP_ZERO && a_v == 0.0 {
             continue;
         }
-        for (o, &b_v) in tail.iter_mut().zip(&b_row[blocked..]) {
+        for (o, &b_v) in acc.iter_mut().zip(&b_row[c0..c0 + W]) {
             *o += a_v * b_v;
         }
+    }
+    acc
+}
+
+/// Columns `c0..` of the row-major `b` (`n` columns), as many as fit, into
+/// the rows of `panel`, `width` apart. Lanes past `n` keep what they hold.
+#[inline(always)]
+fn pack(b: &[f32], n: usize, c0: usize, panel: &mut [f32], width: usize) {
+    let cols = width.min(n - c0);
+    for (dst, src) in panel.chunks_exact_mut(width).zip(b.chunks_exact(n)) {
+        dst[..cols].copy_from_slice(&src[c0..c0 + cols]);
+    }
+}
+
+/// Every row of the band over one packed `k × W` panel: output columns
+/// `c0..`, as many as the panel holds before `n`; a padded lane is computed
+/// and dropped.
+#[inline(always)]
+fn panel_rows<const SKIP_ZERO: bool, const W: usize>(
+    a_rows: &[f32],
+    panel: &[f32],
+    k: usize,
+    n: usize,
+    c0: usize,
+    out_rows: &mut [f32],
+) {
+    let cols = W.min(n - c0);
+    for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+        let acc = block::<SKIP_ZERO, W>(a_row, panel, W, 0);
+        out_row[c0..c0 + cols].copy_from_slice(&acc[..cols]);
     }
 }
 
@@ -174,8 +204,36 @@ fn product_rows_body<const SKIP_ZERO: bool>(
     n: usize,
     out_rows: &mut [f32],
 ) {
-    for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
-        row_times_matrix::<SKIP_ZERO>(a_row, b, n, out_row);
+    let full = n - n % COL_BLOCK;
+    if b.len() <= MAX_BLOCKED_RHS {
+        for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+            for c0 in (0..full).step_by(COL_BLOCK) {
+                let acc = block::<SKIP_ZERO, COL_BLOCK>(a_row, b, n, c0);
+                out_row[c0..c0 + COL_BLOCK].copy_from_slice(&acc);
+            }
+        }
+    } else if full > 0 {
+        let mut panel = vec![0.0f32; k * COL_BLOCK];
+        for c0 in (0..full).step_by(COL_BLOCK) {
+            pack(b, n, c0, &mut panel, COL_BLOCK);
+            panel_rows::<SKIP_ZERO, COL_BLOCK>(a_rows, &panel, k, n, c0, out_rows);
+        }
+    }
+    if full == n {
+        return;
+    }
+    // The tail, zero-padded to whole lanes: a zero right factor adds `±0.0`
+    // (or `NaN`, against a non-finite left one) only to a dropped lane.
+    let width = (n - full).next_multiple_of(TAIL_LANES);
+    let mut panel = vec![0.0f32; k * width];
+    pack(b, n, full, &mut panel, width);
+    // Called by name, not through a pointer: each arm must inline into the
+    // AVX2 copy.
+    match width {
+        8 => panel_rows::<SKIP_ZERO, 8>(a_rows, &panel, k, n, full, out_rows),
+        16 => panel_rows::<SKIP_ZERO, 16>(a_rows, &panel, k, n, full, out_rows),
+        24 => panel_rows::<SKIP_ZERO, 24>(a_rows, &panel, k, n, full, out_rows),
+        _ => panel_rows::<SKIP_ZERO, COL_BLOCK>(a_rows, &panel, k, n, full, out_rows),
     }
 }
 

@@ -10,8 +10,10 @@
 //! [`Tensor::matmul`] and [`Tensor::matmul_t`] share one row kernel:
 //! `out_row = a_row × B`, 32 output columns at a time, the block held in
 //! registers across the whole `k` loop so the output row is neither loaded
-//! nor stored per `k`. Tail columns, and every column once `B` outgrows the
-//! L2 cache, take the streaming loop the blocked one replaced.
+//! nor stored per `k`. Every column goes through that block: `B` is read in
+//! place while it fits the L2 cache and one packed 32-column panel at a
+//! time beyond, and the `n % 32` tail columns run through a panel
+//! zero-padded to whole eight-lane vectors, whose padded lanes are dropped.
 //! [`Tensor::t_matmul`] keeps its own `k`-outer loop (the row kernel's
 //! shape measured the same there on dense left factors and half the speed
 //! on ReLU-sparse ones). The loops live in [`simd`], which
@@ -659,19 +661,28 @@ mod tests {
     }
 
     #[test]
-    fn rhs_beyond_the_cache_budget_streams_to_the_same_bits() {
-        // 600 × 448 elements is past MAX_BLOCKED_RHS, so no column is
-        // blocked; the inputs hold no zeros, so the naive sum is the
-        // kernel's sum term for term.
-        const { assert!(600 * 448 > simd::MAX_BLOCKED_RHS) };
+    fn rhs_beyond_the_cache_budget_packs_panels_to_the_same_bits() {
+        // Every shape is past MAX_BLOCKED_RHS, so each full column block
+        // runs over a packed panel; the narrow ones leave a tail of one,
+        // ten or four columns for the zero-padded tail panel. The inputs
+        // hold no zeros, so the naive sum is the kernel's sum term for term.
         let mut rng = Rng64::new(7);
-        let a = Tensor::randn(&[3, 600], 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(&[600, 448], 0.0, 1.0, &mut rng);
-        let want = bits(&naive_matmul(&a, &b));
-        simd::for_each_instantiation(|which| {
-            assert_eq!(bits(&a.matmul(&b)), want, "{which}");
-            assert_eq!(bits(&a.matmul_t(&b.transpose())), want, "{which}");
-        });
+        for (k, n) in [
+            (600, 448),
+            (600, 458),
+            (26_215, 10),
+            (2_700, 100),
+            (262_145, 1),
+        ] {
+            assert!(k * n > simd::MAX_BLOCKED_RHS);
+            let a = Tensor::randn(&[3, k], 0.0, 1.0, &mut rng);
+            let b = Tensor::randn(&[k, n], 0.0, 1.0, &mut rng);
+            let want = bits(&naive_matmul(&a, &b));
+            simd::for_each_instantiation(|which| {
+                assert_eq!(bits(&a.matmul(&b)), want, "{which} {k}×{n}");
+                assert_eq!(bits(&a.matmul_t(&b.transpose())), want, "{which} {k}×{n}");
+            });
+        }
     }
 
     #[test]

@@ -193,9 +193,10 @@ proptest! {
     /// `matmul`, `t_matmul` and `matmul_t` are the scalar reference bit for
     /// bit, in both instantiations — across every lane and column-block
     /// boundary and tail, fewer rows than lanes, an empty inner dimension,
-    /// with `±0.0` on the left and, in two cases out of three, a non-finite
+    /// with `±0.0` on the left and, in four cases out of five, a non-finite
     /// entry on the right (where `0·∞` is skipped by the first two and is
-    /// `NaN` in the third).
+    /// `NaN` in the third) or on the left (where it meets the zero-padded
+    /// lanes of the tail panel).
     #[test]
     fn products_match_the_scalar_reference_bit_for_bit(
         seed in 0u64..10_000,
@@ -203,7 +204,7 @@ proptest! {
         k in 0usize..150,
         n in 1usize..140,
         edge in 0usize..27,
-        non_finite in 0usize..3,
+        non_finite in 0usize..5,
     ) {
         let mut rng = Rng64::new(seed);
         let n = EDGE_COLS.get(edge).copied().unwrap_or(n);
@@ -212,20 +213,20 @@ proptest! {
                 return;
             }
             let at = rng.below(t.numel());
-            match non_finite {
-                1 => t.data_mut()[at] = f32::INFINITY,
-                2 => t.data_mut()[at] = f32::NAN,
-                _ => {}
-            }
+            t.data_mut()[at] = if non_finite % 2 == 1 { f32::INFINITY } else { f32::NAN };
         };
+        let (left, right) = (non_finite > 2, (1..=2).contains(&non_finite));
         let dims = (m, k, n);
 
-        let a = planted(&[m, k], &mut rng);
+        let mut a = planted(&[m, k], &mut rng);
         let mut b = planted(&[k, n], &mut rng);
-        plant(&mut b, &mut rng);
-        let a_t = planted(&[k, m], &mut rng);
+        let mut a_t = planted(&[k, m], &mut rng);
         let mut b_t = planted(&[n, k], &mut rng);
-        plant(&mut b_t, &mut rng);
+        for (t, planted_here) in [(&mut a, left), (&mut a_t, left), (&mut b, right), (&mut b_t, right)] {
+            if planted_here {
+                plant(t, &mut rng);
+            }
+        }
         let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, true);
         let want_t = reference_product(|r, kk| a_t.at(kk, r), |kk, c| b.at(kk, c), dims, true);
         let want_mt = reference_product(|r, kk| a.at(r, kk), |kk, c| b_t.at(c, kk), dims, false);
@@ -235,6 +236,45 @@ proptest! {
             prop_assert!(same_bits(a.matmul(&b).data(), &want), "{which} matmul {dims:?}");
             prop_assert!(same_bits(a_t.t_matmul(&b).data(), &want_t), "{which} t_matmul {dims:?}");
             prop_assert!(same_bits(a.matmul_t(&b_t).data(), &want_mt), "{which} matmul_t {dims:?}");
+        });
+    }
+}
+
+/// The row kernel's packed paths are the scalar reference bit for bit in
+/// both instantiations: a right-hand matrix past `MAX_BLOCKED_RHS`, copied
+/// one 32-column panel at a time, and narrow outputs through the
+/// zero-padded tail panel — `n` of 1, 10, 20, 33, 59, 100 and 1 034 pad
+/// their tails to each width, 8, 16, 24 and 32 lanes. Seventeen rows carry each product past the threading
+/// threshold, so the bands pack their own panels; `∞` and `NaN` sit on
+/// both sides, where a non-finite left factor meets every padded lane.
+#[test]
+fn packed_panels_match_the_scalar_reference_bit_for_bit() {
+    use feddrl_repro::feddrl_nn::simd::{for_each_instantiation, MAX_BLOCKED_RHS};
+    let m = 17;
+    for (seed, n) in [1usize, 10, 20, 33, 59, 100, 1_034].into_iter().enumerate() {
+        let k = MAX_BLOCKED_RHS / n + 1;
+        let mut rng = Rng64::new(seed as u64);
+        let mut a = planted(&[m, k], &mut rng);
+        let mut b = planted(&[k, n], &mut rng);
+        for t in [&mut a, &mut b] {
+            for v in [f32::INFINITY, f32::NAN] {
+                let at = rng.below(t.numel());
+                t.data_mut()[at] = v;
+            }
+        }
+        let b_t = b.transpose();
+        let dims = (m, k, n);
+        let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, true);
+        let want_mt = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, false);
+        for_each_instantiation(|which| {
+            assert!(
+                same_bits(a.matmul(&b).data(), &want),
+                "{which} matmul {dims:?}"
+            );
+            assert!(
+                same_bits(a.matmul_t(&b_t).data(), &want_mt),
+                "{which} matmul_t {dims:?}"
+            );
         });
     }
 }

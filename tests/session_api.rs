@@ -474,7 +474,9 @@ fn observers_see_every_round_and_can_stop() {
 /// A record keeps its `selected` ids for the rest of the run, so it holds
 /// them at exactly their length — not in whatever buffer the policy built
 /// them in, which for the oversampling built-ins is a candidate pool
-/// several times `K` wide, and for a user policy is anything at all.
+/// several times `K` wide, and for a user policy is anything at all. The
+/// record copies them into `Entries`: inline up to `INLINE_ENTRIES`, an
+/// exact-size boxed slice past it, and `K` takes both sides.
 #[test]
 fn records_hold_selected_ids_at_exact_capacity() {
     struct Roomy;
@@ -488,35 +490,36 @@ fn records_hold_selected_ids_at_exact_capacity() {
             picked
         }
     }
+    use feddrl_repro::feddrl_fl::history::INLINE_ENTRIES;
     let (spec, train, test, partition, mut cfg) = golden_setup();
-    (cfg.rounds, cfg.participants) = (2, 2);
     let candidates = partition.n_clients();
-    let policies: Vec<Box<dyn SelectionPolicy>> = vec![
-        Selection::Uniform.build(),
-        Selection::PowerOfChoice { candidates }.build(),
-        Selection::BandwidthAware { candidates }.build(),
-        Selection::ReliabilityAware { candidates }.build(),
-        Selection::StalenessBalanced { candidates }.build(),
-        Box::new(Roomy),
-    ];
-    for policy in policies {
-        let name = policy.name();
-        let mut strategy = FedAvg;
-        let history = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
-            .config(&cfg)
-            .selection_policy(policy)
-            .build()
-            .expect("valid config")
-            .run()
-            .expect("run");
-        for r in &history.records {
-            assert_eq!(r.selected.len(), cfg.participants);
-            assert_eq!(
-                r.selected.capacity(),
-                r.selected.len(),
-                "{name}: round {} retains a wider buffer than its ids",
-                r.round
-            );
+    for k in [2, INLINE_ENTRIES + 1] {
+        (cfg.rounds, cfg.participants) = (2, k);
+        let policies: Vec<Box<dyn SelectionPolicy>> = vec![
+            Selection::Uniform.build(),
+            Selection::PowerOfChoice { candidates }.build(),
+            Selection::BandwidthAware { candidates }.build(),
+            Selection::ReliabilityAware { candidates }.build(),
+            Selection::StalenessBalanced { candidates }.build(),
+            Box::new(Roomy),
+        ];
+        for policy in policies {
+            let name = policy.name();
+            let roomy = name == "roomy";
+            let mut strategy = FedAvg;
+            let history = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
+                .config(&cfg)
+                .selection_policy(policy)
+                .build()
+                .expect("valid config")
+                .run()
+                .expect("run");
+            for r in &history.records {
+                assert_eq!(r.selected.len(), k, "{name}: round {}", r.round);
+                if roomy {
+                    assert_eq!(r.selected, (0..k as u32).collect::<Vec<_>>());
+                }
+            }
         }
     }
 }

@@ -129,8 +129,9 @@ const COL_BLOCK: usize = 32;
 /// | `32×1024·1024×512` | 2 MiB | 3 908–4 443 / 1 726–1 930 | 4 733–5 523 / 1 761–2 898 |
 /// | `32×2048·2048×1024` | 8 MiB | 35 136–37 930 / 8 481–10 440 | 40 217–51 469 / 11 335–12 502 |
 ///
-/// The row-streaming loop that packing replaced took 15.4–16.4 ms (AVX2)
-/// and 18.2–20.0 ms (baseline) on the 8 MiB product. Packing pays for its
+/// The loop packing replaced, which added a whole row of `b` into the
+/// output row per `k`, took 15.4–16.4 ms (AVX2) and 18.2–20.0 ms
+/// (baseline) on the 8 MiB product. Packing pays for its
 /// copy only when enough rows reuse a panel, and the training products
 /// have ten, so the budget stays where the in-place walk falls off. Two
 /// other shapes were measured and dropped: walking an 8 MiB `b` block by

@@ -79,7 +79,6 @@ fn main() {
                 buffer_size: 5,
                 staleness: StalenessDiscount::Polynomial { alpha: 1.0 },
                 server_mix: Some(0.5),
-                ..Default::default()
             }),
         ),
     ];

@@ -118,7 +118,6 @@ fn main() {
                     // one nudges it proportionally — FedBuff's server step
                     // with the rate tied to the swept buffer size.
                     server_mix: Some(m as f64 / exp.participants as f64),
-                    ..Default::default()
                 });
                 let history = run_cell(MethodKind::FedAvg, &exec, false, Some(budget_s));
                 let hours = history.sim_time_to_accuracy_s(target).map(|s| s / 3600.0);
@@ -162,7 +161,6 @@ fn main() {
             buffer_size: 5,
             staleness: StalenessDiscount::Polynomial { alpha: 1.0 },
             server_mix: Some(0.5),
-            ..Default::default()
         });
         let history = run_cell(MethodKind::FedDrl, &exec, observe, None);
         let method = if observe { "FedDRL+stale" } else { "FedDRL" };

@@ -86,7 +86,6 @@ fn deadline_exec(
         } else {
             StalenessDiscount::None
         },
-        parallel_dispatch: false,
     })
 }
 

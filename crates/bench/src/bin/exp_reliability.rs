@@ -119,7 +119,6 @@ fn main() {
                 buffer_size: BUFFER,
                 staleness: StalenessDiscount::Polynomial { alpha: 1.0 },
                 server_mix: Some(BUFFER as f64 / exp.participants as f64),
-                ..Default::default()
             });
             let fleet = FleetView::new(n_clients, &fleet_cfg);
 
@@ -171,7 +170,6 @@ fn main() {
         buffer_size: BUFFER,
         staleness: StalenessDiscount::Polynomial { alpha: 1.0 },
         server_mix: Some(0.5),
-        ..Default::default()
     });
     for method in [MethodKind::FedAvg, MethodKind::FedDrl] {
         let selection = Selection::ReliabilityAware {

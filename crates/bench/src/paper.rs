@@ -483,7 +483,9 @@ fn ablation_variant(
     let (train, test, partition, model) = exp.materialize(scale);
     let mut cfg = exp.feddrl_config();
     mutate(&mut cfg);
-    let run = run_feddrl(&model, &train, &test, &partition, &exp.fl_config(), &cfg);
+    let fl_cfg = exp.fl_config();
+    let run = try_run_feddrl(&model, &train, &test, &partition, &fl_cfg, &cfg, "")
+        .expect("ablation config is valid");
     let best = run.history.best();
     let mean_reward_tail: f32 = {
         let r = &run.rewards;

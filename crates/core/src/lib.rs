@@ -30,8 +30,8 @@
 //! let spec = ModelSpec::Mlp { in_dim: train.feature_dim(),
 //!     hidden: vec![16], out_dim: train.num_classes() };
 //! let fl = FlConfig { rounds: 3, participants: 6, ..Default::default() };
-//! let run = run_feddrl(&spec, &train, &test, &partition, &fl,
-//!     &FedDrlRunConfig::default());
+//! let run = try_run_feddrl(&spec, &train, &test, &partition, &fl,
+//!     &FedDrlRunConfig::default(), "synthetic").expect("valid config");
 //! assert_eq!(run.history.records.len(), 3);
 //! ```
 
@@ -47,7 +47,7 @@ pub mod two_stage;
 /// preludes they are used with.
 pub mod prelude {
     pub use crate::config::FedDrlConfig;
-    pub use crate::runner::{run_feddrl, try_run_feddrl, FedDrlRun, FedDrlRunConfig};
+    pub use crate::runner::{try_run_feddrl, FedDrlRun, FedDrlRunConfig};
     pub use crate::state::build_state;
     pub use crate::strategy::FedDrl;
     pub use crate::two_stage::{two_stage_train, TwoStageConfig, TwoStageReport};

@@ -30,7 +30,7 @@ pub struct FedDrlRunConfig {
     pub two_stage: Option<TwoStageConfig>,
 }
 
-/// Result of [`run_feddrl`].
+/// Result of [`try_run_feddrl`].
 pub struct FedDrlRun {
     /// Round-by-round history of the measured run.
     pub history: RunHistory,
@@ -78,24 +78,6 @@ pub fn try_run_feddrl(
         two_stage_report: report,
         rewards: strategy.rewards().to_vec(),
     })
-}
-
-/// Run FedDRL end to end: (optional) two-stage pre-training, then the
-/// measured federated training. Convenience wrapper over
-/// [`try_run_feddrl`] with an unnamed dataset.
-///
-/// # Panics
-/// Panics on the configuration errors [`try_run_feddrl`] reports.
-pub fn run_feddrl(
-    spec: &ModelSpec,
-    train: &Dataset,
-    test: &Dataset,
-    partition: &Partition,
-    fl_cfg: &FlConfig,
-    run_cfg: &FedDrlRunConfig,
-) -> FedDrlRun {
-    try_run_feddrl(spec, train, test, partition, fl_cfg, run_cfg, "")
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -152,7 +134,16 @@ mod tests {
     #[test]
     fn online_only_run_learns() {
         let (spec, train, test, partition, fl_cfg) = env();
-        let run = run_feddrl(&spec, &train, &test, &partition, &fl_cfg, &small_run_cfg());
+        let run = try_run_feddrl(
+            &spec,
+            &train,
+            &test,
+            &partition,
+            &fl_cfg,
+            &small_run_cfg(),
+            "",
+        )
+        .expect("valid config");
         assert_eq!(run.history.records.len(), 8);
         assert!(run.two_stage_report.is_none());
         assert_eq!(run.rewards.len(), 7);
@@ -180,7 +171,16 @@ mod tests {
             late_policy: LatePolicy::Drop,
             ..Default::default()
         });
-        let run = run_feddrl(&spec, &train, &test, &partition, &fl_cfg, &small_run_cfg());
+        let run = try_run_feddrl(
+            &spec,
+            &train,
+            &test,
+            &partition,
+            &fl_cfg,
+            &small_run_cfg(),
+            "",
+        )
+        .expect("valid config");
         assert_eq!(run.history.records.len(), 5);
         assert!(
             run.history.total_dropouts() > 0,
@@ -220,7 +220,8 @@ mod tests {
         });
         let mut cfg = small_run_cfg();
         cfg.feddrl.observe_staleness = true;
-        let run = run_feddrl(&spec, &train, &test, &partition, &fl_cfg, &cfg);
+        let run = try_run_feddrl(&spec, &train, &test, &partition, &fl_cfg, &cfg, "")
+            .expect("valid config");
         assert_eq!(run.history.records.len(), 6);
         for r in &run.history.records {
             let h = r
@@ -254,7 +255,8 @@ mod tests {
             offline_updates: 2,
             seed: 3,
         });
-        let run = run_feddrl(&spec, &train, &test, &partition, &fl_cfg, &cfg);
+        let run = try_run_feddrl(&spec, &train, &test, &partition, &fl_cfg, &cfg, "")
+            .expect("valid config");
         let report = run.two_stage_report.expect("two-stage report missing");
         assert_eq!(report.worker_experiences.len(), 2);
         assert!(report.merged_experiences >= 4);

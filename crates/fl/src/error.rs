@@ -1,14 +1,10 @@
 //! Typed errors for federated orchestration.
 //!
 //! [`SessionBuilder::build`](crate::session::SessionBuilder::build) turns
-//! every configuration mistake the old `run_federated` free function used
-//! to panic on — `K > N`, zero rounds or participants, a degenerate
-//! deadline, fleet, aggregation buffer or staleness discount — into an
-//! [`FlError`] the caller can match on
-//! *before* any training compute is spent. The compatibility wrapper
-//! [`run_federated`](crate::server::run_federated) converts them back into
-//! panics with the historical messages, so existing `should_panic` tests
-//! and scripts keep their behavior.
+//! every configuration mistake — `K > N`, zero rounds or participants, a
+//! degenerate deadline, fleet, aggregation buffer or staleness discount —
+//! into an [`FlError`] the caller can match on *before* any training
+//! compute is spent.
 
 use std::fmt;
 
@@ -137,9 +133,8 @@ pub enum FlError {
         reason: String,
     },
     /// A networked-runtime builder (`NetServerBuilder`/`NetClientBuilder`)
-    /// was given a degenerate configuration: an empty address, a
-    /// non-positive TTL or heartbeat period, or a delta-publish snapshot
-    /// ring too small to hold a base version.
+    /// was given a degenerate configuration: an empty address, or a
+    /// non-positive TTL or heartbeat period.
     InvalidNetConfig {
         /// Human-readable description of the violated constraint.
         reason: String,
@@ -148,9 +143,9 @@ pub enum FlError {
 
 impl fmt::Display for FlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The first three messages reproduce the historical panic strings
-        // of `run_federated` verbatim: downstream `should_panic(expected)`
-        // tests match on substrings of them.
+        // The first three messages are the historical panic strings of the
+        // pre-session loop, verbatim: `should_panic(expected)` tests that
+        // panic with them match on substrings.
         match self {
             FlError::ZeroRounds => write!(f, "rounds must be positive"),
             FlError::ZeroParticipants => write!(f, "participants must be positive"),

@@ -35,7 +35,6 @@ use crate::dispatch::DispatchPlanner;
 use crate::history::{narrow, narrow_count, HeteroRoundRecord};
 use feddrl_sim::device::{FleetConfig, FleetView};
 use feddrl_sim::event::{EventKind, EventQueue, VirtualClock};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How an update's impact factor is scaled by its staleness `s` — the
@@ -230,12 +229,6 @@ pub struct HeteroConfig {
     /// reinjects them at full weight, the pre-discount behavior).
     #[serde(default)]
     pub staleness: StalenessDiscount,
-    /// Train dispatched clients in parallel (rayon) instead of one serial
-    /// `train` call. Bit-identical to the serial loop under a fixed seed
-    /// *provided* the train callback maps each client independently — true
-    /// for the session's per-client derived RNG streams. Off by default.
-    #[serde(default)]
-    pub parallel_dispatch: bool,
 }
 
 impl HeteroConfig {
@@ -299,12 +292,6 @@ pub struct BufferedConfig {
     /// the paper's pure Eq. 4 replacement.
     #[serde(default)]
     pub server_mix: Option<f64>,
-    /// Train dispatched clients in parallel (rayon) instead of one serial
-    /// `train` call. Bit-identical to the serial loop under a fixed seed
-    /// *provided* the train callback maps each client independently — true
-    /// for the session's per-client derived RNG streams. Off by default.
-    #[serde(default)]
-    pub parallel_dispatch: bool,
 }
 
 impl Default for BufferedConfig {
@@ -316,7 +303,6 @@ impl Default for BufferedConfig {
             buffer_size: 1,
             staleness: StalenessDiscount::None,
             server_mix: None,
-            parallel_dispatch: false,
         }
     }
 }
@@ -570,38 +556,19 @@ pub struct TrainContext<'a> {
 /// [`Dispatch`] to its client's [`ClientUpdate`], in order, training from
 /// the [`TrainContext`]'s broadcast. It must be a pure function of
 /// `(seed, round, client, broadcast)` — the buffered executor calls it
-/// when an upload *arrives*, not when it is dispatched — and `Sync`:
-/// executors with `parallel_dispatch` enabled invoke it from rayon
-/// workers, one dispatch per call.
-pub type TrainFn<'a> = dyn Fn(&TrainContext<'_>, &[Dispatch]) -> Vec<ClientUpdate> + Sync + 'a;
+/// when an upload *arrives*, not when it is dispatched. The session's
+/// callback fans the clients of one call out over threads itself.
+pub type TrainFn<'a> = dyn Fn(&TrainContext<'_>, &[Dispatch]) -> Vec<ClientUpdate> + 'a;
 
-/// Run `train` over `dispatches` — serially in one call, or (when
-/// `parallel` is set) as one rayon task per client, concatenated back in
-/// input order.
-///
-/// The two paths are bit-identical whenever `train` maps each client
-/// independently of the others in its slice — the contract the session's
-/// train callback satisfies by deriving every client's RNG stream from
-/// `(seed, round, client id)` alone. `tests/scale_props.rs` pins the
-/// byte-identity of full run histories across both paths.
-fn dispatch_train(
-    train: &TrainFn<'_>,
-    ctx: &TrainContext<'_>,
-    dispatches: &[Dispatch],
-    parallel: bool,
-) -> Vec<ClientUpdate> {
-    let updates: Vec<ClientUpdate> = if !parallel || dispatches.len() < 2 {
-        train(ctx, dispatches)
-    } else {
-        let per_client: Vec<_> = dispatches.par_iter().map(|&d| train(ctx, &[d])).collect();
-        per_client.into_iter().flatten().collect()
-    };
-    let in_order = |(u, d): (&ClientUpdate, &Dispatch)| u.client_id == d.client_id;
-    debug_assert!(
-        updates.len() == dispatches.len() && updates.iter().zip(dispatches).all(in_order),
-        "train must preserve dispatch order"
-    );
-    updates
+/// Whether `train` answered `dispatches` one update each, in order — the
+/// contract the executors rely on when they zip updates back onto their
+/// dispatches.
+fn in_dispatch_order(updates: &[ClientUpdate], dispatches: &[Dispatch]) -> bool {
+    updates.len() == dispatches.len()
+        && updates
+            .iter()
+            .zip(dispatches)
+            .all(|(u, d)| u.client_id == d.client_id)
 }
 
 /// What a round executor hands back to the server loop.
@@ -836,7 +803,11 @@ impl RoundExecutor for DeadlineExecutor {
         let (alive, mut hetero) = self
             .planner
             .plan(ctx.round, round_start_s, selected, |_| false);
-        let updates = dispatch_train(train, ctx, &alive, self.cfg.parallel_dispatch);
+        let updates = train(ctx, &alive);
+        debug_assert!(
+            in_dispatch_order(&updates, &alive),
+            "train must preserve dispatch order"
+        );
 
         // --- Discrete-event round: schedule every surviving upload, then
         // replay the timeline against the deadline. Queue sized to this
@@ -1124,7 +1095,11 @@ impl BufferedExecutor {
                 global: &broadcast.global,
             };
             let dispatches: Vec<Dispatch> = group.iter().map(|&i| arrivals[i].0).collect();
-            let updates = dispatch_train(train, &ctx, &dispatches, self.cfg.parallel_dispatch);
+            let updates = train(&ctx, &dispatches);
+            debug_assert!(
+                in_dispatch_order(&updates, &dispatches),
+                "train must preserve dispatch order"
+            );
             for (&i, update) in group.iter().zip(updates) {
                 trained[i] = Some((update, broadcast.version));
             }
@@ -1775,55 +1750,6 @@ mod tests {
         assert_eq!(ids, vec![3, 17, 900], "iteration must be id-ordered");
         let t = stats.totals();
         assert_eq!((t.dispatches, t.aggregated, t.dropouts), (3, 3, 0));
-    }
-
-    /// Parallel dispatch must reproduce the serial outcome bit-for-bit on
-    /// both executor families (the train stub maps clients independently,
-    /// as the session's per-client RNG streams do).
-    #[test]
-    fn parallel_dispatch_is_bit_identical_to_serial() {
-        let run_deadline = |parallel: bool| {
-            let cfg = HeteroConfig {
-                parallel_dispatch: parallel,
-                ..skewed_cfg(None, 0.3)
-            };
-            let mut ex = DeadlineExecutor::new(cfg, 32, 500, 8, 9);
-            (0..6)
-                .map(|round| {
-                    let selected: Vec<usize> = (0..32).filter(|c| (c + round) % 4 == 0).collect();
-                    let out = ex.execute(&ctx(round), &selected, &stub_train);
-                    (
-                        out.updates
-                            .iter()
-                            .map(|u| (u.client_id, u.staleness))
-                            .collect::<Vec<_>>(),
-                        out.hetero.unwrap(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run_deadline(false), run_deadline(true));
-
-        let run_buffered = |parallel: bool| {
-            let mut cfg = buffered_cfg(4.0, 3);
-            cfg.fleet.dropout = 0.2;
-            cfg.parallel_dispatch = parallel;
-            let mut ex = BufferedExecutor::new(cfg, 32, 500, 8, 9);
-            (0..10)
-                .map(|round| {
-                    let selected: Vec<usize> = (0..32).filter(|c| (c + round) % 4 == 0).collect();
-                    let out = ex.execute(&ctx(round), &selected, &stub_train);
-                    (
-                        out.updates
-                            .iter()
-                            .map(|u| (u.client_id, u.staleness))
-                            .collect::<Vec<_>>(),
-                        out.hetero.unwrap(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run_buffered(false), run_buffered(true));
     }
 
     #[test]

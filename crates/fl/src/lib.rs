@@ -27,8 +27,7 @@
 //!   components into a [`session::Session`] run whole ([`session::Session::run`])
 //!   or one round at a time ([`session::Session::step`]), with
 //!   [`session::RoundObserver`] hooks per round;
-//! * [`server`] — the serializable [`server::FlConfig`] plus the
-//!   paper-faithful [`server::run_federated`] compatibility wrapper;
+//! * [`server`] — the serializable [`server::FlConfig`];
 //! * [`error`] — the typed [`error::FlError`] every orchestration entry
 //!   point reports instead of panicking;
 //! * [`singleset`] — the centralized reference;
@@ -99,7 +98,7 @@ pub mod prelude {
         BandwidthAwareSelection, PowerOfChoiceSelection, ReliabilityAwareSelection, Selection,
         SelectionContext, SelectionPolicy, StalenessBalancedSelection, UniformSelection,
     };
-    pub use crate::server::{run_federated, FlConfig};
+    pub use crate::server::FlConfig;
     pub use crate::server_opt::{AdaptiveParams, ServerOpt, ServerOptConfig};
     pub use crate::session::{
         EarlyStop, ProgressLogger, RoundControl, RoundObserver, RoundSignals, Session,

@@ -1,23 +1,15 @@
-//! The federated-learning server configuration and the paper-faithful
-//! entry point.
+//! The federated-learning server configuration.
 //!
 //! The round loop itself lives in [`crate::session`] (the Algorithm 2
-//! orchestration as a driveable [`Session`]); this module keeps the
-//! serializable [`FlConfig`] knob bundle and [`run_federated`] — the
-//! original free-function API, retained as a thin compatibility wrapper
-//! over [`SessionBuilder`]. The wrapper is the *paper-faithful* entry
-//! point: with default components its histories are byte-identical to the
-//! pre-session loop (enforced by the committed golden fixture
-//! `tests/golden/ideal_history.json`).
+//! orchestration as a driveable [`Session`](crate::session::Session));
+//! this module keeps the serializable [`FlConfig`] knob bundle that
+//! [`SessionBuilder::config`](crate::session::SessionBuilder::config)
+//! reads. With default components a session's histories are
+//! byte-identical to the pre-session loop (enforced by the committed
+//! golden fixture `tests/golden/ideal_history.json`).
 
 use crate::executor::ExecutorConfig;
-use crate::history::RunHistory;
 use crate::server_opt::ServerOptConfig;
-use crate::session::{Session, SessionBuilder};
-use crate::strategy::Strategy;
-use feddrl_data::dataset::Dataset;
-use feddrl_data::partition::Partition;
-use feddrl_nn::zoo::ModelSpec;
 use serde::{Deserialize, Serialize};
 
 pub use crate::selection::Selection;
@@ -76,13 +68,16 @@ impl Default for FlConfig {
 
 impl FlConfig {
     /// Check this configuration against a federation of `n_clients` —
-    /// exactly the validation [`SessionBuilder::build`] performs, exposed
-    /// separately so callers can reject a degenerate config *before*
-    /// constructing models, fleets, or pre-training pipelines.
+    /// exactly the validation
+    /// [`SessionBuilder::build`](crate::session::SessionBuilder::build)
+    /// performs, exposed separately so callers can reject a degenerate
+    /// config *before* constructing models, fleets, or pre-training
+    /// pipelines.
     ///
     /// # Errors
     /// The same [`FlError`](crate::error::FlError) variants
-    /// [`SessionBuilder::build`] reports.
+    /// [`SessionBuilder::build`](crate::session::SessionBuilder::build)
+    /// reports.
     pub fn validate(&self, n_clients: usize) -> Result<(), crate::error::FlError> {
         use crate::error::FlError;
         if self.participants == 0 {
@@ -107,42 +102,36 @@ impl FlConfig {
     }
 }
 
-/// Run one complete federated training with the given strategy.
-///
-/// Compatibility wrapper over [`SessionBuilder`]: builds a session with
-/// default components and drives it to completion. New code should use the
-/// builder directly — it returns typed [`FlError`](crate::error::FlError)s,
-/// supports custom selection policies and observers, records a dataset
-/// name, and can be driven one round at a time via
-/// [`Session::step`].
-///
-/// # Panics
-/// Panics on the configuration errors the builder reports (`K = 0`,
-/// `K > N`, zero rounds, degenerate deadline/fleet), with the historical
-/// messages, and on strategy-contract violations mid-run.
-pub fn run_federated(
-    spec: &ModelSpec,
-    train: &Dataset,
-    test: &Dataset,
-    partition: &Partition,
-    strategy: &mut dyn Strategy,
-    cfg: &FlConfig,
-) -> RunHistory {
-    let session: Session<'_> = SessionBuilder::new(spec, train, test, partition, strategy)
-        .config(cfg)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}"));
-    session.run().unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::LocalTrainConfig;
-    use crate::strategy::{FedAvg, FedProx, Uniform};
-    use feddrl_data::partition::PartitionMethod;
+    use crate::history::RunHistory;
+    use crate::session::SessionBuilder;
+    use crate::strategy::{FedAvg, FedProx, Strategy, Uniform};
+    use feddrl_data::dataset::Dataset;
+    use feddrl_data::partition::{Partition, PartitionMethod};
     use feddrl_data::synth::SynthSpec;
     use feddrl_nn::rng::Rng64;
+    use feddrl_nn::zoo::ModelSpec;
+
+    /// A whole run through the session builder, panicking with the
+    /// builder's error message on a bad config.
+    fn run_session(
+        spec: &ModelSpec,
+        train: &Dataset,
+        test: &Dataset,
+        partition: &Partition,
+        strategy: &mut dyn Strategy,
+        cfg: &FlConfig,
+    ) -> RunHistory {
+        SessionBuilder::new(spec, train, test, partition, strategy)
+            .config(cfg)
+            .build()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .run()
+            .expect("federated run")
+    }
 
     fn quick_setup() -> (ModelSpec, Dataset, Dataset, Partition) {
         let spec_ds = SynthSpec {
@@ -185,7 +174,7 @@ mod tests {
     fn fedavg_learns_on_iid_data() {
         let (spec, train, test, partition) = quick_setup();
         let mut strategy = FedAvg;
-        let history = run_federated(
+        let history = run_session(
             &spec,
             &train,
             &test,
@@ -208,12 +197,12 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let (spec, train, test, partition) = quick_setup();
-        let h1 = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &quick_cfg(4));
-        let h2 = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &quick_cfg(4));
+        let h1 = run_session(&spec, &train, &test, &partition, &mut FedAvg, &quick_cfg(4));
+        let h2 = run_session(&spec, &train, &test, &partition, &mut FedAvg, &quick_cfg(4));
         assert_eq!(h1.accuracies(), h2.accuracies());
         let mut other_cfg = quick_cfg(4);
         other_cfg.seed = 78;
-        let h3 = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &other_cfg);
+        let h3 = run_session(&spec, &train, &test, &partition, &mut FedAvg, &other_cfg);
         assert_ne!(h1.accuracies(), h3.accuracies());
     }
 
@@ -221,7 +210,7 @@ mod tests {
     fn fedprox_propagates_proximal_mu() {
         let (spec, train, test, partition) = quick_setup();
         let mut prox = FedProx::new(0.1);
-        let h = run_federated(&spec, &train, &test, &partition, &mut prox, &quick_cfg(3));
+        let h = run_session(&spec, &train, &test, &partition, &mut prox, &quick_cfg(3));
         assert_eq!(h.method, "FedProx");
         // Sanity: still learns.
         assert!(h.best().best_accuracy > 0.4);
@@ -230,7 +219,7 @@ mod tests {
     #[test]
     fn impact_factors_are_recorded_and_normalized() {
         let (spec, train, test, partition) = quick_setup();
-        let h = run_federated(
+        let h = run_session(
             &spec,
             &train,
             &test,
@@ -251,7 +240,7 @@ mod tests {
         let (spec, train, test, partition) = quick_setup();
         let mut cfg = quick_cfg(3);
         cfg.participants = 3;
-        let h = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+        let h = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
         for r in &h.records {
             assert_eq!(r.selected.len(), 3);
             let mut s = r.selected.to_vec();
@@ -267,7 +256,7 @@ mod tests {
         let mut cfg = quick_cfg(8);
         cfg.participants = 2;
         cfg.selection = Selection::PowerOfChoice { candidates: 6 };
-        let h = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+        let h = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
         // All clients must eventually be profiled (unseen-first rule).
         let mut seen = std::collections::HashSet::new();
         for r in &h.records {
@@ -287,7 +276,7 @@ mod tests {
         let mut cfg = quick_cfg(4);
         cfg.participants = 3;
         cfg.selection = Selection::BandwidthAware { candidates: 5 };
-        let h = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+        let h = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
         for r in &h.records {
             assert_eq!(r.selected.len(), 3);
         }
@@ -303,6 +292,6 @@ mod tests {
         let (spec, train, test, partition) = quick_setup();
         let mut cfg = quick_cfg(1);
         cfg.participants = 7;
-        let _ = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+        let _ = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
     }
 }

@@ -24,8 +24,7 @@
 //! Determinism: client-local randomness is derived from
 //! `(master seed, round, client id)`, so results are independent of thread
 //! scheduling, and a default-component session is byte-identical to the
-//! historical `run_federated` loop (enforced by the committed golden
-//! fixture).
+//! pre-session round loop (enforced by the committed golden fixture).
 
 use crate::client::{dispatch_mask, run_local_round, run_local_round_masked, ClientUpdate};
 use crate::error::FlError;
@@ -334,7 +333,7 @@ impl<'a> SessionBuilder<'a> {
     }
 
     /// Dataset name recorded in the resulting [`RunHistory`] (defaults to
-    /// empty, matching the historical `run_federated` output).
+    /// empty, matching the pre-session loop's output).
     pub fn dataset_name(mut self, name: impl Into<String>) -> Self {
         self.dataset_name = name.into();
         self

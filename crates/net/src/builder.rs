@@ -68,19 +68,12 @@ impl NetServerBuilder {
         self
     }
 
-    /// How many recent model snapshots to keep for delta encoding.
-    pub fn snapshot_ring(mut self, n: usize) -> Self {
-        self.cfg.snapshot_ring = n;
-        self
-    }
-
     /// Validate the configuration, bind the socket and start the accept
     /// thread.
     ///
     /// # Errors
-    /// [`FlError::InvalidNetConfig`] on an empty address, a zero TTL, or
-    /// (with delta publishes on) a snapshot ring that cannot hold a base
-    /// version; [`FlError::Io`] when the bind itself fails.
+    /// [`FlError::InvalidNetConfig`] on an empty address or a zero TTL;
+    /// [`FlError::Io`] when the bind itself fails.
     pub fn build(self) -> Result<NetServer, FlError> {
         if self.addr.trim().is_empty() {
             return Err(FlError::InvalidNetConfig {
@@ -90,11 +83,6 @@ impl NetServerBuilder {
         if self.cfg.ttl.is_zero() {
             return Err(FlError::InvalidNetConfig {
                 reason: "liveness TTL must be positive".into(),
-            });
-        }
-        if self.cfg.delta_publish && self.cfg.snapshot_ring == 0 {
-            return Err(FlError::InvalidNetConfig {
-                reason: "delta publishes need a snapshot ring of at least 1".into(),
             });
         }
         NetServer::bind_with(&self.addr, self.cfg).map_err(FlError::from)
@@ -196,12 +184,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(e.to_string().contains("TTL must be positive"), "{e}");
-        let e = NetServerBuilder::new()
-            .delta_publish(true)
-            .snapshot_ring(0)
-            .build()
-            .unwrap_err();
-        assert!(e.to_string().contains("snapshot ring"), "{e}");
     }
 
     #[test]

@@ -56,8 +56,7 @@ use parking_lot::Mutex;
 use feddrl_fl::client::{dispatch_mask, ClientUpdate};
 use feddrl_fl::dispatch::{keep_ratio, KeepRatio};
 use feddrl_fl::executor::{
-    ExecutorView, RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig,
-    TrainContext, TrainFn,
+    ExecutorView, RoundExecutor, RoundOutcome, StructuredDropoutConfig, TrainContext, TrainFn,
 };
 use feddrl_fl::history::{narrow, narrow_count, HeteroRoundRecord};
 use feddrl_nn::model::Sequential;
@@ -223,8 +222,6 @@ pub struct NetworkExecutor {
     server: NetServer,
     mode: NetMode,
     round_timeout: Duration,
-    discount: StalenessDiscount,
-    server_mix: f64,
     /// Model version counter: incremented after every round that hands
     /// the session something to aggregate, sent with every publish, and
     /// the baseline for measured staleness.
@@ -251,8 +248,6 @@ impl NetworkExecutor {
             server,
             mode: NetMode::Barrier,
             round_timeout: Duration::from_secs(10),
-            discount: StalenessDiscount::None,
-            server_mix: 1.0,
             version: 0,
             published_len: 0,
             pending: BTreeMap::new(),
@@ -277,25 +272,6 @@ impl NetworkExecutor {
     /// Replace the per-round collection timeout.
     pub fn with_round_timeout(mut self, timeout: Duration) -> Self {
         self.round_timeout = timeout;
-        self
-    }
-
-    /// Discount applied by staleness-aware strategies to stale updates.
-    pub fn with_staleness_discount(mut self, discount: StalenessDiscount) -> Self {
-        self.discount = discount;
-        self
-    }
-
-    /// Server-side mixing rate `eta` in `(0, 1]` for asynchronous blends.
-    ///
-    /// # Panics
-    /// Panics when `eta` is outside `(0, 1]` or not finite.
-    pub fn with_server_mix(mut self, eta: f64) -> Self {
-        assert!(
-            eta.is_finite() && eta > 0.0 && eta <= 1.0,
-            "server mix must be in (0, 1]"
-        );
-        self.server_mix = eta;
         self
     }
 
@@ -571,8 +547,6 @@ impl RoundExecutor for NetworkExecutor {
         ExecutorView {
             departed: Cow::Owned(self.server.departed().into_iter().collect()),
             in_flight: Cow::Owned(self.pending.keys().copied().collect()),
-            staleness_discount: self.discount,
-            server_mix: self.server_mix,
             ..ExecutorView::default()
         }
     }
@@ -661,14 +635,6 @@ mod tests {
         use crate::builder::NetServerBuilder;
         let server = NetServerBuilder::new().build().expect("bind");
         let _ = NetworkExecutor::buffered(server, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "server mix must be in (0, 1]")]
-    fn out_of_range_mix_is_rejected() {
-        use crate::builder::NetServerBuilder;
-        let server = NetServerBuilder::new().build().expect("bind");
-        let _ = NetworkExecutor::barrier(server).with_server_mix(1.5);
     }
 
     /// Regression: an `execute` that collects nothing (here every dispatch

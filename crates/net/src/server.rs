@@ -39,6 +39,11 @@ use crate::wire::{
 /// promptly, large enough to stay off the scheduler's back.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
+/// How many recent `(version, weights)` snapshots a delta-publishing
+/// server keeps as bases. A peer whose acked base has fallen out of the
+/// ring gets a full frame instead.
+const SNAPSHOT_RING: usize = 8;
+
 /// Tuning knobs for a [`NetServer`]. Prefer constructing through
 /// [`NetServerBuilder`](crate::builder::NetServerBuilder), which
 /// validates these at `build()` time.
@@ -52,10 +57,6 @@ pub struct ServerConfig {
     /// whenever that is smaller than the dense frame. Off by default —
     /// the loopback byte-identity law runs with every knob off.
     pub delta_publish: bool,
-    /// How many recent `(version, weights)` snapshots to keep for delta
-    /// encoding. A peer whose acked base has fallen out of the ring
-    /// silently falls back to a full frame.
-    pub snapshot_ring: usize,
 }
 
 impl Default for ServerConfig {
@@ -63,7 +64,6 @@ impl Default for ServerConfig {
         ServerConfig {
             ttl: Duration::from_secs(5),
             delta_publish: false,
-            snapshot_ring: 8,
         }
     }
 }
@@ -165,7 +165,6 @@ struct Shared {
     shutdown: AtomicBool,
     fanout: Mutex<Fanout>,
     delta_publish: bool,
-    snapshot_cap: usize,
     publish_wire_bytes: AtomicU64,
     publish_dense_bytes: AtomicU64,
     delta_frames: AtomicU64,
@@ -218,7 +217,6 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             fanout: Mutex::new(Fanout::default()),
             delta_publish: cfg.delta_publish,
-            snapshot_cap: cfg.snapshot_ring.max(1),
             publish_wire_bytes: AtomicU64::new(0),
             publish_dense_bytes: AtomicU64::new(0),
             delta_frames: AtomicU64::new(0),
@@ -297,7 +295,7 @@ impl NetServer {
         } = &mut *fanout;
         if shared.delta_publish {
             // The snapshot the ring evicts holds the new one.
-            let mut snapshot = if snapshots.len() >= shared.snapshot_cap {
+            let mut snapshot = if snapshots.len() >= SNAPSHOT_RING {
                 snapshots.pop_front().map(|(_, w)| w).unwrap_or_default()
             } else {
                 Vec::new()

@@ -33,7 +33,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 mod common;
-use common::{ctx, golden_json};
+use common::{ctx, golden_json, run_session};
 
 /// The golden fixture's environment (must match `server_props`).
 fn golden_setup() -> (ModelSpec, Dataset, Dataset, Partition, FlConfig) {
@@ -70,22 +70,6 @@ fn golden_setup() -> (ModelSpec, Dataset, Dataset, Partition, FlConfig) {
     (spec, train, test, partition, cfg)
 }
 
-fn run(
-    spec: &ModelSpec,
-    train: &Dataset,
-    test: &Dataset,
-    partition: &Partition,
-    cfg: &FlConfig,
-) -> RunHistory {
-    let mut strategy = FedAvg;
-    SessionBuilder::new(spec, train, test, partition, &mut strategy)
-        .config(cfg)
-        .build()
-        .expect("valid config")
-        .run()
-        .expect("federated run")
-}
-
 fn stub_update(client_id: usize) -> ClientUpdate {
     ClientUpdate {
         client_id,
@@ -118,9 +102,8 @@ fn full_buffer_on_homogeneous_fleet_reduces_to_ideal_golden_fixture() {
         buffer_size: cfg.participants, // m = K
         staleness: StalenessDiscount::None,
         server_mix: None,
-        ..Default::default()
     });
-    let history = run(&spec, &train, &test, &partition, &cfg);
+    let history = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
 
     // The telemetry itself must describe a synchronous run...
     for r in &history.records {
@@ -159,7 +142,7 @@ fn full_buffer_on_homogeneous_fleet_reduces_to_ideal_golden_fixture() {
 /// The buffered golden fixture's run: a 200-client skewed fleet with
 /// dropout, diurnal availability and churn, staleness-balanced selection,
 /// `K = 16` dispatched and `m = 4` aggregated per round, real training.
-fn buffered_golden_history(parallel_dispatch: bool) -> RunHistory {
+fn buffered_golden_history() -> RunHistory {
     let (train, test) = SynthSpec {
         train_size: 2_000,
         test_size: 150,
@@ -185,19 +168,17 @@ fn buffered_golden_history(parallel_dispatch: bool) -> RunHistory {
                 ..Default::default()
             },
             buffer_size: 4,
-            parallel_dispatch,
             ..Default::default()
         }),
         ..golden_cfg
     };
-    run(&spec, &train, &test, &partition, &cfg)
+    run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg)
 }
 
 /// The buffered executor's own golden fixture, recorded from the executor
 /// that trained every client at dispatch and parked the full update until
 /// its upload landed. Training at arrival, from a snapshot of the dispatch
-/// round's broadcast, must reproduce it byte for byte — on the serial
-/// path and under `parallel_dispatch`.
+/// round's broadcast, must reproduce it byte for byte.
 #[test]
 fn buffered_executor_reproduces_its_golden_fixture() {
     let path = concat!(
@@ -205,16 +186,14 @@ fn buffered_executor_reproduces_its_golden_fixture() {
         "/tests/golden/buffered_history.json"
     );
     let golden = std::fs::read_to_string(path).expect("read golden fixture");
-    for parallel_dispatch in [false, true] {
-        let history = buffered_golden_history(parallel_dispatch);
-        let stale = history.mean_staleness();
-        assert!(stale > 0.0, "the fixture must exercise stale arrivals");
-        assert_eq!(
-            golden_json(history),
-            golden,
-            "buffered history diverged from its fixture (parallel_dispatch = {parallel_dispatch})"
-        );
-    }
+    let history = buffered_golden_history();
+    let stale = history.mean_staleness();
+    assert!(stale > 0.0, "the fixture must exercise stale arrivals");
+    assert_eq!(
+        golden_json(history),
+        golden,
+        "buffered history diverged from its fixture"
+    );
 }
 
 /// Contract 3: run the executor directly over a fleet with well-separated
@@ -344,7 +323,7 @@ fn buffered_reaches_target_accuracy_in_less_sim_time_than_deadline() {
         late_policy: LatePolicy::Drop,
         ..Default::default()
     });
-    let barrier = run(&spec, &train, &test, &partition, &deadline_cfg);
+    let barrier = run_session(&spec, &train, &test, &partition, &mut FedAvg, &deadline_cfg);
 
     // Shared target: what the barrier demonstrably reaches.
     let target = barrier.best().best_accuracy * 0.9;
@@ -361,7 +340,6 @@ fn buffered_reaches_target_accuracy_in_less_sim_time_than_deadline() {
         buffer_size: 3,
         staleness: StalenessDiscount::None,
         server_mix: Some(0.375), // m / K
-        ..Default::default()
     });
     let mut strategy = FedAvg;
     let buffered = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
@@ -414,9 +392,9 @@ fn carry_over_aging_shrinks_stale_factors_session_level() {
         })
     };
     cfg.executor = mk_exec(StalenessDiscount::None);
-    let plain = run(&spec, &train, &test, &partition, &cfg);
+    let plain = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
     cfg.executor = mk_exec(StalenessDiscount::Polynomial { alpha: 1.0 });
-    let aged = run(&spec, &train, &test, &partition, &cfg);
+    let aged = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
 
     let mut carried_rounds = 0usize;
     for (rp, ra) in plain.records.iter().zip(aged.records.iter()) {
@@ -472,7 +450,6 @@ fn arb_buffered() -> impl proptest::strategy::Strategy<Value = BufferedConfig> {
                 _ => StalenessDiscount::Hinge { cutoff: 1 },
             },
             server_mix: None,
-            ..Default::default()
         },
     )
 }
@@ -517,7 +494,7 @@ proptest! {
             executor: ExecutorConfig::Buffered(cfg),
             server_opt: ServerOptConfig::Plain,
         };
-        let history = run(&spec, &train, &test, &partition, &fl_cfg);
+        let history = run_session(&spec, &train, &test, &partition, &mut FedAvg, &fl_cfg);
         for r in &history.records {
             let h = r.hetero.as_ref().expect("buffered run must record telemetry");
             prop_assert!(

@@ -6,6 +6,24 @@
 
 use feddrl_repro::prelude::*;
 
+/// A whole federated run through [`SessionBuilder`] with default
+/// components, for suites whose config is known to be valid.
+pub fn run_session(
+    spec: &ModelSpec,
+    train: &Dataset,
+    test: &Dataset,
+    partition: &Partition,
+    strategy: &mut dyn Strategy,
+    cfg: &FlConfig,
+) -> RunHistory {
+    SessionBuilder::new(spec, train, test, partition, strategy)
+        .config(cfg)
+        .build()
+        .expect("valid config")
+        .run()
+        .expect("federated run")
+}
+
 /// Zero the only nondeterministic fields of a run history (the
 /// wall-clock stage timings) so the rest compares byte-for-byte.
 pub fn scrub_timings(history: &mut RunHistory) {

@@ -2,6 +2,9 @@
 
 use feddrl_repro::prelude::*;
 
+mod common;
+use common::run_session;
+
 fn small_env(
     partition_method: PartitionMethod,
     n_clients: usize,
@@ -47,8 +50,8 @@ fn fl_cfg(rounds: usize, participants: usize, seed: u64) -> FlConfig {
 fn all_strategies_learn_on_iid() {
     let (model, train, test, partition) = small_env(PartitionMethod::Iid, 8, 1);
     let cfg = fl_cfg(10, 8, 11);
-    let fedavg = run_federated(&model, &train, &test, &partition, &mut FedAvg, &cfg);
-    let fedprox = run_federated(
+    let fedavg = run_session(&model, &train, &test, &partition, &mut FedAvg, &cfg);
+    let fedprox = run_session(
         &model,
         &train,
         &test,
@@ -58,7 +61,8 @@ fn all_strategies_learn_on_iid() {
     );
     let mut drl_cfg = FedDrlRunConfig::default();
     drl_cfg.feddrl.ddpg.hidden = 64;
-    let feddrl = run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg);
+    let feddrl = try_run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg, "")
+        .expect("valid config");
     for h in [&fedavg, &fedprox, &feddrl.history] {
         assert!(
             h.best().best_accuracy > 0.75,
@@ -76,10 +80,11 @@ fn feddrl_competitive_on_cluster_skew() {
     // at this scale we assert non-inferiority with a small margin).
     let (model, train, test, partition) = small_env(PartitionMethod::ce(0.6), 10, 2);
     let cfg = fl_cfg(25, 10, 22);
-    let fedavg = run_federated(&model, &train, &test, &partition, &mut FedAvg, &cfg);
+    let fedavg = run_session(&model, &train, &test, &partition, &mut FedAvg, &cfg);
     let mut drl_cfg = FedDrlRunConfig::default();
     drl_cfg.feddrl.ddpg.hidden = 64;
-    let feddrl = run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg);
+    let feddrl = try_run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg, "")
+        .expect("valid config");
     let a = fedavg.best().best_accuracy;
     let d = feddrl.history.best().best_accuracy;
     assert!(
@@ -95,7 +100,7 @@ fn full_runs_are_deterministic_across_invocations() {
     let run = || {
         let mut drl_cfg = FedDrlRunConfig::default();
         drl_cfg.feddrl.ddpg.hidden = 32;
-        run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg)
+        try_run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg, "").expect("valid config")
     };
     let h1 = run();
     let h2 = run();
@@ -119,7 +124,7 @@ fn every_partition_method_supports_full_runs() {
         let code = method.code().to_string();
         let (model, train, test, partition) = small_env(method, 10, 40 + i as u64);
         let cfg = fl_cfg(3, 5, 50 + i as u64);
-        let h = run_federated(&model, &train, &test, &partition, &mut FedAvg, &cfg);
+        let h = run_session(&model, &train, &test, &partition, &mut FedAvg, &cfg);
         assert_eq!(h.records.len(), 3, "partition {code} broke the round loop");
         assert_eq!(h.partition, code);
     }
@@ -129,7 +134,7 @@ fn every_partition_method_supports_full_runs() {
 fn histories_roundtrip_through_json() {
     let (model, train, test, partition) = small_env(PartitionMethod::pa(), 6, 4);
     let cfg = fl_cfg(3, 6, 44);
-    let h = run_federated(&model, &train, &test, &partition, &mut FedAvg, &cfg);
+    let h = run_session(&model, &train, &test, &partition, &mut FedAvg, &cfg);
     let dir = std::env::temp_dir().join("feddrl_e2e_history");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("h.json");
@@ -155,7 +160,7 @@ fn singleset_beats_federated_methods() {
         },
     );
     let cfg = fl_cfg(10, 10, 55);
-    let fedavg = run_federated(&model, &train, &test, &partition, &mut FedAvg, &cfg);
+    let fedavg = run_session(&model, &train, &test, &partition, &mut FedAvg, &cfg);
     assert!(
         single.best().best_accuracy >= fedavg.best().best_accuracy - 0.02,
         "SingleSet ({:.3}) should not lose to FedAvg ({:.3})",
@@ -170,7 +175,8 @@ fn partial_participation_with_cluster_skew() {
     let cfg = fl_cfg(6, 4, 66); // K = 4 of N = 12
     let mut drl_cfg = FedDrlRunConfig::default();
     drl_cfg.feddrl.ddpg.hidden = 32;
-    let run = run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg);
+    let run = try_run_feddrl(&model, &train, &test, &partition, &cfg, &drl_cfg, "")
+        .expect("valid config");
     for r in &run.history.records {
         assert_eq!(r.selected.len(), 4);
         assert_eq!(r.impact_factors.len(), 4);

@@ -972,20 +972,20 @@ fn delta_publishes_reconstruct_exactly_through_the_worker_loop() {
 }
 
 /// The two dense-fallback triggers, observed on a raw v2 socket: a base
-/// evicted from the snapshot ring (ring capacity 1 — pushing the new
-/// version evicts the acked one), and a residual so dense the delta
-/// frame would cost more than the dense frame it replaces.
+/// evicted from the eight-snapshot ring (the eighth publish after the
+/// acked one pushes it out), and a residual so dense the delta frame would
+/// cost more than the dense frame it replaces.
 #[test]
 fn delta_publish_falls_back_to_dense_when_base_evicted_or_delta_too_big() {
     use std::io::Write as _;
-    for (ring, change_all, expect_delta) in [
-        (8usize, false, true), // base retained, sparse residual → delta
-        (1, false, false),     // base evicted by the push → dense
-        (8, true, false),      // every coordinate moved → delta loses
+    // `unacked`: publishes after the acked base before the one checked.
+    for (unacked, change_all, expect_delta) in [
+        (0u64, false, true), // base retained, sparse residual → delta
+        (7, false, false),   // the checked publish is the eighth: base evicted → dense
+        (0, true, false),    // every coordinate moved → delta loses
     ] {
         let server = NetServerBuilder::new()
             .delta_publish(true)
-            .snapshot_ring(ring)
             .build()
             .expect("bind");
         let addr = server.local_addr().to_string();
@@ -1046,7 +1046,18 @@ fn delta_publish_falls_back_to_dense_when_base_evicted_or_delta_too_big() {
         } else {
             w1[17] = -3.25;
         }
-        server.publish(1, &w1);
+        // Publishes the peer reads but never acks: each is still a delta
+        // against version 0 while that base is in the ring.
+        for version in 1..=unacked {
+            server.publish(version, &w1);
+            let (_, frame) = read_raw_frame(&mut sock);
+            assert!(
+                matches!(frame, Message::ModelPublishDelta(ref d) if d.base_version == 0),
+                "unacked publish {version} should be a delta against 0, got {frame:?}"
+            );
+        }
+        let version = unacked + 1;
+        server.publish(version, &w1);
         let (_, second) = read_raw_frame(&mut sock);
         if expect_delta {
             match second {
@@ -1061,8 +1072,8 @@ fn delta_publish_falls_back_to_dense_when_base_evicted_or_delta_too_big() {
             }
         } else {
             assert!(
-                matches!(second, Message::ModelPublish { version: 1, .. }),
-                "ring={ring} change_all={change_all}: expected dense fallback, got {second:?}"
+                matches!(second, Message::ModelPublish { version: v, .. } if v == version),
+                "unacked={unacked} change_all={change_all}: expected dense fallback, got {second:?}"
             );
         }
     }

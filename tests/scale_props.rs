@@ -10,10 +10,10 @@
 //!    against the per-round records (the reliability accounting law,
 //!    re-proved on the sparse type), and the table holds entries only for
 //!    clients actually dispatched.
-//! 3. **Parallel ≡ serial** — a session run with rayon-parallel client
-//!    dispatch produces a byte-identical serialized history to the serial
-//!    run at the same seed (timings scrubbed, like every golden
-//!    comparison), for both the deadline and the buffered executor.
+//! 3. **Parallel ≡ serial** — a session whose client-training fan-out
+//!    runs on four threads produces a byte-identical serialized history
+//!    to the one-thread run at the same seed (timings scrubbed, like every
+//!    golden comparison), for both the deadline and the buffered executor.
 //! 4. **Event-queue order at scale** — at 10^5 active entries the queue
 //!    pops a total order on time with FIFO tie-breaking, without growing
 //!    past its presized capacity.
@@ -38,10 +38,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 mod common;
-use common::{ctx, scrubbed_json};
-
-/// Builds an `ExecutorConfig` with the given `parallel_dispatch` flag.
-type ConfigBuilder = Box<dyn Fn(bool) -> ExecutorConfig>;
+use common::{ctx, run_session, scrubbed_json};
+use feddrl_repro::feddrl_nn::parallel::set_max_threads;
 
 fn stub_train(_ctx: &TrainContext<'_>, dispatches: &[Dispatch]) -> Vec<ClientUpdate> {
     dispatches
@@ -171,14 +169,16 @@ proptest! {
     }
 }
 
-/// Contract 3: with `parallel_dispatch` the executors fan client training
-/// out over rayon; at a fixed seed the full serialized history — every
-/// weight, loss, impact factor and telemetry record — must be
-/// byte-identical to the serial run's. Timings are scrubbed exactly like
-/// the golden-fixture comparisons (they measure wall clock, not the
+/// Contract 3: the session's train callback fans a dispatch batch out
+/// over `par_map`, the one place client training runs in parallel. At a
+/// fixed seed the full serialized history — every weight, loss, impact
+/// factor and telemetry record — must be byte-identical whether that
+/// fan-out (and every kernel under it) has one thread or four, for both
+/// the deadline and the buffered executor. Timings are scrubbed exactly
+/// like the golden-fixture comparisons (they measure wall clock, not the
 /// trajectory).
 #[test]
-fn parallel_dispatch_history_is_byte_identical_to_serial() {
+fn train_fan_out_history_is_byte_identical_across_thread_counts() {
     let (train, test) = SynthSpec {
         train_size: 400,
         test_size: 100,
@@ -199,68 +199,54 @@ fn parallel_dispatch_history_is_byte_identical_to_serial() {
         seed: 0xF1EE7,
         ..Default::default()
     };
-    let executors: Vec<(&str, ConfigBuilder)> = vec![
+    let executors = [
         (
             "deadline",
-            Box::new({
-                let fleet = fleet.clone();
-                move |parallel_dispatch| {
-                    ExecutorConfig::Deadline(HeteroConfig {
-                        fleet: fleet.clone(),
-                        deadline_s: Some(40.0),
-                        late_policy: LatePolicy::CarryOver,
-                        parallel_dispatch,
-                        ..Default::default()
-                    })
-                }
+            ExecutorConfig::Deadline(HeteroConfig {
+                fleet: fleet.clone(),
+                deadline_s: Some(40.0),
+                late_policy: LatePolicy::CarryOver,
+                ..Default::default()
             }),
         ),
         (
             "buffered",
-            Box::new({
-                let fleet = fleet.clone();
-                move |parallel_dispatch| {
-                    ExecutorConfig::Buffered(BufferedConfig {
-                        fleet: fleet.clone(),
-                        buffer_size: 3,
-                        parallel_dispatch,
-                        ..Default::default()
-                    })
-                }
+            ExecutorConfig::Buffered(BufferedConfig {
+                fleet,
+                buffer_size: 3,
+                ..Default::default()
             }),
         ),
     ];
-    for (label, mk_exec) in executors {
-        let mut histories = Vec::new();
-        for parallel in [false, true] {
-            let cfg = FlConfig {
-                rounds: 4,
-                participants: 5,
-                local: LocalTrainConfig {
-                    epochs: 1,
-                    batch_size: 16,
-                    lr: 0.05,
-                    ..Default::default()
-                },
-                eval_batch: 64,
-                seed: 23,
-                log_every: 0,
-                selection: Selection::Uniform,
-                executor: mk_exec(parallel),
-                server_opt: ServerOptConfig::Plain,
-            };
-            let mut strategy = FedAvg;
-            let history = SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
-                .config(&cfg)
-                .build()
-                .expect("valid config")
-                .run()
-                .expect("federated run");
-            histories.push(scrubbed_json(history));
-        }
+    for (label, executor) in executors {
+        let cfg = FlConfig {
+            rounds: 4,
+            participants: 5,
+            local: LocalTrainConfig {
+                epochs: 1,
+                batch_size: 16,
+                lr: 0.05,
+                ..Default::default()
+            },
+            eval_batch: 64,
+            seed: 23,
+            log_every: 0,
+            selection: Selection::Uniform,
+            executor,
+            server_opt: ServerOptConfig::Plain,
+        };
+        let histories: Vec<String> = [1, 4]
+            .into_iter()
+            .map(|threads| {
+                set_max_threads(threads);
+                let history = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+                scrubbed_json(history)
+            })
+            .collect();
+        set_max_threads(0);
         assert_eq!(
             histories[0], histories[1],
-            "{label}: parallel dispatch diverged from the serial trajectory"
+            "{label}: the four-thread fan-out diverged from the one-thread trajectory"
         );
     }
 }
@@ -415,7 +401,6 @@ fn buffered_rounds_at_hundred_thousand_clients_stay_sparse() {
             ..Default::default()
         },
         buffer_size: 16,
-        parallel_dispatch: true,
         ..Default::default()
     };
     let mut ex = BufferedExecutor::new(cfg, N, 1_000, K, 7);

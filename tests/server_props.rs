@@ -1,7 +1,7 @@
 //! Property-based hardening of the federated round loop and the
 //! discrete-event heterogeneity engine.
 //!
-//! The refactor of `run_federated` onto the `RoundExecutor` abstraction
+//! The refactor of the round loop onto the `RoundExecutor` abstraction
 //! promises three invariants, checked here: (1) the ideal executor is
 //! byte-identical to the pre-refactor loop (golden JSON fixture), (2) an
 //! unbounded deadline with zero dropout reduces the deadline executor to
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 mod common;
-use common::{ctx, golden_json};
+use common::{ctx, golden_json, run_session};
 
 /// The exact configuration the golden fixture was generated with (by the
 /// pre-refactor loop at the commit introducing the executor abstraction).
@@ -67,7 +67,7 @@ fn golden_setup() -> (ModelSpec, Dataset, Dataset, Partition, FlConfig) {
 #[test]
 fn ideal_history_matches_pre_refactor_golden_fixture() {
     let (spec, train, test, partition, cfg) = golden_setup();
-    let history = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+    let history = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
     let json = golden_json(history);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -146,7 +146,7 @@ fn factor_alignment_follows_aggregated_ids_not_selected() {
         ..Default::default()
     }));
     cfg.rounds = 6;
-    let history = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+    let history = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
     let mut saw_carry = false;
     let mut saw_divergence = false;
     for r in &history.records {
@@ -193,7 +193,7 @@ proptest! {
     #[test]
     fn infinite_deadline_reduces_to_ideal(fleet in arb_fleet()) {
         let (spec, train, test, partition) = tiny_env(8);
-        let ideal = run_federated(
+        let ideal = run_session(
             &spec, &train, &test, &partition, &mut FedAvg,
             &tiny_cfg(ExecutorConfig::Ideal),
         );
@@ -203,7 +203,7 @@ proptest! {
             late_policy: LatePolicy::Drop,
             ..Default::default()
         });
-        let hetero = run_federated(
+        let hetero = run_session(
             &spec, &train, &test, &partition, &mut FedAvg, &tiny_cfg(hetero_cfg),
         );
         prop_assert_eq!(ideal.accuracies(), hetero.accuracies());
@@ -251,7 +251,7 @@ proptest! {
             late_policy: LatePolicy::Drop,
             ..Default::default()
         }));
-        let history = run_federated(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
+        let history = run_session(&spec, &train, &test, &partition, &mut FedAvg, &cfg);
         for r in &history.records {
             let h = r.hetero.as_ref().expect("deadline run must record telemetry");
             prop_assert_eq!(h.aggregated(), r.impact_factors.len());

@@ -2,8 +2,8 @@
 //!
 //! Three promises from the redesign, checked at the workspace boundary:
 //! (1) a `SessionBuilder` with default components reproduces the committed
-//! golden fixture byte-for-byte (the compat `run_federated` path is
-//! checked separately in `server_props`); (2) driving a session one round
+//! golden fixture byte-for-byte (`server_props` checks the same fixture
+//! and holds its regeneration switch); (2) driving a session one round
 //! at a time via `step()` yields the same history as `run()`; (3)
 //! degenerate configurations surface as typed `FlError`s from the builder
 //! instead of panics mid-run, through every entry layer (fl and core) —
@@ -50,7 +50,7 @@ fn golden_setup() -> (ModelSpec, Dataset, Dataset, Partition, FlConfig) {
 }
 
 /// A default-component `SessionBuilder` is byte-identical to the
-/// pre-session loop: same golden fixture as the `run_federated` path.
+/// pre-session loop: same golden fixture as `server_props`' ideal run.
 #[test]
 fn session_builder_defaults_match_golden_fixture() {
     let (spec, train, test, partition, cfg) = golden_setup();
@@ -101,7 +101,6 @@ fn step_by_step_equals_run() {
         buffer_size: 2,
         staleness: StalenessDiscount::Polynomial { alpha: 1.0 },
         server_mix: Some(0.5),
-        ..Default::default()
     });
     let variants: [(Selection, ExecutorConfig); 3] = [
         (Selection::Uniform, ExecutorConfig::Ideal),
@@ -351,7 +350,6 @@ fn builder_rejects_degenerate_buffered_configs() {
             buffer_size,
             staleness,
             server_mix,
-            ..Default::default()
         })
     };
     type ErrCheck = fn(&FlError) -> bool;

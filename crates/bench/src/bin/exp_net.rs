@@ -248,7 +248,7 @@ fn run_net(
         };
         let _ = exec.execute(&ctx, &selected, noop);
         if round == 0 {
-            cold_publish = telemetry.lock().publish;
+            cold_publish = telemetry.lock().unwrap().publish;
         }
         if processes && round + 1 == kill_at {
             // Kill between rounds, then outlast the TTL so the next
@@ -267,7 +267,7 @@ fn run_net(
     // worker result is not required to be clean here).
     drop(exec);
     workers.join();
-    let snapshot = telemetry.lock().clone();
+    let snapshot = telemetry.lock().unwrap().clone();
     let steady_publish = snapshot.publish.since(&cold_publish);
     NetRun {
         telemetry: snapshot,

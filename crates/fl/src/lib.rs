@@ -22,7 +22,7 @@
 //! * [`dispatch`] — the dispatch planner the heterogeneity-aware
 //!   executors share (who trains, on how much of the model, whose report
 //!   counts) and the one keep-ratio rule of adaptive structured dropout;
-//! * [`session`] — the deterministic, crossbeam-parallel round loop as a
+//! * [`session`] — the deterministic, thread-parallel round loop as a
 //!   driveable object: [`session::SessionBuilder`] validates the assembled
 //!   components into a [`session::Session`] run whole ([`session::Session::run`])
 //!   or one round at a time ([`session::Session::step`]), with

@@ -13,8 +13,8 @@
 //! Per round the session: asks the [`SelectionPolicy`] for `K` of `N`
 //! clients (feeding it per-client losses, participation counts and the
 //! executor's device fleet), hands them to the configured
-//! [`RoundExecutor`] — which trains them
-//! *in parallel* (one crossbeam task per client) and decides which reports
+//! [`RoundExecutor`] — which trains them *in parallel* (on the scoped
+//! threads of `feddrl_nn::parallel::par_map`) and decides which reports
 //! make it back, and when — then asks the [`Strategy`] for impact factors
 //! over the updates that arrived, applies the weighted aggregation of
 //! Eq. 4, evaluates the new global model, and notifies every
@@ -526,9 +526,9 @@ impl<'a> Session<'a> {
 
         // --- Round execution: the executor decides who trains, and when
         // their reports land; `train` runs the local rounds of a dispatch
-        // batch in parallel — one crossbeam task each — from the broadcast
-        // of the round they were dispatched in, which under the buffered
-        // executor is not this one.
+        // batch in parallel — on `par_map`'s scoped threads — from the
+        // broadcast of the round they were dispatched in, which under the
+        // buffered executor is not this one.
         let global_flat = self.global.flat_params();
         let global = &self.global;
         let train_set = self.train;

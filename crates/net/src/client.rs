@@ -10,9 +10,11 @@
 //! remembered weights and send the resulting `Update` — or, for a
 //! sub-model dispatch, a compact `MaskedUpdate` carrying only the mask's
 //! kept positions), and `Bye` (leave). A background thread shares the
-//! write half of the socket and emits `Heartbeat` frames so the server's
-//! liveness TTL stays refreshed even while the worker sits idle between
-//! rounds.
+//! write half of the socket and emits a `Heartbeat` frame each time a
+//! heartbeat period passes, so the server's liveness TTL stays refreshed
+//! even while the worker sits idle between rounds. It waits on a stop
+//! channel rather than sleeping, so it ends as soon as the receive loop
+//! does.
 //!
 //! The training closure is deliberately transport-agnostic — it maps a
 //! [`TrainOrder`] plus the current global weights to a
@@ -24,13 +26,14 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use feddrl_fl::client::ClientUpdate;
 
+use crate::lock;
 use crate::wire::{
     read_frame_into, write_frame, MaskedUpdateMsg, Message, UpdateMsg, WireError,
     PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN,
@@ -88,44 +91,6 @@ pub struct ClientReport {
     pub masked_rounds: usize,
 }
 
-fn lock_writer(writer: &Mutex<TcpStream>) -> MutexGuard<'_, TcpStream> {
-    writer.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// When to emit the next heartbeat, as an absolute wall-clock deadline.
-///
-/// The heartbeat loop sleeps in short ticks (so joining after `stop` is
-/// prompt) and asks this schedule whether a beat is due at each wake-up.
-/// Deciding off `Instant::now()` rather than a sum of *intended* tick
-/// durations means oversleeping ticks on a loaded machine cannot stretch
-/// the effective period past `period` — the first wake-up at or past the
-/// deadline beats immediately. After a beat the deadline re-anchors on
-/// the observed `now` (not `+= period`), so a long stall yields one
-/// catch-up beat rather than a burst.
-struct BeatSchedule {
-    next: Instant,
-    period: Duration,
-}
-
-impl BeatSchedule {
-    fn new(start: Instant, period: Duration) -> Self {
-        BeatSchedule {
-            next: start + period,
-            period,
-        }
-    }
-
-    /// `true` when a beat is due at `now`; arms the next deadline.
-    fn poll(&mut self, now: Instant) -> bool {
-        if now >= self.next {
-            self.next = now + self.period;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// Run one worker to completion: connect, `Hello`, serve `TrainRequest`s
 /// against the latest published model via `train`, until the server says
 /// `Bye` or closes the connection.
@@ -141,7 +106,7 @@ where
     let _ = reader.set_nodelay(true);
     let writer = Arc::new(Mutex::new(reader.try_clone()?));
     write_frame(
-        &mut *lock_writer(&writer),
+        &mut *lock(&writer),
         &Message::Hello {
             client_id: cfg.client_id as u64,
             min_version: PROTOCOL_VERSION_MIN,
@@ -149,31 +114,20 @@ where
         },
     )?;
 
-    let stop = Arc::new(AtomicBool::new(false));
+    // Dropping `stop` when the receive loop ends wakes the heartbeat
+    // thread at once; until then it beats each time a period passes.
+    let (stop, stopped) = mpsc::channel::<()>();
     let heartbeat_handle = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
         let period = cfg.heartbeat;
         let id = cfg.client_id as u64;
         thread::Builder::new()
             .name("feddrl-net-heartbeat".into())
             .spawn(move || {
-                // Sleep in short ticks so joining after `stop` is prompt;
-                // beat off the elapsed-wall-clock schedule so slow ticks
-                // under load cannot drive heartbeats late and let the
-                // server's TTL spuriously retire an idle worker.
-                let tick = Duration::from_millis(10).min(period);
-                let mut schedule = BeatSchedule::new(Instant::now(), period);
-                while !stop.load(Ordering::Acquire) {
-                    thread::sleep(tick);
-                    if schedule.poll(Instant::now()) {
-                        let sent = write_frame(
-                            &mut *lock_writer(&writer),
-                            &Message::Heartbeat { client_id: id },
-                        );
-                        if sent.is_err() {
-                            break;
-                        }
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                    let beat = Message::Heartbeat { client_id: id };
+                    if write_frame(&mut *lock(&writer), &beat).is_err() {
+                        break;
                     }
                 }
             })
@@ -181,7 +135,7 @@ where
     };
 
     let outcome = client_loop(cfg, reader, &writer, &mut train);
-    stop.store(true, Ordering::Release);
+    drop(stop);
     let _ = heartbeat_handle.join();
     outcome
 }
@@ -318,7 +272,7 @@ fn ack_publish(
 /// Write `msg` to the shared socket, encoded into the loop's send buffer.
 fn send(writer: &Mutex<TcpStream>, frame: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
     msg.encode_into(frame);
-    let mut stream = lock_writer(writer);
+    let mut stream = lock(writer);
     stream.write_all(frame)?;
     stream.flush()?;
     Ok(())
@@ -386,42 +340,6 @@ mod tests {
         assert_eq!(report.negotiated_version, PROTOCOL_VERSION_MAX);
         assert_eq!(report.delta_publishes_seen, 0);
         assert_eq!(report.masked_rounds, 0, "full-model round stays dense");
-    }
-
-    /// Regression for the tick-accumulation drift: a worker whose ticks
-    /// oversleep (a loaded machine) must still beat at every wake-up past
-    /// the deadline. The old `since_beat += tick` accounting credited
-    /// each 10 ms tick as exactly 10 ms, so ticks that actually took
-    /// 100 ms stretched a 25 ms period to 3 wake-ups (~300 ms) between
-    /// beats — past a 150 ms TTL. Driven synthetically so the test does
-    /// not itself depend on machine load.
-    #[test]
-    fn slow_ticks_cannot_drive_heartbeats_late() {
-        let period = Duration::from_millis(25);
-        let start = Instant::now();
-        let mut schedule = BeatSchedule::new(start, period);
-        // Wake-ups arrive every 100 ms of wall-clock (each intended
-        // 10 ms tick overslept 10x). Every single one is past the
-        // deadline, so every single one must beat: the gap between
-        // beats is one wake-up interval, never a multiple of it.
-        let mut beats = 0;
-        for wake in 1..=10u32 {
-            if schedule.poll(start + wake * Duration::from_millis(100)) {
-                beats += 1;
-            }
-        }
-        assert_eq!(beats, 10, "every overslept wake-up past the deadline beats");
-        // A stall does not queue a make-up burst: after one catch-up
-        // beat the next deadline re-anchors a full period out.
-        let stalled = start + Duration::from_secs(5);
-        assert!(schedule.poll(stalled));
-        assert!(!schedule.poll(stalled + Duration::from_millis(1)));
-        assert!(schedule.poll(stalled + period));
-        // And fast ticks still respect the period: no beat before it.
-        let mut schedule = BeatSchedule::new(start, period);
-        assert!(!schedule.poll(start + Duration::from_millis(10)));
-        assert!(!schedule.poll(start + Duration::from_millis(20)));
-        assert!(schedule.poll(start + Duration::from_millis(25)));
     }
 
     #[test]

@@ -48,10 +48,8 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use feddrl_fl::client::{dispatch_mask, ClientUpdate};
 use feddrl_fl::dispatch::{keep_ratio, KeepRatio};
@@ -62,6 +60,7 @@ use feddrl_fl::history::{narrow, narrow_count, HeteroRoundRecord};
 use feddrl_nn::model::Sequential;
 use feddrl_sim::device::{nearest_rank, FleetView};
 
+use crate::lock;
 use crate::server::{MaskedWireInfo, NetServer, PublishStats};
 use crate::wire::{Message, UpdateMsg};
 
@@ -371,7 +370,7 @@ impl RoundExecutor for NetworkExecutor {
         // Mirror the server's cumulative bytes-on-wire counters into the
         // shared telemetry so they stay readable once this executor is
         // boxed into a session.
-        self.telemetry.lock().publish = self.server.publish_stats();
+        lock(&self.telemetry).publish = self.server.publish_stats();
     }
 
     /// Training happens on the remote workers, so the session's `train`
@@ -468,7 +467,7 @@ impl RoundExecutor for NetworkExecutor {
                 continue;
             };
             {
-                let mut t = self.telemetry.lock();
+                let mut t = lock(&self.telemetry);
                 t.record(rtt_ms, staleness);
                 if masked_arrival {
                     t.masked_updates += 1;
@@ -488,7 +487,7 @@ impl RoundExecutor for NetworkExecutor {
             }
         }
         {
-            let mut t = self.telemetry.lock();
+            let mut t = lock(&self.telemetry);
             t.dispatched += dispatched.len();
             t.failed_dispatches += failed;
             t.timed_out += timed_out;

@@ -36,11 +36,12 @@
 //! automatic dense fallback). See `docs/NETWORKING.md` for the frame
 //! grammar and negotiation state machine.
 //!
-//! Concurrency is plain threads, `std::sync` and the repo's vendored
-//! `parking_lot` shim; there is no async runtime, no thread spawned per
-//! frame, and no new external dependency. Receive loops, the worker's
-//! update path and the server's publish keep their frame buffers from one
-//! frame to the next.
+//! Concurrency is plain threads and `std::sync`; there is no async
+//! runtime, no thread spawned per frame, no external dependency, and no
+//! wait that polls: every thread blocks on its socket, a condvar or a
+//! channel, and shutdown wakes them by closing sockets. Receive loops,
+//! the worker's update path and the server's publish keep their frame
+//! buffers from one frame to the next.
 //!
 //! ## Determinism
 //!
@@ -57,6 +58,14 @@ pub mod executor;
 pub mod registry;
 pub mod server;
 pub mod wire;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `mutex`, recovering the guard if another thread panicked while
+/// holding it, so one panicked thread does not fail every later lock.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {

@@ -1,43 +1,43 @@
 //! The federated server's network runtime: accept loop, per-connection
 //! receive threads, model fan-out, and the update inbox.
 //!
-//! [`NetServer`] owns a nonblocking [`TcpListener`] polled by a dedicated
+//! [`NetServer`] owns a blocking [`TcpListener`] served by a dedicated
 //! accept thread; every connection gets its own receive thread that
-//! assembles frames and routes them by kind — `Hello`/`Heartbeat` refresh
-//! the [`Registry`], `Update` lands in a
+//! reads frames with [`read_frame_into`] and routes them by kind —
+//! `Hello`/`Heartbeat` refresh the [`Registry`], `Update` lands in a
 //! condvar-signalled inbox drained by [`NetServer::recv_update`], and
 //! `Bye` marks permanent departure. Model broadcast
 //! ([`NetServer::publish`]) runs on the caller's thread: it encodes each
 //! distinct frame once, into buffers the server keeps across publishes,
 //! and writes it to the subscribed peers one after another.
 //!
-//! There is no async runtime anywhere in this crate: all concurrency is
-//! plain threads, `std::sync` and the repo's vendored `parking_lot` shim.
-//! Receive threads keep one payload buffer for the life of their
-//! connection, and stay interruptible by reading with a short socket
-//! timeout and re-checking the shutdown flag whenever a read times out,
-//! so `shutdown` (and `Drop`) always join cleanly.
+//! There is no async runtime anywhere in this crate, and no wait polls:
+//! all concurrency is plain threads and `std::sync`, and every thread
+//! blocks on its event. Receive threads keep one payload buffer for the
+//! life of their connection. [`NetServer::shutdown`] (and `Drop`) wakes
+//! the accept thread with one connection to the server's own address, and
+//! the accept thread then shuts down every socket it accepted, so each
+//! blocked read returns and all threads join.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::registry::Registry;
 use crate::wire::{
-    decode_payload, encode_delta_into, encode_publish_into, negotiate, read_payload, write_frame,
-    FrameHeader, Message, UpdateMsg, WireError, HEADER_LEN,
+    encode_delta_into, encode_publish_into, negotiate, read_frame_into, write_frame, Message,
+    UpdateMsg, WireError, HEADER_LEN,
 };
 
-/// How long the per-connection receive threads block on the socket before
-/// re-checking the shutdown flag. Small enough that `shutdown` joins
-/// promptly, large enough to stay off the scheduler's back.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// How long the accept thread waits before retrying after `accept`
+/// fails (out of file descriptors and the like), so a persistent error
+/// does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// How many recent `(version, weights)` snapshots a delta-publishing
 /// server keeps as bases. A peer whose acked base has fallen out of the
@@ -150,17 +150,15 @@ struct Fanout {
 }
 
 /// State shared between the public handle and the background threads.
-/// `std::sync` locks where a `Condvar` waits on them; the parking_lot
-/// shim has none.
 struct Shared {
     start: Instant,
-    registry: StdMutex<Registry>,
+    registry: Mutex<Registry>,
     /// Signalled whenever a `Hello` registers a client.
     joined: Condvar,
     /// Write halves (via `try_clone`) of every subscribed client's socket.
     peers: Mutex<HashMap<usize, TcpStream>>,
     /// Arrived updates, drained by `recv_update`.
-    inbox: StdMutex<VecDeque<InboundUpdate>>,
+    inbox: Mutex<VecDeque<InboundUpdate>>,
     inbox_cv: Condvar,
     shutdown: AtomicBool,
     fanout: Mutex<Fanout>,
@@ -177,14 +175,6 @@ impl Shared {
     /// registry's TTL arithmetic runs on.
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
-    }
-
-    fn inbox_lock(&self) -> MutexGuard<'_, VecDeque<InboundUpdate>> {
-        self.inbox.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn registry(&self) -> MutexGuard<'_, Registry> {
-        self.registry.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -204,15 +194,14 @@ impl NetServer {
     /// which delegates here.
     pub(crate) fn bind_with(addr: &str, cfg: ServerConfig) -> Result<NetServer, WireError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let ttl_ms = (cfg.ttl.as_millis() as u64).max(1);
         let shared = Arc::new(Shared {
             start: Instant::now(),
-            registry: StdMutex::new(Registry::new(ttl_ms)),
+            registry: Mutex::new(Registry::new(ttl_ms)),
             joined: Condvar::new(),
             peers: Mutex::new(HashMap::new()),
-            inbox: StdMutex::new(VecDeque::new()),
+            inbox: Mutex::new(VecDeque::new()),
             inbox_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             fanout: Mutex::new(Fanout::default()),
@@ -242,14 +231,14 @@ impl NetServer {
 
     /// The liveness TTL in milliseconds, as configured.
     pub fn ttl_ms(&self) -> u64 {
-        self.shared.registry().ttl_ms()
+        lock(&self.shared.registry).ttl_ms()
     }
 
     /// Block until at least `n` clients have said `Hello`, or fail with a
     /// timed-out I/O error. Wakes on each registration, never on a timer.
     pub fn wait_for_clients(&self, n: usize, timeout: Duration) -> Result<(), WireError> {
         let deadline = Instant::now() + timeout;
-        let mut registry = self.shared.registry();
+        let mut registry = lock(&self.shared.registry);
         while registry.len() < n {
             let now = Instant::now();
             if now >= deadline {
@@ -287,7 +276,7 @@ impl NetServer {
         // denominator of the fan-out-reduction accounting. Dense payload:
         // version u64 + count u64 + raw f32s.
         let dense_len = (HEADER_LEN + 16 + weights.len() * 4) as u64;
-        let mut fanout = shared.fanout.lock();
+        let mut fanout = lock(&shared.fanout);
         let Fanout {
             snapshots,
             dense,
@@ -304,13 +293,13 @@ impl NetServer {
             snapshot.extend_from_slice(weights);
             snapshots.push_back((version, snapshot));
         }
-        let mut peers = shared.peers.lock();
+        let mut peers = lock(&shared.peers);
         // Each peer keyed by the acked base its delta would be encoded
         // against (`None`: dense), sorted so that peers sharing a frame
         // are adjacent and each distinct frame is encoded once — workers
         // typically ack in lockstep, so one delta serves the whole fleet.
         let mut order: Vec<(Option<u64>, usize)> = {
-            let registry = shared.registry();
+            let registry = lock(&shared.registry);
             peers
                 .keys()
                 .map(|&id| {
@@ -382,7 +371,7 @@ impl NetServer {
     /// Send one frame to a single subscribed client. A failed write drops
     /// the peer and surfaces the error.
     pub fn send_to(&self, client_id: usize, msg: &Message) -> Result<(), WireError> {
-        let mut peers = self.shared.peers.lock();
+        let mut peers = lock(&self.shared.peers);
         let outcome = match peers.get_mut(&client_id) {
             Some(stream) => write_frame(stream, msg),
             None => {
@@ -402,7 +391,7 @@ impl NetServer {
     /// means the deadline passed (or the server is shutting down) with
     /// nothing queued.
     pub fn recv_update(&self, deadline: Instant) -> Option<InboundUpdate> {
-        let mut inbox = self.shared.inbox_lock();
+        let mut inbox = lock(&self.shared.inbox);
         loop {
             if let Some(u) = inbox.pop_front() {
                 return Some(u);
@@ -428,9 +417,9 @@ impl NetServer {
     /// ids in ascending order.
     pub fn sweep_expired(&self) -> Vec<usize> {
         let now = self.shared.now_ms();
-        let expired = self.shared.registry().sweep(now);
+        let expired = lock(&self.shared.registry).sweep(now);
         if !expired.is_empty() {
-            let mut peers = self.shared.peers.lock();
+            let mut peers = lock(&self.shared.peers);
             for id in &expired {
                 peers.remove(id);
             }
@@ -440,38 +429,40 @@ impl NetServer {
 
     /// Every client that has ever departed (Bye or TTL expiry), ascending.
     pub fn departed(&self) -> Vec<usize> {
-        self.shared.registry().departed_clients()
+        lock(&self.shared.registry).departed_clients()
     }
 
     /// Currently live client ids, ascending.
     pub fn live_clients(&self) -> Vec<usize> {
-        self.shared.registry().live_clients()
+        lock(&self.shared.registry).live_clients()
     }
 
     /// Whether `client_id` is registered and unexpired.
     pub fn is_live(&self, client_id: usize) -> bool {
-        self.shared.registry().is_live(client_id)
+        lock(&self.shared.registry).is_live(client_id)
     }
 
     /// Number of currently live clients.
     pub fn client_count(&self) -> usize {
-        self.shared.registry().len()
+        lock(&self.shared.registry).len()
     }
 
     /// Messages observed from `client_id` (heartbeats included), if live.
     pub fn messages_from(&self, client_id: usize) -> Option<u64> {
-        self.shared.registry().entry(client_id).map(|e| e.messages)
+        lock(&self.shared.registry)
+            .entry(client_id)
+            .map(|e| e.messages)
     }
 
-    /// Orderly shutdown: tell every connected client `Bye`, stop the
-    /// accept loop, and join all background threads. Idempotent; also
-    /// runs on `Drop`.
+    /// Orderly shutdown: tell every connected client `Bye`, wake the
+    /// accept thread, close every accepted socket, and join all
+    /// background threads. Idempotent; also runs on `Drop`.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
         {
-            let mut peers = self.shared.peers.lock();
+            let mut peers = lock(&self.shared.peers);
             for (&id, stream) in peers.iter_mut() {
                 let _ = write_frame(
                     stream,
@@ -484,7 +475,19 @@ impl NetServer {
         }
         self.shared.inbox_cv.notify_all();
         if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
+            // The accept thread blocks in `accept`: one connection of our
+            // own wakes it to see the flag. Were that connect to fail, the
+            // thread is left detached rather than hang the caller.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            if TcpStream::connect(wake).is_ok() {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -504,33 +507,40 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
-/// Poll the nonblocking listener, spawning one receive thread per
-/// connection; on shutdown, join them all before exiting.
+/// Accept connections, spawning one receive thread per connection. On
+/// shutdown, close every live connection's socket (waking its blocked
+/// read) and join the threads before exiting.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_shared = Arc::clone(&shared);
-                if let Ok(h) = thread::Builder::new()
-                    .name("feddrl-net-conn".into())
-                    .spawn(move || conn_loop(stream, conn_shared))
-                {
-                    conns.push(h);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(_) => thread::sleep(POLL_INTERVAL),
+    // Each live connection's receive thread, with a clone of its socket.
+    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    for incoming in listener.incoming() {
+        if shared.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        conns.retain(|(h, _)| !h.is_finished());
+        let Ok(stream) = incoming else {
+            thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
+        let conn_shared = Arc::clone(&shared);
+        if let Ok(h) = thread::Builder::new()
+            .name("feddrl-net-conn".into())
+            .spawn(move || conn_loop(stream, conn_shared))
+        {
+            conns.push((h, socket));
         }
     }
-    for h in conns {
+    for (h, socket) in conns {
+        let _ = socket.shutdown(Shutdown::Both);
         let _ = h.join();
     }
 }
 
 /// One connection's receive loop: frames off the socket, routed by kind.
 fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
     let mut me: Option<usize> = None;
     // One receive buffer for the life of the connection.
@@ -539,8 +549,7 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     // failed negotiation, or a hard socket error — drop the connection
     // either way. An unannounced disappearance is the TTL sweep's job to
     // retire.
-    while let Ok(Some(msg)) = read_frame_interruptible(&mut stream, &mut payload, &shared.shutdown)
-    {
+    while let Ok(Some(msg)) = read_frame_into(&mut stream, &mut payload) {
         let now = shared.now_ms();
         match msg {
             Message::Hello {
@@ -565,27 +574,25 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 // `wait_for_clients` returning guarantees the ack
                 // precedes any `publish` on this socket and the publish
                 // reaches everyone waited for.
-                if !shared.registry().is_departed(id) {
+                if !lock(&shared.registry).is_departed(id) {
                     if let Ok(mut peer) = stream.try_clone() {
                         let _ = write_frame(&mut peer, &Message::HelloAck { client_id, version });
-                        shared.peers.lock().insert(id, peer);
+                        lock(&shared.peers).insert(id, peer);
                         me = Some(id);
                     }
                 }
-                shared.registry().touch(id, now);
+                lock(&shared.registry).touch(id, now);
                 shared.joined.notify_all();
             }
             Message::Heartbeat { client_id } => {
-                shared.registry().touch(client_id as usize, now);
+                lock(&shared.registry).touch(client_id as usize, now);
             }
             Message::PublishAck { client_id, version } => {
-                shared
-                    .registry()
-                    .record_ack(client_id as usize, version, now);
+                lock(&shared.registry).record_ack(client_id as usize, version, now);
             }
             Message::Update(update) => {
-                shared.registry().touch(update.client_id as usize, now);
-                let mut inbox = shared.inbox_lock();
+                lock(&shared.registry).touch(update.client_id as usize, now);
+                let mut inbox = lock(&shared.inbox);
                 inbox.push_back(InboundUpdate {
                     msg: update,
                     masked: None,
@@ -595,12 +602,12 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 shared.inbox_cv.notify_all();
             }
             Message::MaskedUpdate(m) => {
-                shared.registry().touch(m.client_id as usize, now);
+                lock(&shared.registry).touch(m.client_id as usize, now);
                 let masked = Some(MaskedWireInfo {
                     keep_ratio: m.keep_ratio,
                     total_len: m.total_len as usize,
                 });
-                let mut inbox = shared.inbox_lock();
+                let mut inbox = lock(&shared.inbox);
                 inbox.push_back(InboundUpdate {
                     msg: UpdateMsg {
                         client_id: m.client_id,
@@ -620,8 +627,8 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             }
             Message::Bye { client_id } => {
                 let id = client_id as usize;
-                shared.registry().mark_departed(id);
-                shared.peers.lock().remove(&id);
+                lock(&shared.registry).mark_departed(id);
+                lock(&shared.peers).remove(&id);
                 me = None;
                 break;
             }
@@ -635,78 +642,11 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
         }
     }
     if let Some(id) = me {
-        shared.peers.lock().remove(&id);
+        lock(&shared.peers).remove(&id);
     }
-}
-
-/// Read one frame like [`crate::wire::read_frame_into`], staging the
-/// payload in the connection's `payload` buffer, but on a socket with a
-/// read timeout: `WouldBlock`/`TimedOut` become shutdown-flag checks
-/// instead of errors, so receive threads stay joinable. `Ok(None)` means
-/// shutdown, or a clean close at a frame boundary.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    payload: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> Result<Option<Message>, WireError> {
-    let Some(header) = read_header(stream, shutdown)? else {
-        return Ok(None);
-    };
-    let fh = FrameHeader::parse(&header)?;
-    payload.clear();
-    while let Err(e) = read_payload(stream, payload, fh.payload_len) {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            return Err(WireError::Truncated {
-                needed: fh.payload_len,
-                got: payload.len(),
-            });
-        }
-        if !timed_out(&e) {
-            return Err(e.into());
-        }
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-    }
-    decode_payload(fh.kind, payload).map(Some)
-}
-
-/// A read that timed out or was interrupted: a chance to check the
-/// shutdown flag, not an error.
-fn timed_out(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
-/// Read a frame header, tolerating socket timeouts. `Ok(None)` means a
-/// shutdown request interrupted the read, or the peer closed cleanly
-/// before the first byte. EOF mid-header is a [`WireError::Truncated`].
-fn read_header(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> Result<Option<[u8; HEADER_LEN]>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    needed: HEADER_LEN,
-                    got: filled,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if timed_out(&e) => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Some(header))
+    // The accept thread holds a clone of this socket, so dropping ours
+    // would not close it: hang up explicitly, so the peer reads EOF.
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
@@ -714,6 +654,7 @@ mod tests {
     use super::*;
     use crate::builder::NetServerBuilder;
     use crate::wire::{read_frame, DeltaMsg, PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN};
+    use std::io::Read;
 
     fn connect_and_hello(addr: SocketAddr, id: u64) -> TcpStream {
         let mut s = TcpStream::connect(addr).expect("connect");
@@ -804,7 +745,7 @@ mod tests {
         ));
         // The ack as the receive thread would book it.
         let now = server.shared.now_ms();
-        server.shared.registry().record_ack(9, 0, now);
+        lock(&server.shared.registry).record_ack(9, 0, now);
 
         // 32 + 8·30 = 16 + 4·64: the delta would cost what dense does.
         let mut w1 = w0.clone();

@@ -935,29 +935,16 @@ pub fn read_frame_into<R: Read>(
     }
     let fh = FrameHeader::parse(&header)?;
     payload.clear();
-    read_payload(r, payload, fh.payload_len).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated {
-                needed: HEADER_LEN + fh.payload_len,
-                got: HEADER_LEN + payload.len(),
-            }
-        } else {
-            e.into()
-        }
-    })?;
-    decode_payload(fh.kind, payload).map(Some)
-}
-
-/// Read the rest of a `len`-byte payload into `buf`, which holds the part
-/// already read, growing it only as bytes arrive. An I/O error leaves the
-/// bytes read so far in `buf`, so a caller whose socket timed out resumes
-/// where it stopped; a stream that ends first is `UnexpectedEof`.
-pub(crate) fn read_payload<R: Read>(r: &mut R, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
-    r.by_ref().take((len - buf.len()) as u64).read_to_end(buf)?;
-    if buf.len() < len {
-        return Err(io::ErrorKind::UnexpectedEof.into());
+    r.by_ref()
+        .take(fh.payload_len as u64)
+        .read_to_end(payload)?;
+    if payload.len() < fh.payload_len {
+        return Err(WireError::Truncated {
+            needed: HEADER_LEN + fh.payload_len,
+            got: HEADER_LEN + payload.len(),
+        });
     }
-    Ok(())
+    decode_payload(fh.kind, payload).map(Some)
 }
 
 #[cfg(test)]

@@ -3,16 +3,15 @@
 use super::Layer;
 use crate::rng::Rng64;
 use crate::tensor::Tensor;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Inverted dropout: at train time each element is zeroed with probability
 /// `p` and survivors are scaled by `1/(1−p)`, so inference is the identity.
 ///
 /// VGG-11's classifier head uses dropout; the scaled-down profiles keep it
 /// available for parity. The layer owns its RNG (behind a mutex so the layer
-/// stays `Send` for crossbeam workers) and is reseeded on clone derivation
-/// by the model builder.
+/// stays `Send` for scoped worker threads) and is reseeded on clone
+/// derivation by the model builder.
 pub struct Dropout {
     p: f32,
     rng: Arc<Mutex<Rng64>>,
@@ -43,7 +42,11 @@ impl Clone for Dropout {
     fn clone(&self) -> Self {
         // Clones derive an independent stream so forked client models do not
         // share masks (sharing would correlate their SGD noise).
-        let child = self.rng.lock().derive(0x0D0D);
+        let child = self
+            .rng
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .derive(0x0D0D);
         Self {
             p: self.p,
             rng: Arc::new(Mutex::new(child)),
@@ -62,7 +65,7 @@ impl Layer for Dropout {
         let scale = 1.0 / keep;
         let mut mask = Tensor::zeros(x.shape());
         {
-            let mut rng = self.rng.lock();
+            let mut rng = self.rng.lock().unwrap_or_else(PoisonError::into_inner);
             for m in mask.data_mut() {
                 *m = if rng.chance(keep as f64) { scale } else { 0.0 };
             }

@@ -20,7 +20,7 @@
 //!   profiles;
 //! * [`rng::Rng64`] — deterministic xoshiro256++ randomness so whole
 //!   federated runs reproduce from one seed;
-//! * [`parallel`] — crossbeam-scoped data-parallel helpers;
+//! * [`parallel`] — data-parallel helpers on `std` scoped threads;
 //! * [`simd`] — the hot loops (products, aggregation sweep) compiled for
 //!   the baseline target and for AVX2, picked at run time, bit-identical.
 //!

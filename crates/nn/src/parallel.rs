@@ -1,4 +1,4 @@
-//! Minimal data-parallel helpers built on crossbeam scoped threads.
+//! Minimal data-parallel helpers built on `std::thread::scope`.
 //!
 //! We deliberately avoid a global thread-pool: federated-learning runs spawn
 //! short, coarse-grained bursts of work (one task per client, or one row
@@ -95,16 +95,15 @@ where
         return;
     }
     let chunk = data.len().div_ceil(threads);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, piece) in data.chunks_mut(chunk).enumerate() {
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 enter_worker();
                 f(i * chunk, piece)
             });
         }
-    })
-    .expect("parallel worker panicked");
+    });
 }
 
 /// Run one closure per item of `items` in parallel and collect the results
@@ -128,11 +127,11 @@ where
     }
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (block, out_block) in out.chunks_mut(chunk).enumerate() {
             let f = &f;
             let start = block * chunk;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 enter_worker();
                 for (j, slot) in out_block.iter_mut().enumerate() {
                     let i = start + j;
@@ -140,8 +139,7 @@ where
                 }
             });
         }
-    })
-    .expect("parallel worker panicked");
+    });
     out.into_iter()
         .map(|r| r.expect("worker left a result slot empty"))
         .collect()

@@ -11,7 +11,7 @@
 //! parent seed plus a stream label, so parallel workers (e.g. one per
 //! federated client) can be seeded as `rng.derive(client_id)` without any
 //! cross-thread coordination — a requirement for deterministic results under
-//! crossbeam's nondeterministic scheduling.
+//! the nondeterministic scheduling of [`crate::parallel`]'s scoped threads.
 
 use serde::{Deserialize, Serialize};
 

@@ -106,16 +106,15 @@ fn product<const SKIP_ZERO: bool>(
     if threads > 1 {
         // Bands are whole rows, so each worker owns a disjoint slice.
         let rows_per_band = m.div_ceil(threads);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let bands = a
                 .chunks(rows_per_band * k)
                 .zip(out.data.chunks_mut(rows_per_band * n));
             for (a_rows, out_rows) in bands {
                 let band = &band;
-                scope.spawn(move |_| band(a_rows, out_rows));
+                scope.spawn(move || band(a_rows, out_rows));
             }
-        })
-        .expect("matmul worker panicked");
+        });
     } else {
         band(a, &mut out.data);
     }

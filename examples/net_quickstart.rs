@@ -128,7 +128,7 @@ fn main() {
     for r in &history.records {
         println!("{:>5}  {:.4}", r.round, r.test_accuracy);
     }
-    let t = telemetry.lock();
+    let t = telemetry.lock().unwrap();
     println!(
         "\ntransport: {} dispatches, {} updates, p50 RTT = {:.3} ms, p99 RTT = {:.3} ms",
         t.dispatched,

@@ -502,6 +502,78 @@ fn peers_outside_the_version_range_are_counted_and_hung_up_on() {
 }
 
 // ---------------------------------------------------------------------------
+// Shutdown
+// ---------------------------------------------------------------------------
+
+/// Shutdown wakes every thread it owns, whatever that thread waits on. A
+/// server bound on the unspecified address holds a subscribed worker whose
+/// next heartbeat is 10 s away, a socket that never said `Hello`, and a
+/// peer stalled halfway through a frame's payload. `shutdown` returns
+/// within 2 s, the worker's `run_client` returns `Ok` within the same
+/// bound (a heartbeat thread that slept out its period would not), and
+/// both silent sockets read EOF.
+#[test]
+fn shutdown_wakes_idle_workers_silent_sockets_and_stalled_frames() {
+    use std::io::Write as _;
+    use std::sync::mpsc;
+    const BOUND: Duration = Duration::from_secs(2);
+    let mut server = NetServerBuilder::new()
+        .addr("0.0.0.0:0")
+        .build()
+        .expect("bind");
+    let addr = format!("127.0.0.1:{}", server.local_addr().port());
+
+    let mut unregistered = TcpStream::connect(&addr).expect("connect");
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    let frame = Message::Update(UpdateMsg {
+        client_id: 2,
+        round: 0,
+        model_version: 0,
+        staleness: 0,
+        n_samples: 1,
+        loss_before: 1.0,
+        loss_after: 0.5,
+        weights: vec![0.25; 16],
+    })
+    .encode();
+    let half = HEADER_LEN + (frame.len() - HEADER_LEN) / 2;
+    stalled.write_all(&frame[..half]).expect("half a frame");
+
+    let worker_cfg = NetClientBuilder::new(addr, 1)
+        .heartbeat(Duration::from_secs(10))
+        .build()
+        .expect("client config");
+    let (worker_tx, worker_rx) = mpsc::channel();
+    let worker = thread::spawn(move || {
+        let report = run_client(&worker_cfg, |_, _| unreachable!("never dispatched"));
+        let _ = worker_tx.send(report);
+    });
+    // Connections are accepted in order, so the worker's subscription
+    // means both silent sockets have their receive threads.
+    server
+        .wait_for_clients(1, Duration::from_secs(5))
+        .expect("worker subscribed");
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let started = Instant::now();
+    thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(BOUND)
+        .expect("shutdown returns promptly");
+    let report = worker_rx
+        .recv_timeout(BOUND.saturating_sub(started.elapsed()))
+        .expect("worker returns promptly");
+    assert!(report.is_ok(), "worker exits cleanly: {report:?}");
+    worker.join().expect("no panic");
+    for sock in [&mut unregistered, &mut stalled] {
+        assert!(matches!(read_frame(sock), Ok(None)), "server hung up");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Liveness TTL → departure
 // ---------------------------------------------------------------------------
 
@@ -760,7 +832,7 @@ fn loopback_barrier_run_is_byte_identical_to_ideal() {
             .expect("valid config")
             .run()
             .expect("networked run");
-        let t = telemetry.lock();
+        let t = telemetry.lock().unwrap();
         assert_eq!(
             t.dispatched,
             cfg.rounds * cfg.participants,
@@ -883,7 +955,7 @@ fn a_short_update_is_counted_and_kept_out_of_the_round() {
             "exactly the well-formed updates were aggregated"
         );
         assert!(session.global_params().iter().all(|w| w.is_finite()));
-        let t = telemetry.lock();
+        let t = telemetry.lock().unwrap();
         assert_eq!(t.malformed_updates, 1);
         assert_eq!(t.dispatched, NET_CLIENTS);
         assert_eq!(
@@ -952,7 +1024,7 @@ fn delta_publishes_reconstruct_exactly_through_the_worker_loop() {
             );
         }
     }
-    let stats = telemetry.lock().publish;
+    let stats = telemetry.lock().unwrap().publish;
     // Round 0 is dense for everyone (nothing acked yet); rounds 1-3 ride
     // as one-coordinate deltas to both workers.
     assert_eq!(stats.full_frames, 2, "only the cold start is dense");
@@ -1251,7 +1323,7 @@ fn wire_masked_run_is_byte_identical_to_in_process_structured_dropout() {
             .expect("valid config")
             .run()
             .expect("wire-masked run");
-        let t = telemetry.lock();
+        let t = telemetry.lock().unwrap();
         assert!(t.masked_updates > 0, "no compact updates crossed the wire");
         (history, t.masked_updates)
     };
@@ -1328,7 +1400,7 @@ fn buffered_mode_measures_staleness_of_late_arrivals() {
     assert_eq!(out1.updates[0].client_id, 1);
     assert_eq!(out1.updates[0].staleness, 1);
     assert!(
-        telemetry.lock().mean_staleness() > 0.0,
+        telemetry.lock().unwrap().mean_staleness() > 0.0,
         "telemetry saw the late arrival"
     );
 

@@ -3,6 +3,7 @@
 
 use feddrl_nn::rng::Rng64;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One transition `(s, a, r, s′)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,7 +91,9 @@ impl ReplayBuffer {
     /// Algorithm 1 line 1). Sampling is rank-based: experiences are sorted
     /// by descending priority and drawn with probability ∝ 1/rank, which
     /// keeps the sort order the paper prescribes while remaining robust to
-    /// the scale of TD errors.
+    /// the scale of TD errors. One call is [`ReplayBuffer::rank`] and
+    /// [`ReplayBuffer::sample_ranked`]; a caller drawing several batches
+    /// under the same priorities ranks once.
     ///
     /// # Panics
     /// Panics if `priorities.len() != self.len()` or the buffer is empty.
@@ -100,29 +103,66 @@ impl ReplayBuffer {
         priorities: &[f32],
         rng: &mut Rng64,
     ) -> Vec<&Experience> {
-        assert!(!self.is_empty(), "sampling from empty replay buffer");
+        self.sample_ranked(batch, &self.rank(priorities), rng)
+    }
+
+    /// Rank the stored experiences by descending priority (Algorithm 1
+    /// line 2). Equal priorities keep buffer order; a `NaN` priority — a
+    /// diverged critic's TD error — ranks after every other one.
+    ///
+    /// # Panics
+    /// Panics if `priorities.len() != self.len()`.
+    pub fn rank(&self, priorities: &[f32]) -> PriorityRanks {
         assert_eq!(
             priorities.len(),
             self.items.len(),
             "priorities/buffer length mismatch"
         );
-        // Rank experiences by descending priority (Algorithm 1 line 2).
         let mut order: Vec<usize> = (0..self.items.len()).collect();
+        // A total order, as `sort_by` requires: NaN last, then descending.
         order.sort_by(|&a, &b| {
-            priorities[b]
-                .partial_cmp(&priorities[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
+            let (pa, pb) = (priorities[a], priorities[b]);
+            pa.is_nan()
+                .cmp(&pb.is_nan())
+                .then_with(|| pb.partial_cmp(&pa).unwrap_or(Ordering::Equal))
         });
-        let weights: Vec<f64> = (0..order.len())
+        let weights = (0..order.len())
             .map(|rank| 1.0 / (rank + 1) as f64)
             .collect();
+        PriorityRanks { order, weights }
+    }
+
+    /// `batch` draws with probability ∝ 1/rank under `ranks`, which
+    /// [`ReplayBuffer::rank`] built for this buffer's current contents.
+    ///
+    /// # Panics
+    /// Panics if the buffer is empty or `ranks` covers another length.
+    pub fn sample_ranked(
+        &self,
+        batch: usize,
+        ranks: &PriorityRanks,
+        rng: &mut Rng64,
+    ) -> Vec<&Experience> {
+        assert!(!self.is_empty(), "sampling from empty replay buffer");
+        assert_eq!(
+            ranks.order.len(),
+            self.items.len(),
+            "ranks/buffer length mismatch"
+        );
         (0..batch)
-            .map(|_| {
-                let rank = rng.weighted_index(&weights);
-                &self.items[order[rank]]
-            })
+            .map(|_| &self.items[ranks.order[rng.weighted_index(&ranks.weights)]])
             .collect()
     }
+}
+
+/// A ranking of a buffer's experiences by priority, and the `1/rank`
+/// weights [`ReplayBuffer::sample_ranked`] draws with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PriorityRanks {
+    /// Buffer indices, highest priority first.
+    order: Vec<usize>,
+    /// `1 / (rank + 1)` for each position of `order`.
+    weights: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -194,6 +234,88 @@ mod tests {
             hits_top > 380,
             "top-priority item drawn only {hits_top}/1000 times"
         );
+    }
+
+    fn buffer_of(len: usize) -> ReplayBuffer {
+        let mut buf = ReplayBuffer::new(len);
+        for i in 0..len {
+            buf.push(exp(i as f32));
+        }
+        buf
+    }
+
+    /// `|TD|`-like priorities: finite, non-negative, with ties.
+    fn td_priorities(len: usize, rng: &mut Rng64) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.below(10) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.normal_f32(0.0, 1.0).abs(),
+            })
+            .collect()
+    }
+
+    /// A `NaN` priority ranks after every finite one and never panics the
+    /// sort; the finite ones keep their order among themselves. (Ranked
+    /// with `partial_cmp(..).unwrap_or(Equal)`, most of these seeds panic
+    /// the sort.)
+    #[test]
+    fn nan_priorities_rank_last_without_panicking() {
+        let buf = buffer_of(1_000);
+        for seed in 0..200 {
+            let mut rng = Rng64::new(seed);
+            let mut priorities: Vec<f32> =
+                (0..1_000).map(|_| rng.normal_f32(0.0, 1.0).abs()).collect();
+            // A few NaNs among distinct priorities are what most often
+            // break a sort without a total order; up to 28 of them.
+            for _ in 0..=seed % 28 {
+                priorities[rng.below(1_000)] = f32::NAN;
+            }
+            let nans = priorities.iter().filter(|p| p.is_nan()).count();
+            let ranks = buf.rank(&priorities);
+            let (finite, nan) = ranks.order.split_at(1_000 - nans);
+            assert!(
+                finite.iter().all(|&i| !priorities[i].is_nan()),
+                "seed {seed}"
+            );
+            assert!(nan.iter().all(|&i| priorities[i].is_nan()), "seed {seed}");
+            assert!(finite
+                .windows(2)
+                .all(|w| priorities[w[0]] >= priorities[w[1]]));
+        }
+    }
+
+    /// With finite priorities the ranking is the one the comparator that
+    /// treated incomparable pairs as equal gave.
+    #[test]
+    fn finite_priorities_rank_as_before() {
+        let buf = buffer_of(1_000);
+        for seed in 0..20 {
+            let priorities = td_priorities(1_000, &mut Rng64::new(seed));
+            let mut want: Vec<usize> = (0..priorities.len()).collect();
+            want.sort_by(|&a, &b| {
+                priorities[b]
+                    .partial_cmp(&priorities[a])
+                    .unwrap_or(Ordering::Equal)
+            });
+            assert_eq!(buf.rank(&priorities).order, want, "seed {seed}");
+        }
+    }
+
+    /// Ranking once and drawing several batches draws what one
+    /// `sample_prioritized` call per batch — the per-update reference —
+    /// draws from the same stream.
+    #[test]
+    fn ranking_once_draws_the_per_update_batches() {
+        let buf = buffer_of(300);
+        let priorities = td_priorities(300, &mut Rng64::new(5));
+        let tags = |batch: Vec<&Experience>| batch.iter().map(|e| e.reward).collect::<Vec<_>>();
+        let (mut per_update, mut once) = (Rng64::new(6), Rng64::new(6));
+        let ranks = buf.rank(&priorities);
+        for _ in 0..4 {
+            let want = tags(buf.sample_prioritized(64, &priorities, &mut per_update));
+            assert_eq!(tags(buf.sample_ranked(64, &ranks, &mut once)), want);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `σ ≤ β·μ` of Eq. 6. The head is differentiated analytically inside the
 //! policy update (deterministic policy-gradient ascent through the critic).
 
-use crate::buffer::{Experience, ReplayBuffer};
+use crate::buffer::{Experience, PriorityRanks, ReplayBuffer};
 use crate::config::DdpgConfig;
 use feddrl_nn::init::Init;
 use feddrl_nn::layers::{Activation, Dense};
@@ -224,15 +224,17 @@ impl DdpgAgent {
     /// caches a backward pass needs, and only a pass that back-propagates
     /// asks for them.
     fn q_batch(value: &mut Sequential, states: &Tensor, actions: &Tensor, train: bool) -> Tensor {
-        let b = states.rows();
-        let sd = states.cols();
-        let ad = actions.cols();
-        let mut input = Tensor::zeros(&[b, sd + ad]);
-        for r in 0..b {
-            input.row_mut(r)[..sd].copy_from_slice(states.row(r));
-            input.row_mut(r)[sd..].copy_from_slice(actions.row(r));
+        let (b, sd, ad) = (states.rows(), states.cols(), actions.cols());
+        let mut input = Vec::with_capacity(b * (sd + ad));
+        for (s, a) in states
+            .data()
+            .chunks_exact(sd)
+            .zip(actions.data().chunks_exact(ad))
+        {
+            input.extend_from_slice(s);
+            input.extend_from_slice(a);
         }
-        value.forward(&input, train)
+        value.forward(&Tensor::from_vec(&[b, sd + ad], input), train)
     }
 
     /// TD priorities `|r + γ·Q(s′, a′_targ) − Q(s, a)|` for every stored
@@ -278,9 +280,11 @@ impl DdpgAgent {
         } else {
             vec![1.0; self.buffer.len()]
         };
+        // Priorities hold for the whole call, so the ranking does too.
+        let ranks = self.buffer.rank(&priorities);
         let mut stats = TrainStats::default();
         for _ in 0..self.cfg.updates_per_round {
-            let (value_loss, mean_q) = self.one_update(&priorities);
+            let (value_loss, mean_q) = self.one_update(&ranks);
             stats.value_loss += value_loss;
             stats.mean_q += mean_q;
             stats.updates += 1;
@@ -292,7 +296,7 @@ impl DdpgAgent {
     }
 
     /// Single critic + actor update on one prioritized batch.
-    fn one_update(&mut self, priorities: &[f32]) -> (f32, f32) {
+    fn one_update(&mut self, ranks: &PriorityRanks) -> (f32, f32) {
         let b = self.cfg.batch_size.min(self.buffer.len());
         let sd = self.cfg.state_dim;
         let ad = self.cfg.action_dim;
@@ -302,7 +306,7 @@ impl DdpgAgent {
         let mut next_states = Tensor::zeros(&[b, sd]);
         let mut rewards = Vec::with_capacity(b);
         {
-            let batch = self.buffer.sample_prioritized(b, priorities, &mut self.rng);
+            let batch = self.buffer.sample_ranked(b, ranks, &mut self.rng);
             for (r, exp) in batch.iter().enumerate() {
                 states.row_mut(r).copy_from_slice(&exp.state);
                 actions.row_mut(r).copy_from_slice(&exp.action);
@@ -333,7 +337,8 @@ impl DdpgAgent {
         self.value_opt.step(&mut self.value);
 
         // --- Actor ascent on Q(s, π(s)) (Algorithm 1 l.7): fold the ascent
-        // sign into the critic's input gradient.
+        // sign into the critic's input gradient, the one gradient of the
+        // critic this pass needs.
         let raw = self.policy.forward(&states, true);
         let mut pol_actions = Tensor::zeros(&[b, ad]);
         let mut caches = Vec::with_capacity(b);
@@ -346,10 +351,7 @@ impl DdpgAgent {
         let mean_q = q_pol.mean();
         // dL/dq = −1/b  (maximize mean Q).
         let grad_q = Tensor::full(&[b, 1], -1.0 / b as f32);
-        self.value.zero_grad();
-        let grad_input = self.value.backward(&grad_q);
-        // Critic gradients from this pass are scratch; drop them.
-        self.value.zero_grad();
+        let grad_input = self.value.backward_input(&grad_q);
         let mut grad_raw = Tensor::zeros(&[b, ad]);
         for (r, cache) in caches.iter().enumerate().take(b) {
             let g_action = &grad_input.row(r)[sd..];
@@ -365,19 +367,21 @@ impl DdpgAgent {
         (value_loss, mean_q)
     }
 
-    /// `target ← (1−τ)·target + τ·main` for both network pairs.
+    /// `target ← (1−τ)·target + τ·main` for both network pairs, in place:
+    /// each target tensor beside its main twin.
     pub fn soft_update_targets(&mut self) {
         let tau = self.cfg.tau;
         for (main, target) in [
             (&self.policy, &mut self.policy_target),
             (&self.value, &mut self.value_target),
         ] {
-            let main_flat = main.flat_params();
-            let mut tgt_flat = target.flat_params();
-            for (t, m) in tgt_flat.iter_mut().zip(main_flat.iter()) {
-                *t = (1.0 - tau) * *t + tau * m;
-            }
-            target.set_flat_params(&tgt_flat);
+            let mut mains = main.layers().iter().flat_map(|layer| layer.params());
+            target.visit_params(|_, t, _| {
+                let m = mains.next().expect("target and main share a topology");
+                for (t, &m) in t.data_mut().iter_mut().zip(m.data()) {
+                    *t = (1.0 - tau) * *t + tau * m;
+                }
+            });
         }
     }
 
@@ -603,27 +607,33 @@ mod tests {
         );
     }
 
+    /// The in-place sync is the flat formula bit for bit, on both pairs.
     #[test]
     fn soft_update_moves_target_by_tau() {
         let mut agent = DdpgAgent::new(small_cfg());
-        let before_main = agent.policy_params();
-        // Perturb the main policy, then soft-update.
-        let mut perturbed = before_main.clone();
-        for v in perturbed.iter_mut() {
-            *v += 1.0;
-        }
-        agent.policy.set_flat_params(&perturbed);
-        let target_before = agent.target_policy_params();
+        // Perturb both mains, so every target scalar moves.
+        let mut rng = Rng64::new(12);
+        let mut perturb = |flat: Vec<f32>| -> Vec<f32> {
+            flat.into_iter()
+                .map(|v| v + rng.normal_f32(0.0, 1.0))
+                .collect()
+        };
+        let policy = perturb(agent.policy_params());
+        let value = perturb(agent.value_params());
+        agent.policy.set_flat_params(&policy);
+        agent.value.set_flat_params(&value);
+        let before = [agent.target_policy_params(), agent.target_value_params()];
         agent.soft_update_targets();
-        let target_after = agent.target_policy_params();
+        let after = [agent.target_policy_params(), agent.target_value_params()];
         let tau = agent.config().tau;
-        for ((tb, ta), m) in target_before
-            .iter()
-            .zip(target_after.iter())
-            .zip(perturbed.iter())
-        {
-            let expected = (1.0 - tau) * tb + tau * m;
-            assert!((ta - expected).abs() < 1e-5);
+        for ((before, after), main) in before.iter().zip(&after).zip([&policy, &value]) {
+            let want: Vec<u32> = before
+                .iter()
+                .zip(main)
+                .map(|(&t, &m)| ((1.0 - tau) * t + tau * m).to_bits())
+                .collect();
+            let got: Vec<u32> = after.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
         }
     }
 

@@ -43,6 +43,14 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.w.shape()[1]
     }
+
+    /// The input the last training `forward` cached, which one backward
+    /// pass consumes.
+    fn take_cache(&mut self) -> Tensor {
+        self.cache_x
+            .take()
+            .expect("Dense backward called before forward")
+    }
 }
 
 impl Layer for Dense {
@@ -67,13 +75,16 @@ impl Layer for Dense {
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
-        let x = self
-            .cache_x
-            .take()
-            .expect("Dense backward called before forward");
+        let x = self.take_cache();
         // dW = xᵀ · dY, db = Σ_rows dY
         self.gw.add_assign(&x.t_matmul(grad_out));
         self.gb.add_assign(&grad_out.sum_rows());
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        // The cache goes as in `backward`, unread: dX needs only W.
+        self.take_cache();
+        grad_out.matmul_t(&self.w)
     }
 
     fn params(&self) -> Vec<&Tensor> {

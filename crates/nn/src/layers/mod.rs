@@ -54,6 +54,16 @@ pub trait Layer: Send + Sync {
         let _ = self.backward(grad_out);
     }
 
+    /// [`Layer::backward`] for a caller that wants only the input gradient
+    /// — a network differentiated with respect to its input, such as the
+    /// DDPG critic in the actor's update. Returns the same bits as
+    /// `backward`; a layer whose parameter gradients are a separate product
+    /// (see [`Dense`]) overrides this to leave them untouched, and any
+    /// other layer accumulates them as `backward` does.
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward(grad_out)
+    }
+
     /// Immutable views of the trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
 

@@ -85,6 +85,18 @@ impl Sequential {
         bottom.backward_params(&g);
     }
 
+    /// [`Sequential::backward`] for a caller that wants only the gradient
+    /// w.r.t. the input: the same bits, through [`Layer::backward_input`],
+    /// so a stack of dense layers and activations leaves its parameter
+    /// gradients untouched.
+    pub fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut g = grad_out.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward_input(&g);
+        }
+        g
+    }
+
     /// Call `f(offset, parameter, its gradient)` for every trainable tensor
     /// in [`Sequential::flat_params`] order, `offset` being the tensor's
     /// position in that flat vector.
@@ -377,6 +389,36 @@ mod tests {
         let reported = model.clip_grad_norm(1.0);
         assert!((reported - pre).abs() < pre * 1e-5);
         assert!((model.grad_norm() - 1.0).abs() < 1e-3);
+    }
+
+    /// `backward_input` returns `backward`'s input gradient bit for bit and
+    /// leaves the parameter gradients as it found them — non-zero here —
+    /// on a small Dense/LeakyReLU stack and on the DDPG critic's shape.
+    #[test]
+    fn backward_input_is_backwards_input_gradient_without_parameter_gradients() {
+        let mut rng = Rng64::new(10);
+        for (dims, batch) in [(&[4, 8, 8, 3][..], 5), (&[80, 256, 256, 1][..], 64)] {
+            let mut model = Sequential::new();
+            for (i, io) in dims.windows(2).enumerate() {
+                model.push_boxed(Box::new(Dense::new(io[0], io[1], Init::HeNormal, &mut rng)));
+                if i + 2 < dims.len() {
+                    model.push_boxed(Box::new(Activation::leaky_relu()));
+                }
+            }
+            let x = Tensor::randn(&[batch, dims[0]], 0.0, 1.0, &mut rng);
+            let y = model.forward(&x, true);
+            let seed = Tensor::randn(y.shape(), 0.0, 1.0, &mut rng);
+            model.backward(&seed);
+            let grads = model.flat_grads();
+            assert!(grads.iter().any(|&g| g != 0.0));
+
+            model.forward(&x, true);
+            let want = model.clone().backward(&seed);
+            let got = model.backward_input(&seed);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.data()), bits(want.data()), "{dims:?}");
+            assert_eq!(bits(&model.flat_grads()), bits(&grads), "{dims:?}");
+        }
     }
 
     #[test]

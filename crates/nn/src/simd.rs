@@ -113,7 +113,7 @@ macro_rules! dispatched {
 ///
 /// A per-instantiation width would buy ≈ 0.5 µs of the 54 µs training step
 /// (only the 128-column products gain) for a second constant to keep true.
-const COL_BLOCK: usize = 32;
+pub(crate) const COL_BLOCK: usize = 32;
 
 /// Largest right-hand matrix, in elements (1 MiB), whose full column blocks
 /// are read in place. A block pass strides through `b` one row per step,
@@ -238,20 +238,6 @@ fn product_rows_body<const SKIP_ZERO: bool>(
     }
 }
 
-#[inline(always)]
-fn t_product_body(a: &[f32], b: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        for (&a_v, out_row) in a_row.iter().zip(out.chunks_exact_mut(n)) {
-            if a_v == 0.0 {
-                continue;
-            }
-            for (o, &b_v) in out_row.iter_mut().zip(b_row) {
-                *o += a_v * b_v;
-            }
-        }
-    }
-}
-
 dispatched! {
     /// A band of `[rows, k] × [k, n]`: `out_rows`, zeroed, receives
     /// `a_rows × b` row by row. `k` and `n` are positive.
@@ -262,20 +248,6 @@ dispatched! {
         n: usize,
         out_rows: &mut [f32],
     ) = product_rows_body;
-}
-
-dispatched! {
-    /// `aᵀ × b` for row-major `a: [k, m]` and `b: [k, n]` into the zeroed
-    /// `[m, n]` `out`, `k` outermost: every output adds its terms in `k`
-    /// order, those with a zero left factor skipped. `m` and `n` are
-    /// positive.
-    pub(crate) fn t_product(
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        n: usize,
-        out: &mut [f32],
-    ) = t_product_body;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 //! The dispatch planner: *who trains, on how much of the model, and whose
-//! report counts* — the one decision every heterogeneity-aware executor
-//! makes before the strategy sees an update.
+//! report counts* — the one decision every executor that dispatches makes
+//! before the strategy sees an update.
 //!
-//! The crate-private `DispatchPlanner` owns the state that decision needs
-//! — the lazy device fleet, the per-client upload payload, the churn
-//! process, the dropout stream, the observed reliability telemetry and
-//! the model-version counter — so an executor built on it differs only in
-//! *where arrivals come from* (a round-local event queue replayed against
-//! a deadline, or a persistent queue drained into a buffer).
+//! [`DispatchPlanner`] owns the state that decision needs — the optional
+//! device fleet, the per-client upload payload, the churn process, the
+//! dropout stream, the observed reliability telemetry and the
+//! model-version counter — so the executors built on it (the simulated
+//! deadline and buffered ones, and `feddrl_net`'s socket executor) differ
+//! only in *where arrivals come from*.
 //!
-//! [`keep_ratio`] is the adaptive-structured-dropout fit rule on its own:
-//! the planner applies it per dispatch and `feddrl_net`'s wire masking
-//! calls the same function, so the in-process and networked paths cannot
-//! disagree on a keep ratio for the same device and deadline.
+//! Without a fleet there is nothing to predict, so
+//! [`DispatchPlanner::plan`] draws no dropout and fits nothing: every
+//! order is full. With one, each order is fitted to the round deadline by
+//! the adaptive-structured-dropout fit rule, private to this module:
+//! `plan` is its only caller, so no two executors can disagree on a keep
+//! ratio for the same device and deadline.
 
 use std::borrow::Cow;
 
@@ -33,7 +35,7 @@ const DROPOUT_SALT: u64 = 0xD20_0FF;
 
 /// How much of the model a device trains against a round deadline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeepRatio {
+enum KeepRatio {
     /// The full model is predicted to arrive in time (or there is no
     /// deadline to miss).
     Full,
@@ -50,7 +52,7 @@ pub enum KeepRatio {
 /// `grid` that does, else [`KeepRatio::Misses`]. `diurnal`/`now_s` place
 /// the prediction on the fleet's absolute timeline (`None`/`0.0` for a
 /// time-invariant one).
-pub fn keep_ratio(
+fn keep_ratio(
     profile: &DeviceProfile,
     upload_bytes: u64,
     deadline_s: Option<f64>,
@@ -83,10 +85,13 @@ pub fn upload_bytes(param_count: usize, participants: usize) -> u64 {
     (traffic.uplink_models + traffic.uplink_metadata) / k
 }
 
-/// Shared dispatch state of the heterogeneity-aware executors; see the
-/// module docs.
-pub(crate) struct DispatchPlanner {
-    fleet: FleetView,
+/// Shared dispatch state of every executor that dispatches; see the module
+/// docs. The [`Default`] planner has no fleet, no churn and no deadline.
+#[derive(Debug, Default)]
+pub struct DispatchPlanner {
+    /// The devices dropout is drawn and orders are fitted against; `None`
+    /// orders everyone in full.
+    fleet: Option<FleetView>,
     upload_bytes: u64,
     seed: u64,
     /// What dispatches are fitted to ([`Self::with_deadline`]): the round
@@ -129,21 +134,22 @@ impl DispatchPlanner {
         participants: usize,
         seed: u64,
     ) -> Self {
+        let fleet = FleetView::new(n_clients, fleet_cfg);
+        let churn = fleet_cfg.churn.as_ref();
         Self {
-            fleet: FleetView::new(n_clients, fleet_cfg),
-            upload_bytes: upload_bytes(param_count, participants),
+            churn: churn.map(|c| ChurnProcess::new(n_clients, c, fleet_cfg.seed ^ seed)),
+            ..Self::over_fleet(fleet, upload_bytes(param_count, participants), seed)
+        }
+    }
+
+    /// A planner over an open `fleet` whose devices each upload
+    /// `upload_bytes`, without churn; `seed` salts the dropout draws.
+    pub fn over_fleet(fleet: FleetView, upload_bytes: u64, seed: u64) -> Self {
+        Self {
+            fleet: Some(fleet),
+            upload_bytes,
             seed,
-            deadline_s: None,
-            grid: None,
-            late_policy: LatePolicy::Drop,
-            churn: fleet_cfg
-                .churn
-                .as_ref()
-                .map(|c| ChurnProcess::new(n_clients, c, fleet_cfg.seed ^ seed)),
-            stats: ReliabilityTable::new(),
-            version: 0,
-            round_start_s: 0.0,
-            churn_before: (0, 0),
+            ..Self::default()
         }
     }
 
@@ -176,7 +182,9 @@ impl DispatchPlanner {
             return Vec::new();
         };
         let events = churn.advance_to(t_s);
-        self.fleet.grow(churn.universe());
+        if let Some(fleet) = &mut self.fleet {
+            fleet.grow(churn.universe());
+        }
         events
     }
 
@@ -205,11 +213,13 @@ impl DispatchPlanner {
     ///    one client fill several slots of a single aggregation.
     /// 3. **Dropout** — the seeded per-`(round, client)` draw against the
     ///    device's (diurnally modulated) dropout rate.
-    /// 4. **Fit** — [`keep_ratio`] against the deadline; a sub-model order
+    /// 4. **Fit** — the fit rule against the deadline; a sub-model order
     ///    counts as `masked`. A device that cannot fit is a foregone
     ///    straggler under [`LatePolicy::Drop`] — its update would be
     ///    trained only to be discarded — and trains in full under
     ///    [`LatePolicy::CarryOver`], where the late update is still wanted.
+    ///
+    /// Without a fleet, steps 3 and 4 are skipped: every order is full.
     pub fn plan(
         &mut self,
         round: usize,
@@ -221,7 +231,10 @@ impl DispatchPlanner {
         self.churn_before = self.churn_counts();
         self.advance_churn(now_s);
 
-        let diurnal = self.fleet.config().diurnal.as_ref();
+        let diurnal = self
+            .fleet
+            .as_ref()
+            .and_then(|f| f.config().diurnal.as_ref());
         let (deadline_s, grid) = (self.deadline_s, self.grid.as_ref());
         let dropout_rng = Rng64::new(self.seed ^ DROPOUT_SALT).derive(round as u64);
         let mut alive = Vec::with_capacity(selected.len());
@@ -232,32 +245,30 @@ impl DispatchPlanner {
                 self.stats.entry(cid).dropouts += 1;
                 continue;
             }
-            let profile = self.fleet.profile(cid);
             if busy(cid) {
                 record.busy += 1;
                 continue;
             }
-            let p = profile.effective_dropout(diurnal, now_s);
-            if p > 0.0 && dropout_rng.derive(cid as u64).chance(p) {
-                record.dropouts += 1;
-                self.stats.entry(cid).dropouts += 1;
-                continue;
-            }
-            let fit = keep_ratio(
-                &profile,
-                self.upload_bytes,
-                deadline_s,
-                grid,
-                diurnal,
-                now_s,
-            );
-            let keep_ratio = match fit {
-                KeepRatio::Sub(ratio) => ratio,
-                KeepRatio::Misses if self.late_policy == LatePolicy::Drop => {
-                    record.stragglers += 1;
-                    continue;
+            let keep_ratio = match &self.fleet {
+                None => 1.0,
+                Some(fleet) => {
+                    let profile = fleet.profile(cid);
+                    let p = profile.effective_dropout(diurnal, now_s);
+                    if p > 0.0 && dropout_rng.derive(cid as u64).chance(p) {
+                        record.dropouts += 1;
+                        self.stats.entry(cid).dropouts += 1;
+                        continue;
+                    }
+                    let bytes = self.upload_bytes;
+                    match keep_ratio(&profile, bytes, deadline_s, grid, diurnal, now_s) {
+                        KeepRatio::Sub(ratio) => ratio,
+                        KeepRatio::Misses if self.late_policy == LatePolicy::Drop => {
+                            record.stragglers += 1;
+                            continue;
+                        }
+                        KeepRatio::Full | KeepRatio::Misses => 1.0,
+                    }
                 }
-                KeepRatio::Full | KeepRatio::Misses => 1.0,
             };
             record.masked += u32::from(keep_ratio < 1.0);
             alive.push(Dispatch {
@@ -274,17 +285,24 @@ impl DispatchPlanner {
     /// reaches the server (local compute on its share of the model plus
     /// the upload over its link), stamped with the model version it trains
     /// against. Returns the largest predicted completion time.
+    ///
+    /// # Panics
+    /// Panics on a planner without a fleet: there is nothing to predict.
     pub fn schedule_uploads(
         &self,
         alive: &[Dispatch],
         origin_s: f64,
         queue: &mut EventQueue,
     ) -> f64 {
-        let diurnal = self.fleet.config().diurnal.as_ref();
+        let fleet = self
+            .fleet
+            .as_ref()
+            .expect("uploads are predicted over a fleet");
+        let diurnal = fleet.config().diurnal.as_ref();
         let (bytes, now_s) = (self.upload_bytes, self.round_start_s);
         let mut max_completion_s = 0.0f64;
         for d in alive {
-            let profile = self.fleet.profile(d.client_id);
+            let profile = fleet.profile(d.client_id);
             let completion_s = profile.completion_time_at(bytes, d.keep_ratio, diurnal, now_s);
             max_completion_s = max_completion_s.max(completion_s);
             let (client_id, version) = (d.client_id, self.version);
@@ -328,7 +346,7 @@ impl DispatchPlanner {
         ExecutorView {
             universe: churn.map(ChurnProcess::universe),
             departed: churn.map_or_else(Default::default, |c| Cow::Borrowed(c.departed())),
-            fleet: Some(&self.fleet),
+            fleet: self.fleet.as_ref(),
             upload_bytes: self.upload_bytes,
             deadline_s: self.deadline_s,
             reliability: Some(&self.stats),
@@ -343,8 +361,7 @@ mod tests {
     use feddrl_sim::device::ChurnConfig;
 
     /// The rule's three outcomes, and how the planner maps `Misses`
-    /// through the `LatePolicy` (the networked executor maps it to a
-    /// full-model dispatch).
+    /// through the `LatePolicy` (wire masking plans under `CarryOver`).
     #[test]
     fn keep_ratio_picks_the_largest_fitting_ratio() {
         let fleet = FleetView::new(16, &FleetConfig::default());
@@ -397,7 +414,8 @@ mod tests {
         };
         let new_planner = || DispatchPlanner::new(&fleet_cfg, 12, 1000, 6, 21);
         let probe = new_planner();
-        let median_s = probe.fleet.completion_percentile_s(probe.upload_bytes, 0.5);
+        let fleet = probe.fleet.as_ref().expect("a fleet");
+        let median_s = fleet.completion_percentile_s(probe.upload_bytes, 0.5);
         let grid = Some(StructuredDropoutConfig::default());
         for (deadline_s, busy_stride) in [(Some(median_s), usize::MAX), (None, 3)] {
             let mut planner = new_planner().with_deadline(deadline_s, grid, LatePolicy::Drop);
@@ -426,5 +444,22 @@ mod tests {
             assert!(dropouts > 0 && dispatches > 0, "degenerate scenario");
             assert_eq!(deadline_s.is_some(), masked > 0, "grid never/wrongly used");
         }
+    }
+
+    /// Without a fleet there is nothing to draw or fit: everyone neither
+    /// departed nor busy gets a full order, and the table counts them.
+    #[test]
+    fn a_fleetless_plan_orders_everyone_in_full() {
+        let mut planner = DispatchPlanner::default();
+        let (orders, record) = planner.plan(0, 0.0, &[4, 1, 7], |cid| cid == 1);
+        assert_eq!(orders, vec![Dispatch::full(4), Dispatch::full(7)]);
+        assert_eq!((record.busy, record.dropouts, record.masked), (1, 0, 0));
+        let totals = planner.stats.totals();
+        assert_eq!((totals.dispatches, totals.dropouts), (2, 0));
+        let view = planner.view();
+        assert_eq!(
+            (view.fleet, view.upload_bytes, view.deadline_s),
+            (None, 0, None)
+        );
     }
 }

@@ -169,11 +169,11 @@ impl StructuredDropoutConfig {
     /// (per the caller-supplied cost model) fits the deadline, or `None`
     /// when even the smallest sub-model misses it.
     ///
-    /// [`keep_ratio`](crate::dispatch::keep_ratio) is the one caller: it
-    /// supplies the device cost model for both the in-process planner and
-    /// the networked executor's wire-masking path, so a given
-    /// `(deadline, device)` pair yields the same keep ratio on either side
-    /// — a precondition for their byte-identical histories.
+    /// The fit rule of [`DispatchPlanner`] is the one caller: it supplies
+    /// the device cost model for every executor, in process or over
+    /// sockets, so a given `(deadline, device)` pair yields the same keep
+    /// ratio on either side — a precondition for their byte-identical
+    /// histories.
     pub fn largest_fitting(
         &self,
         deadline_s: f64,

@@ -166,9 +166,10 @@ pub fn narrow_count(value: usize) -> u32 {
     u32::try_from(value).expect("client ids and per-round counts fit in 32 bits")
 }
 
-/// Heterogeneity telemetry for one round (produced by
-/// `executor::DeadlineExecutor` and `executor::BufferedExecutor`; absent
-/// for the ideal executor).
+/// Heterogeneity telemetry for one round (opened and closed by the
+/// dispatch planner under `executor::DeadlineExecutor`,
+/// `executor::BufferedExecutor` and buffered socket rounds; absent for
+/// the ideal executor and socket barriers).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HeteroRoundRecord {
     /// Simulated wall-clock of the round in seconds (virtual time from

@@ -19,9 +19,10 @@
 //!   aggregation with staleness-discounted impact factors
 //!   (FedAsync/FedBuff-style), all driven by `feddrl_sim`'s
 //!   discrete-event engine;
-//! * [`dispatch`] — the dispatch planner the heterogeneity-aware
-//!   executors share (who trains, on how much of the model, whose report
-//!   counts) and the one keep-ratio rule of adaptive structured dropout;
+//! * [`dispatch`] — the dispatch planner every dispatching executor
+//!   shares, in process or over sockets (who trains, on how much of the
+//!   model, whose report counts), holding the one keep-ratio rule of
+//!   adaptive structured dropout;
 //! * [`session`] — the deterministic, thread-parallel round loop as a
 //!   driveable object: [`session::SessionBuilder`] validates the assembled
 //!   components into a [`session::Session`] run whole ([`session::Session::run`])

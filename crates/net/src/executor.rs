@@ -5,8 +5,15 @@
 //! exactly like the in-process executors: `publish_model` fans the
 //! current global model to every subscribed worker, `execute` sends
 //! `TrainRequest` frames to the selected clients and collects their
-//! `Update` frames off the server inbox. Two collection modes mirror the
-//! simulator's taxonomy:
+//! `Update` frames off the server inbox.
+//!
+//! Who is sent what is decided by the simulated executors' own
+//! [`DispatchPlanner`]: it skips a client with a dispatch outstanding as
+//! busy, keeps the model version (bumped only by a round that aggregates
+//! something) and the reliability table the view lends out. This executor
+//! adds only what sockets observe: failed sends, timeouts, malformed
+//! arrivals, TTL departures, measured time and staleness. Two collection
+//! modes mirror the simulator's taxonomy:
 //!
 //! * **Barrier** — wait for every dispatched client (or the round
 //!   timeout). With all workers live this reproduces the
@@ -14,24 +21,25 @@
 //!   zero staleness, `hetero: None`.
 //! * **Buffered** — aggregate as soon as `buffer_size` updates arrive;
 //!   clients still in flight are skipped as busy next round, and each
-//!   accepted update's staleness is *measured* as the gap between the
-//!   version it trained on and the version counter at aggregation, the
-//!   networked analogue of the simulator's `BufferedExecutor`.
+//!   accepted update's staleness is *measured* as the versions aggregated
+//!   since the older of the version it claims to have trained on and its
+//!   dispatch's stamp (no claim makes an update fresher than its
+//!   dispatch), the networked analogue of the simulator's
+//!   `BufferedExecutor`.
 //!
 //! Departures surface through the same channel the simulator's churn
 //! uses: the registry's TTL sweep feeds [`ExecutorView::departed`],
 //! which the session hands to selection inside the `SelectionContext`.
 //!
-//! With a [`WireMasking`] policy attached, deadline-pressed clients get
-//! sub-model dispatches over the wire: `execute` picks each client's
-//! keep ratio from the fleet's *predicted* completion times (through
-//! [`keep_ratio`], the one fit rule the in-process dispatch planner also
-//! calls, so both paths make identical dispatch decisions), sends
-//! `TrainRequest { keep_ratio < 1 }`, and reassembles the returning
-//! compact `MaskedUpdate` by re-deriving the structured mask from the
-//! shared seed and scattering the kept weights into a full-length
-//! vector with the mask attached — exactly what the in-process masked
-//! path hands to `masked_weighted_average`.
+//! Without a [`WireMasking`] policy the planner has no fleet, so every
+//! dispatch is full. With one, the planner fits each dispatch to the
+//! deadline on the policy fleet's *predicted* completion times, as it
+//! does in process (a client that fits nothing trains in full), and
+//! `execute` sends `TrainRequest { keep_ratio < 1 }`, then reassembles
+//! the returning compact `MaskedUpdate` by re-deriving the structured
+//! mask from the shared seed and scattering the kept weights into a
+//! full-length vector with the mask attached — exactly what the
+//! in-process masked path hands to `masked_weighted_average`.
 //!
 //! A peer chooses the lengths it sends. A solicited arrival whose dense
 //! weight count or masked `total_len` is not the parameter count of the
@@ -52,11 +60,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use feddrl_fl::client::{dispatch_mask, ClientUpdate};
-use feddrl_fl::dispatch::{keep_ratio, KeepRatio};
+use feddrl_fl::dispatch::DispatchPlanner;
 use feddrl_fl::executor::{
-    ExecutorView, RoundExecutor, RoundOutcome, StructuredDropoutConfig, TrainContext, TrainFn,
+    ExecutorView, LatePolicy, RoundExecutor, RoundOutcome, StructuredDropoutConfig, TrainContext,
+    TrainFn,
 };
-use feddrl_fl::history::{narrow, narrow_count, HeteroRoundRecord};
+use feddrl_fl::history::{narrow, narrow_count};
+use feddrl_nn::mask::StructuredMask;
 use feddrl_nn::model::Sequential;
 use feddrl_sim::device::{nearest_rank, FleetView};
 
@@ -171,10 +181,12 @@ impl NetTelemetry {
 /// The wire-masking policy: everything the executor needs to decide a
 /// sub-model dispatch per client and to re-derive the returning mask.
 ///
-/// Keep ratios come from the fleet's *predicted* completion times via
-/// [`keep_ratio`] — the function the in-process dispatch planner calls —
-/// so the networked and simulated paths make identical dispatch
-/// decisions for the same fleet, grid and deadline.
+/// [`NetworkExecutor::with_wire_masking`] hands the fleet, upload bytes,
+/// grid and deadline to the executor's [`DispatchPlanner`], whose fit
+/// rule picks each keep ratio from the fleet's *predicted* completion
+/// times — the rule the in-process executors plan with, so the networked
+/// and simulated paths make identical dispatch decisions for the same
+/// fleet, grid and deadline.
 /// The `model` and `seed` must match the workers' (they are the mask
 /// derivation inputs shared through `dispatch_mask`).
 pub struct WireMasking {
@@ -194,26 +206,13 @@ pub struct WireMasking {
     pub deadline_s: f64,
 }
 
-impl WireMasking {
-    /// The keep ratio to dispatch to `client_id`: the shared rule's
-    /// answer on the time-invariant prediction, with a client that cannot
-    /// fit even the smallest sub-model training in full — exactly as the
-    /// in-process `DeadlineExecutor` treats a predicted straggler it
-    /// still wants an update from.
-    fn keep_ratio_for(&self, client_id: usize) -> f64 {
-        let profile = self.fleet.profile(client_id);
-        let (deadline_s, grid) = (Some(self.deadline_s), Some(&self.grid));
-        match keep_ratio(&profile, self.upload_bytes, deadline_s, grid, None, 0.0) {
-            KeepRatio::Sub(ratio) => ratio,
-            KeepRatio::Full | KeepRatio::Misses => 1.0,
-        }
-    }
-}
-
 /// A dispatch awaiting its update.
 #[derive(Debug, Clone, Copy)]
 struct PendingDispatch {
     sent: Instant,
+    /// The model version the dispatch was stamped with: the newest one its
+    /// answer can have trained on.
+    version: u64,
 }
 
 /// The networked round executor. See the module docs for the contract.
@@ -221,10 +220,9 @@ pub struct NetworkExecutor {
     server: NetServer,
     mode: NetMode,
     round_timeout: Duration,
-    /// Model version counter: incremented after every round that hands
-    /// the session something to aggregate, sent with every publish, and
-    /// the baseline for measured staleness.
-    version: u64,
+    /// Who is dispatched on how much of the model, the model version, and
+    /// the reliability table.
+    planner: DispatchPlanner,
     /// Parameter count of the model last published: the length every
     /// arriving update must claim.
     published_len: usize,
@@ -233,10 +231,9 @@ pub struct NetworkExecutor {
     /// Cumulative departed count at the end of the previous round, for
     /// the per-round `departed` delta in buffered hetero records.
     departed_seen: usize,
-    /// Sub-model dispatch policy; `None` sends every client the full
-    /// model (`keep_ratio: 1.0`), byte-identical to the pre-masking
-    /// executor.
-    masking: Option<WireMasking>,
+    /// The model and seed a compact `MaskedUpdate`'s mask is re-derived
+    /// from, when a [`WireMasking`] policy is attached.
+    mask_source: Option<(Sequential, u64)>,
     telemetry: Arc<Mutex<NetTelemetry>>,
 }
 
@@ -247,11 +244,11 @@ impl NetworkExecutor {
             server,
             mode: NetMode::Barrier,
             round_timeout: Duration::from_secs(10),
-            version: 0,
+            planner: DispatchPlanner::default(),
             published_len: 0,
             pending: BTreeMap::new(),
             departed_seen: 0,
-            masking: None,
+            mask_source: None,
             telemetry: Arc::new(Mutex::new(NetTelemetry::default())),
         }
     }
@@ -276,9 +273,14 @@ impl NetworkExecutor {
 
     /// Attach a wire-masking policy: deadline-pressed clients get
     /// sub-model dispatches, answered with compact `MaskedUpdate`
-    /// frames.
+    /// frames. Replaces the planner with one over the policy's fleet, so
+    /// attach it before the first round.
     pub fn with_wire_masking(mut self, masking: WireMasking) -> Self {
-        self.masking = Some(masking);
+        let (deadline_s, grid) = (Some(masking.deadline_s), Some(masking.grid));
+        self.planner =
+            DispatchPlanner::over_fleet(masking.fleet, masking.upload_bytes, masking.seed)
+                .with_deadline(deadline_s, grid, LatePolicy::CarryOver);
+        self.mask_source = Some((masking.model, masking.seed));
         self
     }
 
@@ -296,41 +298,21 @@ impl NetworkExecutor {
 
     /// The current model version counter.
     pub fn model_version(&self) -> u64 {
-        self.version
+        self.planner.version() as u64
     }
 
-    fn to_update(msg: UpdateMsg, staleness: usize) -> ClientUpdate {
-        ClientUpdate {
-            client_id: msg.client_id as usize,
-            weights: msg.weights,
-            n_samples: msg.n_samples as usize,
-            loss_before: msg.loss_before,
-            loss_after: msg.loss_after,
-            staleness,
-            mask: None,
-        }
-    }
-
-    /// Rebuild the full-length masked [`ClientUpdate`] from a compact
-    /// `MaskedUpdate` arrival: re-derive the structured mask from the
-    /// shared seed (the same derivation the worker ran) and scatter the
-    /// kept weights back into position. `None` when the re-derived mask
+    /// Scatter a compact `MaskedUpdate`'s kept weights back into a
+    /// full-length vector under the structured mask re-derived from the
+    /// shared seed (the derivation the worker ran). `None` when that mask
     /// disagrees with the frame's shape — a client that derived from
-    /// different inputs — in which case the update is dropped rather
-    /// than aggregated misaligned.
+    /// different inputs — so the update is dropped rather than aggregated
+    /// misaligned.
     fn reassemble_masked(
-        masking: &WireMasking,
-        msg: UpdateMsg,
+        (model, seed): &(Sequential, u64),
+        msg: &UpdateMsg,
         info: MaskedWireInfo,
-        staleness: usize,
-    ) -> Option<ClientUpdate> {
-        let mask = dispatch_mask(
-            &masking.model,
-            masking.seed,
-            msg.round,
-            msg.client_id,
-            info.keep_ratio,
-        );
+    ) -> Option<(Vec<f32>, StructuredMask)> {
+        let mask = dispatch_mask(model, *seed, msg.round, msg.client_id, info.keep_ratio);
         if mask.len() != info.total_len || mask.kept() != msg.weights.len() {
             return None;
         }
@@ -341,15 +323,7 @@ impl NetworkExecutor {
                 *slot = *kept.next().expect("kept count checked above");
             }
         }
-        Some(ClientUpdate {
-            client_id: msg.client_id as usize,
-            weights: full,
-            n_samples: msg.n_samples as usize,
-            loss_before: msg.loss_before,
-            loss_after: msg.loss_after,
-            staleness,
-            mask: Some(mask),
-        })
+        Some((full, mask))
     }
 }
 
@@ -357,7 +331,7 @@ impl std::fmt::Debug for NetworkExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetworkExecutor")
             .field("mode", &self.mode)
-            .field("version", &self.version)
+            .field("version", &self.planner.version())
             .field("pending", &self.pending.len())
             .finish()
     }
@@ -365,7 +339,7 @@ impl std::fmt::Debug for NetworkExecutor {
 
 impl RoundExecutor for NetworkExecutor {
     fn publish_model(&mut self, _round: usize, global: &[f32]) {
-        let _ = self.server.publish(self.version, global);
+        let _ = self.server.publish(self.model_version(), global);
         self.published_len = global.len();
         // Mirror the server's cumulative bytes-on-wire counters into the
         // shared telemetry so they stay readable once this executor is
@@ -389,26 +363,28 @@ impl RoundExecutor for NetworkExecutor {
         let departed = self.server.departed();
         let before = self.pending.len();
         self.pending.retain(|cid, _| !departed.contains(cid));
-        let lost_in_flight = before - self.pending.len();
+        let mut failed = before - self.pending.len();
 
-        let mut failed = lost_in_flight;
-        let mut busy = 0usize;
-        let mut dispatched: Vec<usize> = Vec::new();
-        for &cid in selected {
-            if self.pending.contains_key(&cid) {
-                busy += 1; // still working on an earlier version
-                continue;
-            }
+        // A client with a dispatch outstanding is still working on an
+        // earlier version: the planner skips it as busy.
+        let pending = &self.pending;
+        let (orders, mut record) = self
+            .planner
+            .plan(round, 0.0, selected, |cid| pending.contains_key(&cid));
+        let version = self.model_version();
+        let mut dispatched: Vec<usize> = Vec::with_capacity(orders.len());
+        for order in &orders {
+            let cid = order.client_id;
             let request = Message::TrainRequest {
                 round: round as u64,
-                keep_ratio: self.masking.as_ref().map_or(1.0, |m| m.keep_ratio_for(cid)),
+                keep_ratio: order.keep_ratio,
             };
             // Stamp *before* the send: on loopback the whole reply can
             // land before the write syscall returns, and an after-send
             // stamp would clock such round trips at zero.
             let sent = Instant::now();
             if self.server.is_live(cid) && self.server.send_to(cid, &request).is_ok() {
-                self.pending.insert(cid, PendingDispatch { sent });
+                self.pending.insert(cid, PendingDispatch { sent, version });
                 dispatched.push(cid);
             } else {
                 failed += 1;
@@ -421,7 +397,7 @@ impl RoundExecutor for NetworkExecutor {
         };
         let deadline = round_start + self.round_timeout;
         let mut malformed = 0usize;
-        let mut arrived: Vec<(usize, ClientUpdate)> = Vec::with_capacity(want);
+        let mut arrived: Vec<ClientUpdate> = Vec::with_capacity(want);
         while arrived.len() < want {
             let Some(inbound) = self.server.recv_update(deadline) else {
                 break; // round timeout (or shutdown) with updates missing
@@ -439,7 +415,8 @@ impl RoundExecutor for NetworkExecutor {
                 .saturating_duration_since(pending.sent)
                 .as_secs_f64()
                 * 1e3;
-            let staleness = self.version.saturating_sub(inbound.msg.model_version);
+            let msg = inbound.msg;
+            let staleness = version - msg.model_version.min(pending.version);
             let masked_arrival = inbound.masked.is_some();
             // The peer chose these lengths; checked here, a wrong one is a
             // counted failure instead of a length assert in the session's
@@ -448,17 +425,17 @@ impl RoundExecutor for NetworkExecutor {
             // cannot be scattered and goes the same way.
             let claimed_len = inbound
                 .masked
-                .map_or(inbound.msg.weights.len(), |info| info.total_len);
-            let update = if claimed_len != self.published_len {
+                .map_or(msg.weights.len(), |info| info.total_len);
+            let weights = if claimed_len != self.published_len {
                 None
             } else if let Some(info) = inbound.masked {
-                self.masking.as_ref().and_then(|masking| {
-                    Self::reassemble_masked(masking, inbound.msg, info, staleness as usize)
-                })
+                let source = self.mask_source.as_ref();
+                let scattered = source.and_then(|src| Self::reassemble_masked(src, &msg, info));
+                scattered.map(|(weights, mask)| (weights, Some(mask)))
             } else {
-                Some(Self::to_update(inbound.msg, staleness as usize))
+                Some((msg.weights, None))
             };
-            let Some(update) = update else {
+            let Some((weights, mask)) = weights else {
                 // Its dispatch is answered: the round can collect no more
                 // than what is still in flight, so a barrier stops waiting
                 // for this client instead of sitting out the timeout.
@@ -473,7 +450,15 @@ impl RoundExecutor for NetworkExecutor {
                     t.masked_updates += 1;
                 }
             }
-            arrived.push((cid, update));
+            arrived.push(ClientUpdate {
+                client_id: cid,
+                weights,
+                n_samples: msg.n_samples as usize,
+                loss_before: msg.loss_before,
+                loss_after: msg.loss_after,
+                staleness: staleness as usize,
+                mask,
+            });
         }
 
         let mut timed_out = 0usize;
@@ -493,48 +478,35 @@ impl RoundExecutor for NetworkExecutor {
             t.timed_out += timed_out;
             t.malformed_updates += malformed;
         }
-        if !arrived.is_empty() {
-            // Only an aggregation makes a new global model; an empty round
-            // must not age the in-flight updates or renumber the weights.
-            self.version += 1;
-        }
 
-        match self.mode {
+        let updates = match self.mode {
+            // Arrival order is a race; the ideal contract is sampling
+            // order, so reassemble along `selected`.
             NetMode::Barrier => {
-                // Arrival order is a race; the ideal contract is sampling
-                // order, so reassemble along `selected`.
-                let mut by_id: BTreeMap<usize, ClientUpdate> = arrived.into_iter().collect();
-                let updates: Vec<ClientUpdate> = selected
+                let mut by_id: BTreeMap<usize, ClientUpdate> =
+                    arrived.into_iter().map(|u| (u.client_id, u)).collect();
+                selected
                     .iter()
                     .filter_map(|cid| by_id.remove(cid))
-                    .collect();
-                RoundOutcome {
-                    updates,
-                    hetero: None,
-                }
+                    .collect()
             }
-            NetMode::Buffered { .. } => {
-                let departed_total = self.server.departed().len();
-                let newly_departed = departed_total.saturating_sub(self.departed_seen);
-                self.departed_seen = departed_total;
-                let hetero = HeteroRoundRecord {
-                    // Measured wall-clock of the aggregation, where the
-                    // simulator would report virtual time.
-                    sim_time_s: round_start.elapsed().as_secs_f64(),
-                    dropouts: narrow_count(failed + timed_out + malformed),
-                    busy: narrow_count(busy),
-                    departed: narrow_count(newly_departed),
-                    masked: narrow_count(arrived.iter().filter(|(_, u)| u.mask.is_some()).count()),
-                    staleness: narrow(arrived.iter().map(|(_, u)| u.staleness)),
-                    aggregated_ids: narrow(arrived.iter().map(|(cid, _)| *cid)),
-                    ..HeteroRoundRecord::default()
-                };
-                RoundOutcome {
-                    updates: arrived.into_iter().map(|(_, u)| u).collect(),
-                    hetero: Some(hetero),
-                }
-            }
-        }
+            NetMode::Buffered { .. } => arrived,
+        };
+        // Only an aggregation makes a new global model; the planner bumps
+        // the version for a round that hands the session something.
+        self.planner.finish_round(&updates, &mut record);
+        let hetero = matches!(self.mode, NetMode::Buffered { .. }).then(|| {
+            let departed_total = self.server.departed().len();
+            record.departed = narrow_count(departed_total.saturating_sub(self.departed_seen));
+            self.departed_seen = departed_total;
+            // Measured wall-clock of the aggregation, where the simulator
+            // would report virtual time.
+            record.sim_time_s = round_start.elapsed().as_secs_f64();
+            record.dropouts += narrow_count(failed + timed_out + malformed);
+            record.staleness = narrow(updates.iter().map(|u| u.staleness));
+            record
+        });
+        RoundOutcome { updates, hetero }
     }
 
     fn view(&self) -> ExecutorView<'_> {
@@ -546,7 +518,7 @@ impl RoundExecutor for NetworkExecutor {
         ExecutorView {
             departed: Cow::Owned(self.server.departed().into_iter().collect()),
             in_flight: Cow::Owned(self.pending.keys().copied().collect()),
-            ..ExecutorView::default()
+            ..self.planner.view()
         }
     }
 }

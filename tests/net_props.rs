@@ -26,6 +26,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use feddrl_repro::feddrl_fl::dispatch::DispatchPlanner;
 use feddrl_repro::prelude::*;
 use proptest::prelude::*;
 // Both glob imports export a `Strategy` trait (ours vs proptest's);
@@ -699,7 +700,12 @@ fn executor_views_are_stable_snapshots_with_ascending_departures() {
         .wait_for_clients(3, Duration::from_secs(5))
         .expect("all subscribed");
     let executor = NetworkExecutor::barrier(server);
-    assert_eq!(executor.view(), ExecutorView::default());
+    let empty = ReliabilityTable::new();
+    let fresh = ExecutorView {
+        reliability: Some(&empty),
+        ..ExecutorView::default()
+    };
+    assert_eq!(executor.view(), fresh);
     for (client_id, sock) in &mut peers {
         let bye = Message::Bye {
             client_id: *client_id,
@@ -739,6 +745,27 @@ fn stub_update(round: usize, client_id: usize, global: &[f32]) -> ClientUpdate {
         staleness: 0,
         mask: None,
     }
+}
+
+/// One real worker thread per id in `ids`, each answering with
+/// [`stub_update`]; the caller waits for the subscriptions.
+fn spawn_stub_workers(
+    server: &NetServer,
+    ids: &[usize],
+) -> Vec<thread::JoinHandle<Result<ClientReport, WireError>>> {
+    let addr = server.local_addr().to_string();
+    ids.iter()
+        .map(|&cid| {
+            let worker_cfg = NetClientBuilder::new(addr.clone(), cid)
+                .build()
+                .expect("client config");
+            thread::spawn(move || {
+                run_client(&worker_cfg, move |order, global| {
+                    stub_update(order.round as usize, cid, global)
+                })
+            })
+        })
+        .collect()
 }
 
 fn net_env() -> (ModelSpec, Dataset, Dataset, Partition, FlConfig) {
@@ -804,19 +831,7 @@ fn loopback_barrier_run_is_byte_identical_to_ideal() {
     // Networked run: one worker thread per client, each computing the
     // same stub from the frames it receives.
     let server = NetServerBuilder::new().build().expect("bind");
-    let addr = server.local_addr().to_string();
-    let workers: Vec<_> = (0..NET_CLIENTS)
-        .map(|cid| {
-            let worker_cfg = NetClientBuilder::new(addr.clone(), cid)
-                .build()
-                .expect("client config");
-            thread::spawn(move || {
-                run_client(&worker_cfg, move |order, global| {
-                    stub_update(order.round as usize, cid, global)
-                })
-            })
-        })
-        .collect();
+    let workers = spawn_stub_workers(&server, &(0..NET_CLIENTS).collect::<Vec<_>>());
     server
         .wait_for_clients(NET_CLIENTS, Duration::from_secs(10))
         .expect("all workers subscribed");
@@ -912,19 +927,8 @@ fn a_short_update_is_counted_and_kept_out_of_the_round() {
             }
         })
     };
-    let workers: Vec<_> = (0..NET_CLIENTS)
-        .filter(|&cid| cid != HOSTILE)
-        .map(|cid| {
-            let worker_cfg = NetClientBuilder::new(addr.clone(), cid)
-                .build()
-                .expect("client config");
-            thread::spawn(move || {
-                run_client(&worker_cfg, move |order, global| {
-                    stub_update(order.round as usize, cid, global)
-                })
-            })
-        })
-        .collect();
+    let honest: Vec<usize> = (0..NET_CLIENTS).filter(|&cid| cid != HOSTILE).collect();
+    let workers = spawn_stub_workers(&server, &honest);
     server
         .wait_for_clients(NET_CLIENTS, Duration::from_secs(10))
         .expect("all workers subscribed");
@@ -987,19 +991,7 @@ fn delta_publishes_reconstruct_exactly_through_the_worker_loop() {
         .delta_publish(true)
         .build()
         .expect("bind");
-    let addr = server.local_addr().to_string();
-    let workers: Vec<_> = (0..2usize)
-        .map(|cid| {
-            let worker_cfg = NetClientBuilder::new(addr.clone(), cid)
-                .build()
-                .expect("client config");
-            thread::spawn(move || {
-                run_client(&worker_cfg, move |order, global| {
-                    stub_update(order.round as usize, cid, global)
-                })
-            })
-        })
-        .collect();
+    let workers = spawn_stub_workers(&server, &[0, 1]);
     server
         .wait_for_clients(2, Duration::from_secs(10))
         .expect("both subscribed");
@@ -1155,33 +1147,13 @@ fn delta_publish_falls_back_to_dense_when_base_evicted_or_delta_too_big() {
 // Wire-level masked dispatch ≡ in-process structured dropout
 // ---------------------------------------------------------------------------
 
-/// The keep-ratio rule both sides must share: full model when it fits
-/// the deadline, else the largest grid ratio that does, else full again
-/// (a predicted dropout trains in full, as `DeadlineExecutor` does).
-fn expected_ratio(
-    fleet: &FleetView,
-    grid: &StructuredDropoutConfig,
-    upload_bytes: u64,
-    deadline_s: f64,
-    client_id: usize,
-) -> f64 {
-    let profile = fleet.profile(client_id);
-    let time_for = |r: f64| profile.completion_time_at(upload_bytes, r, None, 0.0);
-    if time_for(1.0) <= deadline_s {
-        return 1.0;
-    }
-    grid.largest_fitting(deadline_s, time_for).unwrap_or(1.0)
-}
-
 /// The in-process reference for the wire-masking law: an ideal (no
-/// drops, no deadline misses) executor that dispatches the *same*
-/// per-client keep ratios `WireMasking` derives, feeding the session's
-/// own PR-7 structured-dropout training path.
+/// drops, no deadline misses) executor whose keep ratios come from a
+/// dispatch planner over the fleet, grid and deadline the `WireMasking`
+/// policy hands the network executor's planner, feeding the session's
+/// own structured-dropout training path.
 struct MaskedIdealExecutor {
-    fleet: FleetView,
-    grid: StructuredDropoutConfig,
-    upload_bytes: u64,
-    deadline_s: f64,
+    planner: DispatchPlanner,
 }
 
 impl RoundExecutor for MaskedIdealExecutor {
@@ -1191,19 +1163,7 @@ impl RoundExecutor for MaskedIdealExecutor {
         selected: &[usize],
         train: &TrainFn<'_>,
     ) -> RoundOutcome {
-        let dispatches: Vec<Dispatch> = selected
-            .iter()
-            .map(|&c| Dispatch {
-                client_id: c,
-                keep_ratio: expected_ratio(
-                    &self.fleet,
-                    &self.grid,
-                    self.upload_bytes,
-                    self.deadline_s,
-                    c,
-                ),
-            })
-            .collect();
+        let (dispatches, _) = self.planner.plan(ctx.round, 0.0, selected, |_| false);
         RoundOutcome {
             updates: train(ctx, &dispatches),
             hetero: None,
@@ -1235,9 +1195,19 @@ fn wire_masked_run_is_byte_identical_to_in_process_structured_dropout() {
     // Median completion time as the round deadline: the slower half of
     // the fleet must sub-model (or prove it can't and train in full).
     let deadline_s = fleet().completion_percentile_s(upload_bytes, 0.5);
-    let ratios: Vec<f64> = (0..NET_CLIENTS)
-        .map(|c| expected_ratio(&fleet(), &grid, upload_bytes, deadline_s, c))
-        .collect();
+    let seed = cfg.seed;
+    // The planner `with_wire_masking` builds from the same policy.
+    let planner = || {
+        DispatchPlanner::over_fleet(fleet(), upload_bytes, seed).with_deadline(
+            Some(deadline_s),
+            Some(grid),
+            LatePolicy::CarryOver,
+        )
+    };
+    let everyone: Vec<usize> = (0..NET_CLIENTS).collect();
+    let (orders, _) = planner().plan(0, 0.0, &everyone, |_| false);
+    assert_eq!(orders.len(), NET_CLIENTS, "the planner dropped a client");
+    let ratios: Vec<f64> = orders.iter().map(|d| d.keep_ratio).collect();
     assert!(
         ratios.iter().any(|&r| r < 1.0),
         "test is vacuous: no client sub-models under {ratios:?}"
@@ -1252,12 +1222,7 @@ fn wire_masked_run_is_byte_identical_to_in_process_structured_dropout() {
         let mut strategy = FedAvg;
         SessionBuilder::new(&spec, &train, &test, &partition, &mut strategy)
             .config(&cfg)
-            .executor_instance(Box::new(MaskedIdealExecutor {
-                fleet: fleet(),
-                grid,
-                upload_bytes,
-                deadline_s,
-            }))
+            .executor_instance(Box::new(MaskedIdealExecutor { planner: planner() }))
             .build()
             .expect("valid config")
             .run()
@@ -1269,7 +1234,6 @@ fn wire_masked_run_is_byte_identical_to_in_process_structured_dropout() {
     // same shared mask derivation.
     let server = NetServerBuilder::new().build().expect("bind");
     let addr = server.local_addr().to_string();
-    let seed = cfg.seed;
     let train_arc = Arc::new(train.clone());
     let workers: Vec<_> = (0..NET_CLIENTS)
         .map(|cid| {
@@ -1407,5 +1371,144 @@ fn buffered_mode_measures_staleness_of_late_arrivals() {
     drop(executor);
     for w in workers {
         w.join().expect("no panic").expect("clean worker exit");
+    }
+}
+
+/// A peer cannot report an update as fresher than its dispatch. A
+/// raw-socket peer holds its answer to round 0 until the round-1 publish,
+/// then claims `model_version: u64::MAX`. Staleness counts from the
+/// version its dispatch was stamped with, so the answer still aggregates
+/// one version late.
+#[test]
+fn a_late_answer_claiming_a_future_version_is_still_stale() {
+    const LIAR: u64 = 1;
+    let server = NetServerBuilder::new().build().expect("bind");
+    let addr = server.local_addr().to_string();
+    let liar = thread::spawn(move || {
+        let mut sock = TcpStream::connect(&addr).expect("connect");
+        let hello = Message::Hello {
+            client_id: LIAR,
+            min_version: PROTOCOL_VERSION_MIN,
+            max_version: PROTOCOL_VERSION_MAX,
+        };
+        write_frame(&mut sock, &hello).expect("hello");
+        let mut model = Vec::new();
+        let mut held: Option<(u64, Vec<f32>)> = None;
+        // Until the server's `Bye` (or its hang-up) ends the stream.
+        while let Ok(Some(msg)) = read_frame(&mut sock) {
+            match msg {
+                Message::ModelPublish { version, weights } => {
+                    if let (1, Some((round, trained_on))) = (version, held.take()) {
+                        let late = stub_update(round as usize, LIAR as usize, &trained_on);
+                        let reply = Message::Update(UpdateMsg {
+                            client_id: LIAR,
+                            round,
+                            model_version: u64::MAX,
+                            staleness: 0,
+                            n_samples: late.n_samples as u64,
+                            loss_before: late.loss_before,
+                            loss_after: late.loss_after,
+                            weights: late.weights,
+                        });
+                        write_frame(&mut sock, &reply).expect("late update");
+                    }
+                    model = weights;
+                }
+                Message::TrainRequest { round, .. } => held = Some((round, model.clone())),
+                Message::Bye { .. } => break,
+                _ => {}
+            }
+        }
+    });
+    let workers = spawn_stub_workers(&server, &[0]);
+    server
+        .wait_for_clients(2, Duration::from_secs(10))
+        .expect("both subscribed");
+
+    let mut executor =
+        NetworkExecutor::buffered(server, 1).with_round_timeout(Duration::from_secs(30));
+    let global = vec![0.5f32; 8];
+    let noop_train: &TrainFn<'_> = &|_, _| Vec::new();
+    executor.publish_model(0, &global);
+    let out0 = executor.execute(&ctx(0), &[0, 1], noop_train);
+    assert_eq!(
+        out0.updates[0].client_id, 0,
+        "the honest worker fills round 0"
+    );
+    executor.publish_model(1, &global);
+    let out1 = executor.execute(&ctx(1), &[1], noop_train);
+    assert_eq!(out1.updates[0].client_id, 1);
+    assert_eq!(out1.updates[0].staleness, 1, "the claim made it fresher");
+    let h1 = out1.hetero.expect("buffered rounds carry hetero records");
+    assert_eq!(h1.staleness, vec![1]);
+
+    drop(executor);
+    liar.join().expect("the peer exits on Bye");
+    for w in workers {
+        w.join().expect("no panic").expect("clean worker exit");
+    }
+}
+
+/// Sockets expose the planner's telemetry. After `ROUNDS` barrier rounds
+/// of every live worker, the view's reliability table has dispatched and
+/// aggregated each of them every round, fresh, with no dropout. In
+/// buffered mode every round's record closes over its selection, as the
+/// simulator's do: `selected = dispatched + busy + dropouts`, and the table
+/// agrees with the records.
+#[test]
+fn sockets_expose_the_planner_telemetry() {
+    const ROUNDS: usize = 3;
+    let everyone: Vec<usize> = (0..NET_CLIENTS).collect();
+    let global = vec![0.5f32; 8];
+    let noop_train: &TrainFn<'_> = &|_, _| Vec::new();
+    for buffer_size in [None, Some(2)] {
+        let server = NetServerBuilder::new().build().expect("bind");
+        let workers = spawn_stub_workers(&server, &everyone);
+        server
+            .wait_for_clients(NET_CLIENTS, Duration::from_secs(10))
+            .expect("all workers subscribed");
+        let mut executor = match buffer_size {
+            None => NetworkExecutor::barrier(server),
+            Some(m) => NetworkExecutor::buffered(server, m),
+        }
+        .with_round_timeout(Duration::from_secs(30));
+        let telemetry = executor.telemetry();
+        let (mut sent, mut aggregated, mut staleness) = (0, 0, 0);
+        for round in 0..ROUNDS {
+            executor.publish_model(round, &global);
+            let out = executor.execute(&ctx(round), &everyone, noop_train);
+            let sent_now = telemetry.lock().unwrap().dispatched - sent;
+            sent += sent_now;
+            aggregated += out.updates.len();
+            staleness += out.updates.iter().map(|u| u.staleness).sum::<usize>();
+            if let Some(h) = out.hetero {
+                let closed = sent_now + (h.busy + h.dropouts) as usize;
+                assert_eq!(
+                    everyone.len(),
+                    closed,
+                    "round {round}: a client fell through"
+                );
+                assert_eq!(h.aggregated(), out.updates.len());
+            }
+        }
+        let view = executor.view();
+        let totals = view.reliability.expect("the planner's table").totals();
+        if buffer_size.is_none() {
+            let all = ROUNDS * NET_CLIENTS;
+            assert_eq!((totals.dispatches, totals.aggregated), (all, all));
+            assert_eq!((totals.staleness_sum, totals.dropouts), (0, 0));
+        }
+        assert_eq!(
+            (totals.dispatches, totals.aggregated, totals.staleness_sum),
+            (sent, aggregated, staleness)
+        );
+        assert_eq!(totals.dropouts, 0);
+
+        drop(executor);
+        for w in workers {
+            let report = w.join().expect("no panic");
+            // A buffered run's shutdown may cut an answer still in flight.
+            assert!(buffer_size.is_some() || report.is_ok(), "{report:?}");
+        }
     }
 }

@@ -126,10 +126,15 @@ impl ReplayBuffer {
                 .cmp(&pb.is_nan())
                 .then_with(|| pb.partial_cmp(&pa).unwrap_or(Ordering::Equal))
         });
-        let weights = (0..order.len())
+        let weights: Vec<f64> = (0..order.len())
             .map(|rank| 1.0 / (rank + 1) as f64)
             .collect();
-        PriorityRanks { order, weights }
+        let total = weights.iter().sum();
+        PriorityRanks {
+            order,
+            weights,
+            total,
+        }
     }
 
     /// `batch` draws with probability ∝ 1/rank under `ranks`, which
@@ -150,7 +155,7 @@ impl ReplayBuffer {
             "ranks/buffer length mismatch"
         );
         (0..batch)
-            .map(|_| &self.items[ranks.order[rng.weighted_index(&ranks.weights)]])
+            .map(|_| &self.items[ranks.order[rng.weighted_index_of(&ranks.weights, ranks.total)]])
             .collect()
     }
 }
@@ -163,6 +168,8 @@ pub struct PriorityRanks {
     order: Vec<usize>,
     /// `1 / (rank + 1)` for each position of `order`.
     weights: Vec<f64>,
+    /// The sum of `weights`, taken once instead of once per draw.
+    total: f64,
 }
 
 #[cfg(test)]
@@ -316,6 +323,28 @@ mod tests {
             let want = tags(buf.sample_prioritized(64, &priorities, &mut per_update));
             assert_eq!(tags(buf.sample_ranked(64, &ranks, &mut once)), want);
         }
+    }
+
+    /// Drawing with the rank weights' sum taken once in `rank` draws what
+    /// `weighted_index`, summing them on every draw, draws from the same
+    /// stream: the same `f64` total, so the same scan.
+    #[test]
+    fn ranked_draws_match_per_draw_weighted_index() {
+        let buf = buffer_of(1_000);
+        let priorities = td_priorities(1_000, &mut Rng64::new(8));
+        let ranks = buf.rank(&priorities);
+        let summed: f64 = ranks.weights.iter().sum();
+        assert_eq!(ranks.total.to_bits(), summed.to_bits());
+        let (mut once, mut per_draw) = (Rng64::new(9), Rng64::new(9));
+        let got: Vec<f32> = buf
+            .sample_ranked(256, &ranks, &mut once)
+            .iter()
+            .map(|e| e.reward)
+            .collect();
+        let want: Vec<f32> = (0..256)
+            .map(|_| buf.items[ranks.order[per_draw.weighted_index(&ranks.weights)]].reward)
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

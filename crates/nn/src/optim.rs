@@ -5,6 +5,7 @@
 //! classical momentum and decoupled L2 weight decay.
 
 use crate::model::Sequential;
+use crate::simd;
 use crate::tensor::Tensor;
 
 /// Stochastic gradient descent with optional momentum and weight decay.
@@ -63,23 +64,22 @@ impl Sgd {
     pub fn step_scaled(&mut self, model: &mut Sequential, grad_scale: f32) {
         let mut index = 0;
         model.visit_params(|_, p, g| {
-            if self.momentum > 0.0 {
+            let direction = if self.momentum > 0.0 {
                 if self.velocity.len() <= index {
                     self.velocity.push(Tensor::zeros(g.shape()));
                 }
                 let v = &mut self.velocity[index];
                 debug_assert_eq!(v.shape(), g.shape(), "velocity shape drift");
-                // v ← m·v + g ; p ← p − lr·(scale·v + wd·p)
+                // v ← m·v + g
                 v.scale(self.momentum);
                 v.add_assign(g);
-                for (pv, vv) in p.data_mut().iter_mut().zip(v.data().iter()) {
-                    *pv -= self.lr * (grad_scale * vv + self.weight_decay * *pv);
-                }
+                &*v
             } else {
-                for (pv, gv) in p.data_mut().iter_mut().zip(g.data().iter()) {
-                    *pv -= self.lr * (grad_scale * gv + self.weight_decay * *pv);
-                }
-            }
+                g
+            };
+            // p ← p − lr·(scale·d + wd·p), d the gradient or its velocity
+            let (lr, decay) = (self.lr, self.weight_decay);
+            simd::sgd_update(p.data_mut(), direction.data(), lr, grad_scale, decay);
             index += 1;
         });
     }

@@ -195,8 +195,18 @@ impl Rng64 {
     /// Panics if the weights are empty or sum to a non-finite / non-positive
     /// value.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
+        self.weighted_index_of(weights, weights.iter().sum())
+    }
+
+    /// [`Rng64::weighted_index`] with the weights' sum, `total`, computed
+    /// once by the caller: a caller drawing many times from one weight
+    /// vector skips an `O(n)` pass per draw. With `total` equal to
+    /// `weights.iter().sum()` it draws exactly what `weighted_index` draws.
+    ///
+    /// # Panics
+    /// As [`Rng64::weighted_index`], with `total` in place of the sum.
+    pub fn weighted_index_of(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(!weights.is_empty(), "weighted_index: empty weights");
-        let total: f64 = weights.iter().sum();
         assert!(
             total.is_finite() && total > 0.0,
             "weighted_index: weights must sum to a positive finite value (got {total})"

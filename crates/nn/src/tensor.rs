@@ -14,7 +14,10 @@
 //! `B` is read in place while it fits the L2 cache and one packed 32-column
 //! panel at a time beyond, and the `n % 32` tail columns run through a
 //! panel zero-padded to whole eight-lane vectors, whose padded lanes are
-//! dropped. `t_matmul` is the transposed row product — `matmul` of its left
+//! dropped. The AVX2 copy runs every block — in place, packed or tail —
+//! two rows at a time, each load of `B` feeding both rows' accumulators
+//! (an odd last row runs alone); the baseline copy keeps one row.
+//! `t_matmul` is the transposed row product — `matmul` of its left
 //! operand's transpose — and `matmul_t` the row product over its right
 //! operand's transpose. The loops live in [`simd`], which
 //! compiles each of them twice — for the build's baseline target and for
@@ -29,10 +32,12 @@
 //!   compares equal to zero (`0.0` or `-0.0`): ReLU activations and
 //!   structured-dropout masks make those common. The skipped term would
 //!   have added `±0.0`, so a finite right factor gives the same bits — but
-//!   a non-finite one does not (`0·∞ = NaN` is skipped too). `matmul_t`
-//!   has no skip: there `0·∞` stays `NaN`.
-//! * **Order and rounding are pinned; width is not.** The kernels
-//!   vectorise across *independent output columns*, so an eight-lane
+//!   a non-finite one does not (`0·∞ = NaN` is skipped too). Each row
+//!   decides for itself: in a row pair, one row's skipped term is the
+//!   other's `NaN`. `matmul_t` has no skip: there `0·∞` stays `NaN`.
+//! * **Order and rounding are pinned; width and tile height are not.**
+//!   The kernels vectorise across *independent output columns*, and a row
+//!   pair only adds a second row's independent sums, so an eight-lane
 //!   `vmulps`/`vaddps` performs, per element, the same rounded multiply and
 //!   the same rounded add in the same `k` order as a four-lane
 //!   `mulps`/`addps` or a scalar loop: the AVX2 and the baseline
@@ -42,7 +47,8 @@
 //!   twice. No build flag does that behind the source's back — `rustc`
 //!   emits no `contract` fast-math flag, so LLVM may not turn `a * b + c`
 //!   into an FMA even where the target has one — but `f32`'s explicit
-//!   fused method asks for it and stays forbidden here. Rates per
+//!   fused method asks for it and stays forbidden here (CI's "No fused
+//!   multiply-add" step finds any call). Rates per
 //!   instantiation: docs/REPRODUCING.md, "Cost model of a local round".
 //! * **Threads.** Row bands of the output go to scoped threads only above
 //!   `PAR_MATMUL_FLOPS` (2²² multiply-adds) and never from inside a
@@ -86,6 +92,29 @@ pub struct Tensor {
 /// and the crossover did not move: 2²¹ is a tie, 2²² is the first size
 /// where two threads win (1.2–1.4×; 1.5–1.9× from 2²³ up), and when the
 /// second vCPU is away they lose the spawn there, ≤ 16 %.
+///
+/// Re-measured against the AVX2 row-pair kernel (serial / two threads, µs,
+/// median of 25, range over three runs), in an hour when two threads won
+/// only 1.2–1.4× at 16 M and up, so the second vCPU was there part of the
+/// time:
+///
+/// | multiply-adds | shape | serial | two threads |
+/// |---|---|---|---|
+/// | 0.5 M | 64×64 · 64×128 | 27–41 | 91–126 |
+/// | 2.1 M | 256×64 · 64×128 | 107–146 | 164–203 |
+/// | 4.2 M | 512×64 · 64×128 | 224–321 | 238–349 |
+/// | 4.2 M | 64×256 · 256×256 (DDPG hidden layer) | 335–362 | 382–478 |
+/// | 8.4 M | 1024×64 · 64×128 | 445–663 | 464–523 |
+/// | 16.4 M | 2000×64 · 64×128 | 896–1 332 | 749–923 |
+/// | 64 M | 400×400 · 400×400 | 4 736–5 780 | 4 188–4 944 |
+/// | 67 M | 32×2048 · 2048×1024 | 7 246–7 800 | 4 913–5 536 |
+///
+/// 2²² is a tie or a loss there, 2²³ a tie, 2²⁴ the first win. A moved
+/// crossover and a missing vCPU both predict that, and one hour of one box
+/// does not tell them apart. With the vCPU present both sides gain the
+/// kernel's speed-up and only the spawn does not, which at 2²² (≈ 200 µs
+/// serial) leaves two threads ahead. No workload measurement asks for a
+/// move, so the constant stays.
 const PAR_MATMUL_FLOPS: usize = 1 << 22;
 
 /// `[m, k] × [k, n]` over flat row-major buffers, output rows split into
@@ -320,9 +349,7 @@ impl Tensor {
     /// In-place `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
         debug_assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
+        simd::add_assign(&mut self.data, &other.data);
     }
 
     /// In-place `self -= other`.

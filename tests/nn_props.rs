@@ -279,6 +279,100 @@ fn packed_panels_match_the_scalar_reference_bit_for_bit() {
     }
 }
 
+/// The row-pair tile decides the zero skip per row. Two rows share every
+/// load of `b`, whose row 3 holds `∞` and `NaN`; one row of each pair has
+/// a `0.0` or `-0.0` left factor there and the other a nonzero one. The
+/// skipping row stays finite, the other turns non-finite in every column,
+/// and both are the scalar reference — in either row of the pair, over a
+/// full 32-column block and over each tail width.
+#[test]
+fn a_row_pair_skips_zero_terms_row_by_row() {
+    use feddrl_repro::feddrl_nn::simd::for_each_instantiation;
+    let (m, k) = (4, 7);
+    for n in [8, 16, 24, 29, 32, 40, 64, 100] {
+        let mut rng = Rng64::new(n as u64);
+        let mut a = Tensor::randn(&[m, k], 0.0, 1.0, &mut rng);
+        let mut b = Tensor::randn(&[k, n], 0.0, 1.0, &mut rng);
+        for c in 0..n {
+            *b.at_mut(3, c) = if c % 2 == 0 { f32::INFINITY } else { f32::NAN };
+        }
+        // Rows 0 and 3 skip; rows 1 and 2 do not. Pairs (0, 1) and (2, 3).
+        (*a.at_mut(0, 3), *a.at_mut(3, 3)) = (0.0, -0.0);
+        let dims = (m, k, n);
+        let a_t = a.transpose();
+        let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, true);
+        for_each_instantiation(|which| {
+            for got in [a.matmul(&b), a_t.t_matmul(&b)] {
+                assert!(same_bits(got.data(), &want), "{which} {dims:?}");
+                for r in 0..m {
+                    let finite = got.row(r).iter().all(|v| v.is_finite());
+                    assert_eq!(finite, r == 0 || r == 3, "{which} {dims:?} row {r}");
+                }
+            }
+        });
+    }
+}
+
+/// An odd `m` leaves the last row of a band to the one-row block: every
+/// odd row count up to 11, over a full block and then a tail of each
+/// width (8, 16, 24 and 32 lanes), in all three products.
+#[test]
+fn odd_row_counts_end_in_a_one_row_block() {
+    use feddrl_repro::feddrl_nn::simd::for_each_instantiation;
+    let k = 13;
+    for (seed, n) in [1, 9, 17, 25, 33, 41, 49, 57].into_iter().enumerate() {
+        for m in [1, 3, 5, 7, 9, 11] {
+            let mut rng = Rng64::new((seed * 16 + m) as u64);
+            let a = planted(&[m, k], &mut rng);
+            let b = planted(&[k, n], &mut rng);
+            let (a_t, b_t) = (a.transpose(), b.transpose());
+            let dims = (m, k, n);
+            let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, true);
+            let want_mt = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), dims, false);
+            for_each_instantiation(|which| {
+                assert!(
+                    same_bits(a.matmul(&b).data(), &want),
+                    "{which} matmul {dims:?}"
+                );
+                assert!(
+                    same_bits(a_t.t_matmul(&b).data(), &want),
+                    "{which} t_matmul {dims:?}"
+                );
+                assert!(
+                    same_bits(a.matmul_t(&b_t).data(), &want_mt),
+                    "{which} matmul_t {dims:?}"
+                );
+            });
+        }
+    }
+}
+
+/// A threaded product whose row bands each hold an odd number of rows:
+/// 21 rows over three threads are bands of 7, each three pairs and a lone
+/// row, with `b` read in place (`k · n` under `MAX_BLOCKED_RHS`) and a
+/// 16-lane tail. Serial and threaded are the scalar reference bit for bit.
+#[test]
+fn threaded_bands_of_odd_height_match_the_scalar_reference() {
+    use feddrl_repro::feddrl_nn::parallel::set_max_threads;
+    use feddrl_repro::feddrl_nn::simd::{for_each_instantiation, MAX_BLOCKED_RHS};
+    let (m, k, n) = (21, 500, 400);
+    assert!(k * n <= MAX_BLOCKED_RHS && m * k * n >= 1 << 22);
+    let mut rng = Rng64::new(21);
+    let a = planted(&[m, k], &mut rng);
+    let b = planted(&[k, n], &mut rng);
+    let want = reference_product(|r, kk| a.at(r, kk), |kk, c| b.at(kk, c), (m, k, n), true);
+    for threads in [1, 3] {
+        set_max_threads(threads);
+        for_each_instantiation(|which| {
+            assert!(
+                same_bits(a.matmul(&b).data(), &want),
+                "{which}, {threads} threads"
+            );
+        });
+    }
+    set_max_threads(0);
+}
+
 /// `transpose` is the naive double loop for every small shape — empty ones,
 /// every remainder of the eight-row bands — and for the shapes training
 /// transposes (`W₂` of the paper model, its mirror, one long row).

@@ -28,13 +28,14 @@
 //! reproduce exactly, independent of thread scheduling.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::client::ClientUpdate;
 use crate::dispatch::DispatchPlanner;
 use crate::history::{narrow, narrow_count, HeteroRoundRecord};
 use feddrl_sim::device::{FleetConfig, FleetView};
 use feddrl_sim::event::{EventKind, EventQueue, VirtualClock};
+use feddrl_sim::ids::{IdMap, IdSet};
 use serde::{Deserialize, Serialize};
 
 /// How an update's impact factor is scaled by its staleness `s` — the
@@ -438,11 +439,14 @@ impl ClientReliability {
 /// total and the switch from dense storage is invisible to readers. What
 /// changes is the memory shape: a million-client fleet whose rounds touch
 /// a hundred devices holds a hundred entries ([`ReliabilityTable::observed`]
-/// is the resident-entry count the scale sweep reports), and iteration
-/// visits only observed clients, in ascending id order (deterministic).
+/// is the resident-entry count the scale sweep reports). The entries live
+/// in a hashed [`IdMap`], so the per-candidate lookups selection makes
+/// every round cost O(1) whatever the table's size; iteration, which only
+/// reports and tests make, visits only observed clients and sorts them
+/// into ascending id order (deterministic).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReliabilityTable {
-    stats: BTreeMap<usize, ClientReliability>,
+    stats: IdMap<ClientReliability>,
 }
 
 impl ReliabilityTable {
@@ -480,9 +484,11 @@ impl ReliabilityTable {
     }
 
     /// Iterate observed `(client_id, telemetry)` pairs in ascending id
-    /// order.
+    /// order (sorted on each call: a reporting path, not a per-round one).
     pub fn iter(&self) -> impl Iterator<Item = (usize, &ClientReliability)> + '_ {
-        self.stats.iter().map(|(&id, s)| (id, s))
+        let mut entries: Vec<_> = self.stats.iter().map(|(&id, s)| (id, s)).collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        entries.into_iter()
     }
 
     /// Field-wise totals over every observed client — the aggregate the
@@ -646,7 +652,7 @@ pub struct ExecutorView<'a> {
     /// churn-aware policies are measured against. Borrowed from the churn
     /// process (owned only where the set lives behind a lock, as over
     /// sockets); empty for executors without churn.
-    pub departed: Cow<'a, BTreeSet<usize>>,
+    pub departed: Cow<'a, IdSet>,
     /// The device fleet the executor simulates — what heterogeneity-aware
     /// policies base their completion-time estimates on. Served as a lazy
     /// [`FleetView`], so consulting only the candidate pool costs
@@ -680,7 +686,7 @@ pub struct ExecutorView<'a> {
     /// a view costs the same whether ten or a hundred thousand clients
     /// are pending. Empty for executors that end every round with nothing
     /// pending.
-    pub in_flight: Cow<'a, BTreeSet<usize>>,
+    pub in_flight: Cow<'a, IdSet>,
     /// Per-client *observed* reliability telemetry — dropout counts and
     /// staleness history accumulated so far, keyed by client id and
     /// holding entries only for clients actually dispatched. Policies see
@@ -739,7 +745,7 @@ pub struct DeadlineExecutor {
     /// difference (only under [`LatePolicy::CarryOver`]).
     carried: Vec<(ClientUpdate, usize)>,
     /// The clients of `carried`, as the set the view lends out.
-    carried_ids: BTreeSet<usize>,
+    carried_ids: IdSet,
     /// Virtual seconds elapsed since the start of the run — the sum of
     /// every finished round's `sim_time_s`. Rounds still replay on a
     /// round-local event queue, but churn and diurnal modulation live on
@@ -770,7 +776,7 @@ impl DeadlineExecutor {
             cfg,
             participants,
             carried: Vec::new(),
-            carried_ids: BTreeSet::new(),
+            carried_ids: IdSet::default(),
             clock_s: 0.0,
         }
     }
@@ -827,7 +833,7 @@ impl RoundExecutor for DeadlineExecutor {
         // at the window's end; rounds that finish early simply re-request
         // that prefix next time (a no-op rewind).
         let horizon_s = self.cfg.deadline_s.unwrap_or(max_completion_s);
-        let mut leave_at: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut leave_at: IdMap<f64> = IdMap::default();
         for ev in self.planner.advance_churn(round_start_s + horizon_s) {
             if let EventKind::ClientLeave { client_id } = ev.kind {
                 leave_at.entry(client_id).or_insert(ev.time_s);
@@ -975,13 +981,13 @@ pub struct BufferedExecutor {
     queue: EventQueue,
     /// Dispatches whose uploads have not completed yet, by client: the
     /// busy rule below guarantees a client has at most one.
-    pending: BTreeMap<usize, PendingUpload>,
+    pending: IdMap<PendingUpload>,
     /// What `pending` entries train from, by dispatch round.
     broadcasts: BTreeMap<usize, Broadcast>,
     /// Every client with an upload traveling or a report parked in
     /// `buffer` — who is busy at the next dispatch, and what the view
     /// lends to selection.
-    busy: BTreeSet<usize>,
+    busy: IdSet,
     /// Arrived updates awaiting the buffer to fill, in arrival order,
     /// each with the model version it was trained against. Never holds
     /// `buffer_size` or more entries between rounds.
@@ -1036,11 +1042,11 @@ impl BufferedExecutor {
             // `participants > buffer_size` the queue, `pending` and `busy`
             // grow with the round index until the fleet saturates — a few
             // words per pending client, and every per-round operation on
-            // them is a keyed lookup.
+            // them is an O(1) hashed probe.
             queue: EventQueue::with_capacity(participants + 1),
-            pending: BTreeMap::new(),
+            pending: IdMap::default(),
             broadcasts: BTreeMap::new(),
-            busy: BTreeSet::new(),
+            busy: IdSet::default(),
             buffer: Vec::new(),
         }
     }
@@ -1417,7 +1423,7 @@ mod tests {
         // Their late updates now wait server-side: selection policies
         // must see them as pending so re-dispatch (which would supersede
         // the queued work) is a last resort.
-        assert_eq!(*ex.view().in_flight, BTreeSet::from([0, 1]));
+        assert_eq!(*ex.view().in_flight, IdSet::from_iter([0, 1]));
         // Round 1: clients 2, 3 also straggle — zero fresh arrivals, so
         // the two queued updates finally fill the round's capacity.
         let o1 = ex.execute(&ctx(1), &[2, 3], &stub_train);
@@ -1426,7 +1432,7 @@ mod tests {
         assert_eq!(h1.aggregated_ids, vec![0, 1]);
         assert_eq!(
             *ex.view().in_flight,
-            BTreeSet::from([2, 3]),
+            IdSet::from_iter([2, 3]),
             "consumed carried updates must leave the pending set"
         );
         // Round 2: the newer stale updates (2, 3) ride in next — nothing

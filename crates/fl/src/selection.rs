@@ -305,7 +305,9 @@ fn report_probability(ctx: &SelectionContext<'_>, client_id: usize) -> f64 {
 /// Sort `pool` viable-before-unviable-before-departed, then by `score`
 /// descending; stable, so ties keep the uniformly-sampled pool order and
 /// the result is deterministic under a fixed seed. Returns the first `k`.
-/// Busy and departed are lookups in the sets the executor's view lends,
+/// Busy and departed are O(1) probes of the hashed sets the executor's
+/// view lends, and each candidate's predicted completion time is derived
+/// once and handed to both the tier and `score` (`None` without a fleet),
 /// so the cost tracks the pool, neither the fleet nor what is pending.
 ///
 /// Unviable — kept only when the pool has nothing better — means busy
@@ -330,25 +332,26 @@ fn rank_and_take(
     pool: Vec<usize>,
     ctx: &SelectionContext<'_>,
     k: usize,
-    score: impl Fn(usize) -> f64,
+    score: impl Fn(usize, Option<f64>) -> f64,
 ) -> Vec<usize> {
-    let doomed = |c: usize| -> bool {
-        match (ctx.executor.deadline_s, ctx.predicted_completion_s(c)) {
-            (Some(dl), Some(t)) => t > dl,
-            _ => false,
-        }
-    };
-    let tier = |c: usize| -> u8 {
+    let deadline_s = ctx.executor.deadline_s;
+    let tier = |c: usize, completion_s: Option<f64>| -> u8 {
+        let doomed = matches!((deadline_s, completion_s), (Some(dl), Some(t)) if t > dl);
         if ctx.is_departed(c) {
             2
-        } else if ctx.is_in_flight(c) || doomed(c) {
+        } else if ctx.is_in_flight(c) || doomed {
             1
         } else {
             0
         }
     };
-    let mut scored: Vec<(usize, u8, f64)> =
-        pool.into_iter().map(|c| (c, tier(c), score(c))).collect();
+    let mut scored: Vec<(usize, u8, f64)> = pool
+        .into_iter()
+        .map(|c| {
+            let completion_s = ctx.predicted_completion_s(c);
+            (c, tier(c, completion_s), score(c, completion_s))
+        })
+        .collect();
     scored.sort_by(|a, b| {
         a.1.cmp(&b.1)
             .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal))
@@ -371,7 +374,7 @@ impl SelectionPolicy for ReliabilityAwareSelection {
             .filter_map(|l| *l)
             .fold(f32::NEG_INFINITY, f32::max);
         let prior = if prior.is_finite() { prior } else { 1.0 };
-        rank_and_take(pool, ctx, ctx.participants, |c| {
+        rank_and_take(pool, ctx, ctx.participants, |c, _| {
             let loss = f64::from(ctx.known_loss[c].unwrap_or(prior));
             loss * report_probability(ctx, c)
         })
@@ -407,8 +410,8 @@ impl SelectionPolicy for StalenessBalancedSelection {
     fn select(&mut self, ctx: &SelectionContext<'_>, rng: &mut Rng64) -> Vec<usize> {
         let d = self.candidates.clamp(ctx.participants, ctx.n_clients);
         let pool = rng.sample_indices(ctx.n_clients, d);
-        rank_and_take(pool, ctx, ctx.participants, |c| {
-            (1.0 + ctx.observed_staleness(c)) * ctx.predicted_completion_s(c).unwrap_or(1.0)
+        rank_and_take(pool, ctx, ctx.participants, |c, completion_s| {
+            (1.0 + ctx.observed_staleness(c)) * completion_s.unwrap_or(1.0)
         })
     }
 }
@@ -418,6 +421,7 @@ mod tests {
     use super::*;
     use crate::executor::{ClientReliability, ReliabilityTable};
     use feddrl_sim::device::{FleetConfig, FleetView};
+    use feddrl_sim::ids::IdSet;
     use std::borrow::Cow;
 
     fn ctx_parts(n: usize) -> (Vec<Option<f32>>, Vec<usize>) {
@@ -691,7 +695,7 @@ mod tests {
     fn in_flight_clients_rank_behind_every_idle_candidate() {
         let (loss, part) = ctx_parts(6);
         let mut ctx = base_ctx(6, 3, &loss, &part);
-        ctx.executor.in_flight = Cow::Owned([0, 1, 2].into());
+        ctx.executor.in_flight = Cow::Owned(IdSet::from_iter([0, 1, 2]));
         for mut policy in [
             Box::new(ReliabilityAwareSelection { candidates: 6 }) as Box<dyn SelectionPolicy>,
             Box::new(StalenessBalancedSelection { candidates: 6 }),
@@ -718,8 +722,8 @@ mod tests {
         // busy client must still outrank the departed ones if forced.
         let (loss, part) = ctx_parts(6);
         let mut ctx = base_ctx(6, 3, &loss, &part);
-        ctx.executor.in_flight = Cow::Owned([2].into());
-        ctx.executor.departed = Cow::Owned([0, 1].into());
+        ctx.executor.in_flight = Cow::Owned(IdSet::from_iter([2]));
+        ctx.executor.departed = Cow::Owned(IdSet::from_iter([0, 1]));
         assert!(ctx.is_departed(0) && ctx.is_departed(1) && !ctx.is_departed(2));
         for mut policy in [
             Box::new(ReliabilityAwareSelection { candidates: 6 }) as Box<dyn SelectionPolicy>,

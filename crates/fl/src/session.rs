@@ -7,8 +7,11 @@
 //! [`FlError`]s instead of panicking mid-run. The built [`Session`] can be
 //! driven to completion with [`Session::run`] or one communication round
 //! at a time with [`Session::step`] (for interleaving with checkpointing,
-//! hyper-parameter control, or an external event loop); both paths produce
-//! identical [`RunHistory`]s.
+//! hyper-parameter control, or an external event loop); a caller that
+//! collects the records `step` lends and finishes with
+//! [`Session::into_history`] gets the [`RunHistory`] `run` returns, byte
+//! for byte. The session itself keeps only the latest round's record, so
+//! its memory does not grow with the rounds it has run.
 //!
 //! Per round the session: asks the [`SelectionPolicy`] for `K` of `N`
 //! clients (feeding it per-client losses, participation counts and the
@@ -50,8 +53,8 @@ use std::time::Instant;
 pub enum RoundControl {
     /// Keep training.
     Continue,
-    /// Stop the run after this round (its record is kept). Any observer
-    /// returning `Stop` stops the session.
+    /// Stop the run after this round (its record still reaches the
+    /// caller). Any observer returning `Stop` stops the session.
     Stop,
 }
 
@@ -382,7 +385,6 @@ impl<'a> SessionBuilder<'a> {
         observers.extend(self.observers);
 
         let method = self.strategy.name().to_string();
-        let rounds = cfg.rounds;
         let server_opt = cfg.server_opt.build();
         Ok(Session {
             train: self.train,
@@ -403,7 +405,7 @@ impl<'a> SessionBuilder<'a> {
             observers,
             known_loss: vec![None; n_clients],
             participation: vec![0; n_clients],
-            records: Vec::with_capacity(rounds),
+            last: None,
             round: 0,
             stopped: false,
             total_dropouts: 0,
@@ -437,7 +439,10 @@ pub struct Session<'a> {
     observers: Vec<Box<dyn RoundObserver>>,
     known_loss: Vec<Option<f32>>,
     participation: Vec<usize>,
-    records: Vec<RoundRecord>,
+    /// The latest round's record, which [`Session::step`] lends out. No
+    /// other record is kept: [`Session::run`] and step-driven callers
+    /// collect their own.
+    last: Option<RoundRecord>,
     round: usize,
     stopped: bool,
     // Running totals feeding every round's `RoundSignals` — maintained
@@ -452,7 +457,7 @@ pub struct Session<'a> {
 impl<'a> Session<'a> {
     /// Rounds completed so far.
     pub fn rounds_completed(&self) -> usize {
-        self.records.len()
+        self.round
     }
 
     /// Whether the session has finished (all rounds done, or an observer
@@ -462,19 +467,17 @@ impl<'a> Session<'a> {
         self.stopped || self.round >= self.cfg.rounds
     }
 
-    /// The per-round records produced so far.
-    pub fn records(&self) -> &[RoundRecord] {
-        &self.records
-    }
-
     /// Flat parameters of the current global model (e.g. for external
     /// checkpointing between [`Session::step`] calls).
     pub fn global_params(&self) -> Vec<f32> {
         self.global.flat_params()
     }
 
-    /// Execute one communication round; `Ok(None)` once the session is
-    /// finished.
+    /// Execute one communication round and lend out its record; `Ok(None)`
+    /// once the session is finished. The record is the session's only
+    /// copy and the next call replaces it: a caller that wants the run's
+    /// [`RunHistory`] clones each record it is lent and finishes with
+    /// [`Session::into_history`].
     ///
     /// # Errors
     /// [`FlError::InvalidSelection`] when a (user-provided) selection
@@ -486,6 +489,13 @@ impl<'a> Session<'a> {
     /// normalized onto the simplex — each reported before aggregation
     /// touches the global model.
     pub fn step(&mut self) -> Result<Option<&RoundRecord>, FlError> {
+        self.last = self.advance()?;
+        Ok(self.last.as_ref())
+    }
+
+    /// One round, as [`Session::step`] runs it, handing its record over
+    /// by value after the observers have seen it.
+    fn advance(&mut self) -> Result<Option<RoundRecord>, FlError> {
         if self.is_finished() {
             return Ok(None);
         }
@@ -682,13 +692,11 @@ impl<'a> Session<'a> {
             aggregate_micros,
             hetero: outcome.hetero.map(Box::new),
         };
-        self.records.push(record);
         self.round += 1;
 
         // --- Observers (the logger first, then user hooks, in order),
         // fed the round record plus the run's cumulative reliability
         // telemetry.
-        let record = self.records.last().expect("record just pushed");
         if let Some(h) = &record.hetero {
             self.total_dropouts += h.dropouts as usize;
             self.total_stragglers += h.stragglers as usize;
@@ -697,7 +705,7 @@ impl<'a> Session<'a> {
             self.staleness_count += h.staleness.len();
         }
         let signals = RoundSignals {
-            record,
+            record: &record,
             total_dropouts: self.total_dropouts,
             total_stragglers: self.total_stragglers,
             sim_time_s: self.cum_sim_time_s,
@@ -716,7 +724,8 @@ impl<'a> Session<'a> {
         Ok(Some(record))
     }
 
-    /// Drive the remaining rounds to completion and return the history.
+    /// Drive the remaining rounds to completion and return the history of
+    /// the rounds this call ran.
     ///
     /// # Errors
     /// Propagates the first [`FlError`] from [`Session::step`] — and,
@@ -724,18 +733,22 @@ impl<'a> Session<'a> {
     /// failure. Only a misbehaving user-provided [`SelectionPolicy`],
     /// `train_fn` or [`Strategy`] can fail mid-run (built-ins are total,
     /// and config errors are caught at [`SessionBuilder::build`]); when
-    /// driving one
-    /// and partial results matter, loop [`Session::step`] yourself and recover the
-    /// completed rounds with [`Session::into_history`].
+    /// driving one and partial results matter, loop [`Session::step`]
+    /// yourself, collecting the records, and finish with
+    /// [`Session::into_history`].
     pub fn run(mut self) -> Result<RunHistory, FlError> {
-        while self.step()?.is_some() {}
-        Ok(self.into_history())
+        let mut records = Vec::with_capacity(self.cfg.rounds - self.round);
+        while let Some(record) = self.advance()? {
+            records.push(record);
+        }
+        Ok(self.into_history(records))
     }
 
-    /// Finish the session, consuming it into its [`RunHistory`] (what
-    /// [`Session::run`] returns; use directly when driving via
-    /// [`Session::step`]).
-    pub fn into_history(self) -> RunHistory {
+    /// Finish the session, consuming it into a [`RunHistory`] over
+    /// `records` — the records a [`Session::step`] loop collected, in
+    /// order; with every round's record, this is what [`Session::run`]
+    /// returns.
+    pub fn into_history(self, records: Vec<RoundRecord>) -> RunHistory {
         RunHistory {
             method: self.method,
             dataset: self.dataset_name,
@@ -743,7 +756,7 @@ impl<'a> Session<'a> {
             n_clients: self.n_clients,
             participants: self.cfg.participants,
             seed: self.cfg.seed,
-            records: self.records,
+            records,
         }
     }
 }

@@ -9,7 +9,9 @@
 //! `TrainRequest` (call the caller-supplied training closure on the
 //! remembered weights and send the resulting `Update` — or, for a
 //! sub-model dispatch, a compact `MaskedUpdate` carrying only the mask's
-//! kept positions), and `Bye` (leave). A background thread shares the
+//! kept positions), and `Bye` (leave). A write refused because the server
+//! has already sent `Bye` and shut the socket ends the worker as cleanly
+//! as reading that `Bye` would. A background thread shares the
 //! write half of the socket and emits a `Heartbeat` frame each time a
 //! heartbeat period passes, so the server's liveness TTL stays refreshed
 //! even while the worker sits idle between rounds. It waits on a stop
@@ -157,16 +159,17 @@ where
     let mut received = Vec::new();
     let mut sent = Vec::new();
     loop {
-        match read_frame_into(&mut reader, &mut received)? {
+        let written = match read_frame_into(&mut reader, &mut received)? {
             None | Some(Message::Bye { .. }) => break,
             Some(Message::HelloAck { version, .. }) => {
                 report.negotiated_version = version;
+                Ok(())
             }
             Some(Message::ModelPublish { version, weights }) => {
                 report.publishes_seen += 1;
                 report.last_version = version;
                 model = Some((version, weights));
-                ack_publish(cfg, writer, &mut sent, version)?;
+                ack_publish(cfg, writer, &mut sent, version)
             }
             Some(Message::ModelPublishDelta(d)) => {
                 report.delta_publishes_seen += 1;
@@ -186,7 +189,9 @@ where
                     *version = d.version;
                     report.publishes_seen += 1;
                     report.last_version = d.version;
-                    ack_publish(cfg, writer, &mut sent, d.version)?;
+                    ack_publish(cfg, writer, &mut sent, d.version)
+                } else {
+                    Ok(())
                 }
             }
             Some(Message::TrainRequest { round, keep_ratio }) => {
@@ -240,18 +245,54 @@ where
                         weights: update.weights,
                     })
                 };
-                send(writer, &mut sent, &msg)?;
-                report.rounds_trained += 1;
+                let reported = send(writer, &mut sent, &msg);
+                report.rounds_trained += usize::from(reported.is_ok());
+                reported
             }
             // The server never sends client-bound kinds; ignore strays.
             Some(Message::Hello { .. })
             | Some(Message::Update(_))
             | Some(Message::MaskedUpdate(_))
             | Some(Message::PublishAck { .. })
-            | Some(Message::Heartbeat { .. }) => {}
+            | Some(Message::Heartbeat { .. }) => Ok(()),
+        };
+        if let Err(error) = written {
+            return ended_after_bye(&mut reader, &mut received, error).map(|()| report);
         }
     }
     Ok(report)
+}
+
+/// Whether a write that failed with `error` ended an orderly shutdown.
+/// The server queues `Bye` and shuts the socket without reading what is
+/// still in flight, so a write racing that shutdown fails with a broken
+/// pipe or a reset. Then the read half still holds what the server sent:
+/// drain it, and if it ends in `Bye` or end of stream, the worker is done
+/// (`Ok`). Any other write failure, or a read half that breaks off
+/// instead, returns `error`.
+fn ended_after_bye(
+    reader: &mut TcpStream,
+    received: &mut Vec<u8>,
+    error: WireError,
+) -> Result<(), WireError> {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    if !matches!(
+        error,
+        WireError::Io {
+            kind: BrokenPipe | ConnectionReset | ConnectionAborted,
+            ..
+        }
+    ) {
+        return Err(error);
+    }
+    loop {
+        match read_frame_into(reader, received) {
+            Ok(None | Some(Message::Bye { .. })) => return Ok(()),
+            // Frames the server queued ahead of its `Bye`.
+            Ok(Some(_)) => {}
+            Err(_) => return Err(error),
+        }
+    }
 }
 
 /// Acknowledge a cached model version so the server may delta-encode
@@ -282,6 +323,8 @@ fn send(writer: &Mutex<TcpStream>, frame: &mut Vec<u8>, msg: &Message) -> Result
 mod tests {
     use super::*;
     use crate::builder::{NetClientBuilder, NetServerBuilder};
+    use crate::wire::write_frame;
+    use std::net::TcpListener;
     use std::time::Instant;
 
     /// Deterministic stub: weights = global scaled by (client_id + 2).
@@ -364,5 +407,51 @@ mod tests {
         assert!(server.messages_from(9).unwrap() > 3, "heartbeats observed");
         server.shutdown();
         worker.join().expect("no panic").expect("clean exit");
+    }
+
+    /// A server that queues a publish, a training demand and `Bye`, then
+    /// shuts the socket with the worker's `Hello` still unread — which
+    /// turns the close into a reset — refuses the worker's next write.
+    /// The worker still ends cleanly, on the `Bye` it had not read yet.
+    /// The training closure waits for the shutdown, so the refused write
+    /// is the `Update` (or, if the reset lands first, the publish's ack).
+    #[test]
+    fn a_write_refused_after_the_servers_bye_ends_the_worker_cleanly() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let cfg = NetClientBuilder::new(listener.local_addr().expect("addr").to_string(), 3)
+            .heartbeat(Duration::from_secs(3600))
+            .build()
+            .expect("client config");
+        let (closed, wait_closed) = mpsc::channel::<()>();
+        let worker = thread::spawn(move || {
+            let mut train = stub(3);
+            run_client(&cfg, move |order, global| {
+                let _ = wait_closed.recv();
+                train(order, global)
+            })
+        });
+        let (mut server, _) = listener.accept().expect("accept");
+        // Wait for the `Hello` without consuming it.
+        server.peek(&mut [0u8; 1]).expect("hello arrives");
+        for msg in [
+            Message::ModelPublish {
+                version: 1,
+                weights: vec![1.0, 2.0],
+            },
+            Message::TrainRequest {
+                round: 0,
+                keep_ratio: 1.0,
+            },
+            Message::Bye { client_id: 3 },
+        ] {
+            write_frame(&mut server, &msg).expect("queue frame");
+        }
+        drop(server);
+        let _ = closed.send(());
+        let report = worker
+            .join()
+            .expect("no panic")
+            .expect("a write refused after Bye is a clean exit");
+        assert_eq!((report.publishes_seen, report.rounds_trained), (1, 0));
     }
 }

@@ -18,12 +18,11 @@
 //! telemetry must be allowed to go stale, not be silently inherited by a
 //! stranger).
 
-use std::collections::BTreeSet;
-
 use feddrl_nn::rng::Rng64;
 
 use crate::device::ChurnConfig;
 use crate::event::{Event, EventKind};
+use crate::ids::IdSet;
 
 /// Salt separating the churn RNG from every other stream derived from a
 /// run's master seed.
@@ -39,7 +38,7 @@ pub struct ChurnProcess {
     initial_n: usize,
     /// One past the largest id ever minted (ids `[0, universe)` exist).
     universe: usize,
-    departed: BTreeSet<usize>,
+    departed: IdSet,
     joins: usize,
     leaves: usize,
     arrivals: Rng64,
@@ -78,7 +77,7 @@ impl ChurnProcess {
             cfg: *cfg,
             initial_n,
             universe: initial_n,
-            departed: BTreeSet::new(),
+            departed: IdSet::default(),
             joins: 0,
             leaves: 0,
             arrivals,
@@ -176,7 +175,7 @@ impl ChurnProcess {
 
     /// The departed client ids (sparse: one entry per client that
     /// actually left, regardless of fleet size).
-    pub fn departed(&self) -> &BTreeSet<usize> {
+    pub fn departed(&self) -> &IdSet {
         &self.departed
     }
 }
@@ -243,7 +242,7 @@ mod tests {
         let mut p = quick();
         let events = p.advance_to(1000.0);
         let mut next_expected = 10;
-        let mut seen_leaves = BTreeSet::new();
+        let mut seen_leaves = IdSet::default();
         for e in &events {
             match e.kind {
                 EventKind::ClientJoin { client_id } => {

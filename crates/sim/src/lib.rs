@@ -18,7 +18,9 @@
 //!   processes emitting `ClientJoin`/`ClientLeave` events on the virtual
 //!   clock, composing with the per-device diurnal availability cycle
 //!   ([`device::DiurnalConfig`]) so fleets breathe instead of standing
-//!   still.
+//!   still;
+//! * [`ids`] — hashed sets and maps keyed by client id, over one fixed
+//!   hasher, for the per-client tables executors probe every round.
 //!
 //! The device and event modules form the *heterogeneity engine* the
 //! federated simulator's deadline-bounded round executor
@@ -31,6 +33,7 @@ pub mod churn;
 pub mod comm;
 pub mod device;
 pub mod event;
+pub mod ids;
 
 /// Convenient glob import.
 pub mod prelude {
@@ -41,4 +44,5 @@ pub mod prelude {
         ReliabilityConfig,
     };
     pub use crate::event::{Event, EventKind, EventQueue, VirtualClock};
+    pub use crate::ids::IdSet;
 }

@@ -87,12 +87,14 @@ fn main() {
         .dataset_name("mnist-like")
         .build()
         .expect("valid federated config");
+    let mut records = Vec::new();
     while let Some(record) = session.step().expect("round") {
         if record.round == 5 {
             println!("  (round 5 checkpoint hook would persist the agent here)");
         }
+        records.push(record.clone());
     }
-    let history = session.into_history();
+    let history = session.into_history(records);
     println!(
         "warm-started FedDRL: best accuracy {:.2}% (round {})",
         history.best().best_accuracy * 100.0,

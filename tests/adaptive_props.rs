@@ -190,8 +190,11 @@ fn step_by_step_equals_run_with_adaptive_state() {
             .config(&cfg)
             .build()
             .expect("valid config");
-        while session.step().expect("step").is_some() {}
-        let stepped = session.into_history();
+        let mut records = Vec::new();
+        while let Some(record) = session.step().expect("step") {
+            records.push(record.clone());
+        }
+        let stepped = session.into_history(records);
 
         assert_eq!(
             scrubbed_json(whole),

@@ -55,3 +55,9 @@ pub fn ctx(round: usize) -> TrainContext<'static> {
         global: &[],
     }
 }
+
+/// The client-id set of `list`, in the hashed form executor views lend:
+/// equality is set equality, whatever the insertion order.
+pub fn ids(list: impl IntoIterator<Item = usize>) -> IdSet {
+    list.into_iter().collect()
+}

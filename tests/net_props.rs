@@ -34,7 +34,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 
 mod common;
-use common::{ctx, scrubbed_json};
+use common::{ctx, ids, scrubbed_json};
 
 // ---------------------------------------------------------------------------
 // Codec laws (property-based)
@@ -628,7 +628,7 @@ fn ttl_expiry_surfaces_as_departure_through_the_executor() {
     while executor.view().departed.is_empty() && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(*executor.view().departed, [3].into(), "silence departs");
+    assert_eq!(*executor.view().departed, ids([3]), "silence departs");
     assert!(executor.server().is_live(1), "heartbeats keep 1 live");
 
     drop(executor); // shutdown → Bye → worker exits
@@ -637,9 +637,11 @@ fn ttl_expiry_surfaces_as_departure_through_the_executor() {
 
 /// The `ExecutorView` contract selection relies on, for every executor:
 /// the ideal view is the default one, a view only changes across an
-/// `execute` (or, over sockets, with the registry), and `departed` is an
-/// ordered set — `SelectionContext::is_departed` looks ids up in it, and
-/// socket departures that happened out of id order still read ascending.
+/// `execute` (or, over sockets, with the registry), and `departed` holds
+/// exactly the departed ids — `SelectionContext::is_departed` probes it,
+/// and it compares as a set, whatever order the ids arrived in — while the
+/// server's own list of socket departures that happened out of id order
+/// still reads ascending.
 #[test]
 fn executor_views_are_stable_snapshots_with_ascending_departures() {
     assert_eq!(IdealExecutor.view(), ExecutorView::default());
@@ -716,7 +718,8 @@ fn executor_views_are_stable_snapshots_with_ascending_departures() {
     while executor.view().departed.len() < 3 && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(*executor.view().departed, [2, 5, 9].into());
+    assert_eq!(*executor.view().departed, ids([9, 5, 2]));
+    assert_eq!(executor.server().departed(), vec![2, 5, 9]);
     assert_eq!(executor.view(), executor.view());
 }
 
@@ -1351,7 +1354,7 @@ fn buffered_mode_measures_staleness_of_late_arrivals() {
     let h0 = out0.hetero.expect("buffered rounds carry hetero records");
     assert_eq!(h0.aggregated_ids, vec![0], "fast worker wins round 0");
     assert_eq!(out0.updates[0].staleness, 0);
-    assert_eq!(*executor.view().in_flight, [1].into(), "slow one in flight");
+    assert_eq!(*executor.view().in_flight, ids([1]), "slow one in flight");
 
     // Round 1: select only the slow worker — still busy, so nothing new
     // is dispatched and the buffer drains its round-0 answer (trained on

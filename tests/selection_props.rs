@@ -10,7 +10,6 @@
 use feddrl_repro::prelude::*;
 use proptest::prelude::*;
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 mod common;
 use common::ctx;
@@ -24,7 +23,7 @@ struct CtxData {
     fleet: Option<FleetView>,
     upload_bytes: u64,
     deadline_s: Option<f64>,
-    in_flight: BTreeSet<usize>,
+    in_flight: IdSet,
     reliability: Option<ReliabilityTable>,
 }
 

@@ -127,18 +127,19 @@ fn step_by_step_equals_run() {
             .dataset_name("mnist-like")
             .build()
             .expect("valid config");
-        let mut steps = 0;
+        let mut records = Vec::new();
         while let Some(record) = session.step().expect("step") {
-            assert_eq!(record.round, steps, "step returned the wrong round");
-            steps += 1;
-            assert_eq!(session.rounds_completed(), steps);
+            assert_eq!(record.round, records.len(), "step returned the wrong round");
+            records.push(record.clone());
+            assert_eq!(session.rounds_completed(), records.len());
         }
+        let steps = records.len();
         assert!(session.is_finished());
         assert!(
             session.step().expect("idempotent step").is_none(),
             "step on a finished session must be a no-op"
         );
-        let stepped = session.into_history();
+        let stepped = session.into_history(records);
 
         assert_eq!(steps, cfg.rounds);
         assert_eq!(scrubbed_json(whole), scrubbed_json(stepped));

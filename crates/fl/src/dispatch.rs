@@ -312,6 +312,19 @@ impl DispatchPlanner {
         max_completion_s
     }
 
+    /// Turn a dispatch [`Self::plan`] booked for `client_id` into a
+    /// dropout: the dispatch was lost to a send that failed, or to an
+    /// answer that never came or came malformed. The reliability table
+    /// the view lends out then reads it as the simulated executors read a
+    /// failed device, so a client's dropouts and dispatches still add up
+    /// to the times it was tried.
+    pub fn count_dropout(&mut self, client_id: usize) {
+        let stats = self.stats.entry(client_id);
+        debug_assert!(stats.dispatches > 0, "client {client_id} had no dispatch");
+        stats.dispatches = stats.dispatches.saturating_sub(1);
+        stats.dropouts += 1;
+    }
+
     /// The model version dispatches are stamped with and staleness is
     /// measured against.
     pub fn version(&self) -> usize {

@@ -396,6 +396,7 @@ impl<'a> SessionBuilder<'a> {
             method,
             n_clients,
             master,
+            global_flat: global.flat_params(),
             global,
             local_cfg,
             executor,
@@ -431,6 +432,9 @@ pub struct Session<'a> {
     n_clients: usize,
     master: Rng64,
     global: Sequential,
+    /// The flat parameters of `global`: what aggregation produced, kept
+    /// rather than flattened again each round.
+    global_flat: Vec<f32>,
     local_cfg: crate::client::LocalTrainConfig,
     executor: Box<dyn RoundExecutor>,
     policy: Box<dyn SelectionPolicy>,
@@ -470,7 +474,7 @@ impl<'a> Session<'a> {
     /// Flat parameters of the current global model (e.g. for external
     /// checkpointing between [`Session::step`] calls).
     pub fn global_params(&self) -> Vec<f32> {
-        self.global.flat_params()
+        self.global_flat.clone()
     }
 
     /// Execute one communication round and lend out its record; `Ok(None)`
@@ -539,7 +543,7 @@ impl<'a> Session<'a> {
         // batch in parallel — on `par_map`'s scoped threads — from the
         // broadcast of the round they were dispatched in, which under the
         // buffered executor is not this one.
-        let global_flat = self.global.flat_params();
+        let global_flat = &self.global_flat;
         let global = &self.global;
         let train_set = self.train;
         let partition = self.partition;
@@ -593,11 +597,11 @@ impl<'a> Session<'a> {
         };
         // Distributed executors fan the broadcast weights out to their
         // remote workers here; in-process ones train from the context.
-        self.executor.publish_model(round, &global_flat);
+        self.executor.publish_model(round, global_flat);
         let ctx = TrainContext {
             round,
             seed: self.cfg.seed,
-            global: &global_flat,
+            global: global_flat,
         };
         let outcome = self.executor.execute(&ctx, &selected, train);
         let updates = outcome.updates;
@@ -619,7 +623,7 @@ impl<'a> Session<'a> {
             let t0 = Instant::now();
             let raw = self.strategy.impact_factors_ctx(&RoundContext {
                 round,
-                global_weights: &global_flat,
+                global_weights: global_flat,
                 updates: &updates,
             });
             let strategy_micros = t0.elapsed().as_micros() as u64;
@@ -651,7 +655,7 @@ impl<'a> Session<'a> {
                 .iter()
                 .any(|u| u.mask.as_ref().is_some_and(|m| !m.is_full()));
             let mut new_global = if any_masked {
-                masked_weighted_average(&global_flat, &updates, &alphas)
+                masked_weighted_average(global_flat, &updates, &alphas)
             } else {
                 let weight_refs: Vec<&[f32]> =
                     updates.iter().map(|u| u.weights.as_slice()).collect();
@@ -669,9 +673,10 @@ impl<'a> Session<'a> {
             // bit-for-bit); the adaptive optimizers step along the
             // pseudo-gradient `Δ = new_global − global`, carrying moment
             // state in the session across rounds.
-            let new_global = self.server_opt.apply(&global_flat, new_global);
+            let new_global = self.server_opt.apply(global_flat, new_global);
             let aggregate_micros = t1.elapsed().as_micros() as u64;
             self.global.set_flat_params(&new_global);
+            self.global_flat = new_global;
             (alphas, strategy_micros, aggregate_micros)
         };
 

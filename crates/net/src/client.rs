@@ -26,7 +26,6 @@
 //! letting benches emulate a heterogeneous device fleet's compute times
 //! over real sockets.
 
-use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -37,7 +36,7 @@ use feddrl_fl::client::ClientUpdate;
 
 use crate::lock;
 use crate::wire::{
-    read_frame_into, write_frame, MaskedUpdateMsg, Message, UpdateMsg, WireError,
+    read_frame_into, write_frame, write_frame_with, MaskedUpdateMsg, Message, UpdateMsg, WireError,
     PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN,
 };
 
@@ -155,7 +154,7 @@ where
 {
     let mut model: Option<(u64, Vec<f32>)> = None;
     let mut report = ClientReport::default();
-    // One buffer each way for the life of the connection.
+    // One chunk buffer each way for the life of the connection.
     let mut received = Vec::new();
     let mut sent = Vec::new();
     loop {
@@ -300,23 +299,20 @@ fn ended_after_bye(
 fn ack_publish(
     cfg: &ClientConfig,
     writer: &Mutex<TcpStream>,
-    frame: &mut Vec<u8>,
+    chunk: &mut Vec<u8>,
     version: u64,
 ) -> Result<(), WireError> {
     let ack = Message::PublishAck {
         client_id: cfg.client_id as u64,
         version,
     };
-    send(writer, frame, &ack)
+    send(writer, chunk, &ack)
 }
 
-/// Write `msg` to the shared socket, encoded into the loop's send buffer.
-fn send(writer: &Mutex<TcpStream>, frame: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
-    msg.encode_into(frame);
-    let mut stream = lock(writer);
-    stream.write_all(frame)?;
-    stream.flush()?;
-    Ok(())
+/// Write `msg` to the shared socket, streamed through the loop's send
+/// chunk.
+fn send(writer: &Mutex<TcpStream>, chunk: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
+    write_frame_with(&mut *lock(writer), msg, chunk)
 }
 
 #[cfg(test)]

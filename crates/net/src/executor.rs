@@ -12,7 +12,11 @@
 //! busy, keeps the model version (bumped only by a round that aggregates
 //! something) and the reliability table the view lends out. This executor
 //! adds only what sockets observe: failed sends, timeouts, malformed
-//! arrivals, TTL departures, measured time and staleness. Two collection
+//! arrivals, TTL departures, measured time and staleness. Each dispatch
+//! lost to a failed send, a departure in flight, the round timeout or a
+//! malformed answer is a dropout of its client, in the round's counters
+//! and, through [`DispatchPlanner::count_dropout`], in the reliability
+//! table, where it takes the place of the dispatch. Two collection
 //! modes mirror the simulator's taxonomy:
 //!
 //! * **Barrier** — wait for every dispatched client (or the round
@@ -45,7 +49,7 @@
 //! weight count or masked `total_len` is not the parameter count of the
 //! model last published (or whose masked frame cannot be scattered)
 //! closes its dispatch, is counted in [`NetTelemetry::malformed_updates`]
-//! and in the round's dropouts, and never reaches the session: a barrier
+//! and as a dropout of its client, and never reaches the session: a barrier
 //! completes on the other workers' updates instead of panicking in the
 //! aggregation or sitting out the round timeout.
 //!
@@ -360,10 +364,16 @@ impl RoundExecutor for NetworkExecutor {
         let round_start = Instant::now();
 
         // Dispatches to clients that departed while in flight are lost.
+        // Every lost dispatch below is a dropout of its client, in the
+        // round's record and in the planner's reliability table alike.
         let departed = self.server.departed();
-        let before = self.pending.len();
-        self.pending.retain(|cid, _| !departed.contains(cid));
-        let mut failed = before - self.pending.len();
+        let mut failed = 0usize;
+        for cid in departed {
+            if self.pending.remove(&cid).is_some() {
+                self.planner.count_dropout(cid);
+                failed += 1;
+            }
+        }
 
         // A client with a dispatch outstanding is still working on an
         // earlier version: the planner skips it as busy.
@@ -387,6 +397,7 @@ impl RoundExecutor for NetworkExecutor {
                 self.pending.insert(cid, PendingDispatch { sent, version });
                 dispatched.push(cid);
             } else {
+                self.planner.count_dropout(cid);
                 failed += 1;
             }
         }
@@ -439,6 +450,7 @@ impl RoundExecutor for NetworkExecutor {
                 // Its dispatch is answered: the round can collect no more
                 // than what is still in flight, so a barrier stops waiting
                 // for this client instead of sitting out the timeout.
+                self.planner.count_dropout(cid);
                 malformed += 1;
                 want = want.min(arrived.len() + self.pending.len());
                 continue;
@@ -465,8 +477,9 @@ impl RoundExecutor for NetworkExecutor {
         if matches!(self.mode, NetMode::Barrier) {
             // Abandon what the barrier could not collect so the next
             // round's dispatches start clean.
-            for cid in &dispatched {
-                if self.pending.remove(cid).is_some() {
+            for &cid in &dispatched {
+                if self.pending.remove(&cid).is_some() {
+                    self.planner.count_dropout(cid);
                     timed_out += 1;
                 }
             }

@@ -39,9 +39,10 @@
 //! Concurrency is plain threads and `std::sync`; there is no async
 //! runtime, no thread spawned per frame, no external dependency, and no
 //! wait that polls: every thread blocks on its socket, a condvar or a
-//! channel, and shutdown wakes them by closing sockets. Receive loops,
-//! the worker's update path and the server's publish keep their frame
-//! buffers from one frame to the next.
+//! channel, and shutdown wakes them by closing sockets. Receive loops
+//! and the worker's sends stream every frame through one bounded chunk
+//! buffer per connection, and the server's publish keeps its frames,
+//! snapshots and delta entries from one publish to the next.
 //!
 //! ## Determinism
 //!
@@ -75,8 +76,8 @@ pub mod prelude {
     pub use crate::registry::{Registry, RegistryEntry};
     pub use crate::server::{InboundUpdate, MaskedWireInfo, NetServer, PublishStats, ServerConfig};
     pub use crate::wire::{
-        negotiate, read_frame, read_frame_into, write_frame, DeltaMsg, MaskedUpdateMsg, Message,
-        UpdateMsg, WireError, FRAME_MAGIC, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
-        PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN,
+        negotiate, read_frame, read_frame_into, write_frame, write_frame_with, DeltaMsg,
+        MaskedUpdateMsg, Message, UpdateMsg, WireError, FRAME_MAGIC, HEADER_LEN, MAX_PAYLOAD,
+        PROTOCOL_VERSION, PROTOCOL_VERSION_MAX, PROTOCOL_VERSION_MIN,
     };
 }

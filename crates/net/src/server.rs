@@ -13,7 +13,7 @@
 //!
 //! There is no async runtime anywhere in this crate, and no wait polls:
 //! all concurrency is plain threads and `std::sync`, and every thread
-//! blocks on its event. Receive threads keep one payload buffer for the
+//! blocks on its event. Receive threads keep one chunk buffer for the
 //! life of their connection. [`NetServer::shutdown`] (and `Drop`) wakes
 //! the accept thread with one connection to the server's own address, and
 //! the accept thread then shuts down every socket it accepted, so each
@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use crate::lock;
 use crate::registry::Registry;
 use crate::wire::{
-    encode_delta_into, encode_publish_into, negotiate, read_frame_into, write_frame, Message,
-    UpdateMsg, WireError, HEADER_LEN,
+    dense_frame_len, encode_publish_into, negotiate, read_frame_into, write_frame, Changes,
+    Message, UpdateMsg, WireError,
 };
 
 /// How long the accept thread waits before retrying after `accept`
@@ -137,7 +137,7 @@ pub struct InboundUpdate {
 }
 
 /// What [`NetServer::publish`] keeps from one call to the next, so a
-/// steady-state publish allocates no frame and no snapshot.
+/// steady-state publish allocates no frame, no snapshot and no delta.
 #[derive(Default)]
 struct Fanout {
     /// Recent published models for delta encoding, newest last; empty
@@ -147,6 +147,8 @@ struct Fanout {
     dense: Vec<u8>,
     /// The delta frame of the acked base being written.
     delta: Vec<u8>,
+    /// The changed positions and values that delta frame carries.
+    changes: Changes,
 }
 
 /// State shared between the public handle and the background threads.
@@ -265,7 +267,8 @@ impl NetServer {
     /// gets either a dense `ModelPublish` or — when `delta_publish` is on
     /// and the peer acked a base still in the snapshot ring — an exact
     /// sparse `ModelPublishDelta`, whichever is smaller on the wire; each
-    /// distinct frame is encoded once. A peer that stops reading blocks
+    /// distinct frame is encoded once, and the first delta's scan of the
+    /// model also fills its snapshot for later deltas. A peer that stops reading blocks
     /// the call until its write completes or fails, delaying the peers
     /// after it. Peers whose socket write fails are dropped from the peer
     /// table (the TTL sweep will retire them). Returns how many peers were
@@ -273,26 +276,25 @@ impl NetServer {
     pub fn publish(&self, version: u64, weights: &[f32]) -> usize {
         let shared = &self.shared;
         // What this publish would cost per peer if sent dense: the
-        // denominator of the fan-out-reduction accounting. Dense payload:
-        // version u64 + count u64 + raw f32s.
-        let dense_len = (HEADER_LEN + 16 + weights.len() * 4) as u64;
+        // denominator of the fan-out-reduction accounting.
+        let dense_len = dense_frame_len(weights.len()) as u64;
         let mut fanout = lock(&shared.fanout);
         let Fanout {
             snapshots,
             dense,
             delta,
+            changes,
         } = &mut *fanout;
-        if shared.delta_publish {
-            // The snapshot the ring evicts holds the new one.
-            let mut snapshot = if snapshots.len() >= SNAPSHOT_RING {
+        // This publish's snapshot reuses the buffer of the one the ring
+        // evicts. The first delta's scan fills it; without one, a copy does.
+        let mut snapshot = shared.delta_publish.then(|| {
+            if snapshots.len() >= SNAPSHOT_RING {
                 snapshots.pop_front().map(|(_, w)| w).unwrap_or_default()
             } else {
                 Vec::new()
-            };
-            snapshot.clear();
-            snapshot.extend_from_slice(weights);
-            snapshots.push_back((version, snapshot));
-        }
+            }
+        });
+        let mut snapshot_filled = false;
         let mut peers = lock(&shared.peers);
         // Each peer keyed by the acked base its delta would be encoded
         // against (`None`: dense), sorted so that peers sharing a frame
@@ -313,12 +315,16 @@ impl NetServer {
         let mut dead: Vec<usize> = Vec::new();
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let is_delta = group[0].0.is_some_and(|base| {
-                snapshots
-                    .iter()
-                    .find(|(v, _)| *v == base)
-                    .is_some_and(|(_, snapshot)| {
-                        encode_delta_into(delta, version, base, snapshot, weights)
-                    })
+                let Some((_, base_weights)) = snapshots.iter().find(|(v, _)| *v == base) else {
+                    return false;
+                };
+                let copy = snapshot.as_mut().filter(|_| !snapshot_filled);
+                snapshot_filled |= copy.is_some();
+                let pays = changes.scan(base_weights, weights, copy);
+                if pays {
+                    changes.encode_into(delta, version, base, weights.len() as u64);
+                }
+                pays
             });
             if !is_delta && !dense_ready {
                 encode_publish_into(dense, version, weights);
@@ -348,6 +354,13 @@ impl NetServer {
         }
         for id in &dead {
             peers.remove(id);
+        }
+        if let Some(mut snapshot) = snapshot {
+            if !snapshot_filled {
+                snapshot.clear();
+                snapshot.extend_from_slice(weights);
+            }
+            snapshots.push_back((version, snapshot));
         }
         order.len() - dead.len()
     }
@@ -543,7 +556,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let mut me: Option<usize> = None;
-    // One receive buffer for the life of the connection.
+    // One chunk buffer for the life of the connection.
     let mut payload = Vec::new();
     // The loop ends on clean EOF, shutdown, a protocol violation, a
     // failed negotiation, or a hard socket error — drop the connection

@@ -10,6 +10,12 @@
 //! maps to a distinct [`WireError`] variant instead of a generic parse
 //! failure.
 //!
+//! One encoder and one decoder per kind serve memory and sockets alike.
+//! On a socket, [`write_frame_with`] and [`read_frame_into`] move a frame
+//! through one reused buffer of at most 64 KiB, so a 2 MB update is
+//! converted to or from its bytes straight between the socket and its
+//! weight vector, never staged whole.
+//!
 //! Weights travel as raw IEEE-754 bit patterns (`f32::to_le_bytes` /
 //! `from_le_bytes`), so a decode(encode(x)) round trip is bit-exact —
 //! the property the loopback byte-identity law in `tests/net_props.rs`
@@ -400,228 +406,469 @@ impl FrameHeader {
     }
 }
 
-// --- payload writers -------------------------------------------------------
+// --- the codec ---------------------------------------------------------------
+//
+// Every message kind has one encoder, which writes to a `FrameWriter`, and
+// one decoder, which reads from a `FrameReader`. Both move bytes through
+// one bounded chunk: the writer hands a frame to any `Write` a chunk at a
+// time, the reader pulls a payload off any `Read` a chunk at a time and
+// converts bulk arrays straight into their vectors. A socket, a `Vec`
+// being filled and a slice being decoded all go through the same code, so
+// the paths cannot disagree on a byte.
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Bytes a connection stages at a time: a frame is written, and a payload
+/// read, through one buffer of at most this size, so a 2 MB update costs a
+/// 64 KiB buffer per connection rather than a frame-sized one. A multiple
+/// of 4, so a weight array that starts word-aligned in the payload (every
+/// bulk array of the grammar does) never straddles two chunks.
+const CHUNK: usize = 64 << 10;
+
+/// The chunk, on the stack, through which a frame is encoded into a `Vec`:
+/// the frame is written once, with neither a zero-fill ahead of it nor a
+/// push per float (which cost three times as much on a 530 k-weight
+/// update).
+const VEC_CHUNK: usize = 4 << 10;
+
+/// Payload bytes of a `ModelPublish` of `n` weights: version and count
+/// `u64`s, then the raw `f32`s.
+fn publish_payload_len(n: usize) -> usize {
+    16 + 4 * n
 }
 
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Bytes of the dense `ModelPublish` frame of `n` weights.
+pub(crate) fn dense_frame_len(n: usize) -> usize {
+    HEADER_LEN + publish_payload_len(n)
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Payload bytes of a `ModelPublishDelta` of `count` entries: four `u64`
+/// fields, then a `u32` index and an `f32` value per entry.
+fn delta_payload_len(count: usize) -> usize {
+    32 + 8 * count
 }
 
-/// Append `values` as little-endian 4-byte words: the buffer grown once,
-/// then filled four bytes at a time (one `extend_from_slice` per float
-/// cost three times as much on a 530 k-weight update).
-fn put_words<T: Copy>(out: &mut Vec<u8>, values: &[T], to_le_bytes: impl Fn(T) -> [u8; 4]) {
-    let start = out.len();
-    out.resize(start + values.len() * 4, 0);
-    for (word, &v) in out[start..].chunks_exact_mut(4).zip(values) {
-        word.copy_from_slice(&to_le_bytes(v));
+/// Writes a frame to `w` through `chunk`, one `write_all` each time the
+/// chunk fills. The first failed write is kept and every later byte
+/// dropped, so an encoder never checks for errors; [`FrameWriter::finish`]
+/// reports it.
+struct FrameWriter<'a, W> {
+    w: &'a mut W,
+    chunk: &'a mut [u8],
+    /// Bytes of `chunk` holding frame bytes not yet written.
+    fill: usize,
+    error: Option<io::Error>,
+}
+
+impl<'a, W: Write> FrameWriter<'a, W> {
+    fn new(w: &'a mut W, chunk: &'a mut [u8]) -> Self {
+        FrameWriter {
+            w,
+            chunk,
+            fill: 0,
+            error: None,
+        }
+    }
+
+    fn drain(&mut self) {
+        if self.error.is_none() {
+            self.error = self.w.write_all(&self.chunk[..self.fill]).err();
+        }
+        self.fill = 0;
+    }
+
+    /// Write what is left in the chunk and flush the stream.
+    fn finish(mut self) -> io::Result<()> {
+        self.drain();
+        match self.error {
+            Some(e) => Err(e),
+            None => self.w.flush(),
+        }
+    }
+
+    fn put(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self.fill == self.chunk.len() {
+                self.drain();
+            }
+            let n = bytes.len().min(self.chunk.len() - self.fill);
+            self.chunk[self.fill..self.fill + n].copy_from_slice(&bytes[..n]);
+            self.fill += n;
+            bytes = &bytes[n..];
+        }
+    }
+
+    /// Append `values` as little-endian 4-byte words. A chunk with room
+    /// for less than a word goes out short, so no word is split.
+    fn put_words<T: Copy>(&mut self, mut values: &[T], to_le_bytes: fn(T) -> [u8; 4]) {
+        while !values.is_empty() {
+            let room = (self.chunk.len() - self.fill) / 4;
+            if room == 0 {
+                self.drain();
+                continue;
+            }
+            let (part, rest) = values.split_at(room.min(values.len()));
+            let bytes = &mut self.chunk[self.fill..self.fill + 4 * part.len()];
+            for (word, &v) in bytes.chunks_exact_mut(4).zip(part) {
+                word.copy_from_slice(&to_le_bytes(v));
+            }
+            self.fill += 4 * part.len();
+            values = rest;
+        }
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_f32(&mut self, v: f32) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.put(&v.to_le_bytes());
+    }
+
+    fn put_weights(&mut self, weights: &[f32]) {
+        self.put_u64(weights.len() as u64);
+        self.put_words(weights, f32::to_le_bytes);
+    }
+
+    /// The frame header announcing `payload_len` bytes of `kind`.
+    fn put_header(&mut self, kind: u8, payload_len: usize) {
+        assert!(
+            payload_len <= MAX_PAYLOAD,
+            "encoded payload of {payload_len} bytes exceeds MAX_PAYLOAD"
+        );
+        self.put(&FRAME_MAGIC.to_le_bytes());
+        self.put(&[PROTOCOL_VERSION, kind]);
+        self.put(&(payload_len as u32).to_le_bytes());
     }
 }
 
-fn put_weights(out: &mut Vec<u8>, weights: &[f32]) {
-    put_u64(out, weights.len() as u64);
-    put_words(out, weights, f32::to_le_bytes);
-}
-
-/// Start a frame in `frame`, replacing its contents: the header, its
-/// payload length left zero for [`finish_frame`], and room for
-/// `payload_hint` payload bytes.
-fn begin_frame(frame: &mut Vec<u8>, kind: u8, payload_hint: usize) {
+/// Replace `frame`'s contents with the `frame_len` bytes `encode` writes.
+fn encode_frame(
+    frame: &mut Vec<u8>,
+    frame_len: usize,
+    encode: impl FnOnce(&mut FrameWriter<'_, Vec<u8>>),
+) {
     frame.clear();
-    frame.reserve(HEADER_LEN + payload_hint);
-    frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    frame.push(PROTOCOL_VERSION);
-    frame.push(kind);
-    frame.extend_from_slice(&[0; 4]);
+    frame.reserve(frame_len);
+    let mut chunk = [0u8; VEC_CHUNK];
+    let mut writer = FrameWriter::new(frame, &mut chunk);
+    encode(&mut writer);
+    writer.finish().expect("a Vec takes every byte");
+    debug_assert_eq!(frame.len(), frame_len);
 }
 
-/// Patch the length of the payload written behind the header into it.
-fn finish_frame(frame: &mut [u8]) {
-    let payload_len = frame.len() - HEADER_LEN;
-    assert!(
-        payload_len <= MAX_PAYLOAD,
-        "encoded payload of {payload_len} bytes exceeds MAX_PAYLOAD"
+/// The `ModelPublish` encoder.
+fn put_publish<W: Write>(s: &mut FrameWriter<'_, W>, version: u64, weights: &[f32]) {
+    s.put_header(KIND_MODEL_PUBLISH, publish_payload_len(weights.len()));
+    s.put_u64(version);
+    s.put_weights(weights);
+}
+
+/// The `ModelPublishDelta` encoder.
+fn put_delta<W: Write>(
+    s: &mut FrameWriter<'_, W>,
+    version: u64,
+    base_version: u64,
+    total_len: u64,
+    indices: &[u32],
+    values: &[f32],
+) {
+    assert_eq!(
+        indices.len(),
+        values.len(),
+        "delta indices and values must pair up"
     );
-    frame[4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    s.put_header(KIND_MODEL_PUBLISH_DELTA, delta_payload_len(indices.len()));
+    s.put_u64(version);
+    s.put_u64(base_version);
+    s.put_u64(total_len);
+    s.put_u64(indices.len() as u64);
+    s.put_words(indices, u32::to_le_bytes);
+    s.put_words(values, f32::to_le_bytes);
 }
 
 /// Write the `ModelPublish` frame of `weights` into `frame`: the bytes of
 /// `Message::ModelPublish { version, weights }.encode()`, without copying
 /// the weights into a message first.
 pub(crate) fn encode_publish_into(frame: &mut Vec<u8>, version: u64, weights: &[f32]) {
-    begin_frame(frame, KIND_MODEL_PUBLISH, 16 + 4 * weights.len());
-    put_u64(frame, version);
-    put_weights(frame, weights);
-    finish_frame(frame);
+    encode_frame(frame, dense_frame_len(weights.len()), |s| {
+        put_publish(s, version, weights)
+    });
 }
 
-/// Write the exact sparse delta taking `base` (at `base_version`) to
-/// `weights` into `frame` — the bytes `Message::ModelPublishDelta(..)
-/// .encode()` would produce — if it is smaller than the dense frame.
+/// Elements [`Changes::scan`] counts per block: small enough that a block
+/// copied into the snapshot is still in cache when it is compared, large
+/// enough that the per-block counts are a few hundred words.
+const SCAN_BLOCK: usize = 1024;
+
+/// The entries of a delta publish: the positions whose bit pattern changed
+/// between a base and the new model, ascending, with their new values. A
+/// server keeps one across publishes, so a steady-state delta allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Changes {
+    indices: Vec<u32>,
+    values: Vec<f32>,
+    /// Changed positions per [`SCAN_BLOCK`] of the last scan.
+    per_block: Vec<u32>,
+}
+
+impl Changes {
+    /// Find where `weights` differs from `base`, copying `weights` into
+    /// `copy` in the same pass when one is given. Returns whether the delta
+    /// pays: whether its frame is smaller than the dense `ModelPublish`
+    /// frame. A shape mismatch, or a model too long for `u32` indices,
+    /// never pays.
+    ///
+    /// Positions are compared by bit pattern, so a flipped zero sign or a
+    /// new NaN payload is a change and reconstruction is exact. The one
+    /// pass over the model copies and counts, block by block; only a delta
+    /// that pays is recorded, from the blocks that changed. So a publish
+    /// that goes dense costs that one pass, and a sparse one little more.
+    pub(crate) fn scan(
+        &mut self,
+        base: &[f32],
+        weights: &[f32],
+        mut copy: Option<&mut Vec<f32>>,
+    ) -> bool {
+        self.indices.clear();
+        self.values.clear();
+        self.per_block.clear();
+        if let Some(copy) = copy.as_deref_mut() {
+            copy.clear();
+            copy.reserve(weights.len());
+        }
+        if base.len() != weights.len() || weights.len() > u32::MAX as usize {
+            if let Some(copy) = copy {
+                copy.extend_from_slice(weights);
+            }
+            return false;
+        }
+        let mut count = 0;
+        for (now, before) in weights.chunks(SCAN_BLOCK).zip(base.chunks(SCAN_BLOCK)) {
+            if let Some(copy) = copy.as_deref_mut() {
+                copy.extend_from_slice(now);
+            }
+            let changed: u32 = now
+                .iter()
+                .zip(before)
+                .map(|(n, b)| u32::from(n.to_bits() != b.to_bits()))
+                .sum();
+            self.per_block.push(changed);
+            count += changed as usize;
+        }
+        if delta_payload_len(count) >= publish_payload_len(weights.len()) {
+            return false;
+        }
+        self.indices.reserve(count);
+        self.values.reserve(count);
+        for (k, &changed) in self.per_block.iter().enumerate() {
+            if changed == 0 {
+                continue;
+            }
+            let start = k * SCAN_BLOCK;
+            let end = weights.len().min(start + SCAN_BLOCK);
+            let now = &weights[start..end];
+            if changed as usize == now.len() {
+                self.indices.extend(start as u32..end as u32);
+                self.values.extend_from_slice(now);
+                continue;
+            }
+            for (i, (&n, b)) in (start as u32..).zip(now.iter().zip(&base[start..end])) {
+                if n.to_bits() != b.to_bits() {
+                    self.indices.push(i);
+                    self.values.push(n);
+                }
+            }
+        }
+        true
+    }
+
+    /// Write the `ModelPublishDelta` frame of these entries into `frame`:
+    /// the bytes of `Message::ModelPublishDelta(..).encode()`.
+    pub(crate) fn encode_into(
+        &self,
+        frame: &mut Vec<u8>,
+        version: u64,
+        base_version: u64,
+        total_len: u64,
+    ) {
+        let frame_len = HEADER_LEN + delta_payload_len(self.indices.len());
+        encode_frame(frame, frame_len, |s| {
+            put_delta(
+                s,
+                version,
+                base_version,
+                total_len,
+                &self.indices,
+                &self.values,
+            )
+        });
+    }
+}
+
+/// Reads one frame's payload from `r`, staged in `chunk` a bounded piece
+/// at a time. `chunk` holds exactly the bytes staged: a refill grows it
+/// (zero-filling only the growth) or shrinks it to the piece it reads, so
+/// a payload that fits one chunk is one `read` into a buffer that already
+/// has room, and the buffer never holds more than [`CHUNK`] bytes.
 ///
-/// Positions are compared by bit pattern, so a flipped zero sign or a new
-/// NaN payload is a change and reconstruction is exact. The changes are
-/// counted first: a delta that would not pay (or a shape mismatch, or a
-/// model too long for `u32` indices) returns `false` and leaves `frame`
-/// alone, and one that pays is written straight into its frame bytes.
-pub(crate) fn encode_delta_into(
-    frame: &mut Vec<u8>,
-    version: u64,
-    base_version: u64,
-    base: &[f32],
-    weights: &[f32],
-) -> bool {
-    if base.len() != weights.len() || weights.len() > u32::MAX as usize {
-        return false;
-    }
-    let changed = |(b, w): &(&f32, &f32)| b.to_bits() != w.to_bits();
-    let count = base.iter().zip(weights).filter(changed).count();
-    // Delta payload: 4 u64 header fields + 8 bytes per entry; dense
-    // payload: 2 u64s + 4 bytes per weight. Send the smaller frame.
-    if 32 + 8 * count >= 16 + 4 * weights.len() {
-        return false;
-    }
-    begin_frame(frame, KIND_MODEL_PUBLISH_DELTA, 32 + 8 * count);
-    put_u64(frame, version);
-    put_u64(frame, base_version);
-    put_u64(frame, weights.len() as u64);
-    put_u64(frame, count as u64);
-    let start = frame.len();
-    frame.resize(start + 8 * count, 0);
-    let (indices, values) = frame[start..].split_at_mut(4 * count);
-    let slots = indices.chunks_exact_mut(4).zip(values.chunks_exact_mut(4));
-    let changes = base
-        .iter()
-        .zip(weights)
-        .enumerate()
-        .filter(|(_, p)| changed(p));
-    for ((index, value), (i, (_, w))) in slots.zip(changes) {
-        index.copy_from_slice(&(i as u32).to_le_bytes());
-        value.copy_from_slice(&w.to_le_bytes());
-    }
-    finish_frame(frame);
-    true
-}
-
-// --- payload reader --------------------------------------------------------
-
-/// Sequential reader over a payload slice; every overrun is a typed
-/// [`WireError::Malformed`] naming what was being read.
-struct Cursor<'a> {
-    buf: &'a [u8],
+/// Running out of payload is [`WireError::Malformed`], naming what was
+/// being read, and is found before anything is read or allocated; a
+/// stream that ends before its payload does is [`WireError::Truncated`].
+struct FrameReader<'a, R> {
+    r: &'a mut R,
+    chunk: &'a mut Vec<u8>,
+    /// The unconsumed bytes of the chunk are `chunk[pos..]`.
     pos: usize,
+    /// Payload bytes still in the stream, behind the chunk.
+    unread: usize,
+    payload_len: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+impl<'a, R: Read> FrameReader<'a, R> {
+    fn new(r: &'a mut R, chunk: &'a mut Vec<u8>, payload_len: usize) -> Self {
+        FrameReader {
+            r,
+            pos: chunk.len(),
+            chunk,
+            unread: payload_len,
+            payload_len,
+        }
     }
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
+    /// Payload bytes not consumed yet.
+    fn left(&self) -> usize {
+        self.chunk.len() - self.pos + self.unread
+    }
+
+    /// Stage the next piece of the payload. Called with the chunk consumed
+    /// and payload left in the stream.
+    fn refill(&mut self) -> Result<(), WireError> {
+        let want = self.unread.min(CHUNK);
+        if self.chunk.len() < want {
+            self.chunk.reserve_exact(want - self.chunk.len());
+            self.chunk.resize(want, 0);
+        } else {
+            self.chunk.truncate(want);
+        }
+        let mut filled = 0;
+        while filled < want {
+            match self.r.read(&mut self.chunk[filled..]) {
+                Ok(0) => {
+                    self.chunk.truncate(filled);
+                    return Err(WireError::Truncated {
+                        needed: HEADER_LEN + self.payload_len,
+                        got: HEADER_LEN + self.payload_len - self.unread + filled,
+                    });
+                }
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.unread -= want;
+        self.pos = 0;
+        Ok(())
+    }
+
+    /// The next `N` payload bytes.
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], WireError> {
+        if self.left() < N {
             return Err(WireError::Malformed {
                 detail: format!(
-                    "payload ended reading {what}: needed {n} bytes at offset {}, had {}",
-                    self.pos,
-                    self.buf.len() - self.pos
+                    "payload ended reading {what}: needed {N} bytes at offset {}, had {}",
+                    self.payload_len - self.left(),
+                    self.left()
                 ),
             });
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let mut out = [0u8; N];
+        let mut got = 0;
+        while got < N {
+            if self.pos == self.chunk.len() {
+                self.refill()?;
+            }
+            let n = (N - got).min(self.chunk.len() - self.pos);
+            out[got..got + n].copy_from_slice(&self.chunk[self.pos..self.pos + n]);
+            got += n;
+            self.pos += n;
+        }
+        Ok(out)
     }
 
     fn u8(&mut self, what: &str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.array::<1>(what)?[0])
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        self.array(what).map(u64::from_le_bytes)
     }
 
     fn f32(&mut self, what: &str) -> Result<f32, WireError> {
-        let b = self.take(4, what)?;
-        Ok(f32::from_le_bytes(b.try_into().expect("4-byte slice")))
+        self.array(what).map(f32::from_le_bytes)
     }
 
     fn f64(&mut self, what: &str) -> Result<f64, WireError> {
-        let b = self.take(8, what)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        self.array(what).map(f64::from_le_bytes)
+    }
+
+    /// `count` 4-byte words, each through `from_le_bytes`. The count is
+    /// checked against the payload bytes left *before* the vector is
+    /// reserved, so a corrupt count cannot OOM; the vector's pages are
+    /// touched only as the words arrive.
+    fn words<T>(
+        &mut self,
+        count: usize,
+        what: &str,
+        from_le_bytes: fn([u8; 4]) -> T,
+    ) -> Result<Vec<T>, WireError> {
+        let available = self.left() / 4;
+        if count > available {
+            return Err(WireError::Malformed {
+                detail: format!("{what} count {count} exceeds the {available} encoded"),
+            });
+        }
+        let mut out = Vec::with_capacity(count);
+        while out.len() < count {
+            let whole = (self.chunk.len() - self.pos) / 4;
+            if whole == 0 {
+                // The chunk is consumed, or ends inside a word.
+                out.push(from_le_bytes(self.array(what)?));
+                continue;
+            }
+            let n = whole.min(count - out.len());
+            let raw = &self.chunk[self.pos..self.pos + 4 * n];
+            out.extend(
+                raw.chunks_exact(4)
+                    .map(|c| from_le_bytes(c.try_into().expect("4-byte chunk"))),
+            );
+            self.pos += 4 * n;
+        }
+        Ok(out)
     }
 
     fn weights(&mut self) -> Result<Vec<f32>, WireError> {
         let count = self.u64("weight count")? as usize;
-        // The count must agree with the bytes actually present *before*
-        // the allocation, so a corrupt count cannot OOM.
-        let available = (self.buf.len() - self.pos) / 4;
-        if count > available {
-            return Err(WireError::Malformed {
-                detail: format!("weight count {count} exceeds the {available} encoded"),
-            });
-        }
-        let raw = self.take(count * 4, "weight data")?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
+        self.words(count, "weight", f32::from_le_bytes)
     }
 
-    /// Read `count` little-endian `u32`s, checking the count against the
-    /// bytes actually present *before* allocating (same OOM defense as
-    /// [`Cursor::weights`]).
-    fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, WireError> {
-        let available = (self.buf.len() - self.pos) / 4;
-        if count > available {
-            return Err(WireError::Malformed {
-                detail: format!("{what} count {count} exceeds the {available} encoded"),
-            });
+    fn finish(&self, what: &str) -> Result<(), WireError> {
+        match self.left() {
+            0 => Ok(()),
+            n => Err(WireError::Malformed {
+                detail: format!("{n} trailing bytes after {what}"),
+            }),
         }
-        let raw = self.take(count * 4, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
-    }
-
-    /// Read `count` raw-bit `f32`s with the same pre-allocation check.
-    fn f32s(&mut self, count: usize, what: &str) -> Result<Vec<f32>, WireError> {
-        let available = (self.buf.len() - self.pos) / 4;
-        if count > available {
-            return Err(WireError::Malformed {
-                detail: format!("{what} count {count} exceeds the {available} encoded"),
-            });
-        }
-        let raw = self.take(count * 4, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
-    }
-
-    fn finish(self, what: &str) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::Malformed {
-                detail: format!("{} trailing bytes after {what}", self.buf.len() - self.pos),
-            });
-        }
-        Ok(())
     }
 }
 
-/// Decode a validated-header payload into its [`Message`]. `kind` must
-/// come from [`FrameHeader::parse`] (unsupported versions and unknown
-/// kinds are rejected there).
-pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
-    let mut c = Cursor::new(payload);
+/// The one decoder of every kind: the payload of a `kind` frame, read
+/// from `c` to its end. `kind` must come from [`FrameHeader::parse`]
+/// (unsupported versions and unknown kinds are rejected there).
+fn decode_from<R: Read>(kind: u8, c: &mut FrameReader<'_, R>) -> Result<Message, WireError> {
     let msg = match kind {
         KIND_HELLO => {
             let client_id = c.u64("Hello.client_id")?;
@@ -653,8 +900,8 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             let base_version = c.u64("ModelPublishDelta.base_version")?;
             let total_len = c.u64("ModelPublishDelta.total_len")?;
             let count = c.u64("ModelPublishDelta.count")? as usize;
-            let indices = c.u32s(count, "ModelPublishDelta.indices")?;
-            let values = c.f32s(count, "ModelPublishDelta.values")?;
+            let indices = c.words(count, "ModelPublishDelta.indices", u32::from_le_bytes)?;
+            let values = c.words(count, "ModelPublishDelta.values", f32::from_le_bytes)?;
             for pair in indices.windows(2) {
                 if pair[1] <= pair[0] {
                     return Err(WireError::Malformed {
@@ -746,6 +993,20 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
+/// Decode a validated-header payload into its [`Message`]. `kind` must
+/// come from [`FrameHeader::parse`] (unsupported versions and unknown
+/// kinds are rejected there).
+///
+/// The payload goes through the one decoder, staged a chunk at a time
+/// like a socket's.
+pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
+    let (mut bytes, mut chunk) = (payload, Vec::new());
+    decode_from(
+        kind,
+        &mut FrameReader::new(&mut bytes, &mut chunk, payload.len()),
+    )
+}
+
 fn kind_name(kind: u8) -> &'static str {
     match kind {
         KIND_HELLO => "Hello",
@@ -779,6 +1040,82 @@ impl Message {
         }
     }
 
+    /// Bytes of this message's frame, header included.
+    fn frame_len(&self) -> usize {
+        HEADER_LEN
+            + match self {
+                Message::Hello { .. } => 10,
+                Message::HelloAck { .. } => 9,
+                Message::ModelPublish { weights, .. } => publish_payload_len(weights.len()),
+                Message::ModelPublishDelta(d) => 32 + 4 * (d.indices.len() + d.values.len()),
+                Message::PublishAck { .. } | Message::TrainRequest { .. } => 16,
+                Message::Update(u) => 56 + 4 * u.weights.len(),
+                Message::MaskedUpdate(u) => 72 + 4 * u.kept_weights.len(),
+                Message::Heartbeat { .. } | Message::Bye { .. } => 8,
+            }
+    }
+
+    /// The one encoder of every kind: the whole frame, into `s`.
+    fn put_frame<W: Write>(&self, s: &mut FrameWriter<'_, W>) {
+        let payload_len = self.frame_len() - HEADER_LEN;
+        match self {
+            Message::ModelPublish { version, weights } => return put_publish(s, *version, weights),
+            Message::ModelPublishDelta(d) => {
+                let (indices, values) = (&d.indices, &d.values);
+                return put_delta(s, d.version, d.base_version, d.total_len, indices, values);
+            }
+            _ => s.put_header(self.kind(), payload_len),
+        }
+        match self {
+            Message::Hello {
+                client_id,
+                min_version,
+                max_version,
+            } => {
+                s.put_u64(*client_id);
+                s.put(&[*min_version, *max_version]);
+            }
+            Message::HelloAck { client_id, version } => {
+                s.put_u64(*client_id);
+                s.put(&[*version]);
+            }
+            Message::PublishAck { client_id, version } => {
+                s.put_u64(*client_id);
+                s.put_u64(*version);
+            }
+            Message::TrainRequest { round, keep_ratio } => {
+                s.put_u64(*round);
+                s.put_f64(*keep_ratio);
+            }
+            Message::Update(u) => {
+                s.put_u64(u.client_id);
+                s.put_u64(u.round);
+                s.put_u64(u.model_version);
+                s.put_u64(u.staleness);
+                s.put_u64(u.n_samples);
+                s.put_f32(u.loss_before);
+                s.put_f32(u.loss_after);
+                s.put_weights(&u.weights);
+            }
+            Message::MaskedUpdate(u) => {
+                s.put_u64(u.client_id);
+                s.put_u64(u.round);
+                s.put_u64(u.model_version);
+                s.put_u64(u.staleness);
+                s.put_u64(u.n_samples);
+                s.put_f32(u.loss_before);
+                s.put_f32(u.loss_after);
+                s.put_f64(u.keep_ratio);
+                s.put_u64(u.total_len);
+                s.put_weights(&u.kept_weights);
+            }
+            Message::Heartbeat { client_id } | Message::Bye { client_id } => {
+                s.put_u64(*client_id);
+            }
+            Message::ModelPublish { .. } | Message::ModelPublishDelta(_) => {}
+        }
+    }
+
     /// Encode into a complete frame (header + payload) stamped with
     /// [`PROTOCOL_VERSION`].
     pub fn encode(&self) -> Vec<u8> {
@@ -791,82 +1128,7 @@ impl Message {
     /// of [`Message::encode`]. A connection that keeps one buffer for its
     /// frames allocates only when a frame outgrows every one before it.
     pub fn encode_into(&self, frame: &mut Vec<u8>) {
-        // Room for the fixed fields of the largest payload grammar
-        // (`MaskedUpdate`, 72 bytes) and the 4-byte words of the bulk part.
-        let bulk_words = match self {
-            Message::ModelPublish { weights, .. } => weights.len(),
-            Message::ModelPublishDelta(d) => d.indices.len() + d.values.len(),
-            Message::Update(u) => u.weights.len(),
-            Message::MaskedUpdate(u) => u.kept_weights.len(),
-            _ => 0,
-        };
-        begin_frame(frame, self.kind(), 72 + 4 * bulk_words);
-        let payload = &mut *frame;
-        match self {
-            Message::Hello {
-                client_id,
-                min_version,
-                max_version,
-            } => {
-                put_u64(payload, *client_id);
-                payload.push(*min_version);
-                payload.push(*max_version);
-            }
-            Message::HelloAck { client_id, version } => {
-                put_u64(payload, *client_id);
-                payload.push(*version);
-            }
-            Message::ModelPublish { version, weights } => {
-                put_u64(payload, *version);
-                put_weights(payload, weights);
-            }
-            Message::ModelPublishDelta(d) => {
-                assert_eq!(
-                    d.indices.len(),
-                    d.values.len(),
-                    "delta indices and values must pair up"
-                );
-                put_u64(payload, d.version);
-                put_u64(payload, d.base_version);
-                put_u64(payload, d.total_len);
-                put_u64(payload, d.indices.len() as u64);
-                put_words(payload, &d.indices, u32::to_le_bytes);
-                put_words(payload, &d.values, f32::to_le_bytes);
-            }
-            Message::PublishAck { client_id, version } => {
-                put_u64(payload, *client_id);
-                put_u64(payload, *version);
-            }
-            Message::TrainRequest { round, keep_ratio } => {
-                put_u64(payload, *round);
-                put_f64(payload, *keep_ratio);
-            }
-            Message::Update(u) => {
-                put_u64(payload, u.client_id);
-                put_u64(payload, u.round);
-                put_u64(payload, u.model_version);
-                put_u64(payload, u.staleness);
-                put_u64(payload, u.n_samples);
-                put_f32(payload, u.loss_before);
-                put_f32(payload, u.loss_after);
-                put_weights(payload, &u.weights);
-            }
-            Message::MaskedUpdate(u) => {
-                put_u64(payload, u.client_id);
-                put_u64(payload, u.round);
-                put_u64(payload, u.model_version);
-                put_u64(payload, u.staleness);
-                put_u64(payload, u.n_samples);
-                put_f32(payload, u.loss_before);
-                put_f32(payload, u.loss_after);
-                put_f64(payload, u.keep_ratio);
-                put_u64(payload, u.total_len);
-                put_weights(payload, &u.kept_weights);
-            }
-            Message::Heartbeat { client_id } => put_u64(payload, *client_id),
-            Message::Bye { client_id } => put_u64(payload, *client_id),
-        }
-        finish_frame(frame);
+        encode_frame(frame, self.frame_len(), |s| self.put_frame(s));
     }
 
     /// Decode one frame from the front of `buf`, returning the message and
@@ -895,8 +1157,27 @@ impl Message {
 
 /// Write one frame to a stream.
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), WireError> {
-    w.write_all(&msg.encode())?;
-    w.flush()?;
+    write_frame_with(w, msg, &mut Vec::new())
+}
+
+/// Write one frame like [`write_frame`], encoding it through `chunk`, a
+/// buffer the caller keeps across frames. The frame goes out a bounded
+/// chunk at a time, so a 2 MB update never sits whole in memory a second
+/// time; a frame that fits one chunk is one `write_all`. The stream
+/// receives exactly the bytes of [`Message::encode`].
+pub fn write_frame_with<W: Write>(
+    w: &mut W,
+    msg: &Message,
+    chunk: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    let window = msg.frame_len().min(CHUNK);
+    if chunk.len() < window {
+        chunk.reserve_exact(window - chunk.len());
+        chunk.resize(window, 0);
+    }
+    let mut writer = FrameWriter::new(w, &mut chunk[..window]);
+    msg.put_frame(&mut writer);
+    writer.finish()?;
     Ok(())
 }
 
@@ -906,14 +1187,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Message>, WireError> {
     read_frame_into(r, &mut Vec::new())
 }
 
-/// Read one frame like [`read_frame`], staging its payload in `payload`,
-/// a buffer the caller keeps across frames. The buffer is cleared and
-/// grows only as bytes arrive: a connection reading many frames allocates
-/// only when one outgrows all before it, and a header that claims more
-/// than the stream delivers pins no more memory than what came.
+/// Read one frame like [`read_frame`], staging its payload in `chunk`, a
+/// buffer the caller keeps across frames. The payload is decoded a
+/// bounded chunk at a time as it arrives, bulk arrays straight into their
+/// vectors: the buffer never holds more than one chunk, a payload that
+/// fits one chunk is one `read` after the header, and a header that
+/// claims more than the stream delivers pins no more than one chunk.
+/// After a frame, `chunk` holds the last piece of its payload.
 pub fn read_frame_into<R: Read>(
     r: &mut R,
-    payload: &mut Vec<u8>,
+    chunk: &mut Vec<u8>,
 ) -> Result<Option<Message>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
@@ -934,22 +1217,29 @@ pub fn read_frame_into<R: Read>(
         }
     }
     let fh = FrameHeader::parse(&header)?;
-    payload.clear();
-    r.by_ref()
-        .take(fh.payload_len as u64)
-        .read_to_end(payload)?;
-    if payload.len() < fh.payload_len {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN + fh.payload_len,
-            got: HEADER_LEN + payload.len(),
-        });
-    }
-    decode_payload(fh.kind, payload).map(Some)
+    decode_from(fh.kind, &mut FrameReader::new(r, chunk, fh.payload_len)).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fresh scan and, when it pays, its frame: the delta laws below
+    /// were stated against this entry point.
+    fn encode_delta_into(
+        frame: &mut Vec<u8>,
+        version: u64,
+        base_version: u64,
+        base: &[f32],
+        weights: &[f32],
+    ) -> bool {
+        let mut changes = Changes::default();
+        let pays = changes.scan(base, weights, None);
+        if pays {
+            changes.encode_into(frame, version, base_version, weights.len() as u64);
+        }
+        pays
+    }
 
     fn sample_update() -> Message {
         Message::Update(UpdateMsg {
@@ -1321,6 +1611,37 @@ mod tests {
         assert!(frame.len() < HEADER_LEN + 16 + 4 * 64);
         // A shape mismatch is never a delta.
         assert!(!encode_delta_into(&mut frame, 1, 0, &base[1..], &weights));
+    }
+
+    /// One scan copies the new model into the snapshot whatever the delta
+    /// costs, and records exactly the positions a position-by-position
+    /// comparison finds: across a whole changed block, scattered changes
+    /// and the short last block.
+    #[test]
+    fn a_scan_fills_the_snapshot_and_records_what_changed() {
+        let n = 3 * SCAN_BLOCK + 100;
+        let base: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let mut weights = base.clone();
+        weights[SCAN_BLOCK..2 * SCAN_BLOCK].fill(-1.0);
+        for i in [3, 2 * SCAN_BLOCK + 5, n - 1] {
+            weights[i] = f32::from_bits(weights[i].to_bits() ^ 1);
+        }
+        let mut changes = Changes::default();
+        let mut snapshot = vec![7.0; 11];
+        assert!(changes.scan(&base, &weights, Some(&mut snapshot)));
+        assert_eq!(snapshot, weights);
+        let (indices, values): (Vec<u32>, Vec<f32>) = (0..n)
+            .filter(|&i| base[i].to_bits() != weights[i].to_bits())
+            .map(|i| (i as u32, weights[i]))
+            .unzip();
+        assert_eq!((&changes.indices, &changes.values), (&indices, &values));
+
+        // A delta that cannot pay, and a shape mismatch: still copied.
+        let dense: Vec<f32> = base.iter().map(|w| w + 0.5).collect();
+        assert!(!changes.scan(&base, &dense, Some(&mut snapshot)));
+        assert_eq!(snapshot, dense);
+        assert!(!changes.scan(&base[1..], &weights, Some(&mut snapshot)));
+        assert_eq!(snapshot, weights);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Seven promises, checked at the workspace boundary: (1) the frame
 //! codec round-trips every message kind bit-exactly, writes the same
-//! bytes into a reused buffer as into a fresh one, and rejects
-//! malformed input — a v1-stamped frame included — with *typed* errors
-//! (property-based); (2) pinned golden byte fixtures fix the layout of
+//! bytes into a reused buffer as into a fresh one, reads and writes the
+//! same frames over a stream however its bytes are split, through one
+//! bounded chunk, and rejects malformed input — a v1-stamped frame
+//! included — with *typed* errors (property-based); (2) pinned golden byte fixtures fix the layout of
 //! all ten kinds, and a peer whose version range misses ours is counted
 //! and hung up on; (3) a client that goes silent
 //! past the liveness TTL surfaces as a departure through the same
@@ -239,6 +240,244 @@ proptest! {
             Err(WireError::UnsupportedVersion { found: bad_version })
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The stream codec: the same frames however the bytes move
+// ---------------------------------------------------------------------------
+
+/// The codec's chunk: the most a connection's receive buffer holds, and
+/// the piece a frame is written in (a private constant of the codec,
+/// mirrored here).
+const ONE_CHUNK: usize = 64 << 10;
+
+/// A reader that hands out its bytes in seeded pieces of 1–7 bytes and
+/// fails once with `Interrupted`, at call `interrupt_at`.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    pieces: Vec<usize>,
+    calls: usize,
+    interrupt_at: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls - 1 == self.interrupt_at {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let piece = self.pieces[self.calls % self.pieces.len()];
+        let n = piece.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// A writer that accepts 1–7 bytes per call, in a seeded sequence.
+struct Dribble {
+    out: Vec<u8>,
+    pieces: Vec<usize>,
+    calls: usize,
+}
+
+impl std::io::Write for Dribble {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let n = self.pieces[self.calls % self.pieces.len()].min(buf.len());
+        self.out.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A reader over a byte slice that counts its `read` calls.
+struct Counted<'a> {
+    bytes: &'a [u8],
+    calls: usize,
+}
+
+impl std::io::Read for Counted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        self.bytes.read(buf)
+    }
+}
+
+/// A decode's outcome with the message as its encoding, so that NaN
+/// payloads compare by their bits.
+fn as_bytes(outcome: Result<Option<Message>, WireError>) -> Result<Option<Vec<u8>>, WireError> {
+    outcome.map(|msg| msg.map(|m| m.encode()))
+}
+
+/// A frame header of `kind` announcing `payload_len` bytes.
+fn header(kind: u8, payload_len: usize) -> Vec<u8> {
+    let mut frame = FRAME_MAGIC.to_le_bytes().to_vec();
+    frame.push(PROTOCOL_VERSION);
+    frame.push(kind);
+    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    frame
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// However the bytes arrive — in seeded 1–7-byte pieces, with one
+    /// `Interrupted` among them — every frame of a stream decodes to what
+    /// `Message::decode` gives for it, through one reused chunk buffer,
+    /// and the stream then ends cleanly.
+    #[test]
+    fn split_reads_decode_what_the_slice_decoder_decodes(
+        msgs in proptest::collection::vec(arb_message(), 1..6),
+        pieces in proptest::collection::vec(1usize..8, 1..16),
+        interrupt_at in 0usize..4,
+    ) {
+        let stream: Vec<u8> = msgs.iter().flat_map(Message::encode).collect();
+        let mut r = Trickle { bytes: &stream, pieces, calls: 0, interrupt_at };
+        let mut chunk = Vec::new();
+        let mut offset = 0;
+        for _ in &msgs {
+            let (want, used) = Message::decode(&stream[offset..]).expect("own encoding");
+            offset += used;
+            let got = read_frame_into(&mut r, &mut chunk);
+            prop_assert_eq!(as_bytes(got), Ok(Some(want.encode())));
+        }
+        prop_assert_eq!(read_frame_into(&mut r, &mut chunk), Ok(None));
+        prop_assert!(r.calls > interrupt_at, "the interruption happened");
+    }
+
+    /// A writer that takes 1–7 bytes per call receives exactly the bytes
+    /// of `Message::encode`, frame after frame, through one reused chunk
+    /// that starts dirty.
+    #[test]
+    fn short_writes_receive_exactly_the_encoded_bytes(
+        msgs in proptest::collection::vec(arb_message(), 1..6),
+        pieces in proptest::collection::vec(1usize..8, 1..16),
+        dirt in proptest::collection::vec(0u8..=255, 0..96),
+    ) {
+        let mut w = Dribble { out: Vec::new(), pieces, calls: 0 };
+        let mut chunk = dirt;
+        for msg in &msgs {
+            write_frame_with(&mut w, msg, &mut chunk).expect("a writer that never fails");
+        }
+        let want: Vec<u8> = msgs.iter().flat_map(Message::encode).collect();
+        prop_assert_eq!(w.out, want);
+    }
+
+    /// Every non-empty prefix of a frame fails the same way on the stream
+    /// path as on the slice path: `Truncated` with the same `needed` and
+    /// `got`. The empty prefix is a clean end of stream at a frame
+    /// boundary.
+    #[test]
+    fn every_prefix_is_the_same_truncation_on_both_paths(msg in arb_message()) {
+        let bytes = msg.encode();
+        prop_assert_eq!(read_frame(&mut &bytes[..0]), Ok(None));
+        for cut in 1..bytes.len() {
+            let slice = Message::decode(&bytes[..cut]).map(|(m, _)| Some(m));
+            prop_assert!(
+                matches!(slice, Err(WireError::Truncated { .. })),
+                "cut at {cut}: {slice:?}"
+            );
+            prop_assert_eq!(read_frame(&mut &bytes[..cut]), slice, "cut at {}", cut);
+        }
+    }
+
+    /// Arbitrary bytes behind a valid header — random bytes, or a valid
+    /// payload with some bytes overwritten — under a length claim at or
+    /// past them. Neither decoder panics; when the claim is exact, both
+    /// reach the same outcome; and the receive buffer never grows past
+    /// the bytes that arrived plus one chunk.
+    #[test]
+    fn arbitrary_payloads_never_panic_or_overgrow_the_receive_buffer(
+        kind in 1u8..=10,
+        valid in arb_message(),
+        random in proptest::collection::vec(0u8..=255, 0..160),
+        use_random in 0u8..2,
+        noise in proptest::collection::vec((0usize..4096, 0u8..=255), 0..8),
+        extra in prop_oneof![Just(0usize), 1usize..1 << 20, Just(MAX_PAYLOAD)],
+    ) {
+        let mut payload = if use_random == 1 {
+            random
+        } else {
+            valid.encode()[HEADER_LEN..].to_vec()
+        };
+        let len = payload.len().max(1);
+        for (at, byte) in noise {
+            if let Some(slot) = payload.get_mut(at % len) {
+                *slot = byte;
+            }
+        }
+        let claim = (payload.len() + extra).min(MAX_PAYLOAD);
+        let mut frame = header(kind, claim);
+        frame.extend_from_slice(&payload);
+        let slice = Message::decode(&frame).map(|(m, _)| Some(m));
+        let mut chunk = Vec::new();
+        let stream = read_frame_into(&mut frame.as_slice(), &mut chunk);
+        prop_assert!(
+            chunk.capacity() <= frame.len() + ONE_CHUNK,
+            "{} bytes arrived, the buffer holds {}",
+            frame.len(),
+            chunk.capacity()
+        );
+        if claim == payload.len() {
+            prop_assert_eq!(as_bytes(stream), as_bytes(slice));
+        }
+    }
+}
+
+/// A 2 MB update streams through one chunk: it decodes exactly, the
+/// buffer never holds more than a chunk, and the worker-sized 11 kB
+/// update that fits one chunk is one `read` after its header. A header
+/// that claims the largest payload over a consistent weight count, then
+/// 100 kB and silence, fails `Truncated` with the buffer still a chunk.
+#[test]
+fn bulk_frames_stream_through_one_chunk() {
+    let update = |n: usize| {
+        Message::Update(UpdateMsg {
+            client_id: 1,
+            round: 2,
+            model_version: 2,
+            staleness: 0,
+            n_samples: 32,
+            loss_before: 1.0,
+            loss_after: 0.5,
+            weights: (0..n).map(|i| i as f32 * 0.25 - 7.0).collect(),
+        })
+    };
+    let mut chunk = Vec::new();
+    for n in [529_930, 2_762] {
+        let frame = update(n).encode();
+        let mut r = Counted {
+            bytes: &frame,
+            calls: 0,
+        };
+        let got = read_frame_into(&mut r, &mut chunk)
+            .expect("decode")
+            .expect("a frame");
+        assert_eq!(got.encode(), frame);
+        assert!(chunk.capacity() <= ONE_CHUNK, "{}", chunk.capacity());
+        if frame.len() <= HEADER_LEN + ONE_CHUNK {
+            assert_eq!(r.calls, 2, "the header, then the whole payload");
+        }
+    }
+
+    let count = (MAX_PAYLOAD - 56) / 4;
+    let mut frame = header(4, MAX_PAYLOAD);
+    frame.extend_from_slice(&update(0).encode()[HEADER_LEN..HEADER_LEN + 48]);
+    frame.extend_from_slice(&(count as u64).to_le_bytes());
+    frame.resize(frame.len() + 100_000, 0x3F);
+    let mut chunk = Vec::new();
+    assert_eq!(
+        read_frame_into(&mut frame.as_slice(), &mut chunk),
+        Err(WireError::Truncated {
+            needed: HEADER_LEN + MAX_PAYLOAD,
+            got: frame.len(),
+        })
+    );
+    assert!(chunk.capacity() <= ONE_CHUNK, "{}", chunk.capacity());
 }
 
 // ---------------------------------------------------------------------------
@@ -973,6 +1212,97 @@ fn a_short_update_is_counted_and_kept_out_of_the_round() {
     } // session (and with it the server) drops here → workers get Bye
 
     hostile.join().expect("hostile worker exits on Bye");
+    for w in workers {
+        w.join().expect("no panic").expect("clean worker exit");
+    }
+}
+
+/// Socket failures are dropouts of the client that failed, in the
+/// reliability table the view lends out — the table the simulated
+/// executors fill. One barrier round dispatches to five clients: 0
+/// answers one weight short (a malformed update), 1 never answers (its
+/// slot is abandoned at the round timeout), 2 never connected (its
+/// dispatch send fails), and 3 and 4 answer well. Each of 0, 1 and 2
+/// reads one dropout and no dispatch, and 3 and 4 one dispatch and no
+/// dropout.
+#[test]
+fn socket_failures_are_dropouts_of_the_failing_client() {
+    let server = NetServerBuilder::new().build().expect("bind");
+    let addr = server.local_addr().to_string();
+    // A raw peer: it answers every `TrainRequest` one weight short, or not
+    // at all, until the server's `Bye` (or its hang-up) ends the stream.
+    let raw_peer = |client_id: u64, answers: bool| {
+        let addr = addr.clone();
+        thread::spawn(move || {
+            let mut sock = TcpStream::connect(&addr).expect("connect");
+            let hello = Message::Hello {
+                client_id,
+                min_version: PROTOCOL_VERSION_MIN,
+                max_version: PROTOCOL_VERSION_MAX,
+            };
+            write_frame(&mut sock, &hello).expect("hello");
+            let mut model = Vec::new();
+            while let Ok(Some(msg)) = read_frame(&mut sock) {
+                match msg {
+                    Message::ModelPublish { weights, .. } => model = weights,
+                    Message::TrainRequest { round, .. } if answers => {
+                        let short = stub_update(round as usize, client_id as usize, &model[1..]);
+                        let reply = Message::Update(UpdateMsg {
+                            client_id,
+                            round,
+                            model_version: 0,
+                            staleness: 0,
+                            n_samples: short.n_samples as u64,
+                            loss_before: short.loss_before,
+                            loss_after: short.loss_after,
+                            weights: short.weights,
+                        });
+                        write_frame(&mut sock, &reply).expect("short update");
+                    }
+                    Message::Bye { .. } => break,
+                    _ => {}
+                }
+            }
+        })
+    };
+    let raw = [raw_peer(0, true), raw_peer(1, false)];
+    let workers = spawn_stub_workers(&server, &[3, 4]);
+    server
+        .wait_for_clients(4, Duration::from_secs(10))
+        .expect("four peers subscribed");
+
+    let mut executor =
+        NetworkExecutor::barrier(server).with_round_timeout(Duration::from_millis(300));
+    let telemetry = executor.telemetry();
+    executor.publish_model(0, &[0.5f32; 8]);
+    let out = executor.execute(&ctx(0), &[0, 1, 2, 3, 4], &|_, _| Vec::new());
+    let aggregated: Vec<usize> = out.updates.iter().map(|u| u.client_id).collect();
+    assert_eq!(aggregated, vec![3, 4]);
+    {
+        let t = telemetry.lock().unwrap();
+        assert_eq!(
+            (t.malformed_updates, t.timed_out, t.failed_dispatches),
+            (1, 1, 1),
+            "one counter per fault"
+        );
+    }
+    let view = executor.view();
+    let table = view.reliability.expect("the planner's table");
+    for cid in 0..5 {
+        let failed = usize::from(cid < 3);
+        let stats = table.get(cid);
+        assert_eq!(
+            (stats.dropouts, stats.dispatches),
+            (failed, 1 - failed),
+            "client {cid}: a lost dispatch is a dropout, not a dispatch"
+        );
+        assert_eq!(stats.dropout_rate(), failed as f64);
+    }
+
+    drop(executor);
+    for peer in raw {
+        peer.join().expect("raw peer exits on Bye");
+    }
     for w in workers {
         w.join().expect("no panic").expect("clean worker exit");
     }

@@ -1,16 +1,19 @@
 //! # feddrl-bench — experiment harness
 //!
-//! Shared machinery for the binaries that regenerate every table and
-//! figure of the FedDRL paper ([`paper`], driven by `exp_paper`) and run
-//! the beyond-the-paper sweeps (see docs/REPRODUCING.md for the index).
-//! Each binary accepts `--quick` (CI-sized), the default scaled profile,
-//! or `--full` (paper-scale parameters) plus overrides like `--rounds`.
+//! Every table and figure of the FedDRL paper ([`paper`]) and the
+//! beyond-the-paper sweeps ([`sweeps`]), as named artifacts of the one
+//! `exp_paper` binary (see docs/REPRODUCING.md for the index), and the
+//! machinery they share. Each artifact runs at `--quick` (CI-sized), the
+//! default scaled profile, or `--full` (paper-scale parameters), plus
+//! overrides like `--rounds`.
 
 #![warn(missing_docs)]
 
 pub mod paper;
+pub mod sweeps;
 
 use feddrl::prelude::*;
+use std::fmt::Display;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -55,7 +58,7 @@ impl Scale {
     }
 }
 
-/// Parsed command-line options shared by all experiment binaries.
+/// Parsed command-line options shared by all artifacts.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
     /// Scale profile.
@@ -66,18 +69,13 @@ pub struct ExpOptions {
     pub seed: u64,
     /// Output directory for CSV/JSON artifacts.
     pub out_dir: PathBuf,
-    /// Spawn real worker *processes* (not threads) where the binary
-    /// supports it (`exp_net`): exercises discovery, heartbeat TTLs and
+    /// Spawn real worker *processes* (not threads) where the artifact
+    /// supports it (`net`): exercises discovery, heartbeat TTLs and
     /// mid-run process death over loopback.
     pub processes: bool,
 }
 
 impl ExpOptions {
-    /// Parse from `std::env::args` (skipping the binary name).
-    pub fn from_args() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
     /// Parse the shared flags from `args`.
     ///
     /// # Panics
@@ -499,6 +497,81 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     }
     sep(&mut out);
     out
+}
+
+/// A sweep's results, kept once and written twice: as an aligned table
+/// ([`render_table`]) for stdout and `<stem>.txt`, and as `<stem>.csv`.
+pub(crate) struct SweepTable {
+    headers: Vec<&'static str>,
+    rows: Vec<Vec<String>>,
+    csv: String,
+}
+
+impl SweepTable {
+    /// An empty table; each column is its (table header, CSV header) pair.
+    pub fn new(columns: &[(&'static str, &'static str)]) -> Self {
+        let csv_headers: Vec<&str> = columns.iter().map(|&(_, csv)| csv).collect();
+        Self {
+            headers: columns.iter().map(|&(table, _)| table).collect(),
+            rows: Vec::new(),
+            csv: csv_headers.join(",") + "\n",
+        }
+    }
+
+    /// Append one row.
+    ///
+    /// # Panics
+    /// Panics if the row has not one cell per column.
+    pub fn push(&mut self, row: Row) {
+        assert_eq!(row.table.len(), self.headers.len(), "one cell per column");
+        self.csv.push_str(&row.csv.join(","));
+        self.csv.push('\n');
+        self.rows.push(row.table);
+    }
+
+    /// The aligned table.
+    pub fn render(&self) -> String {
+        render_table(&self.headers, &self.rows)
+    }
+
+    /// Write `<stem>.txt` and `<stem>.csv` under `opts.out_dir`.
+    pub fn write(&self, opts: &ExpOptions, stem: &str) {
+        write_artifact(&opts.out_path(&format!("{stem}.txt")), &self.render());
+        write_artifact(&opts.out_path(&format!("{stem}.csv")), &self.csv);
+    }
+}
+
+/// One row of a [`SweepTable`], built cell by cell.
+#[derive(Debug, Default)]
+pub(crate) struct Row {
+    table: Vec<String>,
+    csv: Vec<String>,
+}
+
+impl Row {
+    /// An empty row.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A cell written as `table` in the table and as `csv` in the CSV.
+    pub fn cell(mut self, table: impl Display, csv: impl Display) -> Self {
+        self.table.push(table.to_string());
+        self.csv.push(csv.to_string());
+        self
+    }
+
+    /// A cell written the same way in both: a label, a count.
+    pub fn text(self, v: impl Display) -> Self {
+        let v = v.to_string();
+        self.cell(&v, &v)
+    }
+
+    /// A number: `prec` decimals in the table, its plain `Display` in the
+    /// CSV.
+    pub fn num(self, v: impl Display, prec: usize) -> Self {
+        self.cell(format!("{v:.prec$}"), v)
+    }
 }
 
 /// Write `content` to `path`, creating parent dirs.

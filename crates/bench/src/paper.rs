@@ -1,7 +1,9 @@
 //! The paper's fifteen artifacts — every figure and table of FedDRL plus
 //! the headline, extended-baseline and ablation runs — as functions over
-//! one [`ExpOptions`], and the table `exp_paper` picks them from by name.
+//! one [`ExpOptions`], and the table `exp_paper` picks them and the six
+//! [`crate::sweeps`] from by name.
 
+use crate::sweeps::{adaptive, asynchronous, dynamics, hetero, net, reliability};
 use crate::{
     improvements, load_or_run, render_table, write_artifact, DatasetKind, ExpOptions,
     ExperimentSpec, MethodKind, Scale,
@@ -12,15 +14,16 @@ use feddrl_sim::comm::CommModel;
 use feddrl_sim::device::nearest_rank;
 use std::time::Instant;
 
-/// One paper artifact: prints its tables and writes its files under
+/// One artifact: prints its tables and writes its files under
 /// `opts.out_dir`.
 pub type Artifact = fn(&ExpOptions);
 
 /// Every artifact by the name `exp_paper` takes, in dependency-free run
 /// order: the instant ones first, `table3` after the figures (it saves
 /// its run histories as JSON that `fig5`/`fig6`/`fig10` reuse when they
-/// run later in the same `--out`, but each is self-sufficient).
-pub const ARTIFACTS: [(&str, Artifact); 15] = [
+/// run later in the same `--out`, but each is self-sufficient), then the
+/// sweeps.
+pub const ARTIFACTS: [(&str, Artifact); 21] = [
     ("table1", table1),
     ("table2", table2),
     ("fig1", fig1),
@@ -36,6 +39,12 @@ pub const ARTIFACTS: [(&str, Artifact); 15] = [
     ("fig10", fig10),
     ("table3", table3),
     ("table4", table4),
+    ("hetero", hetero::run),
+    ("async", asynchronous::run),
+    ("reliability", reliability::run),
+    ("dynamics", dynamics::run),
+    ("net", net::run),
+    ("adaptive", adaptive::run),
 ];
 
 /// The artifact called `name`, if there is one.
@@ -969,6 +978,38 @@ mod tests {
     #[should_panic(expected = "at least one iteration")]
     fn time_calls_rejects_zero_iters() {
         let _ = time_calls(0, || {});
+    }
+
+    /// The registry and docs/REPRODUCING.md's "Figure/table → artifact
+    /// map" name the same artifacts, each once.
+    #[test]
+    fn the_artifact_map_and_the_registry_agree() {
+        let mut names: Vec<&str> = ARTIFACTS.iter().map(|(n, _)| *n).collect();
+        names.sort_unstable();
+        let count = names.len();
+        names.dedup();
+        assert_eq!(names.len(), count, "duplicate artifact name");
+
+        let doc = include_str!("../../../docs/REPRODUCING.md");
+        let map = doc
+            .split("## Figure/table → artifact map")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("the artifact map section");
+        // Body rows: `| Paper artifact | `name` | Invocation | Output |`.
+        let mut mapped: Vec<&str> = map
+            .lines()
+            .filter(|line| line.starts_with("| ") && !line.starts_with("| ---"))
+            .skip(1)
+            .map(|line| line.split('|').nth(2).expect("a name column").trim())
+            .map(|cell| cell.trim_matches('`'))
+            .collect();
+        for name in &mapped {
+            assert!(artifact(name).is_some(), "the map names unknown `{name}`");
+        }
+        mapped.sort_unstable();
+        mapped.dedup();
+        assert_eq!(mapped, names, "every artifact appears in the map");
     }
 
     #[test]

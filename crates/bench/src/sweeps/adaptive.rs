@@ -21,13 +21,12 @@
 //! report, per heterogeneous cell, the best adaptive optimizer's
 //! accuracy edge over plain replacement at that shared budget.
 
+use super::Federation;
+use crate::{ExpOptions, MethodKind, Row, SweepTable};
 use feddrl::prelude::*;
-use feddrl_bench::{
-    render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
-};
 use feddrl_sim::prelude::*;
 
-/// Deadline percentile for the barrier cell (the exp_dynamics setting:
+/// Deadline percentile for the barrier cell (the `dynamics` sweep's setting:
 /// wait for the fastest 60%, drop the rest).
 const DEADLINE_PCT: f64 = 0.6;
 
@@ -44,20 +43,20 @@ fn server_opts() -> [(&'static str, ServerOptConfig); 4] {
     ]
 }
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub(crate) fn run(opts: &ExpOptions) {
     let n_clients = 12;
-    let exp = ExperimentSpec::new(DatasetKind::MnistLike, "CE", n_clients, &opts);
-    let env = exp.materialize(opts.scale);
-    let params = env.3.build(1).param_count();
+    let Federation {
+        exp,
+        env,
+        upload_bytes,
+        ..
+    } = Federation::new(opts, n_clients);
 
     let fleet = FleetConfig {
         compute_skew: 4.0,
         seed: opts.seed ^ 0xADA9,
         ..Default::default()
     };
-    // Priced with the per-client upload payload the executors simulate.
-    let upload_bytes = feddrl_fl::dispatch::upload_bytes(params, exp.participants);
     let deadline =
         FleetView::new(n_clients, &fleet).completion_percentile_s(upload_bytes, DEADLINE_PCT);
 
@@ -84,10 +83,15 @@ fn main() {
     ];
     let drl_cfg = exp.feddrl_config();
 
-    let mut rows = Vec::new();
-    let mut csv = String::from(
-        "method,executor,server_opt,best_acc,final_acc,mean_participation,sim_hours\n",
-    );
+    let mut table = SweepTable::new(&[
+        ("method", "method"),
+        ("executor", "executor"),
+        ("server opt", "server_opt"),
+        ("best acc", "best_acc"),
+        ("final acc", "final_acc"),
+        ("mean K'", "mean_participation"),
+        ("sim hours", "sim_hours"),
+    ]);
     let mut summary = Vec::new();
     for (cell, executor) in &cells {
         // Per (cell, method): plain is the baseline the adaptive columns
@@ -103,20 +107,16 @@ fn main() {
                 let best = history.best().best_accuracy;
                 let final_acc = final_third_accuracy(&history);
                 let hours = history.total_sim_time_s() / 3600.0;
-                rows.push(vec![
-                    method.name().to_string(),
-                    (*cell).to_string(),
-                    opt_label.to_string(),
-                    format!("{best:.4}"),
-                    format!("{final_acc:.4}"),
-                    format!("{:.2}", history.mean_participation()),
-                    format!("{hours:.2}"),
-                ]);
-                csv.push_str(&format!(
-                    "{},{cell},{opt_label},{best},{final_acc},{},{hours}\n",
-                    method.name(),
-                    history.mean_participation(),
-                ));
+                table.push(
+                    Row::new()
+                        .text(method.name())
+                        .text(cell)
+                        .text(opt_label)
+                        .num(best, 4)
+                        .num(final_acc, 4)
+                        .num(history.mean_participation(), 2)
+                        .num(hours, 2),
+                );
                 if opt_label == "plain" {
                     plain = Some((best, hours));
                 } else if best_adaptive.is_none_or(|(_, b)| best > b) {
@@ -138,18 +138,6 @@ fn main() {
         }
     }
 
-    let table = render_table(
-        &[
-            "method",
-            "executor",
-            "server opt",
-            "best acc",
-            "final acc",
-            "mean K'",
-            "sim hours",
-        ],
-        &rows,
-    );
     println!(
         "Server-optimizer sweep: {} rounds, N = {n_clients}, K = {}, CE(0.6), \
          compute skew 4x; deadline cell at the {:.0}th completion percentile, \
@@ -158,7 +146,7 @@ fn main() {
         exp.participants,
         DEADLINE_PCT * 100.0,
     );
-    println!("{table}");
+    println!("{}", table.render());
     for line in &summary {
         println!("{line}");
     }
@@ -171,8 +159,7 @@ fn main() {
          of the rounds; the summary lines report each heterogeneous \
          cell's best adaptive optimizer against plain replacement."
     );
-    write_artifact(&opts.out_path("adaptive_sweep.txt"), &table);
-    write_artifact(&opts.out_path("adaptive_sweep.csv"), &csv);
+    table.write(opts, "adaptive_sweep");
 }
 
 /// Mean test accuracy over the final third of the rounds — a smoother

@@ -19,10 +19,9 @@
 //! `observe_staleness` off/on — the agent seeing each update's age as a
 //! fourth state block.
 
+use super::Federation;
+use crate::{ExpOptions, MethodKind, Row, SweepTable};
 use feddrl::prelude::*;
-use feddrl_bench::{
-    render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
-};
 use feddrl_sim::prelude::*;
 
 /// Buffer sizes swept (`K = 10` participants per round).
@@ -36,16 +35,14 @@ fn discounts() -> [(&'static str, StalenessDiscount); 3] {
     ]
 }
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub(crate) fn run(opts: &ExpOptions) {
     let n_clients = 12;
-    let exp = ExperimentSpec::new(DatasetKind::MnistLike, "CE", n_clients, &opts);
-    let env = exp.materialize(opts.scale);
-    let params = env.3.build(1).param_count();
-
-    // Per-client upload payload for deadline placement — the number the
-    // executors' planner prices dispatches with.
-    let upload_bytes = feddrl_fl::dispatch::upload_bytes(params, exp.participants);
+    let Federation {
+        exp,
+        env,
+        upload_bytes,
+        ..
+    } = Federation::new(opts, n_clients);
 
     // One cell: the experiment's config on `executor`. A buffered cell
     // gets a generous aggregation cap; the virtual-time budget (or, for
@@ -69,11 +66,19 @@ fn main() {
         exp.run_cell(&env, method, &fl_cfg, &drl_cfg, sim_budget_s)
     };
 
-    let mut rows = Vec::new();
-    let mut csv = String::from(
-        "method,executor,compute_skew,buffer,discount,best_acc,aggregations,\
-         mean_participation,mean_staleness,sim_hours,hours_to_target\n",
-    );
+    let mut table = SweepTable::new(&[
+        ("method", "method"),
+        ("executor", "executor"),
+        ("skew", "compute_skew"),
+        ("buffer m", "buffer"),
+        ("discount", "discount"),
+        ("best acc", "best_acc"),
+        ("aggs", "aggregations"),
+        ("mean K'", "mean_participation"),
+        ("mean stale", "mean_staleness"),
+        ("sim hours", "sim_hours"),
+        ("h to target", "hours_to_target"),
+    ]);
     let mut summary = Vec::new();
     for &skew in &[1.0f64, 4.0] {
         let fleet = FleetConfig {
@@ -82,7 +87,7 @@ fn main() {
             ..Default::default()
         };
         // Baseline: the round barrier, cut at the fleet's 70th
-        // completion-time percentile (the exp_hetero convention).
+        // completion-time percentile (the `hetero` sweep's convention).
         let deadline = FleetView::new(n_clients, &fleet).completion_percentile_s(upload_bytes, 0.7);
         let baseline_exec = ExecutorConfig::Deadline(HeteroConfig {
             fleet: fleet.clone(),
@@ -95,8 +100,7 @@ fn main() {
         let budget_s = baseline.total_sim_time_s();
         let baseline_hours = baseline.sim_time_to_accuracy_s(target).map(|s| s / 3600.0);
         push_row(
-            &mut rows,
-            &mut csv,
+            &mut table,
             "FedAvg",
             &format!("deadline({deadline:.0}s)"),
             skew,
@@ -127,8 +131,7 @@ fn main() {
                     }
                 }
                 push_row(
-                    &mut rows,
-                    &mut csv,
+                    &mut table,
                     "FedAvg",
                     "buffered",
                     skew,
@@ -165,33 +168,17 @@ fn main() {
         let history = run_cell(MethodKind::FedDrl, &exec, observe, None);
         let method = if observe { "FedDRL+stale" } else { "FedDRL" };
         push_row(
-            &mut rows, &mut csv, method, "buffered", 4.0, "5", "poly(1)", &history, None,
+            &mut table, method, "buffered", 4.0, "5", "poly(1)", &history, None,
         );
     }
 
-    let table = render_table(
-        &[
-            "method",
-            "executor",
-            "skew",
-            "buffer m",
-            "discount",
-            "best acc",
-            "aggs",
-            "mean K'",
-            "mean stale",
-            "sim hours",
-            "h to target",
-        ],
-        &rows,
-    );
     println!(
         "Async aggregation sweep: {} rounds, N = {n_clients}, K = {}, CE(0.6), \
          deadline baseline at the 70th completion percentile\n",
         opts.rounds(),
         exp.participants
     );
-    println!("{table}");
+    println!("{}", table.render());
     for line in &summary {
         println!("{line}");
     }
@@ -204,14 +191,12 @@ fn main() {
          simulated hours until 95% of the deadline baseline's best \
          accuracy; 'aggs' counts non-empty aggregations."
     );
-    write_artifact(&opts.out_path("async_sweep.txt"), &table);
-    write_artifact(&opts.out_path("async_sweep.csv"), &csv);
+    table.write(opts, "async_sweep");
 }
 
 #[allow(clippy::too_many_arguments)]
 fn push_row(
-    rows: &mut Vec<Vec<String>>,
-    csv: &mut String,
+    table: &mut SweepTable,
     method: &str,
     executor: &str,
     skew: f64,
@@ -220,31 +205,23 @@ fn push_row(
     history: &RunHistory,
     hours_to_target: Option<f64>,
 ) {
-    let best = history.best();
     let aggs = history
         .records
         .iter()
         .filter(|r| !r.impact_factors.is_empty())
         .count();
-    let htt = hours_to_target.map_or("-".to_string(), |h| format!("{h:.2}"));
-    rows.push(vec![
-        method.to_string(),
-        executor.to_string(),
-        format!("{skew:.0}"),
-        buffer.to_string(),
-        discount.to_string(),
-        format!("{:.4}", best.best_accuracy),
-        aggs.to_string(),
-        format!("{:.2}", history.mean_participation()),
-        format!("{:.2}", history.mean_staleness()),
-        format!("{:.2}", history.total_sim_time_s() / 3600.0),
-        htt.clone(),
-    ]);
-    csv.push_str(&format!(
-        "{method},{executor},{skew},{buffer},{discount},{},{aggs},{},{},{},{htt}\n",
-        best.best_accuracy,
-        history.mean_participation(),
-        history.mean_staleness(),
-        history.total_sim_time_s() / 3600.0,
-    ));
+    table.push(
+        Row::new()
+            .text(method)
+            .text(executor)
+            .num(skew, 0)
+            .text(buffer)
+            .text(discount)
+            .num(history.best().best_accuracy, 4)
+            .text(aggs)
+            .num(history.mean_participation(), 2)
+            .num(history.mean_staleness(), 2)
+            .num(history.total_sim_time_s() / 3600.0, 2)
+            .text(super::hours_to_target(hours_to_target)),
+    );
 }

@@ -26,10 +26,9 @@
 //! aggregation strategies, FedDRL observing each update's untrained
 //! fraction (`observe_availability`).
 
+use super::Federation;
+use crate::{ExpOptions, MethodKind, Row, SweepTable};
 use feddrl::prelude::*;
-use feddrl_bench::{
-    render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
-};
 use feddrl_sim::prelude::*;
 
 /// Candidate pool for the reliability-aware policy every cell uses.
@@ -89,18 +88,19 @@ fn deadline_exec(
     })
 }
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub(crate) fn run(opts: &ExpOptions) {
     let n_clients = 32; // initial population; churn grows the universe
-    let exp = ExperimentSpec::new(DatasetKind::MnistLike, "CE", n_clients, &opts);
-    let env = exp.materialize(opts.scale);
+    let Federation {
+        exp,
+        env,
+        upload_bytes,
+        ..
+    } = Federation::new(opts, n_clients);
     let fleet_seed = opts.seed ^ 0xD1A;
 
     // The deadline comes from the *static* completion-time distribution
     // (diurnal modulation leaves the compute/bandwidth draws untouched, so
     // it prices the same devices the dynamic cells run on).
-    let param_count = env.3.build(exp.seed).param_count();
-    let upload_bytes = feddrl_fl::dispatch::upload_bytes(param_count, exp.participants);
     let deadline_s = FleetView::new(n_clients, &static_fleet(fleet_seed))
         .completion_percentile_s(upload_bytes, DEADLINE_PCT);
 
@@ -162,11 +162,21 @@ fn main() {
         ),
     ];
 
-    let mut rows = Vec::new();
-    let mut csv = String::from(
-        "method,cell,best_acc,rounds,aggregated,masked,late,dropouts,\
-         joins,departs,mean_staleness,sim_hours,hours_to_target\n",
-    );
+    let mut table = SweepTable::new(&[
+        ("method", "method"),
+        ("cell", "cell"),
+        ("best acc", "best_acc"),
+        ("rounds", "rounds"),
+        ("aggregated", "aggregated"),
+        ("masked", "masked"),
+        ("late", "late"),
+        ("dropouts", "dropouts"),
+        ("joins", "joins"),
+        ("departs", "departs"),
+        ("mean stale", "mean_staleness"),
+        ("sim hours", "sim_hours"),
+        ("h to target", "hours_to_target"),
+    ]);
 
     // The dynamic/drop baseline runs first: it defines the family's
     // simulated-time budget and the shared accuracy target.
@@ -182,7 +192,7 @@ fn main() {
             run_cell(MethodKind::FedAvg, exec, Some(budget_s))
         };
         let stats = CellStats::measure(&history, target);
-        push_row(&mut rows, &mut csv, "FedAvg", label, &stats);
+        table.push(stats.row("FedAvg", label));
         by_cell.push((*label, stats));
     }
 
@@ -192,33 +202,9 @@ fn main() {
     for method in [MethodKind::FedAvg, MethodKind::FedDrl] {
         let history = run_cell(method, &cells[3].1, None);
         let stats = CellStats::measure(&history, f32::INFINITY);
-        push_row(
-            &mut rows,
-            &mut csv,
-            method.name(),
-            "dynamic/structured",
-            &stats,
-        );
+        table.push(stats.row(method.name(), "dynamic/structured"));
     }
 
-    let table = render_table(
-        &[
-            "method",
-            "cell",
-            "best acc",
-            "rounds",
-            "aggregated",
-            "masked",
-            "late",
-            "dropouts",
-            "joins",
-            "departs",
-            "mean stale",
-            "sim hours",
-            "h to target",
-        ],
-        &rows,
-    );
     println!(
         "Fleet-dynamics sweep: N = {n_clients} (+churn), K = {}, CE(0.6), deadline {:.1}s \
          (p{:.0} of static completion times), diurnal period {:.0}s, \
@@ -230,7 +216,7 @@ fn main() {
         1.5 * deadline_s,
         2.0 * deadline_s,
     );
-    println!("{table}");
+    println!("{}", table.render());
 
     let drop = by_cell.iter().find(|(l, _)| *l == "dynamic/drop");
     let structured = by_cell.iter().find(|(l, _)| *l == "dynamic/structured");
@@ -263,8 +249,7 @@ fn main() {
          count with no budget — those two rows are comparable only to \
          each other."
     );
-    write_artifact(&opts.out_path("dynamics_sweep.txt"), &table);
-    write_artifact(&opts.out_path("dynamics_sweep.csv"), &csv);
+    table.write(opts, "dynamics_sweep");
 }
 
 /// Everything a sweep row reports about one run.
@@ -310,44 +295,22 @@ impl CellStats {
             hours_to_target: history.sim_time_to_accuracy_s(target).map(|s| s / 3600.0),
         }
     }
-}
 
-fn push_row(
-    rows: &mut Vec<Vec<String>>,
-    csv: &mut String,
-    method: &str,
-    cell: &str,
-    stats: &CellStats,
-) {
-    let htt = stats
-        .hours_to_target
-        .map_or("-".to_string(), |h| format!("{h:.2}"));
-    rows.push(vec![
-        method.to_string(),
-        cell.to_string(),
-        format!("{:.4}", stats.best_acc),
-        stats.rounds.to_string(),
-        stats.aggregated.to_string(),
-        stats.masked.to_string(),
-        stats.late.to_string(),
-        stats.dropouts.to_string(),
-        stats.joins.to_string(),
-        stats.departs.to_string(),
-        format!("{:.2}", stats.mean_staleness),
-        format!("{:.2}", stats.sim_hours),
-        htt.clone(),
-    ]);
-    csv.push_str(&format!(
-        "{method},{cell},{},{},{},{},{},{},{},{},{},{},{htt}\n",
-        stats.best_acc,
-        stats.rounds,
-        stats.aggregated,
-        stats.masked,
-        stats.late,
-        stats.dropouts,
-        stats.joins,
-        stats.departs,
-        stats.mean_staleness,
-        stats.sim_hours,
-    ));
+    /// The sweep row of this cell.
+    fn row(&self, method: &str, cell: &str) -> Row {
+        Row::new()
+            .text(method)
+            .text(cell)
+            .num(self.best_acc, 4)
+            .text(self.rounds)
+            .text(self.aggregated)
+            .text(self.masked)
+            .text(self.late)
+            .text(self.dropouts)
+            .text(self.joins)
+            .text(self.departs)
+            .num(self.mean_staleness, 2)
+            .num(self.sim_hours, 2)
+            .text(super::hours_to_target(self.hours_to_target))
+    }
 }

@@ -2,10 +2,10 @@
 //! loopback sockets vs the simulator's predictions for the same fleet.
 //!
 //! Spins up a `feddrl_net` server plus one worker per client — a thread
-//! by default, a real OS process under `--processes` (the binary
-//! re-execs itself with `--worker`) — and drives the `NetworkExecutor`
-//! directly: every model broadcast and every update crosses a TCP
-//! socket. Each worker delays its reply by its device profile's
+//! by default, a real OS process under `--processes` (`exp_paper`
+//! re-execs itself with `--worker`, see [`run_worker_process`]) — and
+//! drives the `NetworkExecutor` directly: every model broadcast and every
+//! update crosses a TCP socket. Each worker delays its reply by its device profile's
 //! completion time (drawn from the same skewed [`FleetConfig`] the
 //! simulator uses, linearly scaled from simulated seconds to real
 //! milliseconds), so the transport sees the fleet the discrete-event
@@ -30,8 +30,9 @@ use std::process::{Child, Command};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use super::Federation;
+use crate::{Env, ExpOptions, ExperimentSpec, Row, Scale, SweepTable};
 use feddrl::prelude::*;
-use feddrl_bench::{render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, Scale};
 use feddrl_net::prelude::*;
 use feddrl_sim::prelude::*;
 
@@ -64,12 +65,16 @@ fn stub_update(client_id: usize, round: u64, global: &[f32]) -> ClientUpdate {
     }
 }
 
-/// The `--worker` entry point: this binary re-execed as one federated
-/// worker process. Parses its own tiny argument grammar (it must never
-/// reach `ExpOptions::from_args`, which would reject `--worker`), runs
-/// the same deterministic stub the thread workers run, and exits 0 on a
-/// clean `Bye`.
-fn run_worker_process(args: &[String]) -> ! {
+/// The `--worker` entry point: `exp_paper --worker --addr A --id N
+/// --delay-ms D`, re-execed by the `net` sweep as one federated worker
+/// process. Parses its own tiny argument grammar (`args` follow
+/// `--worker`; they must never reach [`ExpOptions::parse`], which would
+/// reject them), runs the same deterministic stub the thread workers run,
+/// and exits 0 on a clean `Bye`.
+///
+/// # Panics
+/// Panics on an unknown or missing worker argument.
+pub fn run_worker_process(args: &[String]) -> ! {
     let mut addr = None;
     let mut id = None;
     let mut delay_ms = 0.0f64;
@@ -281,7 +286,7 @@ fn run_net(
 /// `BufferedExecutor` session over the identical stub train transform.
 fn run_sim_buffered(
     exp: &ExperimentSpec,
-    env: &(Dataset, Dataset, Partition, ModelSpec),
+    env: &Env,
     fleet: &FleetConfig,
     buffer_size: usize,
     rounds: usize,
@@ -312,74 +317,50 @@ fn run_sim_buffered(
         .unwrap_or_else(|e| panic!("sim cell failed: {e}"))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_row(
-    rows: &mut Vec<Vec<String>>,
-    csv: &mut String,
+/// The sweep row of one measured cell.
+fn row(
     mode: &str,
     buffer: &str,
     rounds: usize,
     run: &NetRun,
-    pred_p50_ms: f64,
-    pred_p99_ms: f64,
+    (pred_p50_ms, pred_p99_ms): (f64, f64),
     sim_staleness: f64,
-) {
+) -> Row {
     let t = &run.telemetry;
-    let updates_per_s = t.accepted as f64 / run.wall_s.max(1e-9);
-    let steady = &run.steady_publish;
-    rows.push(vec![
-        mode.to_string(),
-        buffer.to_string(),
-        rounds.to_string(),
-        t.dispatched.to_string(),
-        t.accepted.to_string(),
-        format!("{:.2}", t.p50_rtt_ms()),
-        format!("{:.2}", t.p99_rtt_ms()),
-        format!("{pred_p50_ms:.2}"),
-        format!("{pred_p99_ms:.2}"),
-        format!("{updates_per_s:.0}"),
-        format!("{:.2}", t.mean_staleness()),
-        format!("{sim_staleness:.2}"),
-        t.publish.wire_bytes.to_string(),
-        t.publish.dense_bytes.to_string(),
-        format!("{}/{}", t.publish.delta_frames, t.publish.full_frames),
-        format!("{:.3}", steady.wire_to_dense_ratio()),
-    ]);
-    csv.push_str(&format!(
-        "{mode},{buffer},{rounds},{},{},{:.3},{:.3},{pred_p50_ms:.3},{pred_p99_ms:.3},\
-         {updates_per_s:.1},{:.3},{sim_staleness:.3},{},{},{},{},{:.4}\n",
-        t.dispatched,
-        t.accepted,
-        t.p50_rtt_ms(),
-        t.p99_rtt_ms(),
-        t.mean_staleness(),
-        t.publish.wire_bytes,
-        t.publish.dense_bytes,
-        t.publish.delta_frames,
-        t.publish.full_frames,
-        steady.wire_to_dense_ratio(),
-    ));
+    let p = &t.publish;
+    Row::new()
+        .text(mode)
+        .text(buffer)
+        .text(rounds)
+        .text(t.dispatched)
+        .text(t.accepted)
+        .num(t.p50_rtt_ms(), 2)
+        .num(t.p99_rtt_ms(), 2)
+        .num(pred_p50_ms, 2)
+        .num(pred_p99_ms, 2)
+        .num(t.accepted as f64 / run.wall_s.max(1e-9), 0)
+        .num(t.mean_staleness(), 2)
+        .num(sim_staleness, 2)
+        .text(p.wire_bytes)
+        .text(p.dense_bytes)
+        // One table column, two CSV columns.
+        .cell(
+            format!("{}/{}", p.delta_frames, p.full_frames),
+            format!("{},{}", p.delta_frames, p.full_frames),
+        )
+        .num(run.steady_publish.wire_to_dense_ratio(), 3)
 }
 
-fn main() {
-    // Worker re-exec path: `exp_net --worker --addr A --id N
-    // --delay-ms D` never parses experiment options.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("--worker") {
-        run_worker_process(&raw[1..]);
-    }
-
-    let opts = ExpOptions::from_args();
+pub(crate) fn run(opts: &ExpOptions) {
     let n_clients = 8;
     let rounds = opts.rounds();
     let buffer_size = n_clients / 2;
-    let exp = ExperimentSpec::new(DatasetKind::MnistLike, "CE", n_clients, &opts);
-    let env = exp.materialize(opts.scale);
-    let params = env.3.build(1).param_count();
-
-    // Per-client upload payload: what the simulator charges (exp_async
-    // convention).
-    let upload_bytes = feddrl_fl::dispatch::upload_bytes(params, exp.participants);
+    let Federation {
+        exp,
+        env,
+        params,
+        upload_bytes,
+    } = Federation::new(opts, n_clients);
 
     // The fleet both sides share: the workers' real delays and the
     // simulator's virtual completion times come from the same profiles.
@@ -398,8 +379,10 @@ fn main() {
     let delays_ms: Vec<f64> = completion_s.iter().map(|s| s * ms_per_sim_s).collect();
     // The fleet's nearest-rank percentiles (the definition the measured
     // `NetTelemetry::rtt_percentile_ms` shares), on the workers' scale.
-    let pred_p50 = devices.completion_percentile_s(upload_bytes, 0.5) * ms_per_sim_s;
-    let pred_p99 = devices.completion_percentile_s(upload_bytes, 0.99) * ms_per_sim_s;
+    let predicted = (
+        devices.completion_percentile_s(upload_bytes, 0.5) * ms_per_sim_s,
+        devices.completion_percentile_s(upload_bytes, 0.99) * ms_per_sim_s,
+    );
     println!(
         "fleet: skew {:.0}, completion {:.2}-{:.2} sim s, scaled at {:.1} ms per sim s \
          ({} params, {} B upload), workers as {}",
@@ -416,13 +399,24 @@ fn main() {
         }
     );
 
-    let mut rows = Vec::new();
-    let mut csv = String::from(
-        "mode,buffer,rounds,dispatched,updates,p50_rtt_ms,p99_rtt_ms,predicted_p50_ms,\
-         predicted_p99_ms,updates_per_s,measured_mean_staleness,predicted_mean_staleness,\
-         publish_wire_bytes,publish_dense_bytes,delta_frames,full_frames,\
-         steady_wire_to_dense\n",
-    );
+    let mut table = SweepTable::new(&[
+        ("mode", "mode"),
+        ("buffer m", "buffer"),
+        ("rounds", "rounds"),
+        ("dispatched", "dispatched"),
+        ("updates", "updates"),
+        ("p50 RTT ms", "p50_rtt_ms"),
+        ("p99 RTT ms", "p99_rtt_ms"),
+        ("pred p50", "predicted_p50_ms"),
+        ("pred p99", "predicted_p99_ms"),
+        ("upd/s", "updates_per_s"),
+        ("stale (meas)", "measured_mean_staleness"),
+        ("stale (sim)", "predicted_mean_staleness"),
+        ("pub wire B", "publish_wire_bytes"),
+        ("pub dense B", "publish_dense_bytes"),
+        ("delta/full", "delta_frames,full_frames"),
+        ("steady ratio", "steady_wire_to_dense"),
+    ]);
 
     // Cell 1 — barrier: every round waits for all dispatches, so RTT
     // percentiles should track the fleet's completion percentiles and
@@ -456,9 +450,7 @@ fn main() {
             n_clients - 1
         );
     }
-    push_row(
-        &mut rows, &mut csv, "barrier", "-", rounds, &barrier, pred_p50, pred_p99, 0.0,
-    );
+    table.push(row("barrier", "-", rounds, &barrier, predicted, 0.0));
 
     // Cell 2 — buffered(m): real late arrivals carry measured staleness;
     // the simulator predicts it for the identical fleet/buffer/horizon.
@@ -471,44 +463,21 @@ fn main() {
         false,
     );
     let sim = run_sim_buffered(&exp, &env, &fleet, buffer_size, rounds);
-    push_row(
-        &mut rows,
-        &mut csv,
+    let buffer = buffer_size.to_string();
+    table.push(row(
         "buffered",
-        &buffer_size.to_string(),
+        &buffer,
         rounds,
         &buffered,
-        pred_p50,
-        pred_p99,
+        predicted,
         sim.mean_staleness(),
-    );
+    ));
 
-    let table = render_table(
-        &[
-            "mode",
-            "buffer m",
-            "rounds",
-            "dispatched",
-            "updates",
-            "p50 RTT ms",
-            "p99 RTT ms",
-            "pred p50",
-            "pred p99",
-            "upd/s",
-            "stale (meas)",
-            "stale (sim)",
-            "pub wire B",
-            "pub dense B",
-            "delta/full",
-            "steady ratio",
-        ],
-        &rows,
-    );
     println!(
         "\nNetworked runtime over loopback: N = {n_clients}, {rounds} rounds, \
          buffered m = {buffer_size}\n"
     );
-    println!("{table}");
+    println!("{}", table.render());
     println!(
         "reading guide: workers delay replies by their device profile's \
          completion time (scaled sim s -> real ms), so 'p50/p99 RTT' are \
@@ -520,6 +489,5 @@ fn main() {
          cost, and 'steady ratio' is that quotient excluding the first \
          round's cold dense fan-out — the delta-encoding saving."
     );
-    write_artifact(&opts.out_path("net_sweep.txt"), &table);
-    write_artifact(&opts.out_path("net_sweep.csv"), &csv);
+    table.write(opts, "net_sweep");
 }

@@ -8,7 +8,7 @@
 //! (`dropout_skew = 3`), either independently of device speed or fully
 //! speed-correlated, and compares selection policies on the buffered
 //! asynchronous executor under an *equal simulated-time budget* (the
-//! `exp_async` convention, budget taken from each cell's `Uniform`
+//! `async` sweep's convention, budget taken from each cell's `Uniform`
 //! baseline):
 //!
 //! * `Uniform` — the paper's sampling; wastes slots on flaky devices and
@@ -26,10 +26,9 @@
 //! the headline speed-correlated skewed cell under both aggregation
 //! strategies with the reliability-aware policy.
 
+use super::Federation;
+use crate::{ExpOptions, MethodKind, Row, SweepTable};
 use feddrl::prelude::*;
-use feddrl_bench::{
-    render_table, write_artifact, DatasetKind, ExpOptions, ExperimentSpec, MethodKind,
-};
 use feddrl_sim::prelude::*;
 
 /// Aggregation buffer `m` for every buffered cell (`K = 10` dispatches).
@@ -69,11 +68,9 @@ fn policies() -> [(&'static str, Selection); 3] {
     ]
 }
 
-fn main() {
-    let opts = ExpOptions::from_args();
+pub(crate) fn run(opts: &ExpOptions) {
     let n_clients = 40; // N >> K so selection has room to choose
-    let exp = ExperimentSpec::new(DatasetKind::MnistLike, "CE", n_clients, &opts);
-    let env = exp.materialize(opts.scale);
+    let Federation { exp, env, .. } = Federation::new(opts, n_clients);
     let drl_cfg = exp.feddrl_config();
 
     // One cell: the experiment's config on `executor` under `selection`,
@@ -95,12 +92,20 @@ fn main() {
         exp.run_cell(&env, method, &fl_cfg, &drl_cfg, sim_budget_s)
     };
 
-    let mut rows = Vec::new();
-    let mut csv = String::from(
-        "method,correlation,compute_skew,policy,best_acc,aggregations,\
-         mean_participation,waste_rate,mean_staleness,slow_share,\
-         sim_hours,hours_to_target\n",
-    );
+    let mut table = SweepTable::new(&[
+        ("method", "method"),
+        ("correlation", "correlation"),
+        ("skew", "compute_skew"),
+        ("policy", "policy"),
+        ("best acc", "best_acc"),
+        ("aggs", "aggregations"),
+        ("mean K'", "mean_participation"),
+        ("waste rate", "waste_rate"),
+        ("mean stale", "mean_staleness"),
+        ("slow share", "slow_share"),
+        ("sim hours", "sim_hours"),
+        ("h to target", "hours_to_target"),
+    ]);
     let mut summary = Vec::new();
     for (corr_label, correlation) in correlations() {
         for &skew in &[1.0f64, 4.0] {
@@ -135,15 +140,7 @@ fn main() {
                     run_cell(MethodKind::FedAvg, &exec, selection, Some(budget_s))
                 };
                 let stats = CellStats::measure(&history, &fleet, target);
-                push_row(
-                    &mut rows,
-                    &mut csv,
-                    "FedAvg",
-                    corr_label,
-                    skew,
-                    policy_label,
-                    &stats,
-                );
+                table.push(stats.row("FedAvg", corr_label, skew, policy_label));
                 per_policy.push((policy_label, stats));
             }
             if corr_label != "indep" && skew > 1.0 {
@@ -181,41 +178,16 @@ fn main() {
         // (f32::INFINITY is never reached) — these two rows are
         // comparable only to each other (see the reading guide).
         let stats = CellStats::measure(&history, &fleet, f32::INFINITY);
-        push_row(
-            &mut rows,
-            &mut csv,
-            method.name(),
-            "speed(1.0)",
-            4.0,
-            "reliability-aware",
-            &stats,
-        );
+        table.push(stats.row(method.name(), "speed(1.0)", 4.0, "reliability-aware"));
     }
 
-    let table = render_table(
-        &[
-            "method",
-            "correlation",
-            "skew",
-            "policy",
-            "best acc",
-            "aggs",
-            "mean K'",
-            "waste rate",
-            "mean stale",
-            "slow share",
-            "sim hours",
-            "h to target",
-        ],
-        &rows,
-    );
     println!(
         "Reliability sweep: {} rounds, N = {n_clients}, K = {}, CE(0.6), buffered m = {BUFFER}, \
          base dropout {BASE_DROPOUT} spread x{DROPOUT_SKEW} per device\n",
         opts.rounds(),
         exp.participants
     );
-    println!("{table}");
+    println!("{}", table.render());
     for line in &summary {
         println!("{line}");
     }
@@ -233,8 +205,7 @@ fn main() {
          are comparable only to each other, and their 'h to target' is \
          blank."
     );
-    write_artifact(&opts.out_path("reliability_sweep.txt"), &table);
-    write_artifact(&opts.out_path("reliability_sweep.csv"), &csv);
+    table.write(opts, "reliability_sweep");
 }
 
 /// Everything a sweep row reports about one run.
@@ -297,45 +268,23 @@ impl CellStats {
             hours_to_target: history.sim_time_to_accuracy_s(target).map(|s| s / 3600.0),
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn push_row(
-    rows: &mut Vec<Vec<String>>,
-    csv: &mut String,
-    method: &str,
-    correlation: &str,
-    skew: f64,
-    policy: &str,
-    stats: &CellStats,
-) {
-    let htt = stats
-        .hours_to_target
-        .map_or("-".to_string(), |h| format!("{h:.2}"));
-    rows.push(vec![
-        method.to_string(),
-        correlation.to_string(),
-        format!("{skew:.0}"),
-        policy.to_string(),
-        format!("{:.4}", stats.best_acc),
-        stats.aggregations.to_string(),
-        format!("{:.2}", stats.mean_participation),
-        format!("{:.3}", stats.waste_rate),
-        format!("{:.2}", stats.mean_staleness),
-        format!("{:.2}", stats.slow_share),
-        format!("{:.2}", stats.sim_hours),
-        htt.clone(),
-    ]);
-    csv.push_str(&format!(
-        "{method},{correlation},{skew},{policy},{},{},{},{},{},{},{},{htt}\n",
-        stats.best_acc,
-        stats.aggregations,
-        stats.mean_participation,
-        stats.waste_rate,
-        stats.mean_staleness,
-        stats.slow_share,
-        stats.sim_hours,
-    ));
+    /// The sweep row of this cell.
+    fn row(&self, method: &str, correlation: &str, skew: f64, policy: &str) -> Row {
+        Row::new()
+            .text(method)
+            .text(correlation)
+            .num(skew, 0)
+            .text(policy)
+            .num(self.best_acc, 4)
+            .text(self.aggregations)
+            .num(self.mean_participation, 2)
+            .num(self.waste_rate, 3)
+            .num(self.mean_staleness, 2)
+            .num(self.slow_share, 2)
+            .num(self.sim_hours, 2)
+            .text(super::hours_to_target(self.hours_to_target))
+    }
 }
 
 /// The headline comparison lines for a speed-correlated cell family.

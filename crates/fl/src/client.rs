@@ -105,7 +105,7 @@ pub struct ClientUpdate {
 impl ClientUpdate {
     /// Fraction of the model this update trained: the mask's keep fraction,
     /// or `1.0` for full-model training. One of the DRL availability
-    /// observations, and the exp_dynamics sweep's sub-model-size metric.
+    /// observations, and the `dynamics` sweep's sub-model-size metric.
     pub fn mask_ratio(&self) -> f32 {
         self.mask.as_ref().map_or(1.0, |m| m.keep_fraction() as f32)
     }

@@ -92,7 +92,7 @@ pub enum NetMode {
 }
 
 /// How many of the latest round-trip times [`NetTelemetry`] keeps: at
-/// least every update of `exp_net --full` (1 000 rounds × 8 workers), so
+/// least every update of `exp_paper net --full` (1 000 rounds × 8 workers), so
 /// a long-lived server's telemetry stays bounded without changing any
 /// sweep's percentiles.
 pub const RTT_WINDOW: usize = 8192;

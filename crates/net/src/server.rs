@@ -69,7 +69,7 @@ impl Default for ServerConfig {
 }
 
 /// Cumulative bytes-on-wire accounting for [`NetServer::publish`], the
-/// evidence `exp_net` prints for the delta-encoding fan-out reduction.
+/// evidence the `net` sweep (`exp_paper net`) prints for the delta-encoding fan-out reduction.
 /// Counters only grow; subtract two snapshots (see [`PublishStats::since`])
 /// to isolate a window such as the steady-state rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -344,6 +344,19 @@ const KIND_MASKED_UPDATE: u8 = 8;
 const KIND_MODEL_PUBLISH_DELTA: u8 = 9;
 const KIND_PUBLISH_ACK: u8 = 10;
 
+/// The payload length of a kind whose frames all have one size, `None`
+/// for the kinds that carry arrays. The encoder sizes frames with it and
+/// [`FrameHeader::parse`] rejects any other claim.
+const fn fixed_payload_len(kind: u8) -> Option<usize> {
+    match kind {
+        KIND_HELLO => Some(10),
+        KIND_HELLO_ACK => Some(9),
+        KIND_PUBLISH_ACK | KIND_TRAIN_REQUEST => Some(16),
+        KIND_HEARTBEAT | KIND_BYE => Some(8),
+        _ => None,
+    }
+}
+
 /// Pick the protocol version for a connection whose peer advertised
 /// `[peer_min, peer_max]`: the highest version both ends speak.
 ///
@@ -370,14 +383,18 @@ pub struct FrameHeader {
     pub version: u8,
     /// Message kind byte (validated against the known grammar).
     pub kind: u8,
-    /// Payload length in bytes (validated against [`MAX_PAYLOAD`]).
+    /// Payload length in bytes (validated against [`MAX_PAYLOAD`], and
+    /// against the one size of a fixed-size kind).
     pub payload_len: usize,
 }
 
 impl FrameHeader {
-    /// Parse and validate the fixed-size header: magic, version, kind and
-    /// the payload length bound, in that order (so the caller learns the
-    /// *first* violated rule).
+    /// Parse and validate the fixed-size header: magic, version, kind, the
+    /// payload length bound and, for a kind whose frames all have one size
+    /// (`Hello`, `HelloAck`, `PublishAck`, `TrainRequest`, `Heartbeat`,
+    /// `Bye`), that size, in that order (so the caller learns the *first*
+    /// violated rule). A wrong size is [`WireError::Malformed`] before any
+    /// payload byte is read.
     pub fn parse(bytes: &[u8; HEADER_LEN]) -> Result<FrameHeader, WireError> {
         let magic = u16::from_le_bytes([bytes[0], bytes[1]]);
         if magic != FRAME_MAGIC {
@@ -397,6 +414,16 @@ impl FrameHeader {
                 len: payload_len,
                 max: MAX_PAYLOAD,
             });
+        }
+        if let Some(fixed) = fixed_payload_len(kind) {
+            if payload_len != fixed {
+                return Err(WireError::Malformed {
+                    detail: format!(
+                        "{} header claims {payload_len} payload bytes, the kind has {fixed}",
+                        kind_name(kind)
+                    ),
+                });
+            }
         }
         Ok(FrameHeader {
             version,
@@ -1044,14 +1071,16 @@ impl Message {
     fn frame_len(&self) -> usize {
         HEADER_LEN
             + match self {
-                Message::Hello { .. } => 10,
-                Message::HelloAck { .. } => 9,
                 Message::ModelPublish { weights, .. } => publish_payload_len(weights.len()),
                 Message::ModelPublishDelta(d) => 32 + 4 * (d.indices.len() + d.values.len()),
-                Message::PublishAck { .. } | Message::TrainRequest { .. } => 16,
                 Message::Update(u) => 56 + 4 * u.weights.len(),
                 Message::MaskedUpdate(u) => 72 + 4 * u.kept_weights.len(),
-                Message::Heartbeat { .. } | Message::Bye { .. } => 8,
+                Message::Hello { .. }
+                | Message::HelloAck { .. }
+                | Message::PublishAck { .. }
+                | Message::TrainRequest { .. }
+                | Message::Heartbeat { .. }
+                | Message::Bye { .. } => fixed_payload_len(self.kind()).expect("a fixed-size kind"),
             }
     }
 
@@ -1506,12 +1535,12 @@ mod tests {
         ));
     }
 
-    /// A header claiming the largest payload, then silence: the read
-    /// fails `Truncated` and the caller's buffer holds on to no more than
-    /// what arrived.
+    /// An `Update` header claiming the largest payload, then silence: the
+    /// read fails `Truncated` and the caller's buffer holds on to no more
+    /// than what arrived.
     #[test]
     fn a_header_alone_cannot_pin_its_claimed_payload() {
-        let mut frame = Message::Heartbeat { client_id: 1 }.encode();
+        let mut frame = sample_update().encode();
         frame.truncate(HEADER_LEN);
         frame[4..8].copy_from_slice(&(MAX_PAYLOAD as u32).to_le_bytes());
         let mut payload = Vec::new();
@@ -1523,6 +1552,53 @@ mod tests {
             })
         );
         assert!(payload.capacity() < 1 << 20, "{}", payload.capacity());
+    }
+
+    /// A fixed-size kind's header that claims another size, one byte off
+    /// or the largest payload, fails `Malformed` at the header: neither
+    /// decoder waits for a payload the stream does not hold.
+    #[test]
+    fn a_fixed_size_kind_rejects_any_other_length_at_the_header() {
+        let fixed = [
+            Message::Hello {
+                client_id: 1,
+                min_version: 1,
+                max_version: 2,
+            },
+            Message::HelloAck {
+                client_id: 1,
+                version: 2,
+            },
+            Message::PublishAck {
+                client_id: 1,
+                version: 3,
+            },
+            Message::TrainRequest {
+                round: 4,
+                keep_ratio: 1.0,
+            },
+            Message::Heartbeat { client_id: 1 },
+            Message::Bye { client_id: 1 },
+        ];
+        for msg in fixed {
+            let size = msg.encode().len() - HEADER_LEN;
+            for claim in [size - 1, size + 1, MAX_PAYLOAD] {
+                let mut header = msg.encode();
+                header.truncate(HEADER_LEN);
+                header[4..8].copy_from_slice(&(claim as u32).to_le_bytes());
+                let name = kind_name(msg.kind());
+                assert!(
+                    matches!(Message::decode(&header), Err(WireError::Malformed { .. })),
+                    "{name} claiming {claim}: {:?}",
+                    Message::decode(&header)
+                );
+                let stream = read_frame_into(&mut io::Cursor::new(&header), &mut Vec::new());
+                assert!(
+                    matches!(stream, Err(WireError::Malformed { .. })),
+                    "{name} claiming {claim} on a stream: {stream:?}"
+                );
+            }
+        }
     }
 
     /// One buffer across a 2 MB frame, a small frame and a truncated one:

@@ -20,7 +20,7 @@
 //!    updates or nothing.
 //! 5. **Wall-clock-to-accuracy** — on a skewed fleet the buffered
 //!    executor reaches a shared accuracy target in less simulated
-//!    wall-clock than the deadline round barrier (the `exp_async` headline,
+//!    wall-clock than the deadline round barrier (the `async` sweep's headline,
 //!    pinned as a test).
 //! 6. **Carry-over aging** — the same `StalenessDiscount` machinery ages
 //!    `LatePolicy::CarryOver` reinjections: a carried update's normalized
@@ -258,7 +258,7 @@ fn staleness_is_monotonically_non_increasing_in_device_speed() {
     );
 }
 
-/// Contract 5 (the `exp_async` headline, pinned): on a skewed fleet, the
+/// Contract 5 (the `async` sweep's headline, pinned): on a skewed fleet, the
 /// buffered executor reaches a shared accuracy target in strictly less
 /// simulated wall-clock than the deadline round barrier.
 #[test]

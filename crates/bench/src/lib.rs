@@ -180,8 +180,9 @@ impl DatasetKind {
         spec
     }
 
-    /// Client model for this dataset (MLP profiles; see DESIGN.md §4 for
-    /// why the default profile does not train the CNN/VGG-11 end-to-end).
+    /// Client model for this dataset (MLP profiles; see
+    /// docs/REPRODUCING.md, "Deviations from the paper", for why no
+    /// profile trains the CNN/VGG-11 end-to-end).
     pub fn model_spec(self, train: &Dataset) -> ModelSpec {
         let hidden = match self {
             DatasetKind::MnistLike | DatasetKind::FashionLike => vec![64],
@@ -686,14 +687,14 @@ mod tests {
             &exp.feddrl_config(),
             None,
         );
-        let trace = |h: &RunHistory| -> Vec<(f32, Vec<u32>, Vec<f32>)> {
+        let trace = |h: &RunHistory| -> Vec<(f32, Vec<usize>, Vec<f32>)> {
             h.records
                 .iter()
                 .map(|r| {
                     (
                         r.test_accuracy,
-                        r.selected.to_vec(),
-                        r.impact_factors.to_vec(),
+                        r.selected.clone(),
+                        r.impact_factors.clone(),
                     )
                 })
                 .collect()

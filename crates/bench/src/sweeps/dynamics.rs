@@ -274,11 +274,11 @@ impl CellStats {
         for r in &history.records {
             if let Some(h) = &r.hetero {
                 aggregated += h.aggregated();
-                masked += h.masked as usize;
-                late += h.stragglers as usize;
-                dropouts += h.dropouts as usize;
-                joins += h.joined as usize;
-                departs += h.departed as usize;
+                masked += h.masked;
+                late += h.stragglers;
+                dropouts += h.dropouts;
+                joins += h.joined;
+                departs += h.departed;
             }
         }
         Self {

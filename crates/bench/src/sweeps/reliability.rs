@@ -239,10 +239,10 @@ impl CellStats {
                 from_slow += h
                     .aggregated_ids
                     .iter()
-                    .filter(|&&c| slow.contains(&(c as usize)))
+                    .filter(|&c| slow.contains(c))
                     .count();
-                dropouts += h.dropouts as usize;
-                tried += r.selected.len() - h.busy as usize;
+                dropouts += h.dropouts;
+                tried += r.selected.len() - h.busy;
             }
         }
         Self {

@@ -6,7 +6,8 @@
 //! The paper feeds these raw; raw cross-entropy magnitudes and sample
 //! counts in the thousands destabilize DDPG, so we z-normalize each loss
 //! block and convert counts to fractions — a monotone, information-
-//! preserving transform (DESIGN.md §3.1).
+//! preserving transform (docs/REPRODUCING.md, "Deviations from the
+//! paper").
 //!
 //! Beyond the paper, [`build_state_with_staleness`] appends a fourth
 //! `K`-vector — each update's staleness in model versions, squashed into

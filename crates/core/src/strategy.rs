@@ -29,6 +29,8 @@ pub struct FedDrl {
     /// Observe each update's untrained model fraction under adaptive
     /// structured dropout (see [`FedDrlConfig::observe_availability`]).
     observe_availability: bool,
+    /// Per-client state blocks ([`FedDrlConfig::state_blocks`]).
+    blocks: usize,
     /// `(state, action)` of the previous round, awaiting its reward.
     pending: Option<(Vec<f32>, Vec<f32>)>,
     rng: Rng64,
@@ -52,6 +54,7 @@ impl FedDrl {
             online_training: cfg.online_training,
             observe_staleness: cfg.observe_staleness,
             observe_availability: cfg.observe_availability,
+            blocks: cfg.state_blocks(),
             pending: None,
             train_stats: Vec::new(),
             rewards: Vec::new(),
@@ -80,24 +83,10 @@ impl FedDrl {
         &self.train_stats
     }
 
-    /// Toggle exploration noise (on for online/worker training, off for
-    /// pure exploitation).
-    pub fn set_explore(&mut self, explore: bool) {
-        self.explore = explore;
-    }
-}
-
-impl FedDrl {
-    /// Per-client state blocks: the paper's 3, plus staleness and
-    /// availability when observed.
-    fn blocks(&self) -> usize {
-        3 + usize::from(self.observe_staleness) + usize::from(self.observe_availability)
-    }
-
     /// The agent's designed-for participant count `K` (state is
-    /// `blocks() · K`, the paper's `3K` by default).
+    /// `blocks · K`, the paper's `3K` by default).
     fn capacity(&self) -> usize {
-        self.agent.config().state_dim / self.blocks()
+        self.agent.config().state_dim / self.blocks
     }
 
     /// Lift an `m`-client state onto the agent's fixed per-block-`K`
@@ -118,7 +107,7 @@ impl FedDrl {
         staleness: &[usize],
         mask_ratios: &[f32],
     ) -> Vec<f32> {
-        let (m, k, blocks) = (summaries.len(), self.capacity(), self.blocks());
+        let (m, k, blocks) = (summaries.len(), self.capacity(), self.blocks);
         let mut raw = if self.observe_staleness {
             build_state_with_staleness(summaries, staleness)
         } else {
@@ -138,25 +127,12 @@ impl FedDrl {
     }
 
     /// [`Strategy::impact_factors`] with per-update staleness (model
-    /// versions behind, aligned with `summaries`; empty means all fresh).
-    /// The staleness only enters the DRL state when
-    /// [`FedDrlConfig::observe_staleness`] is set — otherwise this is
+    /// versions behind) and mask ratios (the model fraction each update
+    /// trained under adaptive structured dropout), both aligned with
+    /// `summaries`; empty means all fresh and all full-model. Each enters
+    /// the DRL state only when [`FedDrlConfig::observe_staleness`] or
+    /// [`FedDrlConfig::observe_availability`] is set — otherwise this is
     /// exactly the 3-block paper path, bit for bit.
-    pub fn impact_factors_with_staleness(
-        &mut self,
-        round: usize,
-        summaries: &[ClientSummary],
-        staleness: &[usize],
-    ) -> Vec<f32> {
-        self.impact_factors_with_dynamics(round, summaries, staleness, &[])
-    }
-
-    /// [`FedDrl::impact_factors_with_staleness`] plus per-update mask
-    /// ratios (the model fraction each update trained under adaptive
-    /// structured dropout, aligned with `summaries`; empty means all
-    /// full-model). Mask ratios only enter the DRL state when
-    /// [`FedDrlConfig::observe_availability`] is set — otherwise they are
-    /// ignored bit for bit, exactly like unobserved staleness.
     pub fn impact_factors_with_dynamics(
         &mut self,
         _round: usize,
@@ -212,7 +188,7 @@ impl Strategy for FedDrl {
     }
 
     fn impact_factors(&mut self, round: usize, summaries: &[ClientSummary]) -> Vec<f32> {
-        self.impact_factors_with_staleness(round, summaries, &[])
+        self.impact_factors_with_dynamics(round, summaries, &[], &[])
     }
 
     fn impact_factors_ctx(&mut self, ctx: &RoundContext<'_>) -> Vec<f32> {
@@ -324,7 +300,7 @@ mod tests {
         for round in 0..3 {
             let s = summaries(4, round);
             let fa = a.impact_factors(round, &s);
-            let fb = b.impact_factors_with_staleness(round, &s, &[5, 0, 2, 9]);
+            let fb = b.impact_factors_with_dynamics(round, &s, &[5, 0, 2, 9], &[]);
             assert_eq!(
                 fa, fb,
                 "round {round}: unobserved staleness leaked into the policy"
@@ -343,15 +319,15 @@ mod tests {
         let mut b = FedDrl::new(4, &cfg);
         let s = summaries(4, 0);
         // All-fresh explicit vs implicit must agree...
-        let fa = a.impact_factors_with_staleness(0, &s, &[0, 0, 0, 0]);
-        let fb = b.impact_factors_with_staleness(0, &s, &[]);
+        let fa = a.impact_factors_with_dynamics(0, &s, &[0, 0, 0, 0], &[]);
+        let fb = b.impact_factors_with_dynamics(0, &s, &[], &[]);
         assert_eq!(
             fa, fb,
             "explicit zero staleness must equal the all-fresh path"
         );
         // ...and a stale update must actually perturb the observation.
         let mut c = FedDrl::new(4, &cfg);
-        let fc = c.impact_factors_with_staleness(0, &s, &[4, 0, 0, 0]);
+        let fc = c.impact_factors_with_dynamics(0, &s, &[4, 0, 0, 0], &[]);
         assert_eq!(fc.len(), 4);
         assert_ne!(fa, fc, "observed staleness did not reach the policy");
     }
@@ -368,7 +344,8 @@ mod tests {
         assert_eq!(strategy.agent().config().state_dim, 20);
         for (round, m) in [5usize, 3, 1, 4].into_iter().enumerate() {
             let stale: Vec<usize> = (0..m).map(|i| i % 3).collect();
-            let alpha = strategy.impact_factors_with_staleness(round, &summaries(m, round), &stale);
+            let alpha =
+                strategy.impact_factors_with_dynamics(round, &summaries(m, round), &stale, &[]);
             assert_eq!(alpha.len(), m);
             let sum: f32 = alpha.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "round {round}: sum {sum}");
@@ -459,8 +436,13 @@ mod tests {
             ..Default::default()
         };
         let mut a = FedDrl::new(3, &cfg);
-        let mut b = FedDrl::new(3, &cfg);
-        b.set_explore(true);
+        let mut b = FedDrl::new(
+            3,
+            &FedDrlConfig {
+                explore: true,
+                ..cfg
+            },
+        );
         // Same agent seeds, same state: deterministic α sampling differs
         // only through the exploration noise on the action.
         let s = summaries(3, 0);

@@ -5,7 +5,8 @@
 //! * [`dataset::Dataset`] — shared in-memory training/test sets that
 //!   clients index into;
 //! * [`synth`] — seeded synthetic stand-ins for MNIST / Fashion-MNIST /
-//!   CIFAR-100 (see DESIGN.md §4 for the substitution rationale);
+//!   CIFAR-100 (docs/REPRODUCING.md, "Deviations from the paper", gives
+//!   the substitution rationale);
 //! * [`partition`] — every partitioning scheme of the paper: Pareto (PA),
 //!   the novel cluster-skew Clustered-Equal/Non-Equal (CE/CN), FedAvg's
 //!   Equal/Non-equal shards, and IID;

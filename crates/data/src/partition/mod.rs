@@ -199,29 +199,6 @@ impl PartitionMethod {
         }
     }
 
-    /// Whether the scheme induces cluster skew (Table 2, column 1).
-    pub fn is_cluster_skew(&self) -> bool {
-        matches!(
-            self,
-            PartitionMethod::ClusteredEqual { .. } | PartitionMethod::ClusteredNonEqual { .. }
-        )
-    }
-
-    /// Whether the scheme induces label-size imbalance (Table 2, column 2).
-    pub fn is_label_size_imbalance(&self) -> bool {
-        !matches!(self, PartitionMethod::Iid)
-    }
-
-    /// Whether the scheme induces quantity imbalance (Table 2, column 3).
-    pub fn is_quantity_imbalance(&self) -> bool {
-        matches!(
-            self,
-            PartitionMethod::Pareto { .. }
-                | PartitionMethod::ClusteredNonEqual { .. }
-                | PartitionMethod::ShardsNonEqual { .. }
-        )
-    }
-
     /// Partition `dataset` across `n_clients` clients.
     pub fn partition(
         &self,
@@ -469,18 +446,6 @@ mod tests {
             .partition(&ds, 10, &mut Rng64::new(8))
             .unwrap();
         assert_ne!(p1.clients(), p3.clients());
-    }
-
-    #[test]
-    fn table2_flags() {
-        assert!(!PartitionMethod::pa().is_cluster_skew());
-        assert!(PartitionMethod::pa().is_label_size_imbalance());
-        assert!(PartitionMethod::pa().is_quantity_imbalance());
-        assert!(PartitionMethod::ce(0.6).is_cluster_skew());
-        assert!(!PartitionMethod::ce(0.6).is_quantity_imbalance());
-        assert!(PartitionMethod::cn(0.6).is_cluster_skew());
-        assert!(PartitionMethod::cn(0.6).is_quantity_imbalance());
-        assert!(!PartitionMethod::Iid.is_label_size_imbalance());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The paper evaluates on MNIST, Fashion-MNIST and CIFAR-100. Those corpora
 //! are not redistributable inside this offline reproduction, so we generate
 //! *synthetic Gaussian-prototype* classification problems with the same
-//! label structure instead (see DESIGN.md §4 for the substitution argument):
+//! label structure instead (docs/REPRODUCING.md, "Deviations from the
+//! paper", gives the substitution argument):
 //! every non-IID effect the paper studies is imposed by the *partitioner* on
 //! label-indexed samples, so any dataset whose per-client loss reflects
 //! label skew exercises the identical FedDRL code path.

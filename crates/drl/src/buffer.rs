@@ -77,38 +77,14 @@ impl ReplayBuffer {
         self.items.iter()
     }
 
-    /// Uniform random sample of `batch` experiences (with replacement when
-    /// the buffer is smaller than `batch`).
-    pub fn sample_uniform(&self, batch: usize, rng: &mut Rng64) -> Vec<&Experience> {
-        assert!(!self.is_empty(), "sampling from empty replay buffer");
-        (0..batch)
-            .map(|_| &self.items[rng.below(self.items.len())])
-            .collect()
-    }
-
-    /// TD-prioritized sample: `priorities[i]` is the priority of
-    /// `items[i]` (the caller computes `|r + γQ′ − Q|` with its critic —
-    /// Algorithm 1 line 1). Sampling is rank-based: experiences are sorted
-    /// by descending priority and drawn with probability ∝ 1/rank, which
-    /// keeps the sort order the paper prescribes while remaining robust to
-    /// the scale of TD errors. One call is [`ReplayBuffer::rank`] and
-    /// [`ReplayBuffer::sample_ranked`]; a caller drawing several batches
-    /// under the same priorities ranks once.
-    ///
-    /// # Panics
-    /// Panics if `priorities.len() != self.len()` or the buffer is empty.
-    pub fn sample_prioritized(
-        &self,
-        batch: usize,
-        priorities: &[f32],
-        rng: &mut Rng64,
-    ) -> Vec<&Experience> {
-        self.sample_ranked(batch, &self.rank(priorities), rng)
-    }
-
     /// Rank the stored experiences by descending priority (Algorithm 1
-    /// line 2). Equal priorities keep buffer order; a `NaN` priority — a
-    /// diverged critic's TD error — ranks after every other one.
+    /// line 2). `priorities[i]` is the priority of `items[i]` (the caller
+    /// computes `|r + γQ′ − Q|` with its critic — Algorithm 1 line 1).
+    /// Sampling is rank-based ([`ReplayBuffer::sample_ranked`], ∝ 1/rank),
+    /// which keeps the sort order the paper prescribes while remaining
+    /// robust to the scale of TD errors. Equal priorities keep buffer
+    /// order; a `NaN` priority — a diverged critic's TD error — ranks
+    /// after every other one.
     ///
     /// # Panics
     /// Panics if `priorities.len() != self.len()`.
@@ -176,6 +152,19 @@ pub struct PriorityRanks {
 mod tests {
     use super::*;
 
+    impl ReplayBuffer {
+        /// One rank-based draw of `batch` under `priorities`: the
+        /// per-update reference the agent's rank-once sampling matches.
+        fn sample_prioritized(
+            &self,
+            batch: usize,
+            priorities: &[f32],
+            rng: &mut Rng64,
+        ) -> Vec<&Experience> {
+            self.sample_ranked(batch, &self.rank(priorities), rng)
+        }
+    }
+
     fn exp(tag: f32) -> Experience {
         Experience {
             state: vec![tag; 3],
@@ -207,21 +196,6 @@ mod tests {
         b.push(exp(3.0));
         a.absorb(&b);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn uniform_sampling_covers_buffer() {
-        let mut buf = ReplayBuffer::new(8);
-        for i in 0..8 {
-            buf.push(exp(i as f32));
-        }
-        let mut rng = Rng64::new(1);
-        let sample = buf.sample_uniform(400, &mut rng);
-        let mut seen = [false; 8];
-        for e in sample {
-            seen[e.reward as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "400 uniform draws missed an item");
     }
 
     #[test]
@@ -361,7 +335,7 @@ mod tests {
     fn sampling_empty_panics() {
         let buf = ReplayBuffer::new(2);
         let mut rng = Rng64::new(4);
-        let _ = buf.sample_uniform(1, &mut rng);
+        let _ = buf.sample_ranked(1, &buf.rank(&[]), &mut rng);
     }
 
     #[test]

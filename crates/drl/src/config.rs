@@ -28,8 +28,8 @@ pub struct DdpgConfig {
     /// Discount factor γ (Table 1: 0.99).
     pub gamma: f32,
     /// Soft main→target transfer fraction (Table 1's ρ = 0.02, read as the
-    /// standard DDPG τ; see DESIGN.md §3.1 for the discussion of the
-    /// paper's ambiguous update direction).
+    /// standard DDPG τ; docs/REPRODUCING.md, "Deviations from the paper",
+    /// discusses the paper's ambiguous update direction).
     pub tau: f32,
     /// Mini-batch size for replay updates.
     pub batch_size: usize,
@@ -82,17 +82,6 @@ impl Default for DdpgConfig {
 }
 
 impl DdpgConfig {
-    /// Convenience constructor for an agent driving `k` federated clients:
-    /// state `3k` (losses before/after + sample counts), action `2k`
-    /// (Gaussian means + std-devs), paper defaults elsewhere.
-    pub fn for_clients(k: usize) -> Self {
-        Self {
-            state_dim: 3 * k,
-            action_dim: 2 * k,
-            ..Default::default()
-        }
-    }
-
     /// Validate ranges; called by the agent constructor.
     pub fn validate(&self) {
         assert!(self.state_dim > 0, "state_dim must be positive");
@@ -174,14 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn for_clients_sizes_dims() {
-        let cfg = DdpgConfig::for_clients(10);
-        assert_eq!(cfg.state_dim, 30);
-        assert_eq!(cfg.action_dim, 20);
-        cfg.validate();
-    }
-
-    #[test]
     #[should_panic(expected = "even")]
     fn validate_rejects_odd_action_dim() {
         let cfg = DdpgConfig {
@@ -202,7 +183,11 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let cfg = DdpgConfig::for_clients(5);
+        let cfg = DdpgConfig {
+            state_dim: 15,
+            action_dim: 10,
+            ..Default::default()
+        };
         let json = serde_json::to_string(&cfg).unwrap();
         let back: DdpgConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg, back);

@@ -422,17 +422,6 @@ impl DdpgAgent {
         self.value.set_flat_params(value);
         self.value_target.set_flat_params(value_target);
     }
-
-    /// Replace the main networks with those of `other` (used when the
-    /// two-stage trainer promotes the offline-trained main agent).
-    pub fn adopt_networks(&mut self, other: &DdpgAgent) {
-        self.policy.set_flat_params(&other.policy.flat_params());
-        self.policy_target
-            .set_flat_params(&other.policy_target.flat_params());
-        self.value.set_flat_params(&other.value.flat_params());
-        self.value_target
-            .set_flat_params(&other.value_target.flat_params());
-    }
 }
 
 /// Sample impact factors from the `(μ…, σ…)` action: `α = softmax(z)`,
@@ -653,18 +642,6 @@ mod tests {
             }
         }
         assert!(wins > 190, "high-mu client won only {wins}/200 draws");
-    }
-
-    #[test]
-    fn adopt_networks_copies_parameters() {
-        let mut a = DdpgAgent::new(small_cfg());
-        let b = DdpgAgent::new(DdpgConfig {
-            seed: 999,
-            ..small_cfg()
-        });
-        assert_ne!(a.policy_params(), b.policy_params());
-        a.adopt_networks(&b);
-        assert_eq!(a.policy_params(), b.policy_params());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`ddpg::sample_impact_factors`] — Eq. 5's
 //!   `α = softmax(z), z ~ N(μ, σ)`;
 //! * [`reward`] — Eq. 7's accuracy + fairness reward (sign-corrected, see
-//!   DESIGN.md §3.1).
+//!   docs/REPRODUCING.md, "Deviations from the paper").
 //!
 //! The crate is deliberately independent of federated learning: it consumes
 //! abstract state/action vectors, so it can be tested on synthetic control

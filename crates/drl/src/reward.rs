@@ -5,7 +5,8 @@
 //! 2) Balancing the global model's performance"). A reward that the agent
 //! maximizes must therefore be the negative of that sum; we implement
 //! `r = −(avg + λ·(max − min))` with λ = 1 by default and expose λ for the
-//! ablation bench (DESIGN.md §3.1 documents this sign reading).
+//! ablation bench (docs/REPRODUCING.md, "Deviations from the paper",
+//! documents this sign reading).
 
 /// Compute the reward from the global model's inference losses on the
 /// participating clients' datasets (`l_before` of the round *after* the

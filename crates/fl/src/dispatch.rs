@@ -22,7 +22,7 @@ use crate::client::ClientUpdate;
 use crate::executor::{
     Dispatch, ExecutorView, LatePolicy, ReliabilityTable, StructuredDropoutConfig,
 };
-use crate::history::{narrow, narrow_count, HeteroRoundRecord};
+use crate::history::HeteroRoundRecord;
 use feddrl_nn::rng::Rng64;
 use feddrl_sim::churn::ChurnProcess;
 use feddrl_sim::comm::CommModel;
@@ -270,7 +270,7 @@ impl DispatchPlanner {
                     }
                 }
             };
-            record.masked += u32::from(keep_ratio < 1.0);
+            record.masked += usize::from(keep_ratio < 1.0);
             alive.push(Dispatch {
                 client_id: cid,
                 keep_ratio,
@@ -345,9 +345,9 @@ impl DispatchPlanner {
         }
         self.version += usize::from(!aggregated.is_empty());
         let (joins, leaves) = self.churn_counts();
-        record.joined = narrow_count(joins - self.churn_before.0);
-        record.departed = narrow_count(leaves - self.churn_before.1);
-        record.aggregated_ids = narrow(aggregated.iter().map(|u| u.client_id));
+        record.joined = joins - self.churn_before.0;
+        record.departed = leaves - self.churn_before.1;
+        record.aggregated_ids = aggregated.iter().map(|u| u.client_id).collect();
     }
 
     /// The planner's share of an [`ExecutorView`] — everything but what
@@ -441,14 +441,14 @@ mod tests {
                 });
                 assert_eq!(
                     selected.len(),
-                    alive.len() + (plan.dropouts + plan.busy + plan.stragglers) as usize,
+                    alive.len() + plan.dropouts + plan.busy + plan.stragglers,
                     "round {round}: a sampled client fell through the plan"
                 );
                 let sub_models = alive.iter().filter(|d| d.keep_ratio < 1.0).count();
-                assert_eq!(plan.masked as usize, sub_models);
+                assert_eq!(plan.masked, sub_models);
                 assert!(busy_stride == 3 || plan.busy == 0);
                 assert!(deadline_s.is_some() || plan.stragglers + plan.masked == 0);
-                dropouts += plan.dropouts as usize;
+                dropouts += plan.dropouts;
                 dispatches += alive.len();
                 masked += plan.masked;
             }

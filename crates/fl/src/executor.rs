@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use crate::client::ClientUpdate;
 use crate::dispatch::DispatchPlanner;
-use crate::history::{narrow, narrow_count, HeteroRoundRecord};
+use crate::history::HeteroRoundRecord;
 use feddrl_sim::device::{FleetConfig, FleetView};
 use feddrl_sim::event::{EventKind, EventQueue, VirtualClock};
 use feddrl_sim::ids::{IdMap, IdSet};
@@ -867,7 +867,7 @@ impl RoundExecutor for DeadlineExecutor {
             }
         }
         // On top of the stragglers the plan already gave up on.
-        hetero.stragglers += narrow_count(updates.len() - arrived_ids.len());
+        hetero.stragglers += updates.len() - arrived_ids.len();
 
         // The server waits until the deadline whenever a sampled report is
         // missing (it cannot know the client dropped); otherwise the round
@@ -930,7 +930,7 @@ impl RoundExecutor for DeadlineExecutor {
         // Per-update ages, recorded only when something stale was
         // aggregated (all-fresh rounds keep the pre-staleness JSON shape).
         if hetero.carried_in > 0 {
-            hetero.staleness = narrow(aggregated.iter().map(|u| u.staleness));
+            hetero.staleness = aggregated.iter().map(|u| u.staleness).collect();
         }
         self.planner.finish_round(&aggregated, &mut hetero);
         self.clock_s = round_start_s + hetero.sim_time_s;
@@ -1223,8 +1223,8 @@ impl RoundExecutor for BufferedExecutor {
             }
         }
         hetero.sim_time_s = self.clock.now_s() - round_start_s;
-        hetero.buffered = narrow_count(self.buffer.len());
-        hetero.staleness = narrow(aggregated.iter().map(|u| u.staleness));
+        hetero.buffered = self.buffer.len();
+        hetero.staleness = aggregated.iter().map(|u| u.staleness).collect();
         self.planner.finish_round(&aggregated, &mut hetero);
         RoundOutcome {
             updates: aggregated,
@@ -1339,7 +1339,7 @@ mod tests {
         let h = out.hetero.unwrap();
         assert!(h.stragglers > 0, "median deadline produced no stragglers");
         assert!(h.aggregated() < 16);
-        assert_eq!(h.aggregated() + h.stragglers as usize, 16);
+        assert_eq!(h.aggregated() + h.stragglers, 16);
         assert_eq!(h.sim_time_s, deadline);
         // Exactly the in-time devices arrived.
         for u in &out.updates {
@@ -1363,7 +1363,7 @@ mod tests {
         let (ha, hb) = (oa.hetero.unwrap(), ob.hetero.unwrap());
         assert_eq!(ha, hb, "same seed must reproduce the same dropouts");
         assert!(ha.dropouts > 0, "p=0.5 over 10 clients drew no dropout");
-        assert_eq!(ha.aggregated() + ha.dropouts as usize, 10);
+        assert_eq!(ha.aggregated() + ha.dropouts, 10);
         // A different round draws a different pattern eventually.
         let oc = a.execute(&ctx(4), &selected, &stub_train);
         assert!(oc.hetero.unwrap().aggregated() <= 10);
@@ -1402,7 +1402,7 @@ mod tests {
             .map(|u| u.client_id)
             .filter(|c| *c < 6)
             .collect();
-        assert_eq!(carried_ids.len(), h1.carried_in as usize);
+        assert_eq!(carried_ids.len(), h1.carried_in);
     }
 
     #[test]
@@ -1631,10 +1631,8 @@ mod tests {
             out1.updates.iter().any(|u| u.staleness > 0),
             "a version-0 upload aggregated at version 1 must be stale"
         );
-        assert_eq!(
-            h1.staleness,
-            narrow(out1.updates.iter().map(|u| u.staleness))
-        );
+        let staleness: Vec<usize> = out1.updates.iter().map(|u| u.staleness).collect();
+        assert_eq!(h1.staleness, staleness);
     }
 
     #[test]
@@ -1649,7 +1647,7 @@ mod tests {
             let selected: Vec<usize> = (0..10).filter(|c| (c + round) % 2 == 0).collect();
             let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.unwrap();
-            dispatched += selected.len() - (h.dropouts + h.busy) as usize;
+            dispatched += selected.len() - (h.dropouts + h.busy);
             assert!(
                 out.updates.is_empty() || out.updates.len() == 3,
                 "round {round}: aggregation of {} != buffer size",
@@ -1683,7 +1681,7 @@ mod tests {
         let mut total_dropouts = 0;
         for round in 0..20 {
             let out = ex.execute(&ctx(round), &selected, &stub_train);
-            total_dropouts += out.hetero.unwrap().dropouts as usize;
+            total_dropouts += out.hetero.unwrap().dropouts;
         }
         let stats = ex.view().reliability.expect("deadline telemetry");
         assert_eq!(stats.observed(), 10, "every sampled client was observed");
@@ -1800,10 +1798,7 @@ mod tests {
         assert!(adaptive.masked > 0, "no straggler was offered a sub-model");
         // Every rescued sub-model was sized to fit the deadline, so each
         // one lands as an extra aggregated update.
-        assert_eq!(
-            adaptive.aggregated(),
-            plain.aggregated() + adaptive.masked as usize
-        );
+        assert_eq!(adaptive.aggregated(), plain.aggregated() + adaptive.masked);
         assert_eq!(
             adaptive.stragglers + adaptive.masked,
             plain.stragglers,
@@ -1853,7 +1848,7 @@ mod tests {
         // mean departure gap several devices left during the round.
         let departed: Vec<usize> = ex.view().departed.iter().copied().collect();
         assert!(!departed.is_empty(), "no departures in a 12 s window");
-        assert_eq!(h0.departed as usize, departed.len());
+        assert_eq!(h0.departed, departed.len());
         assert_eq!(h0.joined, 0);
         assert_eq!(ex.view().universe, Some(8), "no arrivals");
         // Re-sampling the departed clients wastes every slot as a dropout
@@ -1866,7 +1861,7 @@ mod tests {
         let before = wasted_slots(&ex);
         let o1 = ex.execute(&ctx(1), &departed, &stub_train);
         let h1 = o1.hetero.unwrap();
-        assert_eq!(h1.dropouts as usize, departed.len());
+        assert_eq!(h1.dropouts, departed.len());
         assert!(o1.updates.is_empty());
         let after = wasted_slots(&ex);
         assert_eq!(after - before, departed.len());
@@ -1887,7 +1882,7 @@ mod tests {
             .unwrap();
         let universe = ex.view().universe.unwrap();
         assert!(universe > 4, "no arrivals over a multi-second round");
-        assert_eq!(h0.joined as usize, universe - 4);
+        assert_eq!(h0.joined, universe - 4);
         assert!(ex.view().departed.is_empty());
         // A minted id is immediately selectable: its profile derives on
         // demand and it trains like any founding client.
@@ -1913,9 +1908,9 @@ mod tests {
             let selected: Vec<usize> = (0..universe).filter(|c| (c + round) % 2 == 0).collect();
             let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.unwrap();
-            dispatched += selected.len() - (h.dropouts + h.busy) as usize;
+            dispatched += selected.len() - (h.dropouts + h.busy);
             aggregated += out.updates.len();
-            lost += h.stragglers as usize;
+            lost += h.stragglers;
         }
         // Every dispatch is aggregated, lost to a mid-flight departure,
         // still traveling, or parked in the partial buffer.

@@ -1,169 +1,16 @@
 //! Run histories: everything recorded per communication round, exportable
-//! as JSON/CSV for the experiment harness (Figures 5–8 and 10 are plotted
+//! as JSON for the experiment harness (Figures 5–8 and 10 are plotted
 //! straight from these records).
 
 use crate::metrics::{best_accuracy, ConvergenceStats};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::ops::Deref;
 use std::path::Path;
-
-/// Entries of four bytes an [`Entries`] holds without a heap chunk: as many
-/// as fit beside its length in the 24 bytes of a `Vec` header.
-pub const INLINE_ENTRIES: usize = 5;
-
-/// One round's per-client values (ids, impact factors, losses) as a record
-/// keeps them: up to [`INLINE_ENTRIES`] inline, more in one exact-size
-/// boxed slice. A `Vec` of two `u32`s costs its 24-byte header plus a
-/// 32-byte heap chunk, and a session retains three of them per round for
-/// the whole run. Reads as a slice, collects from iterators, compares with
-/// slices and `Vec`s, and serialises as a JSON array.
-#[derive(Clone)]
-pub struct Entries<T>(Store<T>);
-
-#[derive(Clone)]
-enum Store<T> {
-    Inline { len: u8, items: [T; INLINE_ENTRIES] },
-    Heap(Box<[T]>),
-}
-
-impl<T: Copy + Default> Default for Entries<T> {
-    fn default() -> Self {
-        Entries(Store::Inline {
-            len: 0,
-            items: [T::default(); INLINE_ENTRIES],
-        })
-    }
-}
-
-impl<T> Deref for Entries<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        match &self.0 {
-            Store::Inline { len, items } => &items[..usize::from(*len)],
-            Store::Heap(items) => items,
-        }
-    }
-}
-
-impl<T: Copy + Default> FromIterator<T> for Entries<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
-        let mut items = [T::default(); INLINE_ENTRIES];
-        let mut len = 0;
-        for v in iter.by_ref() {
-            if len == INLINE_ENTRIES {
-                let spilled = items.into_iter().chain([v]).chain(iter);
-                return Entries(Store::Heap(spilled.collect()));
-            }
-            items[len] = v;
-            len += 1;
-        }
-        Entries(Store::Inline {
-            len: len as u8,
-            items,
-        })
-    }
-}
-
-impl<T: Copy + Default> From<Vec<T>> for Entries<T> {
-    fn from(values: Vec<T>) -> Self {
-        if values.len() <= INLINE_ENTRIES {
-            values.into_iter().collect()
-        } else {
-            Entries(Store::Heap(values.into_boxed_slice()))
-        }
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Entries<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Entries<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl<T: PartialEq> PartialEq for Entries<T> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: PartialEq> PartialEq<[T]> for Entries<T> {
-    fn eq(&self, other: &[T]) -> bool {
-        **self == *other
-    }
-}
-
-impl<T: PartialEq> PartialEq<&[T]> for Entries<T> {
-    fn eq(&self, other: &&[T]) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: PartialEq, const N: usize> PartialEq<[T; N]> for Entries<T> {
-    fn eq(&self, other: &[T; N]) -> bool {
-        **self == other[..]
-    }
-}
-
-impl<T: PartialEq> PartialEq<Vec<T>> for Entries<T> {
-    fn eq(&self, other: &Vec<T>) -> bool {
-        **self == other[..]
-    }
-}
-
-impl<T: PartialEq> PartialEq<Entries<T>> for Vec<T> {
-    fn eq(&self, other: &Entries<T>) -> bool {
-        self[..] == **other
-    }
-}
-
-impl<T: Serialize> Serialize for Entries<T> {
-    fn serialize(&self) -> serde::Value {
-        (**self).serialize()
-    }
-}
-
-impl<T: Deserialize + Copy + Default> Deserialize for Entries<T> {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::deserialize(value).map(Self::from)
-    }
-}
 
 /// Predicate for `skip_serializing_if`: counters that are only meaningful
 /// for some executors stay out of the JSON when zero, so histories from
 /// older executors keep their exact shape.
-fn u32_is_zero(n: &u32) -> bool {
+fn is_zero(n: &usize) -> bool {
     *n == 0
-}
-
-/// Client ids and staleness counts as the records store them: `u32`, half
-/// the bytes of a `usize` for values that never come near its range. The
-/// records of a run are retained for its whole length, so their width is
-/// what a long run's memory grows by; JSON is the same either way.
-///
-/// # Panics
-/// Panics on a value beyond `u32::MAX`.
-pub fn narrow(values: impl IntoIterator<Item = usize>) -> Vec<u32> {
-    values.into_iter().map(narrow_count).collect()
-}
-
-/// One count, id or staleness as the records store it (see [`narrow`]).
-///
-/// # Panics
-/// Panics on a value beyond `u32::MAX`.
-pub fn narrow_count(value: usize) -> u32 {
-    u32::try_from(value).expect("client ids and per-round counts fit in 32 bits")
 }
 
 /// Heterogeneity telemetry for one round (opened and closed by the
@@ -178,47 +25,47 @@ pub struct HeteroRoundRecord {
     /// the persistent virtual timeline this aggregation consumed).
     pub sim_time_s: f64,
     /// Sampled clients that dropped out before reporting.
-    pub dropouts: u32,
+    pub dropouts: usize,
     /// Sampled clients whose report missed the round deadline.
-    pub stragglers: u32,
+    pub stragglers: usize,
     /// Stale updates carried in from earlier rounds and aggregated now.
-    pub carried_in: u32,
+    pub carried_in: usize,
     /// Sampled clients skipped because their device was still training or
     /// uploading an earlier model version (buffered executor only; omitted
     /// from JSON when zero so deadline/ideal histories keep their shape).
-    #[serde(default, skip_serializing_if = "u32_is_zero")]
-    pub busy: u32,
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub busy: usize,
     /// Updates that had arrived but were still waiting for the
     /// aggregation buffer to fill when the round ended (buffered executor
     /// only; omitted from JSON when zero).
-    #[serde(default, skip_serializing_if = "u32_is_zero")]
-    pub buffered: u32,
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub buffered: usize,
     /// Clients that joined the federation (churn arrivals) since the
     /// previous round ended, including mid-round arrivals (omitted from
     /// JSON when zero so churn-free histories keep their shape).
-    #[serde(default, skip_serializing_if = "u32_is_zero")]
-    pub joined: u32,
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub joined: usize,
     /// Clients that departed the federation (churn departures) since the
     /// previous round ended, including mid-round departures (omitted from
     /// JSON when zero).
-    #[serde(default, skip_serializing_if = "u32_is_zero")]
-    pub departed: u32,
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub departed: usize,
     /// Dispatched clients that trained a structured-dropout sub-model
     /// (keep ratio below 1) instead of being dropped or carried stale
     /// (omitted from JSON when zero).
-    #[serde(default, skip_serializing_if = "u32_is_zero")]
-    pub masked: u32,
+    #[serde(default, skip_serializing_if = "is_zero")]
+    pub masked: usize,
     /// Per-update staleness in model versions, aligned with
     /// `aggregated_ids` (omitted from JSON when empty — an all-fresh
     /// round under a round-barrier executor records nothing here).
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub staleness: Vec<u32>,
+    pub staleness: Vec<usize>,
     /// Ids of the clients whose updates were aggregated this round, in
     /// aggregation order — i.e. aligned with the record's
     /// `impact_factors`/`client_losses_before`. Unlike `selected` (the
     /// *sampled* set), this can omit dropouts/stragglers and, under
     /// carry-over, include clients sampled in an earlier round.
-    pub aggregated_ids: Vec<u32>,
+    pub aggregated_ids: Vec<usize>,
 }
 
 impl HeteroRoundRecord {
@@ -229,7 +76,7 @@ impl HeteroRoundRecord {
 
     /// Total staleness, in model versions, over this round's updates.
     pub fn staleness_sum(&self) -> usize {
-        self.staleness.iter().map(|&s| s as usize).sum()
+        self.staleness.iter().sum()
     }
 }
 
@@ -246,21 +93,21 @@ pub struct RoundRecord {
     /// this is also the aggregated set; under hetero executors the
     /// aggregated set is [`HeteroRoundRecord::aggregated_ids`] instead
     /// (dropouts/stragglers omitted, carried-over updates included).
-    /// Stored at exactly its length: the policy's own buffer, which may
-    /// be a candidate pool several times `K` wide, is not what a record
-    /// keeps for the rest of the run.
-    pub selected: Entries<u32>,
+    /// Held at exactly its length: the session shrinks the policy's
+    /// buffer, which may be a candidate pool several times `K` wide,
+    /// before a caller of `Session::run` keeps it for the whole run.
+    pub selected: Vec<usize>,
     /// Normalized impact factors applied at aggregation, one per
     /// *aggregated* update in aggregation order — aligned with
     /// [`HeteroRoundRecord::aggregated_ids`] when `hetero` is present
     /// (and with `selected` only under the ideal executor, where the two
     /// sets coincide).
-    pub impact_factors: Entries<f32>,
+    pub impact_factors: Vec<f32>,
     /// Inference loss of the broadcast global model on each aggregated
     /// client's data (`l_before`; Figure 6's robustness metric), aligned
     /// with `impact_factors` — *not* with `selected` under hetero
     /// executors.
-    pub client_losses_before: Entries<f32>,
+    pub client_losses_before: Vec<f32>,
     /// Wall-clock spent computing impact factors (µs) — Figure 9's "DRL".
     pub strategy_micros: u64,
     /// Wall-clock spent averaging weight vectors (µs) — Figure 9's
@@ -268,12 +115,9 @@ pub struct RoundRecord {
     pub aggregate_micros: u64,
     /// Heterogeneity telemetry; `None` under the ideal executor, and then
     /// omitted from JSON so ideal histories stay byte-identical to the
-    /// pre-executor format. Boxed because a session keeps every record for
-    /// the length of the run: inline, the 120-byte telemetry more than
-    /// doubled the record of every round that has none (JSON is the same
-    /// either way).
+    /// pre-executor format.
     #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub hetero: Option<Box<HeteroRoundRecord>>,
+    pub hetero: Option<HeteroRoundRecord>,
 }
 
 /// A complete federated run.
@@ -336,7 +180,7 @@ impl RunHistory {
     pub fn total_stragglers(&self) -> usize {
         self.records
             .iter()
-            .filter_map(|r| r.hetero.as_ref().map(|h| h.stragglers as usize))
+            .filter_map(|r| r.hetero.as_ref().map(|h| h.stragglers))
             .sum()
     }
 
@@ -344,7 +188,7 @@ impl RunHistory {
     pub fn total_dropouts(&self) -> usize {
         self.records
             .iter()
-            .filter_map(|r| r.hetero.as_ref().map(|h| h.dropouts as usize))
+            .filter_map(|r| r.hetero.as_ref().map(|h| h.dropouts))
             .sum()
     }
 
@@ -390,19 +234,6 @@ impl RunHistory {
         total as f64 / self.records.len() as f64
     }
 
-    /// CSV with one row per round: `round,accuracy,loss,strategy_us,agg_us`.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("round,test_accuracy,test_loss,strategy_micros,aggregate_micros\n");
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{:.6},{:.6},{},{}\n",
-                r.round, r.test_accuracy, r.test_loss, r.strategy_micros, r.aggregate_micros
-            ));
-        }
-        out
-    }
-
     /// Serialize to pretty JSON at `path` (parent directories must exist).
     pub fn save_json(&self, path: &Path) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(self).expect("history serialization");
@@ -434,9 +265,9 @@ mod tests {
                     round,
                     test_accuracy: 0.1 * (round as f32 + 1.0),
                     test_loss: 1.0 / (round as f32 + 1.0),
-                    selected: vec![0, 1].into(),
-                    impact_factors: vec![0.5, 0.5].into(),
-                    client_losses_before: vec![1.0, 2.0].into(),
+                    selected: vec![0, 1],
+                    impact_factors: vec![0.5, 0.5],
+                    client_losses_before: vec![1.0, 2.0],
                     strategy_micros: 3,
                     aggregate_micros: 45,
                     hetero: None,
@@ -448,7 +279,7 @@ mod tests {
     fn hetero_history() -> RunHistory {
         let mut h = toy_history();
         for (i, r) in h.records.iter_mut().enumerate() {
-            r.hetero = Some(Box::new(HeteroRoundRecord {
+            r.hetero = Some(HeteroRoundRecord {
                 sim_time_s: 10.0 + i as f64,
                 dropouts: 1,
                 stragglers: 2,
@@ -460,56 +291,9 @@ mod tests {
                 masked: 0,
                 staleness: Vec::new(),
                 aggregated_ids: vec![0, 1],
-            }));
+            });
         }
         h
-    }
-
-    #[test]
-    fn retained_records_stay_small() {
-        // A session keeps every record it files, so these sizes are a
-        // per-round memory cost. A record was 224 bytes with the telemetry
-        // inline and is 112 with it boxed; the telemetry was 120 bytes with
-        // `usize` counters and is 88 with `u32` ones.
-        assert!(std::mem::size_of::<RoundRecord>() <= 112);
-        assert!(std::mem::size_of::<HeteroRoundRecord>() <= 88);
-        // The per-client fields are no wider than the `Vec`s they replaced,
-        // and up to `INLINE_ENTRIES` entries cost no heap chunk: two `Vec`s
-        // of K = 2 were two 32-byte chunks beside the record.
-        assert_eq!(
-            std::mem::size_of::<Entries<u32>>(),
-            std::mem::size_of::<Vec<u32>>()
-        );
-        assert_eq!(
-            std::mem::size_of::<Entries<f32>>(),
-            std::mem::size_of::<Vec<f32>>()
-        );
-        for len in 0..=INLINE_ENTRIES + 1 {
-            let want: Vec<u32> = (0..len as u32).collect();
-            let collected: Entries<u32> = want.iter().copied().collect();
-            let converted = Entries::from(want.clone());
-            for ids in [&collected, &converted] {
-                assert_eq!(*ids, want, "len {len}");
-                let inline = matches!(ids.0, Store::Inline { .. });
-                assert_eq!(inline, len <= INLINE_ENTRIES, "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn entries_serialise_as_the_arrays_vecs_did() {
-        let h = toy_history();
-        let json = serde_json::to_string(&h).unwrap();
-        assert!(json.contains(r#""selected":[0,1],"impact_factors":[0.5,0.5]"#));
-        let back: RunHistory = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.records[0].client_losses_before, [1.0, 2.0]);
-        let wide: Entries<f32> = (0..9).map(|i| i as f32).collect();
-        let text = serde_json::to_string(&wide).unwrap();
-        assert_eq!(
-            text,
-            serde_json::to_string(&(0..9).map(|i| i as f32).collect::<Vec<_>>()).unwrap()
-        );
-        assert_eq!(serde_json::from_str::<Entries<f32>>(&text).unwrap(), wide);
     }
 
     #[test]
@@ -533,15 +317,6 @@ mod tests {
         assert!((sm[0] - 0.1).abs() < 1e-6);
         assert!((sm[1] - 0.15).abs() < 1e-6);
         assert!((sm[4] - 0.4).abs() < 1e-6); // (0.3+0.4+0.5)/3
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = toy_history().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 6);
-        assert!(lines[0].starts_with("round,"));
-        assert!(lines[1].starts_with("0,"));
     }
 
     #[test]

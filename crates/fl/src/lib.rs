@@ -91,7 +91,7 @@ pub mod prelude {
         RoundExecutor, RoundOutcome, StalenessDiscount, StructuredDropoutConfig, TrainContext,
         TrainFn,
     };
-    pub use crate::history::{Entries, HeteroRoundRecord, RoundRecord, RunHistory};
+    pub use crate::history::{HeteroRoundRecord, RoundRecord, RunHistory};
     pub use crate::metrics::{
         best_accuracy, evaluate, inference_loss, mean_var, rounds_to_target, ConvergenceStats,
     };

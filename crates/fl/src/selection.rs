@@ -134,14 +134,6 @@ impl SelectionContext<'_> {
         self.executor.in_flight.contains(&client_id)
     }
 
-    /// Observed dropout frequency of `client_id` (0 while the client has
-    /// never been tried, or when the executor records no telemetry).
-    pub fn observed_dropout_rate(&self, client_id: usize) -> f64 {
-        self.executor
-            .reliability
-            .map_or(0.0, |stats| stats.get(client_id).dropout_rate())
-    }
-
     /// Mean observed staleness of `client_id`'s aggregated updates (0
     /// while none arrived, or without telemetry).
     pub fn observed_staleness(&self, client_id: usize) -> f64 {

@@ -33,7 +33,7 @@ use crate::client::{dispatch_mask, run_local_round, run_local_round_masked, Clie
 use crate::error::FlError;
 pub use crate::executor::TrainContext;
 use crate::executor::{Dispatch, ExecutorConfig, RoundExecutor, StalenessDiscount, TrainFn};
-use crate::history::{narrow_count, RoundRecord, RunHistory};
+use crate::history::{RoundRecord, RunHistory};
 use crate::metrics::evaluate;
 use crate::selection::{Selection, SelectionContext, SelectionPolicy};
 use crate::server::FlConfig;
@@ -459,11 +459,6 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Rounds completed so far.
-    pub fn rounds_completed(&self) -> usize {
-        self.round
-    }
-
     /// Whether the session has finished (all rounds done, or an observer
     /// stopped it). [`Session::step`] on a finished session is a no-op
     /// returning `Ok(None)`.
@@ -522,7 +517,7 @@ impl<'a> Session<'a> {
         // --- Client selection (Algorithm 2; uniform by default). The
         // policy draws from the per-round stream `(master seed, round)`.
         let mut select_rng = self.master.derive(round as u64);
-        let selected = {
+        let mut selected = {
             let ctx = SelectionContext {
                 round,
                 n_clients: self.n_clients,
@@ -534,6 +529,10 @@ impl<'a> Session<'a> {
             self.policy.select(&ctx, &mut select_rng)
         };
         validate_selection(&selected, self.n_clients, self.cfg.participants, round)?;
+        // The record keeps these ids and a caller of `run` keeps every
+        // record, so they are held at `K` wide, not in the policy's
+        // buffer, which may be a candidate pool several times wider.
+        selected.shrink_to_fit();
         for &c in &selected {
             self.participation[c] += 1;
         }
@@ -690,12 +689,12 @@ impl<'a> Session<'a> {
             round,
             test_accuracy,
             test_loss,
-            selected: selected.into_iter().map(narrow_count).collect(),
-            impact_factors: alphas.into(),
+            selected,
+            impact_factors: alphas,
             client_losses_before: updates.iter().map(|u| u.loss_before).collect(),
             strategy_micros,
             aggregate_micros,
-            hetero: outcome.hetero.map(Box::new),
+            hetero: outcome.hetero,
         };
         self.round += 1;
 
@@ -703,8 +702,8 @@ impl<'a> Session<'a> {
         // fed the round record plus the run's cumulative reliability
         // telemetry.
         if let Some(h) = &record.hetero {
-            self.total_dropouts += h.dropouts as usize;
-            self.total_stragglers += h.stragglers as usize;
+            self.total_dropouts += h.dropouts;
+            self.total_stragglers += h.stragglers;
             self.cum_sim_time_s += h.sim_time_s;
             self.staleness_sum += h.staleness_sum();
             self.staleness_count += h.staleness.len();
@@ -1020,7 +1019,6 @@ mod tests {
         let _ = session.step().unwrap();
         // Full participation (K = N = 6): after round 0 everyone has been
         // selected once, which is what the policy must observe in round 1.
-        assert_eq!(session.rounds_completed(), 2);
         assert!(session.is_finished());
         assert_eq!(session.participation, vec![2; 6]);
     }

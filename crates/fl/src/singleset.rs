@@ -2,7 +2,7 @@
 //! clients' data (paper §4.1, footnote 4). Reported as the ceiling every FL
 //! method is compared against in Tables 3 and 4.
 
-use crate::history::{Entries, RoundRecord, RunHistory};
+use crate::history::{RoundRecord, RunHistory};
 use crate::metrics::evaluate;
 use feddrl_data::dataset::Dataset;
 use feddrl_nn::loss::cross_entropy_logits;
@@ -67,9 +67,9 @@ pub fn run_singleset(
             round: epoch,
             test_accuracy: acc,
             test_loss: loss,
-            selected: Entries::default(),
-            impact_factors: Entries::default(),
-            client_losses_before: Entries::default(),
+            selected: Vec::new(),
+            impact_factors: Vec::new(),
+            client_losses_before: Vec::new(),
             strategy_micros: 0,
             aggregate_micros: 0,
             hetero: None,

@@ -69,7 +69,6 @@ use feddrl_fl::executor::{
     ExecutorView, LatePolicy, RoundExecutor, RoundOutcome, StructuredDropoutConfig, TrainContext,
     TrainFn,
 };
-use feddrl_fl::history::{narrow, narrow_count};
 use feddrl_nn::mask::StructuredMask;
 use feddrl_nn::model::Sequential;
 use feddrl_sim::device::{nearest_rank, FleetView};
@@ -510,13 +509,13 @@ impl RoundExecutor for NetworkExecutor {
         self.planner.finish_round(&updates, &mut record);
         let hetero = matches!(self.mode, NetMode::Buffered { .. }).then(|| {
             let departed_total = self.server.departed().len();
-            record.departed = narrow_count(departed_total.saturating_sub(self.departed_seen));
+            record.departed = departed_total.saturating_sub(self.departed_seen);
             self.departed_seen = departed_total;
             // Measured wall-clock of the aggregation, where the simulator
             // would report virtual time.
             record.sim_time_s = round_start.elapsed().as_secs_f64();
-            record.dropouts += narrow_count(failed + timed_out + malformed);
-            record.staleness = narrow(updates.iter().map(|u| u.staleness));
+            record.dropouts += failed + timed_out + malformed;
+            record.staleness = updates.iter().map(|u| u.staleness).collect();
             record
         });
         RoundOutcome { updates, hetero }

@@ -44,12 +44,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Replace the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive, got {lr}");
-        self.lr = lr;
-    }
-
     /// Apply one update using the gradients accumulated in `model`.
     ///
     /// Gradient-ascent callers (the DDPG policy update) should negate their
@@ -82,12 +76,6 @@ impl Sgd {
             simd::sgd_update(p.data_mut(), direction.data(), lr, grad_scale, decay);
             index += 1;
         });
-    }
-
-    /// Drop all velocity state (e.g. when the model weights are replaced by
-    /// a broadcast global model at the start of a federated round).
-    pub fn reset_state(&mut self) {
-        self.velocity.clear();
     }
 }
 
@@ -177,24 +165,5 @@ mod tests {
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_zero_lr() {
         let _ = Sgd::new(0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn reset_state_clears_velocity() {
-        let mut model = one_param_model(1.0);
-        let mut opt = Sgd::new(0.1, 0.9, 0.0);
-        let x = Tensor::from_vec(&[1, 1], vec![1.0]);
-        let t = Tensor::from_vec(&[1, 1], vec![0.0]);
-        let pred = model.forward(&x, true);
-        let (_, grad) = mse(&pred, &t);
-        model.zero_grad();
-        model.backward(&grad);
-        opt.step(&mut model);
-        opt.reset_state();
-        // After reset, a zero-grad step must not move parameters.
-        model.zero_grad();
-        let before = model.flat_params();
-        opt.step(&mut model);
-        assert_eq!(before, model.flat_params());
     }
 }

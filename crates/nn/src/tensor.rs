@@ -217,8 +217,9 @@ impl Tensor {
         }
     }
 
-    /// 1-D tensor from a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
+    /// 1-D tensor from a slice (test fixtures).
+    #[cfg(test)]
+    pub(crate) fn from_slice(data: &[f32]) -> Self {
         Self {
             shape: vec![data.len()],
             data: data.to_vec(),
@@ -405,8 +406,9 @@ impl Tensor {
         }
     }
 
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+    /// Apply `f` to every element in place (test fixtures).
+    #[cfg(test)]
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for v in self.data.iter_mut() {
             *v = f(*v);
         }

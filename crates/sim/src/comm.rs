@@ -62,11 +62,6 @@ impl CommModel {
         }
     }
 
-    /// FedProx traffic equals FedAvg's (the proximal term is local).
-    pub fn fedprox_round(&self) -> RoundTraffic {
-        self.fedavg_round()
-    }
-
     /// FedDRL traffic: FedAvg plus the two inference losses
     /// (`l_before`, `l_after`) each client reports (§3.3.2).
     pub fn feddrl_round(&self) -> RoundTraffic {
@@ -107,12 +102,6 @@ mod tests {
         assert_eq!(drl.total() - avg.total(), 2 * 4 * 10);
         assert_eq!(drl.downlink, avg.downlink);
         assert_eq!(drl.uplink_models, avg.uplink_models);
-    }
-
-    #[test]
-    fn fedprox_matches_fedavg() {
-        let m = CommModel::new(5_000_000, 10);
-        assert_eq!(m.fedprox_round(), m.fedavg_round());
     }
 
     #[test]

@@ -558,15 +558,6 @@ impl FleetView {
         self.derived.load(Ordering::Relaxed)
     }
 
-    /// Mean per-round dropout rate over the fleet — the expected fraction
-    /// of a uniformly sampled round lost to device failures. O(n)
-    /// compute, O(1) memory; does not count toward
-    /// [`FleetView::derivations`] (it is a whole-fleet summary, not a
-    /// per-candidate touch).
-    pub fn mean_dropout(&self) -> f64 {
-        self.profiles().map(|p| p.dropout).sum::<f64>() / self.n.max(1) as f64
-    }
-
     /// The `pct`-percentile (in `[0, 1]`) of the fleet's completion times
     /// for an `upload_bytes` payload — a principled way to pick a round
     /// deadline ("wait for the fastest 70%"). Nearest-rank on the sorted
@@ -756,7 +747,6 @@ mod tests {
                 "device {i} left the base rate"
             );
         }
-        assert!((fleet.mean_dropout() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -149,11 +149,6 @@ impl EventQueue {
         })
     }
 
-    /// Virtual time of the next event without removing it.
-    pub fn peek_time_s(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time_s)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -248,30 +243,6 @@ mod tests {
         }
         assert_eq!(q.pop().unwrap().kind, EventKind::Deadline);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_matches_next_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(2.5, EventKind::Deadline);
-        q.schedule(
-            0.5,
-            EventKind::UploadComplete {
-                client_id: 3,
-                version: 7,
-            },
-        );
-        assert_eq!(q.peek_time_s(), Some(0.5));
-        assert_eq!(q.len(), 2);
-        let e = q.pop().unwrap();
-        assert_eq!(e.time_s, 0.5);
-        assert_eq!(
-            e.kind,
-            EventKind::UploadComplete {
-                client_id: 3,
-                version: 7
-            }
-        );
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn main() {
     let mut turns = vec![0usize; partition.n_clients()];
     for r in &history.records {
         for &c in &r.selected {
-            turns[c as usize] += 1;
+            turns[c] += 1;
         }
     }
     println!(

@@ -552,12 +552,12 @@ proptest! {
             let selected: Vec<usize> = (0..N).filter(|c| (c + round) % 2 == 0).collect();
             let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.expect("buffered executor always reports");
-            dispatched += selected.len() - (h.dropouts + h.busy) as usize;
+            dispatched += selected.len() - (h.dropouts + h.busy);
             prop_assert!(
                 out.updates.is_empty() || out.updates.len() == buffer_size,
                 "round {round}: partial aggregation of {}", out.updates.len()
             );
-            prop_assert_eq!(h.buffered as usize, ex.buffered());
+            prop_assert_eq!(h.buffered, ex.buffered());
             if !out.updates.is_empty() {
                 aggregations += 1;
             }

@@ -633,12 +633,12 @@ fn buffered_churn_accounting_closes_and_telemetry_persists() {
     let (mut rec_joined, mut rec_departed) = (0usize, 0usize);
     for out in &outcomes {
         let h = out.hetero.as_ref().expect("buffered telemetry");
-        rec_dropouts += h.dropouts as usize;
-        rec_busy += h.busy as usize;
-        rec_lost += h.stragglers as usize;
+        rec_dropouts += h.dropouts;
+        rec_busy += h.busy;
+        rec_lost += h.stragglers;
         rec_aggregated += h.aggregated();
-        rec_joined += h.joined as usize;
-        rec_departed += h.departed as usize;
+        rec_joined += h.joined;
+        rec_departed += h.departed;
     }
     assert!(rec_joined > 0 && rec_departed > 0, "records saw no churn");
     let stats = view.reliability.unwrap();
@@ -693,7 +693,7 @@ fn deadline_churn_accounting_closes() {
     let totals = view.reliability.unwrap().totals();
     let rec_dropouts: usize = outcomes
         .iter()
-        .map(|o| o.hetero.as_ref().unwrap().dropouts as usize)
+        .map(|o| o.hetero.as_ref().unwrap().dropouts)
         .sum();
     assert_eq!(totals.dropouts, rec_dropouts);
     assert_eq!(
@@ -753,7 +753,7 @@ fn structured_dropout_rescues_deadline_pressed_devices() {
     let h = rescued.hetero.as_ref().unwrap();
     assert!(h.masked > 0, "no device was masked");
     assert_eq!(
-        h.masked as usize,
+        h.masked,
         dispatches.iter().filter(|d| d.keep_ratio < 1.0).count(),
         "masked count must match sub-model dispatches"
     );
@@ -881,10 +881,10 @@ fn churned_dynamic_runs_exercise_churn_and_masking() {
         cfg.executor = executor;
         let history = run_history(&cfg);
         let hetero = || history.records.iter().filter_map(|r| r.hetero.as_ref());
-        let churned: usize = hetero().map(|h| (h.joined + h.departed) as usize).sum();
+        let churned: usize = hetero().map(|h| h.joined + h.departed).sum();
         assert!(churned > 0, "dynamic run saw no churn — fixture too tame");
         if is_deadline {
-            deadline_masked = hetero().map(|h| h.masked as usize).sum();
+            deadline_masked = hetero().map(|h| h.masked).sum();
         }
     }
     assert!(

@@ -1815,7 +1815,7 @@ fn sockets_expose_the_planner_telemetry() {
             aggregated += out.updates.len();
             staleness += out.updates.iter().map(|u| u.staleness).sum::<usize>();
             if let Some(h) = out.hetero {
-                let closed = sent_now + (h.busy + h.dropouts) as usize;
+                let closed = sent_now + h.busy + h.dropouts;
                 assert_eq!(
                     everyone.len(),
                     closed,

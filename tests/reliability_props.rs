@@ -350,8 +350,8 @@ fn telemetry_totals_close_against_round_records() {
     let (mut rec_dropouts, mut rec_busy, mut rec_aggregated) = (0usize, 0usize, 0usize);
     for out in &outcomes {
         let h = out.hetero.as_ref().expect("buffered telemetry");
-        rec_dropouts += h.dropouts as usize;
-        rec_busy += h.busy as usize;
+        rec_dropouts += h.dropouts;
+        rec_busy += h.busy;
         rec_aggregated += h.aggregated();
     }
     let view = ex.view();

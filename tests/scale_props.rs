@@ -135,8 +135,8 @@ proptest! {
             distinct.extend(selected.iter().copied());
             let out = ex.execute(&ctx(round), &selected, &stub_train);
             let h = out.hetero.expect("buffered telemetry");
-            rec_dropouts += h.dropouts as usize;
-            rec_busy += h.busy as usize;
+            rec_dropouts += h.dropouts;
+            rec_busy += h.busy;
             rec_aggregated += h.aggregated();
             rec_staleness += h.staleness_sum();
         }
@@ -562,9 +562,9 @@ impl RoundExecutor for AuditedBuffered {
 
         // Every dispatch is aggregated, lost in transit, traveling or
         // parked — and a client is pending at most once.
-        self.dispatched += selected.len() - (h.dropouts + h.busy) as usize;
+        self.dispatched += selected.len() - (h.dropouts + h.busy);
         self.aggregated += out.updates.len();
-        self.lost += h.stragglers as usize;
+        self.lost += h.stragglers;
         let (pending, buffered) = (self.inner.in_flight(), self.inner.buffered());
         assert_eq!(
             self.dispatched,

@@ -257,7 +257,7 @@ proptest! {
             prop_assert_eq!(h.aggregated(), r.impact_factors.len());
             prop_assert_eq!(h.carried_in, 0); // LatePolicy::Drop
             prop_assert_eq!(
-                (h.dropouts + h.stragglers) as usize + h.aggregated(),
+                h.dropouts + h.stragglers + h.aggregated(),
                 r.selected.len(),
                 "round {}: participation accounting does not close", r.round
             );

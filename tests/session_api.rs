@@ -131,7 +131,6 @@ fn step_by_step_equals_run() {
         while let Some(record) = session.step().expect("step") {
             assert_eq!(record.round, records.len(), "step returned the wrong round");
             records.push(record.clone());
-            assert_eq!(session.rounds_completed(), records.len());
         }
         let steps = records.len();
         assert!(session.is_finished());
@@ -470,12 +469,11 @@ fn observers_see_every_round_and_can_stop() {
     assert_eq!(seen.load(Ordering::SeqCst), 2);
 }
 
-/// A record keeps its `selected` ids for the rest of the run, so it holds
-/// them at exactly their length — not in whatever buffer the policy built
-/// them in, which for the oversampling built-ins is a candidate pool
-/// several times `K` wide, and for a user policy is anything at all. The
-/// record copies them into `Entries`: inline up to `INLINE_ENTRIES`, an
-/// exact-size boxed slice past it, and `K` takes both sides.
+/// A caller of `run` keeps every record, and with it the record's
+/// `selected` ids, so they are held at exactly their length — not in
+/// whatever buffer the policy built them in, which for the oversampling
+/// built-ins is a candidate pool several times `K` wide, and for a user
+/// policy is anything at all.
 #[test]
 fn records_hold_selected_ids_at_exact_capacity() {
     struct Roomy;
@@ -489,10 +487,9 @@ fn records_hold_selected_ids_at_exact_capacity() {
             picked
         }
     }
-    use feddrl_repro::feddrl_fl::history::INLINE_ENTRIES;
     let (spec, train, test, partition, mut cfg) = golden_setup();
     let candidates = partition.n_clients();
-    for k in [2, INLINE_ENTRIES + 1] {
+    for k in [2, 6] {
         (cfg.rounds, cfg.participants) = (2, k);
         let policies: Vec<Box<dyn SelectionPolicy>> = vec![
             Selection::Uniform.build(),
@@ -515,8 +512,14 @@ fn records_hold_selected_ids_at_exact_capacity() {
                 .expect("run");
             for r in &history.records {
                 assert_eq!(r.selected.len(), k, "{name}: round {}", r.round);
+                assert_eq!(
+                    r.selected.capacity(),
+                    k,
+                    "{name}: round {} kept a wider buffer",
+                    r.round
+                );
                 if roomy {
-                    assert_eq!(r.selected, (0..k as u32).collect::<Vec<_>>());
+                    assert_eq!(r.selected, (0..k).collect::<Vec<_>>());
                 }
             }
         }

@@ -134,6 +134,18 @@ impl ReplayBuffer {
             .map(|_| &self.items[ranks.order[rng.weighted_index_of(&ranks.weights, ranks.total)]])
             .collect()
     }
+
+    /// `batch` draws with every stored experience equally likely: the
+    /// uniform-replay ablation of [`ReplayBuffer::sample_ranked`].
+    ///
+    /// # Panics
+    /// Panics if the buffer is empty.
+    pub fn sample_uniform(&self, batch: usize, rng: &mut Rng64) -> Vec<&Experience> {
+        assert!(!self.is_empty(), "sampling from empty replay buffer");
+        (0..batch)
+            .map(|_| &self.items[rng.below(self.items.len())])
+            .collect()
+    }
 }
 
 /// A ranking of a buffer's experiences by priority, and the `1/rank`
@@ -215,6 +227,28 @@ mod tests {
             hits_top > 380,
             "top-priority item drawn only {hits_top}/1000 times"
         );
+    }
+
+    /// Uniform draws give each of 100 slots a 1 % share: over 200 000
+    /// draws every slot's count lies within five binomial standard
+    /// deviations (≈ 45) of 2 000. Ranking constant priorities, as the
+    /// ablation once did, gives slot 0 about 19 % and fails this.
+    #[test]
+    fn uniform_draws_give_every_slot_an_equal_share() {
+        const DRAWS: usize = 200_000;
+        let buf = buffer_of(100);
+        let mut counts = [0usize; 100];
+        for e in buf.sample_uniform(DRAWS, &mut Rng64::new(12)) {
+            counts[e.reward as usize] += 1;
+        }
+        let (mean, p) = (DRAWS as f64 / 100.0, 0.01);
+        let bound = 5.0 * (DRAWS as f64 * p * (1.0 - p)).sqrt();
+        for (slot, &c) in counts.iter().enumerate() {
+            assert!(
+                (c as f64 - mean).abs() <= bound,
+                "slot {slot}: {c} of {DRAWS} draws, expected {mean} ± {bound:.0}"
+            );
+        }
     }
 
     fn buffer_of(len: usize) -> ReplayBuffer {

@@ -273,18 +273,16 @@ impl DdpgAgent {
         if self.buffer.len() < self.cfg.warmup.max(1) {
             return None;
         }
-        // Uniform ablation: constant priorities make rank-based sampling
-        // equivalent to a random permutation draw.
-        let priorities = if self.cfg.prioritized_replay {
-            self.compute_priorities()
-        } else {
-            vec![1.0; self.buffer.len()]
-        };
-        // Priorities hold for the whole call, so the ranking does too.
-        let ranks = self.buffer.rank(&priorities);
+        // Priorities hold for the whole call, so the ranking does too. The
+        // uniform-replay ablation ranks nothing: every batch draws each
+        // stored transition with equal probability.
+        let ranks = self.cfg.prioritized_replay.then(|| {
+            let priorities = self.compute_priorities();
+            self.buffer.rank(&priorities)
+        });
         let mut stats = TrainStats::default();
         for _ in 0..self.cfg.updates_per_round {
-            let (value_loss, mean_q) = self.one_update(&ranks);
+            let (value_loss, mean_q) = self.one_update(ranks.as_ref());
             stats.value_loss += value_loss;
             stats.mean_q += mean_q;
             stats.updates += 1;
@@ -295,8 +293,9 @@ impl DdpgAgent {
         Some(stats)
     }
 
-    /// Single critic + actor update on one prioritized batch.
-    fn one_update(&mut self, ranks: &PriorityRanks) -> (f32, f32) {
+    /// Single critic + actor update on one batch: prioritized under
+    /// `ranks`, uniform without.
+    fn one_update(&mut self, ranks: Option<&PriorityRanks>) -> (f32, f32) {
         let b = self.cfg.batch_size.min(self.buffer.len());
         let sd = self.cfg.state_dim;
         let ad = self.cfg.action_dim;
@@ -306,7 +305,10 @@ impl DdpgAgent {
         let mut next_states = Tensor::zeros(&[b, sd]);
         let mut rewards = Vec::with_capacity(b);
         {
-            let batch = self.buffer.sample_ranked(b, ranks, &mut self.rng);
+            let batch = match ranks {
+                Some(ranks) => self.buffer.sample_ranked(b, ranks, &mut self.rng),
+                None => self.buffer.sample_uniform(b, &mut self.rng),
+            };
             for (r, exp) in batch.iter().enumerate() {
                 states.row_mut(r).copy_from_slice(&exp.state);
                 actions.row_mut(r).copy_from_slice(&exp.action);

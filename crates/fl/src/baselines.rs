@@ -5,7 +5,7 @@
 
 use crate::client::ClientSummary;
 use crate::strategy::{RoundContext, Strategy};
-use std::collections::HashMap;
+use feddrl_sim::ids::IdMap;
 
 /// FedAdp-style gradient-angle adaptive weighting (Wu & Wang, IEEE TCCN
 /// 2021 — the paper's reference \[25\]).
@@ -18,7 +18,7 @@ pub struct FedAdp {
     /// Gompertz steepness α (reference implementation uses 5).
     alpha: f32,
     /// Per-client smoothed angle and participation count.
-    smoothed: HashMap<usize, (f32, usize)>,
+    smoothed: IdMap<(f32, usize)>,
 }
 
 impl FedAdp {
@@ -27,7 +27,7 @@ impl FedAdp {
         assert!(alpha > 0.0, "FedAdp alpha must be positive");
         Self {
             alpha,
-            smoothed: HashMap::new(),
+            smoothed: IdMap::default(),
         }
     }
 }

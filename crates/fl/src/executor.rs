@@ -407,17 +407,6 @@ pub struct ClientReliability {
 }
 
 impl ClientReliability {
-    /// Observed dropout frequency: failures over times the server tried
-    /// this client (0 while the client is unobserved).
-    pub fn dropout_rate(&self) -> f64 {
-        let tried = self.dropouts + self.dispatches;
-        if tried == 0 {
-            0.0
-        } else {
-            self.dropouts as f64 / tried as f64
-        }
-    }
-
     /// Mean staleness over this client's aggregated updates (0 while none
     /// arrived) — chronically high values mark the slow devices an
     /// async-aware policy should dispatch while they are idle.
@@ -1690,7 +1679,6 @@ mod tests {
             // Unbounded deadline: every sample either drops or trains.
             assert_eq!(s.dropouts + s.dispatches, 20, "client {cid} samples lost");
             assert_eq!(s.aggregated, s.dispatches, "client {cid} updates lost");
-            assert!((0.0..=1.0).contains(&s.dropout_rate()));
             dropouts += s.dropouts;
         }
         assert_eq!(
@@ -1699,7 +1687,7 @@ mod tests {
         );
         // p = 0.4 over 200 samples: the observed rates must spread around
         // the configured one rather than collapse to 0 or 1.
-        let mean_rate: f64 = stats.iter().map(|(_, s)| s.dropout_rate()).sum::<f64>() / 10.0;
+        let mean_rate = dropouts as f64 / 200.0;
         assert!(
             (0.15..0.65).contains(&mean_rate),
             "implausible mean rate {mean_rate}"
@@ -1759,7 +1747,6 @@ mod tests {
     #[test]
     fn reliability_rates_default_to_zero_when_unobserved() {
         let s = ClientReliability::default();
-        assert_eq!(s.dropout_rate(), 0.0);
         assert_eq!(s.mean_staleness(), 0.0);
         let s = ClientReliability {
             dropouts: 3,
@@ -1767,7 +1754,6 @@ mod tests {
             aggregated: 2,
             staleness_sum: 5,
         };
-        assert!((s.dropout_rate() - 0.75).abs() < 1e-12);
         assert!((s.mean_staleness() - 2.5).abs() < 1e-12);
     }
 

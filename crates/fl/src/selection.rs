@@ -294,13 +294,15 @@ fn report_probability(ctx: &SelectionContext<'_>, client_id: usize) -> f64 {
     }
 }
 
-/// Sort `pool` viable-before-unviable-before-departed, then by `score`
-/// descending; stable, so ties keep the uniformly-sampled pool order and
-/// the result is deterministic under a fixed seed. Returns the first `k`.
-/// Busy and departed are O(1) probes of the hashed sets the executor's
-/// view lends, and each candidate's predicted completion time is derived
-/// once and handed to both the tier and `score` (`None` without a fleet),
-/// so the cost tracks the pool, neither the fleet nor what is pending.
+/// Rank `pool` viable-before-unviable-before-departed, then by `score`
+/// descending, with ties kept in the uniformly-sampled pool order so the
+/// result is deterministic under a fixed seed, and return the first `k`
+/// in that order; only the `k` taken are sorted. Busy and departed are
+/// O(1) probes of the hashed sets the executor's view lends, and each
+/// candidate's predicted completion time is read once from the fleet's
+/// profile memo and handed to both the tier and `score` (`None` without a
+/// fleet), so the cost tracks the pool, neither the fleet nor what is
+/// pending.
 ///
 /// Unviable — kept only when the pool has nothing better — means busy
 /// (an update in flight: the executor would skip the dispatch) or a
@@ -337,19 +339,28 @@ fn rank_and_take(
             0
         }
     };
-    let mut scored: Vec<(usize, u8, f64)> = pool
+    // (tier, score, pool position, id): ranked by tier, then score
+    // descending, then pool position — the order a stable sort by the
+    // first two keeps — so the top `k` can be selected before sorting.
+    let mut scored: Vec<(u8, f64, usize, usize)> = pool
         .into_iter()
-        .map(|c| {
+        .enumerate()
+        .map(|(position, c)| {
             let completion_s = ctx.predicted_completion_s(c);
-            (c, tier(c, completion_s), score(c, completion_s))
+            (tier(c, completion_s), score(c, completion_s), position, c)
         })
         .collect();
-    scored.sort_by(|a, b| {
-        a.1.cmp(&b.1)
-            .then_with(|| b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal))
-    });
-    scored.truncate(k);
-    scored.into_iter().map(|(c, _, _)| c).collect()
+    let by_rank = |a: &(u8, f64, usize, usize), b: &(u8, f64, usize, usize)| {
+        a.0.cmp(&b.0)
+            .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal))
+            .then_with(|| a.2.cmp(&b.2))
+    };
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, by_rank);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(by_rank);
+    scored.into_iter().map(|(_, _, _, c)| c).collect()
 }
 
 impl SelectionPolicy for ReliabilityAwareSelection {
@@ -385,7 +396,7 @@ impl SelectionPolicy for ReliabilityAwareSelection {
 /// in flight rank behind every idle candidate: the executor would skip
 /// them as busy, wasting the slot.
 ///
-/// Without a fleet or telemetry every score ties and the stable ranking
+/// Without a fleet or telemetry every score ties and the ranking
 /// preserves the uniformly-sampled pool order — a graceful degradation to
 /// uniform sampling.
 #[derive(Debug, Clone, Copy)]
@@ -751,5 +762,62 @@ mod tests {
         // pool order exactly (here: the full-pool sample order).
         let expected: Vec<usize> = Rng64::new(3).sample_indices(10, 10)[..4].to_vec();
         assert_eq!(picked, expected);
+    }
+
+    /// Selecting the top `k` before sorting them takes what a stable sort
+    /// of the whole pool by tier, then score, takes — in the same order —
+    /// with many tied scores, busy and departed candidates and a deadline
+    /// that dooms some, for every `k` up to the pool.
+    #[test]
+    fn ranking_takes_what_a_stable_sort_of_the_pool_takes() {
+        let cfg = FleetConfig {
+            compute_skew: 4.0,
+            seed: 2,
+            ..Default::default()
+        };
+        let fleet = FleetView::new(500, &cfg);
+        let deadline_s = fleet.completion_percentile_s(1_000, 0.7);
+        let (loss, part) = ctx_parts(500);
+        let mut rng = Rng64::new(4);
+        let in_flight: IdSet = rng.sample_indices(500, 60).into_iter().collect();
+        let departed: IdSet = rng.sample_indices(500, 40).into_iter().collect();
+        let mut ctx = base_ctx(500, 1, &loss, &part);
+        ctx.executor = ExecutorView {
+            fleet: Some(&fleet),
+            upload_bytes: 1_000,
+            deadline_s: Some(deadline_s),
+            in_flight: Cow::Owned(in_flight),
+            departed: Cow::Owned(departed),
+            ..Default::default()
+        };
+        // Five score levels over 120 candidates: most candidates tie.
+        let score = |c: usize, _: Option<f64>| (c % 5) as f64;
+        for seed in 0..10 {
+            let pool = Rng64::new(seed).sample_indices(500, 120);
+            for k in [1, 7, 64, 119, 120] {
+                let mut reference: Vec<(usize, u8, f64)> = pool
+                    .iter()
+                    .map(|&c| {
+                        let completion_s = ctx.predicted_completion_s(c);
+                        let doomed = completion_s.is_some_and(|t| t > deadline_s);
+                        let tier = if ctx.is_departed(c) {
+                            2
+                        } else if ctx.is_in_flight(c) || doomed {
+                            1
+                        } else {
+                            0
+                        };
+                        (c, tier, score(c, completion_s))
+                    })
+                    .collect();
+                reference.sort_by(|a, b| a.1.cmp(&b.1).then(b.2.total_cmp(&a.2)));
+                let want: Vec<usize> = reference[..k].iter().map(|r| r.0).collect();
+                assert_eq!(
+                    rank_and_take(pool.clone(), &ctx, k, score),
+                    want,
+                    "seed {seed}, k {k}"
+                );
+            }
+        }
     }
 }

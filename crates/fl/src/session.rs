@@ -46,6 +46,7 @@ use feddrl_nn::model::Sequential;
 use feddrl_nn::parallel::par_map;
 use feddrl_nn::rng::Rng64;
 use feddrl_nn::zoo::ModelSpec;
+use feddrl_sim::ids::IdSet;
 use std::time::Instant;
 
 /// What an observer tells the session after seeing a round.
@@ -781,7 +782,7 @@ fn validate_selection(
     }
     // Hash set, not a dense `vec![false; n_clients]`: validation stays
     // O(K) in time and memory even over a million-client fleet.
-    let mut seen = std::collections::HashSet::with_capacity(selected.len());
+    let mut seen = IdSet::with_capacity_and_hasher(selected.len(), Default::default());
     for &c in selected {
         if c >= n_clients {
             return Err(invalid(format!(

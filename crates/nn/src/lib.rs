@@ -20,6 +20,9 @@
 //!   profiles;
 //! * [`rng::Rng64`] — deterministic xoshiro256++ randomness so whole
 //!   federated runs reproduce from one seed;
+//! * [`ids`] — client-id sets and maps over one fixed hasher, shared by
+//!   [`rng::Rng64::sample_indices`] and the simulator's and executors'
+//!   per-client tables;
 //! * [`parallel`] — data-parallel helpers on `std` scoped threads;
 //! * [`simd`] — the hot loops (products, aggregation sweep) compiled for
 //!   the baseline target and for AVX2, picked at run time, bit-identical.
@@ -45,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ids;
 pub mod init;
 pub mod layers;
 pub mod loss;

@@ -13,6 +13,7 @@
 //! cross-thread coordination — a requirement for deterministic results under
 //! the nondeterministic scheduling of [`crate::parallel`]'s scoped threads.
 
+use crate::ids::IdMap;
 use serde::{Deserialize, Serialize};
 
 /// xoshiro256++ PRNG with Box–Muller normal sampling.
@@ -161,10 +162,10 @@ impl Rng64 {
     /// Sample `k` distinct indices from `[0, n)` (partial Fisher–Yates).
     ///
     /// Runs in O(k) time and memory regardless of `n`: instead of
-    /// materializing the `0..n` pool, a hash map records only the slots the
-    /// virtual shuffle has displaced (at most `2k` entries), so sampling
-    /// 100 clients from a 10⁶-device fleet never allocates a
-    /// million-element vector. The draw sequence (`below(n - i)` per step)
+    /// materializing the `0..n` pool, an [`IdMap`] sized for `2k` records
+    /// only the slots the virtual shuffle has displaced (at most `k`
+    /// entries), so sampling 100 clients from a 10⁶-device fleet never
+    /// allocates a million-element vector. The draw sequence (`below(n - i)` per step)
     /// and the swap semantics are exactly those of the dense pool, so the
     /// returned sample is bit-identical to the historical implementation —
     /// existing seeded runs reproduce unchanged.
@@ -175,8 +176,8 @@ impl Rng64 {
         assert!(k <= n, "sample_indices: k ({k}) must not exceed n ({n})");
         // displaced[p] = the value the virtual pool currently holds at
         // position p, for the positions that no longer hold their identity.
-        let mut displaced: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::with_capacity(2 * k);
+        let mut displaced: IdMap<usize> =
+            IdMap::with_capacity_and_hasher(2 * k, Default::default());
         let mut out = Vec::with_capacity(k);
         for i in 0..k {
             let j = i + self.below(n - i);
@@ -389,7 +390,14 @@ mod tests {
             pool
         }
         for seed in 0..20 {
-            for &(n, k) in &[(1, 1), (5, 5), (50, 7), (1000, 64), (1000, 1000)] {
+            for &(n, k) in &[
+                (1, 1),
+                (5, 5),
+                (50, 7),
+                (1000, 64),
+                (1000, 1000),
+                (100_000, 256),
+            ] {
                 let sparse = Rng64::new(seed).sample_indices(n, k);
                 let reference = dense(&mut Rng64::new(seed), n, k);
                 assert_eq!(sparse, reference, "diverged at seed {seed}, n {n}, k {k}");

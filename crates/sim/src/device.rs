@@ -18,6 +18,7 @@
 //! scalar is exactly the `dropout_skew = 1` special case.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use feddrl_nn::rng::Rng64;
 use serde::{Deserialize, Serialize};
@@ -463,13 +464,62 @@ fn derive_profile(cfg: &FleetConfig, master: &Rng64, i: usize) -> DeviceProfile 
     }
 }
 
+/// Ids per page of a [`FleetView`]'s profile memo: a page is allocated
+/// on the first touch of any of its ids.
+const MEMO_PAGE: usize = 128;
+
+/// One page of the profile memo: a slot per id, filled on first touch.
+type MemoPage = Box<[MemoSlot]>;
+
+/// One client's memoized profile: the four fields [`derive_profile`] draws
+/// per client, as `f64` bits (`latency_s` is the config's). `compute_s` is
+/// positive on every valid fleet, so its zero bits mark a slot not yet
+/// filled. It is stored last with `Release` and read first with
+/// `Acquire`, so a reader that finds it set finds the other three set too;
+/// two threads filling one slot at once store the same bits.
+#[derive(Debug, Default)]
+struct MemoSlot {
+    compute_s: AtomicU64,
+    bandwidth_bps: AtomicU64,
+    dropout: AtomicU64,
+    phase: AtomicU64,
+}
+
+impl MemoSlot {
+    fn get(&self, latency_s: f64) -> Option<DeviceProfile> {
+        let compute_s = f64::from_bits(self.compute_s.load(Ordering::Acquire));
+        (compute_s != 0.0).then(|| DeviceProfile {
+            compute_s,
+            bandwidth_bps: f64::from_bits(self.bandwidth_bps.load(Ordering::Relaxed)),
+            latency_s,
+            dropout: f64::from_bits(self.dropout.load(Ordering::Relaxed)),
+            phase: f64::from_bits(self.phase.load(Ordering::Relaxed)),
+        })
+    }
+
+    fn set(&self, p: &DeviceProfile) {
+        self.bandwidth_bps
+            .store(p.bandwidth_bps.to_bits(), Ordering::Relaxed);
+        self.dropout.store(p.dropout.to_bits(), Ordering::Relaxed);
+        self.phase.store(p.phase.to_bits(), Ordering::Relaxed);
+        self.compute_s
+            .store(p.compute_s.to_bits(), Ordering::Release);
+    }
+}
+
 /// A lazy fleet: derives [`DeviceProfile`]s on demand per index instead of
 /// materializing all `n` up front, so fleet size is a free variable —
-/// a million-device view costs a config plus a counter, and only the
-/// devices a round actually touches are ever derived.
+/// a million-device view costs a config plus one empty memo page pointer
+/// per 128 ids, and only the devices a round actually touches are ever
+/// derived.
 ///
-/// Profile derivation is pure (a handful of `powf`s off the per-index RNG
-/// stream), so the view memoizes nothing: profile memory is O(1).
+/// Each client is derived once per view: [`FleetView::profile`] memoizes
+/// what it derives, in pages allocated on the first touch of one of their
+/// ids, so profile memory grows with the clients touched (32 B each, in
+/// pages of 128), not with `n`. Selection, dispatch planning and
+/// upload scheduling consult the same clients round after round, and a
+/// memo hit costs four loads where a derivation costs an RNG derive and
+/// four transcendentals.
 ///
 /// The view counts derivations ([`FleetView::derivations`]) so callers can
 /// *assert* — not just claim — that a code path touches O(candidates)
@@ -480,14 +530,25 @@ pub struct FleetView {
     master: Rng64,
     n: usize,
     derived: AtomicU64,
+    /// `memo[id / MEMO_PAGE][id % MEMO_PAGE]`: the profile of `id` once
+    /// derived.
+    memo: Vec<OnceLock<MemoPage>>,
 }
 
 impl PartialEq for FleetView {
     /// Views are equal when they derive the same fleet — same size, same
-    /// config; the derivation counter is bookkeeping, not state.
+    /// config; the derivation counter and the memo are bookkeeping, not
+    /// state.
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n && self.cfg == other.cfg
     }
+}
+
+/// An empty memo covering ids `0..n`.
+fn empty_memo(n: usize) -> Vec<OnceLock<MemoPage>> {
+    (0..n.div_ceil(MEMO_PAGE))
+        .map(|_| OnceLock::new())
+        .collect()
 }
 
 impl FleetView {
@@ -509,11 +570,13 @@ impl FleetView {
             cfg: cfg.clone(),
             n,
             derived: AtomicU64::new(0),
+            memo: empty_memo(n),
         }
     }
 
-    /// Derive the profile of client `client_id` (by value — nothing is
-    /// stored).
+    /// The profile of client `client_id`: derived on the first call for
+    /// that id, read from the memo on every later one — bit for bit what
+    /// the first call returned.
     ///
     /// # Panics
     /// Panics if `client_id` is out of range.
@@ -523,8 +586,15 @@ impl FleetView {
             "client id {client_id} out of range for fleet of {}",
             self.n
         );
-        self.derived.fetch_add(1, Ordering::Relaxed);
-        derive_profile(&self.cfg, &self.master, client_id)
+        let page = self.memo[client_id / MEMO_PAGE]
+            .get_or_init(|| (0..MEMO_PAGE).map(|_| MemoSlot::default()).collect());
+        let slot = &page[client_id % MEMO_PAGE];
+        slot.get(self.cfg.latency_s).unwrap_or_else(|| {
+            self.derived.fetch_add(1, Ordering::Relaxed);
+            let profile = derive_profile(&self.cfg, &self.master, client_id);
+            slot.set(&profile);
+            profile
+        })
     }
 
     /// Number of devices in the view.
@@ -539,6 +609,8 @@ impl FleetView {
     /// under growth by construction.
     pub fn grow(&mut self, n: usize) {
         self.n = self.n.max(n);
+        self.memo
+            .resize_with(self.n.div_ceil(MEMO_PAGE), OnceLock::new);
     }
 
     /// Whether the view is empty (never true: construction requires n > 0).
@@ -551,13 +623,13 @@ impl FleetView {
         &self.cfg
     }
 
-    /// How many profile derivations this view has served — the observable
-    /// that lets tests pin selection/dispatch cost to O(candidates)
-    /// instead of O(N).
+    /// How many profiles this view has derived — one per client
+    /// [`FleetView::profile`] was asked for, however often — the
+    /// observable that lets tests pin selection/dispatch cost to
+    /// O(candidates) instead of O(N).
     pub fn derivations(&self) -> u64 {
         self.derived.load(Ordering::Relaxed)
     }
-
     /// The `pct`-percentile (in `[0, 1]`) of the fleet's completion times
     /// for an `upload_bytes` payload — a principled way to pick a round
     /// deadline ("wait for the fastest 70%"). Nearest-rank on the sorted
@@ -585,12 +657,15 @@ impl FleetView {
 }
 
 impl Clone for FleetView {
+    /// A view of the same fleet with the same derivation count and an
+    /// empty memo.
     fn clone(&self) -> Self {
         Self {
             cfg: self.cfg.clone(),
             master: self.master.clone(),
             n: self.n,
             derived: AtomicU64::new(self.derived.load(Ordering::Relaxed)),
+            memo: empty_memo(self.n),
         }
     }
 }
@@ -1054,6 +1129,77 @@ mod tests {
         }
         grown.grow(10);
         assert_eq!(grown.len(), 40, "grow must never shrink");
+    }
+
+    fn bits(p: &DeviceProfile) -> [u64; 5] {
+        [
+            p.compute_s,
+            p.bandwidth_bps,
+            p.latency_s,
+            p.dropout,
+            p.phase,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The memo serves, bit for bit, what a fresh derivation returns — for
+    /// the first fleet and for late joiners after growth — and derives
+    /// each client once, however often it is consulted.
+    #[test]
+    fn memoized_profiles_are_fresh_derivations_and_derive_once() {
+        let cfg = FleetConfig {
+            compute_skew: 4.0,
+            bandwidth_skew: 2.0,
+            dropout: 0.1,
+            reliability: ReliabilityConfig {
+                dropout_skew: 3.0,
+                correlation: DropoutCorrelation::SpeedCorrelated { strength: 0.5 },
+            },
+            diurnal: Some(DiurnalConfig::default()),
+            seed: 11,
+            ..Default::default()
+        };
+        let mut view = FleetView::new(100_000, &cfg);
+        let first: Vec<usize> = Rng64::new(3).sample_indices(100_000, 256);
+        let joiners: Vec<usize> = (100_000..100_300).step_by(7).collect();
+        let fresh = |i: usize| derive_profile(&cfg, &Rng64::new(cfg.seed), i);
+        for &i in &first {
+            assert_eq!(bits(&view.profile(i)), bits(&fresh(i)), "client {i}");
+        }
+        assert_eq!(view.derivations(), first.len() as u64);
+        view.grow(100_300);
+        for &i in first.iter().chain(&joiners) {
+            assert_eq!(bits(&view.profile(i)), bits(&fresh(i)), "client {i}");
+        }
+        let derived = view.derivations();
+        assert_eq!(derived, (first.len() + joiners.len()) as u64);
+        for &i in first.iter().chain(&joiners).rev() {
+            assert_eq!(bits(&view.profile(i)), bits(&fresh(i)), "client {i}");
+        }
+        assert_eq!(view.derivations(), derived, "a memo hit derived again");
+    }
+
+    /// A clone and an equal view start with an empty memo; neither the
+    /// memo nor its fill decides equality, and the view stays shareable
+    /// across threads.
+    #[test]
+    fn clone_and_equality_ignore_the_memo() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<FleetView>();
+        let cfg = FleetConfig {
+            compute_skew: 4.0,
+            ..Default::default()
+        };
+        let view = FleetView::new(1_000, &cfg);
+        let cold = FleetView::new(1_000, &cfg);
+        let warm = view.profile(999);
+        assert_eq!(view, cold);
+        let copy = view.clone();
+        assert_eq!(copy, view);
+        assert_eq!(copy.derivations(), 1);
+        assert_eq!(bits(&copy.profile(999)), bits(&warm));
+        assert_eq!(copy.derivations(), 2, "a clone's memo starts empty");
+        assert_eq!(view.derivations(), 1);
     }
 
     #[test]

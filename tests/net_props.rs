@@ -1296,7 +1296,6 @@ fn socket_failures_are_dropouts_of_the_failing_client() {
             (failed, 1 - failed),
             "client {cid}: a lost dispatch is a dropout, not a dispatch"
         );
-        assert_eq!(stats.dropout_rate(), failed as f64);
     }
 
     drop(executor);

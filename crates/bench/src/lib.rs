@@ -22,13 +22,22 @@ use std::path::PathBuf;
 pub enum Scale {
     /// Seconds-scale smoke profile.
     Quick,
-    /// Minutes-scale default used for EXPERIMENTS.md.
+    /// Minutes-scale default, the profile docs/REPRODUCING.md reports.
     Default,
     /// Paper-scale parameters (hours on CPU).
     Full,
 }
 
 impl Scale {
+    /// The profile's name, as its flag spells it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Default => "default",
+            Scale::Full => "full",
+        }
+    }
+
     /// Communication rounds for federated runs.
     pub fn rounds(self) -> usize {
         match self {
@@ -597,35 +606,37 @@ pub fn improvements(feddrl: f32, baselines: &[f32]) -> (f32, f32) {
     )
 }
 
-/// Load a previously-saved table3-style history for `(exp, method)` if one
-/// exists with at least `exp.rounds` records (truncating to the requested
-/// horizon), otherwise run the method fresh. Lets the figures
-/// reuse `table3`'s artifacts instead of re-running 30+ federated
-/// trainings.
+/// The file `table3` saves the run history of `(exp, method)` at `scale`
+/// under, and [`load_or_run`] looks for. The scale is in the name because
+/// the synthetic data and the DDPG width change with it.
+pub(crate) fn history_file(exp: &ExperimentSpec, method: MethodKind, scale: Scale) -> String {
+    format!(
+        "table3_{}_{}_{}_{}_{}.json",
+        exp.dataset.name(),
+        exp.partition_code,
+        exp.n_clients,
+        scale.name(),
+        method.name()
+    )
+}
+
+/// Load the history `table3` saved for `(exp, method)` at `scale` if it
+/// has exactly `exp.rounds` records and the same participants and seed,
+/// otherwise run the method fresh. Lets the figures reuse `table3`'s
+/// artifacts instead of re-running 30+ federated trainings. A longer run
+/// is not reused: FedDRL's configuration depends on the round count.
 pub fn load_or_run(
     opts: &ExpOptions,
     exp: &ExperimentSpec,
     method: MethodKind,
     scale: Scale,
 ) -> RunHistory {
-    let fname = format!(
-        "table3_{}_{}_{}_{}.json",
-        exp.dataset.name(),
-        exp.partition_code,
-        exp.n_clients,
-        method.name()
-    );
-    let path = opts.out_dir.join(&fname);
-    if path.exists() {
-        if let Ok(mut h) = RunHistory::load_json(&path) {
-            if h.records.len() >= exp.rounds
-                && h.participants == exp.participants
-                && h.seed == exp.seed
-            {
-                h.records.truncate(exp.rounds);
-                eprintln!("reusing {}", path.display());
-                return h;
-            }
+    let path = opts.out_dir.join(history_file(exp, method, scale));
+    if let Ok(h) = RunHistory::load_json(&path) {
+        if h.records.len() == exp.rounds && h.participants == exp.participants && h.seed == exp.seed
+        {
+            eprintln!("reusing {}", path.display());
+            return h;
         }
     }
     exp.run_method(method, scale)
@@ -700,6 +711,39 @@ mod tests {
                 .collect()
         };
         assert_eq!(trace(&cell), trace(&h));
+    }
+
+    /// The figures reuse only a `table3` history of the same scale and
+    /// exactly the asked round count: a longer run, under the name that
+    /// left the scale out or under its own, is not cut down and returned.
+    #[test]
+    fn figures_reuse_only_a_history_of_the_same_setting() {
+        let out_dir =
+            std::env::temp_dir().join(format!("feddrl_bench_reuse_{}", std::process::id()));
+        let opts = ExpOptions {
+            scale: Scale::Quick,
+            rounds: Some(2),
+            seed: 7,
+            out_dir: out_dir.clone(),
+            processes: false,
+        };
+        let exp = ExperimentSpec::new(DatasetKind::MnistLike, "CE", 6, &opts);
+        let (method, name) = (
+            MethodKind::FedAvg,
+            history_file(&exp, MethodKind::FedAvg, Scale::Quick),
+        );
+        let mut planted = exp.run_method(method, Scale::Quick);
+        planted.method = "planted".into();
+        let save = |h: &RunHistory, file: &str| h.save_json(&opts.out_path(file)).unwrap();
+        let reused = || load_or_run(&opts, &exp, method, Scale::Quick).method == "planted";
+        save(&planted, &name);
+        assert!(reused(), "a history of the same setting is reused");
+        planted.records.push(planted.records[1].clone());
+        save(&planted, "table3_mnist-like_CE_6_FedAvg.json");
+        save(&planted, &name);
+        assert!(!reused(), "a longer history is not cut down and reused");
+        assert_ne!(name, history_file(&exp, method, Scale::Default));
+        std::fs::remove_dir_all(&out_dir).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::sweeps::{adaptive, asynchronous, dynamics, hetero, net, reliability};
 use crate::{
-    improvements, load_or_run, render_table, write_artifact, DatasetKind, ExpOptions,
+    history_file, improvements, load_or_run, render_table, write_artifact, DatasetKind, ExpOptions,
     ExperimentSpec, MethodKind, Scale,
 };
 use feddrl::prelude::*;
@@ -282,6 +282,36 @@ fn aggregation_us(params: usize, k: usize, iters: usize) -> (f64, f64) {
     })
 }
 
+/// The weight matrices of the paper's two client models as
+/// `(fan_in, fan_out)`, each with a bias of `fan_out`; a conv kernel's
+/// fan-in is `k·k·c_in`. VGG-11 for CIFAR-100 (32×32 input): eight 3×3
+/// convs, then a 512 → 512 → 512 → 100 classifier.
+const VGG11_CIFAR100: [(usize, usize); 11] = [
+    (9 * 3, 64),
+    (9 * 64, 128),
+    (9 * 128, 256),
+    (9 * 256, 256),
+    (9 * 256, 512),
+    (9 * 512, 512),
+    (9 * 512, 512),
+    (9 * 512, 512),
+    (512, 512),
+    (512, 512),
+    (512, 100),
+];
+
+/// The CNN for MNIST/Fashion-MNIST (28×28 input): two 5×5 convs with 32
+/// and 64 channels, each followed by a 2×2 pool, then 64·7·7 → 512 → 10.
+const CNN_MNIST: [(usize, usize); 4] = [(25, 32), (25 * 32, 64), (64 * 7 * 7, 512), (512, 10)];
+
+/// Trainable scalars of a layer-shape table: `Σ in·out + out`.
+fn param_count(layers: &[(usize, usize)]) -> usize {
+    layers
+        .iter()
+        .map(|&(fan_in, fan_out)| fan_in * fan_out + fan_out)
+        .sum()
+}
+
 /// Figure 9 — average server computation time: DRL impact-factor
 /// inference vs weighted aggregation, for the paper's two model sizes
 /// (VGG-11 for CIFAR-100, CNN for MNIST/F-MNIST) plus the scaled MLP.
@@ -294,11 +324,8 @@ fn fig9(opts: &ExpOptions) {
     };
     let k = 10;
 
-    // Real parameter counts from the model zoo.
-    let vgg_params = ModelSpec::Vgg11 { num_classes: 100 }.build(1).param_count();
-    let cnn_params = ModelSpec::CnnMnist { num_classes: 10 }
-        .build(1)
-        .param_count();
+    let vgg_params = param_count(&VGG11_CIFAR100);
+    let cnn_params = param_count(&CNN_MNIST);
     let mlp_params = ModelSpec::Mlp {
         in_dim: 64,
         hidden: vec![128],
@@ -862,13 +889,7 @@ fn method_grid(
             acc[mi][pi] = best;
             row.push(format!("{best:.2}"));
             if table3 {
-                let fname = format!(
-                    "table3_{}_{}_{}_{}.json",
-                    dataset.name(),
-                    code,
-                    n_clients,
-                    method.name()
-                );
+                let fname = history_file(&exp, *method, opts.scale);
                 history
                     .save_json(&opts.out_path(&fname))
                     .expect("save history");
@@ -972,6 +993,14 @@ mod tests {
             median < mean / 2.0,
             "median {median} should sit far below outlier-skewed mean {mean}"
         );
+    }
+
+    /// The sizes Fig. 9 times: what the conv-layer builders of VGG-11
+    /// (100 classes) and the MNIST CNN (10 classes) counted.
+    #[test]
+    fn the_paper_models_have_their_parameter_counts() {
+        assert_eq!(param_count(&VGG11_CIFAR100), 9_797_092);
+        assert_eq!(param_count(&CNN_MNIST), 1_663_370);
     }
 
     #[test]

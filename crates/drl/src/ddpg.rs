@@ -106,8 +106,8 @@ impl DdpgAgent {
         let value_target = value.clone();
         let buffer = ReplayBuffer::new(cfg.buffer_capacity);
         Self {
-            policy_opt: Sgd::new(cfg.policy_lr, 0.0, 0.0),
-            value_opt: Sgd::new(cfg.value_lr, 0.0, 0.0),
+            policy_opt: Sgd::new(cfg.policy_lr, 0.0),
+            value_opt: Sgd::new(cfg.value_lr, 0.0),
             policy,
             policy_target,
             value,

@@ -206,7 +206,7 @@ fn train_with_mask(
     let w_global = cfg.proximal_mu.map(|_| model.flat_params());
     let loss_before = inference_loss(&mut model, train, indices, cfg.batch_size.max(64));
 
-    let mut opt = Sgd::new(cfg.lr, cfg.momentum, 0.0);
+    let mut opt = Sgd::new(cfg.lr, cfg.momentum);
     let mut order: Vec<usize> = indices.to_vec();
     for _ in 0..cfg.epochs {
         rng.shuffle(&mut order);

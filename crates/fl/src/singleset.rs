@@ -49,7 +49,7 @@ pub fn run_singleset(
     assert!(cfg.epochs > 0 && cfg.batch_size > 0);
     let mut rng = Rng64::new(cfg.seed);
     let mut model = spec.build(rng.next_u64());
-    let mut opt = Sgd::new(cfg.lr, 0.0, 0.0);
+    let mut opt = Sgd::new(cfg.lr, 0.0);
     let mut order: Vec<usize> = (0..train.len()).collect();
     let mut records = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {

@@ -1,8 +1,8 @@
 //! Weight initialization schemes.
 //!
-//! The paper's policy/value networks and client CNNs are standard
-//! fully-connected / convolutional stacks; we provide the two ubiquitous
-//! fan-based schemes. All draws go through the deterministic [`Rng64`] so a
+//! The paper's policy/value networks and the client MLPs are standard
+//! fully-connected stacks; we provide the two ubiquitous fan-based
+//! schemes. All draws go through the deterministic [`Rng64`] so a
 //! model is fully reproducible from its seed.
 
 use crate::rng::Rng64;
@@ -25,11 +25,9 @@ pub enum Init {
 }
 
 impl Init {
-    /// Materialize a tensor of the given shape.
-    ///
-    /// `fan_in`/`fan_out` are passed explicitly because convolution kernels
-    /// have fans that differ from their raw shape dimensions.
-    pub fn build(self, shape: &[usize], fan_in: usize, fan_out: usize, rng: &mut Rng64) -> Tensor {
+    /// Materialize a `[fan_in, fan_out]` weight matrix.
+    pub fn build(self, fan_in: usize, fan_out: usize, rng: &mut Rng64) -> Tensor {
+        let shape = &[fan_in, fan_out];
         match self {
             Init::XavierUniform => {
                 let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
@@ -52,7 +50,7 @@ mod tests {
     #[test]
     fn xavier_respects_limit() {
         let mut rng = Rng64::new(1);
-        let t = Init::XavierUniform.build(&[64, 64], 64, 64, &mut rng);
+        let t = Init::XavierUniform.build(64, 64, &mut rng);
         let limit = (6.0f32 / 128.0).sqrt();
         assert!(t.data().iter().all(|&x| x.abs() <= limit));
         // Should actually use the range, not collapse to zero.
@@ -63,7 +61,7 @@ mod tests {
     fn he_normal_std_is_plausible() {
         let mut rng = Rng64::new(2);
         let fan_in = 256;
-        let t = Init::HeNormal.build(&[fan_in, 256], fan_in, 256, &mut rng);
+        let t = Init::HeNormal.build(fan_in, 256, &mut rng);
         let std = (t.norm_sq() / t.numel() as f32).sqrt();
         let expected = (2.0f32 / fan_in as f32).sqrt();
         assert!(
@@ -75,21 +73,21 @@ mod tests {
     #[test]
     fn zeros_is_zero() {
         let mut rng = Rng64::new(3);
-        let t = Init::Zeros.build(&[10], 10, 10, &mut rng);
+        let t = Init::Zeros.build(10, 10, &mut rng);
         assert_eq!(t.sum(), 0.0);
     }
 
     #[test]
     fn final_layer_small_is_tiny() {
         let mut rng = Rng64::new(4);
-        let t = Init::FinalLayerSmall.build(&[32, 32], 32, 32, &mut rng);
+        let t = Init::FinalLayerSmall.build(32, 32, &mut rng);
         assert!(t.data().iter().all(|&x| x.abs() <= 3e-3));
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let a = Init::HeNormal.build(&[8, 8], 8, 8, &mut Rng64::new(9));
-        let b = Init::HeNormal.build(&[8, 8], 8, 8, &mut Rng64::new(9));
+        let a = Init::HeNormal.build(8, 8, &mut Rng64::new(9));
+        let b = Init::HeNormal.build(8, 8, &mut Rng64::new(9));
         assert_eq!(a, b);
     }
 }

@@ -5,13 +5,11 @@ use crate::tensor::Tensor;
 
 /// Supported activation functions.
 ///
-/// The paper uses LeakyReLU throughout the DRL networks (§3.4.1) and ReLU in
-/// the client CNNs; Tanh and Sigmoid serve the policy head (μ bounded by
-/// tanh, σ shaped by sigmoid — see `feddrl-drl`).
+/// The paper uses LeakyReLU throughout the DRL networks (§3.4.1), and the
+/// client MLPs use it too; Tanh and Sigmoid serve the policy head (μ
+/// bounded by tanh, σ shaped by sigmoid — see `feddrl-drl`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActivationKind {
-    /// Rectified linear unit `max(0, x)`.
-    Relu,
     /// LeakyReLU with the given negative-side slope (paper default 0.01).
     LeakyRelu(f32),
     /// Hyperbolic tangent.
@@ -24,7 +22,6 @@ impl ActivationKind {
     #[inline]
     fn apply(self, x: f32) -> f32 {
         match self {
-            ActivationKind::Relu => x.max(0.0),
             ActivationKind::LeakyRelu(a) => {
                 if x >= 0.0 {
                     x
@@ -42,13 +39,6 @@ impl ActivationKind {
     #[inline]
     fn derivative(self, x: f32, y: f32) -> f32 {
         match self {
-            ActivationKind::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             ActivationKind::LeakyRelu(a) => {
                 if x > 0.0 {
                     1.0
@@ -83,11 +73,6 @@ impl Activation {
     /// The paper's default LeakyReLU (slope 0.01).
     pub fn leaky_relu() -> Self {
         Self::new(ActivationKind::LeakyRelu(0.01))
-    }
-
-    /// Plain ReLU.
-    pub fn relu() -> Self {
-        Self::new(ActivationKind::Relu)
     }
 
     /// Hyperbolic tangent.
@@ -150,7 +135,6 @@ impl Layer for Activation {
 
     fn name(&self) -> &'static str {
         match self.kind {
-            ActivationKind::Relu => "relu",
             ActivationKind::LeakyRelu(_) => "leaky_relu",
             ActivationKind::Tanh => "tanh",
             ActivationKind::Sigmoid => "sigmoid",
@@ -169,8 +153,8 @@ mod tests {
     use crate::rng::Rng64;
 
     #[test]
-    fn relu_clamps_negatives() {
-        let mut layer = Activation::relu();
+    fn leaky_relu_of_slope_zero_clamps_negatives() {
+        let mut layer = Activation::new(ActivationKind::LeakyRelu(0.0));
         let x = Tensor::from_vec(&[1, 4], vec![-2.0, -0.5, 0.0, 3.0]);
         let y = layer.forward(&x, false);
         assert_eq!(y.data(), &[0.0, 0.0, 0.0, 3.0]);
@@ -206,13 +190,12 @@ mod tests {
     fn all_kinds_pass_gradient_check() {
         let mut rng = Rng64::new(7);
         for kind in [
-            ActivationKind::Relu,
             ActivationKind::LeakyRelu(0.01),
             ActivationKind::Tanh,
             ActivationKind::Sigmoid,
         ] {
             let mut layer = Activation::new(kind);
-            // Offset away from 0 to dodge the ReLU kink during finite diff.
+            // Offset away from 0 to dodge the LeakyReLU kink during finite diff.
             let mut x = Tensor::randn(&[4, 6], 0.0, 1.0, &mut rng);
             x.map_inplace(|v| if v.abs() < 0.05 { v + 0.1 } else { v });
             grad_check_input(&mut layer, &x, &mut rng, 2e-2);

@@ -26,7 +26,7 @@ impl Dense {
     pub fn new(in_dim: usize, out_dim: usize, init: Init, rng: &mut Rng64) -> Self {
         assert!(in_dim > 0 && out_dim > 0, "Dense dims must be positive");
         Self {
-            w: init.build(&[in_dim, out_dim], in_dim, out_dim, rng),
+            w: init.build(in_dim, out_dim, rng),
             b: Tensor::zeros(&[out_dim]),
             gw: Tensor::zeros(&[in_dim, out_dim]),
             gb: Tensor::zeros(&[out_dim]),

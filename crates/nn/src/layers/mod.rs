@@ -2,27 +2,19 @@
 //!
 //! Rather than a tape-based autograd, each [`Layer`] caches what it needs in
 //! `forward` and produces input gradients (accumulating parameter gradients)
-//! in `backward`. This matches the fixed feed-forward topologies the FedDRL
-//! paper uses — client CNN/VGG-11 classifiers and 2–3 layer MLP policy/value
-//! networks — and keeps the hot training loop free of allocation-heavy graph
-//! bookkeeping.
+//! in `backward`. This matches the fixed feed-forward topologies the
+//! reproduction trains — client MLPs and the 2–3 layer MLP policy/value
+//! networks of the DRL agent — and keeps the hot training loop free of
+//! allocation-heavy graph bookkeeping.
 //!
-//! Layout conventions: every inter-layer activation is a 2-D tensor
-//! `[batch, features]`. Convolutional layers carry their own `(C, H, W)`
-//! bookkeeping and interpret the feature axis as `C·H·W` in row-major order,
-//! so no separate reshape/flatten layers are required.
+//! Layout convention: every inter-layer activation is a 2-D tensor
+//! `[batch, features]`.
 
 mod activation;
-mod conv;
 mod dense;
-mod dropout;
-mod pool;
 
 pub use activation::{Activation, ActivationKind};
-pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
-pub use pool::MaxPool2d;
 
 use crate::tensor::Tensor;
 
@@ -33,11 +25,10 @@ use crate::tensor::Tensor;
 /// the same shape as that forward's output. Parameter gradients accumulate
 /// across calls until [`Layer::zero_grad`].
 pub trait Layer: Send + Sync {
-    /// Compute the layer output. `train` toggles train-time behaviour:
-    /// dropout masks, and the caches `backward` consumes. An inference pass
-    /// (`false`) caches nothing and drops what an earlier training pass
-    /// left, so a `backward` after it is the layer's "backward called before
-    /// forward" panic.
+    /// Compute the layer output. `train` toggles the caches `backward`
+    /// consumes: an inference pass (`false`) caches nothing and drops what
+    /// an earlier training pass left, so a `backward` after it is the
+    /// layer's "backward called before forward" panic.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Back-propagate `grad_out` (shape of the last forward's output),

@@ -5,19 +5,18 @@
 //! training stack needs and nothing more:
 //!
 //! * [`tensor::Tensor`] — dense row-major `f32` arrays with parallel matmul;
-//! * [`layers`] — Dense / Conv2d / MaxPool2d / activations / Dropout with
-//!   explicit backprop and finite-difference-verified gradients;
+//! * [`layers`] — Dense and activations with explicit backprop and
+//!   finite-difference-verified gradients;
 //! * [`loss`] — fused softmax cross-entropy and MSE;
-//! * [`optim::Sgd`] — SGD with momentum, weight decay and an ascent mode
-//!   (for the DDPG policy update);
+//! * [`optim::Sgd`] — SGD with momentum and an ascent mode (for the DDPG
+//!   policy update);
 //! * [`model::Sequential`] — layer stack with *flat parameter vector*
 //!   import/export, the representation exchanged in federated aggregation;
 //! * [`mask::StructuredMask`] — whole-hidden-unit sub-model masks for
 //!   adaptive structured dropout (arXiv:2507.10430): pressured federated
 //!   clients train a masked sub-model that still aggregates into the full
 //!   model;
-//! * [`zoo`] — the paper's client architectures (CNN, VGG-11) and MLP
-//!   profiles;
+//! * [`zoo`] — the client MLP profiles;
 //! * [`rng::Rng64`] — deterministic xoshiro256++ randomness so whole
 //!   federated runs reproduce from one seed;
 //! * [`ids`] — client-id sets and maps over one fixed hasher, shared by
@@ -42,7 +41,7 @@
 //! let (loss, grad) = cross_entropy_logits(&logits, &[0, 1, 2, 0]);
 //! model.zero_grad();
 //! model.backward(&grad);
-//! Sgd::new(0.1, 0.9, 0.0).step(&mut model);
+//! Sgd::new(0.1, 0.9).step(&mut model);
 //! assert!(loss > 0.0);
 //! ```
 
@@ -64,7 +63,7 @@ pub mod zoo;
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::init::Init;
-    pub use crate::layers::{Activation, ActivationKind, Conv2d, Dense, Dropout, Layer, MaxPool2d};
+    pub use crate::layers::{Activation, ActivationKind, Dense, Layer};
     pub use crate::loss::{accuracy, cross_entropy_logits, cross_entropy_loss_only, mse};
     pub use crate::mask::StructuredMask;
     pub use crate::model::Sequential;

@@ -94,11 +94,10 @@ impl StructuredMask {
     /// units (at least one per layer), consuming `rng` deterministically.
     ///
     /// Maskable units are the outputs of a dense layer that directly feeds
-    /// another dense layer (only parameter-free layers — activations,
-    /// element-wise dropout — in between, and matching dimensions). Models
-    /// with no such pair (e.g. convolutional stacks, single-layer heads)
-    /// yield the full mask. `keep_ratio = 1` is the full mask by
-    /// construction, bit-identical to untrained-through code paths.
+    /// another dense layer (only parameter-free layers such as activations
+    /// in between, and matching dimensions). Models with no such pair (e.g.
+    /// single-layer heads) yield the full mask. `keep_ratio = 1` is the full
+    /// mask by construction, bit-identical to untrained-through code paths.
     ///
     /// # Panics
     /// Panics unless `keep_ratio` is in `(0, 1]`.
@@ -225,7 +224,7 @@ fn zero_dropped(keep: &[bool], weights: &mut [f32]) {
 mod tests {
     use super::*;
     use crate::init::Init;
-    use crate::layers::{Activation, Dense};
+    use crate::layers::{Activation, Dense, Layer};
     use crate::tensor::Tensor;
 
     fn mlp(rng: &mut Rng64) -> Sequential {
@@ -338,6 +337,55 @@ mod tests {
         }
     }
 
+    /// A per-feature bias, `y = x + b`: a layer with parameters that
+    /// [`Layer::io_dims`] does not describe, so it breaks a dense pair.
+    #[derive(Clone)]
+    struct Bias {
+        b: Tensor,
+        gb: Tensor,
+    }
+
+    impl Layer for Bias {
+        fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+            let mut y = x.clone();
+            y.add_row_vec(&self.b);
+            y
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            self.gb.add_assign(&grad_out.sum_rows());
+            grad_out.clone()
+        }
+
+        fn params(&self) -> Vec<&Tensor> {
+            vec![&self.b]
+        }
+
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            vec![&mut self.b]
+        }
+
+        fn grads(&self) -> Vec<&Tensor> {
+            vec![&self.gb]
+        }
+
+        fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+            vec![&mut self.gb]
+        }
+
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+            f(&mut self.b, &mut self.gb);
+        }
+
+        fn name(&self) -> &'static str {
+            "bias"
+        }
+
+        fn clone_box(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+    }
+
     /// The derivation `derive` replaced, kept as its reference: the same
     /// pairs and the same draws, every position of a dropped unit cleared
     /// one at a time.
@@ -372,7 +420,6 @@ mod tests {
     /// dimension mismatch, and ratios from one unit to all of them.
     #[test]
     fn row_wise_derivation_matches_the_per_position_reference() {
-        use crate::layers::Conv2d;
         let dense = |i, o, rng: &mut Rng64| Dense::new(i, o, Init::HeNormal, rng);
         let mut rng = Rng64::new(12);
         let r = &mut rng;
@@ -380,9 +427,9 @@ mod tests {
             mlp(r),
             Sequential::new()
                 .push(dense(5, 8, r))
-                .push(Activation::relu())
+                .push(Activation::leaky_relu())
                 .push(dense(8, 7, r))
-                .push(Activation::relu())
+                .push(Activation::leaky_relu())
                 .push(dense(7, 3, r)),
             Sequential::new()
                 .push(dense(4, 9, r))
@@ -392,9 +439,12 @@ mod tests {
                 .push(dense(11, 2, r)),
             Sequential::new()
                 .push(dense(6, 10, r))
-                .push(Conv2d::new(1, 4, 4, 2, 3, 1, 1, r))
+                .push(Bias {
+                    b: Tensor::zeros(&[10]),
+                    gb: Tensor::zeros(&[10]),
+                })
                 .push(dense(10, 4, r))
-                .push(Activation::relu())
+                .push(Activation::leaky_relu())
                 .push(dense(4, 3, r)),
             Sequential::new()
                 .push(dense(6, 10, r))

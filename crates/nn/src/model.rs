@@ -311,7 +311,7 @@ mod tests {
             .push(Dense::new(2, 16, Init::HeNormal, &mut rng))
             .push(Activation::tanh())
             .push(Dense::new(16, 1, Init::XavierUniform, &mut rng));
-        let mut opt = Sgd::new(0.05, 0.9, 0.0);
+        let mut opt = Sgd::new(0.05, 0.9);
         // Learn y = x0 - x1.
         let x = Tensor::randn(&[64, 2], 0.0, 1.0, &mut rng);
         let target = Tensor::from_vec(&[64, 1], (0..64).map(|i| x.at(i, 0) - x.at(i, 1)).collect());
@@ -336,7 +336,7 @@ mod tests {
     fn sgd_learns_classification() {
         let mut rng = Rng64::new(6);
         let mut model = tiny_mlp(&mut rng);
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
+        let mut opt = Sgd::new(0.1, 0.0);
         // Three linearly separable blobs.
         let mut xs = Vec::new();
         let mut labels = Vec::new();

@@ -2,13 +2,13 @@
 //!
 //! The paper trains clients with plain SGD (lr 0.01) and the DDPG nets with
 //! SGD-style updates at lr 1e-4/1e-3; [`Sgd`] covers both, with optional
-//! classical momentum and decoupled L2 weight decay.
+//! classical momentum.
 
 use crate::model::Sequential;
 use crate::simd;
 use crate::tensor::Tensor;
 
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// Stochastic gradient descent with optional momentum.
 ///
 /// Velocity buffers are allocated lazily on the first step and keyed by
 /// the parameter tensor's position in the model, so the optimizer must be
@@ -17,24 +17,20 @@ use crate::tensor::Tensor;
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Tensor>,
 }
 
 impl Sgd {
-    /// Create an optimizer. `momentum` and `weight_decay` of `0.0` disable
-    /// those terms.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
+    /// Create an optimizer. A `momentum` of `0.0` disables that term.
+    pub fn new(lr: f32, momentum: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive, got {lr}");
         assert!(
             (0.0..1.0).contains(&momentum),
             "momentum must be in [0,1), got {momentum}"
         );
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
         Self {
             lr,
             momentum,
-            weight_decay,
             velocity: Vec::new(),
         }
     }
@@ -71,9 +67,8 @@ impl Sgd {
             } else {
                 g
             };
-            // p ← p − lr·(scale·d + wd·p), d the gradient or its velocity
-            let (lr, decay) = (self.lr, self.weight_decay);
-            simd::sgd_update(p.data_mut(), direction.data(), lr, grad_scale, decay);
+            // p ← p − lr·(scale·d), d the gradient or its velocity
+            simd::sgd_update(p.data_mut(), direction.data(), self.lr, grad_scale);
             index += 1;
         });
     }
@@ -98,7 +93,7 @@ mod tests {
     #[test]
     fn vanilla_sgd_matches_hand_update() {
         let mut model = one_param_model(2.0);
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
+        let mut opt = Sgd::new(0.1, 0.0);
         // loss = (w·1 − 0)², dL/dw = 2w = 4 at w=2 (x=1, target=0).
         let x = Tensor::from_vec(&[1, 1], vec![1.0]);
         let t = Tensor::from_vec(&[1, 1], vec![0.0]);
@@ -115,8 +110,8 @@ mod tests {
     fn momentum_accelerates_along_constant_gradient() {
         let mut plain = one_param_model(1.0);
         let mut heavy = one_param_model(1.0);
-        let mut opt_plain = Sgd::new(0.01, 0.0, 0.0);
-        let mut opt_heavy = Sgd::new(0.01, 0.9, 0.0);
+        let mut opt_plain = Sgd::new(0.01, 0.0);
+        let mut opt_heavy = Sgd::new(0.01, 0.9);
         let x = Tensor::from_vec(&[1, 1], vec![1.0]);
         let t = Tensor::from_vec(&[1, 1], vec![-10.0]);
         for _ in 0..20 {
@@ -137,19 +132,18 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_params_without_gradient() {
+    fn a_zero_gradient_leaves_the_params() {
         let mut model = one_param_model(1.0);
-        let mut opt = Sgd::new(0.1, 0.0, 0.5);
+        let mut opt = Sgd::new(0.1, 0.0);
         model.zero_grad(); // gradients are zero
         opt.step(&mut model);
-        let w = model.flat_params()[0];
-        assert!((w - (1.0 - 0.1 * 0.5)).abs() < 1e-6, "w = {w}");
+        assert_eq!(model.flat_params(), [1.0, 0.0]);
     }
 
     #[test]
     fn step_scaled_negative_ascends() {
         let mut model = one_param_model(1.0);
-        let mut opt = Sgd::new(0.1, 0.0, 0.0);
+        let mut opt = Sgd::new(0.1, 0.0);
         let x = Tensor::from_vec(&[1, 1], vec![1.0]);
         let t = Tensor::from_vec(&[1, 1], vec![0.0]);
         let pred = model.forward(&x, true);
@@ -164,6 +158,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_zero_lr() {
-        let _ = Sgd::new(0.0, 0.0, 0.0);
+        let _ = Sgd::new(0.0, 0.0);
     }
 }

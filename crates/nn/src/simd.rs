@@ -453,9 +453,9 @@ fn add_assign_body(out: &mut [f32], x: &[f32]) {
 }
 
 #[inline(always)]
-fn sgd_update_body(p: &mut [f32], g: &[f32], lr: f32, scale: f32, decay: f32) {
+fn sgd_update_body(p: &mut [f32], g: &[f32], lr: f32, scale: f32) {
     for (pv, &gv) in p.iter_mut().zip(g) {
-        *pv -= lr * (scale * gv + decay * *pv);
+        *pv -= lr * (scale * gv);
     }
 }
 
@@ -465,9 +465,9 @@ dispatched! {
 }
 
 dispatched! {
-    /// One SGD update, `p[i] -= lr · (scale · g[i] + decay · p[i])`, up to
-    /// the shorter slice.
-    pub(crate) fn sgd_update(p: &mut [f32], g: &[f32], lr: f32, scale: f32, decay: f32) = sgd_update_body;
+    /// One SGD update, `p[i] -= lr · (scale · g[i])`, up to the shorter
+    /// slice.
+    pub(crate) fn sgd_update(p: &mut [f32], g: &[f32], lr: f32, scale: f32) = sgd_update_body;
 }
 
 #[cfg(test)]
@@ -503,8 +503,7 @@ mod tests {
 
     /// A step's two elementwise passes are their scalar loops bit for bit in
     /// both instantiations, for every length around one and two vectors of
-    /// either width, with a non-finite entry on each side and a decay of
-    /// zero (where `0 · ∞` must still reach the parameter).
+    /// either width, with a non-finite entry on each side.
     #[test]
     fn step_passes_match_their_scalar_loops() {
         let mut rng = Rng64::new(34);
@@ -523,18 +522,18 @@ mod tests {
                 let (got, want) = (bits_nan_as_one(&got), bits_nan_as_one(&want));
                 assert_eq!(got, want, "add_assign, len {len}");
             }
-            for (lr, scale, decay) in [(0.01, 1.0, 0.0), (1e-3, -1.0, 5e-4)] {
+            for (lr, scale) in [(0.01, 1.0), (1e-3, -1.0)] {
                 let mut want = p.clone();
                 for (pv, &gv) in want.iter_mut().zip(&g) {
-                    *pv -= lr * (scale * gv + decay * *pv);
+                    *pv -= lr * (scale * gv);
                 }
                 for got in both(|| {
                     let mut out = p.clone();
-                    sgd_update(&mut out, &g, lr, scale, decay);
+                    sgd_update(&mut out, &g, lr, scale);
                     out
                 }) {
                     let (got, want) = (bits_nan_as_one(&got), bits_nan_as_one(&want));
-                    assert_eq!(got, want, "sgd_update, len {len}, decay {decay}");
+                    assert_eq!(got, want, "sgd_update, len {len}, scale {scale}");
                 }
             }
         }

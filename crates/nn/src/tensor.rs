@@ -2,8 +2,8 @@
 //!
 //! [`Tensor`] is the single numeric container used by every layer, loss and
 //! optimizer in the reproduction. It is intentionally small: federated
-//! aggregation and DDPG only need 1-D/2-D (and, for convolutions, 4-D)
-//! dense arrays with a handful of BLAS-1/BLAS-3 style kernels.
+//! aggregation and DDPG only need 1-D/2-D dense arrays with a handful of
+//! BLAS-1/BLAS-3 style kernels.
 //!
 //! # The product kernels and their contract
 //!
@@ -29,8 +29,8 @@
 //!   rounded multiply and one rounded add each. No reassociation, no
 //!   pairwise or blocked-`k` sums.
 //! * **Zero skip.** `matmul` and `t_matmul` skip a term whose *left* factor
-//!   compares equal to zero (`0.0` or `-0.0`): ReLU activations and
-//!   structured-dropout masks make those common. The skipped term would
+//!   compares equal to zero (`0.0` or `-0.0`): structured-dropout masks
+//!   make those common. The skipped term would
 //!   have added `±0.0`, so a finite right factor gives the same bits — but
 //!   a non-finite one does not (`0·∞ = NaN` is skipped too). Each row
 //!   decides for itself: in a row pair, one row's skipped term is the
@@ -322,11 +322,12 @@ impl Tensor {
         &mut self.data[r * cols..(r + 1) * cols]
     }
 
-    /// Reinterpret with a new shape (same element count).
+    /// Reinterpret with a new shape (same element count; test fixtures).
     ///
     /// # Panics
     /// Panics if the element counts differ.
-    pub fn reshape(mut self, shape: &[usize]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn reshape(mut self, shape: &[usize]) -> Self {
         let numel: usize = shape.iter().product();
         assert_eq!(
             numel,
@@ -358,14 +359,6 @@ impl Tensor {
         debug_assert_eq!(self.shape, other.shape, "sub_assign shape mismatch");
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a -= b;
-        }
-    }
-
-    /// In-place Hadamard product `self *= other`.
-    pub fn mul_assign(&mut self, other: &Tensor) {
-        debug_assert_eq!(self.shape, other.shape, "mul_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a *= b;
         }
     }
 
@@ -886,12 +879,10 @@ mod tests {
         assert_eq!(a.data(), &[5., 7., 9.]);
         a.sub_assign(&b);
         assert_eq!(a.data(), &[1., 2., 3.]);
-        a.mul_assign(&b);
-        assert_eq!(a.data(), &[4., 10., 18.]);
         a.scale(0.5);
-        assert_eq!(a.data(), &[2., 5., 9.]);
+        assert_eq!(a.data(), &[0.5, 1., 1.5]);
         a.axpy(2.0, &b);
-        assert_eq!(a.data(), &[10., 15., 21.]);
+        assert_eq!(a.data(), &[8.5, 11., 13.5]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Model zoo: the client architectures named in the paper plus the
-//! scaled-down MLP profiles used by the default experiment configuration.
+//! Model zoo: the client models the experiments build — MLP profiles
+//! scaled to the synthetic datasets' flat feature vectors.
 //!
 //! Models are described by a serializable [`ModelSpec`] and materialized
 //! with [`ModelSpec::build`] from a seed, so a federated run can reconstruct
@@ -7,7 +7,7 @@
 //! next to checkpoints.
 
 use crate::init::Init;
-use crate::layers::{Activation, ActivationKind, Conv2d, Dense, Dropout, MaxPool2d};
+use crate::layers::{Activation, ActivationKind, Dense};
 use crate::model::Sequential;
 use crate::rng::Rng64;
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ModelSpec {
     /// Multi-layer perceptron with LeakyReLU hidden activations. The
-    /// default client model for the synthetic (scaled-down) experiments.
+    /// client model of every experiment (the paper's CNN and VGG-11 need
+    /// image data the repository does not carry).
     Mlp {
         /// Input feature dimensionality.
         in_dim: usize,
@@ -24,20 +25,6 @@ pub enum ModelSpec {
         hidden: Vec<usize>,
         /// Number of output classes.
         out_dim: usize,
-    },
-    /// The simple CNN used for MNIST/Fashion-MNIST in the paper (after
-    /// \[25\]): two 5×5 conv + 2×2 maxpool blocks, then a 512-unit dense
-    /// head. Input is `1×28×28`.
-    CnnMnist {
-        /// Number of output classes.
-        num_classes: usize,
-    },
-    /// VGG-11 adapted to 32×32 inputs as is standard in federated CIFAR
-    /// work ([18, 22]): 8 conv layers with pooling, then a 512→512→classes
-    /// classifier with dropout.
-    Vgg11 {
-        /// Number of output classes.
-        num_classes: usize,
     },
 }
 
@@ -51,25 +38,6 @@ impl ModelSpec {
                 hidden,
                 out_dim,
             } => build_mlp(*in_dim, hidden, *out_dim, &mut rng),
-            ModelSpec::CnnMnist { num_classes } => build_cnn_mnist(*num_classes, &mut rng),
-            ModelSpec::Vgg11 { num_classes } => build_vgg11(*num_classes, &mut rng),
-        }
-    }
-
-    /// Input feature dimension expected by the model.
-    pub fn in_dim(&self) -> usize {
-        match self {
-            ModelSpec::Mlp { in_dim, .. } => *in_dim,
-            ModelSpec::CnnMnist { .. } => 28 * 28,
-            ModelSpec::Vgg11 { .. } => 3 * 32 * 32,
-        }
-    }
-
-    /// Number of output classes.
-    pub fn out_dim(&self) -> usize {
-        match self {
-            ModelSpec::Mlp { out_dim, .. } => *out_dim,
-            ModelSpec::CnnMnist { num_classes } | ModelSpec::Vgg11 { num_classes } => *num_classes,
         }
     }
 }
@@ -90,72 +58,6 @@ pub fn build_mlp(in_dim: usize, hidden: &[usize], out_dim: usize, rng: &mut Rng6
         rng,
     )));
     model
-}
-
-/// Simple CNN for 28×28 grayscale input (paper's MNIST/F-MNIST model).
-fn build_cnn_mnist(num_classes: usize, rng: &mut Rng64) -> Sequential {
-    let mut m = Sequential::new();
-    // conv1: 1×28×28 → 32×28×28, pool → 32×14×14
-    let c1 = Conv2d::new(1, 28, 28, 32, 5, 1, 2, rng);
-    m.push_boxed(Box::new(c1));
-    m.push_boxed(Box::new(Activation::relu()));
-    m.push_boxed(Box::new(MaxPool2d::new(32, 28, 28, 2, 2)));
-    // conv2: 32×14×14 → 64×14×14, pool → 64×7×7
-    let c2 = Conv2d::new(32, 14, 14, 64, 5, 1, 2, rng);
-    m.push_boxed(Box::new(c2));
-    m.push_boxed(Box::new(Activation::relu()));
-    m.push_boxed(Box::new(MaxPool2d::new(64, 14, 14, 2, 2)));
-    // classifier
-    m.push_boxed(Box::new(Dense::new(64 * 7 * 7, 512, Init::HeNormal, rng)));
-    m.push_boxed(Box::new(Activation::relu()));
-    m.push_boxed(Box::new(Dense::new(
-        512,
-        num_classes,
-        Init::XavierUniform,
-        rng,
-    )));
-    m
-}
-
-/// VGG-11 for 3×32×32 input, CIFAR-adapted classifier head.
-fn build_vgg11(num_classes: usize, rng: &mut Rng64) -> Sequential {
-    let mut m = Sequential::new();
-    let mut c = 3usize;
-    let mut hw = 32usize;
-    // (out_channels, pool_after) per VGG-A configuration.
-    let cfg: [(usize, bool); 8] = [
-        (64, true),
-        (128, true),
-        (256, false),
-        (256, true),
-        (512, false),
-        (512, true),
-        (512, false),
-        (512, true),
-    ];
-    for (out_c, pool) in cfg {
-        m.push_boxed(Box::new(Conv2d::new(c, hw, hw, out_c, 3, 1, 1, rng)));
-        m.push_boxed(Box::new(Activation::relu()));
-        c = out_c;
-        if pool {
-            m.push_boxed(Box::new(MaxPool2d::new(c, hw, hw, 2, 2)));
-            hw /= 2;
-        }
-    }
-    debug_assert_eq!(hw, 1, "VGG-11 trunk should reduce 32x32 to 1x1");
-    m.push_boxed(Box::new(Dense::new(c, 512, Init::HeNormal, rng)));
-    m.push_boxed(Box::new(Activation::relu()));
-    m.push_boxed(Box::new(Dropout::new(0.5, rng.derive(0xD0))));
-    m.push_boxed(Box::new(Dense::new(512, 512, Init::HeNormal, rng)));
-    m.push_boxed(Box::new(Activation::relu()));
-    m.push_boxed(Box::new(Dropout::new(0.5, rng.derive(0xD1))));
-    m.push_boxed(Box::new(Dense::new(
-        512,
-        num_classes,
-        Init::XavierUniform,
-        rng,
-    )));
-    m
 }
 
 #[cfg(test)]
@@ -182,43 +84,15 @@ mod tests {
     }
 
     #[test]
-    fn cnn_mnist_forward_shape() {
-        let spec = ModelSpec::CnnMnist { num_classes: 10 };
-        let mut model = spec.build(3);
-        let mut rng = Rng64::new(2);
-        let x = Tensor::randn(&[2, 28 * 28], 0.0, 1.0, &mut rng);
-        let y = model.forward(&x, false);
-        assert_eq!(y.shape(), &[2, 10]);
-        // Parameter count of the standard 32/64 5x5 CNN with 512 head:
-        let expected =
-            (32 * 25 + 32) + (64 * 32 * 25 + 64) + (64 * 7 * 7 * 512 + 512) + (512 * 10 + 10);
-        assert_eq!(model.param_count(), expected);
-    }
-
-    #[test]
-    fn vgg11_forward_shape_and_size() {
-        let spec = ModelSpec::Vgg11 { num_classes: 100 };
-        let mut model = spec.build(5);
-        let mut rng = Rng64::new(4);
-        let x = Tensor::randn(&[1, 3 * 32 * 32], 0.0, 0.1, &mut rng);
-        let y = model.forward(&x, false);
-        assert_eq!(y.shape(), &[1, 100]);
-        // VGG-11 conv trunk + 512-512 head is ~9.5M params (CIFAR variant).
-        let p = model.param_count();
-        assert!(
-            (9_000_000..10_500_000).contains(&p),
-            "unexpected VGG-11 parameter count {p}"
-        );
-    }
-
-    #[test]
     fn spec_serde_roundtrip() {
-        let spec = ModelSpec::Vgg11 { num_classes: 100 };
+        let spec = ModelSpec::Mlp {
+            in_dim: 64,
+            hidden: vec![128],
+            out_dim: 100,
+        };
         let json = serde_json::to_string(&spec).unwrap();
         let back: ModelSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
-        assert_eq!(back.in_dim(), 3072);
-        assert_eq!(back.out_dim(), 100);
     }
 
     #[test]

@@ -395,18 +395,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `backward_params` accumulates the parameter gradients `backward`
-    /// does, bit for bit, on an MLP and on a conv stack — twice in a row
-    /// without `zero_grad`, so accumulation is covered as well.
+    /// does, bit for bit, on an MLP and on a stack whose bottom layer keeps
+    /// the trait's default `backward_params` — twice in a row without
+    /// `zero_grad`, so accumulation is covered as well.
     #[test]
     fn backward_params_leaves_the_gradients_backward_leaves(seed in 0u64..1_000) {
         let mut rng = Rng64::new(seed);
         let mlp = ModelSpec::Mlp { in_dim: 9, hidden: vec![33, 7], out_dim: 5 }.build(seed);
-        let conv = Sequential::new()
-            .push(Conv2d::new(2, 6, 6, 3, 3, 1, 1, &mut rng))
-            .push(Activation::relu())
-            .push(MaxPool2d::new(3, 6, 6, 2, 2))
-            .push(Dense::new(27, 4, Init::HeNormal, &mut rng));
-        for (model, in_dim) in [(mlp, 9), (conv, 72)] {
+        let biased = Sequential::new()
+            .push(Bias {
+                b: Tensor::randn(&[8], 0.0, 1.0, &mut rng),
+                gb: Tensor::zeros(&[8]),
+            })
+            .push(Activation::leaky_relu())
+            .push(Dense::new(8, 4, Init::HeNormal, &mut rng));
+        for (model, in_dim) in [(mlp, 9), (biased, 8)] {
             let (mut full, mut params_only) = (model.clone(), model);
             for _ in 0..2 {
                 let x = Tensor::randn(&[6, in_dim], 0.0, 1.0, &mut rng);
@@ -417,5 +420,55 @@ proptest! {
                 prop_assert!(same_bits(&params_only.flat_grads(), &full.flat_grads()));
             }
         }
+    }
+}
+
+/// A per-feature bias, `y = x + b`, with the trait's default
+/// `backward_params`: the bottom layer a `Sequential` hands that call to
+/// when it is not a [`Dense`].
+#[derive(Clone)]
+struct Bias {
+    b: Tensor,
+    gb: Tensor,
+}
+
+impl Layer for Bias {
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        let mut y = x.clone();
+        y.add_row_vec(&self.b);
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.gb.add_assign(&grad_out.sum_rows());
+        grad_out.clone()
+    }
+
+    fn params(&self) -> Vec<&Tensor> {
+        vec![&self.b]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.b]
+    }
+
+    fn grads(&self) -> Vec<&Tensor> {
+        vec![&self.gb]
+    }
+
+    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.gb]
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        f(&mut self.b, &mut self.gb);
+    }
+
+    fn name(&self) -> &'static str {
+        "bias"
+    }
+
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
     }
 }
